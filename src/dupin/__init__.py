@@ -12,7 +12,6 @@ from .net import (
     validate_triple,
 )
 from .integrable import (
-    LineIntegrator,
     RibaucourSolution,
     integrate_triple,
     reconstruct_frame,
@@ -34,7 +33,7 @@ __all__ = [
     "TensorGrid", "Field", "fd_jet", "sym_eigen", "sphere_fit",
     "ClassMap", "ImmersionSample", "ParallelNormalSubbundle", "PrincipalData",
     "Triple", "attach_subbundle", "principal_normals_from_triple", "validate_triple",
-    "LineIntegrator", "RibaucourSolution", "integrate_triple", "reconstruct_frame",
+    "RibaucourSolution", "integrate_triple", "reconstruct_frame",
     "solve_B", "solve_linear",
     "NRibaucourResult", "TransformJet", "dupin_step", "n_ribaucour_transform",
     "ribaucour_transform",

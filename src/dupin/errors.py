@@ -33,27 +33,7 @@ class NotParallel(DupinError):
     pass
 
 
-class BlowUp(DupinError):
-    pass
-
-
-class LameVanishes(DupinError):
-    pass
-
-
 class FrameDrift(DupinError):
-    pass
-
-
-class PhiVanishes(DupinError):
-    pass
-
-
-class DegenerateD(DupinError):
-    pass
-
-
-class PhiFZero(DupinError):
     pass
 
 
@@ -74,10 +54,6 @@ class ThroughOrigin(DupinError):
 
 
 class DegenerateOffset(DupinError):
-    pass
-
-
-class NotSubstantial(DupinError):
     pass
 
 

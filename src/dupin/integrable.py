@@ -3,17 +3,21 @@
 Three completely integrable systems are handled:
 
 * the net system for a triple (v, h, V), integrated from per-axis data by a
-  Goursat-type march (each rotation coefficient advances along a direction
-  where its derivative is determined; the sweep-axis row is reconstructed by
-  quadrature from its own axis data);
+  Goursat-type march (one axis-0 march seeds the base row; each rotation
+  coefficient then advances along a direction where its derivative is
+  determined, the sweep-axis row being reconstructed by quadrature from its
+  own axis data);
 * the tensor system  dB_m/du_j = h_{jm} B_{j'}  for Dupin-tensor eigenvalue
-  data B;
+  data B, whose state carries a batch of columns so that several seeds share
+  one sweep;
 * the joint linear system for (phi, gamma, beta) driven by B, whose solutions
-  induce Ribaucour transforms.
+  induce Ribaucour transforms; its B rows use the same tensor-system rate.
 
-All solves use classical fixed-step 4th-order one-step integration along
-grid lines with configurable substeps; the alternate sweep order provides
-the built-in path-independence health check.
+The tensor, joint and moving-frame systems are total linear systems, filled
+by one sweep engine (``_sweep``): classical fixed-step 4th-order Runge-Kutta
+along grid lines, axis by axis, with a fixed number of substeps per cell (no
+adaptivity); repeating the sweep in the reversed axis order gives the
+built-in path-independence health check.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .numerics import TensorGrid, fd_axis
 
 __all__ = [
     "RibaucourSolution",
-    "LineIntegrator",
     "TripleAxisData",
     "integrate_triple",
     "solve_B",
@@ -40,21 +43,6 @@ __all__ = [
 ]
 
 BLOWUP_BOUND = 1e12
-
-
-@dataclass(frozen=True)
-class LineIntegrator:
-    """Step policy for line integrals: fixed 4th-order scheme, >= 1 substeps
-    per grid cell (no adaptivity, so path-independence checks stay meaningful)."""
-
-    substeps: int = 12
-    order: int = 4
-
-    def __post_init__(self):
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-        if self.order != 4:
-            raise ValueError("only the classical 4th-order scheme is implemented")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +157,63 @@ def _field_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.nanmax(np.abs(a - b)) / scale)
 
 
+def _sweep(grid: TensorGrid, state0: np.ndarray, rhs_factory, order, substeps: int,
+           check_alternate: bool):
+    """Sweep a total linear system in `order` (default: axis order); returns
+    (states, reports).  With check_alternate on a grid of >= 2 axes the sweep
+    is repeated in the reversed order and the relative disagreement of the
+    two is reported as path_independence."""
+    order = tuple(range(grid.ndim)) if order is None else tuple(order)
+    states = _sweep_total(grid, state0, rhs_factory, order, substeps)
+    reports = {}
+    if check_alternate and grid.ndim > 1:
+        alt = _sweep_total(grid, state0, rhs_factory, tuple(reversed(order)), substeps)
+        reports["path_independence"] = _field_rel_diff(states, alt)
+    return states, reports
+
+
+def _bounded(x: np.ndarray, axis: int) -> np.ndarray:
+    """Nodes whose values along `axis` are finite and below the blow-up bound."""
+    return np.isfinite(x).all(axis=axis) & (np.abs(x).max(axis=axis) < BLOWUP_BOUND)
+
+
+# ---------------------------------------------------------------------------
+# the tensor system dB_m/du_j = h_{jm} B_{j'}
+
+
+def _tensor_rate(h_axis: np.ndarray, B: np.ndarray, ca: int) -> np.ndarray:
+    """Rate h[axis, m] * B_{ca} along the sweep axis; h_axis is (k, nodes), B is
+    (nodes, k, M) with a trailing batch of M columns."""
+    return h_axis.T[:, :, None] * B[:, ca][:, None, :]
+
+
+def _tensor_rhs_factory(provider, class_map: ClassMap, k: int):
+    cls = class_map.classes
+
+    def factory(axis: int, idx: np.ndarray):
+        ca = cls[axis]
+
+        def rhs(t: float, Y: np.ndarray) -> np.ndarray:
+            h = provider.line_eval(axis, idx, t)["h"]
+            return _tensor_rate(h[axis], Y.reshape(Y.shape[0], k, -1), ca).reshape(Y.shape)
+
+        return rhs
+
+    return factory
+
+
+def _sweep_tensor(triple: Triple, B0: np.ndarray, substeps: int, order=None,
+                  check_alternate: bool = False):
+    """Sweep the tensor system from the M seed columns of B0 (k, M) at once;
+    returns (B (M, k, *grid), reports)."""
+    k, M = B0.shape
+    factory = _tensor_rhs_factory(_provider_for(triple), triple.class_map, k)
+    states, reports = _sweep(triple.grid, B0.reshape(-1), factory, order, substeps,
+                             check_alternate)
+    B = states.reshape(triple.grid.shape + (k, M))
+    return np.moveaxis(B, (-1, -2), (0, 1)), reports
+
+
 # ---------------------------------------------------------------------------
 # the joint (B, phi, gamma, beta) system
 
@@ -228,7 +273,7 @@ class RibaucourSolution:
         return replace(sol, beta=beta, B=B)
 
 
-def _joint_rhs_factory(provider, class_map: ClassMap, D: int, k: int, R: int):
+def _joint_rhs_factory(provider, class_map: ClassMap, D: int, k: int):
     cls = class_map.classes
 
     def factory(axis: int, idx: np.ndarray):
@@ -243,7 +288,7 @@ def _joint_rhs_factory(provider, class_map: ClassMap, D: int, k: int, R: int):
             bet = Y[:, k + 1 + D :].T
             dY = np.empty_like(Y)
             # dB_m = h[axis, m] * B_{ca}
-            dY[:, :k] = (h[axis] * B[ca]).T
+            dY[:, :k] = _tensor_rate(h[axis], Y[:, :k, None], ca)[..., 0]
             # dphi = v_{ca} * gamma_axis
             dY[:, k] = v[ca] * gam[axis]
             # dgamma_j = h[j, ca] * gamma_axis (j != axis)
@@ -266,8 +311,7 @@ def _joint_rhs_factory(provider, class_map: ClassMap, D: int, k: int, R: int):
     return factory
 
 
-def _solution_from_states(triple: Triple, states: np.ndarray, reports: dict,
-                          mask_phi: bool = True) -> RibaucourSolution:
+def _solution_from_states(triple: Triple, states: np.ndarray, reports: dict) -> RibaucourSolution:
     g = triple.grid
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
     move = np.moveaxis(states, -1, 0)
@@ -275,15 +319,14 @@ def _solution_from_states(triple: Triple, states: np.ndarray, reports: dict,
     phi = move[k]
     gamma = move[k + 1 : k + 1 + D]
     beta = move[k + 1 + D :]
-    good = np.isfinite(states).all(axis=-1) & (np.abs(states).max(axis=-1) < BLOWUP_BOUND)
-    if mask_phi:
-        # phi crossing zero is not fatal, but the transform is undefined there
-        phi_scale = np.nanmax(np.abs(phi))
-        if phi_scale > 0:
-            vanished = np.abs(phi) < 1e-12 * phi_scale
-            if vanished.any() and not vanished.all():
-                good &= ~vanished
-                reports["phi_vanishes_fraction"] = float(vanished.mean())
+    good = _bounded(states, axis=-1)
+    # phi crossing zero is not fatal, but the transform is undefined there
+    phi_scale = np.nanmax(np.abs(phi))
+    if phi_scale > 0:
+        vanished = np.abs(phi) < 1e-12 * phi_scale
+        if vanished.any() and not vanished.all():
+            good &= ~vanished
+            reports["phi_vanishes_fraction"] = float(vanished.mean())
     mask = None if good.all() else good
     return RibaucourSolution(grid=g, class_map=triple.class_map, phi=phi.copy(),
                              gamma=gamma.copy(), beta=beta.copy(), B=B.copy(),
@@ -291,8 +334,7 @@ def _solution_from_states(triple: Triple, states: np.ndarray, reports: dict,
 
 
 def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
-                 substeps: int = 12, order=None, check_alternate: bool = True,
-                 integrator: LineIntegrator | None = None) -> RibaucourSolution:
+                 substeps: int = 12, order=None, check_alternate: bool = True) -> RibaucourSolution:
     """Integrate the joint (B, phi, gamma, beta) system from base-node data.
 
     B is co-integrated from B0 so every stage evaluation is consistent; the
@@ -300,8 +342,6 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
     relative disagreement of the two sweep orders and a finite-difference
     residual of the normal-gradient constraint on the solved fields.
     """
-    if integrator is not None:
-        substeps = integrator.substeps
     g = triple.grid
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
     B0 = np.zeros(k) if B0 is None else np.asarray(B0, dtype=float)
@@ -310,46 +350,30 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
     if B0.shape != (k,) or gamma0.shape != (D,) or beta0.shape != (R,):
         raise ValueError("seed shapes must be (k,), (D,), (R,)")
     state0 = np.concatenate([B0, [float(phi0)], gamma0, beta0])
-    provider = _provider_for(triple)
-    factory = _joint_rhs_factory(provider, triple.class_map, D, k, R)
-    order = tuple(range(D)) if order is None else tuple(order)
-    states = _sweep_total(g, state0, factory, order, substeps)
-    reports = {}
-    if check_alternate and D > 1:
-        alt = _sweep_total(g, state0, factory, tuple(reversed(order)), substeps)
-        reports["path_independence"] = _field_rel_diff(states, alt)
+    factory = _joint_rhs_factory(_provider_for(triple), triple.class_map, D, k)
+    states, reports = _sweep(g, state0, factory, order, substeps, check_alternate)
     sol = _solution_from_states(triple, states, reports)
     reports["gnorm_fd"] = _gnorm_residual(triple, sol)
     return sol
 
 
-def solve_B(triple: Triple, B0, substeps: int = 12, order=None, check_alternate: bool = True,
-            integrator: LineIntegrator | None = None) -> RibaucourSolution:
+def solve_B(triple: Triple, B0, substeps: int = 12, order=None,
+            check_alternate: bool = True) -> RibaucourSolution:
     """Integrate d B_m / d u_j = h_{jm} B_{j'} alone.
 
-    The B block of the joint system is autonomous; the accompanying
-    (phi, gamma, beta) fields are returned as zeros.
+    The B block of the joint system is autonomous, so only it is swept; the
+    accompanying (phi, gamma, beta) fields are returned as zeros.
     """
-    if integrator is not None:
-        substeps = integrator.substeps
     g = triple.grid
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
     B0 = np.asarray(B0, dtype=float)
     if B0.shape != (k,):
         raise ValueError("B seed shape must be (k,)")
-    state0 = np.concatenate([B0, np.zeros(1 + D + R)])
-    provider = _provider_for(triple)
-    factory = _joint_rhs_factory(provider, triple.class_map, D, k, R)
-    order = tuple(range(D)) if order is None else tuple(order)
-    states = _sweep_total(g, state0, factory, order, substeps)
-    reports = {}
-    if check_alternate and D > 1:
-        alt = _sweep_total(g, state0, factory, tuple(reversed(order)), substeps)
-        reports["path_independence"] = _field_rel_diff(states[..., :k], alt[..., :k])
-    sol = _solution_from_states(triple, states, reports, mask_phi=False)
-    goodB = np.isfinite(states[..., :k]).all(axis=-1) & (np.abs(states[..., :k]).max(axis=-1) < BLOWUP_BOUND)
-    return replace(sol, phi=np.zeros(g.shape), gamma=np.zeros((D,) + g.shape),
-                   beta=np.zeros((R,) + g.shape), mask=None if goodB.all() else goodB)
+    B, reports = _sweep_tensor(triple, B0[:, None], substeps, order, check_alternate)
+    good = _bounded(B[0], axis=0)
+    return RibaucourSolution(grid=g, class_map=triple.class_map, phi=np.zeros(g.shape),
+                             gamma=np.zeros((D,) + g.shape), beta=np.zeros((R,) + g.shape),
+                             B=B[0].copy(), mask=None if good.all() else good, reports=reports)
 
 
 def _gnorm_residual(triple: Triple, sol: RibaucourSolution) -> float:
@@ -375,8 +399,7 @@ def _gnorm_residual(triple: Triple, sol: RibaucourSolution) -> float:
 
 def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
                       substeps: int = 12, order=None, tol: float = 1e-8,
-                      check_alternate: bool = True,
-                      integrator: LineIntegrator | None = None) -> ImmersionSample:
+                      check_alternate: bool = True) -> ImmersionSample:
     """Integrate the moving-frame system of a validated triple.
 
     frame0 is a tuple (X0 (D, N), xi0 (R, N)) of orthonormal columns spanning
@@ -385,8 +408,6 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     normal directions).  The Gram defect of the integrated frame must stay
     below tol, else FrameDrift is raised (no silent re-orthonormalization).
     """
-    if integrator is not None:
-        substeps = integrator.substeps
     g = triple.grid
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
     if frame0 is None:
@@ -433,8 +454,7 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
         return rhs
 
     state0 = np.concatenate([base_point[None], X0, xi0]).reshape(-1)
-    order = tuple(range(D)) if order is None else tuple(order)
-    states = _sweep_total(g, state0, factory, order, substeps)
+    states, reports = _sweep(g, state0, factory, order, substeps, check_alternate)
     Z = states.reshape(g.shape + (1 + D + R, N))
     positions = Z[..., 0, :]
     X = np.moveaxis(Z[..., 1 : 1 + D, :], -2, 0)
@@ -447,10 +467,7 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     if defect > tol:
         raise FrameDrift(f"Gram defect {defect:.3e} exceeds tol {tol:g}")
 
-    reports = {"gram_defect": float(defect)}
-    if check_alternate and D > 1:
-        alt = _sweep_total(g, state0, factory, tuple(reversed(order)), substeps)
-        reports["path_independence"] = _field_rel_diff(states, alt)
+    reports = {"gram_defect": float(defect), **reports}
 
     lame = triple.lame()
     kap = np.stack([triple.V[cls[i]] / triple.v[cls[i]] for i in range(D)])
@@ -552,8 +569,9 @@ def axis_data_from_triple(triple: Triple) -> TripleAxisData:
                           h_rows=tuple(row(j) for j in range(g.ndim)))
 
 
-def _integrate_triple_1d(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap,
-                         substeps: int) -> Triple:
+def _march_axis0(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap, substeps: int):
+    """March (v, V) along the axis-0 line through the base node; returns
+    (v (k, n), V (k, R, n), h row (k, n)) on that line."""
     k = class_map.n_classes
     R = data.V0.shape[1]
     ca = class_map.classes[0]
@@ -568,22 +586,18 @@ def _integrate_triple_1d(data: TripleAxisData, grid: TensorGrid, class_map: Clas
         dY[:, k:] = (hv[None, :, None] * V[:, ca][:, None, :]).reshape(-1, k * R)
         return dY
 
-    state0 = np.concatenate([data.v0, data.V0.reshape(-1)])[None]
     coords = grid.axis_coords(0)
     n = grid.shape[0]
     v = np.empty((k, n))
     V = np.empty((k, R, n))
-    h = np.empty((1, k, n))
-    Y = state0
     v[:, 0] = data.v0
     V[:, :, 0] = data.V0
-    h[0, :, 0] = np.atleast_1d(hrow(coords[0]))
+    Y = np.concatenate([data.v0, data.V0.reshape(-1)])[None]
     for j in range(1, n):
         Y = _rk4_span(rhs, Y, coords[j - 1], coords[j], substeps)
         v[:, j] = Y[0, :k]
         V[:, :, j] = Y[0, k:].reshape(k, R)
-        h[0, :, j] = np.atleast_1d(hrow(coords[j]))
-    return Triple(grid, class_map, v, h, V)
+    return v, V, np.reshape(hrow(coords), (k, n))
 
 
 def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap,
@@ -593,31 +607,10 @@ def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: Clas
     R = data.V0.shape[1]
     ca, cb = class_map.classes
     na, nb = grid.shape
-    ha_fn, hb_fn = data.h_rows
-    ua = grid.axis_coords(0)
+    hb_fn = data.h_rows[1]
     ub = grid.axis_coords(1)
     hstep = grid.spacings[0]
-
-    # stage A: (v, V) along axis 0 at u_b = base
-    def rhs_a(t, Y):
-        ha = ha_fn(np.asarray(t))                      # (k,)
-        v = Y[:, :k]
-        V = Y[:, k:].reshape(-1, k, R)
-        dY = np.empty_like(Y)
-        dY[:, :k] = ha[None, :] * v[:, ca][:, None]
-        dY[:, k:] = (ha[None, :, None] * V[:, ca][:, None, :]).reshape(-1, k * R)
-        return dY
-
-    Y = np.concatenate([data.v0, data.V0.reshape(-1)])[None]
-    row_v = np.empty((k, na))
-    row_V = np.empty((k, R, na))
-    row_v[:, 0] = data.v0
-    row_V[:, :, 0] = data.V0
-    for j in range(1, na):
-        Y = _rk4_span(rhs_a, Y, ua[j - 1], ua[j], substeps)
-        row_v[:, j] = Y[0, :k]
-        row_V[:, :, j] = Y[0, k:].reshape(k, R)
-    row_ha = ha_fn(ua)                                  # (k, na)
+    row_v, row_V, row_ha = _march_axis0(data, grid, class_map, substeps)
 
     v = np.empty((k, na, nb))
     V = np.empty((k, R, na, nb))
@@ -690,7 +683,8 @@ def integrate_triple(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap
     if not class_map.is_simple():
         raise UnsupportedGrid("direct triple integration requires one coordinate per class")
     if grid.ndim == 1:
-        t = _integrate_triple_1d(data, grid, class_map, substeps)
+        v, V, h = _march_axis0(data, grid, class_map, substeps)
+        t = Triple(grid, class_map, v, h[None], V)
     elif grid.ndim == 2:
         if tuple(sweep_order) == (0, 1):
             t = _integrate_triple_2d(data, grid, class_map, substeps)

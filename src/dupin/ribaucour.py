@@ -120,10 +120,8 @@ def ltrivial_w(s: ImmersionSample, a: float, v0, delta_coeffs, c: float) -> Riba
     gamma = np.stack([((a * f + v0) * s.tangents[i]).sum(-1) for i in range(s.grid.ndim)])
     beta = np.stack([((a * f + v0) * s.normals[r]).sum(-1) + d[r] for r in range(s.n_normals)])
     B = a * t.v - np.einsum("r,mr...->m...", d, t.V)
-    sol = RibaucourSolution(grid=s.grid, class_map=t.class_map, phi=phi, gamma=gamma,
-                            beta=beta, B=B, reports={"closed_form": 0.0})
-    sol.ltrivial = (float(a), v0.copy(), d.copy(), float(c))
-    return sol
+    return RibaucourSolution(grid=s.grid, class_map=t.class_map, phi=phi, gamma=gamma,
+                             beta=beta, B=B, reports={"closed_form": 0.0})
 
 
 # ---------------------------------------------------------------------------

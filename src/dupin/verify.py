@@ -389,14 +389,8 @@ def sphere_leaf_check(result: NRibaucourResult, flat_tol: float = 1e-7) -> dict:
     res = np.zeros(base_shape)
     kinds = np.empty(base_shape, dtype=object)
 
-    def fit_leaf(idx):
-        pts = result.leaf_positions(idx).reshape(-1, result.sample.ambient_dim)
-        return sphere_fit(pts)
-
-    from ._parallel import pmap
-
-    all_idx = list(np.ndindex(*base_shape))
-    for idx, fit in zip(all_idx, pmap(fit_leaf, all_idx)):
+    for idx in np.ndindex(*base_shape):
+        fit = sphere_fit(result.leaf_positions(idx).reshape(-1, result.sample.ambient_dim))
         res[idx] = fit.residual
         kinds[idx] = "flat" if isinstance(fit, AffineFlat) else "sphere"
     out = {"max_fit_residual": float(res.max()), "kinds": kinds, "fit_residuals": res}
@@ -557,30 +551,22 @@ def dupin_tensor_space(t: Triple, substeps: int = 8, extra_seeds: int = 2,
     stacks the solutions and reports the singular-value spectrum: the rank
     must equal k and any probe solution must lie in the unit-seed span.
     """
-    from .integrable import solve_B
+    from .integrable import _bounded, _sweep_tensor
 
     k = t.n_classes
-    sols = []
-    for m in range(k):
-        e = np.zeros(k)
-        e[m] = 1.0
-        sol = solve_B(t, e, substeps=substeps, check_alternate=False)
-        if sol.mask is not None:
-            raise RankDeficient("tensor-system integration masked nodes (blow-up)")
-        sols.append(sol.B.reshape(-1))
     rng = np.random.default_rng(_RNG_SEED + 1)
-    probes = []
-    for _ in range(extra_seeds):
-        seed = rng.normal(size=k)
-        probes.append((seed, solve_B(t, seed, substeps=substeps, check_alternate=False).B.reshape(-1)))
-    A = np.stack(sols + [p[1] for p in probes])
+    seeds = np.concatenate([np.eye(k), rng.normal(size=(extra_seeds, k))])
+    B, _ = _sweep_tensor(t, seeds.T, substeps)        # one sweep, every seed a column
+    if not _bounded(B[:k], axis=1).all():
+        raise RankDeficient("tensor-system integration masked nodes (blow-up)")
+    A = B.reshape(len(seeds), -1)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[k - 1] <= 0:
         raise RankDeficient("unit-seed solutions are numerically dependent")
     gap = sv[k - 1] / sv[k] if len(sv) > k and sv[k] > 0 else np.inf
-    basis = np.stack(sols)
+    basis = A[:k]
     span_res = 0.0
-    for seed, vec in probes:
+    for vec in A[k:]:
         coef, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
         span_res = max(span_res, np.abs(basis.T @ coef - vec).max() / max(np.abs(vec).max(), 1e-30))
     return {

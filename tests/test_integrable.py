@@ -122,6 +122,17 @@ class TestSolveB:
         assert np.abs(sol.B - t.v).max() < 1e-9
 
 
+    @pytest.mark.parametrize("fixture", ["torus_patch", "recursion_step1"])
+    def test_same_B_as_the_joint_system(self, fixture, request):
+        # solve_B sweeps the B block alone with the joint system's tensor rate
+        t = request.getfixturevalue(fixture).triple
+        B0 = np.linspace(0.4, -0.3, t.n_classes)
+        D, R = t.grid.ndim, t.n_normals
+        joint = solve_linear(t, B0, 1.0, np.full(D, 0.1), np.full(R, 0.2), substeps=4)
+        sol = solve_B(t, B0, substeps=4)
+        assert np.array_equal(sol.B, joint.B)
+
+
 class TestSolveLinear:
     def test_constants_solve_homogeneous_flat(self, cylinder_patch):
         # gamma = 0, beta = 0, phi = 1 solves the system when B = 0

@@ -237,6 +237,17 @@ class TestDupinTensorSpace:
         assert rep["probe_span_residual"] < 1e-9
 
 
+    def test_basis_rows_are_unit_seed_solutions(self, torus_patch):
+        # the batched sweep gives each unit seed exactly its own solve_B field
+        from dupin.integrable import solve_B
+
+        t = torus_patch.triple
+        basis = dupin_tensor_space(t)["basis"]
+        for m, e in enumerate(np.eye(t.n_classes)):
+            B = solve_B(t, e, substeps=8, check_alternate=False).B
+            assert np.array_equal(basis[m], B.reshape(-1))
+
+
 def test_flat_normal_bundle_residuals_small_on_suite(torus_v, recursion_step1):
     for s in (torus_v, recursion_step1.sample):
         jet = numeric_jet(s)
