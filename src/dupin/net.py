@@ -233,7 +233,7 @@ class PrincipalData:
     ``eta`` holds the k principal normals as ambient fields (k, *grid, N);
     ``assignment`` maps tangent-frame/coordinate indices to classes when the
     sample has principal coordinates; ``projectors`` (optional) holds the
-    chart-coordinate eigenbundle projectors (k, n, n, *grid) from the
+    chart-coordinate eigenbundle projectors (k, *grid, D, D) from the
     independent extraction path.
     """
 

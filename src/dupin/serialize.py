@@ -70,18 +70,37 @@ def triple_to_dict(t: Triple) -> dict:
     return out
 
 
+def _get(d: dict, key: str, where: str):
+    try:
+        return d[key]
+    except KeyError:
+        raise ParseError(f"{where} document missing key {key!r}") from None
+
+
+def _field(d: dict, key: str, shape: tuple, where: str, dtype=float) -> np.ndarray:
+    """A flat array entry reshaped to the grid-derived shape, or ParseError."""
+    try:
+        a = np.asarray(_get(d, key, where), dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{where} field {key!r} is not a numeric array ({e})") from None
+    if a.size != int(np.prod(shape, dtype=int)):
+        raise ParseError(f"{where} field {key!r} has {a.size} values, "
+                         f"expected shape {tuple(shape)}")
+    return a.reshape(shape)
+
+
 def triple_from_dict(d: dict) -> Triple:
     if d.get("schema") != TRIPLE_SCHEMA:
         raise ParseError(f"expected schema {TRIPLE_SCHEMA}, got {d.get('schema')!r}")
-    g = grid_from_dict(d["grid"])
-    cm = ClassMap(d["classes"])
-    k, D, R = cm.n_classes, g.ndim, int(d["n_normals"])
-    v = np.asarray(d["v"], dtype=float).reshape((k,) + g.shape)
-    h = np.asarray(d["h"], dtype=float).reshape((D, k) + g.shape)
-    V = np.asarray(d["V"], dtype=float).reshape((k, R) + g.shape)
+    g = grid_from_dict(_get(d, "grid", "triple"))
+    cm = ClassMap(_get(d, "classes", "triple"))
+    k, D, R = cm.n_classes, g.ndim, int(_get(d, "n_normals", "triple"))
+    v = _field(d, "v", (k,) + g.shape, "triple")
+    h = _field(d, "h", (D, k) + g.shape, "triple")
+    V = _field(d, "V", (k, R) + g.shape, "triple")
     mask = None
     if "mask" in d:
-        mask = np.asarray(d["mask"], dtype=int).reshape(g.shape).astype(bool)
+        mask = _field(d, "mask", g.shape, "triple", dtype=int).astype(bool)
     return Triple(g, cm, v, h, V, mask=mask)
 
 
@@ -115,25 +134,30 @@ def sample_to_dict(s: ImmersionSample, provenance: dict | None = None) -> dict:
 def sample_from_dict(d: dict) -> ImmersionSample:
     if d.get("schema") != SAMPLE_SCHEMA:
         raise ParseError(f"expected schema {SAMPLE_SCHEMA}, got {d.get('schema')!r}")
-    g = grid_from_dict(d["grid"])
-    N = int(d["ambient_dim"])
-    pos = np.asarray(d["positions"], dtype=float).reshape(g.shape + (N,))
+    g = grid_from_dict(_get(d, "grid", "sample"))
+    N = int(_get(d, "ambient_dim", "sample"))
+    pos = _field(d, "positions", g.shape + (N,), "sample")
     tangents = normals = lame = sff = mask = triple = None
     if "tangents" in d:
-        nt = int(d["n_tangents"])
-        tangents = np.asarray(d["tangents"], dtype=float).reshape((nt,) + g.shape + (N,))
+        nt = int(_get(d, "n_tangents", "sample"))
+        tangents = _field(d, "tangents", (nt,) + g.shape + (N,), "sample")
     if "normals" in d:
-        nn = int(d["n_normals"])
-        normals = np.asarray(d["normals"], dtype=float).reshape((nn,) + g.shape + (N,))
+        nn = int(_get(d, "n_normals", "sample"))
+        normals = _field(d, "normals", (nn,) + g.shape + (N,), "sample")
     if "lame" in d:
-        lame = np.asarray(d["lame"], dtype=float).reshape((g.ndim,) + g.shape)
+        lame = _field(d, "lame", (g.ndim,) + g.shape, "sample")
     if "sff" in d:
-        a, b = d["sff_shape"]
-        sff = np.asarray(d["sff"], dtype=float).reshape((a, b) + g.shape)
+        a, b = _get(d, "sff_shape", "sample")
+        sff = _field(d, "sff", (a, b) + g.shape, "sample")
     if "triple" in d:
         triple = triple_from_dict(d["triple"])
     if "mask" in d:
-        mask = np.asarray(d["mask"], dtype=int).reshape(g.shape).astype(bool)
+        mask = _field(d, "mask", g.shape, "sample", dtype=int).astype(bool)
+    bad = ~np.isfinite(pos).all(axis=-1)
+    if mask is not None:
+        bad &= mask
+    if bad.any():
+        raise ParseError(f"sample has non-finite positions at {int(bad.sum())} unmasked nodes")
     return ImmersionSample(g, pos, tangents=tangents, normals=normals, lame=lame,
                            sff=sff, triple=triple, mask=mask)
 

@@ -14,6 +14,7 @@ spectrum so borderline calls can be audited.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -120,37 +121,27 @@ def normal_curvature_residual(jet: NumericJet) -> float:
     return float(worst)
 
 
-def _cluster_pattern(dist: np.ndarray, tol: float):
-    """Group indices 0..n-1 by the adjacency dist < tol (single linkage)."""
-    n = dist.shape[0]
-    groups = []
-    seen = [False] * n
-    for a in range(n):
-        if seen[a]:
-            continue
-        stack, cluster = [a], []
-        seen[a] = True
-        while stack:
-            x = stack.pop()
-            cluster.append(x)
-            for b in range(n):
-                if not seen[b] and dist[x, b] < tol:
-                    seen[b] = True
-                    stack.append(b)
-        groups.append(tuple(sorted(cluster)))
-    return tuple(sorted(groups))
-
-
 def extract_principal_normals(s: ImmersionSample, tol: float | None = None,
                               jet: NumericJet | None = None,
                               flat_gate: float = 1e-4) -> PrincipalData:
     """Simultaneous diagonalization of the shape operators into k classes.
 
-    tol defaults to 1e-5 times the largest shape-operator norm.  Classes are
-    tracked across nodes by nearest principal normal so the eta fields are
-    smooth; borderline nodes (cluster pattern differing from the dominant
-    one) are masked rather than guessed, and a NotProper error is raised only
-    when no dominant pattern exists.
+    tol defaults to 1e-5 times the largest shape-operator norm.  At every valid
+    node the D candidate normals are grouped by single linkage at distance
+    10 * max(tol, 1e-9 * scale).  The dominant grouping (most nodes; on a tie
+    the one met first in lexicographic node order) fixes k and the
+    multiplicities.  Borderline nodes (another grouping) are masked rather
+    than guessed, and a NotProper error is raised only when no grouping covers
+    half of the valid nodes.
+
+    Classes are tracked across nodes so the eta fields are smooth.  A masked
+    node's reference is its predecessor idx - e_d along the first axis d whose
+    predecessor is masked; a node without one refers to the first masked node
+    in lexicographic order, which keeps the grouping's own class order.  Each
+    node takes the class order that minimizes sum_j |eta_j - ref_j|, the first
+    such permutation in itertools order on a tie.  A reference always lies
+    earlier in lexicographic order, so nodes are matched in rounds of equal
+    depth along their reference chains.
     """
     jet = numeric_jet(s) if jet is None else jet
     g = jet.grid
@@ -168,77 +159,99 @@ def extract_principal_normals(s: ImmersionSample, tol: float | None = None,
     rng = np.random.default_rng(_RNG_SEED)
     c = rng.normal(size=p)
     M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
-    w, Q = np.linalg.eigh(M)                           # Q columns: hat-e_alpha
+    _, Q = np.linalg.eigh(M)                           # Q columns: hat-e_alpha
     # principal normal of each eigendirection: sum_r <S_r e, e> nu_r
     diag = np.einsum("...ia,r...ij,...ja->r...a", Q, jet.shape_sym, Q)  # (p,*grid,D)
     eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)   # (*grid, D, N)
-
-    # pairwise distances between the D candidate normals per node
-    dist = np.linalg.norm(eta_dir[..., :, None, :] - eta_dir[..., None, :, :], axis=-1)
+    del M, diag
 
     # classify every valid node (boundary rows included) so the eta fields
     # support full stencils; reporting still happens on the interior
-    flat_idx = np.argwhere(s.valid())
-    patterns = {}
-    for idx in flat_idx:
-        pat = _cluster_pattern(dist[tuple(idx)], eta_tol * 10)
-        patterns.setdefault(pat, []).append(tuple(idx))
-    if not patterns:
+    valid = s.valid()
+    cand = eta_dir[valid]                              # (n, D, N), lexicographic
+    del eta_dir
+    if not len(cand):
         raise NotProper("no usable interior nodes")
-    pattern = max(patterns, key=lambda k: len(patterns[k]))
-    frac = len(patterns[pattern]) / len(flat_idx)
+    # single-linkage groups: each candidate is labelled by the smallest index
+    # of its component (transitive closure by repeated squaring)
+    linked = np.tile(np.eye(D, dtype=bool), (len(cand), 1, 1))
+    for a, b in itertools.combinations(range(D), 2):
+        linked[:, a, b] = linked[:, b, a] = (
+            np.linalg.norm(cand[:, a] - cand[:, b], axis=-1) < eta_tol * 10)
+    for _ in range(D.bit_length()):
+        linked = (linked[:, :, :, None] & linked[:, None]).any(axis=2)
+    labels = linked.argmax(axis=-1)
+    del linked
+    key = labels @ D ** np.arange(D)                   # one integer per grouping
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    top = first[counts == counts.max()].min()
+    pattern = labels[top]
+    hit = key == key[top]
+    frac = int(hit.sum()) / len(cand)
     mask = np.zeros(g.shape, dtype=bool)
-    for idx in patterns[pattern]:
-        mask[idx] = True
+    mask[valid] = hit
     if frac < 0.5:
         raise NotProper(f"principal-normal count varies (dominant pattern on {frac:.0%} of nodes)")
 
-    k = len(pattern)
-    mult = tuple(len(grp) for grp in pattern)
+    groups = [np.flatnonzero(pattern == a) for a in np.unique(pattern)]
+    k = len(groups)
+    mult = tuple(len(grp) for grp in groups)
+    nodes = np.flatnonzero(mask)                       # lexicographic order
     eta = np.zeros((k,) + g.shape + (N,))
-    proj = np.zeros((k,) + g.shape + (D, D))
-    g_sqrt = np.linalg.inv(jet.g_isqrt)
+    eta_f = eta.reshape(k, -1, N)
+    cand = cand[hit]
+    for a, grp in enumerate(groups):
+        eta_f[a, nodes] = cand[:, grp].mean(axis=1)
+    del cand
 
-    import itertools as _it
-    perms = list(_it.permutations(range(k)))
-    # track classes against the nearest already-processed neighbor so smooth
-    # eta fields survive arbitrarily long patches (frames may rotate fully)
-    done = np.zeros(g.shape, dtype=bool)
-    ref0 = None
-    for idx in sorted(map(tuple, np.argwhere(s.valid()))):
-        if not mask[idx]:
-            continue
-        pat = _cluster_pattern(dist[idx], eta_tol * 10)
-        if len(pat) != k or tuple(len(grp) for grp in pat) != mult:
-            mask[idx] = False
-            continue
-        vals = np.stack([eta_dir[idx][list(grp)].mean(axis=0) for grp in pat])
-        ref = None
-        for d in range(D):
-            if idx[d] > 0:
-                nb = idx[:d] + (idx[d] - 1,) + idx[d + 1:]
-                if done[nb]:
-                    ref = np.stack([eta[j][nb] for j in range(k)])
-                    break
-        if ref is None:
-            ref = ref0
-        if ref is None:
-            best = tuple(range(k))
-        else:
-            best, bcost = None, np.inf
-            for pm in perms:
-                cost = sum(np.linalg.norm(vals[pm[j]] - ref[j]) for j in range(k))
-                if cost < bcost:
-                    best, bcost = pm, cost
-        Qn = Q[idx]
-        for j in range(k):
-            grp = list(pat[best[j]])
-            eta[j][idx] = vals[best[j]]
-            hat = Qn[:, grp]                            # (D, m)
-            proj[(j,) + idx] = jet.g_isqrt[idx] @ (hat @ hat.T) @ g_sqrt[idx]
-        done[idx] = True
-        if ref0 is None:
-            ref0 = np.stack([eta[j][idx] for j in range(k)])
+    # reference of each masked node (slot 0, the first masked node, is the root)
+    coords = np.unravel_index(nodes, g.shape)
+    slot = np.full(mask.size, -1)
+    slot[nodes] = np.arange(len(nodes))
+    parent = np.full(len(nodes), -1)
+    for d in range(D):
+        stride = int(np.prod(g.shape[d + 1:], dtype=int))
+        pred = np.where(coords[d] > 0, slot[nodes - stride], -1)
+        parent = np.where(parent < 0, pred, parent)
+    parent[parent < 0] = 0
+
+    # track classes against the reference so smooth eta fields survive
+    # arbitrarily long patches (frames may rotate fully); gap[i, a, b] is the
+    # distance from group a at node i to group b at its reference, so a
+    # node's costs need only its reference's class order
+    vals = eta_f[:, nodes]                             # (k, n, N), group order
+    gap = np.empty((len(nodes), k, k))
+    for a in range(k):
+        for b in range(k):
+            diff = vals[a] - vals[b, parent]
+            gap[:, a, b] = np.sqrt((diff[:, None] @ diff[..., None])[:, 0, 0])
+    perms = np.array(list(itertools.permutations(range(k))))
+    choice = np.zeros(len(nodes), dtype=int)           # index into perms
+    level = np.zeros(len(nodes), dtype=bool)
+    level[0] = True
+    while True:
+        level = level[parent]
+        level[0] = False
+        sel = np.flatnonzero(level)
+        if not len(sel):
+            break
+        ref = perms[choice[parent[sel]]]               # (m, k)
+        cost = sum(gap[sel, perms[:, j, None], ref[:, j]] for j in range(k))  # (k!, m)
+        choice[sel] = np.where(np.isnan(cost), np.inf, cost).argmin(axis=0)
+    order = perms[choice]                              # class j takes group order[:, j]
+    eta_f[:, nodes] = vals[order.T, np.arange(len(nodes))]
+    del vals, gap
+
+    proj = np.zeros((k,) + g.shape + (D, D))
+    proj_f = proj.reshape(k, -1, D, D)
+    Q_f = Q.reshape(-1, D, D)
+    g_isqrt = jet.g_isqrt.reshape(-1, D, D)
+    for j in range(k):
+        for a, grp in enumerate(groups):
+            at = nodes[order[:, j] == a]
+            hat = Q_f[at][:, :, grp]                   # (m, D, mult)
+            g_isqrt_at = g_isqrt[at]
+            proj_f[j, at] = g_isqrt_at @ (hat @ hat.swapaxes(-1, -2)) @ np.linalg.inv(g_isqrt_at)
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 

@@ -35,6 +35,7 @@ from dupin.ribaucour import (
     inversion_w,
     ltrivial_w,
     n_ribaucour_transform,
+    dupin_step,
     parallel_w,
     ribaucour_transform,
 )
@@ -378,3 +379,32 @@ def test_criterion_9_invariance(recursion_step1):
         ok = ok and sf_report(sample).conformal_codim == c1
     details.append(f"2-Dupin surface: c {c1} stable")
     report("criterion 9: invariance under catalog transforms", ok, "; ".join(details))
+
+
+# ---------------------------------------------------------------------------
+def test_criterion_10_k4_recursion():
+    """Circle in R^5 -> 2-Dupin -> 3-Dupin -> 4-Dupin on 11^4 by three
+    recursion steps: validate_triple < 1e-6, oracle k = 4, holonomic,
+    c <= k-1, Dupin residuals < 1e-5, leaf sphere fits < 1e-7.  Runtime < 20 s."""
+    t0 = time.time()
+    c = circle_seed(radius=1.0, n=11, u_range=(0.0, 0.4), ambient=5)
+    s1 = dupin_step(c, n_indices=(1,), y_grid=TensorGrid((11,), (0.01,), (0.8,)),
+                    B0=(0.1,), phi0=1.0, gamma0=(0.2,), beta0=(0.3, 0.0, 0.0, 0.9),
+                    substeps=16)
+    s2 = dupin_step(s1.sample, n_indices=(1,), y_grid=TensorGrid((11,), (0.01,), (0.828,)),
+                    B0=(-0.204, 0.141), phi0=1.0, gamma0=(0.010, -0.042),
+                    beta0=(-0.618, 0.0, -0.174), substeps=10)
+    s3 = dupin_step(s2.sample, n_indices=(1,), y_grid=TensorGrid((11,), (0.01,), (0.6,)),
+                    B0=(0.15, -0.1, 0.12), phi0=1.0, gamma0=(0.02, 0.01, -0.03),
+                    beta0=(0.4, -0.5), substeps=8)
+    val = validate_triple(s3.triple).max_residual
+    rep = sf_report(s3.sample)
+    leaves = sphere_leaf_check(s3)
+    dt = time.time() - t0
+    ok = (s3.sample.grid.shape == (11, 11, 11, 11) and s3.sample.ambient_dim == 5
+          and val < 1e-6 and rep.k == 4 and rep.holonomic
+          and rep.conformal_codim <= rep.k - 1 and max(rep.dupin_residuals) < 1e-5
+          and leaves["max_fit_residual"] < 1e-7 and dt < 20.0)
+    report("criterion 10: recursion chain circle -> 4-Dupin in R^5", ok,
+           f"validate {val:.1e}, k {rep.k}, holonomic {rep.holonomic}, c {rep.conformal_codim}, "
+           f"dupin {max(rep.dupin_residuals):.1e}, leaves {leaves['max_fit_residual']:.1e}, {dt:.1f}s")

@@ -41,6 +41,34 @@ class TestSerialize:
         with pytest.raises(ParseError):
             serialize.triple_from_dict({"schema": "bogus"})
 
+    def test_masked_nan_roundtrip_is_exact(self, torus_patch):
+        # non-finite positions are accepted where the sample masks them
+        s = serialize.sample_from_dict(serialize.sample_to_dict(torus_patch))
+        s.positions[3, 4] = np.nan
+        s.mask = np.ones(s.grid.shape, dtype=bool)
+        s.mask[3, 4] = False
+        doc = json.loads(json.dumps(serialize.sample_to_dict(s)))
+        back = serialize.sample_from_dict(doc)
+        assert np.array_equal(back.positions, s.positions, equal_nan=True)
+        assert np.array_equal(back.mask, s.mask)
+
+    @pytest.mark.parametrize("key", ["grid", "classes", "n_normals", "v", "h", "V"])
+    def test_triple_missing_key_rejected(self, torus_patch, key):
+        doc = serialize.triple_to_dict(torus_patch.triple)
+        del doc[key]
+        with pytest.raises(ParseError, match=repr(key)):
+            serialize.triple_from_dict(doc)
+
+    def test_triple_size_mismatch_rejected(self, torus_patch):
+        doc = serialize.triple_to_dict(torus_patch.triple)
+        doc["h"] = doc["h"][:-1]
+        with pytest.raises(ParseError, match="'h' has"):
+            serialize.triple_from_dict(doc)
+        doc = serialize.triple_to_dict(torus_patch.triple)
+        doc["v"][0] = "x"
+        with pytest.raises(ParseError, match="'v' is not a numeric array"):
+            serialize.triple_from_dict(doc)
+
     def test_obj_counts_and_masking(self, tmp_path):
         t = torus_seed(R=1.0, r=0.3, shape=(9, 9))
         mask = np.ones((9, 9), dtype=bool)
@@ -150,3 +178,31 @@ class TestCommands:
         serialize.dump_json(serialize.sample_to_dict(ellipsoid_patch(shape=(21, 21))), sp)
         rc = main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json"), "--tol", "1e-4"])
         assert rc == 1
+
+
+def _broken_sample(torus_patch, how):
+    doc = serialize.sample_to_dict(torus_patch)
+    if how == "missing_key":
+        del doc["positions"]
+    elif how == "size_mismatch":
+        doc["positions"] = doc["positions"][:-3]
+    elif how == "non_finite":
+        doc["positions"][7] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("how,message", [
+    ("missing_key", "sample document missing key 'positions'"),
+    ("size_mismatch", "sample field 'positions' has 1320 values, expected shape (21, 21, 3)"),
+    ("non_finite", "sample has non-finite positions at 1 unmasked nodes"),
+], ids=["missing_key", "size_mismatch", "non_finite"])
+def test_verify_bad_input_exits_2_with_one_line(tmp_path, torus_patch, capsys, how, message):
+    sp = tmp_path / "bad.json"
+    serialize.dump_json(_broken_sample(torus_patch, how), sp)
+    with pytest.raises(ParseError):
+        serialize.sample_from_dict(serialize.load_json(sp))
+    rc = main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()

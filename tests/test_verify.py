@@ -1,7 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from dupin.net import ImmersionSample, ParallelNormalSubbundle
+from dupin.errors import NotProper
+from dupin.net import ImmersionSample, ParallelNormalSubbundle, PrincipalData
 from dupin.numerics import TensorGrid
 from dupin.seeds import (
     circle_seed,
@@ -12,6 +16,8 @@ from dupin.seeds import (
     torus_seed,
 )
 from dupin.verify import (
+    _RNG_SEED,
+    NumericJet,
     conullity_integrability,
     dupin_residual,
     dupin_tensor_space,
@@ -34,6 +40,127 @@ def clifford_product(a=1.0, b=0.6, n=31):
     U, V = g.meshgrid()
     pos = np.stack([a * np.cos(U), a * np.sin(U), b * np.cos(V), b * np.sin(V)], axis=-1)
     return ImmersionSample(g, pos)
+
+
+def _reference_cluster_pattern(dist, tol):
+    """Group indices 0..n-1 by the adjacency dist < tol (single linkage)."""
+    n = dist.shape[0]
+    groups = []
+    seen = [False] * n
+    for a in range(n):
+        if seen[a]:
+            continue
+        stack, cluster = [a], []
+        seen[a] = True
+        while stack:
+            x = stack.pop()
+            cluster.append(x)
+            for b in range(n):
+                if not seen[b] and dist[x, b] < tol:
+                    seen[b] = True
+                    stack.append(b)
+        groups.append(tuple(sorted(cluster)))
+    return tuple(sorted(groups))
+
+
+def _reference_extract_principal_normals(s, jet):
+    """The per-node extraction loop that the batched implementation replaced,
+    kept as the definition of its result: one cluster pattern per node, then
+    class tracking node by node in lexicographic order."""
+    g = jet.grid
+    D = g.ndim
+    N = s.ambient_dim
+    shape_scale = max(np.abs(jet.shape_sym[:, jet.interior]).max(), 1e-30)
+    eta_tol = max(1e-5 * shape_scale, 1e-9 * shape_scale)
+
+    c = np.random.default_rng(_RNG_SEED).normal(size=jet.codim)
+    M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
+    _, Q = np.linalg.eigh(M)
+    diag = np.einsum("...ia,r...ij,...ja->r...a", Q, jet.shape_sym, Q)
+    eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)
+    dist = np.linalg.norm(eta_dir[..., :, None, :] - eta_dir[..., None, :, :], axis=-1)
+
+    patterns = {}
+    for idx in np.argwhere(s.valid()):
+        pat = _reference_cluster_pattern(dist[tuple(idx)], eta_tol * 10)
+        patterns.setdefault(pat, []).append(tuple(idx))
+    pattern = max(patterns, key=lambda k: len(patterns[k]))
+    mask = np.zeros(g.shape, dtype=bool)
+    for idx in patterns[pattern]:
+        mask[idx] = True
+
+    k = len(pattern)
+    mult = tuple(len(grp) for grp in pattern)
+    eta = np.zeros((k,) + g.shape + (N,))
+    proj = np.zeros((k,) + g.shape + (D, D))
+    g_sqrt = np.linalg.inv(jet.g_isqrt)
+    perms = list(itertools.permutations(range(k)))
+    done = np.zeros(g.shape, dtype=bool)
+    ref0 = None
+    for idx in sorted(map(tuple, np.argwhere(mask))):
+        vals = np.stack([eta_dir[idx][list(grp)].mean(axis=0) for grp in pattern])
+        ref = None
+        for d in range(D):
+            if idx[d] > 0:
+                nb = idx[:d] + (idx[d] - 1,) + idx[d + 1:]
+                if done[nb]:
+                    ref = np.stack([eta[j][nb] for j in range(k)])
+                    break
+        if ref is None:
+            ref = ref0
+        if ref is None:
+            best = tuple(range(k))
+        else:
+            best, bcost = None, np.inf
+            for pm in perms:
+                cost = sum(np.linalg.norm(vals[pm[j]] - ref[j]) for j in range(k))
+                if cost < bcost:
+                    best, bcost = pm, cost
+        for j in range(k):
+            grp = list(pattern[best[j]])
+            eta[j][idx] = vals[best[j]]
+            hat = Q[idx][:, grp]
+            proj[(j,) + idx] = jet.g_isqrt[idx] @ (hat @ hat.T) @ g_sqrt[idx]
+        done[idx] = True
+        if ref0 is None:
+            ref0 = np.stack([eta[j][idx] for j in range(k)])
+    return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
+
+
+def _holed(s):
+    """s without a full row, a block and a corner: nodes below the row refer
+    along the other axis, and nodes with no masked predecessor refer to the
+    first masked node."""
+    mask = np.ones(s.grid.shape, dtype=bool)
+    mask[0, 0] = False
+    mask[6, :] = False
+    mask[11:15, 9:13] = False
+    return dataclasses.replace(s, mask=mask)
+
+
+def _diagonal_jet(diag, g, mask=None):
+    """A sample and a jet whose p shape operators are the commuting diagonal
+    matrices diag[r] (p, *grid, D) against a constant normal frame."""
+    p, D = diag.shape[0], g.ndim
+    shape_sym = np.zeros((p,) + g.shape + (D, D))
+    shape_sym[..., np.arange(D), np.arange(D)] = diag
+    normal_basis = np.zeros((p,) + g.shape + (D + p,))
+    for r in range(p):
+        normal_basis[r, ..., D + r] = 1.0
+    jet = NumericJet(grid=g, first=None, metric=None, metric_inv=None, second=None,
+                     normal_proj=None, alpha=None, shape_sym=shape_sym,
+                     normal_basis=normal_basis,
+                     g_isqrt=np.broadcast_to(np.eye(D), g.shape + (D, D)),
+                     interior=np.ones(g.shape, dtype=bool))
+    return ImmersionSample(g, np.zeros(g.shape + (D + p,)), mask=mask), jet
+
+
+def _assert_same_as_reference(pd, s, jet):
+    ref = _reference_extract_principal_normals(s, jet)
+    assert pd.multiplicities == ref.multiplicities
+    assert np.array_equal(pd.mask, ref.mask)
+    assert np.array_equal(pd.eta, ref.eta)
+    assert np.array_equal(pd.projectors, ref.projectors)
 
 
 class TestNumericJet:
@@ -91,6 +218,77 @@ class TestExtraction:
         pd = extract_principal_normals(s)
         assert pd.k == 1
         assert pd.multiplicities == (2,)
+
+    @pytest.mark.parametrize("case", ["torus_patch", "holed_torus_patch", "recursion_step1",
+                                      "recursion_step2", "sphere", "holed_clifford_product"])
+    def test_same_result_as_per_node_reference(self, case, request):
+        # recursion_step2 and the Clifford product change their class order
+        # between nodes, so there the tracking rule decides the result
+        if case == "sphere":
+            s = sphere_patch(radius=1.0, shape=(41, 41))
+        elif case.startswith("recursion"):
+            s = request.getfixturevalue(case).sample
+        elif case == "holed_torus_patch":
+            s = _holed(request.getfixturevalue("torus_patch"))
+        elif case == "holed_clifford_product":
+            s = _holed(clifford_product())
+        else:
+            s = request.getfixturevalue(case)
+        jet = numeric_jet(s)
+        pd = extract_principal_normals(s, jet=jet)
+        _assert_same_as_reference(pd, s, jet)
+        if case != "torus_patch" and not case.startswith("recursion"):
+            # the borderline-masking path (sphere) and the input holes ran
+            assert not pd.mask.all()
+
+    def test_tracking_rule_on_random_normals(self):
+        # random normals: the class order changes from node to node and every
+        # reference choice counts
+        rng = np.random.default_rng(5)
+        g = TensorGrid((6, 7, 8), (0.1, 0.1, 0.1))
+        mask = np.ones(g.shape, dtype=bool)
+        mask[0, 0, 0] = mask[0, 0, 1] = False
+        mask[3] = False
+        mask[1:3, 2:5, 2:6] = False
+        s, jet = _diagonal_jet(rng.uniform(-1.0, 1.0, (2,) + g.shape + (3,)), g, mask)
+        pd = extract_principal_normals(s, jet=jet)
+        assert pd.k == 3
+        _assert_same_as_reference(pd, s, jet)
+
+    def test_ties_keep_first_pattern_and_first_permutation(self):
+        g = TensorGrid((4, 5), (0.1, 0.1))
+        # two patterns on 10 nodes each: the one met first wins
+        diag = np.zeros((1,) + g.shape + (2,))
+        diag[0, :2] = (0.5, 0.5)
+        diag[0, 2:] = (0.5, -0.5)
+        for rows, k in ((slice(None), 1), (slice(None, None, -1), 2)):
+            s, jet = _diagonal_jet(diag[:, rows], g)
+            pd = extract_principal_normals(s, jet=jet)
+            assert pd.k == k and pd.mask.sum() == 10 and pd.mask[0].all()
+            _assert_same_as_reference(pd, s, jet)
+        # normals turned by 90 degrees from node to node: both class orders
+        # cost the same and the first permutation (identity) is kept
+        diag = np.zeros((2,) + g.shape + (2,))
+        turn = np.indices(g.shape).sum(axis=0) % 2 == 1
+        diag[0][~turn] = (1.0, -1.0)
+        diag[1][turn] = (1.0, -1.0)
+        s, jet = _diagonal_jet(diag, g)
+        pd = extract_principal_normals(s, jet=jet)
+        assert np.array_equal(pd.eta[0, turn][:, 2:], np.tile([0.0, 1.0], (turn.sum(), 1)))
+        _assert_same_as_reference(pd, s, jet)
+
+    def test_curved_normal_bundle_raises(self, recursion_step1):
+        s = recursion_step1.sample
+        jet = numeric_jet(s)
+        with pytest.raises(NotProper, match=r"^normal bundle not numerically flat "
+                                            r"\(commutator \d\.\d\de-\d\d\)$"):
+            extract_principal_normals(s, jet=jet, flat_gate=0.0)
+
+    def test_no_valid_nodes_raises(self, torus_patch):
+        jet = numeric_jet(torus_patch)
+        empty = dataclasses.replace(torus_patch, mask=np.zeros(torus_patch.grid.shape, dtype=bool))
+        with pytest.raises(NotProper, match="^no usable interior nodes$"):
+            extract_principal_normals(empty, jet=jet)
 
 
 class TestDupinResidual:
