@@ -89,6 +89,11 @@ class UnsupportedGrid(DupinError):
     pass
 
 
+class NotRegular(DupinError, ValueError):
+    """A recursion step's solution fails the regularity gate (a ValueError
+    too, as it was before it had a class of its own)."""
+
+
 class UnsupportedSlice(DupinError):
     pass
 

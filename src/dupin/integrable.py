@@ -3,7 +3,7 @@
 Three completely integrable systems are handled:
 
 * the net system for a triple (v, h, V), integrated from per-axis data by a
-  Goursat-type march (one axis-0 march seeds the base row; each rotation
+  Goursat-type march (one axis-0 sweep seeds the base row; each rotation
   coefficient then advances along a direction where its derivative is
   determined, the sweep-axis row being reconstructed by quadrature from its
   own axis data);
@@ -11,13 +11,29 @@ Three completely integrable systems are handled:
   data B, whose state carries a batch of columns so that several seeds share
   one sweep;
 * the joint linear system for (phi, gamma, beta) driven by B, whose solutions
-  induce Ribaucour transforms; its B rows use the same tensor-system rate.
+  induce Ribaucour transforms; its B rows are the tensor system's.
 
-The tensor, joint and moving-frame systems are total linear systems, filled
-by one sweep engine (``_sweep``): classical fixed-step 4th-order Runge-Kutta
-along grid lines, axis by axis, with a fixed number of substeps per cell (no
-adaptivity); repeating the sweep in the reversed axis order gives the
-built-in path-independence health check.
+The tensor, joint and moving-frame systems are total linear systems
+y' = A(t) y along every grid line, filled by one sweep engine (``_sweep``):
+classical fixed-step 4th-order Runge-Kutta (Hairer, Norsett and Wanner,
+*Solving ODEs I*, II.1) along grid lines, axis by axis, with a fixed number
+of substeps per cell (no adaptivity).  A does not depend on y, so one RK4
+step of size h is the matrix
+
+    P = I + h/6 (K1 + 2 K2 + 2 K3 + K4),      K1 = A(t),
+    K2 = A(t + h/2) (I + h/2 K1),             K3 = A(t + h/2) (I + h/2 K2),
+    K4 = A(t + h) (I + h K3),
+
+whose stage times are known before the march starts.  Each axis phase builds
+the coefficient matrices of all its cells and lines at once, one substep at a
+time, multiplies the substep matrices into one propagator per cell and line,
+and then marches by one batched matrix application per cell.  The joint
+system's B block is autonomous and takes the tensor system's own propagators,
+so its B equals the tensor system's bit for bit.  Repeating the sweep in the
+reversed axis order, with its own propagators, gives the built-in
+path-independence health check.  The Goursat march seeds its base row with a
+tensor-system sweep; its rows, whose rates are not linear, keep a stage-by-
+stage RK4 that reads the axis data from a table of all stage times.
 """
 
 from __future__ import annotations
@@ -46,7 +62,7 @@ BLOWUP_BOUND = 1e12
 
 
 # ---------------------------------------------------------------------------
-# coefficient providers
+# coefficient providers: fields at a vector of times on a set of grid lines
 
 
 class _AnalyticProvider:
@@ -54,12 +70,13 @@ class _AnalyticProvider:
         self.triple = triple
         self.grid = triple.grid
 
-    def line_eval(self, axis: int, idx: np.ndarray, t: float) -> dict:
+    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray, names=None) -> dict:
+        """All fields at the times t (P,) on the lines through idx (L, D),
+        each (comp..., P, L); the sweep-axis entry of idx is ignored."""
         g = self.grid
-        pts = np.empty((idx.shape[0], g.ndim))
-        for d in range(g.ndim):
-            pts[:, d] = g.origins[d] + g.spacings[d] * idx[:, d]
-        pts[:, axis] = t
+        pts = np.empty((t.shape[0],) + idx.shape)
+        pts[...] = np.asarray(g.origins) + np.asarray(g.spacings) * idx
+        pts[..., axis] = t[:, None]
         return self.triple.analytic(pts)
 
 
@@ -70,41 +87,39 @@ class _GridProvider:
         self.triple = triple
         self.grid = triple.grid
 
-    def _weights(self, axis: int, t: float):
+    def _weights(self, axis: int, t: np.ndarray):
+        """First stencil node i0 (P,) and the four weights (P, 4) at the times
+        t (P,); the stencil is clipped into the axis at both ends."""
         g = self.grid
         n = g.shape[axis]
-        s = (t - g.origins[axis]) / g.spacings[axis]
         if n < 4:
             raise UnsupportedGrid("grid triple interpolation needs >= 4 nodes per axis")
-        i0 = int(np.clip(np.floor(s) - 1, 0, n - 4))
-        xs = np.arange(i0, i0 + 4, dtype=float)
-        w = np.ones(4)
+        s = (t - g.origins[axis]) / g.spacings[axis]
+        i0 = np.clip(np.floor(s) - 1, 0, n - 4).astype(int)
+        xs = i0[:, None] + np.arange(4.0)
+        w = np.ones((s.shape[0], 4))
         for m in range(4):
             for l in range(4):
                 if l != m:
-                    w[m] *= (s - xs[l]) / (xs[m] - xs[l])
+                    w[:, m] *= (s - xs[:, l]) / (xs[:, m] - xs[:, l])
         return i0, w
 
-    def _interp(self, field: np.ndarray, axis: int, idx: np.ndarray, i0: int, w: np.ndarray):
-        # field: (comp..., *grid); idx: (B, D) node indices, sweep-axis entry ignored
-        out = None
-        lead = field.ndim - self.grid.ndim
-        for m in range(4):
-            take = [idx[:, d] for d in range(self.grid.ndim)]
-            take[axis] = np.full(idx.shape[0], i0 + m)
-            sl = (slice(None),) * lead + tuple(take)
-            term = w[m] * field[sl]
-            out = term if out is None else out + term
-        return out
-
-    def line_eval(self, axis: int, idx: np.ndarray, t: float) -> dict:
+    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray, names=("v", "h", "V")) -> dict:
+        """The named fields at the times t (P,) on the lines through idx
+        (L, D), each (comp..., P, L); the sweep-axis entry of idx is ignored."""
         i0, w = self._weights(axis, t)
-        tr = self.triple
-        return {
-            "v": self._interp(tr.v, axis, idx, i0, w),
-            "h": self._interp(tr.h, axis, idx, i0, w),
-            "V": self._interp(tr.V, axis, idx, i0, w),
-        }
+        take = [idx[:, d] for d in range(self.grid.ndim)]
+        out = {}
+        for name in names:
+            field = getattr(self.triple, name)
+            lead = (slice(None),) * (field.ndim - self.grid.ndim)
+            acc = None
+            for m in range(4):
+                take[axis] = (i0 + m)[:, None]
+                term = w[:, m, None] * field[lead + tuple(take)]
+                acc = term if acc is None else acc + term
+            out[name] = acc
+        return out
 
 
 def _provider_for(triple: Triple):
@@ -115,39 +130,93 @@ def _provider_for(triple: Triple):
 # generic total-system sweep
 
 
-def _rk4_span(rhs, y0: np.ndarray, t0: float, t1: float, substeps: int) -> np.ndarray:
-    h = (t1 - t0) / substeps
-    y = y0
-    t = t0
-    for _ in range(substeps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+def _apply(prop: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """prop @ Y over the last two axes with the inner index summed in order.
+
+    The fixed order keeps exact zeros of prop from moving any other term, and
+    a column of a batched state does not depend on how many columns share it
+    (BLAS kernels promise neither).
+    """
+    out = prop[..., :, :1] * Y[..., :1, :]
+    for l in range(1, prop.shape[-1]):
+        out += prop[..., :, l : l + 1] * Y[..., l : l + 1, :]
+    return out
+
+
+def _stage_times(coords: np.ndarray, substeps: int):
+    """RK4 stage times across each cell of `coords`: (cells, 2 substeps + 1),
+    column i at t0 + i h/2 (accumulated step by step, as the march steps),
+    and the step sizes h (cells,)."""
+    h = (coords[1:] - coords[:-1]) / substeps
+    t = coords[:-1]
+    T = np.empty((h.shape[0], 2 * substeps + 1))
+    for s in range(substeps):
+        T[:, 2 * s] = t
+        T[:, 2 * s + 1] = t + 0.5 * h
+        t = t + h
+    T[:, -1] = t
+    return T, h
+
+
+def _rk4_span(rhs, y: np.ndarray, h: float, substeps: int) -> np.ndarray:
+    """`substeps` classical RK4 steps of size h from y; rhs(i, y) is the rate
+    at the i-th half step of the span (a row of a stage table)."""
+    for i in range(0, 2 * substeps, 2):
+        k1 = rhs(i, y)
+        k2 = rhs(i + 1, y + 0.5 * h * k1)
+        k3 = rhs(i + 1, y + 0.5 * h * k2)
+        k4 = rhs(i + 2, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
     return y
 
 
-def _sweep_total(grid: TensorGrid, state0: np.ndarray, rhs_factory, order, substeps: int) -> np.ndarray:
-    """Fill the grid with states of a total linear system, axis by axis."""
+def _cell_propagators(coef, coords: np.ndarray, substeps: int) -> np.ndarray:
+    """RK4 propagators (cells, L, S, S) of y' = A(t) y across the cells of
+    `coords`; coef(t) gives A (P, L, S, S) at the times t (P,)."""
+    T, h = _stage_times(coords, substeps)
+    h = h[:, None, None, None]
+    A0 = coef(T[:, 0])
+    eye = np.eye(A0.shape[-1])
+    prop = None
+    for s in range(substeps):
+        Amid, A1 = np.split(coef(T[:, 2 * s + 1 : 2 * s + 3].T.reshape(-1)), 2)
+        K2 = Amid @ (eye + 0.5 * h * A0)
+        K3 = Amid @ (eye + 0.5 * h * K2)
+        K4 = A1 @ (eye + h * K3)
+        step = eye + (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+        prop = step if prop is None else step @ prop
+        A0 = A1
+    return prop
+
+
+def _sweep_total(grid: TensorGrid, state0: np.ndarray, coef_factory, order, substeps: int,
+                 lead_factory=None) -> np.ndarray:
+    """Fill the grid with states (S, M) of a total linear system, axis by
+    axis; coef_factory(axis, idx) gives the coefficient builder of the lines
+    through idx (L, D).  lead_factory, if given, builds an autonomous leading
+    block whose own propagators replace that block of the whole system's, so
+    that its rows equal a sweep of the block alone bit for bit."""
     D = grid.ndim
-    S = state0.size
-    out = np.full(grid.shape + (S,), np.nan)
+    out = np.full(grid.shape + state0.shape, np.nan)
     out[(0,) * D] = state0
     done = []
     for a in order:
-        ranges = [range(grid.shape[d]) if d in done else (0,) for d in range(D)]
-        idx = np.array(list(itertools.product(*ranges)), dtype=int)
-        rhs = rhs_factory(a, idx)
-        coords = grid.axis_coords(a)
-        sel = tuple(idx.T)
-        Y = out[sel]
-        for j in range(1, grid.shape[a]):
-            Y = _rk4_span(rhs, Y, coords[j - 1], coords[j], substeps)
-            store = idx.copy()
-            store[:, a] = j
-            out[tuple(store.T)] = Y
+        n = grid.shape[a]
+        if n > 1:      # a single-node axis has no cells
+            ranges = [range(grid.shape[d]) if d in done else (0,) for d in range(D)]
+            idx = np.array(list(itertools.product(*ranges)), dtype=int)
+            coords = grid.axis_coords(a)
+            props = _cell_propagators(coef_factory(a, idx), coords, substeps)
+            if lead_factory is not None:
+                lead = _cell_propagators(lead_factory(a, idx), coords, substeps)
+                props[..., : lead.shape[-2], : lead.shape[-1]] = lead
+            Y = np.empty((n, idx.shape[0]) + state0.shape)
+            Y[0] = out[tuple(idx.T)]
+            for j in range(1, n):
+                Y[j] = _apply(props[j - 1], Y[j - 1])
+            take = [idx[:, d] for d in range(D)]
+            take[a] = np.arange(n)[:, None]
+            out[tuple(take)] = Y
         done.append(a)
     return out
 
@@ -157,17 +226,18 @@ def _field_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.nanmax(np.abs(a - b)) / scale)
 
 
-def _sweep(grid: TensorGrid, state0: np.ndarray, rhs_factory, order, substeps: int,
-           check_alternate: bool):
+def _sweep(grid: TensorGrid, state0: np.ndarray, coef_factory, order, substeps: int,
+           check_alternate: bool, lead_factory=None):
     """Sweep a total linear system in `order` (default: axis order); returns
     (states, reports).  With check_alternate on a grid of >= 2 axes the sweep
     is repeated in the reversed order and the relative disagreement of the
     two is reported as path_independence."""
     order = tuple(range(grid.ndim)) if order is None else tuple(order)
-    states = _sweep_total(grid, state0, rhs_factory, order, substeps)
+    states = _sweep_total(grid, state0, coef_factory, order, substeps, lead_factory)
     reports = {}
     if check_alternate and grid.ndim > 1:
-        alt = _sweep_total(grid, state0, rhs_factory, tuple(reversed(order)), substeps)
+        alt = _sweep_total(grid, state0, coef_factory, tuple(reversed(order)), substeps,
+                           lead_factory)
         reports["path_independence"] = _field_rel_diff(states, alt)
     return states, reports
 
@@ -178,39 +248,67 @@ def _bounded(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# coefficient matrices
+
+
+def _tensor_block(A: np.ndarray, h_axis: np.ndarray, ca: int) -> None:
+    """Write dB_m = h[axis, m] B_{ca} into the leading k x k block of A
+    (P, L, S, S); h_axis is (k, P, L)."""
+    A[..., : h_axis.shape[0], ca] = np.moveaxis(h_axis, 0, -1)
+
+
+def _frame_block(A: np.ndarray, off: int, C: dict, axis: int, ca: int) -> None:
+    """Write the moving-frame system into A (P, L, S, S) from state index off
+    on: position, tangents X_j, normals xi_r (or phi, gamma_j, beta_r)."""
+    v, h, V = C["v"], C["h"], C["V"]
+    D, R = h.shape[0], V.shape[1]
+    xa = off + 1 + axis
+    A[..., off, xa] = v[ca]                       # dg = v_{ca} X_axis
+    for j in range(D):
+        if j != axis:
+            A[..., off + 1 + j, xa] = h[j, ca]    # dX_j = h_{j, ca} X_axis
+            A[..., xa, off + 1 + j] = -h[j, ca]   # dX_axis = -sum h_{j, ca} X_j ...
+    for r in range(R):
+        A[..., xa, off + 1 + D + r] = V[ca, r]    # ... + sum V_{ca}^r xi_r
+        A[..., off + 1 + D + r, xa] = -V[ca, r]   # dxi_r = -V_{ca}^r X_axis
+
+
+# ---------------------------------------------------------------------------
 # the tensor system dB_m/du_j = h_{jm} B_{j'}
 
 
-def _tensor_rate(h_axis: np.ndarray, B: np.ndarray, ca: int) -> np.ndarray:
-    """Rate h[axis, m] * B_{ca} along the sweep axis; h_axis is (k, nodes), B is
-    (nodes, k, M) with a trailing batch of M columns."""
-    return h_axis.T[:, :, None] * B[:, ca][:, None, :]
-
-
-def _tensor_rhs_factory(provider, class_map: ClassMap, k: int):
-    cls = class_map.classes
+def _tensor_coef_factory(h_at, classes):
+    """Coefficient builders of the tensor system; h_at(axis, idx, t) gives
+    the sweep-axis row h[axis] (k, P, L)."""
 
     def factory(axis: int, idx: np.ndarray):
-        ca = cls[axis]
+        def coef(t: np.ndarray) -> np.ndarray:
+            h_axis = h_at(axis, idx, t)
+            k = h_axis.shape[0]
+            A = np.zeros(h_axis.shape[1:] + (k, k))
+            _tensor_block(A, h_axis, classes[axis])
+            return A
 
-        def rhs(t: float, Y: np.ndarray) -> np.ndarray:
-            h = provider.line_eval(axis, idx, t)["h"]
-            return _tensor_rate(h[axis], Y.reshape(Y.shape[0], k, -1), ca).reshape(Y.shape)
-
-        return rhs
+        return coef
 
     return factory
+
+
+def _triple_tensor_factory(provider, class_map: ClassMap):
+    """Tensor-system coefficient builders from a triple's h field."""
+
+    def h_at(axis, idx, t):
+        return provider.line_eval(axis, idx, t, ("h",))["h"][axis]
+
+    return _tensor_coef_factory(h_at, class_map.classes)
 
 
 def _sweep_tensor(triple: Triple, B0: np.ndarray, substeps: int, order=None,
                   check_alternate: bool = False):
     """Sweep the tensor system from the M seed columns of B0 (k, M) at once;
     returns (B (M, k, *grid), reports)."""
-    k, M = B0.shape
-    factory = _tensor_rhs_factory(_provider_for(triple), triple.class_map, k)
-    states, reports = _sweep(triple.grid, B0.reshape(-1), factory, order, substeps,
-                             check_alternate)
-    B = states.reshape(triple.grid.shape + (k, M))
+    factory = _triple_tensor_factory(_provider_for(triple), triple.class_map)
+    B, reports = _sweep(triple.grid, B0, factory, order, substeps, check_alternate)
     return np.moveaxis(B, (-1, -2), (0, 1)), reports
 
 
@@ -273,40 +371,25 @@ class RibaucourSolution:
         return replace(sol, beta=beta, B=B)
 
 
-def _joint_rhs_factory(provider, class_map: ClassMap, D: int, k: int):
+def _joint_coef_factory(provider, class_map: ClassMap, D: int, k: int, R: int):
+    """Coefficient builders of the joint system, state (B, phi, gamma, beta):
+    the tensor block for B, and (phi, gamma, beta) move like the frame's
+    (position, X, xi) with B_{ca} added to dgamma_axis."""
     cls = class_map.classes
+    S = k + 1 + D + R
 
     def factory(axis: int, idx: np.ndarray):
         ca = cls[axis]
 
-        def rhs(t: float, Y: np.ndarray) -> np.ndarray:
+        def coef(t: np.ndarray) -> np.ndarray:
             C = provider.line_eval(axis, idx, t)
-            v, h, V = C["v"], C["h"], C["V"]
-            B = Y[:, :k].T
-            phi = Y[:, k]
-            gam = Y[:, k + 1 : k + 1 + D].T
-            bet = Y[:, k + 1 + D :].T
-            dY = np.empty_like(Y)
-            # dB_m = h[axis, m] * B_{ca}
-            dY[:, :k] = _tensor_rate(h[axis], Y[:, :k, None], ca)[..., 0]
-            # dphi = v_{ca} * gamma_axis
-            dY[:, k] = v[ca] * gam[axis]
-            # dgamma_j = h[j, ca] * gamma_axis (j != axis)
-            for j in range(D):
-                if j != axis:
-                    dY[:, k + 1 + j] = h[j, ca] * gam[axis]
-            # dgamma_axis = B_{ca} - sum_{j != axis} h[j, ca] gamma_j + sum_r beta_r V[ca, r]
-            diag = B[ca].copy()
-            for j in range(D):
-                if j != axis:
-                    diag -= h[j, ca] * gam[j]
-            diag += (bet * V[ca]).sum(axis=0)
-            dY[:, k + 1 + axis] = diag
-            # dbeta_r = -V[ca, r] * gamma_axis
-            dY[:, k + 1 + D :] = (-V[ca] * gam[axis]).T
-            return dY
+            A = np.zeros(C["v"].shape[1:] + (S, S))
+            _tensor_block(A, C["h"][axis], ca)
+            _frame_block(A, k, C, axis, ca)
+            A[..., k + 1 + axis, ca] = 1.0
+            return A
 
-        return rhs
+        return coef
 
     return factory
 
@@ -349,10 +432,14 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
     beta0 = np.zeros(R) if beta0 is None else np.asarray(beta0, dtype=float)
     if B0.shape != (k,) or gamma0.shape != (D,) or beta0.shape != (R,):
         raise ValueError("seed shapes must be (k,), (D,), (R,)")
-    state0 = np.concatenate([B0, [float(phi0)], gamma0, beta0])
-    factory = _joint_rhs_factory(_provider_for(triple), triple.class_map, D, k)
-    states, reports = _sweep(g, state0, factory, order, substeps, check_alternate)
-    sol = _solution_from_states(triple, states, reports)
+    state0 = np.concatenate([B0, [float(phi0)], gamma0, beta0])[:, None]
+    provider = _provider_for(triple)
+    factory = _joint_coef_factory(provider, triple.class_map, D, k, R)
+    # the B block is autonomous: sweep it with the tensor system's propagators,
+    # so that B equals solve_B's bit for bit
+    states, reports = _sweep(g, state0, factory, order, substeps, check_alternate,
+                             lead_factory=_triple_tensor_factory(provider, triple.class_map))
+    sol = _solution_from_states(triple, states[..., 0], reports)
     reports["gnorm_fd"] = _gnorm_residual(triple, sol)
     return sol
 
@@ -427,35 +514,17 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     provider = _provider_for(triple)
 
     def factory(axis: int, idx: np.ndarray):
-        ca = cls[axis]
-
-        def rhs(t: float, Y: np.ndarray) -> np.ndarray:
+        def coef(t: np.ndarray) -> np.ndarray:
             C = provider.line_eval(axis, idx, t)
-            v, h, V = C["v"], C["h"], C["V"]
-            Z = Y.reshape(Y.shape[0], 1 + D + R, N)
-            gpos, X, xi = Z[:, 0], Z[:, 1 : 1 + D], Z[:, 1 + D :]
-            dZ = np.empty_like(Z)
-            Xa = X[:, axis]
-            dZ[:, 0] = v[ca][:, None] * Xa
-            for j in range(D):
-                if j != axis:
-                    dZ[:, 1 + j] = h[j, ca][:, None] * Xa
-            acc = np.zeros_like(Xa)
-            for j in range(D):
-                if j != axis:
-                    acc -= h[j, ca][:, None] * X[:, j]
-            for r in range(R):
-                acc += V[ca, r][:, None] * xi[:, r]
-            dZ[:, 1 + axis] = acc
-            for r in range(R):
-                dZ[:, 1 + D + r] = -V[ca, r][:, None] * Xa
-            return dZ.reshape(Y.shape)
+            A = np.zeros(C["v"].shape[1:] + (1 + D + R, 1 + D + R))
+            _frame_block(A, 0, C, axis, cls[axis])
+            return A
 
-        return rhs
+        return coef
 
-    state0 = np.concatenate([base_point[None], X0, xi0]).reshape(-1)
-    states, reports = _sweep(g, state0, factory, order, substeps, check_alternate)
-    Z = states.reshape(g.shape + (1 + D + R, N))
+    # state (1 + D + R, N): position, tangents and normals as rows
+    state0 = np.concatenate([base_point[None], X0, xi0])
+    Z, reports = _sweep(g, state0, factory, order, substeps, check_alternate)
     positions = Z[..., 0, :]
     X = np.moveaxis(Z[..., 1 : 1 + D, :], -2, 0)
     xi = np.moveaxis(Z[..., 1 + D :, :], -2, 0)
@@ -551,17 +620,13 @@ def axis_data_from_triple(triple: Triple) -> TripleAxisData:
 
     provider = _GridProvider(triple)
     base_idx = (0,) * g.ndim
+    base_line = np.zeros((1, g.ndim), dtype=int)
 
     def row(j):
         def fn(t):
-            scalar = np.ndim(t) == 0
-            ts = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.empty((triple.n_classes,) + ts.shape)
-            idx = np.zeros((1, g.ndim), dtype=int)
-            for a, ta in enumerate(ts):
-                i0, wgt = provider._weights(j, float(ta))
-                out[:, a] = provider._interp(triple.h[j], j, idx, i0, wgt)[:, 0]
-            return out[:, 0] if scalar else out
+            t = np.asarray(t, dtype=float)
+            hj = provider.line_eval(j, base_line, t.reshape(-1), ("h",))["h"][j]
+            return hj.reshape((triple.n_classes,) + t.shape)
         return fn
 
     sel = (slice(None),) + base_idx
@@ -570,34 +635,21 @@ def axis_data_from_triple(triple: Triple) -> TripleAxisData:
 
 
 def _march_axis0(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap, substeps: int):
-    """March (v, V) along the axis-0 line through the base node; returns
-    (v (k, n), V (k, R, n), h row (k, n)) on that line."""
+    """March (v, V) along the axis-0 line through the base node, a 1-d
+    tensor-system sweep with state columns [v | V]; returns (v (k, n),
+    V (k, R, n), h row (k, n)) on that line."""
     k = class_map.n_classes
-    R = data.V0.shape[1]
-    ca = class_map.classes[0]
     hrow = data.h_rows[0]
+    line = TensorGrid(grid.shape[:1], grid.spacings[:1], grid.origins[:1])
 
-    def rhs(t, Y):
-        hv = np.atleast_1d(hrow(np.asarray(t)))  # (k,)
-        v = Y[:, :k]
-        V = Y[:, k:].reshape(-1, k, R)
-        dY = np.empty_like(Y)
-        dY[:, :k] = hv[None, :] * v[:, ca][:, None]
-        dY[:, k:] = (hv[None, :, None] * V[:, ca][:, None, :]).reshape(-1, k * R)
-        return dY
+    def h_at(axis, idx, t):
+        return np.reshape(hrow(t), (k, t.shape[0], 1))
 
-    coords = grid.axis_coords(0)
-    n = grid.shape[0]
-    v = np.empty((k, n))
-    V = np.empty((k, R, n))
-    v[:, 0] = data.v0
-    V[:, :, 0] = data.V0
-    Y = np.concatenate([data.v0, data.V0.reshape(-1)])[None]
-    for j in range(1, n):
-        Y = _rk4_span(rhs, Y, coords[j - 1], coords[j], substeps)
-        v[:, j] = Y[0, :k]
-        V[:, :, j] = Y[0, k:].reshape(k, R)
-    return v, V, np.reshape(hrow(coords), (k, n))
+    factory = _tensor_coef_factory(h_at, class_map.classes)
+    states = _sweep_total(line, np.column_stack([data.v0, data.V0]), factory, (0,), substeps)
+    coords = line.axis_coords(0)
+    return (states[:, :, 0].T.copy(), np.moveaxis(states[:, :, 1:], 0, -1).copy(),
+            np.reshape(hrow(coords), (k, coords.shape[0])))
 
 
 def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap,
@@ -607,55 +659,48 @@ def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: Clas
     R = data.V0.shape[1]
     ca, cb = class_map.classes
     na, nb = grid.shape
-    hb_fn = data.h_rows[1]
     ub = grid.axis_coords(1)
-    hstep = grid.spacings[0]
     row_v, row_V, row_ha = _march_axis0(data, grid, class_map, substeps)
+    # the axis-1 data at every stage time and node, read by stage index
+    T, hs = _stage_times(ub, substeps)
+    hb_stages = np.reshape(data.h_rows[1](T.reshape(-1)), (k,) + T.shape)
+    hb_nodes = np.reshape(data.h_rows[1](ub), (k, nb))
+    # cumulative_integral along the row as a matrix: cumulative_integral(y) = Q @ y
+    Q = cumulative_integral(np.eye(na), grid.spacings[0], axis=0)
 
     v = np.empty((k, na, nb))
     V = np.empty((k, R, na, nb))
     h = np.empty((2, k, na, nb))
 
-    def reconstruct_hb(ha_row: np.ndarray, t: float) -> np.ndarray:
-        """Row values of h_{1, m}(., t) from the axis-1 data at t."""
-        hb0 = hb_fn(np.asarray(t))                     # (k,)
-        E = np.exp(cumulative_integral(ha_row[ca], hstep))
-        hb = np.empty((k, na))
-        hb[ca] = hb0[ca] * E
-        for m in range(k):
-            if m != ca:
-                hb[m] = hb0[m] + cumulative_integral(hb[ca] * ha_row[m], hstep)
+    def reconstruct_hb(ha_row: np.ndarray, hb0: np.ndarray) -> np.ndarray:
+        """Row values of h_{1, m}(., t) from the axis-1 data hb0 (k,) at t."""
+        hb_ca = hb0[ca] * np.exp(Q @ ha_row[ca])
+        hb = hb0[:, None] + (hb_ca * ha_row) @ Q.T     # the rows m != ca
+        hb[ca] = hb_ca
         return hb
 
-    # row state: [v (k, na), V (k*R, na), ha (k, na)]
-    def pack(v_, V_, ha_):
-        return np.concatenate([v_.reshape(-1), V_.reshape(-1), ha_.reshape(-1)])
+    # row state (2k + kR, na): v_m, V_m^r (m-major), ha_m; every rate is
+    # hb_m times the row of class cb of the same family
+    fam = np.arange(k)
+    scale = np.concatenate([fam, np.repeat(fam, R), fam])
+    src = np.concatenate([np.full(k, cb), k + cb * R + np.arange(k * R) % R,
+                          np.full(k, k + k * R + cb)])
 
-    def unpack(Y_):
-        v_ = Y_[: k * na].reshape(k, na)
-        V_ = Y_[k * na : k * na + k * R * na].reshape(k, R, na)
-        ha_ = Y_[k * na + k * R * na :].reshape(k, na)
-        return v_, V_, ha_
+    def rhs_b(hb0, Y):
+        return reconstruct_hb(Y[k + k * R :], hb0)[scale] * Y[src]
 
-    def rhs_b(t, Yb):
-        v_, V_, ha_ = unpack(Yb[0])
-        hb = reconstruct_hb(ha_, t)
-        dv = hb * v_[cb][None, :]
-        dV = hb[:, None, :] * V_[cb][None, :, :]
-        dha = ha_[cb][None, :] * hb
-        return pack(dv, dV, dha)[None]
+    def store(j, Y):
+        v[:, :, j] = Y[:k]
+        V[:, :, :, j] = Y[k : k + k * R].reshape(k, R, na)
+        h[0, :, :, j] = Y[k + k * R :]
+        h[1, :, :, j] = reconstruct_hb(Y[k + k * R :], hb_nodes[:, j])
 
-    Yb = pack(row_v, row_V, row_ha)[None]
-    v[:, :, 0], V[:, :, :, 0] = row_v, row_V
-    h[0, :, :, 0] = row_ha
-    h[1, :, :, 0] = reconstruct_hb(row_ha, ub[0])
+    Yb = np.concatenate([row_v, row_V.reshape(k * R, na), row_ha])
+    store(0, Yb)
     for j in range(1, nb):
-        Yb = _rk4_span(rhs_b, Yb, ub[j - 1], ub[j], substeps)
-        v_, V_, ha_ = unpack(Yb[0])
-        v[:, :, j] = v_
-        V[:, :, :, j] = V_
-        h[0, :, :, j] = ha_
-        h[1, :, :, j] = reconstruct_hb(ha_, ub[j])
+        cell = hb_stages[:, j - 1]
+        Yb = _rk4_span(lambda i, Y, cell=cell: rhs_b(cell[:, i], Y), Yb, hs[j - 1], substeps)
+        store(j, Yb)
     return Triple(grid, class_map, v, h, V)
 
 

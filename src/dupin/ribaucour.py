@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jets import JS, JV
-from .errors import GridMismatch, LambdaZero, NotCanonical, RankZero
+from .errors import GridMismatch, LambdaZero, NotCanonical, NotRegular, RankZero
 from .integrable import RibaucourSolution
 from .net import (
     ClassMap,
@@ -738,7 +738,7 @@ def dupin_step(sample: ImmersionSample, n_indices, y_grid: TensorGrid,
     sol = sol.canonical(nsub.indices, t)
     preds = regularity_predicates(sample, nsub, sol, tol=reg_tol)
     if not preds["regular"]:
-        raise ValueError(f"solution is not regular: min gap {preds['min_gap']:.3e}")
+        raise NotRegular(f"solution is not regular: min gap {preds['min_gap']:.3e}")
     res = n_ribaucour_transform(sample, nsub, sol, y_grid)
     res.predicates = preds
     return res

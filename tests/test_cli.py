@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from dupin.cli import main, run_pipeline
-from dupin.errors import ParseError
+from dupin.errors import NotRegular, ParseError
 from dupin.seeds import torus_seed
 from dupin import serialize
 
@@ -81,7 +82,8 @@ class TestSerialize:
     def test_csv_rows(self, tmp_path, torus_patch):
         info = serialize.export_csv(torus_patch, tmp_path / "t.csv")
         assert info["rows"] == torus_patch.grid.size
-        header = open(tmp_path / "t.csv").readline().strip().split(",")
+        with open(tmp_path / "t.csv") as f:
+            header = f.readline().strip().split(",")
         assert header[:2] == ["u0", "u1"]
 
 
@@ -178,6 +180,33 @@ class TestCommands:
         serialize.dump_json(serialize.sample_to_dict(ellipsoid_patch(shape=(21, 21))), sp)
         rc = main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json"), "--tol", "1e-4"])
         assert rc == 1
+
+
+# a recursion request on the circle whose solution fails the regularity gate
+IRREGULAR_STEP = {"n_indices": [1], "y": {"shape": [9], "spacings": [0.05], "origins": [0.5]},
+                  "B0": [0.0], "phi0": 1.0, "gamma0": [0.0], "beta0": [1.0, 0.0]}
+CIRCLE = {"radius": 1.0, "n": 21, "u_range": [0.0, 0.4]}
+
+
+@pytest.mark.parametrize("command", ["run", "recurse"])
+def test_irregular_recursion_exits_2_with_one_line(tmp_path, capsys, command):
+    if command == "run":
+        spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE},
+                "steps": [{"op": "recursion", **IRREGULAR_STEP}]}
+        with pytest.raises(NotRegular):
+            run_pipeline(spec, str(tmp_path / "p"))
+        serialize.dump_json(spec, tmp_path / "spec.json")
+        argv = ["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]
+    else:
+        assert main(["seed", "--kind", "circle", "--params", json.dumps(CIRCLE),
+                     "--out", str(tmp_path / "seed.json")]) == 0
+        serialize.dump_json(IRREGULAR_STEP, tmp_path / "step.json")
+        argv = ["recurse", "--in", str(tmp_path / "seed.json"), "--spec", str(tmp_path / "step.json"),
+                "--out", str(tmp_path / "o.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: solution is not regular: min gap \S+\n", err)
 
 
 def _broken_sample(torus_patch, how):

@@ -1,9 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dupin.errors import UnsupportedGrid
 from dupin.integrable import (
+    BLOWUP_BOUND,
     TripleAxisData,
+    _bounded,
+    _GridProvider,
+    _solution_from_states,
+    _stage_times,
     axis_data_from_triple,
     cumulative_integral,
     integrate_triple,
@@ -11,10 +18,11 @@ from dupin.integrable import (
     solve_B,
     solve_linear,
 )
-from dupin.net import ClassMap
+from dupin.net import ClassMap, Triple
 from dupin.numerics import TensorGrid
 from dupin.ribaucour import inversion_w
 from dupin.seeds import circle_seed, cylinder_seed, torus_seed
+from dupin.verify import _RNG_SEED, dupin_tensor_space
 
 
 def test_cumulative_integral_exact_on_cubics():
@@ -215,3 +223,371 @@ def test_axis_data_from_grid_triple(torus_patch):
     out, rep = integrate_triple(data, t.grid, t.class_map, substeps=8)
     assert np.abs(out.v - t.v).max() < 1e-5
     assert np.abs(out.V - t.V).max() < 1e-5
+
+
+def _cubic_fields(U0, U1):
+    """v, h, V fields that are cubic polynomials in each coordinate."""
+    p = (U0**3 - 2.0 * U0 + 0.5) * (1.0 + 0.3 * U1) + U1**3 - U1**2
+    q = 0.7 * U0**2 * U1 - 1.1 * U1**3 + U0
+    return np.stack([p, q]), np.stack([np.stack([q, p]), np.stack([p * 0.5, -q])]), np.stack([p, q])[:, None]
+
+
+class TestGridInterpolation:
+    GRID = TensorGrid((9, 7), (0.1, 0.2), (0.3, -0.5))
+
+    def test_cubics_reproduced_in_the_end_cells(self):
+        # the first and last cells use clipped stencils (i0 = 0 and n - 4)
+        g = self.GRID
+        v, h, V = _cubic_fields(*g.meshgrid())
+        provider = _GridProvider(Triple(g, ClassMap.simple(2), v, h, V))
+        for axis in range(2):
+            T, _ = _stage_times(g.axis_coords(axis), 3)
+            t = np.concatenate([T[0], T[-1]])
+            other = 1 - axis
+            idx = np.zeros((g.shape[other], 2), dtype=int)
+            idx[:, other] = np.arange(g.shape[other])
+            pts = np.empty((t.size, g.shape[other], 2))
+            pts[..., axis] = t[:, None]
+            pts[..., other] = g.axis_coords(other)[None, :]
+            exact = dict(zip("vhV", _cubic_fields(pts[..., 0], pts[..., 1])))
+            got = provider.line_eval(axis, idx, t)
+            for name in "vhV":
+                assert got[name].shape == exact[name].shape
+                scale = np.abs(exact[name]).max()
+                assert np.abs(got[name] - exact[name]).max() <= 1e-13 * scale
+
+    def test_fewer_than_four_nodes_rejected(self):
+        g = TensorGrid((3, 5), (0.1, 0.2))
+        v, h, V = _cubic_fields(*g.meshgrid())
+        provider = _GridProvider(Triple(g, ClassMap.simple(2), v, h, V))
+        idx = np.zeros((5, 2), dtype=int)
+        idx[:, 1] = np.arange(5)
+        with pytest.raises(UnsupportedGrid):
+            provider.line_eval(0, idx, np.array([0.05]))
+        idx = np.zeros((3, 2), dtype=int)
+        idx[:, 0] = np.arange(3)
+        assert provider.line_eval(1, idx, np.array([0.3]))["v"].shape == (2, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the stage-by-stage RK4 sweep and row march that the propagator
+# form replaced.  Every RK stage evaluates the rate at one scalar time on a
+# batch of lines (node-valued coefficients interpolated per time), and the
+# row march integrates h_{1, .} by two cumulative quadratures per stage.
+
+
+def _ref_weights(g, axis, t):
+    n = g.shape[axis]
+    s = (t - g.origins[axis]) / g.spacings[axis]
+    i0 = int(np.clip(np.floor(s) - 1, 0, n - 4))
+    xs = np.arange(i0, i0 + 4, dtype=float)
+    w = np.ones(4)
+    for m in range(4):
+        for l in range(4):
+            if l != m:
+                w[m] *= (s - xs[l]) / (xs[m] - xs[l])
+    return i0, w
+
+
+def _ref_line_eval(triple, axis, idx, t):
+    g = triple.grid
+    if triple.analytic is not None:
+        pts = np.empty((idx.shape[0], g.ndim))
+        for d in range(g.ndim):
+            pts[:, d] = g.origins[d] + g.spacings[d] * idx[:, d]
+        pts[:, axis] = t
+        return triple.analytic(pts)
+    i0, w = _ref_weights(g, axis, t)
+    out = {}
+    for name in ("v", "h", "V"):
+        field = getattr(triple, name)
+        lead = (slice(None),) * (field.ndim - g.ndim)
+        acc = None
+        for m in range(4):
+            take = [idx[:, d] for d in range(g.ndim)]
+            take[axis] = np.full(idx.shape[0], i0 + m)
+            term = w[m] * field[lead + tuple(take)]
+            acc = term if acc is None else acc + term
+        out[name] = acc
+    return out
+
+
+def _ref_rk4_span(rhs, y, t0, t1, substeps):
+    h = (t1 - t0) / substeps
+    t = t0
+    for _ in range(substeps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
+
+
+def _ref_sweep(grid, state0, rhs_factory, order, substeps):
+    D = grid.ndim
+    out = np.full(grid.shape + (state0.size,), np.nan)
+    out[(0,) * D] = state0
+    done = []
+    for a in order:
+        ranges = [range(grid.shape[d]) if d in done else (0,) for d in range(D)]
+        idx = np.array(list(itertools.product(*ranges)), dtype=int)
+        rhs = rhs_factory(a, idx)
+        coords = grid.axis_coords(a)
+        Y = out[tuple(idx.T)]
+        for j in range(1, grid.shape[a]):
+            Y = _ref_rk4_span(rhs, Y, coords[j - 1], coords[j], substeps)
+            store = idx.copy()
+            store[:, a] = j
+            out[tuple(store.T)] = Y
+        done.append(a)
+    return out
+
+
+def _ref_tensor_rhs(triple, k):
+    def factory(axis, idx):
+        ca = triple.class_map.classes[axis]
+
+        def rhs(t, Y):
+            h = _ref_line_eval(triple, axis, idx, t)["h"][axis]
+            B = Y.reshape(Y.shape[0], k, -1)
+            return (h.T[:, :, None] * B[:, ca][:, None, :]).reshape(Y.shape)
+
+        return rhs
+
+    return factory
+
+
+def _ref_joint_rhs(triple, D, k):
+    def factory(axis, idx):
+        ca = triple.class_map.classes[axis]
+
+        def rhs(t, Y):
+            C = _ref_line_eval(triple, axis, idx, t)
+            v, h, V = C["v"], C["h"], C["V"]
+            B = Y[:, :k].T
+            gam = Y[:, k + 1 : k + 1 + D].T
+            bet = Y[:, k + 1 + D :].T
+            dY = np.empty_like(Y)
+            dY[:, :k] = h[axis].T * B[ca][:, None]
+            dY[:, k] = v[ca] * gam[axis]
+            for j in range(D):
+                if j != axis:
+                    dY[:, k + 1 + j] = h[j, ca] * gam[axis]
+            diag = B[ca].copy()
+            for j in range(D):
+                if j != axis:
+                    diag -= h[j, ca] * gam[j]
+            diag += (bet * V[ca]).sum(axis=0)
+            dY[:, k + 1 + axis] = diag
+            dY[:, k + 1 + D :] = (-V[ca] * gam[axis]).T
+            return dY
+
+        return rhs
+
+    return factory
+
+
+def _ref_frame_rhs(triple, D, R, N):
+    def factory(axis, idx):
+        ca = triple.class_map.classes[axis]
+
+        def rhs(t, Y):
+            C = _ref_line_eval(triple, axis, idx, t)
+            v, h, V = C["v"], C["h"], C["V"]
+            Z = Y.reshape(Y.shape[0], 1 + D + R, N)
+            X, xi = Z[:, 1 : 1 + D], Z[:, 1 + D :]
+            dZ = np.empty_like(Z)
+            Xa = X[:, axis]
+            dZ[:, 0] = v[ca][:, None] * Xa
+            acc = np.zeros_like(Xa)
+            for j in range(D):
+                if j != axis:
+                    dZ[:, 1 + j] = h[j, ca][:, None] * Xa
+                    acc -= h[j, ca][:, None] * X[:, j]
+            for r in range(R):
+                acc += V[ca, r][:, None] * xi[:, r]
+                dZ[:, 1 + D + r] = -V[ca, r][:, None] * Xa
+            dZ[:, 1 + axis] = acc
+            return dZ.reshape(Y.shape)
+
+        return rhs
+
+    return factory
+
+
+def _ref_march_axis0(data, grid, class_map, substeps):
+    k = class_map.n_classes
+    R = data.V0.shape[1]
+    ca = class_map.classes[0]
+    hrow = data.h_rows[0]
+
+    def rhs(t, Y):
+        hv = np.atleast_1d(hrow(np.asarray(t)))
+        V = Y[:, k:].reshape(-1, k, R)
+        dY = np.empty_like(Y)
+        dY[:, :k] = hv[None, :] * Y[:, ca][:, None]
+        dY[:, k:] = (hv[None, :, None] * V[:, ca][:, None, :]).reshape(-1, k * R)
+        return dY
+
+    coords = grid.axis_coords(0)
+    n = grid.shape[0]
+    v, V = np.empty((k, n)), np.empty((k, R, n))
+    v[:, 0], V[:, :, 0] = data.v0, data.V0
+    Y = np.concatenate([data.v0, data.V0.reshape(-1)])[None]
+    for j in range(1, n):
+        Y = _ref_rk4_span(rhs, Y, coords[j - 1], coords[j], substeps)
+        v[:, j] = Y[0, :k]
+        V[:, :, j] = Y[0, k:].reshape(k, R)
+    return v, V, np.reshape(hrow(coords), (k, n))
+
+
+def _ref_integrate_triple_2d(data, grid, class_map, substeps):
+    k = class_map.n_classes
+    R = data.V0.shape[1]
+    ca, cb = class_map.classes
+    na, nb = grid.shape
+    ub = grid.axis_coords(1)
+    hstep = grid.spacings[0]
+    row_v, row_V, row_ha = _ref_march_axis0(data, grid, class_map, substeps)
+
+    def reconstruct_hb(ha, t):
+        hb0 = data.h_rows[1](np.asarray(t))
+        hb = np.empty((k, na))
+        hb[ca] = hb0[ca] * np.exp(cumulative_integral(ha[ca], hstep))
+        for m in range(k):
+            if m != ca:
+                hb[m] = hb0[m] + cumulative_integral(hb[ca] * ha[m], hstep)
+        return hb
+
+    def unpack(Y):
+        return (Y[0, : k * na].reshape(k, na), Y[0, k * na : -k * na].reshape(k, R, na),
+                Y[0, -k * na :].reshape(k, na))
+
+    def rhs(t, Y):
+        v_, V_, ha = unpack(Y)
+        hb = reconstruct_hb(ha, t)
+        return np.concatenate([(hb * v_[cb]).ravel(), (hb[:, None] * V_[cb][None]).ravel(),
+                               (ha[cb] * hb).ravel()])[None]
+
+    v, V, h = np.empty((k, na, nb)), np.empty((k, R, na, nb)), np.empty((2, k, na, nb))
+    Y = np.concatenate([row_v.ravel(), row_V.ravel(), row_ha.ravel()])[None]
+    for j in range(nb):
+        if j:
+            Y = _ref_rk4_span(rhs, Y, ub[j - 1], ub[j], substeps)
+        v[:, :, j], V[:, :, :, j], h[0, :, :, j] = unpack(Y)
+        h[1, :, :, j] = reconstruct_hb(h[0, :, :, j], ub[j])
+    return v, h, V
+
+
+def _ref_integrate_triple(data, grid, class_map, substeps, order):
+    if grid.ndim == 1:
+        v, V, h = _ref_march_axis0(data, grid, class_map, substeps)
+        return v, h[None], V
+    if order == (0, 1):
+        return _ref_integrate_triple_2d(data, grid, class_map, substeps)
+    flip = TensorGrid(grid.shape[::-1], grid.spacings[::-1], grid.origins[::-1])
+    v, h, V = _ref_integrate_triple_2d(
+        TripleAxisData(v0=data.v0, V0=data.V0, h_rows=data.h_rows[::-1]), flip,
+        ClassMap(class_map.classes[::-1]), substeps)
+    return (np.swapaxes(v, 1, 2), np.stack([np.swapaxes(h[1], 1, 2), np.swapaxes(h[0], 1, 2)]),
+            np.swapaxes(V, 2, 3))
+
+
+REFERENCE_CASES = ["torus_fine", "cylinder_patch", "recursion_step1", "bare_torus_patch", "circle4"]
+
+
+def _case_triple(name, request):
+    """The triple of a reference case; recursion_step1 and bare_torus_patch
+    are node-valued (interpolated coefficients, interpolated axis data)."""
+    if name == "bare_torus_patch":
+        t = request.getfixturevalue("torus_patch").triple
+        return Triple(t.grid, t.class_map, t.v.copy(), t.h.copy(), t.V.copy())
+    return request.getfixturevalue(name).triple
+
+
+def _order(t, reverse):
+    order = tuple(range(t.grid.ndim))
+    return order[::-1] if reverse else order
+
+
+def _assert_close(new, ref, tol=1e-13):
+    assert new.shape == ref.shape
+    assert np.array_equal(np.isnan(new), np.isnan(ref))
+    assert np.nanmax(np.abs(new - ref)) <= tol * np.nanmax(np.abs(ref))
+
+
+def _assert_same_mask(new, ref):
+    assert (new is None and ref is None) or np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+class TestPropagatorsMatchStagewiseReference:
+    """The propagator form of RK4 reproduces the stage-by-stage sweep to
+    roundoff: fields to 1e-13 relative, masks equal."""
+
+    def test_solve_linear(self, case, reverse, request):
+        t = _case_triple(case, request)
+        D, k, R = t.grid.ndim, t.n_classes, t.n_normals
+        B0, gamma0, beta0 = np.linspace(0.3, -0.2, k), np.full(D, 0.1), np.full(R, 0.2)
+        order = _order(t, reverse)
+        sol = solve_linear(t, B0, 1.0, gamma0, beta0, substeps=4, order=order,
+                           check_alternate=False)
+        states = _ref_sweep(t.grid, np.concatenate([B0, [1.0], gamma0, beta0]),
+                            _ref_joint_rhs(t, D, k), order, 4)
+        ref = _solution_from_states(t, states, {})
+        for name in ("phi", "gamma", "beta", "B"):
+            _assert_close(getattr(sol, name), getattr(ref, name))
+        _assert_same_mask(sol.mask, ref.mask)
+
+    def test_solve_B(self, case, reverse, request):
+        t = _case_triple(case, request)
+        k = t.n_classes
+        B0 = np.linspace(0.5, 1.0, k)
+        order = _order(t, reverse)
+        sol = solve_B(t, B0, substeps=4, order=order, check_alternate=False)
+        ref = np.moveaxis(_ref_sweep(t.grid, B0, _ref_tensor_rhs(t, k), order, 4), -1, 0)
+        _assert_close(sol.B, ref)
+        good = _bounded(ref, axis=0)
+        _assert_same_mask(sol.mask, None if good.all() else good)
+
+    def test_reconstruct_frame(self, case, reverse, request):
+        t = _case_triple(case, request)
+        D, R = t.grid.ndim, t.n_normals
+        N = D + R
+        order = _order(t, reverse)
+        rec = reconstruct_frame(t, substeps=4, order=order, check_alternate=False)
+        state0 = np.concatenate([np.zeros((1, N)), np.eye(N)]).ravel()  # the default frame
+        Z = _ref_sweep(t.grid, state0, _ref_frame_rhs(t, D, R, N), order, 4)
+        Z = Z.reshape(t.grid.shape + (1 + D + R, N))
+        _assert_close(rec.positions, Z[..., 0, :])
+        _assert_close(rec.tangents, np.moveaxis(Z[..., 1 : 1 + D, :], -2, 0))
+        _assert_close(rec.normals, np.moveaxis(Z[..., 1 + D :, :], -2, 0))
+
+    def test_integrate_triple(self, case, reverse, request):
+        t = _case_triple(case, request)
+        order = _order(t, reverse)
+        data = axis_data_from_triple(t)
+        out, _ = integrate_triple(data, t.grid, t.class_map, substeps=4,
+                                  sweep_order=order if t.grid.ndim == 2 else (0, 1))
+        v, h, V = _ref_integrate_triple(data, t.grid, t.class_map, 4, order)
+        _assert_close(out.v, v)
+        _assert_close(out.h, h)
+        _assert_close(out.V, V)
+        bad = ~np.isfinite(v).all(axis=0) | (np.abs(v) > BLOWUP_BOUND).any(axis=0)
+        _assert_same_mask(out.mask, ~bad if bad.any() else None)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_tensor_space_matches_stagewise_reference(case, request):
+    t = _case_triple(case, request)
+    k = t.n_classes
+    space = dupin_tensor_space(t, substeps=4)
+    seeds = np.concatenate([np.eye(k), np.random.default_rng(_RNG_SEED + 1).normal(size=(2, k))])
+    B = _ref_sweep(t.grid, seeds.T.ravel(), _ref_tensor_rhs(t, k), _order(t, False), 4)
+    A = np.moveaxis(B.reshape(t.grid.shape + (k, len(seeds))), (-1, -2), (0, 1))
+    A = A.reshape(len(seeds), -1)
+    _assert_close(space["basis"], A[:k])
+    _assert_close(space["singular_values"], np.linalg.svd(A, compute_uv=False))
