@@ -69,8 +69,9 @@ class AxisIncidence(DupinError):
     pass
 
 
-class DimensionMismatch(DupinError):
-    pass
+class DimensionMismatch(DupinError, ValueError):
+    """Arrays or seeds whose sizes do not fit together (a ValueError too, as
+    the seed-shape check of `solve_linear` raised before)."""
 
 
 class TooFewNodes(DupinError):

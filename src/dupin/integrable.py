@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FrameDrift, UnsupportedGrid
+from .errors import DimensionMismatch, FrameDrift, UnsupportedGrid
 from .net import ClassMap, ImmersionSample, ResidualReport, Triple, validate_triple
 from .numerics import TensorGrid, fd_axis
 
@@ -431,7 +431,7 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
     gamma0 = np.zeros(D) if gamma0 is None else np.asarray(gamma0, dtype=float)
     beta0 = np.zeros(R) if beta0 is None else np.asarray(beta0, dtype=float)
     if B0.shape != (k,) or gamma0.shape != (D,) or beta0.shape != (R,):
-        raise ValueError("seed shapes must be (k,), (D,), (R,)")
+        raise DimensionMismatch("seed shapes must be (k,), (D,), (R,)")
     state0 = np.concatenate([B0, [float(phi0)], gamma0, beta0])[:, None]
     provider = _provider_for(triple)
     factory = _joint_coef_factory(provider, triple.class_map, D, k, R)

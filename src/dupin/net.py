@@ -46,8 +46,8 @@ class ClassMap:
 
     def __init__(self, classes: Sequence[int]):
         classes = tuple(int(c) for c in classes)
-        k = max(classes) + 1 if classes else 0
-        if sorted(set(classes)) != list(range(k)):
+        # onto 0..k-1 with k = max + 1: no negative index and k distinct ones
+        if classes and (min(classes) < 0 or len(set(classes)) != max(classes) + 1):
             raise ValueError("class indices must be surjective onto 0..k-1")
         object.__setattr__(self, "classes", classes)
 
@@ -57,7 +57,7 @@ class ClassMap:
 
     @property
     def n_classes(self) -> int:
-        return max(self.classes) + 1
+        return max(self.classes, default=-1) + 1
 
     @property
     def multiplicities(self) -> tuple:

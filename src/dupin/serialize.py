@@ -1,14 +1,18 @@
 """Versioned JSON schemas, residual CSV rows and mesh export.
 
-Field arrays serialize in row-major node order.  Outputs are deterministic:
-floats are written with full repr precision and dict keys in fixed order, so
-identical inputs produce bit-identical files.
+Each field array of a sample or triple is one ASCII string: the base64 of its
+raw bytes in row-major node order, little-endian float64 (``<f8``) for values
+and one byte of 0/1 (``|u1``) per node for masks.  A round trip is bit-exact,
+NaN payloads and signed zeros included.  Outputs are deterministic: dict keys
+are written in fixed order, so identical inputs produce bit-identical files.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -16,8 +20,8 @@ from .errors import ParseError, UnsupportedSlice
 from .net import ClassMap, ImmersionSample, Triple
 from .numerics import TensorGrid
 
-TRIPLE_SCHEMA = "dupin/triple@1"
-SAMPLE_SCHEMA = "dupin/sample@1"
+TRIPLE_SCHEMA = "dupin/triple@2"
+SAMPLE_SCHEMA = "dupin/sample@2"
 PIPELINE_SCHEMA = "dupin/pipeline@1"
 
 __all__ = [
@@ -49,10 +53,17 @@ def grid_from_dict(d: dict) -> TensorGrid:
         return TensorGrid(d["shape"], d["spacings"], d.get("origins"))
     except KeyError as e:
         raise ParseError(f"grid document missing key {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"malformed grid document ({e})") from None
 
 
-def _arr(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).reshape(-1).tolist()
+# stored element types of the array fields: values and masks
+_VALUES = np.dtype("<f8")
+_MASK = np.dtype("|u1")
+
+
+def _arr(a: np.ndarray, dtype: np.dtype = _VALUES) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
 
 
 def triple_to_dict(t: Triple) -> dict:
@@ -66,7 +77,7 @@ def triple_to_dict(t: Triple) -> dict:
         "V": _arr(t.V),
     }
     if t.mask is not None:
-        out["mask"] = t.mask.reshape(-1).astype(int).tolist()
+        out["mask"] = _arr(t.mask, _MASK)
     return out
 
 
@@ -77,30 +88,53 @@ def _get(d: dict, key: str, where: str):
         raise ParseError(f"{where} document missing key {key!r}") from None
 
 
-def _field(d: dict, key: str, shape: tuple, where: str, dtype=float) -> np.ndarray:
-    """A flat array entry reshaped to the grid-derived shape, or ParseError."""
+def _check_schema(d, schema: str) -> None:
+    got = d.get("schema") if isinstance(d, dict) else None
+    if got != schema:
+        raise ParseError(f"expected schema {schema}, got {got!r}")
+
+
+def _count(value, key: str, where: str) -> int:
+    """A non-negative integer metadata entry, or ParseError."""
     try:
-        a = np.asarray(_get(d, key, where), dtype=dtype)
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = -1
+    if n < 0:
+        raise ParseError(f"{where} field {key!r} is not a count ({value!r:.40})")
+    return n
+
+
+def _field(d: dict, key: str, shape: tuple, where: str,
+           stored: np.dtype = _VALUES, dtype=float) -> np.ndarray:
+    """A base64 entry of `stored` elements as a writable `dtype` array of the
+    grid-derived shape, or ParseError."""
+    s = _get(d, key, where)
+    try:
+        a = np.frombuffer(base64.b64decode(s, validate=True), dtype=stored)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{where} field {key!r} is not a numeric array ({e})") from None
-    if a.size != int(np.prod(shape, dtype=int)):
+    if a.size != math.prod(shape):
         raise ParseError(f"{where} field {key!r} has {a.size} values, "
                          f"expected shape {tuple(shape)}")
-    return a.reshape(shape)
+    return a.reshape(shape).astype(dtype)
 
 
 def triple_from_dict(d: dict) -> Triple:
-    if d.get("schema") != TRIPLE_SCHEMA:
-        raise ParseError(f"expected schema {TRIPLE_SCHEMA}, got {d.get('schema')!r}")
+    _check_schema(d, TRIPLE_SCHEMA)
     g = grid_from_dict(_get(d, "grid", "triple"))
-    cm = ClassMap(_get(d, "classes", "triple"))
-    k, D, R = cm.n_classes, g.ndim, int(_get(d, "n_normals", "triple"))
+    classes = _get(d, "classes", "triple")
+    try:
+        cm = ClassMap(classes)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"triple field 'classes' is not a class map ({e})") from None
+    k, D, R = cm.n_classes, g.ndim, _count(_get(d, "n_normals", "triple"), "n_normals", "triple")
     v = _field(d, "v", (k,) + g.shape, "triple")
     h = _field(d, "h", (D, k) + g.shape, "triple")
     V = _field(d, "V", (k, R) + g.shape, "triple")
     mask = None
     if "mask" in d:
-        mask = _field(d, "mask", g.shape, "triple", dtype=int).astype(bool)
+        mask = _field(d, "mask", g.shape, "triple", _MASK, bool)
     return Triple(g, cm, v, h, V, mask=mask)
 
 
@@ -125,34 +159,36 @@ def sample_to_dict(s: ImmersionSample, provenance: dict | None = None) -> dict:
     if s.triple is not None:
         out["triple"] = triple_to_dict(s.triple)
     if s.mask is not None:
-        out["mask"] = s.mask.reshape(-1).astype(int).tolist()
+        out["mask"] = _arr(s.mask, _MASK)
     if provenance:
         out["provenance"] = provenance
     return out
 
 
 def sample_from_dict(d: dict) -> ImmersionSample:
-    if d.get("schema") != SAMPLE_SCHEMA:
-        raise ParseError(f"expected schema {SAMPLE_SCHEMA}, got {d.get('schema')!r}")
+    _check_schema(d, SAMPLE_SCHEMA)
     g = grid_from_dict(_get(d, "grid", "sample"))
-    N = int(_get(d, "ambient_dim", "sample"))
+    N = _count(_get(d, "ambient_dim", "sample"), "ambient_dim", "sample")
     pos = _field(d, "positions", g.shape + (N,), "sample")
     tangents = normals = lame = sff = mask = triple = None
     if "tangents" in d:
-        nt = int(_get(d, "n_tangents", "sample"))
+        nt = _count(_get(d, "n_tangents", "sample"), "n_tangents", "sample")
         tangents = _field(d, "tangents", (nt,) + g.shape + (N,), "sample")
     if "normals" in d:
-        nn = int(_get(d, "n_normals", "sample"))
+        nn = _count(_get(d, "n_normals", "sample"), "n_normals", "sample")
         normals = _field(d, "normals", (nn,) + g.shape + (N,), "sample")
     if "lame" in d:
         lame = _field(d, "lame", (g.ndim,) + g.shape, "sample")
     if "sff" in d:
-        a, b = _get(d, "sff_shape", "sample")
+        ab = _get(d, "sff_shape", "sample")
+        if not isinstance(ab, list) or len(ab) != 2:
+            raise ParseError(f"sample field 'sff_shape' is not a pair of counts ({ab!r:.40})")
+        a, b = (_count(x, "sff_shape", "sample") for x in ab)
         sff = _field(d, "sff", (a, b) + g.shape, "sample")
     if "triple" in d:
         triple = triple_from_dict(d["triple"])
     if "mask" in d:
-        mask = _field(d, "mask", g.shape, "sample", dtype=int).astype(bool)
+        mask = _field(d, "mask", g.shape, "sample", _MASK, bool)
     bad = ~np.isfinite(pos).all(axis=-1)
     if mask is not None:
         bad &= mask
@@ -170,7 +206,10 @@ def dump_json(obj: dict, path) -> None:
 
 def load_json(path) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as e:     # JSONDecodeError, or bytes that are not UTF-8
+            raise ParseError(f"{path} is not a JSON document ({e})") from None
 
 
 def spec_hash(obj: dict) -> str:

@@ -44,10 +44,7 @@ class NumericJet:
     """Finite-difference fundamental forms of a position grid."""
 
     grid: TensorGrid
-    first: np.ndarray          # (D, *grid, N) chart derivatives
     metric: np.ndarray         # (*grid, D, D)
-    metric_inv: np.ndarray
-    second: np.ndarray         # (D, D, *grid, N) chart second derivatives
     normal_proj: np.ndarray    # (*grid, N, N) projector onto the normal space
     alpha: np.ndarray          # (D, D, *grid, N) normal-projected second derivatives
     shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators
@@ -82,7 +79,6 @@ def numeric_jet(s: ImmersionSample, acc: int = 4) -> NumericJet:
             second[j, i] = mixed
 
     metric = np.einsum("i...k,j...k->...ij", first, first)
-    metric_inv = np.linalg.inv(metric)
 
     # orthonormal tangent/normal split per node via SVD of the chart frame
     E = np.moveaxis(first, 0, -2)                     # (*grid, D, N)
@@ -102,8 +98,7 @@ def numeric_jet(s: ImmersionSample, acc: int = 4) -> NumericJet:
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)     # (p, *grid, D, D)
     shape_sym = np.einsum("...ia,r...ab,...bj->r...ij", g_isqrt, H, g_isqrt)
 
-    return NumericJet(grid=g, first=first, metric=metric, metric_inv=metric_inv,
-                      second=second, normal_proj=normal_proj, alpha=alpha,
+    return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
                       shape_sym=shape_sym, normal_basis=normal_basis,
                       g_isqrt=g_isqrt, interior=interior)
 

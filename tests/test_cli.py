@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import re
@@ -62,13 +63,59 @@ class TestSerialize:
 
     def test_triple_size_mismatch_rejected(self, torus_patch):
         doc = serialize.triple_to_dict(torus_patch.triple)
-        doc["h"] = doc["h"][:-1]
+        doc["h"] = serialize._arr(torus_patch.triple.h.reshape(-1)[:-1])
         with pytest.raises(ParseError, match="'h' has"):
             serialize.triple_from_dict(doc)
         doc = serialize.triple_to_dict(torus_patch.triple)
-        doc["v"][0] = "x"
+        doc["v"] = "*" + doc["v"][1:]
         with pytest.raises(ParseError, match="'v' is not a numeric array"):
             serialize.triple_from_dict(doc)
+
+    def test_special_values_roundtrip_bit_exact(self, torus_patch, tmp_path):
+        s = serialize.sample_from_dict(serialize.sample_to_dict(torus_patch))
+        payload_nan = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64).view(float)[0]
+        s.mask = np.ones(s.grid.shape, dtype=bool)
+        s.mask[3, 4] = s.mask[5, 6] = False
+        s.positions[3, 4] = [payload_nan, np.inf, -np.inf]
+        s.positions[5, 6] = [-np.inf, -payload_nan, np.inf]
+        s.positions[1, 1, 0] = -0.0
+        s.positions[1, 2, 1] = 5e-324                  # smallest subnormal
+        s.triple.v[0, 2, 2] = payload_nan
+        s.triple.h[1, 0, 7, 7] = -0.0
+        s.tangents[0, 4, 4, 2] = 2.5e-310
+        doc = serialize.sample_to_dict(s)
+        serialize.dump_json(doc, tmp_path / "s.json")
+        back = serialize.sample_from_dict(serialize.load_json(tmp_path / "s.json"))
+        for name in ("positions", "tangents", "normals", "lame", "sff"):
+            a, b = getattr(s, name), getattr(back, name)
+            assert b.dtype == np.float64 and b.flags.writeable
+            assert np.array_equal(b.view(np.uint64), a.view(np.uint64)), name
+        for name in ("v", "h", "V"):
+            a, b = getattr(s.triple, name), getattr(back.triple, name)
+            assert np.array_equal(b.view(np.uint64), a.view(np.uint64)), name
+        assert back.mask.dtype == bool and np.array_equal(back.mask, s.mask)
+        assert serialize.sample_to_dict(back) == doc
+
+    def test_payload_layout(self, torus_patch):
+        # little-endian float64 values and 0/1 mask bytes, in row-major node order
+        s = serialize.sample_from_dict(serialize.sample_to_dict(torus_patch))
+        s.mask = np.ones(s.grid.shape, dtype=bool)
+        s.mask[3, 4] = False
+        doc = serialize.sample_to_dict(s)
+        values = s.positions.reshape(-1).view(np.uint64).tolist()
+        assert base64.b64decode(doc["positions"]) == b"".join(x.to_bytes(8, "little") for x in values)
+        assert base64.b64decode(doc["mask"]) == bytes(s.mask.reshape(-1).tolist())
+        assert base64.b64decode(doc["triple"]["V"]) == s.triple.V.astype("<f8").tobytes(order="C")
+
+    @pytest.mark.parametrize("kind", ["sample", "triple"])
+    def test_schema_1_rejected(self, torus_patch, kind):
+        if kind == "sample":
+            doc, load = serialize.sample_to_dict(torus_patch), serialize.sample_from_dict
+        else:
+            doc, load = serialize.triple_to_dict(torus_patch.triple), serialize.triple_from_dict
+        doc["schema"] = f"dupin/{kind}@1"
+        with pytest.raises(ParseError, match=f"expected schema dupin/{kind}@2, got 'dupin/{kind}@1'"):
+            load(doc)
 
     def test_obj_counts_and_masking(self, tmp_path):
         t = torus_seed(R=1.0, r=0.3, shape=(9, 9))
@@ -211,12 +258,15 @@ def test_irregular_recursion_exits_2_with_one_line(tmp_path, capsys, command):
 
 def _broken_sample(torus_patch, how):
     doc = serialize.sample_to_dict(torus_patch)
+    flat = torus_patch.positions.reshape(-1)
     if how == "missing_key":
         del doc["positions"]
     elif how == "size_mismatch":
-        doc["positions"] = doc["positions"][:-3]
+        doc["positions"] = serialize._arr(flat[:-3])
     elif how == "non_finite":
-        doc["positions"][7] = float("nan")
+        flat = flat.copy()
+        flat[7] = float("nan")
+        doc["positions"] = serialize._arr(flat)
     return doc
 
 
@@ -235,3 +285,41 @@ def test_verify_bad_input_exits_2_with_one_line(tmp_path, torus_patch, capsys, h
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("how", ["bad_base64", "ragged_bytes", "list"])
+def test_verify_bad_payload_exits_2_with_one_line(tmp_path, torus_patch, capsys, how):
+    doc = serialize.sample_to_dict(torus_patch)
+    if how == "bad_base64":
+        doc["positions"] = doc["positions"][:40] + "!" + doc["positions"][40:]
+    elif how == "ragged_bytes":                # 8n + 3 bytes
+        raw = np.ascontiguousarray(torus_patch.positions, "<f8").tobytes() + b"\0\0\0"
+        doc["positions"] = base64.b64encode(raw).decode("ascii")
+    else:                                      # a dupin/sample@1 value list
+        doc["positions"] = torus_patch.positions.reshape(-1).tolist()
+    sp = tmp_path / "bad.json"
+    serialize.dump_json(doc, sp)
+    message = r"sample field 'positions' is not a numeric array \(.+\)"
+    with pytest.raises(ParseError, match=message):
+        serialize.sample_from_dict(serialize.load_json(sp))
+    rc = main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_truncated_file_exits_2_with_one_line(tmp_path, torus_patch, capsys):
+    sp = tmp_path / "cut.json"
+    serialize.dump_json(serialize.sample_to_dict(torus_patch), sp)
+    sp.write_bytes(sp.read_bytes()[:1000])
+    assert main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json")]) == 2
+    assert re.fullmatch(r"error: \S+cut\.json is not a JSON document \(.+\)\n", capsys.readouterr().err)
+
+
+def test_bad_seed_shapes_exit_2_with_one_line(tmp_path, capsys):
+    # beta0 has three entries, but a circle in R^3 has two normals
+    spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE},
+            "steps": [{"op": "recursion", **IRREGULAR_STEP, "beta0": [1.0, 0.0, 0.0]}]}
+    serialize.dump_json(spec, tmp_path / "spec.json")
+    assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: seed shapes must be (k,), (D,), (R,)\n"

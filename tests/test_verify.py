@@ -147,9 +147,8 @@ def _diagonal_jet(diag, g, mask=None):
     normal_basis = np.zeros((p,) + g.shape + (D + p,))
     for r in range(p):
         normal_basis[r, ..., D + r] = 1.0
-    jet = NumericJet(grid=g, first=None, metric=None, metric_inv=None, second=None,
-                     normal_proj=None, alpha=None, shape_sym=shape_sym,
-                     normal_basis=normal_basis,
+    jet = NumericJet(grid=g, metric=None, normal_proj=None, alpha=None,
+                     shape_sym=shape_sym, normal_basis=normal_basis,
                      g_isqrt=np.broadcast_to(np.eye(D), g.shape + (D, D)),
                      interior=np.ones(g.shape, dtype=bool))
     return ImmersionSample(g, np.zeros(g.shape + (D + p,)), mask=mask), jet
