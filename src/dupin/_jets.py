@@ -43,10 +43,6 @@ class JS:
         self.val = np.asarray(val, dtype=float)
         self.d = d or {}
 
-    @staticmethod
-    def const(c) -> "JS":
-        return JS(np.asarray(c, dtype=float), {})
-
     def part(self, ax: int):
         return self.d.get(ax, 0.0)
 
@@ -101,11 +97,6 @@ class JV:
         self.val = np.asarray(val, dtype=float)
         self.d = d or {}
 
-    @staticmethod
-    def const(vec, rank: int) -> "JV":
-        v = np.asarray(vec, dtype=float).reshape((1,) * rank + (-1,))
-        return JV(v, {})
-
     def part(self, ax: int):
         return self.d.get(ax, 0.0)
 
@@ -139,6 +130,3 @@ class JV:
             term2 = 0.0 if isinstance(db, float) and db == 0.0 else (self.val * db).sum(-1)
             d[ax] = _padd(term1, term2)
         return JS((self.val * o.val).sum(-1), d)
-
-    def norm2(self) -> JS:
-        return self.dot(self)

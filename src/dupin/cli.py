@@ -9,6 +9,7 @@ executed chain for provenance.  A nonzero exit code signals a failed gate.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -60,6 +61,8 @@ _PIPE_KEYS = {"schema", "seed", "steps", "tolerances", "out"}
 
 
 def _check_keys(doc: dict, allowed: set, where: str):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} is not a JSON object")
     extra = set(doc) - allowed
     if extra:
         raise ParseError(f"unknown keys {sorted(extra)} in {where}")
@@ -102,11 +105,40 @@ def _build_seed(doc: dict):
     kind = doc.get("kind")
     if kind not in SEED_BUILDERS:
         raise ParseError(f"unknown seed kind {kind!r}; known: {sorted(SEED_BUILDERS)}")
-    params = dict(doc.get("params", {}))
-    for key, val in list(params.items()):
-        if isinstance(val, list):
-            params[key] = tuple(val)
-    return SEED_BUILDERS[kind](**params)
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError("seed params is not a JSON object")
+    params = {key: tuple(val) if isinstance(val, list) else val for key, val in params.items()}
+    builder = SEED_BUILDERS[kind]
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as e:
+        raise ParseError(f"seed {kind}: {e}") from None
+    return builder(**params)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number (not a bool)."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _recursion_args(step: dict, where: str) -> dict:
+    """Validated `dupin_step` keyword arguments of a recursion step document."""
+    n_indices = step.get("n_indices")
+    if not (isinstance(n_indices, list) and n_indices
+            and all(type(i) is int and i >= 0 for i in n_indices)):
+        raise ParseError(f"{where}: 'n_indices' must be a non-empty list of normal indices")
+    kwargs = {"n_indices": tuple(n_indices), "y_grid": serialize.grid_from_dict(step.get("y")),
+              "phi0": step.get("phi0", 1.0), "substeps": step.get("substeps", 12)}
+    if not _is_number(kwargs["phi0"]):
+        raise ParseError(f"{where}: 'phi0' must be a finite number")
+    if not (type(kwargs["substeps"]) is int and kwargs["substeps"] >= 1):
+        raise ParseError(f"{where}: 'substeps' must be a positive integer")
+    for key in ("B0", "gamma0", "beta0"):
+        val = kwargs[key] = step.get(key)
+        if not (val is None or (isinstance(val, list) and all(map(_is_number, val)))):
+            raise ParseError(f"{where}: {key!r} must be a list of finite numbers or null")
+    return kwargs
 
 
 def _verify_gates(sample, gates: dict, tol: float):
@@ -156,11 +188,7 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                 w = _build_w(step["w"], sample)
                 sample, _jet = ribaucour_transform(sample, w)
             elif op == "recursion":
-                ygrid = serialize.grid_from_dict(step["y"])
-                res = dupin_step(sample, tuple(step["n_indices"]), ygrid,
-                                 B0=step.get("B0"), phi0=step.get("phi0", 1.0),
-                                 gamma0=step.get("gamma0"), beta0=step.get("beta0"),
-                                 substeps=int(step.get("substeps", 12)))
+                res = dupin_step(sample, **_recursion_args(step, f"step {i} (recursion)"))
                 rep = validate_triple(res.triple, tol=tol)
                 info["validate"] = dict(rep.residuals)
                 if not rep.passed:
@@ -205,10 +233,7 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                 rep, failures = _verify_gates(sample, step.get("gates"), tol)
                 info["report"] = rep.to_dict()
                 serialize.dump_json(info["report"], os.path.join(outdir, f"step_{i:02d}_verify.json"))
-                serialize.residual_csv(
-                    [(name, float(val) if isinstance(val, (int, float)) else 0.0, rep.masked_fraction)
-                     for name, val, _ in rep.rows()],
-                    os.path.join(outdir, f"step_{i:02d}_verify.csv"))
+                serialize.residual_csv(rep.rows(), os.path.join(outdir, f"step_{i:02d}_verify.csv"))
                 if failures:
                     raise StepFailure(i, "; ".join(failures))
             elif op == "export":
@@ -278,10 +303,7 @@ def _cmd_recurse(args) -> int:
     sample = serialize.sample_from_dict(serialize.load_json(args.input))
     step = serialize.load_json(args.spec)
     _check_keys(step, _STEP_KEYS["recursion"] - {"op"}, "recursion spec")
-    ygrid = serialize.grid_from_dict(step["y"])
-    res = dupin_step(sample, tuple(step["n_indices"]), ygrid, B0=step.get("B0"),
-                     phi0=step.get("phi0", 1.0), gamma0=step.get("gamma0"),
-                     beta0=step.get("beta0"), substeps=int(step.get("substeps", 12)))
+    res = dupin_step(sample, **_recursion_args(step, "recursion spec"))
     serialize.dump_json(serialize.sample_to_dict(res.sample), args.out)
     print(f"recursion output ({res.triple.n_classes} classes) written to {args.out}")
     return 0
@@ -293,9 +315,7 @@ def _cmd_verify(args) -> int:
     doc = rep.to_dict()
     serialize.dump_json(doc, args.out)
     if args.csv:
-        serialize.residual_csv(
-            [(name, float(val) if isinstance(val, (int, float)) else 0.0, rep.masked_fraction)
-             for name, val, _ in rep.rows()], args.csv)
+        serialize.residual_csv(rep.rows(), args.csv)
     if args.mask_report:
         print(f"masked fraction: {rep.masked_fraction:.4f}")
     worst = max(rep.dupin_residuals) if rep.dupin_residuals else 0.0

@@ -21,6 +21,7 @@ from .errors import (
     AxisIncidence,
     DegenerateOffset,
     DimensionMismatch,
+    DupinError,
     FocalDegeneracy,
     NotOnQuadric,
     ThroughOrigin,
@@ -30,6 +31,7 @@ from .integrable import RibaucourSolution
 from .net import ClassMap, ImmersionSample, ParallelNormalSubbundle, Triple
 from .numerics import TensorGrid
 from .ribaucour import GeneralW
+from .verify import conformal_codim
 
 __all__ = [
     "Translate",
@@ -351,10 +353,8 @@ def detect_ltrivial(s: ImmersionSample, w, tol: float = 1e-8,
     valid = s.valid()
     if substantial is None:
         try:
-            from .verify import sf_report
-
-            substantial = bool(sf_report(s).conformal_codim == N - s.grid.ndim)
-        except Exception:
+            substantial = conformal_codim(s) == N - s.grid.ndim
+        except DupinError:
             substantial = None
     f = pos[valid]                                  # (m, N)
     F = (np.einsum("i...,i...k->...k", w.gamma, s.tangents)

@@ -231,15 +231,12 @@ class PrincipalData:
     """Principal normals and eigenbundle data of a proper submanifold patch.
 
     ``eta`` holds the k principal normals as ambient fields (k, *grid, N);
-    ``assignment`` maps tangent-frame/coordinate indices to classes when the
-    sample has principal coordinates; ``projectors`` (optional) holds the
-    chart-coordinate eigenbundle projectors (k, *grid, D, D) from the
-    independent extraction path.
+    ``projectors`` (optional) holds the chart-coordinate eigenbundle
+    projectors (k, *grid, D, D) from the independent extraction path.
     """
 
     eta: np.ndarray
     multiplicities: tuple
-    assignment: tuple | None = None
     projectors: np.ndarray | None = None
     mask: np.ndarray | None = None
 
@@ -369,8 +366,7 @@ def principal_normals_from_triple(t: Triple, s: ImmersionSample, zero_tol: float
         coeff = t.V[m] / t.v[m]  # (R, *grid)
         for r in range(t.n_normals):
             eta[m] += coeff[r][..., None] * s.normals[r]
-    return PrincipalData(eta=eta, multiplicities=t.class_map.multiplicities,
-                         assignment=t.class_map.classes, mask=t.mask)
+    return PrincipalData(eta=eta, multiplicities=t.class_map.multiplicities, mask=t.mask)
 
 
 def attach_subbundle(s: ImmersionSample, indices: Sequence[int], tol: float = 1e-6) -> ParallelNormalSubbundle:

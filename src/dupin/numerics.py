@@ -33,18 +33,7 @@ __all__ = [
     "sphere_fit",
     "SphereFit",
     "AffineFlat",
-    "as_ambient",
 ]
-
-
-def as_ambient(x) -> np.ndarray:
-    """Validate and return an ambient vector as a float array of shape (N,)."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError(f"ambient vector must be 1-d with length >= 2, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("ambient vector has non-finite entries")
-    return v
 
 
 @dataclass(frozen=True)
@@ -158,40 +147,39 @@ def fd_axis(values: np.ndarray, h: float, axis: int, order: int, acc: int = 2) -
     if n < 5:
         raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
 
-    out = np.empty_like(values)
-    idx_all = np.arange(n)
-
-    def rows(cond):
-        return idx_all[cond]
-
-    def put(rowsel, offsets, coeffs, scale):
-        sl = [slice(None)] * values.ndim
-        sl[axis] = rowsel
-        acc_val = None
-        for off, c in zip(offsets, coeffs):
-            take = [slice(None)] * values.ndim
-            take[axis] = rowsel + off
-            term = c * values[tuple(take)]
-            acc_val = term if acc_val is None else acc_val + term
-        out[tuple(sl)] = acc_val * scale
-
     if order == 1:
-        interior = rows((idx_all >= 1) & (idx_all <= n - 2))
-        put(interior, (-1, 1), (-0.5, 0.5), 1.0 / h)
-        put(np.array([0]), (0, 1, 2), (-1.5, 2.0, -0.5), 1.0 / h)
-        put(np.array([n - 1]), (0, -1, -2), (1.5, -2.0, 0.5), 1.0 / h)
-        if acc == 4 and n >= 5:
-            deep = rows((idx_all >= 2) & (idx_all <= n - 3))
-            put(deep, (-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12), 1.0 / h)
+        scale = 1.0 / h
+        first = ((0, 1, 2), (-1.5, 2.0, -0.5))
+        last = ((0, -1, -2), (1.5, -2.0, 0.5))
+        central = ((-1, 1), (-0.5, 0.5))
+        deep = ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12))
     else:
-        interior = rows((idx_all >= 1) & (idx_all <= n - 2))
-        put(interior, (-1, 0, 1), (1.0, -2.0, 1.0), 1.0 / h**2)
-        put(np.array([0]), (0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0), 1.0 / h**2)
-        put(np.array([n - 1]), (0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0), 1.0 / h**2)
-        if acc == 4 and n >= 5:
-            deep = rows((idx_all >= 2) & (idx_all <= n - 3))
-            put(deep, (-2, -1, 0, 1, 2),
-                (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12), 1.0 / h**2)
+        scale = 1.0 / h**2
+        first = ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0))
+        last = ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0))
+        central = ((-1, 0, 1), (1.0, -2.0, 1.0))
+        deep = ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12))
+
+    out = np.empty_like(values)
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+
+    def put(lo, hi, stencil):
+        # rows lo..hi-1: terms summed in offset order, then scaled
+        total = None
+        for off, c in zip(*stencil):
+            term = c * v[lo + off:hi + off]
+            total = term if total is None else total + term
+        o[lo:hi] = total * scale
+
+    put(0, 1, first)
+    put(n - 1, n, last)
+    if acc == 2:
+        put(1, n - 1, central)
+    else:
+        put(1, 2, central)
+        put(n - 2, n - 1, central)
+        put(2, n - 2, deep)
     return out
 
 
@@ -225,8 +213,6 @@ def fd_jet(field: Field, axis: int, order: int, acc: int = 2) -> Field:
     mask = None
     if field.mask is not None:
         width = 3 if order == 2 else 2
-        if acc == 4:
-            width = max(width, 2)
         mask = _erode_mask(field.mask, axis, width)
     return Field(field.grid, deriv, mask=mask, name=f"d{order}_{axis}({field.name})")
 

@@ -32,11 +32,14 @@ __all__ = [
     "conullity_integrability",
     "sphere_leaf_check",
     "sf_report",
+    "conformal_codim",
+    "focal_constancy",
     "dupin_tensor_space",
     "DiagnosticsReport",
 ]
 
 _RNG_SEED = 20260810
+_RANK_GAP = 1e-6           # relative singular-value gap of rank decisions
 
 
 @dataclass
@@ -274,34 +277,37 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     return valid
 
 
+def _along_class(jet: NumericJet, Pj: np.ndarray, V: np.ndarray, valid: np.ndarray,
+                 normal: bool = False) -> float:
+    """Max over valid nodes and over the columns X of P_j g^{-1/2} (the
+    chart components of a g-orthonormal eigenbundle frame) of |D_X V| / |X|_g
+    for an ambient field V, with D_X V projected onto the normal space when
+    `normal` is set."""
+    g = jet.grid
+    dV = np.stack([fd_axis(V, g.spacings[i], i, 1, acc=4) for i in range(g.ndim)])
+    dirs = np.einsum("...ab,...bc->...ac", Pj, jet.g_isqrt)  # (*grid, D, D) columns
+    worst = np.zeros(g.shape)
+    for col in range(g.ndim):
+        X = dirs[..., col]                       # (*grid, D) chart components
+        nX = np.sqrt(np.abs(np.einsum("...i,...ij,...j->...", X, jet.metric, X)))
+        DXV = np.einsum("...i,i...k->...k", X, dV)
+        if normal:
+            DXV = np.einsum("...kl,...l->...k", jet.normal_proj, DXV)
+        mag = np.linalg.norm(DXV, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
+        worst = np.maximum(worst, mag)
+    return worst[valid].max() if valid.any() else np.nan
+
+
 def dupin_residual(s: ImmersionSample, pd: PrincipalData,
                    jet: NumericJet | None = None) -> np.ndarray:
     """Per-class max |normal-projected derivative of eta_j along its own
     eigenbundle| over valid interior nodes."""
     jet = numeric_jet(s) if jet is None else jet
-    g = jet.grid
-    D = g.ndim
-    valid = _stencil_valid(g, jet.interior, pd.mask)
-    out = np.zeros(pd.k)
-    deta = np.stack([np.stack([fd_axis(pd.eta[j], g.spacings[i], i, 1, acc=4)
-                               for i in range(D)]) for j in range(pd.k)])  # (k, D, *grid, N)
-    for j in range(pd.k):
-        Pj = pd.projectors[j]                    # (*grid, D, D)
-        # directions: chart components of G-orthonormalized eigenvectors
-        # use P_j applied to the g-orthonormal basis columns of g_isqrt
-        dirs = np.einsum("...ab,...bc->...ac", Pj, jet.g_isqrt)  # (*grid, D, D) columns
-        worst = np.zeros(g.shape)
-        for col in range(D):
-            X = dirs[..., col]                   # (*grid, D) chart components
-            nX = np.sqrt(np.einsum("...i,...ij,...j->...", X, jet.metric, X))
-            DXeta = np.einsum("...i,i...k->...k", X, deta[j])
-            nor = np.einsum("...kl,...l->...k", jet.normal_proj, DXeta)
-            mag = np.linalg.norm(nor, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
-            worst = np.maximum(worst, mag)
-        out[j] = worst[valid].max() if valid.any() else np.nan
-    return out
+    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
+    return np.array([_along_class(jet, pd.projectors[j], pd.eta[j], valid, normal=True)
+                     for j in range(pd.k)])
 
 
 def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
@@ -361,9 +367,7 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
     (its value is the leaf-sphere center).  Classes whose normal vanishes
     somewhere report nan (their leaves are flats there)."""
     jet = numeric_jet(s) if jet is None else jet
-    g = jet.grid
-    D = g.ndim
-    valid = _stencil_valid(g, jet.interior, pd.mask)
+    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
     out = np.full(pd.k, np.nan)
     for j in range(pd.k):
         nrm2 = (pd.eta[j] ** 2).sum(-1)
@@ -371,24 +375,14 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             F = s.positions + pd.eta[j] / nrm2[..., None]
-        dF = np.stack([fd_axis(F, g.spacings[i], i, 1, acc=4) for i in range(D)])
-        dirs = np.einsum("...ab,...bc->...ac", pd.projectors[j], jet.g_isqrt)
-        worst = np.zeros(g.shape)
-        for col in range(D):
-            X = dirs[..., col]
-            nX = np.sqrt(np.abs(np.einsum("...i,...ij,...j->...", X, jet.metric, X)))
-            DXF = np.einsum("...i,i...k->...k", X, dF)
-            mag = np.linalg.norm(DXF, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
-            worst = np.maximum(worst, mag)
-        out[j] = worst[valid].max() if valid.any() else np.nan
+        out[j] = _along_class(jet, pd.projectors[j], F, valid)
     return out
 
 
 def sphere_leaf_check(result: NRibaucourResult, flat_tol: float = 1e-7) -> dict:
-    """Leaf geometry of an N-Ribaucour result: per-base-node sphere fits of
-    y -> f(u0, y), plus the constancy of f + eta/|eta|^2 along leaves."""
+    """Leaf geometry of an N-Ribaucour result from its positions alone:
+    per-base-node sphere fits of y -> f(u0, y).  The constancy of the leaf
+    centres f + eta/|eta|^2 is `focal_constancy` (on extracted normals)."""
     g = result.grid
     Db = result.base.grid.ndim
     if min(g.shape[Db:]) < 5:
@@ -401,19 +395,7 @@ def sphere_leaf_check(result: NRibaucourResult, flat_tol: float = 1e-7) -> dict:
         fit = sphere_fit(result.leaf_positions(idx).reshape(-1, result.sample.ambient_dim))
         res[idx] = fit.residual
         kinds[idx] = "flat" if isinstance(fit, AffineFlat) else "sphere"
-    out = {"max_fit_residual": float(res.max()), "kinds": kinds, "fit_residuals": res}
-
-    eta_new = result.principal.eta[-1]
-    nrm2 = (eta_new**2).sum(-1)
-    nonvan = nrm2 > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        C = result.sample.positions + eta_new / nrm2[..., None]
-    leaf_axes = tuple(range(Db, g.ndim))
-    mean = C.mean(axis=leaf_axes, keepdims=True)
-    dev = np.linalg.norm(C - mean, axis=-1)
-    dev = np.where(nonvan, dev, 0.0)
-    out["center_constancy"] = float(dev.max())
-    return out
+    return {"max_fit_residual": float(res.max()), "kinds": kinds, "fit_residuals": res}
 
 
 @dataclass
@@ -435,21 +417,21 @@ class DiagnosticsReport:
     checks: dict = dc_field(default_factory=dict)
 
     def rows(self):
-        rows = [("k", self.k, ""), ("dim_N1", self.dim_N1, ""), ("dim_Sf", self.dim_Sf, ""),
-                ("conformal_codim", self.conformal_codim, ""),
-                ("normal_curvature", self.normal_curvature, ""),
-                ("holonomic", int(self.holonomic), ""),
-                ("masked_fraction", self.masked_fraction, "")]
+        """CSV-ready rows: (diagnostic id, value, masked fraction)."""
+        rows = [("k", self.k), ("dim_N1", self.dim_N1), ("dim_Sf", self.dim_Sf),
+                ("conformal_codim", self.conformal_codim),
+                ("normal_curvature", self.normal_curvature),
+                ("holonomic", self.holonomic),
+                ("masked_fraction", self.masked_fraction)]
         for j, r in enumerate(self.dupin_residuals):
-            rows.append((f"dupin_residual_{j}", r, ""))
+            rows.append((f"dupin_residual_{j}", r))
         for j, r in enumerate(self.spherical_leaf):
-            rows.append((f"spherical_leaf_{j}", r, ""))
+            rows.append((f"spherical_leaf_{j}", r))
         for c in self.conullity:
-            rows.append((f"conullity_integrable_{c['class']}", int(c["integrable"]),
-                         c["bracket_residual"]))
+            rows.append((f"conullity_integrable_{c['class']}", c["integrable"]))
         for name, ok in self.checks.items():
-            rows.append((name, int(bool(ok)), ""))
-        return rows
+            rows.append((name, bool(ok)))
+        return [(name, float(val), self.masked_fraction) for name, val in rows]
 
     def to_dict(self):
         return {
@@ -472,7 +454,7 @@ class DiagnosticsReport:
         }
 
 
-def _span_rank(vectors: np.ndarray, valid: np.ndarray, gap: float = 1e-6):
+def _span_rank(vectors: np.ndarray, valid: np.ndarray, gap: float):
     """Numerical rank of a family of ambient vectors over valid nodes.
 
     vectors: (m, *grid, N).  Returns (max node rank, spectrum of the worst
@@ -489,8 +471,26 @@ def _span_rank(vectors: np.ndarray, valid: np.ndarray, gap: float = 1e-6):
     return worst, sv[at], constant
 
 
+def _sf_span(pd: PrincipalData, valid: np.ndarray, gap: float):
+    """dim S_f, S_f = span{eta_i - eta_j}, as `_span_rank` reports it; the
+    differences to class 0 span the same space."""
+    if pd.k == 1:
+        return 0, np.zeros(0), True
+    diffs = np.stack([pd.eta[i] - pd.eta[0] for i in range(1, pd.k)])
+    return _span_rank(diffs, valid, gap=gap)
+
+
+def conformal_codim(s: ImmersionSample) -> int:
+    """Conformal codimension estimate dim S_f from raw positions alone, the
+    `conformal_codim` of a default `sf_report` without its other checks."""
+    jet = numeric_jet(s)
+    pd = extract_principal_normals(s, jet=jet)
+    valid = jet.interior if pd.mask is None else (jet.interior & pd.mask)
+    return _sf_span(pd, valid, _RANK_GAP)[0]
+
+
 def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
-              jet: NumericJet | None = None, rank_gap: float = 1e-6,
+              jet: NumericJet | None = None, rank_gap: float = _RANK_GAP,
               bracket_tol: float = 1e-4, weakly_irreducible: bool = False) -> DiagnosticsReport:
     """Full diagnostics: principal-normal structure, difference-span and
     first-normal-space dimensions, conformal codimension estimate and the
@@ -503,13 +503,7 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
 
     dupin = dupin_residual(s, pd, jet=jet)
     ncurv = normal_curvature_residual(jet)
-
-    # S_f = span{eta_i - eta_j}: differences to class 0 span the same space
-    diffs = np.stack([pd.eta[i] - pd.eta[0] for i in range(1, k)]) if k > 1 else None
-    if diffs is None:
-        dim_sf, sf_spec, sf_const = 0, np.zeros(0), True
-    else:
-        dim_sf, sf_spec, sf_const = _span_rank(diffs, valid, gap=rank_gap)
+    dim_sf, sf_spec, sf_const = _sf_span(pd, valid, rank_gap)
 
     # N_1 = span of all alpha(X, Y)
     D = jet.grid.ndim

@@ -323,3 +323,43 @@ def test_bad_seed_shapes_exit_2_with_one_line(tmp_path, capsys):
     serialize.dump_json(spec, tmp_path / "spec.json")
     assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: seed shapes must be (k,), (D,), (R,)\n"
+
+
+BAD_STEP_VALUES = [("B0", "x"), ("phi0", None), ("gamma0", {}), ("n_indices", 5), ("substeps", "many")]
+
+
+@pytest.mark.parametrize("command", ["run", "recurse"])
+@pytest.mark.parametrize("key,value", BAD_STEP_VALUES, ids=[k for k, _ in BAD_STEP_VALUES])
+def test_mistyped_recursion_step_exits_2_with_one_line(tmp_path, capsys, command, key, value):
+    step = {**IRREGULAR_STEP, key: value}
+    if command == "run":
+        spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE},
+                "steps": [{"op": "recursion", **step}]}
+        with pytest.raises(ParseError, match=f"step 1 \\(recursion\\): '{key}' must be"):
+            run_pipeline(spec, str(tmp_path / "p"))
+        serialize.dump_json(spec, tmp_path / "spec.json")
+        argv = ["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]
+    else:
+        assert main(["seed", "--kind", "circle", "--params", json.dumps(CIRCLE),
+                     "--out", str(tmp_path / "seed.json")]) == 0
+        serialize.dump_json(step, tmp_path / "step.json")
+        argv = ["recurse", "--in", str(tmp_path / "seed.json"), "--spec", str(tmp_path / "step.json"),
+                "--out", str(tmp_path / "o.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert re.fullmatch(f"error: [^\n]*'{key}' must be [^\n]*\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed,message", [
+    (None, "seed is not a JSON object"),
+    ({"kind": "circle", "params": [1.0]}, "seed params is not a JSON object"),
+    ({"kind": "circle", "params": {"radius": 1.0, "colour": "red"}},
+     "seed circle: got an unexpected keyword argument 'colour'"),
+], ids=["null", "params_list", "unknown_param"])
+def test_mistyped_seed_exits_2_with_one_line(tmp_path, capsys, seed, message):
+    spec = {"schema": "dupin/pipeline@1", "seed": seed, "steps": []}
+    with pytest.raises(ParseError, match=re.escape(message)):
+        run_pipeline(spec, str(tmp_path / "p"))
+    serialize.dump_json(spec, tmp_path / "spec.json")
+    assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -149,6 +149,36 @@ class TestDetectLTrivial:
         assert spec is None
         assert rep["fit_residual"] > 1e-4
 
+    def test_torus_in_r3_is_substantial(self, torus_off):
+        # c = dim S_f = 1 = N - D
+        _, rep = detect_ltrivial(torus_off, parallel_w(torus_off, [0.25]))
+        assert rep["substantial"] is True
+        assert "note" not in rep
+
+    def test_torus_in_r4_is_not_substantial(self):
+        # the same torus in R^4: c = 1 < N - D = 2, so the decomposition is not unique
+        t = torus_seed(R=1.0, r=0.3, shape=(21, 21), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2),
+                       ambient=4)
+        _, rep = detect_ltrivial(t, parallel_w(t, [0.25, 0.0]))
+        assert rep["substantial"] is False
+        assert rep["note"] == "patch not conformally substantial: decomposition not unique"
+
+    def test_oracle_error_leaves_substantial_unchecked(self):
+        # 4 x 4 nodes are too few for the oracle's stencils (TooFewNodes)
+        t = torus_seed(R=1.0, r=0.3, shape=(4, 4))
+        _, rep = detect_ltrivial(t, parallel_w(t, [0.25]))
+        assert rep["substantial"] == "unchecked"
+
+    def test_other_errors_in_the_check_propagate(self, torus_off, monkeypatch):
+        import dupin.verify
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a DupinError")
+
+        monkeypatch.setattr(dupin.verify, "numeric_jet", broken)
+        with pytest.raises(RuntimeError, match="not a DupinError"):
+            detect_ltrivial(torus_off, parallel_w(torus_off, [0.25]))
+
 
 class TestEpsilon:
     def test_basic_values(self):

@@ -8,6 +8,7 @@ from dupin.numerics import (
     Field,
     SphereFit,
     TensorGrid,
+    fd_axis,
     fd_jet,
     sphere_fit,
     sym_eigen,
@@ -55,6 +56,61 @@ class TestFdJet:
         d = fd_jet(Field(g, g.axis_coords(0), mask=mask), 0, 1)
         assert not d.mask[4] and not d.mask[6]
         assert d.mask[1]
+
+
+def _reference_fd_axis(values, h, axis, order, acc=2):
+    """Index-array stencils: every interior row at acc = 2, the deep rows
+    overwritten at acc = 4 (terms summed in offset order, then scaled)."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[axis]
+    out = np.empty_like(values)
+    idx_all = np.arange(n)
+
+    def put(rowsel, offsets, coeffs, scale):
+        sl = [slice(None)] * values.ndim
+        sl[axis] = rowsel
+        acc_val = None
+        for off, c in zip(offsets, coeffs):
+            take = [slice(None)] * values.ndim
+            take[axis] = rowsel + off
+            term = c * values[tuple(take)]
+            acc_val = term if acc_val is None else acc_val + term
+        out[tuple(sl)] = acc_val * scale
+
+    interior = idx_all[(idx_all >= 1) & (idx_all <= n - 2)]
+    deep = idx_all[(idx_all >= 2) & (idx_all <= n - 3)]
+    if order == 1:
+        put(interior, (-1, 1), (-0.5, 0.5), 1.0 / h)
+        put(np.array([0]), (0, 1, 2), (-1.5, 2.0, -0.5), 1.0 / h)
+        put(np.array([n - 1]), (0, -1, -2), (1.5, -2.0, 0.5), 1.0 / h)
+        if acc == 4:
+            put(deep, (-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12), 1.0 / h)
+    else:
+        put(interior, (-1, 0, 1), (1.0, -2.0, 1.0), 1.0 / h**2)
+        put(np.array([0]), (0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0), 1.0 / h**2)
+        put(np.array([n - 1]), (0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0), 1.0 / h**2)
+        if acc == 4:
+            put(deep, (-2, -1, 0, 1, 2),
+                (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12), 1.0 / h**2)
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, 21])
+@pytest.mark.parametrize("order,acc", [(1, 2), (1, 4), (2, 2), (2, 4)])
+def test_fd_axis_bit_identical_to_index_stencils(n, order, acc):
+    # slice stencils fill each row once, with the reference's term order
+    rng = np.random.default_rng(n + 10 * order + acc)
+    wide = rng.normal(size=(n + 1, n + 1, 2 * n + 4, 11))
+    wide[rng.random(wide.shape) < 0.02] = np.nan
+    views = {"contiguous": np.ascontiguousarray(wide[:n, :, :n + 2, :5]),
+             "strided": wide[1:, ::-1, ::2, 1::2]}         # (n, n + 1, n + 2, 5) each
+    for name, values in views.items():
+        assert values.shape == (n, n + 1, n + 2, 5)
+        for axis in range(values.ndim):
+            for h in (0.1, 0.037):
+                got = fd_axis(values, h, axis, order, acc=acc)
+                ref = _reference_fd_axis(values, h, axis, order, acc=acc)
+                assert got.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes(), (name, axis, h)
 
 
 class TestSymEigen:
