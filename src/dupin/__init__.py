@@ -1,6 +1,6 @@
 """Numerical engine for Dupin submanifolds via Ribaucour transformations."""
 
-from .numerics import TensorGrid, Field, fd_jet, sym_eigen, sphere_fit
+from .numerics import TensorGrid, sphere_fit
 from .net import (
     ClassMap,
     ImmersionSample,
@@ -30,7 +30,7 @@ from .verify import dupin_tensor_space, extract_principal_normals, numeric_jet, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TensorGrid", "Field", "fd_jet", "sym_eigen", "sphere_fit",
+    "TensorGrid", "sphere_fit",
     "ClassMap", "ImmersionSample", "ParallelNormalSubbundle", "PrincipalData",
     "Triple", "attach_subbundle", "principal_normals_from_triple", "validate_triple",
     "RibaucourSolution", "integrate_triple", "reconstruct_frame",

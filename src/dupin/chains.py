@@ -36,6 +36,9 @@ from .net import ImmersionSample, ParallelNormalSubbundle
 __all__ = ["LTrivialFamily", "normalize_to_form", "quadric_cylinder_residual",
            "euclidean_cylinder_match", "euclidean_rotation_match", "euclidean_tube_match"]
 
+_Q_SEARCH = (0.0, 0.5, 1.0, -0.5, -1.0)   # the coarse grid of rescue offsets q[0]
+_ZERO_TOL = 1e-9                          # |v0|, |delta| and |c| below this count as zero
+
 
 @dataclass
 class LTrivialFamily:
@@ -102,7 +105,7 @@ class LTrivialFamily:
         else:
             mapped = apply_points(T, old_pos)
         new = LTrivialFamily(sample=apply_ltransform(self.sample, T),
-                             spec=pushforward_ltrivial(self.spec, T, self.sample),
+                             spec=pushforward_ltrivial(self.spec, T),
                              nsub=self.nsub, fiber=self.fiber)
         res = float(np.abs(mapped - new.positions()).max())
         return new, res
@@ -124,14 +127,13 @@ def _immersion_margin(sample: ImmersionSample, delta_coeffs: np.ndarray) -> floa
     return float(np.abs(shifted).min())
 
 
-def normalize_to_form(family: LTrivialFamily, q_search: tuple = (0.0, 0.5, 1.0, -0.5, -1.0),
-                      tol: float = 1e-9):
+def normalize_to_form(family: LTrivialFamily):
     """Drive the data to (1, 0, 0, eps) by logged catalog steps.
 
     Steps: (make a nonzero by translation+inversion if needed) -> homothety
     H_a -> translation T_{v0} -> [conformal C(q) when h' + delta fails to be
-    an immersion; q from a coarse grid search] -> parallel translation by
-    delta -> homothety and projective rescale to |c| = 1 (or c = 0).
+    an immersion; q from the coarse grid _Q_SEARCH] -> parallel translation
+    by delta -> homothety and projective rescale to |c| = 1 (or c = 0).
 
     Returns (normal-form family, eps, log).
     """
@@ -146,7 +148,7 @@ def normalize_to_form(family: LTrivialFamily, q_search: tuple = (0.0, 0.5, 1.0, 
 
     if fam.spec.a == 0.0:
         if fam.spec.c == 0.0:
-            if np.linalg.norm(fam.spec.v0) < tol:
+            if np.linalg.norm(fam.spec.v0) < _ZERO_TOL:
                 raise ValueError("degenerate data: a = c = 0 and v0 = 0")
             step(Translate(-fam.spec.v0), "make_c_nonzero")
         step(Inversion(), "make_a_nonzero")
@@ -156,12 +158,12 @@ def normalize_to_form(family: LTrivialFamily, q_search: tuple = (0.0, 0.5, 1.0, 
         step(Translate(fam.spec.v0.copy()), "kill_v0")
 
     # ensure h' + delta immerses before the parallel step
-    if np.linalg.norm(fam.spec.delta) > tol:
+    if np.linalg.norm(fam.spec.delta) > _ZERO_TOL:
         margin = _immersion_margin(fam.sample, fam.spec.delta)
         if margin < 1e-6:
             c1 = fam.spec.c
             found = False
-            for qmag in q_search:
+            for qmag in _Q_SEARCH:
                 q = np.zeros(fam.sample.ambient_dim)
                 q[0] = qmag
                 denom = c1 + float(q @ q)
@@ -186,7 +188,7 @@ def normalize_to_form(family: LTrivialFamily, q_search: tuple = (0.0, 0.5, 1.0, 
         step(ParallelTranslate(fam.spec.delta.copy()), "kill_delta")
 
     c2 = fam.spec.c
-    if abs(c2) > tol:
+    if abs(c2) > _ZERO_TOL:
         k = 1.0 / np.sqrt(abs(c2))
         step(Homothety(k), "normalize_c")
         fam = fam.rescale(1.0 / fam.spec.a)

@@ -68,20 +68,41 @@ def _check_keys(doc: dict, allowed: set, where: str):
         raise ParseError(f"unknown keys {sorted(extra)} in {where}")
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number (not a bool)."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _numbers(val, where: str, key: str) -> list:
+    if not (isinstance(val, list) and all(map(_is_number, val))):
+        raise ParseError(f"{where}: {key!r} must be a list of finite numbers")
+    return val
+
+
 def _build_transform(doc: dict):
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _TRANSFORM_KEYS:
         raise ParseError(f"unknown transform kind {kind!r}")
-    _check_keys(doc, _TRANSFORM_KEYS[kind], f"transform {kind}")
-    if kind == "translate":
-        return Translate(doc["u"])
-    if kind == "orthogonal":
-        return Orthogonal(np.asarray(doc["matrix"], dtype=float))
-    if kind == "homothety":
-        return Homothety(doc["k"])
-    if kind == "inversion":
-        return Inversion()
-    return ParallelTranslate(doc["coeffs"])
+    where = f"transform {kind}"
+    _check_keys(doc, _TRANSFORM_KEYS[kind], where)
+    try:
+        if kind == "translate":
+            return Translate(_numbers(doc.get("u"), where, "u"))
+        if kind == "orthogonal":
+            rows = doc.get("matrix")
+            if not (isinstance(rows, list) and rows
+                    and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
+                raise ParseError(f"{where}: 'matrix' must be a square list of rows")
+            return Orthogonal(np.asarray([_numbers(row, where, "matrix") for row in rows], dtype=float))
+        if kind == "homothety":
+            if not _is_number(doc.get("k")):
+                raise ParseError(f"{where}: 'k' must be a finite number")
+            return Homothety(doc["k"])
+        if kind == "inversion":
+            return Inversion()
+        return ParallelTranslate(_numbers(doc.get("coeffs"), where, "coeffs"))
+    except ValueError as e:         # a non-orthogonal matrix or a zero ratio
+        raise ParseError(f"{where}: {e}") from None
 
 
 def _build_w(doc: dict, sample):
@@ -110,24 +131,48 @@ def _build_seed(doc: dict):
         raise ParseError("seed params is not a JSON object")
     params = {key: tuple(val) if isinstance(val, list) else val for key, val in params.items()}
     builder = SEED_BUILDERS[kind]
+    signature = inspect.signature(builder)
     try:
-        inspect.signature(builder).bind(**params)
+        signature.bind(**params)
     except TypeError as e:
         raise ParseError(f"seed {kind}: {e}") from None
-    return builder(**params)
+    for key, val in params.items():
+        default = signature.parameters[key].default
+        if not _like(val, default):
+            raise ParseError(f"seed {kind}: {key!r} must be {_seed_kind(default)}")
+    try:
+        return builder(**params)
+    except ValueError as e:         # values out of range: an empty u_range, a short ambient
+        raise ParseError(f"seed {kind}: {e}") from None
 
 
-def _is_number(x) -> bool:
-    """A finite JSON number (not a bool)."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+def _like(val, default) -> bool:
+    """A seed parameter value of the kind of the builder's default: an
+    integer >= 2 (node counts, dimensions), a finite number, a tuple of the
+    default's length, or (default None) a tuple of finite numbers."""
+    if isinstance(default, int):
+        return type(val) is int and val >= 2
+    if isinstance(default, float):
+        return _is_number(val)
+    if isinstance(default, tuple):
+        return isinstance(val, tuple) and len(val) == len(default) and all(map(_like, val, default))
+    return isinstance(val, tuple) and all(map(_is_number, val))
 
 
-def _recursion_args(step: dict, where: str) -> dict:
-    """Validated `dupin_step` keyword arguments of a recursion step document."""
+def _seed_kind(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list of {len(default)} {'integers >= 2' if type(default[0]) is int else 'finite numbers'}"
+    return {int: "an integer >= 2", float: "a finite number"}.get(type(default), "a list of finite numbers")
+
+
+def _recursion_args(step: dict, where: str, n_normals: int) -> dict:
+    """Validated `dupin_step` keyword arguments of a recursion step document
+    for a sample with n_normals parallel normals."""
     n_indices = step.get("n_indices")
     if not (isinstance(n_indices, list) and n_indices
-            and all(type(i) is int and i >= 0 for i in n_indices)):
-        raise ParseError(f"{where}: 'n_indices' must be a non-empty list of normal indices")
+            and all(type(i) is int and 0 <= i < n_normals for i in n_indices)):
+        raise ParseError(f"{where}: 'n_indices' must be a non-empty list of normal indices "
+                         f"below {n_normals}")
     kwargs = {"n_indices": tuple(n_indices), "y_grid": serialize.grid_from_dict(step.get("y")),
               "phi0": step.get("phi0", 1.0), "substeps": step.get("substeps", 12)}
     if not _is_number(kwargs["phi0"]):
@@ -141,7 +186,7 @@ def _recursion_args(step: dict, where: str) -> dict:
     return kwargs
 
 
-def _verify_gates(sample, gates: dict, tol: float):
+def _verify_gates(sample, gates: dict):
     rep = sf_report(sample)
     failures = []
     gates = dict(gates or {})
@@ -163,8 +208,16 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
     _check_keys(spec, _PIPE_KEYS, "pipeline")
     if spec.get("schema") != serialize.PIPELINE_SCHEMA:
         raise ParseError(f"expected schema {serialize.PIPELINE_SCHEMA}")
+    tolerances = spec.get("tolerances", {})
+    _check_keys(tolerances, {"validate"}, "tolerances")
+    tol = tolerances.get("validate", 1e-6)
+    if not _is_number(tol):
+        raise ParseError("tolerances: 'validate' must be a finite number")
+    tol = float(tol)
+    steps = spec.get("steps", [])
+    if not isinstance(steps, list):
+        raise ParseError("pipeline steps is not a JSON list")
     os.makedirs(outdir, exist_ok=True)
-    tol = float(spec.get("tolerances", {}).get("validate", 1e-6))
     h = serialize.spec_hash(spec)
     chain = []
     summary = {"spec_sha256": h, "steps": [], "ok": True}
@@ -174,7 +227,9 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
     serialize.dump_json(serialize.sample_to_dict(sample, provenance={"spec_sha256": h, "chain": list(chain)}),
                         os.path.join(outdir, "step_00_seed.json"))
 
-    for i, step in enumerate(spec.get("steps", []), start=1):
+    for i, step in enumerate(steps, start=1):
+        if not isinstance(step, dict):
+            raise ParseError(f"step {i} is not a JSON object")
         op = step.get("op")
         if op not in _STEP_KEYS:
             raise ParseError(f"unknown step op {op!r}")
@@ -188,15 +243,15 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                 w = _build_w(step["w"], sample)
                 sample, _jet = ribaucour_transform(sample, w)
             elif op == "recursion":
-                res = dupin_step(sample, **_recursion_args(step, f"step {i} (recursion)"))
+                res = dupin_step(sample, **_recursion_args(step, f"step {i} (recursion)",
+                                                           sample.n_normals))
                 rep = validate_triple(res.triple, tol=tol)
                 info["validate"] = dict(rep.residuals)
                 if not rep.passed:
-                    raise StepFailure(i, f"transformed net fails validation: {rep}",
-                                      rep.residuals)
+                    raise StepFailure(i, f"transformed net fails validation: {rep}")
                 gates = step.get("gates")
                 if gates:
-                    vrep, failures = _verify_gates(res.sample, gates, tol)
+                    vrep, failures = _verify_gates(res.sample, gates)
                     info["verify"] = vrep.to_dict()
                     if failures:
                         raise StepFailure(i, "; ".join(failures))
@@ -230,7 +285,7 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                                             w, ygrid)
                 sample = res.sample
             elif op == "verify":
-                rep, failures = _verify_gates(sample, step.get("gates"), tol)
+                rep, failures = _verify_gates(sample, step.get("gates"))
                 info["report"] = rep.to_dict()
                 serialize.dump_json(info["report"], os.path.join(outdir, f"step_{i:02d}_verify.json"))
                 serialize.residual_csv(rep.rows(), os.path.join(outdir, f"step_{i:02d}_verify.csv"))
@@ -303,7 +358,7 @@ def _cmd_recurse(args) -> int:
     sample = serialize.sample_from_dict(serialize.load_json(args.input))
     step = serialize.load_json(args.spec)
     _check_keys(step, _STEP_KEYS["recursion"] - {"op"}, "recursion spec")
-    res = dupin_step(sample, **_recursion_args(step, "recursion spec"))
+    res = dupin_step(sample, **_recursion_args(step, "recursion spec", sample.n_normals))
     serialize.dump_json(serialize.sample_to_dict(res.sample), args.out)
     print(f"recursion output ({res.triple.n_classes} classes) written to {args.out}")
     return 0

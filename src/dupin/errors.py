@@ -17,10 +17,6 @@ class GridMismatch(DupinError):
     pass
 
 
-class NotSymmetric(DupinError):
-    pass
-
-
 class DegenerateCloud(DupinError):
     pass
 
@@ -104,7 +100,5 @@ class ParseError(DupinError):
 
 
 class StepFailure(DupinError):
-    def __init__(self, step_index, message, residuals=None):
+    def __init__(self, step_index, message):
         super().__init__(f"step {step_index}: {message}")
-        self.step_index = step_index
-        self.residuals = residuals or {}

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 BLOWUP_BOUND = 1e12
+_GRAM_TOL = 1e-8           # largest Gram defect of an integrated frame
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +348,12 @@ class RibaucourSolution:
         return replace(self, phi=lam * self.phi, gamma=lam * self.gamma,
                        beta=lam * self.beta, B=lam * self.B)
 
-    def canonical(self, n_indices, triple: Triple, base=None) -> "RibaucourSolution":
+    def canonical(self, n_indices, triple: Triple) -> "RibaucourSolution":
         """Canonical class representative: phi(base)=1 (else |beta(base)|=1),
         and the N-components of beta vanish at the base node (absorbed into
-        the parallel-section offset; B is adjusted consistently)."""
-        base = (0,) * self.grid.ndim if base is None else tuple(base)
+        the parallel-section offset; B is adjusted consistently).  The base
+        node is the grid's first node."""
+        base = (0,) * self.grid.ndim
         sel = (slice(None),) + base
         phi0 = self.phi[base]
         if abs(phi0) > 1e-12:
@@ -474,7 +476,7 @@ def _gnorm_residual(triple: Triple, sol: RibaucourSolution) -> float:
     for j in range(g.ndim):
         vj = triple.v[cls[j]]
         for r in range(triple.n_normals):
-            db = fd_axis(sol.beta[r], g.spacings[j], j, 1, acc=4)
+            db = fd_axis(sol.beta[r], g.spacings[j], j, 1)
             res = (sol.gamma[j] * triple.V[cls[j], r] + db) / vj
             worst = max(worst, float(np.abs(res[interior]).max()))
     return worst
@@ -485,7 +487,7 @@ def _gnorm_residual(triple: Triple, sol: RibaucourSolution) -> float:
 
 
 def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
-                      substeps: int = 12, order=None, tol: float = 1e-8,
+                      substeps: int = 12, order=None,
                       check_alternate: bool = True) -> ImmersionSample:
     """Integrate the moving-frame system of a validated triple.
 
@@ -493,7 +495,7 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     tangent and normal directions at the base node; base_point defaults to
     the origin of the ambient space R^N with N = D + R ... (D tangent + R
     normal directions).  The Gram defect of the integrated frame must stay
-    below tol, else FrameDrift is raised (no silent re-orthonormalization).
+    below _GRAM_TOL, else FrameDrift is raised (no silent re-orthonormalization).
     """
     g = triple.grid
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
@@ -533,17 +535,14 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     Fmat = np.moveaxis(frame, 0, -2)                 # (*grid, D+R, N)
     gram = Fmat @ np.swapaxes(Fmat, -1, -2)
     defect = np.abs(gram - np.eye(D + R)).max()
-    if defect > tol:
-        raise FrameDrift(f"Gram defect {defect:.3e} exceeds tol {tol:g}")
-
-    reports = {"gram_defect": float(defect), **reports}
+    if defect > _GRAM_TOL:
+        raise FrameDrift(f"Gram defect {defect:.3e} exceeds tol {_GRAM_TOL:g}")
 
     lame = triple.lame()
     kap = np.stack([triple.V[cls[i]] / triple.v[cls[i]] for i in range(D)])
-    sample = ImmersionSample(g, positions, tangents=X.copy(), normals=xi.copy(),
-                             lame=lame, sff=kap, triple=triple, mask=triple.mask)
-    sample.reports = reports
-    return sample
+    return ImmersionSample(g, positions, tangents=X.copy(), normals=xi.copy(),
+                           lame=lame, sff=kap, triple=triple, mask=triple.mask,
+                           reports={"gram_defect": float(defect), **reports})
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +715,15 @@ def _transpose_triple(t: Triple) -> Triple:
 
 
 def integrate_triple(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap,
-                     substeps: int = 12, sweep_order=(0, 1), tol: float = 1e-6):
+                     substeps: int = 12, sweep_order=(0, 1)):
     """Propagate a triple from per-axis data; returns (Triple, ResidualReport).
 
     Supports 1-d and 2-d grids with one coordinate per class (higher-
     dimensional nets are produced by the transform recursion, not by direct
     integration).  The report carries the residuals of the net system on the
-    result; equation (ii) is the mixed-partial compatibility of the supplied
-    axis data and is not enforced by the march.
+    result at `validate_triple`'s default tolerance; equation (ii) is the
+    mixed-partial compatibility of the supplied axis data and is not
+    enforced by the march.
     """
     if not class_map.is_simple():
         raise UnsupportedGrid("direct triple integration requires one coordinate per class")
@@ -748,5 +748,4 @@ def integrate_triple(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap
     bad = ~np.isfinite(t.v).all(axis=0) | (np.abs(t.v) > BLOWUP_BOUND).any(axis=0)
     if bad.any():
         t.mask = ~bad
-    report = validate_triple(t, tol=tol)
-    return t, report
+    return t, validate_triple(t)

@@ -51,11 +51,18 @@ __all__ = [
     "generalized_tube",
     "generalized_rotation",
     "StereographicMap",
-    "stereographic",
     "stereographic_points",
     "umbilic_normal_form",
     "random_catalog_transform",
 ]
+
+_ORTHO_TOL = 1e-12         # largest entry of O O^T - I of an orthogonal matrix
+_CENTER_TOL = 1e-12        # smallest |x|^2 (model form) of a point mapped by an inversion
+_DEGENERATE_TOL = 1e-9     # smallest |f|^2 and |v - sum c_r V^r| of a transformed sample
+_EPS_BAND = 1e-9           # relative half-width of the ambiguous discriminant band
+_LTRIVIAL_TOL = 1e-8       # relative F-fit and c-constancy residuals of L-trivial data
+_QUADRIC_TOL = 1e-8        # largest defect of a base point on the eps-quadric
+_AXIS_TOL = 1e-9           # |<g, e>| of a node masked as incident to the rotation axis
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +81,9 @@ class Translate:
 class Orthogonal:
     O: np.ndarray
 
-    def __init__(self, O, tol: float = 1e-12):
+    def __init__(self, O):
         O = np.asarray(O, dtype=float)
-        if np.abs(O @ O.T - np.eye(O.shape[0])).max() > tol:
+        if np.abs(O @ O.T - np.eye(O.shape[0])).max() > _ORTHO_TOL:
             raise ValueError("matrix is not orthogonal")
         object.__setattr__(self, "O", O)
 
@@ -112,12 +119,21 @@ def _p_inv(f: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return Z - 2.0 * ((f * Z).sum(-1) / Q)[..., None] * f
 
 
-def apply_points(T, positions: np.ndarray, xi: np.ndarray | None = None,
-                 origin_tol: float = 1e-12) -> np.ndarray:
+def _check_size(T, N: int) -> None:
+    """A translation vector or orthogonal matrix must fit the ambient R^N."""
+    if isinstance(T, Translate) and T.u.shape != (N,):
+        raise DimensionMismatch(f"translation vector of shape {T.u.shape} in R^{N}")
+    if isinstance(T, Orthogonal) and T.O.shape != (N, N):
+        raise DimensionMismatch(f"orthogonal matrix of shape {T.O.shape} in R^{N}")
+
+
+def apply_points(T, positions: np.ndarray) -> np.ndarray:
     """Pointwise action of a catalog transform on a position array.
 
-    ParallelTranslate needs the translated field xi (same leading shape).
+    ParallelTranslate moves points along the sample's normal frame, so it
+    acts on samples (`apply_ltransform`) only.
     """
+    _check_size(T, positions.shape[-1])
     if isinstance(T, Translate):
         return positions + T.u
     if isinstance(T, Orthogonal):
@@ -126,17 +142,15 @@ def apply_points(T, positions: np.ndarray, xi: np.ndarray | None = None,
         return T.k * positions
     if isinstance(T, Inversion):
         Q = (positions**2).sum(-1)
-        if Q.min() < origin_tol:
+        if Q.min() < _CENTER_TOL:
             raise ThroughOrigin("a node passes through the inversion center")
         return positions / Q[..., None]
     if isinstance(T, ParallelTranslate):
-        if xi is None:
-            raise ValueError("ParallelTranslate on raw points needs the xi field")
-        return positions + xi
+        raise ValueError("ParallelTranslate on raw points needs the normal frame of a sample")
     raise TypeError(f"unknown transform {T!r}")
 
 
-def apply_ltransform(s: ImmersionSample, T, tol: float = 1e-9) -> ImmersionSample:
+def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
     """Catalog transform of a holonomic sample with frames and triple.
 
     Closed forms:  translations/orthogonal maps act trivially; homotheties
@@ -144,6 +158,7 @@ def apply_ltransform(s: ImmersionSample, T, tol: float = 1e-9) -> ImmersionSampl
     V + 2 v <f, xi_r> / |f|^2; parallel translation shifts v by -sum c_r V^r
     and leaves h, V unchanged.
     """
+    _check_size(T, s.ambient_dim)
     t = s.triple
     g = s.grid
     D = g.ndim
@@ -172,7 +187,7 @@ def apply_ltransform(s: ImmersionSample, T, tol: float = 1e-9) -> ImmersionSampl
         )
     if isinstance(T, Inversion):
         Q = (pos**2).sum(-1)
-        if Q.min() < tol:
+        if Q.min() < _DEGENERATE_TOL:
             raise ThroughOrigin("sample passes through the inversion center")
         newpos = pos / Q[..., None]
         tangents = None if s.tangents is None else np.stack([_p_inv(pos, s.tangents[i]) for i in range(D)])
@@ -202,7 +217,7 @@ def apply_ltransform(s: ImmersionSample, T, tol: float = 1e-9) -> ImmersionSampl
             raise DimensionMismatch("need one coefficient per frame vector")
         xi = np.einsum("r,r...k->...k", c, s.normals)
         v = t.v - np.einsum("r,mr...->m...", c, t.V)
-        if np.abs(v).min() < tol:
+        if np.abs(v).min() < _DEGENERATE_TOL:
             raise DegenerateOffset("I - A_xi degenerates on the patch")
         cls = t.class_map.classes
         newt = Triple(t.grid, t.class_map, v, t.h.copy(), t.V.copy(), mask=t.mask)
@@ -295,22 +310,23 @@ class EpsilonResult:
     discriminant: float
 
 
-def epsilon_of(spec: LTrivialSpec, tol: float = 1e-9) -> EpsilonResult:
+def epsilon_of(spec: LTrivialSpec) -> EpsilonResult:
     """Class sign epsilon = sign(a c - |v0|^2 + |delta|^2).
 
-    Values inside the tolerance band are AMBIGUOUS unless the data is exact
-    (constructed, not fitted) and the discriminant is exactly zero.
+    Values inside the band of relative half-width _EPS_BAND are AMBIGUOUS
+    unless the data is exact (constructed, not fitted) and the discriminant
+    is exactly zero.
     """
     d = spec.discriminant()
     scale = max(abs(spec.a * spec.c), float(spec.v0 @ spec.v0), float(spec.delta @ spec.delta), 1e-300)
     if d == 0.0 and spec.exact:
         return EpsilonResult(0, False, d)
-    if abs(d) < tol * scale:
+    if abs(d) < _EPS_BAND * scale:
         return EpsilonResult(None, True, d)
     return EpsilonResult(1 if d > 0 else -1, False, d)
 
 
-def pushforward_ltrivial(spec: LTrivialSpec, T, s: ImmersionSample) -> LTrivialSpec:
+def pushforward_ltrivial(spec: LTrivialSpec, T) -> LTrivialSpec:
     """Update (a, v0, delta, c) under a catalog transform.
 
     Translation: (a, v0 - a u, delta, c - 2<u, v0> + a |u|^2);
@@ -336,26 +352,25 @@ def pushforward_ltrivial(spec: LTrivialSpec, T, s: ImmersionSample) -> LTrivialS
     raise TypeError(f"unknown transform {T!r}")
 
 
-def detect_ltrivial(s: ImmersionSample, w, tol: float = 1e-8,
-                    substantial: bool | None = None):
+def detect_ltrivial(s: ImmersionSample, w):
     """Least-squares detection of L-trivial data F = a f + v0 + delta.
 
     Returns (LTrivialSpec | None, report).  The fit runs over valid nodes
     with delta constrained to the parallel frame span; acceptance needs both
-    the F-fit and the constancy of 2 phi - a |f|^2 - 2 <f, v0> below tol
-    (relative).  The decomposition is unique only on conformally substantial
-    patches; by default that is checked through the verification module's
-    conformal-codimension estimate and reported, never raised.
+    the F-fit and the constancy of 2 phi - a |f|^2 - 2 <f, v0> below
+    _LTRIVIAL_TOL (relative).  The decomposition is unique only on
+    conformally substantial patches; that is checked through the
+    verification module's conformal-codimension estimate and reported,
+    never raised.
     """
     pos = s.positions
     N = s.ambient_dim
     R = s.n_normals
     valid = s.valid()
-    if substantial is None:
-        try:
-            substantial = conformal_codim(s) == N - s.grid.ndim
-        except DupinError:
-            substantial = None
+    try:
+        substantial = conformal_codim(s) == N - s.grid.ndim
+    except DupinError:
+        substantial = None
     f = pos[valid]                                  # (m, N)
     F = (np.einsum("i...,i...k->...k", w.gamma, s.tangents)
          + np.einsum("r...,r...k->...k", w.beta, s.normals))[valid]
@@ -384,7 +399,7 @@ def detect_ltrivial(s: ImmersionSample, w, tol: float = 1e-8,
         report["substantial"] = "unchecked"
     elif not substantial:
         report["note"] = "patch not conformally substantial: decomposition not unique"
-    if fit_res < tol and c_res < tol:
+    if fit_res < _LTRIVIAL_TOL and c_res < _LTRIVIAL_TOL:
         return LTrivialSpec(a, v0, d, c), report
     return None, report
 
@@ -394,7 +409,7 @@ def detect_ltrivial(s: ImmersionSample, w, tol: float = 1e-8,
 
 
 def generalized_cylinder(h: ImmersionSample, sub: ParallelNormalSubbundle, eps: int,
-                         fiber: TensorGrid | list, quadric_tol: float = 1e-8) -> ImmersionSample:
+                         fiber: TensorGrid | list) -> ImmersionSample:
     """Generalized cylinder over h determined by the parallel subbundle.
 
     eps = 0: gamma -> h + gamma (flat exponential map); full holonomic data.
@@ -480,7 +495,7 @@ def generalized_cylinder(h: ImmersionSample, sub: ParallelNormalSubbundle, eps: 
     if eps not in (1, -1):
         raise ValueError("eps must be -1, 0 or +1")
     Qh = _quadric_form(h.positions, eps)
-    if np.abs(Qh - eps).max() > quadric_tol:
+    if np.abs(Qh - eps).max() > _QUADRIC_TOL:
         raise NotOnQuadric(f"base does not lie on the eps={eps} quadric "
                            f"(max defect {np.abs(Qh - eps).max():.2e})")
     Qg = (gam**2).sum(-1)
@@ -500,8 +515,7 @@ def _quadric_form(x: np.ndarray, eps: int) -> np.ndarray:
 
 
 def generalized_tube(g: ImmersionSample, sub: ParallelNormalSubbundle, a: float,
-                     n_angle: int = 21, angle_range=(0.0, 2.0 * np.pi),
-                     angles: np.ndarray | None = None) -> ImmersionSample:
+                     n_angle: int = 21, angle_range=(0.0, 2.0 * np.pi)) -> ImmersionSample:
     """Tube of radius a over g along the unit circle of a rank-2 subbundle.
 
     psi(u, theta) = g(u) + a (cos theta xi_1 + sin theta xi_2); carries the
@@ -515,13 +529,9 @@ def generalized_tube(g: ImmersionSample, sub: ParallelNormalSubbundle, a: float,
     if t is None or g.tangents is None:
         raise ValueError("tube base needs full holonomic data")
     r1, r2 = sub.indices
-    if angles is None:
-        fgrid = TensorGrid((n_angle,), ((angle_range[1] - angle_range[0]) / (n_angle - 1),),
-                           (angle_range[0],))
-        th = fgrid.axis_coords(0)
-    else:
-        th = np.asarray(angles, dtype=float)
-        fgrid = TensorGrid((th.size,), (1.0,))
+    fgrid = TensorGrid((n_angle,), ((angle_range[1] - angle_range[0]) / (n_angle - 1),),
+                       (angle_range[0],))
+    th = fgrid.axis_coords(0)
     grid = g.grid.product(fgrid)
     shape = grid.shape
     N = g.ambient_dim
@@ -587,7 +597,7 @@ def generalized_tube(g: ImmersionSample, sub: ParallelNormalSubbundle, a: float,
 
 
 def generalized_rotation(g: ImmersionSample, sub: ParallelNormalSubbundle, e,
-                         fiber: TensorGrid | list, axis_tol: float = 1e-9) -> ImmersionSample:
+                         fiber: TensorGrid | list) -> ImmersionSample:
     """Rotation-type submanifold psi = g - 2 <g, e> (e + gamma) / |e + gamma|^2.
 
     gamma ranges over the subbundle box; positions only.
@@ -616,7 +626,7 @@ def generalized_rotation(g: ImmersionSample, sub: ParallelNormalSubbundle, e,
         gam = gam + coeff_axes[l].reshape(cshape)[..., None] * g.normals[r].reshape(
             g.grid.shape + (1,) * s_rank + (N,))
     ge = (pos_b * e).sum(-1)
-    mask = np.broadcast_to(np.abs(ge) > axis_tol, shape).copy()
+    mask = np.broadcast_to(np.abs(ge) > _AXIS_TOL, shape).copy()
     if not mask.any():
         raise AxisIncidence("the whole patch is incident to the rotation axis")
     den = ((e + gam) ** 2).sum(-1)
@@ -643,13 +653,12 @@ class StereographicMap:
             raise ValueError("eps must be -1, 0 or +1")
 
 
-def stereographic_points(x: np.ndarray, m: StereographicMap, direction: str = "fwd",
-                         tol: float = 1e-12) -> np.ndarray:
+def stereographic_points(x: np.ndarray, m: StereographicMap, direction: str = "fwd") -> np.ndarray:
     """Apply the stereographic composition to a position array."""
     eps = m.eps
     if eps == 0:
         Q = (x**2).sum(-1)
-        if Q.min() < tol:
+        if Q.min() < _CENTER_TOL:
             raise ThroughOrigin("node at the inversion center")
         return x / Q[..., None]
     if direction == "fwd":
@@ -657,7 +666,7 @@ def stereographic_points(x: np.ndarray, m: StereographicMap, direction: str = "f
         z[..., 1:] = x
         z[..., 0] -= eps * eps
         Q = _quadric_form(z, eps)
-        if np.abs(Q).min() < tol:
+        if np.abs(Q).min() < _CENTER_TOL:
             raise ThroughOrigin("node on the inversion cone")
         out = (1 + eps * eps) * z / Q[..., None]
         out[..., 0] += eps
@@ -667,7 +676,7 @@ def stereographic_points(x: np.ndarray, m: StereographicMap, direction: str = "f
         z[..., 0] -= eps
         z = z / (1 + eps * eps)
         Q = _quadric_form(z, eps)
-        if np.abs(Q).min() < tol:
+        if np.abs(Q).min() < _CENTER_TOL:
             raise ThroughOrigin("node on the inversion cone")
         z = z / Q[..., None]
         z[..., 0] += eps * eps
@@ -675,14 +684,6 @@ def stereographic_points(x: np.ndarray, m: StereographicMap, direction: str = "f
             raise ValueError("inverse stereographic image does not return to the slice")
         return z[..., 1:]
     raise ValueError("direction must be 'fwd' or 'inv'")
-
-
-def stereographic(s: ImmersionSample, m: StereographicMap, direction: str = "fwd") -> ImmersionSample:
-    """Stereographic image of a sample (positions; frames dropped for eps != 0)."""
-    pos = stereographic_points(s.positions, m, direction)
-    if m.eps == 0:
-        return apply_ltransform(s, Inversion())
-    return ImmersionSample(s.grid, pos, mask=s.mask)
 
 
 # ---------------------------------------------------------------------------

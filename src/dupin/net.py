@@ -37,6 +37,10 @@ __all__ = [
     "attach_subbundle",
 ]
 
+_INTERIOR_LAYERS = 2       # boundary node layers the fd residual checks leave out
+_ZERO_LAME = 1e-12         # |v| below this counts as a vanishing Lame coefficient
+_PARALLEL_TOL = 1e-6       # largest normal-connection residual of a parallel frame
+
 
 @dataclass(frozen=True)
 class ClassMap:
@@ -173,6 +177,7 @@ class ImmersionSample:
     sff: np.ndarray | None = None
     triple: Triple | None = None
     mask: np.ndarray | None = None
+    reports: dict | None = None      # health numbers of the integration that built it
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -195,7 +200,7 @@ class ImmersionSample:
     def has_frames(self) -> bool:
         return self.tangents is not None and self.normals is not None
 
-    def frame_residuals(self, tol: float = 1e-8) -> dict:
+    def frame_residuals(self) -> dict:
         """Orthonormality and dg = v X consistency checks (fd-based)."""
         out = {}
         if not self.has_frames():
@@ -216,10 +221,10 @@ class ImmersionSample:
                 gram = max(gram, np.abs(dot - (1.0 if r == s else 0.0)).max())
         out["gram"] = float(gram)
         if self.lame is not None:
-            interior = self.grid.interior_mask(2)
+            interior = self.grid.interior_mask(_INTERIOR_LAYERS)
             err = 0.0
             for i in range(D):
-                dg = fd_axis(self.positions, self.grid.spacings[i], i, 1, acc=4)
+                dg = fd_axis(self.positions, self.grid.spacings[i], i, 1)
                 res = dg - self.lame[i][..., None] * X[i]
                 err = max(err, np.abs(res[interior]).max() if interior.any() else 0.0)
             out["dg_vs_vX"] = float(err)
@@ -272,10 +277,10 @@ class ResidualReport:
 
 
 def _triple_derivative(values: np.ndarray, grid: TensorGrid, axis: int) -> np.ndarray:
-    return fd_axis(values, grid.spacings[axis], axis, 1, acc=4)
+    return fd_axis(values, grid.spacings[axis], axis, 1)
 
 
-def validate_triple(t: Triple, tol: float = 1e-6, interior_layers: int = 2) -> ResidualReport:
+def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
     """Residuals of the first-order net system for a candidate triple.
 
     Checks, by finite differences on the component fields:
@@ -294,7 +299,7 @@ def validate_triple(t: Triple, tol: float = 1e-6, interior_layers: int = 2) -> R
     g = t.grid
     D, k, R = g.ndim, t.n_classes, t.n_normals
     cls = t.class_map.classes
-    interior = g.interior_mask(interior_layers)
+    interior = g.interior_mask(_INTERIOR_LAYERS)
     valid = t.valid() & interior
     if not valid.any():
         valid = t.valid()
@@ -348,7 +353,7 @@ def validate_triple(t: Triple, tol: float = 1e-6, interior_layers: int = 2) -> R
     return ResidualReport(residuals=res, tol=tol, masked_fraction=float(frac))
 
 
-def principal_normals_from_triple(t: Triple, s: ImmersionSample, zero_tol: float = 1e-12) -> PrincipalData:
+def principal_normals_from_triple(t: Triple, s: ImmersionSample) -> PrincipalData:
     """Principal normals eta_m = v_m^{-1} sum_r V_m^r xi_r per class."""
     if s.triple is not None and s.triple is not t:
         if s.triple.grid.shape != t.grid.shape:
@@ -359,7 +364,7 @@ def principal_normals_from_triple(t: Triple, s: ImmersionSample, zero_tol: float
         raise GridMismatch("triple and sample grids differ")
     k = t.n_classes
     vmin = np.abs(t.v).min()
-    if vmin < zero_tol:
+    if vmin < _ZERO_LAME:
         raise ZeroLame(f"some Lame coefficient vanishes (min |v| = {vmin:.2e})")
     eta = np.zeros((k,) + t.grid.shape + (s.ambient_dim,))
     for m in range(k):
@@ -369,12 +374,12 @@ def principal_normals_from_triple(t: Triple, s: ImmersionSample, zero_tol: float
     return PrincipalData(eta=eta, multiplicities=t.class_map.multiplicities, mask=t.mask)
 
 
-def attach_subbundle(s: ImmersionSample, indices: Sequence[int], tol: float = 1e-6) -> ParallelNormalSubbundle:
+def attach_subbundle(s: ImmersionSample, indices: Sequence[int]) -> ParallelNormalSubbundle:
     """Select parallel frame vectors spanning a flat normal subbundle.
 
     The parallelism residual is max over axes i, selected r and other frame
     indices t of |<d xi_r / du_i, xi_t>| / |v_i| at interior nodes; frames
-    failing the check raise NotParallel.
+    above _PARALLEL_TOL raise NotParallel.
     """
     if s.normals is None:
         raise ValueError("sample carries no normal frame")
@@ -382,19 +387,19 @@ def attach_subbundle(s: ImmersionSample, indices: Sequence[int], tol: float = 1e
     for r in indices:
         if not 0 <= r < s.n_normals:
             raise ValueError(f"frame index {r} out of range")
-    interior = s.grid.interior_mask(2) & s.valid()
+    interior = s.grid.interior_mask(_INTERIOR_LAYERS) & s.valid()
     if not interior.any():
         interior = s.valid()
     worst = 0.0
     for r in indices:
         for i in range(s.grid.ndim):
-            d = fd_axis(s.normals[r], s.grid.spacings[i], i, 1, acc=4)
+            d = fd_axis(s.normals[r], s.grid.spacings[i], i, 1)
             scale = np.abs(s.lame[i][interior]).max() if s.lame is not None else 1.0
             for tix in range(s.n_normals):
                 if tix == r:
                     continue
                 comp = (d * s.normals[tix]).sum(-1)
                 worst = max(worst, np.abs(comp[interior]).max() / max(scale, 1e-30))
-    if worst > tol:
-        raise NotParallel(f"normal-connection residual {worst:.3e} exceeds tol {tol:g}")
+    if worst > _PARALLEL_TOL:
+        raise NotParallel(f"normal-connection residual {worst:.3e} exceeds tol {_PARALLEL_TOL:g}")
     return ParallelNormalSubbundle(indices=indices, residual=float(worst))

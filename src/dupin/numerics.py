@@ -1,4 +1,4 @@
-"""Uniform tensor grids, node fields, finite-difference jets and sphere fitting.
+"""Uniform tensor grids, finite-difference derivatives and sphere fitting.
 
 Conventions used across the package:
 
@@ -6,7 +6,8 @@ Conventions used across the package:
 * A scalar field on a grid is an array of shape ``grid.shape``; an ambient
   vector field has shape ``grid.shape + (N,)``.
 * Masks are boolean arrays of shape ``grid.shape`` with True = valid node.
-  Every stencil that touches an invalid node produces an invalid node.
+  Every stencil that touches an invalid node produces an invalid node; the
+  oracle applies that rule in ``verify._stencil_valid``.
 """
 
 from __future__ import annotations
@@ -16,24 +17,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AxisOutOfRange,
-    DegenerateCloud,
-    GridTooSmall,
-    NotSymmetric,
-)
+from .errors import AxisOutOfRange, DegenerateCloud, GridTooSmall
 
 __all__ = [
     "TensorGrid",
-    "Field",
     "fd_axis",
-    "fd_jet",
-    "sym_eigen",
-    "EigenResult",
     "sphere_fit",
     "SphereFit",
     "AffineFlat",
 ]
+
+# sphere_fit: relative singular-value threshold of the affine span, and the
+# quadratic coefficient (of the unit-RMS cloud) below which the fit is flat
+_SPAN_TOL = 1e-8
+_FLAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,51 +96,17 @@ class TensorGrid:
         return m
 
 
-@dataclass(frozen=True)
-class Field:
-    """Scalar or ambient-vector data attached to the nodes of a grid."""
-
-    grid: TensorGrid
-    values: np.ndarray
-    mask: np.ndarray | None = None
-    name: str = ""
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape[: self.grid.ndim] != self.grid.shape:
-            raise ValueError(f"field shape {values.shape} does not match grid shape {self.grid.shape}")
-        if values.ndim > self.grid.ndim + 1:
-            raise ValueError("fields are scalar or rank-1 ambient-vector valued")
-        object.__setattr__(self, "values", values)
-        if self.mask is not None:
-            mask = np.asarray(self.mask, dtype=bool)
-            if mask.shape != self.grid.shape:
-                raise ValueError("mask shape must equal grid shape")
-            object.__setattr__(self, "mask", mask)
-
-    @property
-    def is_vector(self) -> bool:
-        return self.values.ndim == self.grid.ndim + 1
-
-    def valid(self) -> np.ndarray:
-        if self.mask is None:
-            return np.ones(self.grid.shape, dtype=bool)
-        return self.mask
-
-
-def fd_axis(values: np.ndarray, h: float, axis: int, order: int, acc: int = 2) -> np.ndarray:
+def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     """Finite-difference derivative of `order` (1 or 2) along `axis`.
 
-    acc=2 uses the classical central stencils with one-sided second-order
-    boundary rows.  acc=4 upgrades interior rows (two layers deep) to
-    fourth-order central stencils; the outer rows keep the acc=2 formulas.
+    Fourth-order central stencils on the deep interior (two layers in);
+    second-order central stencils on the second and second-to-last rows and
+    one-sided second-order stencils on the boundary rows.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[axis]
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
-    if acc not in (2, 4):
-        raise ValueError("accuracy must be 2 or 4")
     if n < 5:
         raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
 
@@ -174,89 +137,10 @@ def fd_axis(values: np.ndarray, h: float, axis: int, order: int, acc: int = 2) -
 
     put(0, 1, first)
     put(n - 1, n, last)
-    if acc == 2:
-        put(1, n - 1, central)
-    else:
-        put(1, 2, central)
-        put(n - 2, n - 1, central)
-        put(2, n - 2, deep)
+    put(1, 2, central)
+    put(n - 2, n - 1, central)
+    put(2, n - 2, deep)
     return out
-
-
-def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
-    """Invalidate every node whose +-width window along axis touches an invalid node."""
-    out = mask.copy()
-    for off in range(-width, width + 1):
-        if off == 0:
-            continue
-        shifted = np.ones_like(mask)
-        n = mask.shape[axis]
-        sl_src = [slice(None)] * mask.ndim
-        sl_dst = [slice(None)] * mask.ndim
-        sl_src[axis] = slice(max(off, 0), n + min(off, 0))
-        sl_dst[axis] = slice(max(-off, 0), n + min(-off, 0))
-        shifted[tuple(sl_dst)] = mask[tuple(sl_src)]
-        out &= shifted
-    return out
-
-
-def fd_jet(field: Field, axis: int, order: int, acc: int = 2) -> Field:
-    """Derivative field of the stated order along a grid axis.
-
-    Central differences at interior nodes, one-sided at the boundary; O(h^2)
-    for smooth data (O(h^4) on the deep interior when acc=4).  Any stencil
-    touching a masked node is masked in the result.
-    """
-    field.grid._check_axis(axis)
-    h = field.grid.spacings[axis]
-    deriv = fd_axis(field.values, h, axis, order, acc=acc)
-    mask = None
-    if field.mask is not None:
-        width = 3 if order == 2 else 2
-        mask = _erode_mask(field.mask, axis, width)
-    return Field(field.grid, deriv, mask=mask, name=f"d{order}_{axis}({field.name})")
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    values: np.ndarray        # descending
-    vectors: np.ndarray       # columns, orthonormal, fixed sign convention
-    clusters: tuple           # index groups of near-degenerate eigenvalues
-
-
-def sym_eigen(M: np.ndarray, tol: float = 1e-10, cluster_tol: float | None = None) -> EigenResult:
-    """Orthonormal eigen-decomposition of a symmetric matrix.
-
-    Eigenvalues are returned descending; each eigenvector has its first
-    entry of significant magnitude made positive so repeated runs agree.
-    Near-degenerate eigenvalues (gap below cluster_tol, default
-    1e-7 * ||M||) are reported as clusters, never silently split.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.T).max() > tol * scale:
-        raise NotSymmetric(f"asymmetry {np.abs(M - M.T).max():.2e} exceeds tol")
-    Ms = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(Ms)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
-    if cluster_tol is None:
-        cluster_tol = 1e-7 * max(np.abs(w).max(), 1.0)
-    clusters = []
-    start = 0
-    for j in range(1, len(w) + 1):
-        if j == len(w) or abs(w[j] - w[j - 1]) > cluster_tol:
-            clusters.append(tuple(range(start, j)))
-            start = j
-    return EigenResult(values=w, vectors=V, clusters=tuple(clusters))
 
 
 @dataclass(frozen=True)
@@ -275,13 +159,13 @@ class AffineFlat:
     residual: float
 
 
-def sphere_fit(points, flat_tol: float = 1e-9, span_tol: float = 1e-8):
+def sphere_fit(points):
     """Least-squares algebraic sphere through a point cloud, or its affine span.
 
     The cloud is first reduced to its minimal affine span (SVD rank with
-    relative threshold span_tol); the algebraic fit
+    relative threshold _SPAN_TOL); the algebraic fit
     a*|q|^2 + <b,q> + c = 0 runs inside the span.  When the quadratic
-    coefficient `a` is below flat_tol (after normalising the cloud to unit
+    coefficient `a` is below _FLAT_TOL (after normalising the cloud to unit
     RMS radius) the span itself is returned as an AffineFlat.  Residual is
     the RMS of | |p-center| - radius | over the input points.
     """
@@ -296,7 +180,7 @@ def sphere_fit(points, flat_tol: float = 1e-9, span_tol: float = 1e-8):
         raise DegenerateCloud("all points coincide")
 
     U, s, Vt = np.linalg.svd(Q, full_matrices=False)
-    rank = int(np.sum(s > span_tol * s[0]))
+    rank = int(np.sum(s > _SPAN_TOL * s[0]))
     basis = Vt[:rank]                       # (rank, N)
     q = Q @ basis.T                         # span coordinates, (m, rank)
     off_span = Q - q @ basis
@@ -315,7 +199,7 @@ def sphere_fit(points, flat_tol: float = 1e-9, span_tol: float = 1e-8):
     _, _, Wt = np.linalg.svd(A, full_matrices=False)
     coef = Wt[-1]
     a, b, c = coef[0], coef[1 : 1 + rank], coef[-1]
-    if abs(a) < flat_tol * np.linalg.norm(coef):
+    if abs(a) < _FLAT_TOL * np.linalg.norm(coef):
         return flat()
     center_span = -b / (2.0 * a) * spread
     r2 = (np.linalg.norm(b) ** 2 - 4.0 * a * c) / (4.0 * a * a) * spread**2

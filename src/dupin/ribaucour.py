@@ -36,6 +36,7 @@ from .net import (
     ParallelNormalSubbundle,
     PrincipalData,
     Triple,
+    _INTERIOR_LAYERS,
     principal_normals_from_triple,
 )
 from .numerics import TensorGrid, fd_axis
@@ -46,7 +47,6 @@ __all__ = [
     "NRibaucourResult",
     "ribaucour_transform",
     "n_ribaucour_transform",
-    "default_y_grid",
     "combescure_check",
     "regularity_predicates",
     "transform_principal_data",
@@ -57,6 +57,11 @@ __all__ = [
     "verify_mutual_ribaucour",
     "HolonomicJets",
 ]
+
+_REGULAR_NODE_TOL = 1e-8   # |phi|, |F| and the D eigenvalues of a regular node exceed it
+_CANONICAL_TOL = 1e-9      # |phi(base) - 1| and |beta_N(base)| of a canonical w
+_REGULAR_GAP = 1e-6        # smallest separation of a regular configuration
+_LAMBDA_TOL = 1e-10        # |lam_j| below this masks the node
 
 
 @dataclass
@@ -379,10 +384,10 @@ class HolonomicJets:
         return ImmersionSample(grid, self.full(self.f.val), tangents=tangents,
                                normals=normals, lame=lame, sff=sff, triple=triple)
 
-    def regular_mask(self, tol: float = 1e-8) -> np.ndarray:
-        """Nodes where phi F != 0 and D is invertible."""
-        ok = np.abs(self.full(self.phi.val)) > tol
-        ok &= self.full(self.nu.val) < 1.0 / tol**2
+    def regular_mask(self) -> np.ndarray:
+        """Nodes where phi F != 0 and D is invertible (each above _REGULAR_NODE_TOL)."""
+        ok = np.abs(self.full(self.phi.val)) > _REGULAR_NODE_TOL
+        ok &= self.full(self.nu.val) < 1.0 / _REGULAR_NODE_TOL**2
         lam = self.lam if self.dupin_type else None
         mult = self.triple.class_map.multiplicities
         if lam is not None:
@@ -396,7 +401,7 @@ class HolonomicJets:
             ok &= det > 1e-8 * np.maximum(mx, 1.0) ** n
         else:
             for i in range(self.D):
-                ok &= np.abs(self.full(self.lam_coord[i].val)) > tol
+                ok &= np.abs(self.full(self.lam_coord[i].val)) > _REGULAR_NODE_TOL
         return ok
 
 
@@ -472,6 +477,7 @@ class NRibaucourResult:
     base: ImmersionSample
     w: RibaucourSolution
     n_indices: tuple
+    predicates: dict | None = None    # the regularity gate's report (dupin_step)
 
     @property
     def grid(self) -> TensorGrid:
@@ -507,31 +513,23 @@ class NRibaucourResult:
                                lame=lame, sff=sff)
 
 
-def default_y_grid(rank: int, half_width: float = 3.0, n: int = 21) -> TensorGrid:
-    """Default parallel-section box: symmetric [-3, 3]^s with 21 nodes per
-    axis; the leaf at infinity is probed separately rather than represented."""
-    return TensorGrid((n,) * rank, (2.0 * half_width / (n - 1),) * rank, (-half_width,) * rank)
-
-
 def n_ribaucour_transform(h: ImmersionSample, nsub: ParallelNormalSubbundle,
-                          w: RibaucourSolution, y_grid: TensorGrid | None = None,
-                          canonical_tol: float = 1e-9) -> NRibaucourResult:
-    """N-Ribaucour transform of h determined by w over a parallel-section box.
+                          w: RibaucourSolution, y_grid: TensorGrid) -> NRibaucourResult:
+    """N-Ribaucour transform of h determined by w over the parallel-section
+    box y_grid, one axis per subbundle index.
 
     Requires the canonical class representative (phi(base) = 1 when nonzero
-    and vanishing N-components of beta at the base node).  y_grid defaults
-    to the symmetric box of default_y_grid.
+    and vanishing N-components of beta at the base node, both to within
+    _CANONICAL_TOL).
     """
-    if y_grid is None:
-        y_grid = default_y_grid(nsub.rank)
     if nsub.rank == 0:
         raise RankZero("the parallel subbundle must have rank >= 1")
     base = (0,) * h.grid.ndim
     phi0 = w.phi[base]
     bet0 = max(abs(w.beta[l][base]) for l in nsub.indices)
-    if abs(phi0) > canonical_tol and abs(phi0 - 1.0) > canonical_tol:
+    if abs(phi0) > _CANONICAL_TOL and abs(phi0 - 1.0) > _CANONICAL_TOL:
         raise NotCanonical(f"phi(base) = {phi0:.6g}; canonicalize first")
-    if bet0 > canonical_tol:
+    if bet0 > _CANONICAL_TOL:
         raise NotCanonical("beta has nonvanishing subbundle components at the base node")
     jets = HolonomicJets(h, w, n_indices=nsub.indices, y_grid=y_grid)
     triple = jets.new_triple()
@@ -550,7 +548,7 @@ def n_ribaucour_transform(h: ImmersionSample, nsub: ParallelNormalSubbundle,
 # checks and predicates
 
 
-def combescure_check(s: ImmersionSample, w, interior_layers: int = 2) -> dict:
+def combescure_check(s: ImmersionSample, w) -> dict:
     """Finite-difference residuals of the Combescure property of F.
 
     Reports: dF = f_* Phi (per axis), the normal-gradient constraint, and the
@@ -566,13 +564,13 @@ def combescure_check(s: ImmersionSample, w, interior_layers: int = 2) -> dict:
                  if isinstance(w, RibaucourSolution) else w.rho)
     F = np.einsum("i...,i...k->...k", w.gamma, s.tangents) + np.einsum(
         "r...,r...k->...k", w.beta, s.normals)
-    interior = g.interior_mask(interior_layers) & s.valid()
+    interior = g.interior_mask(_INTERIOR_LAYERS) & s.valid()
     out = {}
     worst = 0.0
     scale = max(np.abs(F).max(), 1.0)
     for i in range(D):
-        dF = fd_axis(F, g.spacings[i], i, 1, acc=4)
-        dg = fd_axis(s.positions, g.spacings[i], i, 1, acc=4)
+        dF = fd_axis(F, g.spacings[i], i, 1)
+        dg = fd_axis(s.positions, g.spacings[i], i, 1)
         res = dF - rho_coord[i][..., None] * dg
         worst = max(worst, np.abs(res[interior]).max() / scale)
     out["combescure"] = float(worst)
@@ -581,17 +579,17 @@ def combescure_check(s: ImmersionSample, w, interior_layers: int = 2) -> dict:
     for j in range(D):
         vj = t.v[cls[j]]
         for r in range(R):
-            db = fd_axis(w.beta[r], g.spacings[j], j, 1, acc=4)
+            db = fd_axis(w.beta[r], g.spacings[j], j, 1)
             res = (w.gamma[j] * t.V[cls[j], r] + db) / vj
             worst = max(worst, np.abs(res[interior]).max())
     out["gnorm"] = float(worst)
 
     # Phi = Hess phi - A_beta in the orthonormal frame
     lam = t.lame()
-    dphi = [fd_axis(w.phi, g.spacings[i], i, 1, acc=4) for i in range(D)]
+    dphi = [fd_axis(w.phi, g.spacings[i], i, 1) for i in range(D)]
     worst_d, worst_o = 0.0, 0.0
     for i in range(D):
-        d2 = fd_axis(w.phi, g.spacings[i], i, 2, acc=4)
+        d2 = fd_axis(w.phi, g.spacings[i], i, 2)
         hess_ii = d2 - (t.h[i, cls[i]]) * dphi[i]
         for kk in range(D):
             if kk != i:
@@ -601,7 +599,7 @@ def combescure_check(s: ImmersionSample, w, interior_layers: int = 2) -> dict:
         phi_ii = hess_ii / lam[i] ** 2 - abeta
         worst_d = max(worst_d, np.abs((phi_ii - rho_coord[i])[interior]).max())
         for j in range(i + 1, D):
-            dij = fd_axis(dphi[i], g.spacings[j], j, 1, acc=4)
+            dij = fd_axis(dphi[i], g.spacings[j], j, 1)
             hess_ij = dij - (t.h[j, cls[i]] * lam[j] / lam[i]) * dphi[i] - (
                 t.h[i, cls[j]] * lam[i] / lam[j]) * dphi[j]
             worst_o = max(worst_o, np.abs(hess_ij[interior] / (lam[i] * lam[j])[interior]).max())
@@ -611,14 +609,14 @@ def combescure_check(s: ImmersionSample, w, interior_layers: int = 2) -> dict:
 
 
 def regularity_predicates(h: ImmersionSample, nsub: ParallelNormalSubbundle,
-                          w: RibaucourSolution, result: NRibaucourResult | None = None,
-                          tol: float = 1e-6) -> dict:
+                          w: RibaucourSolution) -> dict:
     """Regularity of an N-Ribaucour configuration.
 
     Ew_zero: the regularity condition E(w) = 0 (no class projection agrees
     with beta_bar anywhere); regular: beta_bar and the projected principal
     normals are everywhere pairwise distinct; generic: the same separation
-    computed from the solution fields (coefficient space).
+    computed from the solution fields (coefficient space).  Distinct means
+    farther apart than _REGULAR_GAP.
     """
     t = h.triple
     k = t.n_classes
@@ -643,14 +641,14 @@ def regularity_predicates(h: ImmersionSample, nsub: ParallelNormalSubbundle,
         for mm in range(m + 1, k):
             gap = np.sqrt(((coeffs[m] - coeffs[mm]) ** 2).sum(axis=0))
             pair_gaps.append(float(gap[valid].min()))
-    report["Ew_zero"] = min(gaps_to_bb) > tol
-    report["regular"] = min(pair_gaps) > tol
+    report["Ew_zero"] = min(gaps_to_bb) > _REGULAR_GAP
+    report["regular"] = min(pair_gaps) > _REGULAR_GAP
     report["generic"] = report["regular"]
     report["min_gap"] = min(pair_gaps)
     return report
 
 
-def transform_principal_data(pd: PrincipalData, jet: TransformJet, tol: float = 1e-10) -> PrincipalData:
+def transform_principal_data(pd: PrincipalData, jet: TransformJet) -> PrincipalData:
     """Map principal normals through the transform:
     eta~_j = lam_j^{-1} P( (eta_j)_perp - 2 phi nu rho_j beta_bar ), with the
     new principal normal P(beta_bar) appended when a subbundle was used."""
@@ -676,7 +674,7 @@ def transform_principal_data(pd: PrincipalData, jet: TransformJet, tol: float = 
         if jet.beta_bar is not None:
             vec = vec - (2.0 * jet.phi * jet.nu * jet.rho[m])[..., None] * jet.beta_bar
         lam = jet.lam[m]
-        mask &= np.abs(lam) > tol
+        mask &= np.abs(lam) > _LAMBDA_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
             out.append(jet.P_apply(vec) / lam[..., None])
     etas = out
@@ -724,7 +722,7 @@ def verify_mutual_ribaucour(slice_a: ImmersionSample, slice_b: ImmersionSample) 
 
 def dupin_step(sample: ImmersionSample, n_indices, y_grid: TensorGrid,
                B0=None, phi0: float = 1.0, gamma0=None, beta0=None,
-               substeps: int = 12, reg_tol: float = 1e-6) -> NRibaucourResult:
+               substeps: int = 12) -> NRibaucourResult:
     """One recursion step: solve the linear systems on a holonomic k-Dupin
     sample, canonicalize, gate on regularity, and transform.
 
@@ -736,7 +734,7 @@ def dupin_step(sample: ImmersionSample, n_indices, y_grid: TensorGrid,
     sol = solve_linear(t, B0, phi0, gamma0, beta0, substeps=substeps)
     nsub = ParallelNormalSubbundle(n_indices)
     sol = sol.canonical(nsub.indices, t)
-    preds = regularity_predicates(sample, nsub, sol, tol=reg_tol)
+    preds = regularity_predicates(sample, nsub, sol)
     if not preds["regular"]:
         raise NotRegular(f"solution is not regular: min gap {preds['min_gap']:.3e}")
     res = n_ribaucour_transform(sample, nsub, sol, y_grid)

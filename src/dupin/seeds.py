@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .net import ClassMap, ImmersionSample, Triple, TripleCallables
 from .numerics import TensorGrid
 
@@ -32,6 +33,8 @@ def _pad(vecs: np.ndarray, ambient: int) -> np.ndarray:
     n = vecs.shape[-1]
     if n == ambient:
         return vecs
+    if n > ambient:
+        raise DimensionMismatch(f"a seed spanning R^{n} does not fit in R^{ambient}")
     out = np.zeros(vecs.shape[:-1] + (ambient,))
     out[..., :n] = vecs
     return out
@@ -55,14 +58,17 @@ def circle_seed(radius: float = 1.0, n: int = 21, u_range=(0.0, 2.0 * np.pi),
     against the outward radial normal xi_1 and constant normals e_3, ...
     """
     if ambient < 3:
-        raise ValueError("circle seed needs ambient dimension >= 3")
+        raise DimensionMismatch("circle seed needs ambient dimension >= 3")
     u0, u1 = float(u_range[0]), float(u_range[1])
     grid = TensorGrid((n,), ((u1 - u0) / (n - 1),), (u0,))
     u = grid.axis_coords(0)
     cu, su = np.cos(u), np.sin(u)
     pos = _pad(radius * np.stack([cu, su], axis=-1), ambient)
     if center is not None:
-        pos = pos + np.asarray(center, dtype=float)
+        center = np.asarray(center, dtype=float)
+        if center.shape != (ambient,):
+            raise DimensionMismatch(f"circle center of shape {center.shape} in R^{ambient}")
+        pos = pos + center
     X = _pad(np.stack([-su, cu], axis=-1), ambient)[None]
     xi_rad = _pad(np.stack([cu, su], axis=-1), ambient)
     normals = np.stack([xi_rad] + _const_normals(2, ambient, grid.shape))

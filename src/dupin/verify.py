@@ -40,6 +40,13 @@ __all__ = [
 
 _RNG_SEED = 20260810
 _RANK_GAP = 1e-6           # relative singular-value gap of rank decisions
+_BRACKET_TOL = 1e-4        # relative bracket residual of an integrable conullity
+_FLAT_GATE = 1e-4          # largest shape-operator commutator of a flat normal bundle
+_ETA_TOL = 1e-5            # candidate-normal tolerance, relative to the shape scale
+_STENCIL_WIDTH = 3         # masked-node margin along each axis of the derived checks
+_ETA_FLOOR = 1e-8          # |eta_j| below this counts as a vanishing normal
+_PROBE_SEEDS = 2           # random seeds swept beside the k unit seeds
+_GAP_REQUIRED = 1e6        # sigma_k / sigma_{k+1} of a rank-k solution stack
 
 
 @dataclass
@@ -60,7 +67,7 @@ class NumericJet:
         return self.shape_sym.shape[0]
 
 
-def numeric_jet(s: ImmersionSample, acc: int = 4) -> NumericJet:
+def numeric_jet(s: ImmersionSample) -> NumericJet:
     """Fundamental forms from raw positions, independent of cached data."""
     g = s.grid
     D = g.ndim
@@ -72,12 +79,12 @@ def numeric_jet(s: ImmersionSample, acc: int = 4) -> NumericJet:
     if not interior.any():
         raise TooFewNodes("no interior nodes left after masking")
 
-    first = np.stack([fd_axis(pos, g.spacings[i], i, 1, acc=acc) for i in range(D)])
+    first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
     second = np.empty((D, D) + g.shape + (N,))
     for i in range(D):
-        second[i, i] = fd_axis(pos, g.spacings[i], i, 2, acc=acc)
+        second[i, i] = fd_axis(pos, g.spacings[i], i, 2)
         for j in range(i + 1, D):
-            mixed = fd_axis(first[i], g.spacings[j], j, 1, acc=acc)
+            mixed = fd_axis(first[i], g.spacings[j], j, 1)
             second[i, j] = mixed
             second[j, i] = mixed
 
@@ -119,14 +126,15 @@ def normal_curvature_residual(jet: NumericJet) -> float:
     return float(worst)
 
 
-def extract_principal_normals(s: ImmersionSample, tol: float | None = None,
-                              jet: NumericJet | None = None,
-                              flat_gate: float = 1e-4) -> PrincipalData:
+def extract_principal_normals(s: ImmersionSample,
+                              jet: NumericJet | None = None) -> PrincipalData:
     """Simultaneous diagonalization of the shape operators into k classes.
 
-    tol defaults to 1e-5 times the largest shape-operator norm.  At every valid
-    node the D candidate normals are grouped by single linkage at distance
-    10 * max(tol, 1e-9 * scale).  The dominant grouping (most nodes; on a tie
+    The normal bundle must be flat: NotProper is raised when the largest
+    shape-operator commutator exceeds _FLAT_GATE * max(scale, 1), where
+    scale is the largest shape-operator entry.  At every valid node the D
+    candidate normals are grouped by single linkage at distance
+    10 * _ETA_TOL * scale.  The dominant grouping (most nodes; on a tie
     the one met first in lexicographic node order) fixes k and the
     multiplicities.  Borderline nodes (another grouping) are masked rather
     than guessed, and a NotProper error is raised only when no grouping covers
@@ -148,11 +156,9 @@ def extract_principal_normals(s: ImmersionSample, tol: float | None = None,
     N = s.ambient_dim
     flat_res = normal_curvature_residual(jet)
     shape_scale = max(np.abs(jet.shape_sym[:, jet.interior]).max(), 1e-30)
-    if flat_res > flat_gate * max(shape_scale, 1.0):
+    if flat_res > _FLAT_GATE * max(shape_scale, 1.0):
         raise NotProper(f"normal bundle not numerically flat (commutator {flat_res:.2e})")
-    if tol is None:
-        tol = 1e-5 * shape_scale
-    eta_tol = max(tol, 1e-9 * shape_scale)
+    eta_tol = _ETA_TOL * shape_scale
 
     rng = np.random.default_rng(_RNG_SEED)
     c = rng.normal(size=p)
@@ -253,24 +259,39 @@ def extract_principal_normals(s: ImmersionSample, tol: float | None = None,
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 
-def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | None,
-                   width: int = 3) -> np.ndarray:
+def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """Invalidate every node whose +-width window along axis touches an invalid node."""
+    out = mask.copy()
+    for off in range(-width, width + 1):
+        if off == 0:
+            continue
+        shifted = np.ones_like(mask)
+        n = mask.shape[axis]
+        sl_src = [slice(None)] * mask.ndim
+        sl_dst = [slice(None)] * mask.ndim
+        sl_src[axis] = slice(max(off, 0), n + min(off, 0))
+        sl_dst[axis] = slice(max(-off, 0), n + min(-off, 0))
+        shifted[tuple(sl_dst)] = mask[tuple(sl_src)]
+        out &= shifted
+    return out
+
+
+def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Interior nodes whose fd stencils stay inside the valid node set.
 
     Checks that differentiate an already fd-derived field need four layers of
     margin: the outer two layers of the first derivative carry lower-order
     stencil error, and differentiating across the stencil-regime boundary
-    would turn that into O(h) noise.
+    would turn that into O(h) noise.  A node within _STENCIL_WIDTH of a
+    masked node along any axis is invalid.
     """
-    from .numerics import _erode_mask
-
     valid = interior & grid.interior_mask(4)
     if not valid.any():
         valid = interior
     if mask is not None:
         er = mask.copy()
         for ax in range(grid.ndim):
-            er = _erode_mask(er, ax, width)
+            er = _erode_mask(er, ax, _STENCIL_WIDTH)
         valid = valid & er
         if not valid.any():
             valid = interior & er
@@ -284,7 +305,7 @@ def _along_class(jet: NumericJet, Pj: np.ndarray, V: np.ndarray, valid: np.ndarr
     for an ambient field V, with D_X V projected onto the normal space when
     `normal` is set."""
     g = jet.grid
-    dV = np.stack([fd_axis(V, g.spacings[i], i, 1, acc=4) for i in range(g.ndim)])
+    dV = np.stack([fd_axis(V, g.spacings[i], i, 1) for i in range(g.ndim)])
     dirs = np.einsum("...ab,...bc->...ac", Pj, jet.g_isqrt)  # (*grid, D, D) columns
     worst = np.zeros(g.shape)
     for col in range(g.ndim):
@@ -311,12 +332,13 @@ def dupin_residual(s: ImmersionSample, pd: PrincipalData,
 
 
 def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
-                            jet: NumericJet | None = None, tol: float = 1e-4) -> dict:
+                            jet: NumericJet | None = None) -> dict:
     """Bracket test for the conullity of class j.
 
     Spanning fields are the conullity projections of the chart basis; the
     residual is the eigenbundle component of their Lie brackets (metric
-    norm), relative to the bracket scale.  The pairwise-independence
+    norm); the class is integrable when it is below _BRACKET_TOL times the
+    bracket scale (at least 1).  The pairwise-independence
     sufficient condition (eta_i - eta_l vs eta_j - eta_l everywhere linearly
     independent) is reported alongside.
     """
@@ -327,7 +349,7 @@ def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
     Pj = pd.projectors[j]
     Qj = np.eye(D) - Pj                                    # conullity projector
     # spanning fields: Y_a = Qj e_a, components Qj[..., :, a]
-    dY = np.stack([np.stack([fd_axis(Qj[..., a], g.spacings[m], m, 1, acc=4)
+    dY = np.stack([np.stack([fd_axis(Qj[..., a], g.spacings[m], m, 1)
                              for m in range(D)]) for a in range(D)])  # (a, m, *grid, D)
     worst = 0.0
     scale = 0.0
@@ -355,23 +377,23 @@ def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
         "class": j,
         "bracket_residual": float(worst),
         "bracket_scale": float(scale),
-        "integrable": bool(worst < tol * max(1.0, scale)),
+        "integrable": bool(worst < _BRACKET_TOL * max(1.0, scale)),
         "sufficient_independence": None if suff is np.inf else float(suff),
     }
 
 
 def focal_constancy(s: ImmersionSample, pd: PrincipalData,
-                    jet: NumericJet | None = None, eta_floor: float = 1e-8) -> np.ndarray:
+                    jet: NumericJet | None = None) -> np.ndarray:
     """Per-class spherical-leaf residual: the focal map f + eta_j/|eta_j|^2
     must be constant along the eigenbundle of a nonvanishing Dupin normal
     (its value is the leaf-sphere center).  Classes whose normal vanishes
-    somewhere report nan (their leaves are flats there)."""
+    somewhere (below _ETA_FLOOR) report nan (their leaves are flats there)."""
     jet = numeric_jet(s) if jet is None else jet
     valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
     out = np.full(pd.k, np.nan)
     for j in range(pd.k):
         nrm2 = (pd.eta[j] ** 2).sum(-1)
-        if nrm2[valid].min() < eta_floor**2:
+        if nrm2[valid].min() < _ETA_FLOOR**2:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             F = s.positions + pd.eta[j] / nrm2[..., None]
@@ -379,7 +401,7 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
     return out
 
 
-def sphere_leaf_check(result: NRibaucourResult, flat_tol: float = 1e-7) -> dict:
+def sphere_leaf_check(result: NRibaucourResult) -> dict:
     """Leaf geometry of an N-Ribaucour result from its positions alone:
     per-base-node sphere fits of y -> f(u0, y).  The constancy of the leaf
     centres f + eta/|eta|^2 is `focal_constancy` (on extracted normals)."""
@@ -490,11 +512,14 @@ def conformal_codim(s: ImmersionSample) -> int:
 
 
 def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
-              jet: NumericJet | None = None, rank_gap: float = _RANK_GAP,
-              bracket_tol: float = 1e-4, weakly_irreducible: bool = False) -> DiagnosticsReport:
+              jet: NumericJet | None = None, weakly_irreducible: bool = False) -> DiagnosticsReport:
     """Full diagnostics: principal-normal structure, difference-span and
     first-normal-space dimensions, conformal codimension estimate and the
-    holonomicity verdict from per-class bracket tests."""
+    holonomicity verdict from per-class bracket tests.
+
+    weakly_irreducible states that the submanifold is weakly irreducible,
+    which the oracle cannot decide from positions; it adds the bound
+    dim S_f <= 2k/3 - 1 to the checks."""
     jet = numeric_jet(s) if jet is None else jet
     if pd is None:
         pd = extract_principal_normals(s, jet=jet)
@@ -503,15 +528,14 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
 
     dupin = dupin_residual(s, pd, jet=jet)
     ncurv = normal_curvature_residual(jet)
-    dim_sf, sf_spec, sf_const = _sf_span(pd, valid, rank_gap)
+    dim_sf, sf_spec, sf_const = _sf_span(pd, valid, _RANK_GAP)
 
     # N_1 = span of all alpha(X, Y)
     D = jet.grid.ndim
     alpha_list = [jet.alpha[i, j] for i in range(D) for j in range(i, D)]
-    dim_n1, n1_spec, n1_const = _span_rank(np.stack(alpha_list), valid, gap=rank_gap)
+    dim_n1, n1_spec, n1_const = _span_rank(np.stack(alpha_list), valid, gap=_RANK_GAP)
 
-    conull = tuple(conullity_integrability(s, pd, j, jet=jet, tol=bracket_tol)
-                   for j in range(k))
+    conull = tuple(conullity_integrability(s, pd, j, jet=jet) for j in range(k))
     holonomic = all(c["integrable"] for c in conull)
     leaves = focal_constancy(s, pd, jet=jet)
 
@@ -545,19 +569,19 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
     )
 
 
-def dupin_tensor_space(t: Triple, substeps: int = 8, extra_seeds: int = 2,
-                       gap_required: float = 1e6) -> dict:
+def dupin_tensor_space(t: Triple, substeps: int = 8) -> dict:
     """Dimension of the space of net-adapted Dupin tensors.
 
-    Integrates the tensor system from the k unit seeds plus random probes,
-    stacks the solutions and reports the singular-value spectrum: the rank
-    must equal k and any probe solution must lie in the unit-seed span.
+    Integrates the tensor system from the k unit seeds plus _PROBE_SEEDS
+    random probes, stacks the solutions and reports the singular-value
+    spectrum: the rank must equal k (a gap above _GAP_REQUIRED) and any
+    probe solution must lie in the unit-seed span.
     """
     from .integrable import _bounded, _sweep_tensor
 
     k = t.n_classes
     rng = np.random.default_rng(_RNG_SEED + 1)
-    seeds = np.concatenate([np.eye(k), rng.normal(size=(extra_seeds, k))])
+    seeds = np.concatenate([np.eye(k), rng.normal(size=(_PROBE_SEEDS, k))])
     B, _ = _sweep_tensor(t, seeds.T, substeps)        # one sweep, every seed a column
     if not _bounded(B[:k], axis=1).all():
         raise RankDeficient("tensor-system integration masked nodes (blow-up)")
@@ -575,7 +599,7 @@ def dupin_tensor_space(t: Triple, substeps: int = 8, extra_seeds: int = 2,
         "dimension": int(k),
         "singular_values": sv,
         "gap": float(gap),
-        "rank_equals_k": bool(gap > gap_required),
+        "rank_equals_k": bool(gap > _GAP_REQUIRED),
         "probe_span_residual": float(span_res),
         "basis": basis,
     }

@@ -325,11 +325,13 @@ def test_bad_seed_shapes_exit_2_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed shapes must be (k,), (D,), (R,)\n"
 
 
-BAD_STEP_VALUES = [("B0", "x"), ("phi0", None), ("gamma0", {}), ("n_indices", 5), ("substeps", "many")]
+BAD_STEP_VALUES = {"B0": ("B0", "x"), "phi0": ("phi0", None), "gamma0": ("gamma0", {}),
+                   "n_indices": ("n_indices", 5), "substeps": ("substeps", "many"),
+                   "n_indices_out_of_range": ("n_indices", [7])}
 
 
 @pytest.mark.parametrize("command", ["run", "recurse"])
-@pytest.mark.parametrize("key,value", BAD_STEP_VALUES, ids=[k for k, _ in BAD_STEP_VALUES])
+@pytest.mark.parametrize("key,value", list(BAD_STEP_VALUES.values()), ids=list(BAD_STEP_VALUES))
 def test_mistyped_recursion_step_exits_2_with_one_line(tmp_path, capsys, command, key, value):
     step = {**IRREGULAR_STEP, key: value}
     if command == "run":
@@ -355,11 +357,47 @@ def test_mistyped_recursion_step_exits_2_with_one_line(tmp_path, capsys, command
     ({"kind": "circle", "params": [1.0]}, "seed params is not a JSON object"),
     ({"kind": "circle", "params": {"radius": 1.0, "colour": "red"}},
      "seed circle: got an unexpected keyword argument 'colour'"),
-], ids=["null", "params_list", "unknown_param"])
+    ({"kind": "circle", "params": {"radius": "x"}}, "seed circle: 'radius' must be a finite number"),
+], ids=["null", "params_list", "unknown_param", "radius_string"])
 def test_mistyped_seed_exits_2_with_one_line(tmp_path, capsys, seed, message):
     spec = {"schema": "dupin/pipeline@1", "seed": seed, "steps": []}
     with pytest.raises(ParseError, match=re.escape(message)):
         run_pipeline(spec, str(tmp_path / "p"))
+    serialize.dump_json(spec, tmp_path / "spec.json")
+    assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"steps": [5]}, "step 1 is not a JSON object"),
+    ({"steps": {"op": "verify"}}, "pipeline steps is not a JSON list"),
+    ({"tolerances": [1]}, "tolerances is not a JSON object"),
+    ({"tolerances": {"validate": "x"}}, "tolerances: 'validate' must be a finite number"),
+    ({"seed": {"kind": "circle", "params": {"n": 1}}}, "seed circle: 'n' must be an integer >= 2"),
+    ({"seed": {"kind": "torus", "params": {"shape": [9]}}},
+     "seed torus: 'shape' must be a list of 2 integers >= 2"),
+    ({"seed": {"kind": "circle", "params": {"center": [1.0]}}},
+     "seed circle: circle center of shape (1,) in R^3"),
+    ({"seed": {"kind": "circle", "params": {"u_range": [1.0, 1.0]}}},
+     "seed circle: spacings must be positive (grids are uniform by construction)"),
+    ({"steps": [{"op": "ltransform", "kind": "homothety", "k": "x"}]},
+     "transform homothety: 'k' must be a finite number"),
+    ({"steps": [{"op": "ltransform", "kind": "homothety", "k": 0}]},
+     "transform homothety: homothety ratio must be nonzero"),
+    ({"steps": [{"op": "ltransform", "kind": "translate"}]},
+     "transform translate: 'u' must be a list of finite numbers"),
+    ({"steps": [{"op": "ltransform", "kind": "translate", "u": [1.0]}]},
+     "translation vector of shape (1,) in R^3"),
+    ({"steps": [{"op": "ltransform", "kind": "orthogonal", "matrix": np.eye(4).tolist()}]},
+     "orthogonal matrix of shape (4, 4) in R^3"),
+    ({"steps": [{"op": "ltransform", "kind": "orthogonal", "matrix": [[1.0, 1.0], [0.0, 1.0]]}]},
+     "transform orthogonal: matrix is not orthogonal"),
+], ids=["step_not_object", "steps_not_list", "tolerances_list", "validate_string", "n_one",
+        "shape_short", "center_short", "empty_range", "k_string", "k_zero", "u_missing", "u_short",
+        "matrix_4x4", "matrix_not_orthogonal"])
+def test_malformed_pipeline_exits_2_with_one_line(tmp_path, capsys, change, message):
+    spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE}, "steps": [],
+            **change}
     serialize.dump_json(spec, tmp_path / "spec.json")
     assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

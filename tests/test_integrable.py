@@ -198,16 +198,16 @@ def test_triple_reextraction_by_fd(torus_patch):
     interior = g.interior_mask(2)
     lame = t.lame()
     for i in range(2):
-        dg = fd_axis(s.positions, g.spacings[i], i, 1, acc=4)
+        dg = fd_axis(s.positions, g.spacings[i], i, 1)
         v_fd = (dg * s.tangents[i]).sum(-1)
         assert np.abs((v_fd - lame[i])[interior]).max() < 1e-6
     for j in range(2):
         for m in range(2):
-            dv = fd_axis(t.v[m], g.spacings[j], j, 1, acc=4)
+            dv = fd_axis(t.v[m], g.spacings[j], j, 1)
             assert np.abs((dv / t.v[cls[j]] - t.h[j, m])[interior]).max() < 1e-6
     # V from the normal-frame evolution: d xi_r / du_i = -V_{i'}^r X_i
     for i in range(2):
-        d = fd_axis(s.normals[0], g.spacings[i], i, 1, acc=4)
+        d = fd_axis(s.normals[0], g.spacings[i], i, 1)
         V_fd = -(d * s.tangents[i]).sum(-1)
         assert np.abs((V_fd - t.V[cls[i], 0])[interior]).max() < 1e-6
 

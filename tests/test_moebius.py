@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dupin.errors import NotOnQuadric, ThroughOrigin
+from dupin.errors import DimensionMismatch, NotOnQuadric, ThroughOrigin
 from dupin.moebius import (
     Homothety,
     Inversion,
     LTrivialSpec,
+    Orthogonal,
     ParallelTranslate,
     Translate,
     apply_ltransform,
@@ -41,6 +42,24 @@ class TestCatalog:
         u = np.array([0.4, -1.2, 0.7])
         s = apply_ltransform(apply_ltransform(torus_off, Translate(u)), Translate(-u))
         assert np.abs(s.positions - torus_off.positions).max() < 1e-14
+
+    @pytest.mark.parametrize("make_T", [
+        lambda: Translate([1.0]),
+        lambda: Translate([0.1, 0.2, 0.3, 0.4]),
+        lambda: Orthogonal(np.eye(4)),
+        lambda: Orthogonal(np.eye(3)[:2]),
+    ], ids=["u_short", "u_long", "O_4x4", "O_2x3"])
+    def test_size_mismatch_raises(self, torus_off, make_T):
+        # the torus lives in R^3; numpy would broadcast or raise its own error
+        T = make_T()
+        with pytest.raises(DimensionMismatch, match=r"in R\^3$"):
+            apply_ltransform(torus_off, T)
+        with pytest.raises(DimensionMismatch, match=r"in R\^3$"):
+            apply_points(T, torus_off.positions)
+
+    def test_parallel_translate_needs_a_sample(self, torus_off):
+        with pytest.raises(ValueError, match="normal frame"):
+            apply_points(ParallelTranslate([0.1]), torus_off.positions)
 
     def test_inversion_involution(self, torus_off):
         s = apply_ltransform(apply_ltransform(torus_off, Inversion()), Inversion())
@@ -79,7 +98,7 @@ class TestPushforward:
     def test_translate_ltrivial_update(self):
         spec = LTrivialSpec(0.7, np.array([0.1, -0.2, 0.3]), np.array([0.4]), 1.3)
         u = np.array([0.5, 0.6, -0.1])
-        out = pushforward_ltrivial(spec, Translate(u), None)
+        out = pushforward_ltrivial(spec, Translate(u))
         assert abs(out.a - 0.7) < 1e-15
         assert np.abs(out.v0 - (spec.v0 - 0.7 * u)).max() < 1e-15
         assert abs(out.c - (1.3 - 2 * float(u @ spec.v0) + 0.7 * float(u @ u))) < 1e-14
@@ -205,7 +224,7 @@ class TestEpsilon:
         sample = torus_off
         for _ in range(10):
             T = random_catalog_transform(rng, 3)
-            spec = pushforward_ltrivial(spec, T, sample)
+            spec = pushforward_ltrivial(spec, T)
             sample = apply_ltransform(sample, T) if not isinstance(T, Inversion) else apply_ltransform(
                 apply_ltransform(sample, Translate([0, 0, 3.0])), T)
             e = epsilon_of(spec)

@@ -99,7 +99,7 @@ class TestSubbundle:
         s = ImmersionSample(g, pos, tangents=T[None], normals=np.stack([Nf, B]),
                             lame=np.full((1,) + g.shape, c))
         with pytest.raises(NotParallel):
-            attach_subbundle(s, (0,), tol=1e-6)
+            attach_subbundle(s, (0,))
 
     def test_rank_zero_accepted_here(self, circle4):
         sb = attach_subbundle(circle4, ())

@@ -112,7 +112,7 @@ class TestCombescure:
         assert rep["gnorm"] < 1e-7
         assert rep["phi_diag_vs_rho"] < 1e-5
         # genuinely non-Dupin: rho_1 varies along its own class
-        d = fd_axis(w.rho[0], torus_h01.grid.spacings[0], 0, 1, acc=4)
+        d = fd_axis(w.rho[0], torus_h01.grid.spacings[0], 0, 1)
         assert np.abs(d).max() > 0.1
 
     def test_degenerate_w_masked(self):
@@ -168,7 +168,7 @@ class TestTransformIdentities:
         worst = 0.0
         for r in range(out.n_normals):
             for i in range(g.ndim):
-                d = fd_axis(out.normals[r], g.spacings[i], i, 1, acc=4)
+                d = fd_axis(out.normals[r], g.spacings[i], i, 1)
                 for s_ in range(out.n_normals):
                     if s_ == r:
                         continue
@@ -277,7 +277,7 @@ class TestNRibaucour:
         jets = circle_result.jet.jets
         interior = s.grid.interior_mask(2)
         for ax in range(2):
-            d = fd_axis(s.positions, s.grid.spacings[ax], ax, 1, acc=4)
+            d = fd_axis(s.positions, s.grid.spacings[ax], ax, 1)
             jp = np.broadcast_to(jets.f.part(ax), s.positions.shape)
             assert np.abs((d - jp)[interior]).max() < 1e-6
 

@@ -18,6 +18,7 @@ from dupin.seeds import (
 from dupin.verify import (
     _RNG_SEED,
     NumericJet,
+    _stencil_valid,
     conullity_integrability,
     dupin_residual,
     dupin_tensor_space,
@@ -277,12 +278,15 @@ class TestExtraction:
         assert np.array_equal(pd.eta[0, turn][:, 2:], np.tile([0.0, 1.0], (turn.sum(), 1)))
         _assert_same_as_reference(pd, s, jet)
 
-    def test_curved_normal_bundle_raises(self, recursion_step1):
-        s = recursion_step1.sample
+    def test_curved_normal_bundle_raises(self):
+        # (u, v, u^2 - v^2, 2uv), the graph of z^2: its normal bundle is curved
+        g = TensorGrid((21, 21), (0.05, 0.05), (-0.5, -0.5))
+        U, V = g.meshgrid()
+        s = ImmersionSample(g, np.stack([U, V, U**2 - V**2, 2 * U * V], axis=-1))
         jet = numeric_jet(s)
         with pytest.raises(NotProper, match=r"^normal bundle not numerically flat "
-                                            r"\(commutator \d\.\d\de-\d\d\)$"):
-            extract_principal_normals(s, jet=jet, flat_gate=0.0)
+                                            r"\(commutator \d\.\d\de[+-]\d\d\)$"):
+            extract_principal_normals(s, jet=jet)
 
     def test_no_valid_nodes_raises(self, torus_patch):
         jet = numeric_jet(torus_patch)
@@ -407,6 +411,16 @@ class TestSfReport:
         assert rep.conformal_codim <= 2
         assert rep.checks["c_le_k_minus_1"]
 
+    def test_weakly_irreducible_bound(self, recursion_step1, recursion_step2):
+        # dim S_f <= 2k/3 - 1 holds for k = 3, dim S_f = 1 and fails for k = 2
+        rep = sf_report(recursion_step2.sample, weakly_irreducible=True)
+        assert (rep.k, rep.dim_Sf) == (3, 1)
+        assert rep.checks["weakly_irreducible_codim_bound"] is True
+        rep = sf_report(recursion_step1.sample, weakly_irreducible=True)
+        assert (rep.k, rep.dim_Sf) == (2, 1)
+        assert rep.checks["weakly_irreducible_codim_bound"] is False
+        assert "weakly_irreducible_codim_bound" not in sf_report(recursion_step1.sample).checks
+
     def test_report_serializes(self, torus_v):
         rep = sf_report(torus_v)
         d = rep.to_dict()
@@ -479,3 +493,17 @@ def test_focal_constancy_skips_vanishing_class():
     res = focal_constancy(s, pd, jet=jet)
     assert np.isnan(res).sum() == 1  # the ruling class has eta = 0 (flat leaves)
     assert np.nanmax(res) < 1e-5
+
+
+def test_stencil_valid_masks_stencil_neighbourhood():
+    # a node within three nodes of a masked node, along any axis, is invalid
+    g = TensorGrid((21, 21), (0.1, 0.1))
+    interior = g.interior_mask(2)
+    mask = np.ones(g.shape, dtype=bool)
+    mask[10, 10] = False
+    valid = _stencil_valid(g, interior, mask)
+    near = np.zeros(g.shape, dtype=bool)
+    near[7:14, 7:14] = True
+    assert not valid[near].any()
+    assert np.array_equal(valid[~near], g.interior_mask(4)[~near])
+    assert np.array_equal(_stencil_valid(g, interior, None), g.interior_mask(4))
