@@ -73,10 +73,32 @@ def _is_number(x) -> bool:
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _numbers(val, where: str, key: str) -> list:
-    if not (isinstance(val, list) and all(map(_is_number, val))):
-        raise ParseError(f"{where}: {key!r} must be a list of finite numbers")
+def _numbers(val, where: str, key: str, n: int | None = None) -> list:
+    """A list of finite numbers, of length n when n is given."""
+    if not (isinstance(val, list) and all(map(_is_number, val)) and n in (None, len(val))):
+        raise ParseError(f"{where}: {key!r} must be a list of "
+                         f"{'' if n is None else f'{n} '}finite numbers")
     return val
+
+
+def _number(val, where: str, key: str) -> float:
+    if not _is_number(val):
+        raise ParseError(f"{where}: {key!r} must be a finite number")
+    return float(val)
+
+
+def _int_at_least(val, where: str, key: str, low: int) -> int:
+    if not (type(val) is int and val >= low):
+        raise ParseError(f"{where}: {key!r} must be an integer >= {low}")
+    return val
+
+
+def _normal_indices(val, where: str, n_normals: int) -> tuple:
+    if not (isinstance(val, list) and val
+            and all(type(i) is int and 0 <= i < n_normals for i in val)):
+        raise ParseError(f"{where}: 'n_indices' must be a non-empty list of normal indices "
+                         f"below {n_normals}")
+    return tuple(val)
 
 
 def _build_transform(doc: dict):
@@ -95,9 +117,7 @@ def _build_transform(doc: dict):
                 raise ParseError(f"{where}: 'matrix' must be a square list of rows")
             return Orthogonal(np.asarray([_numbers(row, where, "matrix") for row in rows], dtype=float))
         if kind == "homothety":
-            if not _is_number(doc.get("k")):
-                raise ParseError(f"{where}: 'k' must be a finite number")
-            return Homothety(doc["k"])
+            return Homothety(_number(doc.get("k"), where, "k"))
         if kind == "inversion":
             return Inversion()
         return ParallelTranslate(_numbers(doc.get("coeffs"), where, "coeffs"))
@@ -106,19 +126,92 @@ def _build_transform(doc: dict):
 
 
 def _build_w(doc: dict, sample):
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _W_KEYS:
         raise ParseError(f"unknown solution kind {kind!r}")
-    _check_keys(doc, _W_KEYS[kind], f"w {kind}")
+    where = f"w {kind}"
+    _check_keys(doc, _W_KEYS[kind], where)
+    N, R = sample.ambient_dim, sample.n_normals
     if kind == "inversion":
-        return inversion_w(sample, doc["P0"], doc["r"])
+        return inversion_w(sample, _numbers(doc.get("P0"), where, "P0", N),
+                           _number(doc.get("r"), where, "r"))
     if kind == "parallel":
-        return parallel_w(sample, doc["coeffs"])
+        return parallel_w(sample, _numbers(doc.get("coeffs"), where, "coeffs", R))
     if kind == "ltrivial":
-        return ltrivial_w(sample, doc["a"], doc["v0"], doc.get("delta"), doc["c"])
-    return solve_linear(sample.triple, doc.get("B0"), doc.get("phi0", 1.0),
-                        doc.get("gamma0"), doc.get("beta0"),
-                        substeps=int(doc.get("substeps", 12)))
+        delta = doc.get("delta")
+        return ltrivial_w(sample, _number(doc.get("a"), where, "a"),
+                          _numbers(doc.get("v0"), where, "v0", N),
+                          None if delta is None else _numbers(delta, where, "delta", R),
+                          _number(doc.get("c"), where, "c"))
+    return solve_linear(sample.triple, **_solve_args(doc, where))
+
+
+def _solve_args(doc: dict, where: str) -> dict:
+    """Validated base-node data and substeps of `solve_linear` in a step or
+    solution document (lengths are checked by `solve_linear`)."""
+    args = {"phi0": _number(doc.get("phi0", 1.0), where, "phi0"),
+            "substeps": _int_at_least(doc.get("substeps", 12), where, "substeps", 1)}
+    for key in ("B0", "gamma0", "beta0"):
+        val = args[key] = doc.get(key)
+        if not (val is None or (isinstance(val, list) and all(map(_is_number, val)))):
+            raise ParseError(f"{where}: {key!r} must be a list of finite numbers or null")
+    return args
+
+
+def _fiber(val, where: str, rank: int):
+    """A fiber grid document, or one list of finite coefficients per subbundle index."""
+    if isinstance(val, dict):
+        return serialize.grid_from_dict(val)
+    if not (isinstance(val, list) and len(val) == rank
+            and all(isinstance(x, list) and x and all(map(_is_number, x)) for x in val)):
+        raise ParseError(f"{where}: 'fiber' must be a grid document or a list of {rank} "
+                         f"non-empty lists of finite numbers")
+    return [np.asarray(x, dtype=float) for x in val]
+
+
+def _construct(step: dict, where: str, sample):
+    from .moebius import generalized_cylinder, generalized_rotation, generalized_tube
+
+    kind = step.get("kind")
+    if kind not in ("tube", "cylinder", "rotation"):
+        raise ParseError(f"unknown construct kind {kind!r}")
+    sub = ParallelNormalSubbundle(_normal_indices(step.get("n_indices"), where, sample.n_normals))
+    try:
+        if kind == "tube":
+            angle_range = _numbers(step.get("angle_range", [0.0, 2 * np.pi]), where, "angle_range", 2)
+            return generalized_tube(sample, sub, _number(step.get("a"), where, "a"),
+                                    n_angle=_int_at_least(step.get("n_angle", 21), where, "n_angle", 2),
+                                    angle_range=tuple(angle_range))
+        fiber = _fiber(step.get("fiber"), where, sub.rank)
+        if kind == "cylinder":
+            eps = step.get("eps", 0)
+            if not (type(eps) is int and eps in (-1, 0, 1)):
+                raise ParseError(f"{where}: 'eps' must be -1, 0 or 1")
+            return generalized_cylinder(sample, sub, eps, fiber)
+        return generalized_rotation(sample, sub, _numbers(step.get("e"), where, "e", sample.ambient_dim),
+                                    fiber)
+    except ValueError as e:         # a zero tube radius, an empty angle range, a non-unit axis
+        raise ParseError(f"{where}: {e}") from None
+
+
+def _mesh_slice(sl, shape: tuple, where: str):
+    """A mesh slice: None, or one node index or None (a free axis) per grid axis."""
+    if not (sl is None or (isinstance(sl, list) and len(sl) == len(shape) and all(
+            v is None or (type(v) is int and 0 <= v < n) for v, n in zip(sl, shape)))):
+        raise ParseError(f"{where}: 'slice' must be a list of {len(shape)} node indices or nulls")
+    return sl
+
+
+def _export_args(step: dict, where: str, sample) -> tuple:
+    """Validated path, mesh slice and coordinate indices of an export step."""
+    path = step.get("path")
+    if not (isinstance(path, str) and path):
+        raise ParseError(f"{where}: 'path' must be a non-empty string")
+    coords = step.get("coords")
+    if not (coords is None or (isinstance(coords, list) and len(coords) == 3 and all(
+            type(c) is int and c >= 0 for c in coords))):
+        raise ParseError(f"{where}: 'coords' must be a list of 3 coordinate indices")
+    return path, _mesh_slice(step.get("slice"), sample.grid.shape, where), coords
 
 
 def _build_seed(doc: dict):
@@ -168,22 +261,8 @@ def _seed_kind(default) -> str:
 def _recursion_args(step: dict, where: str, n_normals: int) -> dict:
     """Validated `dupin_step` keyword arguments of a recursion step document
     for a sample with n_normals parallel normals."""
-    n_indices = step.get("n_indices")
-    if not (isinstance(n_indices, list) and n_indices
-            and all(type(i) is int and 0 <= i < n_normals for i in n_indices)):
-        raise ParseError(f"{where}: 'n_indices' must be a non-empty list of normal indices "
-                         f"below {n_normals}")
-    kwargs = {"n_indices": tuple(n_indices), "y_grid": serialize.grid_from_dict(step.get("y")),
-              "phi0": step.get("phi0", 1.0), "substeps": step.get("substeps", 12)}
-    if not _is_number(kwargs["phi0"]):
-        raise ParseError(f"{where}: 'phi0' must be a finite number")
-    if not (type(kwargs["substeps"]) is int and kwargs["substeps"] >= 1):
-        raise ParseError(f"{where}: 'substeps' must be a positive integer")
-    for key in ("B0", "gamma0", "beta0"):
-        val = kwargs[key] = step.get(key)
-        if not (val is None or (isinstance(val, list) and all(map(_is_number, val)))):
-            raise ParseError(f"{where}: {key!r} must be a list of finite numbers or null")
-    return kwargs
+    return {"n_indices": _normal_indices(step.get("n_indices"), where, n_normals),
+            "y_grid": serialize.grid_from_dict(step.get("y")), **_solve_args(step, where)}
 
 
 def _verify_gates(sample, gates: dict):
@@ -210,10 +289,7 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
         raise ParseError(f"expected schema {serialize.PIPELINE_SCHEMA}")
     tolerances = spec.get("tolerances", {})
     _check_keys(tolerances, {"validate"}, "tolerances")
-    tol = tolerances.get("validate", 1e-6)
-    if not _is_number(tol):
-        raise ParseError("tolerances: 'validate' must be a finite number")
-    tol = float(tol)
+    tol = _number(tolerances.get("validate", 1e-6), "tolerances", "validate")
     steps = spec.get("steps", [])
     if not isinstance(steps, list):
         raise ParseError("pipeline steps is not a JSON list")
@@ -240,7 +316,7 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                 T = _build_transform({k: v for k, v in step.items() if k != "op"})
                 sample = apply_ltransform(sample, T)
             elif op == "ribaucour":
-                w = _build_w(step["w"], sample)
+                w = _build_w(step.get("w"), sample)
                 sample, _jet = ribaucour_transform(sample, w)
             elif op == "recursion":
                 res = dupin_step(sample, **_recursion_args(step, f"step {i} (recursion)",
@@ -257,32 +333,15 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                         raise StepFailure(i, "; ".join(failures))
                 sample = res.sample
             elif op == "construct":
-                from .moebius import generalized_cylinder, generalized_rotation, generalized_tube
-
-                kind = step.get("kind")
-                sub = ParallelNormalSubbundle(step.get("n_indices", ()))
-                if kind == "tube":
-                    sample = generalized_tube(sample, sub, float(step["a"]),
-                                              n_angle=int(step.get("n_angle", 21)),
-                                              angle_range=tuple(step.get("angle_range", (0.0, 2 * np.pi))))
-                elif kind == "cylinder":
-                    fib = step.get("fiber")
-                    fib = serialize.grid_from_dict(fib) if isinstance(fib, dict) else [np.asarray(x, float) for x in fib]
-                    sample = generalized_cylinder(sample, sub, int(step.get("eps", 0)), fib)
-                elif kind == "rotation":
-                    fib = step.get("fiber")
-                    fib = serialize.grid_from_dict(fib) if isinstance(fib, dict) else [np.asarray(x, float) for x in fib]
-                    sample = generalized_rotation(sample, sub, step["e"], fib)
-                else:
-                    raise ParseError(f"unknown construct kind {kind!r}")
+                sample = _construct(step, f"step {i} (construct)", sample)
             elif op == "n_ribaucour":
                 from .ribaucour import n_ribaucour_transform
 
-                w = _build_w(step["w"], sample)
-                w = w.canonical(tuple(step["n_indices"]), sample.triple)
-                ygrid = serialize.grid_from_dict(step["y"])
-                res = n_ribaucour_transform(sample, ParallelNormalSubbundle(step["n_indices"]),
-                                            w, ygrid)
+                n_indices = _normal_indices(step.get("n_indices"), f"step {i} (n_ribaucour)",
+                                            sample.n_normals)
+                ygrid = serialize.grid_from_dict(step.get("y"))
+                w = _build_w(step.get("w"), sample).canonical(n_indices, sample.triple)
+                res = n_ribaucour_transform(sample, ParallelNormalSubbundle(n_indices), w, ygrid)
                 sample = res.sample
             elif op == "verify":
                 rep, failures = _verify_gates(sample, step.get("gates"))
@@ -293,12 +352,12 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                     raise StepFailure(i, "; ".join(failures))
             elif op == "export":
                 fmt = step.get("format")
-                path = os.path.join(outdir, step["path"])
-                sl = step.get("slice")
+                path, sl, coords = _export_args(step, f"step {i} (export)", sample)
+                path = os.path.join(outdir, path)
                 if fmt == "obj":
-                    info["mesh"] = serialize.export_obj(sample, path, sl, step.get("coords"))
+                    info["mesh"] = serialize.export_obj(sample, path, sl, coords)
                 elif fmt == "ply":
-                    info["mesh"] = serialize.export_ply(sample, path, sl, step.get("coords"))
+                    info["mesh"] = serialize.export_ply(sample, path, sl, coords)
                 elif fmt == "csv":
                     info["csv"] = serialize.export_csv(sample, path)
                 elif fmt == "json":
@@ -385,7 +444,11 @@ def _cmd_export(args) -> int:
     sample = serialize.sample_from_dict(serialize.load_json(args.input))
     sl = None
     if args.slice:
-        sl = [None if tok in (":", "") else int(tok) for tok in args.slice.split(",")]
+        try:
+            sl = [None if tok in (":", "") else int(tok) for tok in args.slice.split(",")]
+        except ValueError:
+            sl = args.slice
+        _mesh_slice(sl, sample.grid.shape, "export --slice")
     if args.format == "obj":
         info = serialize.export_obj(sample, args.out, sl)
     elif args.format == "ply":

@@ -214,3 +214,46 @@ def sphere_fit(points):
         # in it: the flat is the exact container, the sphere is not
         return flat()
     return SphereFit(center=center, radius=radius, residual=residual, sphere_dim=rank - 1)
+
+
+def _sphere_fit_batch(clouds):
+    """`sphere_fit` residuals of a stack of clouds (L, m, N), step for step
+    batched, or None when some cloud leaves the round-sphere branch: a
+    coincident or flat cloud, or span ranks that differ between clouds.
+    Callers then fit the clouds one by one."""
+    P = np.asarray(clouds, dtype=float)
+    L, m, N = P.shape
+    centroid = P.mean(axis=1)                                # (L, N)
+    Q = P - centroid[:, None]
+    spread = np.sqrt((Q**2).sum(axis=2).mean(axis=1))        # (L,)
+    if (spread < 1e-13 * (1.0 + np.linalg.norm(centroid, axis=1))).any():
+        return None
+
+    _, s, Vt = np.linalg.svd(Q, full_matrices=False)
+    ranks = np.sum(s > _SPAN_TOL * s[:, :1], axis=1)
+    rank = int(ranks[0])
+    if rank < 2 or (ranks != rank).any():
+        return None
+    basis = Vt[:, :rank]                                     # (L, rank, N)
+    q = Q @ basis.swapaxes(-1, -2)                           # (L, m, rank)
+    off_span = Q - q @ basis
+    off_rms = np.sqrt((off_span**2).sum(axis=2).mean(axis=1))
+
+    qs = q / spread[:, None, None]
+    A = np.concatenate([(qs**2).sum(axis=2, keepdims=True), qs, np.ones((L, m, 1))], axis=2)
+    _, _, Wt = np.linalg.svd(A, full_matrices=False)
+    coef = Wt[:, -1]                                         # (L, rank + 2)
+    a, b, c = coef[:, 0], coef[:, 1 : 1 + rank], coef[:, -1]
+    if (np.abs(a) < _FLAT_TOL * np.linalg.norm(coef, axis=1)).any():
+        return None
+    center_span = -b / (2.0 * a[:, None]) * spread[:, None]
+    r2 = (np.linalg.norm(b, axis=1) ** 2 - 4.0 * a * c) / (4.0 * a * a) * spread**2
+    if (r2 <= 0).any():
+        return None
+    radius = np.sqrt(r2)
+    center = centroid + (center_span[:, None] @ basis)[:, 0]
+    dist = np.linalg.norm(P - center[:, None], axis=2)
+    residual = np.sqrt(((dist - radius[:, None]) ** 2).mean(axis=1))
+    if rank < N and (residual > np.maximum(10.0 * off_rms, 1e-8 * spread)).any():
+        return None
+    return residual

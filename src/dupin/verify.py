@@ -10,6 +10,10 @@ independent of the construction path.
 Diagnostics ignore the two outermost node layers (one-sided stencils are
 noisier); rank decisions use singular-value gaps and always report the full
 spectrum so borderline calls can be audited.
+
+The per-node algebra is batched: stacked small-matrix products over all nodes
+(or over the valid nodes only, in the derived checks), one LAPACK call per
+stack of matrices, and one batched sphere fit over all leaves.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import TensorGrid, fd_axis, sphere_fit, AffineFlat
+from .numerics import TensorGrid, fd_axis, sphere_fit, _sphere_fit_batch, AffineFlat
 from .ribaucour import NRibaucourResult
 
 __all__ = [
@@ -51,7 +55,9 @@ _GAP_REQUIRED = 1e6        # sigma_k / sigma_{k+1} of a rank-k solution stack
 
 @dataclass
 class NumericJet:
-    """Finite-difference fundamental forms of a position grid."""
+    """Finite-difference fundamental forms of a position grid, with the
+    metric's square root g_sqrt and inverse square root g_isqrt, both from
+    the singular value decomposition of the chart frame."""
 
     grid: TensorGrid
     metric: np.ndarray         # (*grid, D, D)
@@ -60,6 +66,7 @@ class NumericJet:
     shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators
     normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis (not smooth)
     g_isqrt: np.ndarray        # (*grid, D, D) metric inverse square root
+    g_sqrt: np.ndarray         # (*grid, D, D) metric square root
     interior: np.ndarray       # bool (*grid)
 
     @property
@@ -95,34 +102,37 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     U, sv, Vt = np.linalg.svd(E, full_matrices=True)
     tangent_basis = Vt[..., :D, :]                    # (*grid, D, N)
     normal_basis = np.moveaxis(Vt[..., D:, :], -2, 0)  # (p, *grid, N)
-    P_t = np.einsum("...ak,...al->...kl", tangent_basis, tangent_basis)
-    normal_proj = np.eye(N) - P_t
+    normal_proj = np.eye(N) - tangent_basis.swapaxes(-1, -2) @ tangent_basis
 
-    alpha = np.einsum("...kl,ij...l->ij...k", normal_proj, second)
+    # alpha_ij = normal_proj second_ij, one (D*D, N) @ (N, N) product per node
+    alpha = np.moveaxis(np.moveaxis(second.reshape(D * D, -1, N), 0, 1)
+                        @ normal_proj.reshape(-1, N, N), 1, 0).reshape(second.shape)
 
-    # metric inverse square root for symmetrized shape operators
-    w, Q = np.linalg.eigh(metric)
-    g_isqrt = np.einsum("...ik,...k,...jk->...ij", Q, 1.0 / np.sqrt(np.maximum(w, 1e-300)), Q)
+    # metric square root and inverse square root for symmetrized shape
+    # operators: the frame's SVD E = U S V^T diagonalizes g = E E^T = U S^2 U^T
+    root = np.maximum(sv, 1e-150)[..., None, :]
+    Ut = U.swapaxes(-1, -2)
+    g_isqrt = (U / root) @ Ut
+    g_sqrt = (U * root) @ Ut
 
-    p = N - D
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)     # (p, *grid, D, D)
-    shape_sym = np.einsum("...ia,r...ab,...bj->r...ij", g_isqrt, H, g_isqrt)
+    shape_sym = g_isqrt @ H @ g_isqrt
 
     return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
                       shape_sym=shape_sym, normal_basis=normal_basis,
-                      g_isqrt=g_isqrt, interior=interior)
+                      g_isqrt=g_isqrt, g_sqrt=g_sqrt, interior=interior)
 
 
 def normal_curvature_residual(jet: NumericJet) -> float:
     """Flat-normal-bundle estimate: max commutator of shape operators
     (Ricci equation: R-perp = 0 iff all shape operators commute)."""
-    S = jet.shape_sym
+    S = jet.shape_sym[:, jet.interior]                 # (p, n, D, D)
     p = S.shape[0]
     worst = 0.0
     for r in range(p):
         for q in range(r + 1, p):
             comm = S[r] @ S[q] - S[q] @ S[r]
-            worst = max(worst, np.abs(comm[jet.interior]).max())
+            worst = max(worst, np.abs(comm).max())
     return float(worst)
 
 
@@ -150,11 +160,15 @@ def extract_principal_normals(s: ImmersionSample,
     depth along their reference chains.
     """
     jet = numeric_jet(s) if jet is None else jet
+    return _principal_normals(s, jet, normal_curvature_residual(jet))
+
+
+def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> PrincipalData:
+    """`extract_principal_normals` given the jet's normal_curvature_residual."""
     g = jet.grid
     D = g.ndim
     p = jet.codim
     N = s.ambient_dim
-    flat_res = normal_curvature_residual(jet)
     shape_scale = max(np.abs(jet.shape_sym[:, jet.interior]).max(), 1e-30)
     if flat_res > _FLAT_GATE * max(shape_scale, 1.0):
         raise NotProper(f"normal bundle not numerically flat (commutator {flat_res:.2e})")
@@ -165,7 +179,7 @@ def extract_principal_normals(s: ImmersionSample,
     M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
     _, Q = np.linalg.eigh(M)                           # Q columns: hat-e_alpha
     # principal normal of each eigendirection: sum_r <S_r e, e> nu_r
-    diag = np.einsum("...ia,r...ij,...ja->r...a", Q, jet.shape_sym, Q)  # (p,*grid,D)
+    diag = ((jet.shape_sym @ Q) * Q).sum(-2)           # (p, *grid, D)
     eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)   # (*grid, D, N)
     del M, diag
 
@@ -177,13 +191,13 @@ def extract_principal_normals(s: ImmersionSample,
     if not len(cand):
         raise NotProper("no usable interior nodes")
     # single-linkage groups: each candidate is labelled by the smallest index
-    # of its component (transitive closure by repeated squaring)
-    linked = np.tile(np.eye(D, dtype=bool), (len(cand), 1, 1))
+    # of its component (transitive closure by repeated squaring of 0/1 matrices)
+    linked = np.tile(np.eye(D, dtype=np.uint8), (len(cand), 1, 1))
     for a, b in itertools.combinations(range(D), 2):
         linked[:, a, b] = linked[:, b, a] = (
             np.linalg.norm(cand[:, a] - cand[:, b], axis=-1) < eta_tol * 10)
     for _ in range(D.bit_length()):
-        linked = (linked[:, :, :, None] & linked[:, None]).any(axis=2)
+        linked = np.minimum(linked @ linked, 1)
     labels = linked.argmax(axis=-1)
     del linked
     key = labels @ D ** np.arange(D)                   # one integer per grouping
@@ -250,12 +264,12 @@ def extract_principal_normals(s: ImmersionSample,
     proj_f = proj.reshape(k, -1, D, D)
     Q_f = Q.reshape(-1, D, D)
     g_isqrt = jet.g_isqrt.reshape(-1, D, D)
+    g_sqrt = jet.g_sqrt.reshape(-1, D, D)
     for j in range(k):
         for a, grp in enumerate(groups):
             at = nodes[order[:, j] == a]
             hat = Q_f[at][:, :, grp]                   # (m, D, mult)
-            g_isqrt_at = g_isqrt[at]
-            proj_f[j, at] = g_isqrt_at @ (hat @ hat.swapaxes(-1, -2)) @ np.linalg.inv(g_isqrt_at)
+            proj_f[j, at] = g_isqrt[at] @ (hat @ hat.swapaxes(-1, -2)) @ g_sqrt[at]
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 
@@ -283,7 +297,8 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     margin: the outer two layers of the first derivative carry lower-order
     stencil error, and differentiating across the stencil-regime boundary
     would turn that into O(h) noise.  A node within _STENCIL_WIDTH of a
-    masked node along any axis is invalid.
+    masked node along any axis is invalid.  TooFewNodes is raised when no
+    node is left.
     """
     valid = interior & grid.interior_mask(4)
     if not valid.any():
@@ -295,6 +310,8 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
         valid = valid & er
         if not valid.any():
             valid = interior & er
+    if not valid.any():
+        raise TooFewNodes("no stencil-valid nodes left after masking")
     return valid
 
 
@@ -305,20 +322,16 @@ def _along_class(jet: NumericJet, Pj: np.ndarray, V: np.ndarray, valid: np.ndarr
     for an ambient field V, with D_X V projected onto the normal space when
     `normal` is set."""
     g = jet.grid
-    dV = np.stack([fd_axis(V, g.spacings[i], i, 1) for i in range(g.ndim)])
-    dirs = np.einsum("...ab,...bc->...ac", Pj, jet.g_isqrt)  # (*grid, D, D) columns
-    worst = np.zeros(g.shape)
-    for col in range(g.ndim):
-        X = dirs[..., col]                       # (*grid, D) chart components
-        nX = np.sqrt(np.abs(np.einsum("...i,...ij,...j->...", X, jet.metric, X)))
-        DXV = np.einsum("...i,i...k->...k", X, dV)
-        if normal:
-            DXV = np.einsum("...kl,...l->...k", jet.normal_proj, DXV)
-        mag = np.linalg.norm(DXV, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
-        worst = np.maximum(worst, mag)
-    return worst[valid].max() if valid.any() else np.nan
+    dV = np.stack([fd_axis(V, g.spacings[i], i, 1)[valid] for i in range(g.ndim)], axis=1)
+    dirs = Pj[valid] @ jet.g_isqrt[valid]          # (n, D, D), columns X
+    nX = np.sqrt(np.abs(((jet.metric[valid] @ dirs) * dirs).sum(-2)))    # (n, D)
+    DXV = dirs.swapaxes(-1, -2) @ dV               # (n, D, N), one row per X
+    if normal:
+        DXV = DXV @ jet.normal_proj[valid].swapaxes(-1, -2)
+    mag = np.linalg.norm(DXV, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
+    return float(mag.max())
 
 
 def dupin_residual(s: ImmersionSample, pd: PrincipalData,
@@ -326,7 +339,10 @@ def dupin_residual(s: ImmersionSample, pd: PrincipalData,
     """Per-class max |normal-projected derivative of eta_j along its own
     eigenbundle| over valid interior nodes."""
     jet = numeric_jet(s) if jet is None else jet
-    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
+    return _dupin(jet, pd, _stencil_valid(jet.grid, jet.interior, pd.mask))
+
+
+def _dupin(jet: NumericJet, pd: PrincipalData, valid: np.ndarray) -> np.ndarray:
     return np.array([_along_class(jet, pd.projectors[j], pd.eta[j], valid, normal=True)
                      for j in range(pd.k)])
 
@@ -343,36 +359,33 @@ def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
     independent) is reported alongside.
     """
     jet = numeric_jet(s) if jet is None else jet
+    return _conullity(jet, pd, j, _stencil_valid(jet.grid, jet.interior, pd.mask))
+
+
+def _conullity(jet: NumericJet, pd: PrincipalData, j: int, valid: np.ndarray) -> dict:
     g = jet.grid
     D = g.ndim
-    valid = _stencil_valid(g, jet.interior, pd.mask)
     Pj = pd.projectors[j]
     Qj = np.eye(D) - Pj                                    # conullity projector
-    # spanning fields: Y_a = Qj e_a, components Qj[..., :, a]
-    dY = np.stack([np.stack([fd_axis(Qj[..., a], g.spacings[m], m, 1)
-                             for m in range(D)]) for a in range(D)])  # (a, m, *grid, D)
-    worst = 0.0
-    scale = 0.0
-    for a in range(D):
-        Ya = Qj[..., a]
-        for b in range(a + 1, D):
-            Yb = Qj[..., b]
-            br = (np.einsum("...m,m...i->...i", Ya, dY[b])
-                  - np.einsum("...m,m...i->...i", Yb, dY[a]))
-            nb = np.sqrt(np.einsum("...i,...ij,...j->...", br, jet.metric, br))
-            bad = np.einsum("...ij,...j->...i", Pj, br)
-            nbad = np.sqrt(np.einsum("...i,...ij,...j->...", bad, jet.metric, bad))
-            worst = max(worst, nbad[valid].max() if valid.any() else np.nan)
-            scale = max(scale, nb[valid].max() if valid.any() else 0.0)
+    # spanning fields Y_a = Qj e_a (the columns of Qj); dQ[n, i, a, m] = d_m Y_a^i
+    dQ = np.stack([fd_axis(Qj, g.spacings[m], m, 1)[valid] for m in range(D)], axis=-1)
+    DY = dQ @ Qj[valid][:, None]                           # (n, i, b, a): (D_{Y_a} Y_b)^i
+    a, b = np.triu_indices(D, 1)
+    br = (DY[:, :, b, a] - DY[:, :, a, b]).swapaxes(-1, -2)   # (n, pairs, D): [Y_a, Y_b]
+    G = jet.metric[valid]
+    bad = br @ Pj[valid].swapaxes(-1, -2)                  # eigenbundle component
+    worst = np.sqrt(np.abs(((bad @ G) * bad).sum(-1))).max(initial=0.0)
+    scale = np.sqrt(np.abs(((br @ G) * br).sum(-1))).max(initial=0.0)
     # sufficient condition: differences to other classes pairwise independent
+    eta = pd.eta[:, valid]
     others = [i for i in range(pd.k) if i != j]
     suff = np.inf
     for x, i in enumerate(others):
         for l in others[x + 1:]:
-            di = pd.eta[i] - pd.eta[j]
-            dl = pd.eta[l] - pd.eta[j]
+            di = eta[i] - eta[j]
+            dl = eta[l] - eta[j]
             cross2 = (di**2).sum(-1) * (dl**2).sum(-1) - ((di * dl).sum(-1)) ** 2
-            suff = min(suff, float(np.sqrt(np.maximum(cross2, 0.0))[valid].min()))
+            suff = min(suff, float(np.sqrt(np.maximum(cross2, 0.0)).min()))
     return {
         "class": j,
         "bracket_residual": float(worst),
@@ -389,7 +402,10 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
     (its value is the leaf-sphere center).  Classes whose normal vanishes
     somewhere (below _ETA_FLOOR) report nan (their leaves are flats there)."""
     jet = numeric_jet(s) if jet is None else jet
-    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
+    return _focal(s, jet, pd, _stencil_valid(jet.grid, jet.interior, pd.mask))
+
+
+def _focal(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, valid: np.ndarray) -> np.ndarray:
     out = np.full(pd.k, np.nan)
     for j in range(pd.k):
         nrm2 = (pd.eta[j] ** 2).sum(-1)
@@ -410,13 +426,18 @@ def sphere_leaf_check(result: NRibaucourResult) -> dict:
     if min(g.shape[Db:]) < 5:
         raise TooFewNodes("need >= 5 nodes per leaf direction")
     base_shape = g.shape[:Db]
-    res = np.zeros(base_shape)
-    kinds = np.empty(base_shape, dtype=object)
-
-    for idx in np.ndindex(*base_shape):
-        fit = sphere_fit(result.leaf_positions(idx).reshape(-1, result.sample.ambient_dim))
-        res[idx] = fit.residual
-        kinds[idx] = "flat" if isinstance(fit, AffineFlat) else "sphere"
+    clouds = result.sample.positions.reshape(
+        (int(np.prod(base_shape)), -1, result.sample.ambient_dim))   # leaves in ndindex order
+    res = _sphere_fit_batch(clouds)
+    if res is None:
+        # some leaf is flat, degenerate or of another span rank
+        fits = [sphere_fit(cloud) for cloud in clouds]
+        res = np.array([fit.residual for fit in fits])
+        kinds = ["flat" if isinstance(fit, AffineFlat) else "sphere" for fit in fits]
+    else:
+        kinds = ["sphere"] * len(clouds)
+    res = res.reshape(base_shape)
+    kinds = np.array(kinds, dtype=object).reshape(base_shape)
     return {"max_fit_residual": float(res.max()), "kinds": kinds, "fit_residuals": res}
 
 
@@ -521,13 +542,14 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
     which the oracle cannot decide from positions; it adds the bound
     dim S_f <= 2k/3 - 1 to the checks."""
     jet = numeric_jet(s) if jet is None else jet
+    ncurv = normal_curvature_residual(jet)
     if pd is None:
-        pd = extract_principal_normals(s, jet=jet)
+        pd = _principal_normals(s, jet, ncurv)
     valid = jet.interior if pd.mask is None else (jet.interior & pd.mask)
+    stencil_valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
     k = pd.k
 
-    dupin = dupin_residual(s, pd, jet=jet)
-    ncurv = normal_curvature_residual(jet)
+    dupin = _dupin(jet, pd, stencil_valid)
     dim_sf, sf_spec, sf_const = _sf_span(pd, valid, _RANK_GAP)
 
     # N_1 = span of all alpha(X, Y)
@@ -535,9 +557,9 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
     alpha_list = [jet.alpha[i, j] for i in range(D) for j in range(i, D)]
     dim_n1, n1_spec, n1_const = _span_rank(np.stack(alpha_list), valid, gap=_RANK_GAP)
 
-    conull = tuple(conullity_integrability(s, pd, j, jet=jet) for j in range(k))
+    conull = tuple(_conullity(jet, pd, j, stencil_valid) for j in range(k))
     holonomic = all(c["integrable"] for c in conull)
-    leaves = focal_constancy(s, pd, jet=jet)
+    leaves = _focal(s, jet, pd, stencil_valid)
 
     checks = {
         "c_le_k_minus_1": dim_sf <= k - 1,

@@ -392,12 +392,76 @@ def test_mistyped_seed_exits_2_with_one_line(tmp_path, capsys, seed, message):
      "orthogonal matrix of shape (4, 4) in R^3"),
     ({"steps": [{"op": "ltransform", "kind": "orthogonal", "matrix": [[1.0, 1.0], [0.0, 1.0]]}]},
      "transform orthogonal: matrix is not orthogonal"),
+    ({"steps": [{"op": "ribaucour", "w": 5}]}, "unknown solution kind None"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "inversion", "P0": "x", "r": 0.5}}]},
+     "w inversion: 'P0' must be a list of 3 finite numbers"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "inversion", "P0": [0, 0, 3], "r": "r"}}]},
+     "w inversion: 'r' must be a finite number"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "parallel", "coeffs": [0.1]}}]},
+     "w parallel: 'coeffs' must be a list of 2 finite numbers"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "ltrivial", "a": "x", "v0": [0, 0, 1], "c": 1}}]},
+     "w ltrivial: 'a' must be a finite number"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "ltrivial", "a": 1, "v0": [0], "c": 1}}]},
+     "w ltrivial: 'v0' must be a list of 3 finite numbers"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "ltrivial", "a": 1, "v0": [0, 0, 1]}}]},
+     "w ltrivial: 'c' must be a finite number"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "solve", "B0": "x"}}]},
+     "w solve: 'B0' must be a list of finite numbers or null"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "solve", "phi0": [1.0]}}]},
+     "w solve: 'phi0' must be a finite number"),
+    ({"steps": [{"op": "ribaucour", "w": {"kind": "solve", "substeps": 0}}]},
+     "w solve: 'substeps' must be an integer >= 1"),
+    ({"steps": [{"op": "construct", "kind": "tube", "n_indices": [0, 1], "a": "x"}]},
+     "step 1 (construct): 'a' must be a finite number"),
+    ({"steps": [{"op": "construct", "kind": "tube", "n_indices": [0, 1], "a": 0}]},
+     "step 1 (construct): tube radius must be nonzero"),
+    ({"steps": [{"op": "construct", "kind": "tube", "n_indices": [0, 1], "a": 0.1, "n_angle": 1}]},
+     "step 1 (construct): 'n_angle' must be an integer >= 2"),
+    ({"steps": [{"op": "construct", "kind": "tube", "n_indices": [0, 1], "a": 0.1,
+                 "angle_range": [0.0]}]},
+     "step 1 (construct): 'angle_range' must be a list of 2 finite numbers"),
+    ({"steps": [{"op": "construct", "kind": "tube", "n_indices": [0, 7], "a": 0.1}]},
+     "step 1 (construct): 'n_indices' must be a non-empty list of normal indices below 2"),
+    ({"steps": [{"op": "construct", "kind": "cylinder", "n_indices": [1], "eps": 2,
+                 "fiber": [[0.0, 0.1]]}]},
+     "step 1 (construct): 'eps' must be -1, 0 or 1"),
+    ({"steps": [{"op": "construct", "kind": "cylinder", "n_indices": [1], "fiber": ["x"]}]},
+     "step 1 (construct): 'fiber' must be a grid document or a list of 1 non-empty lists "
+     "of finite numbers"),
+    ({"steps": [{"op": "construct", "kind": "rotation", "n_indices": [1], "e": "x",
+                 "fiber": [[0.0, 0.1]]}]},
+     "step 1 (construct): 'e' must be a list of 3 finite numbers"),
+    ({"steps": [{"op": "n_ribaucour", "n_indices": [7], "y": {"shape": [9], "spacings": [0.05]},
+                 "w": {"kind": "inversion", "P0": [0, 0, 3], "r": 0.5}}]},
+     "step 1 (n_ribaucour): 'n_indices' must be a non-empty list of normal indices below 2"),
+    ({"steps": [{"op": "export", "format": "obj", "path": "m.obj", "slice": "x"}]},
+     "step 1 (export): 'slice' must be a list of 1 node indices or nulls"),
+    ({"steps": [{"op": "export", "format": "obj", "path": "m.obj", "coords": ["x", 1, 2]}]},
+     "step 1 (export): 'coords' must be a list of 3 coordinate indices"),
+    ({"steps": [{"op": "export", "format": "csv"}]},
+     "step 1 (export): 'path' must be a non-empty string"),
 ], ids=["step_not_object", "steps_not_list", "tolerances_list", "validate_string", "n_one",
         "shape_short", "center_short", "empty_range", "k_string", "k_zero", "u_missing", "u_short",
-        "matrix_4x4", "matrix_not_orthogonal"])
+        "matrix_4x4", "matrix_not_orthogonal", "w_not_object", "inversion_P0_string",
+        "inversion_r_string", "parallel_coeffs_short", "ltrivial_a_string", "ltrivial_v0_short",
+        "ltrivial_c_missing", "solve_B0_string", "solve_phi0_list", "solve_substeps_zero",
+        "tube_a_string", "tube_a_zero", "tube_n_angle_one", "tube_angle_range_short",
+        "construct_n_indices_out_of_range", "cylinder_eps_two", "cylinder_fiber_strings",
+        "rotation_e_string", "n_ribaucour_n_indices_out_of_range", "export_slice_string",
+        "export_coords_string", "export_path_missing"])
 def test_malformed_pipeline_exits_2_with_one_line(tmp_path, capsys, change, message):
     spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE}, "steps": [],
             **change}
     serialize.dump_json(spec, tmp_path / "spec.json")
     assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_export_slice_string_exits_2_with_one_line(tmp_path, capsys):
+    assert main(["seed", "--kind", "circle", "--params", json.dumps(CIRCLE),
+                 "--out", str(tmp_path / "seed.json")]) == 0
+    capsys.readouterr()
+    assert main(["export", "--in", str(tmp_path / "seed.json"), "--format", "obj",
+                 "--out", str(tmp_path / "m.obj"), "--slice", "x"]) == 2
+    assert capsys.readouterr().err == ("error: export --slice: 'slice' must be a list of 1 "
+                                       "node indices or nulls\n")

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from dupin.errors import NotProper
+from dupin.errors import DegenerateCloud, NotProper, TooFewNodes
 from dupin.net import ImmersionSample, ParallelNormalSubbundle, PrincipalData
-from dupin.numerics import TensorGrid
+from dupin.numerics import AffineFlat, TensorGrid, fd_axis, sphere_fit
 from dupin.seeds import (
     circle_seed,
     cylinder_seed,
@@ -44,6 +44,35 @@ def clifford_product(a=1.0, b=0.6, n=31):
     return ImmersionSample(g, pos)
 
 
+def _reference_numeric_jet(s):
+    """`numeric_jet` as whole-grid einsums, the definition of the matmul
+    kernels: the same stencils, SVD and eigendecomposition."""
+    g = s.grid
+    D = g.ndim
+    pos = s.positions
+    N = pos.shape[-1]
+    first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
+    second = np.empty((D, D) + g.shape + (N,))
+    for i in range(D):
+        second[i, i] = fd_axis(pos, g.spacings[i], i, 2)
+        for j in range(i + 1, D):
+            second[i, j] = second[j, i] = fd_axis(first[i], g.spacings[j], j, 1)
+    metric = np.einsum("i...k,j...k->...ij", first, first)
+    _, _, Vt = np.linalg.svd(np.moveaxis(first, 0, -2), full_matrices=True)
+    tangent_basis = Vt[..., :D, :]
+    normal_basis = np.moveaxis(Vt[..., D:, :], -2, 0)
+    normal_proj = np.eye(N) - np.einsum("...ak,...al->...kl", tangent_basis, tangent_basis)
+    alpha = np.einsum("...kl,ij...l->ij...k", normal_proj, second)
+    w, Q = np.linalg.eigh(metric)
+    g_isqrt = np.einsum("...ik,...k,...jk->...ij", Q, 1.0 / np.sqrt(np.maximum(w, 1e-300)), Q)
+    H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)
+    shape_sym = np.einsum("...ia,r...ab,...bj->r...ij", g_isqrt, H, g_isqrt)
+    return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
+                      shape_sym=shape_sym, normal_basis=normal_basis, g_isqrt=g_isqrt,
+                      g_sqrt=np.linalg.inv(g_isqrt),
+                      interior=g.interior_mask(2) & s.valid())
+
+
 def _reference_cluster_pattern(dist, tol):
     """Group indices 0..n-1 by the adjacency dist < tol (single linkage)."""
     n = dist.shape[0]
@@ -78,7 +107,7 @@ def _reference_extract_principal_normals(s, jet):
     c = np.random.default_rng(_RNG_SEED).normal(size=jet.codim)
     M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
     _, Q = np.linalg.eigh(M)
-    diag = np.einsum("...ia,r...ij,...ja->r...a", Q, jet.shape_sym, Q)
+    diag = ((jet.shape_sym @ Q) * Q).sum(-2)
     eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)
     dist = np.linalg.norm(eta_dir[..., :, None, :] - eta_dir[..., None, :, :], axis=-1)
 
@@ -95,7 +124,7 @@ def _reference_extract_principal_normals(s, jet):
     mult = tuple(len(grp) for grp in pattern)
     eta = np.zeros((k,) + g.shape + (N,))
     proj = np.zeros((k,) + g.shape + (D, D))
-    g_sqrt = np.linalg.inv(jet.g_isqrt)
+    g_sqrt = jet.g_sqrt
     perms = list(itertools.permutations(range(k)))
     done = np.zeros(g.shape, dtype=bool)
     ref0 = None
@@ -129,6 +158,13 @@ def _reference_extract_principal_normals(s, jet):
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 
+def _with_leaf(result, iu, change):
+    """result with the leaf through base node iu replaced by change(leaf)."""
+    pos = result.sample.positions.copy()
+    pos[iu] = change(pos[iu])
+    return dataclasses.replace(result, sample=dataclasses.replace(result.sample, positions=pos))
+
+
 def _holed(s):
     """s without a full row, a block and a corner: nodes below the row refer
     along the other axis, and nodes with no masked predecessor refer to the
@@ -149,9 +185,9 @@ def _diagonal_jet(diag, g, mask=None):
     normal_basis = np.zeros((p,) + g.shape + (D + p,))
     for r in range(p):
         normal_basis[r, ..., D + r] = 1.0
+    eye = np.broadcast_to(np.eye(D), g.shape + (D, D))
     jet = NumericJet(grid=g, metric=None, normal_proj=None, alpha=None,
-                     shape_sym=shape_sym, normal_basis=normal_basis,
-                     g_isqrt=np.broadcast_to(np.eye(D), g.shape + (D, D)),
+                     shape_sym=shape_sym, normal_basis=normal_basis, g_isqrt=eye, g_sqrt=eye,
                      interior=np.ones(g.shape, dtype=bool))
     return ImmersionSample(g, np.zeros(g.shape + (D + p,)), mask=mask), jet
 
@@ -180,6 +216,27 @@ class TestNumericJet:
             kap = jet.alpha[i, i] / jet.metric[..., i, i][..., None]
             err = np.abs(kap + nrm)[jet.interior].max()
             assert err < 1e-6
+
+    @pytest.mark.parametrize("case", ["torus_patch", "recursion_step1", "recursion_step2",
+                                      "sphere", "holed_clifford_product"])
+    def test_matmul_kernels_match_einsum_reference(self, case, request):
+        if case == "sphere":
+            s = sphere_patch(radius=1.0, shape=(41, 41))
+        elif case == "holed_clifford_product":
+            s = _holed(clifford_product())
+        elif case.startswith("recursion"):
+            s = request.getfixturevalue(case).sample
+        else:
+            s = request.getfixturevalue(case)
+        jet, ref = numeric_jet(s), _reference_numeric_jet(s)
+        assert jet.grid == ref.grid
+        assert np.array_equal(jet.interior, ref.interior)
+        for f in dataclasses.fields(NumericJet):
+            new, old = getattr(jet, f.name), getattr(ref, f.name)
+            if isinstance(old, np.ndarray) and old.dtype == float:
+                assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max(), f.name
+        eye = np.eye(s.grid.ndim)
+        assert np.abs(jet.g_sqrt @ jet.g_isqrt - eye).max() <= 1e-13
 
     def test_cached_forms_match_oracle(self, torus_v):
         jet = numeric_jet(torus_v)
@@ -363,6 +420,29 @@ class TestSphereLeaves:
         assert np.isfinite(res).all()
         assert res.max() < 1e-7
 
+    def test_batched_fits_match_per_leaf_sphere_fit(self, recursion_step2):
+        rep = sphere_leaf_check(recursion_step2)
+        assert all(k == "sphere" for k in rep["kinds"].reshape(-1))
+        for idx in np.ndindex(*rep["kinds"].shape):
+            cloud = recursion_step2.leaf_positions(idx).reshape(-1, 4)
+            fit = sphere_fit(cloud)
+            spread = np.sqrt(((cloud - cloud.mean(axis=0)) ** 2).sum(axis=1).mean())
+            assert not isinstance(fit, AffineFlat)
+            assert abs(rep["fit_residuals"][idx] - fit.residual) <= 1e-13 * spread
+
+    def test_flat_or_degenerate_leaf_falls_back_to_per_leaf_fits(self, recursion_step1):
+        # one leaf straightened onto its chord (span rank 1, a flat) or
+        # collapsed onto one point (DegenerateCloud, as sphere_fit raises)
+        flat = _with_leaf(recursion_step1, 3, lambda leaf: np.linspace(leaf[0], leaf[-1], len(leaf)))
+        rep = sphere_leaf_check(flat)
+        kinds = rep["kinds"]
+        assert kinds[3] == "flat" and all(k == "sphere" for k in np.delete(kinds, 3))
+        for iu in range(len(kinds)):
+            assert rep["fit_residuals"][iu] == sphere_fit(flat.leaf_positions((iu,))).residual
+        point = _with_leaf(recursion_step1, 5, lambda leaf: np.broadcast_to(leaf[0], leaf.shape))
+        with pytest.raises(DegenerateCloud, match="^all points coincide$"):
+            sphere_leaf_check(point)
+
     def test_flat_leaves_for_subbundle_valued_F(self):
         from dupin.integrable import solve_linear
         from dupin.ribaucour import n_ribaucour_transform
@@ -388,6 +468,25 @@ class TestSphereLeaves:
         for iu in (0, 10, 20):
             fit = sphere_fit(cyl.positions[iu])
             assert isinstance(fit, AffineFlat) and fit.dim == 1
+
+
+class TestEmptyStencilSet:
+    def test_derived_checks_raise(self):
+        # masking row 4 and column 4 of a 9x9 grid leaves no node three nodes
+        # clear of the mask inside the two-layer interior
+        s = torus_seed(R=1.0, r=0.3, shape=(9, 9), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2))
+        jet = numeric_jet(s)
+        pd = extract_principal_normals(s, jet=jet)
+        mask = pd.mask.copy()
+        mask[4, :] = mask[:, 4] = False
+        pd = dataclasses.replace(pd, mask=mask)
+        checks = [lambda: dupin_residual(s, pd, jet=jet),
+                  lambda: focal_constancy(s, pd, jet=jet),
+                  lambda: sf_report(s, pd=pd, jet=jet)]
+        checks += [lambda j=j: conullity_integrability(s, pd, j, jet=jet) for j in range(pd.k)]
+        for check in checks:
+            with pytest.raises(TooFewNodes, match="^no stencil-valid nodes left after masking$"):
+                check()
 
 
 class TestSfReport:
