@@ -310,6 +310,10 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
         if op not in _STEP_KEYS:
             raise ParseError(f"unknown step op {op!r}")
         _check_keys(step, _STEP_KEYS[op], f"step {i} ({op})")
+        if op in ("ribaucour", "n_ribaucour", "recursion") and not (
+                sample.has_frames() and sample.triple is not None):
+            raise ParseError(f"step {i} ({op}): needs a sample with frames and a net triple "
+                             f"(a construct step leaves positions only)")
         info = {"op": op}
         try:
             if op == "ltransform":

@@ -25,15 +25,26 @@ step of size h is the matrix
     K4 = A(t + h) (I + h K3),
 
 whose stage times are known before the march starts.  Each axis phase builds
-the coefficient matrices of all its cells and lines at once, one substep at a
-time, multiplies the substep matrices into one propagator per cell and line,
-and then marches by one batched matrix application per cell.  The joint
-system's B block is autonomous and takes the tensor system's own propagators,
-so its B equals the tensor system's bit for bit.  Repeating the sweep in the
-reversed axis order, with its own propagators, gives the built-in
-path-independence health check.  The Goursat march seeds its base row with a
-tensor-system sweep; its rows, whose rates are not linear, keep a stage-by-
-stage RK4 that reads the axis data from a table of all stage times.
+one propagator per cell and line, the product of its substep matrices, and
+then marches cell by cell.
+
+The tensor system's coefficient matrix has one nonzero column: along axis a
+it is A = h[a] e_{a'}^T with a' the class of a.  Every stage matrix, substep
+matrix and propagator is then I + p e_{a'}^T, so a propagator is its column
+a' alone, a k-vector per cell and line.  The column recursion repeats the
+matrix products' arithmetic less their exact-zero terms; its coefficients
+come from one evaluation of h[a] at all stage times of the phase (grid
+triples interpolate the row h[a] alone), and the march applies
+Y + (c - e_{a'}) Y_{a'}.
+
+The joint and frame systems keep dense propagators, built one substep at a
+time and applied by ``_apply``.  The joint system's B block is autonomous
+and takes the tensor system's own propagator columns, so its B equals the
+tensor system's bit for bit.  Repeating the sweep in the reversed axis
+order, with its own propagators, gives the built-in path-independence health
+check.  The Goursat march seeds its base row with a tensor-system sweep; its
+rows, whose rates are not linear, keep a stage-by-stage RK4 that reads the
+axis data from a table of all stage times.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ class _AnalyticProvider:
         self.triple = triple
         self.grid = triple.grid
 
-    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray, names=None) -> dict:
+    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray) -> dict:
         """All fields at the times t (P,) on the lines through idx (L, D),
         each (comp..., P, L); the sweep-axis entry of idx is ignored."""
         g = self.grid
@@ -79,6 +90,10 @@ class _AnalyticProvider:
         pts[...] = np.asarray(g.origins) + np.asarray(g.spacings) * idx
         pts[..., axis] = t[:, None]
         return self.triple.analytic(pts)
+
+    def h_row(self, axis: int, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
+        return self.line_eval(axis, idx, t)["h"][axis]
 
 
 class _GridProvider:
@@ -105,22 +120,31 @@ class _GridProvider:
                     w[:, m] *= (s - xs[:, l]) / (xs[:, m] - xs[:, l])
         return i0, w
 
-    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray, names=("v", "h", "V")) -> dict:
-        """The named fields at the times t (P,) on the lines through idx
-        (L, D), each (comp..., P, L); the sweep-axis entry of idx is ignored."""
+    def _interp(self, fields, axis: int, idx: np.ndarray, t: np.ndarray) -> list:
+        """Node fields (comp..., *grid) at the times t (P,) on the lines
+        through idx (L, D), each (comp..., P, L)."""
         i0, w = self._weights(axis, t)
         take = [idx[:, d] for d in range(self.grid.ndim)]
-        out = {}
-        for name in names:
-            field = getattr(self.triple, name)
+        out = []
+        for field in fields:
             lead = (slice(None),) * (field.ndim - self.grid.ndim)
             acc = None
             for m in range(4):
                 take[axis] = (i0 + m)[:, None]
                 term = w[:, m, None] * field[lead + tuple(take)]
                 acc = term if acc is None else acc + term
-            out[name] = acc
+            out.append(acc)
         return out
+
+    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray) -> dict:
+        """All fields at the times t (P,) on the lines through idx (L, D),
+        each (comp..., P, L); the sweep-axis entry of idx is ignored."""
+        tr = self.triple
+        return dict(zip("vhV", self._interp((tr.v, tr.h, tr.V), axis, idx, t)))
+
+    def h_row(self, axis: int, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
+        return self._interp((self.triple.h[axis],), axis, idx, t)[0]
 
 
 def _provider_for(triple: Triple):
@@ -190,13 +214,85 @@ def _cell_propagators(coef, coords: np.ndarray, substeps: int) -> np.ndarray:
     return prop
 
 
-def _sweep_total(grid: TensorGrid, state0: np.ndarray, coef_factory, order, substeps: int,
-                 lead_factory=None) -> np.ndarray:
+def _tensor_columns(col, coords: np.ndarray, ca: int, substeps: int) -> np.ndarray:
+    """Columns ca (cells, L, k) of the tensor system's RK4 propagators
+    I + (c - e_ca) e_ca^T across the cells of `coords`; col(t) gives the
+    coefficient column h[axis] (k, P, L) at the times t (P,), here at every
+    stage time of the phase in one call.
+
+    Each line repeats the arithmetic of `_cell_propagators` on the matrices
+    A = a e_ca^T in the same order, less the products' exact-zero terms.  A
+    BLAS matrix product may fuse c_m + s_m c_ca into one rounding; the
+    columns round it twice, so the two can differ in the last bit.
+    """
+    T, h = _stage_times(coords, substeps)
+    H = col(T.T.reshape(-1))
+    H = H.reshape((H.shape[0],) + T.T.shape + H.shape[2:])    # (k, 2 substeps + 1, cells, L)
+    h = h[:, None]
+    half, sixth = 0.5 * h, h / 6.0
+    a0 = H[:, 0]
+    c = None
+    for s in range(substeps):
+        am, a1 = H[:, 2 * s + 1], H[:, 2 * s + 2]
+        k2 = am * (1.0 + half * a0[ca])
+        k3 = am * (1.0 + half * k2[ca])
+        k4 = a1 * (1.0 + h * k3[ca])
+        step = sixth * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+        if c is None:
+            c = step
+            c[ca] += 1.0
+        else:                          # (I + step e_ca^T) c
+            c_ca = c[ca].copy()
+            c += step * c_ca
+            c[ca] = (1.0 + step[ca]) * c_ca
+        a0 = a1
+    return np.moveaxis(c, 0, -1)
+
+
+def _tensor_phase(h_at, classes, substeps: int):
+    """Axis phases of the tensor system; h_at(axis, idx, t) gives the
+    coefficient column h[axis] (k, P, L) on the lines through idx."""
+
+    def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
+        ca = classes[axis]
+        cols = _tensor_columns(lambda t: h_at(axis, idx, t), coords, ca, substeps)[..., None]
+
+        def step(j: int, Y: np.ndarray) -> np.ndarray:
+            c = cols[j]                            # (L, k, 1); Y is (L, k, M)
+            out = Y + c * Y[:, ca : ca + 1]
+            out[:, ca] = c[:, ca] * Y[:, ca]
+            return out
+
+        return step
+
+    return phase
+
+
+def _dense_phase(coef_factory, substeps: int, tensor_lead=None):
+    """Axis phases of a dense total system; coef_factory(axis, idx) gives
+    the coefficient builder of the lines through idx (L, D).  tensor_lead,
+    if given, is (h_at, classes) of an autonomous leading tensor block: its
+    rank-one propagators replace that block of the whole system's, so that
+    its rows equal a tensor sweep bit for bit."""
+
+    def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
+        props = _cell_propagators(coef_factory(axis, idx), coords, substeps)
+        if tensor_lead is not None:
+            h_at, classes = tensor_lead
+            ca = classes[axis]
+            cols = _tensor_columns(lambda t: h_at(axis, idx, t), coords, ca, substeps)
+            k = cols.shape[-1]
+            props[..., :k, :k] = np.eye(k)
+            props[..., :k, ca] = cols
+        return lambda j, Y: _apply(props[j], Y)
+
+    return phase
+
+
+def _sweep_total(grid: TensorGrid, state0: np.ndarray, phase, order) -> np.ndarray:
     """Fill the grid with states (S, M) of a total linear system, axis by
-    axis; coef_factory(axis, idx) gives the coefficient builder of the lines
-    through idx (L, D).  lead_factory, if given, builds an autonomous leading
-    block whose own propagators replace that block of the whole system's, so
-    that its rows equal a sweep of the block alone bit for bit."""
+    axis; phase(axis, idx, coords) gives the cell step (j, Y) -> Y of the
+    lines through idx (L, D), their states at node j + 1 from those at j."""
     D = grid.ndim
     out = np.full(grid.shape + state0.shape, np.nan)
     out[(0,) * D] = state0
@@ -206,15 +302,11 @@ def _sweep_total(grid: TensorGrid, state0: np.ndarray, coef_factory, order, subs
         if n > 1:      # a single-node axis has no cells
             ranges = [range(grid.shape[d]) if d in done else (0,) for d in range(D)]
             idx = np.array(list(itertools.product(*ranges)), dtype=int)
-            coords = grid.axis_coords(a)
-            props = _cell_propagators(coef_factory(a, idx), coords, substeps)
-            if lead_factory is not None:
-                lead = _cell_propagators(lead_factory(a, idx), coords, substeps)
-                props[..., : lead.shape[-2], : lead.shape[-1]] = lead
+            step = phase(a, idx, grid.axis_coords(a))
             Y = np.empty((n, idx.shape[0]) + state0.shape)
             Y[0] = out[tuple(idx.T)]
             for j in range(1, n):
-                Y[j] = _apply(props[j - 1], Y[j - 1])
+                Y[j] = step(j - 1, Y[j - 1])
             take = [idx[:, d] for d in range(D)]
             take[a] = np.arange(n)[:, None]
             out[tuple(take)] = Y
@@ -227,18 +319,16 @@ def _field_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.nanmax(np.abs(a - b)) / scale)
 
 
-def _sweep(grid: TensorGrid, state0: np.ndarray, coef_factory, order, substeps: int,
-           check_alternate: bool, lead_factory=None):
+def _sweep(grid: TensorGrid, state0: np.ndarray, phase, order, check_alternate: bool):
     """Sweep a total linear system in `order` (default: axis order); returns
     (states, reports).  With check_alternate on a grid of >= 2 axes the sweep
     is repeated in the reversed order and the relative disagreement of the
     two is reported as path_independence."""
     order = tuple(range(grid.ndim)) if order is None else tuple(order)
-    states = _sweep_total(grid, state0, coef_factory, order, substeps, lead_factory)
+    states = _sweep_total(grid, state0, phase, order)
     reports = {}
     if check_alternate and grid.ndim > 1:
-        alt = _sweep_total(grid, state0, coef_factory, tuple(reversed(order)), substeps,
-                           lead_factory)
+        alt = _sweep_total(grid, state0, phase, tuple(reversed(order)))
         reports["path_independence"] = _field_rel_diff(states, alt)
     return states, reports
 
@@ -250,12 +340,6 @@ def _bounded(x: np.ndarray, axis: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # coefficient matrices
-
-
-def _tensor_block(A: np.ndarray, h_axis: np.ndarray, ca: int) -> None:
-    """Write dB_m = h[axis, m] B_{ca} into the leading k x k block of A
-    (P, L, S, S); h_axis is (k, P, L)."""
-    A[..., : h_axis.shape[0], ca] = np.moveaxis(h_axis, 0, -1)
 
 
 def _frame_block(A: np.ndarray, off: int, C: dict, axis: int, ca: int) -> None:
@@ -278,38 +362,12 @@ def _frame_block(A: np.ndarray, off: int, C: dict, axis: int, ca: int) -> None:
 # the tensor system dB_m/du_j = h_{jm} B_{j'}
 
 
-def _tensor_coef_factory(h_at, classes):
-    """Coefficient builders of the tensor system; h_at(axis, idx, t) gives
-    the sweep-axis row h[axis] (k, P, L)."""
-
-    def factory(axis: int, idx: np.ndarray):
-        def coef(t: np.ndarray) -> np.ndarray:
-            h_axis = h_at(axis, idx, t)
-            k = h_axis.shape[0]
-            A = np.zeros(h_axis.shape[1:] + (k, k))
-            _tensor_block(A, h_axis, classes[axis])
-            return A
-
-        return coef
-
-    return factory
-
-
-def _triple_tensor_factory(provider, class_map: ClassMap):
-    """Tensor-system coefficient builders from a triple's h field."""
-
-    def h_at(axis, idx, t):
-        return provider.line_eval(axis, idx, t, ("h",))["h"][axis]
-
-    return _tensor_coef_factory(h_at, class_map.classes)
-
-
 def _sweep_tensor(triple: Triple, B0: np.ndarray, substeps: int, order=None,
                   check_alternate: bool = False):
     """Sweep the tensor system from the M seed columns of B0 (k, M) at once;
     returns (B (M, k, *grid), reports)."""
-    factory = _triple_tensor_factory(_provider_for(triple), triple.class_map)
-    B, reports = _sweep(triple.grid, B0, factory, order, substeps, check_alternate)
+    phase = _tensor_phase(_provider_for(triple).h_row, triple.class_map.classes, substeps)
+    B, reports = _sweep(triple.grid, B0, phase, order, check_alternate)
     return np.moveaxis(B, (-1, -2), (0, 1)), reports
 
 
@@ -386,7 +444,7 @@ def _joint_coef_factory(provider, class_map: ClassMap, D: int, k: int, R: int):
         def coef(t: np.ndarray) -> np.ndarray:
             C = provider.line_eval(axis, idx, t)
             A = np.zeros(C["v"].shape[1:] + (S, S))
-            _tensor_block(A, C["h"][axis], ca)
+            A[..., :k, ca] = np.moveaxis(C["h"][axis], 0, -1)    # dB_m = h[axis, m] B_{ca}
             _frame_block(A, k, C, axis, ca)
             A[..., k + 1 + axis, ca] = 1.0
             return A
@@ -436,11 +494,11 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
         raise DimensionMismatch("seed shapes must be (k,), (D,), (R,)")
     state0 = np.concatenate([B0, [float(phi0)], gamma0, beta0])[:, None]
     provider = _provider_for(triple)
-    factory = _joint_coef_factory(provider, triple.class_map, D, k, R)
     # the B block is autonomous: sweep it with the tensor system's propagators,
     # so that B equals solve_B's bit for bit
-    states, reports = _sweep(g, state0, factory, order, substeps, check_alternate,
-                             lead_factory=_triple_tensor_factory(provider, triple.class_map))
+    phase = _dense_phase(_joint_coef_factory(provider, triple.class_map, D, k, R), substeps,
+                         tensor_lead=(provider.h_row, triple.class_map.classes))
+    states, reports = _sweep(g, state0, phase, order, check_alternate)
     sol = _solution_from_states(triple, states[..., 0], reports)
     reports["gnorm_fd"] = _gnorm_residual(triple, sol)
     return sol
@@ -457,7 +515,7 @@ def solve_B(triple: Triple, B0, substeps: int = 12, order=None,
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
     B0 = np.asarray(B0, dtype=float)
     if B0.shape != (k,):
-        raise ValueError("B seed shape must be (k,)")
+        raise DimensionMismatch("B seed shape must be (k,)")
     B, reports = _sweep_tensor(triple, B0[:, None], substeps, order, check_alternate)
     good = _bounded(B[0], axis=0)
     return RibaucourSolution(grid=g, class_map=triple.class_map, phi=np.zeros(g.shape),
@@ -506,7 +564,7 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     X0, xi0 = np.asarray(frame0[0], dtype=float), np.asarray(frame0[1], dtype=float)
     N = X0.shape[1]
     if xi0.shape != (R, N) or X0.shape != (D, N):
-        raise ValueError("frame0 must be (X0 (D,N), xi0 (R,N))")
+        raise DimensionMismatch("frame0 must be (X0 (D,N), xi0 (R,N))")
     F = np.vstack([X0, xi0])
     if np.abs(F @ F.T - np.eye(D + R)).max() > 1e-10:
         raise ValueError("frame0 is not orthonormal")
@@ -526,7 +584,7 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
 
     # state (1 + D + R, N): position, tangents and normals as rows
     state0 = np.concatenate([base_point[None], X0, xi0])
-    Z, reports = _sweep(g, state0, factory, order, substeps, check_alternate)
+    Z, reports = _sweep(g, state0, _dense_phase(factory, substeps), order, check_alternate)
     positions = Z[..., 0, :]
     X = np.moveaxis(Z[..., 1 : 1 + D, :], -2, 0)
     xi = np.moveaxis(Z[..., 1 + D :, :], -2, 0)
@@ -624,7 +682,7 @@ def axis_data_from_triple(triple: Triple) -> TripleAxisData:
     def row(j):
         def fn(t):
             t = np.asarray(t, dtype=float)
-            hj = provider.line_eval(j, base_line, t.reshape(-1), ("h",))["h"][j]
+            hj = provider.h_row(j, base_line, t.reshape(-1))
             return hj.reshape((triple.n_classes,) + t.shape)
         return fn
 
@@ -644,8 +702,8 @@ def _march_axis0(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap, su
     def h_at(axis, idx, t):
         return np.reshape(hrow(t), (k, t.shape[0], 1))
 
-    factory = _tensor_coef_factory(h_at, class_map.classes)
-    states = _sweep_total(line, np.column_stack([data.v0, data.V0]), factory, (0,), substeps)
+    phase = _tensor_phase(h_at, class_map.classes, substeps)
+    states = _sweep_total(line, np.column_stack([data.v0, data.V0]), phase, (0,))
     coords = line.axis_coords(0)
     return (states[:, :, 0].T.copy(), np.moveaxis(states[:, :, 1:], 0, -1).copy(),
             np.reshape(hrow(coords), (k, coords.shape[0])))

@@ -368,6 +368,12 @@ def test_mistyped_seed_exits_2_with_one_line(tmp_path, capsys, seed, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# a generalized cylinder: positions only, no frames and no net triple
+_POSITIONS_ONLY = {"op": "construct", "kind": "cylinder", "n_indices": [1], "eps": 1,
+                   "fiber": [[0.0, 0.1, 0.2, 0.3, 0.4]]}
+_NEEDS_FRAMES = "needs a sample with frames and a net triple (a construct step leaves positions only)"
+
+
 @pytest.mark.parametrize("change,message", [
     ({"steps": [5]}, "step 1 is not a JSON object"),
     ({"steps": {"op": "verify"}}, "pipeline steps is not a JSON list"),
@@ -434,6 +440,18 @@ def test_mistyped_seed_exits_2_with_one_line(tmp_path, capsys, seed, message):
     ({"steps": [{"op": "n_ribaucour", "n_indices": [7], "y": {"shape": [9], "spacings": [0.05]},
                  "w": {"kind": "inversion", "P0": [0, 0, 3], "r": 0.5}}]},
      "step 1 (n_ribaucour): 'n_indices' must be a non-empty list of normal indices below 2"),
+    ({"steps": [_POSITIONS_ONLY, {"op": "ribaucour", "w": {"kind": "inversion", "P0": [0, 0, 3],
+                                                           "r": 0.5}}]},
+     "step 2 (ribaucour): " + _NEEDS_FRAMES),
+    ({"steps": [_POSITIONS_ONLY, {"op": "ribaucour", "w": {"kind": "solve"}}]},
+     "step 2 (ribaucour): " + _NEEDS_FRAMES),
+    ({"steps": [_POSITIONS_ONLY, {"op": "n_ribaucour", "n_indices": [0],
+                                  "y": {"shape": [9], "spacings": [0.05]},
+                                  "w": {"kind": "inversion", "P0": [0, 0, 3], "r": 0.5}}]},
+     "step 2 (n_ribaucour): " + _NEEDS_FRAMES),
+    ({"steps": [_POSITIONS_ONLY, {"op": "recursion", "n_indices": [0],
+                                  "y": {"shape": [9], "spacings": [0.05]}}]},
+     "step 2 (recursion): " + _NEEDS_FRAMES),
     ({"steps": [{"op": "export", "format": "obj", "path": "m.obj", "slice": "x"}]},
      "step 1 (export): 'slice' must be a list of 1 node indices or nulls"),
     ({"steps": [{"op": "export", "format": "obj", "path": "m.obj", "coords": ["x", 1, 2]}]},
@@ -447,7 +465,9 @@ def test_mistyped_seed_exits_2_with_one_line(tmp_path, capsys, seed, message):
         "ltrivial_c_missing", "solve_B0_string", "solve_phi0_list", "solve_substeps_zero",
         "tube_a_string", "tube_a_zero", "tube_n_angle_one", "tube_angle_range_short",
         "construct_n_indices_out_of_range", "cylinder_eps_two", "cylinder_fiber_strings",
-        "rotation_e_string", "n_ribaucour_n_indices_out_of_range", "export_slice_string",
+        "rotation_e_string", "n_ribaucour_n_indices_out_of_range",
+        "ribaucour_inversion_positions_only", "ribaucour_solve_positions_only",
+        "n_ribaucour_positions_only", "recursion_positions_only", "export_slice_string",
         "export_coords_string", "export_path_missing"])
 def test_malformed_pipeline_exits_2_with_one_line(tmp_path, capsys, change, message):
     spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE}, "steps": [],

@@ -3,14 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
-from dupin.errors import UnsupportedGrid
+from dupin.errors import DimensionMismatch, UnsupportedGrid
 from dupin.integrable import (
     BLOWUP_BOUND,
     TripleAxisData,
+    _apply,
     _bounded,
+    _cell_propagators,
+    _dense_phase,
     _GridProvider,
+    _joint_coef_factory,
+    _provider_for,
     _solution_from_states,
     _stage_times,
+    _sweep_tensor,
+    _sweep_total,
+    _tensor_columns,
     axis_data_from_triple,
     cumulative_integral,
     integrate_triple,
@@ -99,6 +107,11 @@ class TestReconstructFrame:
                                base_point=t.positions[0, 0] @ Q.T, substeps=8)
         assert np.abs(r2.positions - r1.positions @ Q.T).max() < 1e-11
 
+    def test_frame_of_the_wrong_shape_rejected(self, torus_patch):
+        X0, xi0 = torus_patch.tangents[:, 0, 0], torus_patch.normals[:, 0, 0]
+        with pytest.raises(DimensionMismatch, match="frame0 must be"):
+            reconstruct_frame(torus_patch.triple, (X0[:1], xi0), substeps=4)
+
     def test_torus_roundtrip(self, torus_patch):
         t = torus_patch
         rec = reconstruct_frame(t.triple, (t.tangents[:, 0, 0], t.normals[:, 0, 0]),
@@ -122,6 +135,10 @@ class TestSolveB:
         s2 = solve_B(t, (0.0, 1.0), substeps=8)
         s3 = solve_B(t, (1.0, 1.0), substeps=8)
         assert np.abs(s3.B - s1.B - s2.B).max() < 1e-9
+
+    def test_seed_of_the_wrong_shape_rejected(self, torus_patch):
+        with pytest.raises(DimensionMismatch, match="B seed shape"):
+            solve_B(torus_patch.triple, (0.1, 0.2, 0.3), substeps=4)
 
     def test_v_solves_the_tensor_system(self, torus_patch):
         # v itself satisfies dB_m = h_{jm} B_{j'} (it is the identity-tensor data)
@@ -495,6 +512,11 @@ def _ref_integrate_triple(data, grid, class_map, substeps, order):
             np.swapaxes(V, 2, 3))
 
 
+def _bare(t):
+    """A node-valued copy of a triple (no analytic callables)."""
+    return Triple(t.grid, t.class_map, t.v.copy(), t.h.copy(), t.V.copy())
+
+
 REFERENCE_CASES = ["torus_fine", "cylinder_patch", "recursion_step1", "bare_torus_patch", "circle4"]
 
 
@@ -502,8 +524,7 @@ def _case_triple(name, request):
     """The triple of a reference case; recursion_step1 and bare_torus_patch
     are node-valued (interpolated coefficients, interpolated axis data)."""
     if name == "bare_torus_patch":
-        t = request.getfixturevalue("torus_patch").triple
-        return Triple(t.grid, t.class_map, t.v.copy(), t.h.copy(), t.V.copy())
+        return _bare(request.getfixturevalue("torus_patch").triple)
     return request.getfixturevalue(name).triple
 
 
@@ -591,3 +612,145 @@ def test_tensor_space_matches_stagewise_reference(case, request):
     A = A.reshape(len(seeds), -1)
     _assert_close(space["basis"], A[:k])
     _assert_close(space["singular_values"], np.linalg.svd(A, compute_uv=False))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the dense tensor-system propagators that the rank-one columns
+# replaced.  The coefficient matrix is A = h[axis] e_ca^T, built in full.
+
+
+def _dense_tensor_coef_factory(provider, classes):
+    def factory(axis, idx):
+        def coef(t):
+            h_axis = provider.h_row(axis, idx, t)
+            A = np.zeros(h_axis.shape[1:] + (h_axis.shape[0],) * 2)
+            A[..., :, classes[axis]] = np.moveaxis(h_axis, 0, -1)
+            return A
+
+        return coef
+
+    return factory
+
+
+def _unfused_cell_propagators(coef, coords, substeps):
+    """`_cell_propagators` with every matrix product summed in index order by
+    `_apply`, so that no multiply-add is fused (BLAS promises neither)."""
+    T, h = _stage_times(coords, substeps)
+    h = h[:, None, None, None]
+    A0 = coef(T[:, 0])
+    eye = np.eye(A0.shape[-1])
+    prop = None
+    for s in range(substeps):
+        Amid, A1 = np.split(coef(T[:, 2 * s + 1 : 2 * s + 3].T.reshape(-1)), 2)
+        K2 = _apply(Amid, eye + 0.5 * h * A0)
+        K3 = _apply(Amid, eye + 0.5 * h * K2)
+        K4 = _apply(A1, eye + h * K3)
+        step = eye + (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+        prop = step if prop is None else _apply(step, prop)
+        A0 = A1
+    return prop
+
+
+def _dense_tensor_sweep(t, B0, substeps, order):
+    phase = _dense_phase(_dense_tensor_coef_factory(_provider_for(t), t.class_map.classes),
+                         substeps)
+    return np.moveaxis(_sweep_total(t.grid, B0, phase, order), (-1, -2), (0, 1))
+
+
+def _all_lines(grid, axis):
+    """The index of every grid line along `axis` (its sweep-axis entry 0)."""
+    ranges = [(0,) if d == axis else range(grid.shape[d]) for d in range(grid.ndim)]
+    return np.array(list(itertools.product(*ranges)), dtype=int)
+
+
+@pytest.fixture(scope="module")
+def torus41():
+    return torus_seed(R=1.0, r=0.3, shape=(41, 41))
+
+
+@pytest.fixture(scope="module")
+def cylinder41():
+    return cylinder_seed(radius=1.0, shape=(41, 41))
+
+
+def _column_case(name, request):
+    """(triple, substeps) of a column test case; a "bare_" prefix strips the
+    analytic callables (interpolated coefficients)."""
+    t = request.getfixturevalue(name.removeprefix("bare_")).triple
+    return (_bare(t) if name.startswith("bare_") else t), (4 if t.grid.ndim == 3 else 12)
+
+
+def _columns_and_dense(t, substeps, propagators=_cell_propagators):
+    provider = _provider_for(t)
+    factory = _dense_tensor_coef_factory(provider, t.class_map.classes)
+    for axis in range(t.grid.ndim):
+        idx = _all_lines(t.grid, axis)
+        ca = t.class_map.classes[axis]
+        coords = t.grid.axis_coords(axis)
+        cols = _tensor_columns(lambda tt: provider.h_row(axis, idx, tt), coords, ca, substeps)
+        dense = propagators(factory(axis, idx), coords, substeps)
+        yield cols, dense, ca
+
+
+class TestRankOneTensorPropagators:
+    """The tensor system's propagators are I + (c - e_ca) e_ca^T; their
+    columns repeat the dense matrix products term for term."""
+
+    @pytest.mark.parametrize("case", ["torus41", "cylinder41", "bare_torus41", "bare_cylinder41"])
+    def test_columns_equal_dense_propagators_for_k2(self, case, request):
+        t, substeps = _column_case(case, request)
+        for cols, dense, ca in _columns_and_dense(t, substeps):
+            assert np.array_equal(dense[..., ca], cols)
+            rest = dense.copy()
+            rest[..., ca] = np.eye(cols.shape[-1])[ca]
+            assert np.array_equal(rest, np.broadcast_to(np.eye(cols.shape[-1]), rest.shape))
+
+    @pytest.mark.parametrize("case", ["recursion_step2", "recursion_step1"])
+    def test_columns_match_dense_propagators_to_roundoff(self, case, request):
+        # BLAS may fuse the product-sum c_m + s_m c_ca of the dense matrix
+        # product into one rounding; the column form rounds twice
+        t, substeps = _column_case(case, request)
+        for cols, dense, ca in _columns_and_dense(t, substeps):
+            assert np.abs(dense[..., ca] - cols).max() <= 1e-15 * np.abs(cols).max()
+
+    @pytest.mark.parametrize("case", ["recursion_step1", "recursion_step2", "bare_torus41"])
+    def test_columns_equal_unfused_dense_products(self, case, request):
+        # summed in index order, the dense products' other terms are exact
+        # zeros, so the columns repeat their arithmetic exactly for any k
+        t, substeps = _column_case(case, request)
+        for cols, dense, ca in _columns_and_dense(t, substeps, _unfused_cell_propagators):
+            assert np.array_equal(dense[..., ca], cols)
+
+    @pytest.mark.parametrize("row", ["off_class", "class"])
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_non_finite_coefficients_mask_the_same_nodes(self, row, order):
+        # the dense products spread 0 * nan over a whole propagator, the
+        # column form keeps it in one row: the node masks must still agree
+        g = TensorGrid((9, 9), (0.1, 0.1), (0.2, 0.3))
+        v, h, V = _cubic_fields(*g.meshgrid())
+        h = h.copy()
+        for axis, ca in enumerate((0, 1)):
+            h[axis, 1 - ca if row == "off_class" else ca, 4, 4] = np.nan
+        t = Triple(g, ClassMap.simple(2), v, h, V)
+        B0 = np.array([0.4, -0.3])
+        sol = solve_B(t, B0, substeps=4, order=order, check_alternate=False)
+        ref = _dense_tensor_sweep(t, B0[:, None], 4, order)[0]
+        good = _bounded(ref, axis=0)
+        assert not good.all()
+        assert np.array_equal(sol.mask, good)
+        assert np.abs(sol.B[:, good] - ref[:, good]).max() <= 1e-15 * np.abs(ref[:, good]).max()
+        joint = solve_linear(t, B0, 1.0, (0.1, 0.2), (0.3,), substeps=4, order=order,
+                             check_alternate=False)
+        dense = _dense_phase(_joint_coef_factory(_provider_for(t), t.class_map, 2, 2, 1), 4)
+        states = _sweep_total(g, np.array([0.4, -0.3, 1.0, 0.1, 0.2, 0.3])[:, None], dense, order)
+        assert np.array_equal(joint.mask, _bounded(states[..., 0], axis=-1))
+
+    @pytest.mark.parametrize("case", ["torus41", "bare_torus41", "recursion_step2"])
+    def test_a_batched_column_equals_its_own_sweep(self, case, request):
+        t, substeps = _column_case(case, request)
+        k = t.n_classes
+        seeds = np.concatenate([np.eye(k), np.random.default_rng(3).normal(size=(2, k))])
+        batch, _ = _sweep_tensor(t, seeds.T, substeps)
+        for i, seed in enumerate(seeds):
+            alone, _ = _sweep_tensor(t, seed[:, None], substeps)
+            assert np.array_equal(batch[i], alone[0])
