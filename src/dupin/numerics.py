@@ -1,4 +1,5 @@
-"""Uniform tensor grids, finite-difference derivatives and sphere fitting.
+"""Uniform tensor grids, finite-difference derivatives, sphere fitting and
+Jacobi kernels for stacks of small matrices (eigenpairs, singular values).
 
 Conventions used across the package:
 
@@ -12,6 +13,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +33,11 @@ __all__ = [
 # quadratic coefficient (of the unit-RMS cloud) below which the fit is flat
 _SPAN_TOL = 1e-8
 _FLAT_TOL = 1e-9
+# Jacobi kernels: off-diagonal part left relative to the norm, sweep cap (D <= 4
+# converges in about six), matrices per eigensolver block (bounds its working set)
+_EPS = 2.0**-52
+_JACOBI_SWEEPS = 12
+_JACOBI_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,31 @@ class TensorGrid:
         return m
 
 
+# fd_axis stencils by derivative order, each as (offsets, coefficients): the
+# first row, the last row, the second and second-to-last rows, the deep interior
+_STENCILS = {
+    1: (((0, 1, 2), (-1.5, 2.0, -0.5)),
+        ((0, -1, -2), (1.5, -2.0, 0.5)),
+        ((-1, 1), (-0.5, 0.5)),
+        ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12))),
+    2: (((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)),
+        ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0)),
+        ((-1, 0, 1), (1.0, -2.0, 1.0)),
+        ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12))),
+}
+
+
+def _stencil_rows(v, lo, hi, stencil, scale):
+    """Rows lo..hi-1 of a stencil along the first axis of v: terms summed in
+    offset order, then scaled."""
+    (off, c), *rest = zip(*stencil)
+    total = c * v[lo + off:hi + off]
+    for off, c in rest:
+        total += c * v[lo + off:hi + off]
+    total *= scale
+    return total
+
+
 def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     """Finite-difference derivative of `order` (1 or 2) along `axis`.
 
@@ -110,37 +142,25 @@ def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     if n < 5:
         raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
 
-    if order == 1:
-        scale = 1.0 / h
-        first = ((0, 1, 2), (-1.5, 2.0, -0.5))
-        last = ((0, -1, -2), (1.5, -2.0, 0.5))
-        central = ((-1, 1), (-0.5, 0.5))
-        deep = ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12))
-    else:
-        scale = 1.0 / h**2
-        first = ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0))
-        last = ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0))
-        central = ((-1, 0, 1), (1.0, -2.0, 1.0))
-        deep = ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12))
-
+    first, last, central, deep = _STENCILS[order]
+    scale = 1.0 / h**order
     out = np.empty_like(values)
     v = np.moveaxis(values, axis, 0)
     o = np.moveaxis(out, axis, 0)
-
-    def put(lo, hi, stencil):
-        # rows lo..hi-1: terms summed in offset order, then scaled
-        total = None
-        for off, c in zip(*stencil):
-            term = c * v[lo + off:hi + off]
-            total = term if total is None else total + term
-        o[lo:hi] = total * scale
-
-    put(0, 1, first)
-    put(n - 1, n, last)
-    put(1, 2, central)
-    put(n - 2, n - 1, central)
-    put(2, n - 2, deep)
+    o[0:1] = _stencil_rows(v, 0, 1, first, scale)
+    o[n - 1:n] = _stencil_rows(v, n - 1, n, last, scale)
+    o[1:2] = _stencil_rows(v, 1, 2, central, scale)
+    o[n - 2:n - 1] = _stencil_rows(v, n - 2, n - 1, central, scale)
+    o[2:n - 2] = _stencil_rows(v, 2, n - 2, deep, scale)
     return out
+
+
+def _fd_deep(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    """The deep-interior rows of `fd_axis`: rows 2..n-3 along `axis`, which
+    comes out four nodes shorter, bit for bit `fd_axis(...)` there."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    deep = _stencil_rows(v, 2, len(v) - 2, _STENCILS[order][3], 1.0 / h**order)
+    return np.moveaxis(deep, 0, axis)
 
 
 @dataclass(frozen=True)
@@ -257,3 +277,86 @@ def _sphere_fit_batch(clouds):
     if rank < N and (residual > np.maximum(10.0 * off_rms, 1e-8 * spread)).any():
         return None
     return residual
+
+
+def _jacobi_rotation(app, aqq, apq):
+    """Rotation (t, c, s) of the cyclic Jacobi method that annihilates apq in
+    the symmetric 2 x 2 block [[app, apq], [apq, aqq]]: t = tan, c = cos,
+    s = sin of its angle, the smaller of the two; t = 0 where apq = 0."""
+    theta = (aqq - app) / (2.0 * apq)
+    t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+    t = np.where(apq == 0.0, 0.0, t)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    return t, c, t * c
+
+
+def _sym_eigh(A: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors (columns) of a stack of
+    symmetric D x D matrices, D <= 4: `np.linalg.eigh` by cyclic Jacobi
+    rotations, each matrix entry one array over a block of _JACOBI_BLOCK
+    matrices.  Sweeps run until every off-diagonal part is below _EPS times
+    its matrix norm; a matrix with a NaN entry gives NaN eigenpairs."""
+    shape, D = A.shape[:-2], A.shape[-1]
+    A = A.reshape(-1, D, D)
+    w, V = np.empty(A.shape[:-1]), np.empty(A.shape)
+    for lo in range(0, len(A), _JACOBI_BLOCK):
+        w[lo:lo + _JACOBI_BLOCK], V[lo:lo + _JACOBI_BLOCK] = _jacobi_block(A[lo:lo + _JACOBI_BLOCK])
+    return w.reshape(shape + (D,)), V.reshape(shape + (D, D))
+
+
+def _jacobi_block(A: np.ndarray):
+    """`_sym_eigh` of one block (n, D, D)."""
+    n, D = A.shape[:2]
+    a = [[A[:, min(i, j), max(i, j)].copy() for j in range(D)] for i in range(D)]
+    one, zero = np.ones(n), np.zeros(n)
+    v = [[one if i == j else zero for j in range(D)] for i in range(D)]
+    pairs = list(itertools.combinations(range(D), 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(_JACOBI_SWEEPS):
+            off = sum(a[p][q] ** 2 for p, q in pairs)
+            if sweep and not (off > _EPS**2 * (sum(a[i][i] ** 2 for i in range(D)) + 2.0 * off)).any():
+                break
+            for p, q in pairs:
+                apq = a[p][q]
+                t, c, s = _jacobi_rotation(a[p][p], a[q][q], apq)
+                a[p][p] = a[p][p] - t * apq
+                a[q][q] = a[q][q] + t * apq
+                a[p][q] = a[q][p] = zero
+                for r in range(D):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+                for r in range(D):
+                    vrp, vrq = v[r][p], v[r][q]
+                    v[r][p] = c * vrp - s * vrq
+                    v[r][q] = s * vrp + c * vrq
+    w = np.array([a[i][i] for i in range(D)]).T                    # (n, D)
+    at = np.argsort(w, axis=1, kind="stable") + D * np.arange(n)[:, None]
+    cols = np.array(v).transpose(2, 1, 0).reshape(-1, D)[at]        # (n, D, D): rows = columns
+    return w.reshape(-1)[at], cols.swapaxes(-1, -2)
+
+
+def _singular_values(C: np.ndarray) -> np.ndarray:
+    """Singular values (descending) of a stack of small matrices (n, m, p),
+    min(m, p) per matrix: `np.linalg.svd(C, compute_uv=False)` by one-sided
+    Jacobi rotations of the shorter side's vectors until they are orthogonal
+    to _EPS; for min(m, p) = 1 this is the norm."""
+    cols = list(np.moveaxis(C, -1 if C.shape[-1] <= C.shape[-2] else -2, 0))   # each (n, L)
+    pairs = list(itertools.combinations(range(len(cols)), 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_JACOBI_SWEEPS if pairs else 0):
+            done = True
+            for p, q in pairs:
+                x, y = cols[p], cols[q]
+                xx, yy, xy = (x * x).sum(-1), (y * y).sum(-1), (x * y).sum(-1)
+                if not (np.abs(xy) > _EPS * np.sqrt(xx * yy)).any():
+                    continue
+                done = False
+                t, c, s = _jacobi_rotation(xx, yy, xy)
+                cols[p] = c[:, None] * x - s[:, None] * y
+                cols[q] = s[:, None] * x + c[:, None] * y
+            if done:
+                break
+    sv = np.sqrt(np.array([(x * x).sum(-1) for x in cols]).T)        # (n, min(m, p))
+    return -np.sort(-sv, axis=1)

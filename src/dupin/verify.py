@@ -12,8 +12,15 @@ noisier); rank decisions use singular-value gaps and always report the full
 spectrum so borderline calls can be audited.
 
 The per-node algebra is batched: stacked small-matrix products over all nodes
-(or over the valid nodes only, in the derived checks), one LAPACK call per
-stack of matrices, and one batched sphere fit over all leaves.
+(or over the valid nodes only, in the derived checks) and one batched sphere
+fit over all leaves.  The chart frame's singular value decomposition is the
+one LAPACK call left per node; the other small-matrix kernels run elementwise
+over the node axis: a cyclic-Jacobi eigensolver for the shape-operator
+combination (`numerics._sym_eigh`), one-sided Jacobi singular values of the
+normal-frame coordinates in the rank decisions (`numerics._singular_values`),
+class tracking by pointer doubling along the reference chains (`_track`), and
+one deep-stencil derivative pass over the stencil-valid box for every class's
+fields (`_slopes`).
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import TensorGrid, fd_axis, sphere_fit, _sphere_fit_batch, AffineFlat
+from .numerics import (TensorGrid, fd_axis, sphere_fit, _fd_deep, _singular_values, _sphere_fit_batch,
+                       _sym_eigh, AffineFlat)
 from .ribaucour import NRibaucourResult
 
 __all__ = [
@@ -51,6 +59,7 @@ _STENCIL_WIDTH = 3         # masked-node margin along each axis of the derived c
 _ETA_FLOOR = 1e-8          # |eta_j| below this counts as a vanishing normal
 _PROBE_SEEDS = 2           # random seeds swept beside the k unit seeds
 _GAP_REQUIRED = 1e6        # sigma_k / sigma_{k+1} of a rank-k solution stack
+_PASS_VALUES = 2**17       # derived checks: box values differentiated in one pass
 
 
 @dataclass
@@ -67,7 +76,7 @@ class NumericJet:
     normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis (not smooth)
     g_isqrt: np.ndarray        # (*grid, D, D) metric inverse square root
     g_sqrt: np.ndarray         # (*grid, D, D) metric square root
-    interior: np.ndarray       # bool (*grid)
+    interior: np.ndarray       # bool (*grid): valid nodes two layers in with finite forms
 
     @property
     def codim(self) -> int:
@@ -82,9 +91,11 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     N = pos.shape[-1]
     if min(g.shape) < 5:
         raise TooFewNodes("need at least 5 nodes per axis for the oracle")
-    interior = g.interior_mask(2) & s.valid()
-    if not interior.any():
-        raise TooFewNodes("no interior nodes left after masking")
+    # non-finite positions (allowed at masked nodes) become NaN, which reaches
+    # the forms of their stencil neighbours quietly; those nodes are not interior
+    finite = bool(np.isfinite(pos).all())
+    if not finite:
+        pos = np.where(np.isfinite(pos), pos, np.nan)
 
     first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
     second = np.empty((D, D) + g.shape + (N,))
@@ -97,9 +108,17 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
 
     metric = np.einsum("i...k,j...k->...ij", first, first)
 
-    # orthonormal tangent/normal split per node via SVD of the chart frame
+    # orthonormal tangent/normal split per node via SVD of the chart frame,
+    # on the finite frames only (the others keep NaN factors)
     E = np.moveaxis(first, 0, -2)                     # (*grid, D, N)
-    U, sv, Vt = np.linalg.svd(E, full_matrices=True)
+    if finite:
+        U, sv, Vt = np.linalg.svd(E, full_matrices=True)
+    else:
+        framed = np.isfinite(E).all(axis=(-2, -1))
+        U = np.full(g.shape + (D, D), np.nan)
+        sv = np.full(g.shape + (D,), np.nan)
+        Vt = np.full(g.shape + (N, N), np.nan)
+        U[framed], sv[framed], Vt[framed] = np.linalg.svd(E[framed], full_matrices=True)
     tangent_basis = Vt[..., :D, :]                    # (*grid, D, N)
     normal_basis = np.moveaxis(Vt[..., D:, :], -2, 0)  # (p, *grid, N)
     normal_proj = np.eye(N) - tangent_basis.swapaxes(-1, -2) @ tangent_basis
@@ -118,6 +137,11 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)     # (p, *grid, D, D)
     shape_sym = g_isqrt @ H @ g_isqrt
 
+    interior = g.interior_mask(2) & s.valid()
+    if not finite:
+        interior &= np.isfinite(metric).all(axis=(-2, -1)) & np.isfinite(shape_sym).all(axis=(0, -2, -1))
+    if not interior.any():
+        raise TooFewNodes("no interior nodes left after masking")
     return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
                       shape_sym=shape_sym, normal_basis=normal_basis,
                       g_isqrt=g_isqrt, g_sqrt=g_sqrt, interior=interior)
@@ -146,9 +170,9 @@ def extract_principal_normals(s: ImmersionSample,
     candidate normals are grouped by single linkage at distance
     10 * _ETA_TOL * scale.  The dominant grouping (most nodes; on a tie
     the one met first in lexicographic node order) fixes k and the
-    multiplicities.  Borderline nodes (another grouping) are masked rather
-    than guessed, and a NotProper error is raised only when no grouping covers
-    half of the valid nodes.
+    multiplicities.  Borderline nodes (another grouping) and nodes whose
+    forms are not finite are masked rather than guessed, and a NotProper error
+    is raised only when no grouping covers half of the valid nodes.
 
     Classes are tracked across nodes so the eta fields are smooth.  A masked
     node's reference is its predecessor idx - e_d along the first axis d whose
@@ -156,8 +180,9 @@ def extract_principal_normals(s: ImmersionSample,
     in lexicographic order, which keeps the grouping's own class order.  Each
     node takes the class order that minimizes sum_j |eta_j - ref_j|, the first
     such permutation in itertools order on a tie.  A reference always lies
-    earlier in lexicographic order, so nodes are matched in rounds of equal
-    depth along their reference chains.
+    earlier in lexicographic order, so every chain of references ends at the
+    first masked node; each node's order as a function of its reference's is
+    composed up the chains by pointer doubling, in ceil(log2 depth) rounds.
     """
     jet = numeric_jet(s) if jet is None else jet
     return _principal_normals(s, jet, normal_curvature_residual(jet))
@@ -177,15 +202,15 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     rng = np.random.default_rng(_RNG_SEED)
     c = rng.normal(size=p)
     M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
-    _, Q = np.linalg.eigh(M)                           # Q columns: hat-e_alpha
+    Q = _sym_eigh(M)[1]                                # Q columns: hat-e_alpha
     # principal normal of each eigendirection: sum_r <S_r e, e> nu_r
     diag = ((jet.shape_sym @ Q) * Q).sum(-2)           # (p, *grid, D)
     eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)   # (*grid, D, N)
     del M, diag
 
-    # classify every valid node (boundary rows included) so the eta fields
-    # support full stencils; reporting still happens on the interior
-    valid = s.valid()
+    # classify every valid node with finite forms (boundary rows included) so
+    # the eta fields support full stencils; reporting happens on the interior
+    valid = s.valid() & np.isfinite(eta_dir).all(axis=(-2, -1))
     cand = eta_dir[valid]                              # (n, D, N), lexicographic
     del eta_dir
     if not len(cand):
@@ -205,6 +230,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     top = first[counts == counts.max()].min()
     pattern = labels[top]
     hit = key == key[top]
+    del labels, key
     frac = int(hit.sum()) / len(cand)
     mask = np.zeros(g.shape, dtype=bool)
     mask[valid] = hit
@@ -215,6 +241,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     k = len(groups)
     mult = tuple(len(grp) for grp in groups)
     nodes = np.flatnonzero(mask)                       # lexicographic order
+    Q = Q.reshape(-1, D, D)[nodes]
     eta = np.zeros((k,) + g.shape + (N,))
     eta_f = eta.reshape(k, -1, N)
     cand = cand[hit]
@@ -232,61 +259,71 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
         pred = np.where(coords[d] > 0, slot[nodes - stride], -1)
         parent = np.where(parent < 0, pred, parent)
     parent[parent < 0] = 0
+    del coords, slot, pred
 
     # track classes against the reference so smooth eta fields survive
     # arbitrarily long patches (frames may rotate fully); gap[i, a, b] is the
-    # distance from group a at node i to group b at its reference, so a
-    # node's costs need only its reference's class order
+    # distance from group a at node i to group b at its reference
     vals = eta_f[:, nodes]                             # (k, n, N), group order
     gap = np.empty((len(nodes), k, k))
     for a in range(k):
         for b in range(k):
             diff = vals[a] - vals[b, parent]
             gap[:, a, b] = np.sqrt((diff[:, None] @ diff[..., None])[:, 0, 0])
-    perms = np.array(list(itertools.permutations(range(k))))
-    choice = np.zeros(len(nodes), dtype=int)           # index into perms
-    level = np.zeros(len(nodes), dtype=bool)
-    level[0] = True
-    while True:
-        level = level[parent]
-        level[0] = False
-        sel = np.flatnonzero(level)
-        if not len(sel):
-            break
-        ref = perms[choice[parent[sel]]]               # (m, k)
-        cost = sum(gap[sel, perms[:, j, None], ref[:, j]] for j in range(k))  # (k!, m)
-        choice[sel] = np.where(np.isnan(cost), np.inf, cost).argmin(axis=0)
-    order = perms[choice]                              # class j takes group order[:, j]
+    order = _track(gap, parent)                        # class j takes group order[:, j]
     eta_f[:, nodes] = vals[order.T, np.arange(len(nodes))]
     del vals, gap
 
+    # one projector chain per group over the tracked nodes, scattered to the
+    # class that takes the group at each node
     proj = np.zeros((k,) + g.shape + (D, D))
     proj_f = proj.reshape(k, -1, D, D)
-    Q_f = Q.reshape(-1, D, D)
-    g_isqrt = jet.g_isqrt.reshape(-1, D, D)
-    g_sqrt = jet.g_sqrt.reshape(-1, D, D)
-    for j in range(k):
-        for a, grp in enumerate(groups):
-            at = nodes[order[:, j] == a]
-            hat = Q_f[at][:, :, grp]                   # (m, D, mult)
-            proj_f[j, at] = g_isqrt[at] @ (hat @ hat.swapaxes(-1, -2)) @ g_sqrt[at]
+    g_isqrt = jet.g_isqrt.reshape(-1, D, D)[nodes]
+    g_sqrt = jet.g_sqrt.reshape(-1, D, D)[nodes]
+    cls = np.argsort(order, axis=1)                    # group a is class cls[:, a]
+    for a, grp in enumerate(groups):
+        hat = Q[:, :, grp]                             # (n, D, mult)
+        proj_f[cls[:, a], nodes] = g_isqrt @ (hat @ hat.swapaxes(-1, -2)) @ g_sqrt
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
+
+
+def _track(gap: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Class order (n, k) of every node from the group distances gap[i, a, b]
+    between group a at node i and group b at its reference parent[i] (node 0,
+    the root, keeps the identity).  A node takes the order that minimizes
+    sum_j gap[i, order_j, ref_order_j], NaN counting as inf, the first such
+    permutation in itertools order on a tie."""
+    n, k = gap.shape[:2]
+    perms = np.array(list(itertools.permutations(range(k))))
+    # step[i, r]: the order node i takes when its reference takes perms[r]
+    step = np.empty((n, len(perms)), dtype=np.intp)
+    for r, ref in enumerate(perms):
+        cost = gap[:, perms[:, 0], ref[0]]             # (n, k!), summed over j in order
+        for j in range(1, k):
+            cost += gap[:, perms[:, j], ref[j]]
+        cost[np.isnan(cost)] = np.inf
+        step[:, r] = cost.argmin(axis=1)
+    step[0] = 0
+    # compose the steps up the reference chains by pointer doubling: after
+    # round t, step maps the order 2^t references up to the node's own
+    up = parent
+    rows = len(perms) * np.arange(n)[:, None]
+    while (up != 0).any():
+        at = step[up]
+        at += rows
+        step = step.reshape(-1)[at]
+        up = up[up]
+    return perms[step[:, 0]]
 
 
 def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
     """Invalidate every node whose +-width window along axis touches an invalid node."""
     out = mask.copy()
-    for off in range(-width, width + 1):
-        if off == 0:
-            continue
-        shifted = np.ones_like(mask)
-        n = mask.shape[axis]
-        sl_src = [slice(None)] * mask.ndim
-        sl_dst = [slice(None)] * mask.ndim
-        sl_src[axis] = slice(max(off, 0), n + min(off, 0))
-        sl_dst[axis] = slice(max(-off, 0), n + min(-off, 0))
-        shifted[tuple(sl_dst)] = mask[tuple(sl_src)]
-        out &= shifted
+    m, o = np.moveaxis(mask, axis, 0), np.moveaxis(out, axis, 0)
+    n = len(m)
+    for off in range(1, min(width, n) + 1):
+        o[:n - off] &= m[off:]
+        o[off:] &= m[:n - off]
     return out
 
 
@@ -315,23 +352,63 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     return valid
 
 
-def _along_class(jet: NumericJet, Pj: np.ndarray, V: np.ndarray, valid: np.ndarray,
-                 normal: bool = False) -> float:
-    """Max over valid nodes and over the columns X of P_j g^{-1/2} (the
-    chart components of a g-orthonormal eigenbundle frame) of |D_X V| / |X|_g
-    for an ambient field V, with D_X V projected onto the normal space when
-    `normal` is set."""
-    g = jet.grid
-    dV = np.stack([fd_axis(V, g.spacings[i], i, 1)[valid] for i in range(g.ndim)], axis=1)
-    dirs = Pj[valid] @ jet.g_isqrt[valid]          # (n, D, D), columns X
-    nX = np.sqrt(np.abs(((jet.metric[valid] @ dirs) * dirs).sum(-2)))    # (n, D)
-    DXV = dirs.swapaxes(-1, -2) @ dV               # (n, D, N), one row per X
-    if normal:
-        DXV = DXV @ jet.normal_proj[valid].swapaxes(-1, -2)
-    mag = np.linalg.norm(DXV, axis=-1)
+def _box(valid: np.ndarray) -> tuple:
+    """Index box (slices) of the valid nodes widened by the deep stencils'
+    reach of two nodes per side; valid nodes lie two or more nodes inside."""
+    box = []
+    for d in range(valid.ndim):
+        hit = np.flatnonzero(valid.any(axis=tuple(a for a in range(valid.ndim) if a != d)))
+        box.append(slice(hit[0] - 2, hit[-1] + 3))
+    return tuple(box)
+
+
+def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
+    """First derivatives at the valid nodes of class-stacked fields given on
+    the box: each field (c, *box, *t) comes back as (c, n, D, *t), along axis
+    d bit for bit fd_axis(field_j, h_d, d, 1)[valid].  One deep-stencil pass
+    per axis differentiates all fields at once."""
+    D = g.ndim
+    shape = tuple(sl.stop - sl.start for sl in box)
+    sizes = [int(np.prod(f.shape[:1] + f.shape[D + 1:], dtype=int)) for f in fields]
+    ends = np.cumsum(sizes)
+    stack = np.empty(shape + (int(ends[-1]),))
+    for f, end, size in zip(fields, ends, sizes):
+        stack[..., end - size:end] = np.moveaxis(f, 0, D).reshape(shape + (size,))
+    inner = (slice(2, -2),) * D
+    at = valid[box][inner]
+    n = int(at.sum())
+    out = [np.empty(f.shape[:1] + (n, D) + f.shape[D + 1:]) for f in fields]
+    for d in range(D):
+        dv = _fd_deep(stack[inner[:d] + (slice(None),) + inner[d + 1:]], g.spacings[d], d, 1)[at]
+        for f, o, end, size in zip(fields, out, ends, sizes):
+            o[:, :, d] = np.moveaxis(dv[:, end - size:end].reshape((n,) + f.shape[:1] + f.shape[D + 1:]), 1, 0)
+    return out
+
+
+def _on(stack: np.ndarray, box: tuple) -> np.ndarray:
+    """A class-stacked field (c, *grid, ...) on the box."""
+    return stack[(slice(None),) + box]
+
+
+def _eigenframes(jet: NumericJet, P: np.ndarray, valid: np.ndarray):
+    """The columns X of P_j g^{-1/2} (the chart components of g-orthonormal
+    eigenbundle frames) for projectors P (c, n, D, D) at the valid nodes, and
+    their metric norms |X|_g (c, n, D)."""
+    dirs = P @ jet.g_isqrt[valid]                  # (c, n, D, D), columns X
+    return dirs, np.sqrt(np.abs(((jet.metric[valid] @ dirs) * dirs).sum(-2)))
+
+
+def _along(dirs: np.ndarray, nX: np.ndarray, dV: np.ndarray, proj: np.ndarray | None = None) -> np.ndarray:
+    """Per class, the max over valid nodes and frame columns X of
+    |D_X V| / |X|_g for ambient fields V with chart derivatives dV
+    (c, n, D, N), D_X V multiplied by proj (n, N, N) when given."""
+    DXV = dirs.swapaxes(-1, -2) @ dV               # (c, n, D, N), one row per X
+    if proj is not None:
+        DXV = DXV @ proj
+    mag = np.sqrt((DXV * DXV).sum(-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
-    return float(mag.max())
+    return mag.max(axis=(1, 2))
 
 
 def dupin_residual(s: ImmersionSample, pd: PrincipalData,
@@ -339,12 +416,11 @@ def dupin_residual(s: ImmersionSample, pd: PrincipalData,
     """Per-class max |normal-projected derivative of eta_j along its own
     eigenbundle| over valid interior nodes."""
     jet = numeric_jet(s) if jet is None else jet
-    return _dupin(jet, pd, _stencil_valid(jet.grid, jet.interior, pd.mask))
-
-
-def _dupin(jet: NumericJet, pd: PrincipalData, valid: np.ndarray) -> np.ndarray:
-    return np.array([_along_class(jet, pd.projectors[j], pd.eta[j], valid, normal=True)
-                     for j in range(pd.k)])
+    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
+    box = _box(valid)
+    d_eta, = _slopes(jet.grid, valid, box, [_on(pd.eta, box)])
+    return _along(*_eigenframes(jet, pd.projectors[:, valid], valid), d_eta,
+                  jet.normal_proj[valid].swapaxes(-1, -2))
 
 
 def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
@@ -359,40 +435,49 @@ def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
     independent) is reported alongside.
     """
     jet = numeric_jet(s) if jet is None else jet
-    return _conullity(jet, pd, j, _stencil_valid(jet.grid, jet.interior, pd.mask))
+    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
+    box = _box(valid)
+    d_Q, = _slopes(jet.grid, valid, box, [np.eye(jet.grid.ndim) - _on(pd.projectors[j:j + 1], box)])
+    return _conullity(jet, pd, [j], valid, d_Q)[0]
 
 
-def _conullity(jet: NumericJet, pd: PrincipalData, j: int, valid: np.ndarray) -> dict:
-    g = jet.grid
-    D = g.ndim
-    Pj = pd.projectors[j]
-    Qj = np.eye(D) - Pj                                    # conullity projector
-    # spanning fields Y_a = Qj e_a (the columns of Qj); dQ[n, i, a, m] = d_m Y_a^i
-    dQ = np.stack([fd_axis(Qj, g.spacings[m], m, 1)[valid] for m in range(D)], axis=-1)
-    DY = dQ @ Qj[valid][:, None]                           # (n, i, b, a): (D_{Y_a} Y_b)^i
-    a, b = np.triu_indices(D, 1)
-    br = (DY[:, :, b, a] - DY[:, :, a, b]).swapaxes(-1, -2)   # (n, pairs, D): [Y_a, Y_b]
+def _conullity(jet: NumericJet, pd: PrincipalData, classes: list, valid: np.ndarray,
+               d_Q: np.ndarray) -> tuple:
+    """Bracket tests of the given classes from the chart derivatives
+    d_Q[c, n, m, i, a] = d_m Q^i_a of their conullity projectors
+    Q = 1 - P at the valid nodes."""
+    D = jet.grid.ndim
     G = jet.metric[valid]
-    bad = br @ Pj[valid].swapaxes(-1, -2)                  # eigenbundle component
-    worst = np.sqrt(np.abs(((bad @ G) * bad).sum(-1))).max(initial=0.0)
-    scale = np.sqrt(np.abs(((br @ G) * br).sum(-1))).max(initial=0.0)
-    # sufficient condition: differences to other classes pairwise independent
     eta = pd.eta[:, valid]
-    others = [i for i in range(pd.k) if i != j]
-    suff = np.inf
-    for x, i in enumerate(others):
-        for l in others[x + 1:]:
-            di = eta[i] - eta[j]
-            dl = eta[l] - eta[j]
-            cross2 = (di**2).sum(-1) * (dl**2).sum(-1) - ((di * dl).sum(-1)) ** 2
-            suff = min(suff, float(np.sqrt(np.maximum(cross2, 0.0)).min()))
-    return {
-        "class": j,
-        "bracket_residual": float(worst),
-        "bracket_scale": float(scale),
-        "integrable": bool(worst < _BRACKET_TOL * max(1.0, scale)),
-        "sufficient_independence": None if suff is np.inf else float(suff),
-    }
+    a, b = np.triu_indices(D, 1)
+    reports = []
+    for x, j in enumerate(classes):
+        Pj = pd.projectors[j][valid]
+        Qj = np.eye(D) - Pj                                # conullity projector
+        # spanning fields Y_a = Qj e_a (the columns of Qj); dQ[n, i, a, m] = d_m Y_a^i
+        dQ = np.ascontiguousarray(np.moveaxis(d_Q[x], 1, -1))
+        DY = dQ @ Qj[:, None]                              # (n, i, b, a): (D_{Y_a} Y_b)^i
+        br = (DY[:, :, b, a] - DY[:, :, a, b]).swapaxes(-1, -2)   # (n, pairs, D): [Y_a, Y_b]
+        bad = br @ Pj.swapaxes(-1, -2)                     # eigenbundle component
+        worst = np.sqrt(np.abs(((bad @ G) * bad).sum(-1))).max(initial=0.0)
+        scale = np.sqrt(np.abs(((br @ G) * br).sum(-1))).max(initial=0.0)
+        # sufficient condition: differences to other classes pairwise independent
+        others = [i for i in range(pd.k) if i != j]
+        suff = np.inf
+        for y, i in enumerate(others):
+            for l in others[y + 1:]:
+                di = eta[i] - eta[j]
+                dl = eta[l] - eta[j]
+                cross2 = (di**2).sum(-1) * (dl**2).sum(-1) - ((di * dl).sum(-1)) ** 2
+                suff = min(suff, float(np.sqrt(np.maximum(cross2, 0.0)).min()))
+        reports.append({
+            "class": j,
+            "bracket_residual": float(worst),
+            "bracket_scale": float(scale),
+            "integrable": bool(worst < _BRACKET_TOL * max(1.0, scale)),
+            "sufficient_independence": None if suff is np.inf else float(suff),
+        })
+    return tuple(reports)
 
 
 def focal_constancy(s: ImmersionSample, pd: PrincipalData,
@@ -402,19 +487,24 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
     (its value is the leaf-sphere center).  Classes whose normal vanishes
     somewhere (below _ETA_FLOOR) report nan (their leaves are flats there)."""
     jet = numeric_jet(s) if jet is None else jet
-    return _focal(s, jet, pd, _stencil_valid(jet.grid, jet.interior, pd.mask))
-
-
-def _focal(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, valid: np.ndarray) -> np.ndarray:
+    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
+    box = _box(valid)
+    live, F = _focal_maps(s, pd, valid, box, range(pd.k))
+    d_F, = _slopes(jet.grid, valid, box, [F])
     out = np.full(pd.k, np.nan)
-    for j in range(pd.k):
-        nrm2 = (pd.eta[j] ** 2).sum(-1)
-        if nrm2[valid].min() < _ETA_FLOOR**2:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = s.positions + pd.eta[j] / nrm2[..., None]
-        out[j] = _along_class(jet, pd.projectors[j], F, valid)
+    out[live] = _along(*_eigenframes(jet, pd.projectors[:, valid][live], valid), d_F)
     return out
+
+
+def _focal_maps(s: ImmersionSample, pd: PrincipalData, valid: np.ndarray, box: tuple,
+                classes: range):
+    """Those of the classes whose normal stays above _ETA_FLOOR at the valid
+    nodes, and their focal maps on the box (c, *box, N)."""
+    live = [j for j in classes if (pd.eta[j][valid] ** 2).sum(-1).min() >= _ETA_FLOOR**2]
+    eta = _on(pd.eta, box)[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = s.positions[box] + eta / (eta**2).sum(-1)[..., None]
+    return live, F
 
 
 def sphere_leaf_check(result: NRibaucourResult) -> dict:
@@ -456,6 +546,8 @@ class DiagnosticsReport:
     holonomic: bool
     masked_fraction: float
     spherical_leaf: tuple = ()        # per-class focal-map constancy (nan = flat leaves)
+    # singular values of the worst node of each rank decision, min(m, N) per
+    # family of m vectors in R^N; the tangential ones (beyond the codimension) are 0
     spectra: dict = dc_field(default_factory=dict)
     checks: dict = dc_field(default_factory=dict)
 
@@ -497,15 +589,18 @@ class DiagnosticsReport:
         }
 
 
-def _span_rank(vectors: np.ndarray, valid: np.ndarray, gap: float):
-    """Numerical rank of a family of ambient vectors over valid nodes.
+def _span_rank(V: np.ndarray, basis: np.ndarray, gap: float):
+    """Numerical rank of a family of normal vectors V (n, m, N) at n nodes.
 
-    vectors: (m, *grid, N).  Returns (max node rank, spectrum of the worst
-    node attaining it).  Rank uses singular values > gap * sigma_max.
+    Singular values come from the vectors' coordinates in the normal basis
+    (n, N, p) by `_singular_values`; the min(m, N) - min(m, p) tangential
+    ones are 0.  Returns (max node rank, spectrum of the worst node attaining
+    it, whether the rank is constant).  Rank uses singular values
+    > gap * sigma_max.
     """
-    m = vectors.shape[0]
-    V = np.moveaxis(vectors, 0, -2)[valid]     # (nodes, m, N)
-    sv = np.linalg.svd(V, compute_uv=False)    # (nodes, min(m,N))
+    m, N = V.shape[1:]
+    sv = np.zeros((len(V), min(m, N)))
+    sv[:, :min(m, basis.shape[-1])] = _singular_values(V @ basis)
     smax = np.maximum(sv[:, :1], 1e-300)
     ranks = (sv > gap * smax).sum(axis=1)
     worst = int(ranks.max()) if ranks.size else 0
@@ -514,13 +609,18 @@ def _span_rank(vectors: np.ndarray, valid: np.ndarray, gap: float):
     return worst, sv[at], constant
 
 
-def _sf_span(pd: PrincipalData, valid: np.ndarray, gap: float):
+def _normal_basis(jet: NumericJet, valid: np.ndarray) -> np.ndarray:
+    """The jet's normal basis at the valid nodes as columns (n, N, p)."""
+    return np.moveaxis(jet.normal_basis[:, valid], 0, -1)
+
+
+def _sf_span(pd: PrincipalData, basis: np.ndarray, valid: np.ndarray, gap: float):
     """dim S_f, S_f = span{eta_i - eta_j}, as `_span_rank` reports it; the
     differences to class 0 span the same space."""
     if pd.k == 1:
         return 0, np.zeros(0), True
-    diffs = np.stack([pd.eta[i] - pd.eta[0] for i in range(1, pd.k)])
-    return _span_rank(diffs, valid, gap=gap)
+    eta = pd.eta[:, valid]                             # (k, n, N)
+    return _span_rank(np.moveaxis(eta[1:] - eta[0], 0, 1), basis, gap)
 
 
 def conformal_codim(s: ImmersionSample) -> int:
@@ -529,7 +629,7 @@ def conformal_codim(s: ImmersionSample) -> int:
     jet = numeric_jet(s)
     pd = extract_principal_normals(s, jet=jet)
     valid = jet.interior if pd.mask is None else (jet.interior & pd.mask)
-    return _sf_span(pd, valid, _RANK_GAP)[0]
+    return _sf_span(pd, _normal_basis(jet, valid), valid, _RANK_GAP)[0]
 
 
 def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
@@ -548,18 +648,34 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
     valid = jet.interior if pd.mask is None else (jet.interior & pd.mask)
     stencil_valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
     k = pd.k
-
-    dupin = _dupin(jet, pd, stencil_valid)
-    dim_sf, sf_spec, sf_const = _sf_span(pd, valid, _RANK_GAP)
-
-    # N_1 = span of all alpha(X, Y)
     D = jet.grid.ndim
-    alpha_list = [jet.alpha[i, j] for i in range(D) for j in range(i, D)]
-    dim_n1, n1_spec, n1_const = _span_rank(np.stack(alpha_list), valid, gap=_RANK_GAP)
 
-    conull = tuple(_conullity(jet, pd, j, stencil_valid) for j in range(k))
+    # one derivative pass per group of classes (all of them unless the box is
+    # large): each class's eta_j, conullity projector and focal map
+    box = _box(stencil_valid)
+    P = pd.projectors[:, stencil_valid]
+    proj = jet.normal_proj[stencil_valid].swapaxes(-1, -2)
+    size = int(np.prod([sl.stop - sl.start for sl in box])) * (2 * s.ambient_dim + D * D)
+    step = max(1, _PASS_VALUES // size)
+    dupin, leaves, conull = np.empty(k), np.full(k, np.nan), ()
+    for lo in range(0, k, step):
+        group = range(lo, min(lo + step, k))
+        live, F = _focal_maps(s, pd, stencil_valid, box, group)
+        d_eta, d_Q, d_F = _slopes(jet.grid, stencil_valid, box, [
+            _on(pd.eta[lo:group.stop], box), np.eye(D) - _on(pd.projectors[lo:group.stop], box), F])
+        dirs, nX = _eigenframes(jet, P[lo:group.stop], stencil_valid)
+        dupin[lo:group.stop] = _along(dirs, nX, d_eta, proj)
+        at = [j - lo for j in live]
+        leaves[live] = _along(dirs[at], nX[at], d_F)
+        conull += _conullity(jet, pd, group, stencil_valid, d_Q)
+    del P, F, d_eta, d_Q, d_F, dirs, nX
     holonomic = all(c["integrable"] for c in conull)
-    leaves = _focal(s, jet, pd, stencil_valid)
+
+    basis = _normal_basis(jet, valid)
+    dim_sf, sf_spec, sf_const = _sf_span(pd, basis, valid, _RANK_GAP)
+    # N_1 = span of all alpha(X, Y)
+    alpha = np.stack([jet.alpha[i, j][valid] for i in range(D) for j in range(i, D)], axis=1)
+    dim_n1, n1_spec, n1_const = _span_rank(alpha, basis, _RANK_GAP)
 
     checks = {
         "c_le_k_minus_1": dim_sf <= k - 1,

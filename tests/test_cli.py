@@ -287,6 +287,19 @@ def test_verify_bad_input_exits_2_with_one_line(tmp_path, torus_patch, capsys, h
     assert not (tmp_path / "r.json").exists()
 
 
+def test_verify_accepts_nan_at_masked_node(tmp_path, torus_patch, capsys):
+    # the loader accepts non-finite positions where the sample masks them
+    s = serialize.sample_from_dict(serialize.sample_to_dict(torus_patch))
+    s.positions[10, 10] = np.nan
+    s.mask = np.ones(s.grid.shape, dtype=bool)
+    s.mask[10, 10] = False
+    sp = tmp_path / "holed.json"
+    serialize.dump_json(serialize.sample_to_dict(s), sp)
+    rc = main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert re.match(r"k=2 dupin_max=\S+ holonomic=True c=1\n$", capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("how", ["bad_base64", "ragged_bytes", "list"])
 def test_verify_bad_payload_exits_2_with_one_line(tmp_path, torus_patch, capsys, how):
     doc = serialize.sample_to_dict(torus_patch)

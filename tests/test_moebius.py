@@ -174,6 +174,20 @@ class TestDetectLTrivial:
         assert rep["substantial"] is True
         assert "note" not in rep
 
+    def test_nan_position_at_masked_node(self, torus_off):
+        # a non-finite position where the sample is masked stays out of the fit
+        # and out of the conformal-codimension estimate
+        import dataclasses
+
+        pos = torus_off.positions.copy()
+        pos[10, 10] = np.nan
+        mask = np.ones(torus_off.grid.shape, dtype=bool)
+        mask[10, 10] = False
+        holed = dataclasses.replace(torus_off, positions=pos, mask=mask)
+        spec, rep = detect_ltrivial(holed, parallel_w(holed, [0.25]))
+        assert spec is not None and rep["substantial"] is True
+        assert np.abs(spec.delta - (-0.25)).max() < 1e-9
+
     def test_torus_in_r4_is_not_substantial(self):
         # the same torus in R^4: c = 1 < N - D = 2, so the decomposition is not unique
         t = torus_seed(R=1.0, r=0.3, shape=(21, 21), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2),

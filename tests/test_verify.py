@@ -3,10 +3,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dupin.errors import DegenerateCloud, NotProper, TooFewNodes
 from dupin.net import ImmersionSample, ParallelNormalSubbundle, PrincipalData
-from dupin.numerics import AffineFlat, TensorGrid, fd_axis, sphere_fit
+from dupin.numerics import AffineFlat, TensorGrid, _sym_eigh, fd_axis, sphere_fit
 from dupin.seeds import (
     circle_seed,
     cylinder_seed,
@@ -18,7 +19,12 @@ from dupin.seeds import (
 from dupin.verify import (
     _RNG_SEED,
     NumericJet,
+    _box,
+    _slopes,
+    _span_rank,
     _stencil_valid,
+    _track,
+    conformal_codim,
     conullity_integrability,
     dupin_residual,
     dupin_tensor_space,
@@ -106,7 +112,7 @@ def _reference_extract_principal_normals(s, jet):
 
     c = np.random.default_rng(_RNG_SEED).normal(size=jet.codim)
     M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
-    _, Q = np.linalg.eigh(M)
+    _, Q = _sym_eigh(M)
     diag = ((jet.shape_sym @ Q) * Q).sum(-2)
     eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)
     dist = np.linalg.norm(eta_dir[..., :, None, :] - eta_dir[..., None, :, :], axis=-1)
@@ -606,3 +612,139 @@ def test_stencil_valid_masks_stencil_neighbourhood():
     assert not valid[near].any()
     assert np.array_equal(valid[~near], g.interior_mask(4)[~near])
     assert np.array_equal(_stencil_valid(g, interior, None), g.interior_mask(4))
+
+
+def _with_nan_at(s, where, value=np.nan):
+    """s with a non-finite position at one node, masked there."""
+    pos = s.positions.copy()
+    pos[where] = value
+    mask = np.ones(s.grid.shape, dtype=bool)
+    mask[where] = False
+    return dataclasses.replace(s, positions=pos, mask=mask)
+
+
+class TestJacobiKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 10**6))
+    def test_sym_eigh_matches_lapack(self, D, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, D, D)) * rng.uniform(1e-3, 1e3, (60, 1, 1))
+        A = X + X.swapaxes(-1, -2)
+        # exactly repeated eigenvalues in a random frame, diagonal and zero matrices
+        R, _ = np.linalg.qr(rng.normal(size=(20, D, D)))
+        lam = rng.integers(-2, 3, (20, D)).astype(float)
+        lam[:, 1] = lam[:, 0]
+        A[:20] = (R * lam[:, None]) @ R.swapaxes(-1, -2)
+        A[20:30] = np.eye(D) * rng.normal(size=(10, 1, D))
+        A[30:33] = 0.0
+        A[33:35, 0, D - 1] = A[33:35, D - 1, 0] = np.nan
+        w, V = _sym_eigh(A)
+        nan = np.zeros(len(A), dtype=bool)
+        nan[33:35] = True
+        assert np.isnan(w[nan]).all() and np.isnan(V[nan]).all()
+        w, V, A = w[~nan], V[~nan], A[~nan]
+        w0, V0 = np.linalg.eigh(A)
+        size = np.linalg.norm(A, axis=(-2, -1))
+        assert (np.abs(w - w0).max(axis=-1) <= 1e-14 * size).all()
+        assert np.abs(V.swapaxes(-1, -2) @ V - np.eye(D)).max() <= 1e-14
+        assert (np.diff(w, axis=-1) >= 0).all()
+        # projectors onto clusters of eigenvalues separated by a tenth of the norm
+        for i in range(len(A)):
+            split = np.flatnonzero(np.diff(w0[i]) > 0.1 * size[i])
+            for lo, hi in zip(np.r_[0, split + 1], np.r_[split + 1, D]):
+                P, P0 = V[i, :, lo:hi] @ V[i, :, lo:hi].T, V0[i, :, lo:hi] @ V0[i, :, lo:hi].T
+                assert np.abs(P - P0).max() <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 10**6))
+    def test_span_rank_matches_lapack(self, m, p, seed):
+        # m normal vectors of rank r in a p-dim normal space of R^N
+        rng = np.random.default_rng(seed)
+        n, N = 50, p + int(rng.integers(1, 4))
+        frames, _ = np.linalg.qr(rng.normal(size=(n, N, N)))
+        basis = frames[..., :p]                                   # (n, N, p) columns
+        r = int(rng.integers(0, min(m, p) + 1))
+        coef = rng.normal(size=(n, m, r)) @ rng.normal(size=(n, r, p))
+        V = coef @ basis.swapaxes(-1, -2) * rng.uniform(1e-3, 1e3)
+        rank, spec, const = _span_rank(V, basis, 1e-6)
+        sv = np.linalg.svd(V, compute_uv=False)
+        ranks = (sv > 1e-6 * np.maximum(sv[:, :1], 1e-300)).sum(axis=1)
+        assert (rank, const) == (int(ranks.max()), bool(ranks.min() == ranks.max())) == (r, True)
+        at = int(np.argmax(ranks))
+        assert spec.shape == (min(m, N),)
+        assert np.abs(spec - sv[at]).max() <= 1e-13 * max(sv[at, 0], 1e-300)
+        assert (spec[min(m, p):] == 0.0).all()
+
+
+class TestTracking:
+    def test_exact_ties_on_holed_grids_match_reference(self):
+        # candidate normals from {-1, 0, 1}: many class orders cost exactly the same
+        rng = np.random.default_rng(11)
+        for p, D in ((1, 2), (2, 2), (2, 3)):
+            g = TensorGrid((16, 14) + (6,) * (D - 2), (0.1,) * D)
+            diag = rng.integers(-1, 2, (p,) + g.shape + (D,)).astype(float)
+            s, jet = _diagonal_jet(diag, g)
+            mask = np.ones(g.shape, dtype=bool)
+            mask[0, 0] = False
+            mask[6, :] = False
+            mask[11:15, 9:13] = False
+            s = dataclasses.replace(s, mask=mask)
+            pd = extract_principal_normals(s, jet=jet)
+            _assert_same_as_reference(pd, s, jet)
+
+    def test_nan_costs_count_as_inf(self):
+        # per-node loop over the documented rule, on chains with all-NaN,
+        # partly NaN and tied gap rows
+        rng = np.random.default_rng(3)
+        for k in (2, 3, 4):
+            n = 40
+            parent = np.r_[0, rng.integers(0, np.arange(1, n))]
+            gap = rng.integers(0, 3, (n, k, k)).astype(float)
+            gap[rng.random(n) < 0.2] = np.nan
+            gap[rng.random((n, k, k)) < 0.1] = np.nan
+            perms = list(itertools.permutations(range(k)))
+            want = np.zeros((n, k), dtype=int)
+            want[0] = np.arange(k)
+            for i in range(1, n):
+                ref = want[parent[i]]
+                costs = [sum(gap[i, pm[j], ref[j]] for j in range(k)) for pm in perms]
+                want[i] = perms[int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))]
+            assert np.array_equal(_track(gap, parent), want)
+
+
+class TestBoxDerivatives:
+    @pytest.mark.parametrize("shape,holes", [((21, 21), False), ((21, 21), True), ((9, 9), False),
+                                             ((13, 11, 12), True)])
+    def test_bit_identical_to_fd_axis(self, shape, holes):
+        rng = np.random.default_rng(len(shape))
+        g = TensorGrid(shape, tuple(0.01 * (d + 1) for d in range(len(shape))))
+        mask = np.ones(shape, dtype=bool)
+        if holes:
+            mask[(5,) * len(shape)] = False
+            mask[(slice(0, 2),) * len(shape)] = False
+        valid = _stencil_valid(g, g.interior_mask(2), mask)
+        fields = [rng.normal(size=(2,) + shape + (4,)), rng.normal(size=(3,) + shape + (3, 3))]
+        fields[0][0, (6,) * len(shape)] = np.nan
+        box = _box(valid)
+        out = _slopes(g, valid, box, [f[(slice(None),) + box] for f in fields])
+        for f, d_f in zip(fields, out):
+            for c in range(len(f)):
+                for d in range(g.ndim):
+                    want = fd_axis(f[c], g.spacings[d], d, 1)[valid]
+                    assert np.array_equal(d_f[c][:, d].view(np.uint64), want.view(np.uint64))
+
+
+class TestNonFinitePositions:
+    @pytest.mark.parametrize("where,value", [((10, 10), np.nan), ((0, 0), np.nan), ((3, 4), np.inf)])
+    def test_masked_non_finite_node_keeps_clean_answers(self, torus_patch, where, value):
+        s = _with_nan_at(torus_patch, where, value)
+        jet = numeric_jet(s)
+        # the node's stencil neighbour along axis 1 keeps NaN forms and leaves the interior
+        near = (where[0], where[1] + 1)
+        assert np.isnan(jet.normal_basis[(slice(None),) + near]).all() and np.isnan(jet.shape_sym[(0,) + near]).all()
+        assert not jet.interior[where] and not jet.interior[near]
+        clean, rep = sf_report(torus_patch), sf_report(s)
+        assert (rep.k, rep.multiplicities, rep.holonomic) == (clean.k, clean.multiplicities, clean.holonomic)
+        assert (rep.dim_Sf, rep.dim_N1) == (clean.dim_Sf, clean.dim_N1)
+        assert conformal_codim(s) == clean.conformal_codim
+        assert np.isfinite(rep.dupin_residuals).all() and max(rep.dupin_residuals) < 1e-6
