@@ -93,9 +93,7 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
         raise TooFewNodes("need at least 5 nodes per axis for the oracle")
     # non-finite positions (allowed at masked nodes) become NaN, which reaches
     # the forms of their stencil neighbours quietly; those nodes are not interior
-    finite = bool(np.isfinite(pos).all())
-    if not finite:
-        pos = np.where(np.isfinite(pos), pos, np.nan)
+    pos = np.where(np.isfinite(pos), pos, np.nan)
 
     first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
     second = np.empty((D, D) + g.shape + (N,))
@@ -105,20 +103,18 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
             mixed = fd_axis(first[i], g.spacings[j], j, 1)
             second[i, j] = mixed
             second[j, i] = mixed
+    del pos
 
     metric = np.einsum("i...k,j...k->...ij", first, first)
 
-    # orthonormal tangent/normal split per node via SVD of the chart frame,
-    # on the finite frames only (the others keep NaN factors)
+    # orthonormal tangent/normal split per node via SVD of the chart frame;
+    # non-finite frames are zeroed in place (first is not read again) and
+    # their factors set to NaN
     E = np.moveaxis(first, 0, -2)                     # (*grid, D, N)
-    if finite:
-        U, sv, Vt = np.linalg.svd(E, full_matrices=True)
-    else:
-        framed = np.isfinite(E).all(axis=(-2, -1))
-        U = np.full(g.shape + (D, D), np.nan)
-        sv = np.full(g.shape + (D,), np.nan)
-        Vt = np.full(g.shape + (N, N), np.nan)
-        U[framed], sv[framed], Vt[framed] = np.linalg.svd(E[framed], full_matrices=True)
+    framed = np.isfinite(E).all(axis=(-2, -1))
+    E[~framed] = 0.0
+    U, sv, Vt = np.linalg.svd(E, full_matrices=True)
+    U[~framed] = sv[~framed] = Vt[~framed] = np.nan
     tangent_basis = Vt[..., :D, :]                    # (*grid, D, N)
     normal_basis = np.moveaxis(Vt[..., D:, :], -2, 0)  # (p, *grid, N)
     normal_proj = np.eye(N) - tangent_basis.swapaxes(-1, -2) @ tangent_basis
@@ -137,9 +133,8 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)     # (p, *grid, D, D)
     shape_sym = g_isqrt @ H @ g_isqrt
 
-    interior = g.interior_mask(2) & s.valid()
-    if not finite:
-        interior &= np.isfinite(metric).all(axis=(-2, -1)) & np.isfinite(shape_sym).all(axis=(0, -2, -1))
+    interior = (g.interior_mask(2) & s.valid() & np.isfinite(metric).all(axis=(-2, -1))
+                & np.isfinite(shape_sym).all(axis=(0, -2, -1)))
     if not interior.any():
         raise TooFewNodes("no interior nodes left after masking")
     return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
@@ -385,11 +380,6 @@ def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
     return out
 
 
-def _on(stack: np.ndarray, box: tuple) -> np.ndarray:
-    """A class-stacked field (c, *grid, ...) on the box."""
-    return stack[(slice(None),) + box]
-
-
 def _eigenframes(jet: NumericJet, P: np.ndarray, valid: np.ndarray):
     """The columns X of P_j g^{-1/2} (the chart components of g-orthonormal
     eigenbundle frames) for projectors P (c, n, D, D) at the valid nodes, and
@@ -416,11 +406,7 @@ def dupin_residual(s: ImmersionSample, pd: PrincipalData,
     """Per-class max |normal-projected derivative of eta_j along its own
     eigenbundle| over valid interior nodes."""
     jet = numeric_jet(s) if jet is None else jet
-    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
-    box = _box(valid)
-    d_eta, = _slopes(jet.grid, valid, box, [_on(pd.eta, box)])
-    return _along(*_eigenframes(jet, pd.projectors[:, valid], valid), d_eta,
-                  jet.normal_proj[valid].swapaxes(-1, -2))
+    return _derived(s, jet, pd, range(pd.k))[0]
 
 
 def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
@@ -435,13 +421,10 @@ def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
     independent) is reported alongside.
     """
     jet = numeric_jet(s) if jet is None else jet
-    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
-    box = _box(valid)
-    d_Q, = _slopes(jet.grid, valid, box, [np.eye(jet.grid.ndim) - _on(pd.projectors[j:j + 1], box)])
-    return _conullity(jet, pd, [j], valid, d_Q)[0]
+    return _derived(s, jet, pd, range(j, j + 1))[2][0]
 
 
-def _conullity(jet: NumericJet, pd: PrincipalData, classes: list, valid: np.ndarray,
+def _conullity(jet: NumericJet, pd: PrincipalData, classes: range, valid: np.ndarray,
                d_Q: np.ndarray) -> tuple:
     """Bracket tests of the given classes from the chart derivatives
     d_Q[c, n, m, i, a] = d_m Q^i_a of their conullity projectors
@@ -487,24 +470,35 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
     (its value is the leaf-sphere center).  Classes whose normal vanishes
     somewhere (below _ETA_FLOOR) report nan (their leaves are flats there)."""
     jet = numeric_jet(s) if jet is None else jet
+    return _derived(s, jet, pd, range(pd.k))[1]
+
+
+def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: range) -> tuple:
+    """Dupin residuals (c,), focal-map constancy (c,) and bracket tests (c
+    dicts) of the given classes at the stencil-valid nodes.  One derivative
+    pass per group of classes (all of them unless the box is large)
+    differentiates each class's eta_j, conullity projector and focal map; the
+    focal constancy is nan for a class whose normal falls below _ETA_FLOOR."""
+    D = jet.grid.ndim
     valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
     box = _box(valid)
-    live, F = _focal_maps(s, pd, valid, box, range(pd.k))
-    d_F, = _slopes(jet.grid, valid, box, [F])
-    out = np.full(pd.k, np.nan)
-    out[live] = _along(*_eigenframes(jet, pd.projectors[:, valid][live], valid), d_F)
-    return out
-
-
-def _focal_maps(s: ImmersionSample, pd: PrincipalData, valid: np.ndarray, box: tuple,
-                classes: range):
-    """Those of the classes whose normal stays above _ETA_FLOOR at the valid
-    nodes, and their focal maps on the box (c, *box, N)."""
-    live = [j for j in classes if (pd.eta[j][valid] ** 2).sum(-1).min() >= _ETA_FLOOR**2]
-    eta = _on(pd.eta, box)[live]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = s.positions[box] + eta / (eta**2).sum(-1)[..., None]
-    return live, F
+    proj = jet.normal_proj[valid].swapaxes(-1, -2)
+    size = int(np.prod([sl.stop - sl.start for sl in box])) * (2 * s.ambient_dim + D * D)
+    step = max(1, _PASS_VALUES // size)
+    dupin, leaves, conull = np.empty(len(classes)), np.full(len(classes), np.nan), ()
+    for lo in range(0, len(classes), step):
+        group = classes[lo:lo + step]
+        at = slice(group.start, group.stop)
+        eta = pd.eta[(at,) + box]
+        live = [x for x, j in enumerate(group) if (pd.eta[j][valid] ** 2).sum(-1).min() >= _ETA_FLOOR**2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = s.positions[box] + eta[live] / (eta[live] ** 2).sum(-1)[..., None]
+        d_eta, d_Q, d_F = _slopes(jet.grid, valid, box, [eta, np.eye(D) - pd.projectors[(at,) + box], F])
+        dirs, nX = _eigenframes(jet, pd.projectors[at][:, valid], valid)
+        dupin[lo:lo + len(group)] = _along(dirs, nX, d_eta, proj)
+        leaves[[lo + x for x in live]] = _along(dirs[live], nX[live], d_F)
+        conull += _conullity(jet, pd, group, valid, d_Q)
+    return dupin, leaves, conull
 
 
 def sphere_leaf_check(result: NRibaucourResult) -> dict:
@@ -646,29 +640,10 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
     if pd is None:
         pd = _principal_normals(s, jet, ncurv)
     valid = jet.interior if pd.mask is None else (jet.interior & pd.mask)
-    stencil_valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
     k = pd.k
     D = jet.grid.ndim
 
-    # one derivative pass per group of classes (all of them unless the box is
-    # large): each class's eta_j, conullity projector and focal map
-    box = _box(stencil_valid)
-    P = pd.projectors[:, stencil_valid]
-    proj = jet.normal_proj[stencil_valid].swapaxes(-1, -2)
-    size = int(np.prod([sl.stop - sl.start for sl in box])) * (2 * s.ambient_dim + D * D)
-    step = max(1, _PASS_VALUES // size)
-    dupin, leaves, conull = np.empty(k), np.full(k, np.nan), ()
-    for lo in range(0, k, step):
-        group = range(lo, min(lo + step, k))
-        live, F = _focal_maps(s, pd, stencil_valid, box, group)
-        d_eta, d_Q, d_F = _slopes(jet.grid, stencil_valid, box, [
-            _on(pd.eta[lo:group.stop], box), np.eye(D) - _on(pd.projectors[lo:group.stop], box), F])
-        dirs, nX = _eigenframes(jet, P[lo:group.stop], stencil_valid)
-        dupin[lo:group.stop] = _along(dirs, nX, d_eta, proj)
-        at = [j - lo for j in live]
-        leaves[live] = _along(dirs[at], nX[at], d_F)
-        conull += _conullity(jet, pd, group, stencil_valid, d_Q)
-    del P, F, d_eta, d_Q, d_F, dirs, nX
+    dupin, leaves, conull = _derived(s, jet, pd, range(k))
     holonomic = all(c["integrable"] for c in conull)
 
     basis = _normal_basis(jet, valid)
