@@ -34,10 +34,12 @@ __all__ = [
 _SPAN_TOL = 1e-8
 _FLAT_TOL = 1e-9
 # Jacobi kernels: off-diagonal part left relative to the norm, sweep cap (D <= 4
-# converges in about six), matrices per eigensolver block (bounds its working set)
+# converges in about six), families per block (bounds the working set), and the
+# largest entry change, relative to the family's norm, left to a converged sweep
 _EPS = 2.0**-52
 _JACOBI_SWEEPS = 12
 _JACOBI_BLOCK = 2048
+_JACOBI_TOL = 8 * _EPS
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,8 @@ class TensorGrid:
 
     def interior_mask(self, layers: int) -> np.ndarray:
         """Boolean mask selecting nodes at least `layers` away from every boundary."""
-        m = np.ones(self.shape, dtype=bool)
-        if layers <= 0:
-            return m
-        for d in range(self.ndim):
-            idx = np.arange(self.shape[d])
-            keep = (idx >= layers) & (idx < self.shape[d] - layers)
-            sl = [None] * self.ndim
-            sl[d] = slice(None)
-            m &= keep[tuple(sl)]
+        m, lay = np.zeros(self.shape, dtype=bool), max(layers, 0)
+        m[tuple(slice(lay, max(n - lay, lay)) for n in self.shape)] = True
         return m
 
 
@@ -279,62 +274,72 @@ def _sphere_fit_batch(clouds):
     return residual
 
 
-def _jacobi_rotation(app, aqq, apq):
-    """Rotation (t, c, s) of the cyclic Jacobi method that annihilates apq in
-    the symmetric 2 x 2 block [[app, apq], [apq, aqq]]: t = tan, c = cos,
-    s = sin of its angle, the smaller of the two; t = 0 where apq = 0."""
-    theta = (aqq - app) / (2.0 * apq)
-    t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-    t = np.where(apq == 0.0, 0.0, t)
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    return t, c, t * c
+def _jacobi_angle(d, b):
+    """Cosine, sine and squared size of the Jacobi rotation of pair (p, q) for
+    a family (m, n) with a_pp - a_qq = d and a_pq = b: the angle in [-pi/4,
+    pi/4] minimizing sum_r a_pq^2 after it (Cardoso & Souloumiac, SIAM J.
+    Matrix Anal. Appl. 17, 1996); size sin^2 |sum_r (d_r - 2i b_r)^2|."""
+    x, y = (d * d - 4.0 * b * b).sum(0), -4.0 * (d * b).sum(0)
+    s = np.sin(0.25 * np.arctan2(y, x))
+    ss = s * s
+    return np.sqrt(1.0 - ss), s, ss * np.sqrt(x * x + y * y)
 
 
 def _sym_eigh(A: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors (columns) of a stack of
-    symmetric D x D matrices, D <= 4: `np.linalg.eigh` by cyclic Jacobi
-    rotations, each matrix entry one array over a block of _JACOBI_BLOCK
-    matrices.  Sweeps run until every off-diagonal part is below _EPS times
-    its matrix norm; a matrix with a NaN entry gives NaN eigenpairs."""
-    shape, D = A.shape[:-2], A.shape[-1]
-    A = A.reshape(-1, D, D)
-    w, V = np.empty(A.shape[:-1]), np.empty(A.shape)
-    for lo in range(0, len(A), _JACOBI_BLOCK):
-        w[lo:lo + _JACOBI_BLOCK], V[lo:lo + _JACOBI_BLOCK] = _jacobi_block(A[lo:lo + _JACOBI_BLOCK])
-    return w.reshape(shape + (D,)), V.reshape(shape + (D, D))
+    """Eigenvalues (ascending) and eigenvectors (columns) of a stack of symmetric
+    D x D matrices, D <= 4: `np.linalg.eigh` by one-matrix `_joint_eigh`."""
+    w, V = _joint_eigh(A[None], lambda w: w[0])
+    return w[0], V
 
 
-def _jacobi_block(A: np.ndarray):
-    """`_sym_eigh` of one block (n, D, D)."""
-    n, D = A.shape[:2]
-    a = [[A[:, min(i, j), max(i, j)].copy() for j in range(D)] for i in range(D)]
-    one, zero = np.ones(n), np.zeros(n)
-    v = [[one if i == j else zero for j in range(D)] for i in range(D)]
+def _joint_eigh(A: np.ndarray, key):
+    """Simultaneous diagonalization of families of symmetric D x D matrices,
+    D <= 4: A (m, *shape, D, D) gives the diagonals w (m, *shape, D) of
+    Q^T A_r Q and one orthogonal Q (*shape, D, D) per family, its columns
+    ordered by ascending key(w) (*shape, D), stable on ties.
+    Cyclic Jacobi sweeps by `_jacobi_angle` over blocks of _JACOBI_BLOCK
+    families (each matrix entry one array) stop when no rotation changes an
+    entry by more than _JACOBI_TOL times the family's norm.  For commuting
+    families this converges locally quadratically (Bunse-Gerstner, Byers &
+    Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993); an orthogonal mixing of
+    a family leaves its Q the same.  A NaN entry gives NaN diagonals and Q."""
+    m, shape, D = A.shape[0], A.shape[1:-2], A.shape[-1]
+    A = A.reshape(m, -1, D, D)
+    w, V = np.empty(A.shape[:-1]), np.empty(A.shape[1:])
     pairs = list(itertools.combinations(range(D), 2))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for sweep in range(_JACOBI_SWEEPS):
-            off = sum(a[p][q] ** 2 for p, q in pairs)
-            if sweep and not (off > _EPS**2 * (sum(a[i][i] ** 2 for i in range(D)) + 2.0 * off)).any():
-                break
-            for p, q in pairs:
-                apq = a[p][q]
-                t, c, s = _jacobi_rotation(a[p][p], a[q][q], apq)
-                a[p][p] = a[p][p] - t * apq
-                a[q][q] = a[q][q] + t * apq
-                a[p][q] = a[q][p] = zero
-                for r in range(D):
-                    if r != p and r != q:
-                        arp, arq = a[r][p], a[r][q]
-                        a[r][p] = a[p][r] = c * arp - s * arq
-                        a[r][q] = a[q][r] = s * arp + c * arq
-                for r in range(D):
-                    vrp, vrq = v[r][p], v[r][q]
-                    v[r][p] = c * vrp - s * vrq
-                    v[r][q] = s * vrp + c * vrq
-    w = np.array([a[i][i] for i in range(D)]).T                    # (n, D)
-    at = np.argsort(w, axis=1, kind="stable") + D * np.arange(n)[:, None]
-    cols = np.array(v).transpose(2, 1, 0).reshape(-1, D)[at]        # (n, D, D): rows = columns
-    return w.reshape(-1)[at], cols.swapaxes(-1, -2)
+    for lo in range(0, A.shape[1], _JACOBI_BLOCK):
+        B = A[:, lo:lo + _JACOBI_BLOCK]
+        a = [[B[:, :, min(i, j), max(i, j)].copy() for j in range(D)] for i in range(D)]
+        v = [[np.full(B.shape[1], float(i == j)) for j in range(D)] for i in range(D)]
+        tol = _JACOBI_TOL**2 * (B * B).sum(axis=(0, 2, 3))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for sweep in range(_JACOBI_SWEEPS):
+                if sweep and not (sum((a[p][q] ** 2).sum(0) for p, q in pairs) > tol).any():
+                    break
+                done = True
+                for p, q in pairs:
+                    d, apq = a[p][p] - a[q][q], a[p][q]
+                    c, s, moved = _jacobi_angle(d, apq)
+                    if sweep and not (moved > tol).any():
+                        continue
+                    done = False
+                    shift = s * (s * d + (2.0 * c) * apq)
+                    a[p][p], a[q][q] = a[p][p] - shift, a[q][q] + shift
+                    a[p][q] = a[q][p] = (c * s) * d + (c * c - s * s) * apq
+                    for r in range(D):
+                        if r != p and r != q:
+                            arp, arq = a[r][p], a[r][q]
+                            a[r][p] = a[p][r] = c * arp - s * arq
+                            a[r][q] = a[q][r] = s * arp + c * arq
+                        vrp, vrq = v[r][p], v[r][q]
+                        v[r][p], v[r][q] = c * vrp - s * vrq, s * vrp + c * vrq
+                if done:
+                    break
+        w[:, lo:lo + _JACOBI_BLOCK] = np.stack([a[i][i] for i in range(D)], axis=-1)
+        V[lo:lo + _JACOBI_BLOCK] = np.array(v).transpose(2, 0, 1)
+    at = np.argsort(key(w), axis=-1, kind="stable") + D * np.arange(len(V))[:, None]
+    cols = V.swapaxes(-1, -2).reshape(-1, D)[at].swapaxes(-1, -2)
+    return w.reshape(m, -1)[:, at].reshape((m,) + shape + (D,)), cols.reshape(shape + (D, D))
 
 
 def _singular_values(C: np.ndarray) -> np.ndarray:
@@ -353,7 +358,7 @@ def _singular_values(C: np.ndarray) -> np.ndarray:
                 if not (np.abs(xy) > _EPS * np.sqrt(xx * yy)).any():
                     continue
                 done = False
-                t, c, s = _jacobi_rotation(xx, yy, xy)
+                c, s, _ = _jacobi_angle((xx - yy)[None], xy[None])
                 cols[p] = c[:, None] * x - s[:, None] * y
                 cols[q] = s[:, None] * x + c[:, None] * y
             if done:

@@ -13,14 +13,14 @@ spectrum so borderline calls can be audited.
 
 The per-node algebra is batched: stacked small-matrix products over all nodes
 (or over the valid nodes only, in the derived checks) and one batched sphere
-fit over all leaves.  The chart frame's singular value decomposition is the
-one LAPACK call left per node; the other small-matrix kernels run elementwise
-over the node axis: a cyclic-Jacobi eigensolver for the shape-operator
-combination (`numerics._sym_eigh`), one-sided Jacobi singular values of the
-normal-frame coordinates in the rank decisions (`numerics._singular_values`),
-class tracking by pointer doubling along the reference chains (`_track`), and
-one deep-stencil derivative pass over the stencil-valid box for every class's
-fields (`_slopes`).
+fit over all leaves.  No LAPACK call per node is left; elementwise kernels
+over the node axis give the metric's eigenpairs and one simultaneous Jacobi
+diagonalization of the shape operators (`numerics._joint_eigh`), a pivoted
+Gram-Schmidt normal basis (`_normal_frame`), one-sided Jacobi singular values
+in the rank decisions (`numerics._singular_values`), class tracking by pointer
+doubling (`_track`) and one deep-stencil derivative pass over the
+stencil-valid box for every class's fields (`_slopes`).  No output depends on
+the normal basis, so none depends on where the sample sits in space.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import (TensorGrid, fd_axis, sphere_fit, _fd_deep, _singular_values, _sphere_fit_batch,
+from .numerics import (TensorGrid, fd_axis, sphere_fit, _fd_deep, _joint_eigh, _singular_values, _sphere_fit_batch,
                        _sym_eigh, AffineFlat)
 from .ribaucour import NRibaucourResult
 
@@ -50,10 +50,10 @@ __all__ = [
     "DiagnosticsReport",
 ]
 
-_RNG_SEED = 20260810
+_RNG_SEED = 20260810       # dupin_tensor_space's random probes use _RNG_SEED + 1
 _RANK_GAP = 1e-6           # relative singular-value gap of rank decisions
 _BRACKET_TOL = 1e-4        # relative bracket residual of an integrable conullity
-_FLAT_GATE = 1e-4          # largest shape-operator commutator of a flat normal bundle
+_FLAT_GATE = 1e-4          # largest shape-operator commutator norm of a flat normal bundle
 _ETA_TOL = 1e-5            # candidate-normal tolerance, relative to the shape scale
 _STENCIL_WIDTH = 3         # masked-node margin along each axis of the derived checks
 _ETA_FLOOR = 1e-8          # |eta_j| below this counts as a vanishing normal
@@ -66,14 +66,14 @@ _PASS_VALUES = 2**17       # derived checks: box values differentiated in one pa
 class NumericJet:
     """Finite-difference fundamental forms of a position grid, with the
     metric's square root g_sqrt and inverse square root g_isqrt, both from
-    the singular value decomposition of the chart frame."""
+    the metric's eigenpairs."""
 
     grid: TensorGrid
     metric: np.ndarray         # (*grid, D, D)
     normal_proj: np.ndarray    # (*grid, N, N) projector onto the normal space
     alpha: np.ndarray          # (D, D, *grid, N) normal-projected second derivatives
     shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators
-    normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis (not smooth)
+    normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis, `_normal_frame` (not smooth)
     g_isqrt: np.ndarray        # (*grid, D, D) metric inverse square root
     g_sqrt: np.ndarray         # (*grid, D, D) metric square root
     interior: np.ndarray       # bool (*grid): valid nodes two layers in with finite forms
@@ -85,10 +85,8 @@ class NumericJet:
 
 def numeric_jet(s: ImmersionSample) -> NumericJet:
     """Fundamental forms from raw positions, independent of cached data."""
-    g = s.grid
-    D = g.ndim
-    pos = s.positions
-    N = pos.shape[-1]
+    g, pos = s.grid, s.positions
+    D, N = g.ndim, pos.shape[-1]
     if min(g.shape) < 5:
         raise TooFewNodes("need at least 5 nodes per axis for the oracle")
     # non-finite positions (allowed at masked nodes) become NaN, which reaches
@@ -100,35 +98,23 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     for i in range(D):
         second[i, i] = fd_axis(pos, g.spacings[i], i, 2)
         for j in range(i + 1, D):
-            mixed = fd_axis(first[i], g.spacings[j], j, 1)
-            second[i, j] = mixed
-            second[j, i] = mixed
+            second[i, j] = second[j, i] = fd_axis(first[i], g.spacings[j], j, 1)
     del pos
 
     metric = np.einsum("i...k,j...k->...ij", first, first)
 
-    # orthonormal tangent/normal split per node via SVD of the chart frame;
-    # non-finite frames are zeroed in place (first is not read again) and
-    # their factors set to NaN
-    E = np.moveaxis(first, 0, -2)                     # (*grid, D, N)
-    framed = np.isfinite(E).all(axis=(-2, -1))
-    E[~framed] = 0.0
-    U, sv, Vt = np.linalg.svd(E, full_matrices=True)
-    U[~framed] = sv[~framed] = Vt[~framed] = np.nan
-    tangent_basis = Vt[..., :D, :]                    # (*grid, D, N)
-    normal_basis = np.moveaxis(Vt[..., D:, :], -2, 0)  # (p, *grid, N)
-    normal_proj = np.eye(N) - tangent_basis.swapaxes(-1, -2) @ tangent_basis
+    # metric square roots from its eigenpairs (NaN where the forms are not
+    # finite); the rows of T = g^{-1/2} E are an orthonormal tangent frame
+    w, V = _sym_eigh(metric)
+    root = np.sqrt(np.maximum(w, 1e-300))[..., None, :]
+    g_isqrt, g_sqrt = (V / root) @ V.swapaxes(-1, -2), (V * root) @ V.swapaxes(-1, -2)
+    T = g_isqrt @ np.moveaxis(first, 0, -2)           # (*grid, D, N)
+    normal_proj = np.eye(N) - T.swapaxes(-1, -2) @ T
+    normal_basis = _normal_frame(normal_proj, N - D)
 
     # alpha_ij = normal_proj second_ij, one (D*D, N) @ (N, N) product per node
     alpha = np.moveaxis(np.moveaxis(second.reshape(D * D, -1, N), 0, 1)
                         @ normal_proj.reshape(-1, N, N), 1, 0).reshape(second.shape)
-
-    # metric square root and inverse square root for symmetrized shape
-    # operators: the frame's SVD E = U S V^T diagonalizes g = E E^T = U S^2 U^T
-    root = np.maximum(sv, 1e-150)[..., None, :]
-    Ut = U.swapaxes(-1, -2)
-    g_isqrt = (U / root) @ Ut
-    g_sqrt = (U * root) @ Ut
 
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)     # (p, *grid, D, D)
     shape_sym = g_isqrt @ H @ g_isqrt
@@ -142,27 +128,46 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
                       g_isqrt=g_isqrt, g_sqrt=g_sqrt, interior=interior)
 
 
+def _normal_frame(proj: np.ndarray, p: int) -> np.ndarray:
+    """An orthonormal basis (p, *grid, N) of the range of rank-p projectors
+    (*grid, N, N) by pivoted Gram-Schmidt on their rows: each step normalizes
+    the first row whose squared norm is at least half the largest and
+    projects it out of every row.  Any orthonormal normal basis gives the
+    oracle the same outputs; this one is cheap."""
+    N = proj.shape[-1]
+    W, rows = proj.reshape(-1, N, N), N * np.arange(proj[..., 0, 0].size)
+    basis = np.empty((p,) + W.shape[:-1])
+    for r, nu in enumerate(basis):
+        sq = np.einsum("nkl,nkl->nk", W, W)
+        at = rows + (sq >= 0.5 * sq.max(axis=-1, keepdims=True)).argmax(axis=-1)
+        nu[:] = W.reshape(-1, N)[at] / np.sqrt(sq.reshape(-1)[at])[:, None]
+        W = W - (W @ nu[:, :, None]) * nu[:, None, :] if r + 1 < p else W
+    return basis.reshape((p,) + proj.shape[:-1])
+
+
 def normal_curvature_residual(jet: NumericJet) -> float:
-    """Flat-normal-bundle estimate: max commutator of shape operators
-    (Ricci equation: R-perp = 0 iff all shape operators commute)."""
+    """Flat-normal-bundle estimate (Ricci equation: R-perp = 0 iff all shape
+    operators commute): the largest over interior nodes of
+    sqrt(1/2 sum_{r,q} |[S_r, S_q]|_F^2), the same in any orthonormal normal
+    basis."""
     S = jet.shape_sym[:, jet.interior]                 # (p, n, D, D)
-    p = S.shape[0]
-    worst = 0.0
-    for r in range(p):
-        for q in range(r + 1, p):
-            comm = S[r] @ S[q] - S[q] @ S[r]
-            worst = max(worst, np.abs(comm).max())
-    return float(worst)
+    r, q = np.triu_indices(len(S), 1)
+    X = S[r] @ S[q]                                    # [S_r, S_q] = X - X^T
+    return float(np.sqrt(((X - X.swapaxes(-1, -2)) ** 2).sum(axis=(0, -2, -1))).max())
 
 
 def extract_principal_normals(s: ImmersionSample,
                               jet: NumericJet | None = None) -> PrincipalData:
     """Simultaneous diagonalization of the shape operators into k classes.
 
-    The normal bundle must be flat: NotProper is raised when the largest
-    shape-operator commutator exceeds _FLAT_GATE * max(scale, 1), where
-    scale is the largest shape-operator entry.  At every valid node the D
-    candidate normals are grouped by single linkage at distance
+    The normal bundle must be flat: NotProper is raised when
+    normal_curvature_residual exceeds _FLAT_GATE * max(scale, 1), where
+    scale is the largest norm of an entry of the normal-valued shape
+    operator sum_r S_r nu_r.  A simultaneous Jacobi diagonalization of the
+    shape operators (`numerics._joint_eigh`) gives per node D eigendirections
+    e_a and candidate normals eta_a = sum_r <S_r e_a, e_a> nu_r, ordered by
+    ascending |eta_a| and on ties by the sweeps, which the chart alone sets.
+    At every valid node they are grouped by single linkage at distance
     10 * _ETA_TOL * scale.  The dominant grouping (most nodes; on a tie
     the one met first in lexicographic node order) fixes k and the
     multiplicities.  Borderline nodes (another grouping) and nodes whose
@@ -187,21 +192,16 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     """`extract_principal_normals` given the jet's normal_curvature_residual."""
     g = jet.grid
     D = g.ndim
-    p = jet.codim
     N = s.ambient_dim
-    shape_scale = max(np.abs(jet.shape_sym[:, jet.interior]).max(), 1e-30)
+    shape_scale = max(np.sqrt((jet.shape_sym[:, jet.interior] ** 2).sum(0)).max(), 1e-30)
     if flat_res > _FLAT_GATE * max(shape_scale, 1.0):
         raise NotProper(f"normal bundle not numerically flat (commutator {flat_res:.2e})")
     eta_tol = _ETA_TOL * shape_scale
 
-    rng = np.random.default_rng(_RNG_SEED)
-    c = rng.normal(size=p)
-    M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
-    Q = _sym_eigh(M)[1]                                # Q columns: hat-e_alpha
-    # principal normal of each eigendirection: sum_r <S_r e, e> nu_r
-    diag = ((jet.shape_sym @ Q) * Q).sum(-2)           # (p, *grid, D)
-    eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)   # (*grid, D, N)
-    del M, diag
+    # Q columns: hat-e_a by ascending |eta_a|; lam[r, ..., a] = <S_r e_a, e_a>
+    lam, Q = _joint_eigh(jet.shape_sym, lambda lam: (lam * lam).sum(0))
+    eta_dir = np.einsum("r...a,r...k->...ak", lam, jet.normal_basis)   # (*grid, D, N)
+    del lam
 
     # classify every valid node with finite forms (boundary rows included) so
     # the eta fields support full stencils; reporting happens on the interior
@@ -215,7 +215,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     linked = np.tile(np.eye(D, dtype=np.uint8), (len(cand), 1, 1))
     for a, b in itertools.combinations(range(D), 2):
         linked[:, a, b] = linked[:, b, a] = (
-            np.linalg.norm(cand[:, a] - cand[:, b], axis=-1) < eta_tol * 10)
+            np.sqrt(((cand[:, a] - cand[:, b]) ** 2).sum(-1)) < eta_tol * 10)
     for _ in range(D.bit_length()):
         linked = np.minimum(linked @ linked, 1)
     labels = linked.argmax(axis=-1)
@@ -603,11 +603,6 @@ def _span_rank(V: np.ndarray, basis: np.ndarray, gap: float):
     return worst, sv[at], constant
 
 
-def _normal_basis(jet: NumericJet, valid: np.ndarray) -> np.ndarray:
-    """The jet's normal basis at the valid nodes as columns (n, N, p)."""
-    return np.moveaxis(jet.normal_basis[:, valid], 0, -1)
-
-
 def _sf_span(pd: PrincipalData, basis: np.ndarray, valid: np.ndarray, gap: float):
     """dim S_f, S_f = span{eta_i - eta_j}, as `_span_rank` reports it; the
     differences to class 0 span the same space."""
@@ -623,7 +618,7 @@ def conformal_codim(s: ImmersionSample) -> int:
     jet = numeric_jet(s)
     pd = extract_principal_normals(s, jet=jet)
     valid = jet.interior if pd.mask is None else (jet.interior & pd.mask)
-    return _sf_span(pd, _normal_basis(jet, valid), valid, _RANK_GAP)[0]
+    return _sf_span(pd, np.moveaxis(jet.normal_basis[:, valid], 0, -1), valid, _RANK_GAP)[0]
 
 
 def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
@@ -646,7 +641,7 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
     dupin, leaves, conull = _derived(s, jet, pd, range(k))
     holonomic = all(c["integrable"] for c in conull)
 
-    basis = _normal_basis(jet, valid)
+    basis = np.moveaxis(jet.normal_basis[:, valid], 0, -1)          # (n, N, p) columns
     dim_sf, sf_spec, sf_const = _sf_span(pd, basis, valid, _RANK_GAP)
     # N_1 = span of all alpha(X, Y)
     alpha = np.stack([jet.alpha[i, j][valid] for i in range(D) for j in range(i, D)], axis=1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dupin.errors import DegenerateCloud, NotProper, TooFewNodes
 from dupin.net import ImmersionSample, ParallelNormalSubbundle, PrincipalData
-from dupin.numerics import AffineFlat, TensorGrid, _sym_eigh, fd_axis, sphere_fit
+from dupin.numerics import AffineFlat, TensorGrid, _joint_eigh, _sym_eigh, fd_axis, sphere_fit
 from dupin.seeds import (
     circle_seed,
     cylinder_seed,
@@ -17,7 +17,6 @@ from dupin.seeds import (
     torus_seed,
 )
 from dupin.verify import (
-    _RNG_SEED,
     NumericJet,
     _box,
     _slopes,
@@ -52,7 +51,8 @@ def clifford_product(a=1.0, b=0.6, n=31):
 
 def _reference_numeric_jet(s):
     """`numeric_jet` as whole-grid einsums, the definition of the matmul
-    kernels: the same stencils, SVD and eigendecomposition."""
+    kernels: the same stencils, metric roots, tangent projector and
+    Gram-Schmidt pivot rule."""
     g = s.grid
     D = g.ndim
     pos = s.positions
@@ -64,13 +64,21 @@ def _reference_numeric_jet(s):
         for j in range(i + 1, D):
             second[i, j] = second[j, i] = fd_axis(first[i], g.spacings[j], j, 1)
     metric = np.einsum("i...k,j...k->...ij", first, first)
-    _, _, Vt = np.linalg.svd(np.moveaxis(first, 0, -2), full_matrices=True)
-    tangent_basis = Vt[..., :D, :]
-    normal_basis = np.moveaxis(Vt[..., D:, :], -2, 0)
-    normal_proj = np.eye(N) - np.einsum("...ak,...al->...kl", tangent_basis, tangent_basis)
-    alpha = np.einsum("...kl,ij...l->ij...k", normal_proj, second)
     w, Q = np.linalg.eigh(metric)
     g_isqrt = np.einsum("...ik,...k,...jk->...ij", Q, 1.0 / np.sqrt(np.maximum(w, 1e-300)), Q)
+    tangent_basis = np.einsum("...ij,j...k->...ik", g_isqrt, first)
+    normal_proj = np.eye(N) - np.einsum("...ak,...al->...kl", tangent_basis, tangent_basis)
+    # pivoted Gram-Schmidt on the rows: the first with at least half the largest squared norm
+    W, normal_basis = normal_proj.copy(), []
+    for _ in range(N - D):
+        sq = np.einsum("...kl,...kl->...k", W, W)
+        at = np.argmax(sq >= 0.5 * sq.max(axis=-1, keepdims=True), axis=-1)
+        row = np.take_along_axis(W, at[..., None, None], axis=-2)[..., 0, :]
+        nu = row / np.sqrt(np.take_along_axis(sq, at[..., None], axis=-1))
+        normal_basis.append(nu)
+        W = W - np.einsum("...kl,...l,...m->...km", W, nu, nu)
+    normal_basis = np.stack(normal_basis)
+    alpha = np.einsum("...kl,ij...l->ij...k", normal_proj, second)
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)
     shape_sym = np.einsum("...ia,r...ab,...bj->r...ij", g_isqrt, H, g_isqrt)
     return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
@@ -107,13 +115,14 @@ def _reference_extract_principal_normals(s, jet):
     g = jet.grid
     D = g.ndim
     N = s.ambient_dim
-    shape_scale = max(np.abs(jet.shape_sym[:, jet.interior]).max(), 1e-30)
+    shape_scale = max(np.linalg.norm(jet.shape_sym[:, jet.interior], axis=0).max(), 1e-30)
     eta_tol = max(1e-5 * shape_scale, 1e-9 * shape_scale)
 
-    c = np.random.default_rng(_RNG_SEED).normal(size=jet.codim)
-    M = np.einsum("r,r...ij->...ij", c, jet.shape_sym)
-    _, Q = _sym_eigh(M)
-    diag = ((jet.shape_sym @ Q) * Q).sum(-2)
+    # eigendirections in the order of the Jacobi sweeps, then by ascending |eta|, stable on ties
+    diag, Q = _joint_eigh(jet.shape_sym, lambda w: np.zeros(w.shape[1:]))
+    order = np.argsort((diag**2).sum(0), axis=-1, kind="stable")
+    diag = np.take_along_axis(diag, order[None], axis=-1)
+    Q = np.take_along_axis(Q, order[..., None, :], axis=-1)
     eta_dir = np.einsum("r...a,r...k->...ak", diag, jet.normal_basis)
     dist = np.linalg.norm(eta_dir[..., :, None, :] - eta_dir[..., None, :, :], axis=-1)
 
@@ -674,6 +683,135 @@ class TestJacobiKernels:
         assert spec.shape == (min(m, N),)
         assert np.abs(spec - sv[at]).max() <= 1e-13 * max(sv[at, 0], 1e-300)
         assert (spec[min(m, p):] == 0.0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 10**6))
+    def test_one_matrix_family_is_eigh(self, D, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, D, D)) * rng.uniform(1e-3, 1e3, (60, 1, 1))
+        A = X + X.swapaxes(-1, -2)
+        w, V = _joint_eigh(A[None], lambda w: w[0])
+        assert np.array_equal(w[0], _sym_eigh(A)[0]) and np.array_equal(V, _sym_eigh(A)[1])
+        size = np.linalg.norm(A, axis=(-2, -1))
+        assert (np.abs(w[0] - np.linalg.eigh(A)[0]).max(axis=-1) <= 1e-14 * size).all()
+        assert (np.abs(A @ V - V * w[0][:, None, :]).max(axis=(-2, -1)) <= 1e-14 * size).all()
+
+    @staticmethod
+    def _commuting_family(rng, m, D, n=50):
+        """m commuting matrices R diag(lam_r) R^T per node (m, n, D, D) whose
+        columns fall into D labelled classes of equal eigenvalue vectors, so
+        eigenvalues repeat; with the class vectors (m, n, D) and the class
+        projectors (D, n, D, D), zero for a label no column takes."""
+        R, _ = np.linalg.qr(rng.normal(size=(n, D, D)))
+        labels = rng.integers(0, D, (n, D))
+        # D distinct class vectors per node from the lattice {-2, ..., 2}^m
+        points = np.array([rng.permutation(5**m)[:D] for _ in range(n)])
+        levels = (points // 5 ** np.arange(m)[:, None, None] % 5 - 2.0) * rng.uniform(1e-2, 1e2)
+        lam = np.take_along_axis(levels, labels[None], axis=-1)
+        A = (R * lam[..., None, :]) @ R.swapaxes(-1, -2)
+        hit = labels[:, None, :] == np.arange(D)[None, :, None]                  # (n, C, D)
+        P = np.einsum("nca,nia,nja->cnij", hit, R, R)
+        return A, levels, P
+
+    @staticmethod
+    def _class_projectors(w, Q, centers):
+        """Projectors (C, n, D, D) onto the columns of Q whose diagonals w
+        (m, n, D) equal the class vector centers[:, :, c]."""
+        tol = 1e-8 * np.abs(centers).max()
+        hit = np.abs(w[:, :, None, :] - centers[..., None]).max(axis=0) < tol      # (n, C, D)
+        return np.einsum("nca,nia,nja->cnij", hit, Q, Q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 10**6))
+    def test_commuting_families_give_class_projectors(self, m, D, seed):
+        rng = np.random.default_rng(seed)
+        A, levels, P = self._commuting_family(rng, m, D)
+        w, Q = _joint_eigh(A, lambda w: (w * w).sum(0))
+        assert np.abs(Q.swapaxes(-1, -2) @ Q - np.eye(D)).max() <= 1e-14
+        # each column sits in one class: the class projectors sum to the identity
+        assert np.abs(self._class_projectors(w, Q, levels).sum(0) - np.eye(D)).max() <= 1e-12
+        assert np.abs(self._class_projectors(w, Q, levels) - P).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(2, 4), st.integers(0, 10**6))
+    def test_orthogonal_mixing_keeps_projectors(self, m, D, seed):
+        # S'_r = sum_s O_rs S_s is the same family in another normal basis
+        rng = np.random.default_rng(seed)
+        A, levels, P = self._commuting_family(rng, m, D)
+        O, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        mixed = np.einsum("rs,s...->r...", O, A)
+        w, Q = _joint_eigh(mixed, lambda w: (w * w).sum(0))
+        w0, Q0 = _joint_eigh(A, lambda w: (w * w).sum(0))
+        centers = np.einsum("rs,s...->r...", O, levels)
+        assert np.abs(self._class_projectors(w, Q, centers) - self._class_projectors(w0, Q0, levels)).max() <= 1e-12
+        assert np.abs((w * w).sum(0) - (w0 * w0).sum(0)).max() <= 1e-12 * (levels**2).sum(0).max()
+
+    def test_nan_in_nan_out(self):
+        rng = np.random.default_rng(0)
+        A, _, _ = self._commuting_family(rng, 2, 3)
+        A[1, 4, 0, 2] = A[1, 4, 2, 0] = np.nan
+        A[0, 7] = np.nan
+        w, Q = _joint_eigh(A, lambda w: (w * w).sum(0))
+        bad = np.zeros(len(Q), dtype=bool)
+        bad[[4, 7]] = True
+        assert np.isnan(w[:, bad]).all() and np.isnan(Q[bad]).all()
+        assert np.isfinite(w[:, ~bad]).all() and np.isfinite(Q[~bad]).all()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 10**6))
+    def test_normal_basis_is_orthonormal_and_normal(self, D, p, seed):
+        # a random quadratic immersion with a NaN position at one masked node
+        rng = np.random.default_rng(seed)
+        N = D + p
+        g = TensorGrid((9,) * D, (0.1,) * D)
+        u = np.stack(g.meshgrid(), axis=-1)
+        B = rng.normal(size=(D, D, N)) * 0.3
+        pos = u @ rng.normal(size=(D, N)) + np.einsum("...i,...j,ijk->...k", u, u, B)
+        pos[(1,) * D] = np.nan
+        mask = np.isfinite(pos).all(axis=-1)
+        jet = numeric_jet(ImmersionSample(g, pos, mask=mask))
+        E = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)], axis=-2)   # (*grid, D, N)
+        nu = np.moveaxis(jet.normal_basis, 0, -2)                                      # (*grid, p, N)
+        framed = np.isfinite(E).all(axis=(-2, -1))
+        assert np.isnan(nu[~framed]).all() and np.isfinite(nu[framed]).all() and not framed.all()
+        nu, E = nu[framed], E[framed]
+        assert np.abs(nu @ nu.swapaxes(-1, -2) - np.eye(p)).max() <= 1e-14
+        # the tangent component grows with the frame's condition number, which the metric squares
+        assert (np.abs(E @ nu.swapaxes(-1, -2)).max(axis=(-2, -1))
+                <= 1e-14 * np.linalg.cond(E) * np.linalg.norm(E, axis=(-2, -1))).all()
+
+
+@pytest.fixture(scope="module")
+def metamorphic_cases(recursion_step1, torus_patch):
+    """The step-1 surface and the 21^2 torus with their reports."""
+    return [(s, sf_report(s)) for s in (recursion_step1.sample, torus_patch)]
+
+
+class TestMetamorphic:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_catalog_transforms_keep_oracle_outputs(self, metamorphic_cases, seed):
+        # one transform of each kind per sample: orthogonal maps, translations
+        # and homotheties keep the discrete outputs and the Dupin residual
+        # (times k^2 for a homothety by k) within 2x, or below 1e-9, the
+        # stencils' rounding floor on these unit-scale samples, which moves
+        # with |f|; inversions (after a translation off the sample) keep the
+        # discrete outputs
+        from dupin.moebius import Homothety, Inversion, Translate, apply_ltransform, random_catalog_transform
+
+        rng = np.random.default_rng(seed)
+        for s, base in metamorphic_cases:
+            for kind in "TOHI":
+                T = random_catalog_transform(rng, s.ambient_dim, kinds=(kind,))
+                moved = s
+                if isinstance(T, Inversion):
+                    moved = apply_ltransform(s, Translate(np.eye(s.ambient_dim)[-1] * 2.0))
+                rep = sf_report(apply_ltransform(moved, T))
+                assert ((rep.k, rep.multiplicities, rep.dim_Sf, rep.dim_N1, rep.holonomic)
+                        == (base.k, base.multiplicities, base.dim_Sf, base.dim_N1, base.holonomic))
+                if not isinstance(T, Inversion):
+                    res = max(rep.dupin_residuals) * (T.k**2 if isinstance(T, Homothety) else 1.0)
+                    assert 0.5 <= res / max(base.dupin_residuals) <= 2.0 or max(res, *base.dupin_residuals) < 1e-9
 
 
 class TestTracking:
