@@ -82,18 +82,25 @@ class _AnalyticProvider:
         self.triple = triple
         self.grid = triple.grid
 
-    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray) -> dict:
-        """All fields at the times t (P,) on the lines through idx (L, D),
-        each (comp..., P, L); the sweep-axis entry of idx is ignored."""
+    def line_eval(self, axis: int, idx: np.ndarray):
+        """Evaluator of all fields at the times t (P,) on the lines through
+        idx (L, D), each (comp..., P, L); the sweep-axis entry of idx is
+        ignored."""
         g = self.grid
-        pts = np.empty((t.shape[0],) + idx.shape)
-        pts[...] = np.asarray(g.origins) + np.asarray(g.spacings) * idx
-        pts[..., axis] = t[:, None]
-        return self.triple.analytic(pts)
+        at = np.asarray(g.origins) + np.asarray(g.spacings) * idx
 
-    def h_row(self, axis: int, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
-        return self.line_eval(axis, idx, t)["h"][axis]
+        def evaluate(t: np.ndarray) -> dict:
+            pts = np.empty((t.shape[0],) + idx.shape)
+            pts[...] = at
+            pts[..., axis] = t[:, None]
+            return self.triple.analytic(pts)
+
+        return evaluate
+
+    def h_row(self, axis: int, idx: np.ndarray):
+        """Evaluator of the sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
+        evaluate = self.line_eval(axis, idx)
+        return lambda t: evaluate(t)["h"][axis]
 
 
 class _GridProvider:
@@ -120,31 +127,44 @@ class _GridProvider:
                     w[:, m] *= (s - xs[:, l]) / (xs[:, m] - xs[:, l])
         return i0, w
 
-    def _interp(self, fields, axis: int, idx: np.ndarray, t: np.ndarray) -> list:
-        """Node fields (comp..., *grid) at the times t (P,) on the lines
-        through idx (L, D), each (comp..., P, L)."""
-        i0, w = self._weights(axis, t)
-        take = [idx[:, d] for d in range(self.grid.ndim)]
-        out = []
+    def _interpolator(self, fields, axis: int, idx: np.ndarray):
+        """Evaluator of node fields (comp..., *grid) at the times t (P,) on
+        the lines through idx (L, D), each (comp..., P, L).  The lines are
+        taken once, sweep axis first (comp..., n, L); a trailing unit axis
+        carries the line index when the sweep axis is the grid's only one."""
+        D = self.grid.ndim
+        take = tuple(idx[:, d] for d in range(D) if d != axis) + (np.zeros(idx.shape[0], int),)
+        lines = []
         for field in fields:
-            lead = (slice(None),) * (field.ndim - self.grid.ndim)
-            acc = None
-            for m in range(4):
-                take[axis] = (i0 + m)[:, None]
-                term = w[:, m, None] * field[lead + tuple(take)]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+            lead = field.ndim - D
+            moved = np.moveaxis(field, lead + axis, lead)[..., None]
+            lines.append(moved[(slice(None),) * (lead + 1) + take])
 
-    def line_eval(self, axis: int, idx: np.ndarray, t: np.ndarray) -> dict:
-        """All fields at the times t (P,) on the lines through idx (L, D),
-        each (comp..., P, L); the sweep-axis entry of idx is ignored."""
+        def evaluate(t: np.ndarray) -> list:
+            i0, w = self._weights(axis, t)
+            out = []
+            for line in lines:
+                acc = None
+                for m in range(4):
+                    term = w[:, m, None] * line[..., i0 + m, :]
+                    acc = term if acc is None else acc + term
+                out.append(acc)
+            return out
+
+        return evaluate
+
+    def line_eval(self, axis: int, idx: np.ndarray):
+        """Evaluator of all fields at the times t (P,) on the lines through
+        idx (L, D), each (comp..., P, L); the sweep-axis entry of idx is
+        ignored."""
         tr = self.triple
-        return dict(zip("vhV", self._interp((tr.v, tr.h, tr.V), axis, idx, t)))
+        evaluate = self._interpolator((tr.v, tr.h, tr.V), axis, idx)
+        return lambda t: dict(zip("vhV", evaluate(t)))
 
-    def h_row(self, axis: int, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
-        return self._interp((self.triple.h[axis],), axis, idx, t)[0]
+    def h_row(self, axis: int, idx: np.ndarray):
+        """Evaluator of the sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
+        evaluate = self._interpolator((self.triple.h[axis],), axis, idx)
+        return lambda t: evaluate(t)[0]
 
 
 def _provider_for(triple: Triple):
@@ -200,16 +220,33 @@ def _cell_propagators(coef, coords: np.ndarray, substeps: int) -> np.ndarray:
     `coords`; coef(t) gives A (P, L, S, S) at the times t (P,)."""
     T, h = _stage_times(coords, substeps)
     h = h[:, None, None, None]
+    half, sixth = 0.5 * h, h / 6.0
     A0 = coef(T[:, 0])
     eye = np.eye(A0.shape[-1])
+    # K holds K2, K3 and K4 in turn, X the stage arguments I + c K, and S the
+    # sum A0 + 2 K2 + 2 K3 + K4; the additions run in the order of the
+    # formula (an IEEE sum does not depend on the order of its two operands)
+    K, X, S = np.empty_like(A0), np.empty_like(A0), np.empty_like(A0)
     prop = None
     for s in range(substeps):
         Amid, A1 = np.split(coef(T[:, 2 * s + 1 : 2 * s + 3].T.reshape(-1)), 2)
-        K2 = Amid @ (eye + 0.5 * h * A0)
-        K3 = Amid @ (eye + 0.5 * h * K2)
-        K4 = A1 @ (eye + h * K3)
-        step = eye + (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
-        prop = step if prop is None else step @ prop
+        np.multiply(half, A0, out=X)
+        X += eye
+        np.matmul(Amid, X, out=K)                  # K2
+        np.multiply(2.0, K, out=S)
+        S += A0
+        np.multiply(half, K, out=X)
+        X += eye
+        np.matmul(Amid, X, out=K)                  # K3
+        np.multiply(h, K, out=X)
+        X += eye
+        K *= 2.0
+        S += K
+        np.matmul(A1, X, out=K)                    # K4
+        S += K
+        S *= sixth
+        S += eye
+        prop = S.copy() if prop is None else S @ prop
         A0 = A1
     return prop
 
@@ -250,12 +287,12 @@ def _tensor_columns(col, coords: np.ndarray, ca: int, substeps: int) -> np.ndarr
 
 
 def _tensor_phase(h_at, classes, substeps: int):
-    """Axis phases of the tensor system; h_at(axis, idx, t) gives the
-    coefficient column h[axis] (k, P, L) on the lines through idx."""
+    """Axis phases of the tensor system; h_at(axis, idx) gives the evaluator
+    t -> coefficient column h[axis] (k, P, L) on the lines through idx."""
 
     def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
         ca = classes[axis]
-        cols = _tensor_columns(lambda t: h_at(axis, idx, t), coords, ca, substeps)[..., None]
+        cols = _tensor_columns(h_at(axis, idx), coords, ca, substeps)[..., None]
 
         def step(j: int, Y: np.ndarray) -> np.ndarray:
             c = cols[j]                            # (L, k, 1); Y is (L, k, M)
@@ -280,7 +317,7 @@ def _dense_phase(coef_factory, substeps: int, tensor_lead=None):
         if tensor_lead is not None:
             h_at, classes = tensor_lead
             ca = classes[axis]
-            cols = _tensor_columns(lambda t: h_at(axis, idx, t), coords, ca, substeps)
+            cols = _tensor_columns(h_at(axis, idx), coords, ca, substeps)
             k = cols.shape[-1]
             props[..., :k, :k] = np.eye(k)
             props[..., :k, ca] = cols
@@ -440,9 +477,10 @@ def _joint_coef_factory(provider, class_map: ClassMap, D: int, k: int, R: int):
 
     def factory(axis: int, idx: np.ndarray):
         ca = cls[axis]
+        evaluate = provider.line_eval(axis, idx)
 
         def coef(t: np.ndarray) -> np.ndarray:
-            C = provider.line_eval(axis, idx, t)
+            C = evaluate(t)
             A = np.zeros(C["v"].shape[1:] + (S, S))
             A[..., :k, ca] = np.moveaxis(C["h"][axis], 0, -1)    # dB_m = h[axis, m] B_{ca}
             _frame_block(A, k, C, axis, ca)
@@ -574,8 +612,10 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     provider = _provider_for(triple)
 
     def factory(axis: int, idx: np.ndarray):
+        evaluate = provider.line_eval(axis, idx)
+
         def coef(t: np.ndarray) -> np.ndarray:
-            C = provider.line_eval(axis, idx, t)
+            C = evaluate(t)
             A = np.zeros(C["v"].shape[1:] + (1 + D + R, 1 + D + R))
             _frame_block(A, 0, C, axis, cls[axis])
             return A
@@ -680,9 +720,11 @@ def axis_data_from_triple(triple: Triple) -> TripleAxisData:
     base_line = np.zeros((1, g.ndim), dtype=int)
 
     def row(j):
+        evaluate = provider.h_row(j, base_line)
+
         def fn(t):
             t = np.asarray(t, dtype=float)
-            hj = provider.h_row(j, base_line, t.reshape(-1))
+            hj = evaluate(t.reshape(-1))
             return hj.reshape((triple.n_classes,) + t.shape)
         return fn
 
@@ -699,8 +741,8 @@ def _march_axis0(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap, su
     hrow = data.h_rows[0]
     line = TensorGrid(grid.shape[:1], grid.spacings[:1], grid.origins[:1])
 
-    def h_at(axis, idx, t):
-        return np.reshape(hrow(t), (k, t.shape[0], 1))
+    def h_at(axis, idx):
+        return lambda t: np.reshape(hrow(t), (k, t.shape[0], 1))
 
     phase = _tensor_phase(h_at, class_map.classes, substeps)
     states = _sweep_total(line, np.column_stack([data.v0, data.V0]), phase, (0,))

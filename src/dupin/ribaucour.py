@@ -300,6 +300,13 @@ class HolonomicJets:
     def P(self, Z: JV) -> JV:
         return Z - self.F.scale(2.0 * self.nu * self.F.dot(Z))
 
+    def _p_values(self, Z: np.ndarray) -> np.ndarray:
+        """P(Z).val from the values of Z alone: the operations of P on the
+        values, in the same order, so the two agree bit for bit."""
+        F = self.F.val
+        s = (self.nu.val * 2.0) * (F * Z).sum(-1)
+        return Z + -(s[..., None] * F)
+
     def full(self, a) -> np.ndarray:
         """Broadcast a jet value array to the full product-grid shape."""
         if a.shape[-1:] == (self.N,) and a.ndim == self.Dp + 1:
@@ -360,11 +367,16 @@ class HolonomicJets:
                       cmap, v_arr, h_arr, Vbar)
 
     def new_sample(self, triple: Triple | None = None) -> ImmersionSample:
-        Xn, Xin = self.new_frames()
+        # the values of new_frames(), without the partials
+        out_r = [r for r in range(self.R) if r not in self.n_indices]
+        Z = [X.val for X in self.X] + [self.xi[l].val for l in self.n_indices]
+        tangents = np.empty((len(Z),) + self.grid.shape + (self.N,))
+        normals = np.empty((len(out_r),) + self.grid.shape + (self.N,))
+        for i, z in enumerate(Z):
+            tangents[i] = self._p_values(z)
+        for i, r in enumerate(out_r):
+            normals[i] = self._p_values(self.xi[r].val)
         lame = self.new_lame_values()
-        tangents = np.stack([self.full(x.val) for x in Xn])
-        normals = (np.stack([self.full(x.val) for x in Xin])
-                   if Xin else np.zeros((0,) + self.grid.shape + (self.N,)))
         Rn = normals.shape[0]
         sff = np.empty((self.Dp, Rn) + self.grid.shape)
         if triple is not None:
@@ -373,7 +385,6 @@ class HolonomicJets:
                 for r in range(Rn):
                     sff[i, r] = triple.V[ci, r] / triple.v[ci]
         else:
-            out_r = [r for r in range(self.R) if r not in self.n_indices]
             for i in range(self.D):
                 ci = self.cls[i]
                 vi = JS(self._ls(self.triple.v[ci]))
@@ -497,9 +508,7 @@ class NRibaucourResult:
         slv = sl + (slice(None),)
         pos = self.sample.positions[slv]
         tang = np.stack([self.sample.tangents[i][slv] for i in range(D)])
-        norms = []
-        for r in range(jets.R):
-            norms.append(jets.full(jets.P(jets.xi[r]).val)[slv])
+        norms = [jets.full(jets._p_values(jets.xi[r].val))[slv] for r in range(jets.R)]
         lame = np.stack([self.sample.lame[i][sl] for i in range(D)])
         # per-slice shape coefficients with the shifted beta entries
         Rn = jets.R

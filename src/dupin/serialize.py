@@ -5,6 +5,10 @@ raw bytes in row-major node order, little-endian float64 (``<f8``) for values
 and one byte of 0/1 (``|u1``) per node for masks.  A round trip is bit-exact,
 NaN payloads and signed zeros included.  Outputs are deterministic: dict keys
 are written in fixed order, so identical inputs produce bit-identical files.
+
+``dump_json`` writes the UTF-8 bytes of ``json.dump(obj, f, indent=1)`` plus a
+newline.  The base64 payloads go into the file unescaped, since their
+alphabet needs no escaping; the schemas are unchanged.
 """
 
 from __future__ import annotations
@@ -62,8 +66,14 @@ _VALUES = np.dtype("<f8")
 _MASK = np.dtype("|u1")
 
 
+class _Payload(str):
+    """The base64 text of an array field; its alphabet needs no JSON escaping."""
+
+    __slots__ = ()
+
+
 def _arr(a: np.ndarray, dtype: np.dtype = _VALUES) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
+    return _Payload(base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()), "ascii")
 
 
 def triple_to_dict(t: Triple) -> dict:
@@ -198,14 +208,33 @@ def sample_from_dict(d: dict) -> ImmersionSample:
                            sff=sff, triple=triple, mask=mask)
 
 
+def _json_pieces(obj, depth: int):
+    """The text of json.dumps(obj, indent=1) nested `depth` levels deep, in
+    pieces: base64 payloads pass through as they are, str-keyed dicts are
+    walked, and every other value is written by json.dumps."""
+    if isinstance(obj, _Payload):
+        yield from ('"', obj, '"')
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        pad = "\n" + " " * (depth + 1)
+        sep = "{"
+        for key, value in obj.items():
+            yield sep + pad + json.dumps(key) + ": "
+            yield from _json_pieces(value, depth + 1)
+            sep = ","
+        yield "\n" + " " * depth + "}"
+    else:
+        yield json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
+
+
 def dump_json(obj: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=1)
+    """Write obj as the bytes of json.dump(obj, f, indent=1) plus a newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_json_pieces(obj, 0))
         f.write("\n")
 
 
 def load_json(path) -> dict:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except ValueError as e:     # JSONDecodeError, or bytes that are not UTF-8
@@ -218,7 +247,7 @@ def spec_hash(obj: dict) -> str:
 
 def residual_csv(rows, path) -> None:
     """Rows of (equation id, max residual, masked fraction)."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("equation,max_residual,masked_fraction\n")
         for eq, res, frac in rows:
             f.write(f"{eq},{res!r},{frac!r}\n")
@@ -297,7 +326,7 @@ def _mesh_data(s: ImmersionSample, slice_idx, coords):
 def export_obj(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
     """Quad mesh of a 2-d (slice of a) sample; masked cells are omitted."""
     verts, faces = _mesh_data(s, slice_idx, coords)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for v in verts:
             f.write(f"v {v[0]!r} {v[1]!r} {v[2]!r}\n")
         for a, b, c, d in faces:
@@ -307,7 +336,7 @@ def export_obj(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
 
 def export_ply(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
     verts, faces = _mesh_data(s, slice_idx, coords)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {len(verts)}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")
@@ -327,7 +356,7 @@ def export_csv(s: ImmersionSample, path) -> dict:
     mesh = g.meshgrid()
     cols = [f"u{d}" for d in range(g.ndim)] + [f"x{i}" for i in range(N)] + ["valid"]
     valid = s.valid().reshape(-1)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(cols) + "\n")
         U = np.stack([m.reshape(-1) for m in mesh], axis=1)
         P = s.positions.reshape(-1, N)

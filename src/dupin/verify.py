@@ -107,9 +107,11 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     # finite); the rows of T = g^{-1/2} E are an orthonormal tangent frame
     w, V = _sym_eigh(metric)
     root = np.sqrt(np.maximum(w, 1e-300))[..., None, :]
-    g_isqrt, g_sqrt = (V / root) @ V.swapaxes(-1, -2), (V * root) @ V.swapaxes(-1, -2)
+    # the transposed operands are copied: a strided stack takes numpy's slow loop
+    Vt = V.swapaxes(-1, -2).copy()
+    g_isqrt, g_sqrt = (V / root) @ Vt, (V * root) @ Vt
     T = g_isqrt @ np.moveaxis(first, 0, -2)           # (*grid, D, N)
-    normal_proj = np.eye(N) - T.swapaxes(-1, -2) @ T
+    normal_proj = np.eye(N) - T.swapaxes(-1, -2).copy() @ T
     normal_basis = _normal_frame(normal_proj, N - D)
 
     # alpha_ij = normal_proj second_ij, one (D*D, N) @ (N, N) product per node
@@ -278,7 +280,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     cls = np.argsort(order, axis=1)                    # group a is class cls[:, a]
     for a, grp in enumerate(groups):
         hat = Q[:, :, grp]                             # (n, D, mult)
-        proj_f[cls[:, a], nodes] = g_isqrt @ (hat @ hat.swapaxes(-1, -2)) @ g_sqrt
+        proj_f[cls[:, a], nodes] = g_isqrt @ (hat @ hat.swapaxes(-1, -2).copy()) @ g_sqrt
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 

@@ -34,6 +34,38 @@ class TestSerialize:
         assert np.abs(back.triple.v - torus_patch.triple.v).max() == 0.0
         assert back.triple.class_map.classes == torus_patch.triple.class_map.classes
 
+    @pytest.mark.parametrize("case", ["sample", "masked_sample", "triple", "result",
+                                      "provenance", "chain"])
+    def test_dump_json_writes_json_dumps_indent_1(self, case, torus_patch, recursion_step1, tmp_path):
+        # payloads go out unescaped; every byte equals json.dumps(obj, indent=1)
+        if case == "sample":
+            doc = serialize.sample_to_dict(recursion_step1.sample)
+        elif case == "masked_sample":
+            s = serialize.sample_from_dict(serialize.sample_to_dict(torus_patch))
+            s.mask = np.ones(s.grid.shape, dtype=bool)
+            s.mask[3, 4] = False
+            doc = serialize.sample_to_dict(s)
+        elif case == "triple":
+            doc = serialize.triple_to_dict(recursion_step1.triple)
+        elif case == "result":
+            doc = serialize.result_to_dict(recursion_step1)
+        elif case == "provenance":
+            doc = serialize.sample_to_dict(torus_patch, provenance={
+                "nested": [[1, [2.5, -0.0]], {"a": [], "b": {}}, [], {}],
+                "empty": {}, "none": [], "flags": [True, False, None],
+                "text": "d\u00e9j\u00e0 \u2603 \U0001d507 \"q\" \\ \t\n\x00\x1f\x7f",
+                "\u00e9\n": float("inf"),
+                "ints": {1: "one", 2: {3: [4]}},
+                "mixed": {"x": 1, 5: {"y": {}}},
+            })
+        else:
+            doc = [{"kind": "translate", "u": [0.0, 0.0, 2.0]}, {"kind": "inversion"}, {}]
+        path = tmp_path / "doc.json"
+        serialize.dump_json(doc, path)
+        text = json.dumps(doc, indent=1) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
+        assert serialize.load_json(path) == json.loads(text)
+
     def test_triple_roundtrip(self, torus_patch):
         doc = serialize.triple_to_dict(torus_patch.triple)
         back = serialize.triple_from_dict(doc)
@@ -129,7 +161,7 @@ class TestSerialize:
     def test_csv_rows(self, tmp_path, torus_patch):
         info = serialize.export_csv(torus_patch, tmp_path / "t.csv")
         assert info["rows"] == torus_patch.grid.size
-        with open(tmp_path / "t.csv") as f:
+        with open(tmp_path / "t.csv", encoding="utf-8") as f:
             header = f.readline().strip().split(",")
         assert header[:2] == ["u0", "u1"]
 
@@ -139,7 +171,7 @@ class TestPipeline:
         out = tmp_path / "out"
         summary = run_pipeline(PIPE_TUBE, str(out))
         assert summary["ok"]
-        obj = (out / "torus.obj").read_text().splitlines()
+        obj = (out / "torus.obj").read_text(encoding="utf-8").splitlines()
         nv = sum(1 for line in obj if line.startswith("v "))
         assert nv == 21 * 21
 
@@ -203,7 +235,7 @@ class TestCommands:
         mesh = tmp_path / "m.ply"
         rc = main(["export", "--in", str(seed), "--format", "ply", "--out", str(mesh)])
         assert rc == 0
-        assert mesh.read_text().startswith("ply")
+        assert mesh.read_text(encoding="utf-8").startswith("ply")
 
     def test_transform_chain_document(self, tmp_path, torus_patch):
         sp = tmp_path / "s.json"

@@ -267,7 +267,7 @@ class TestGridInterpolation:
             pts[..., axis] = t[:, None]
             pts[..., other] = g.axis_coords(other)[None, :]
             exact = dict(zip("vhV", _cubic_fields(pts[..., 0], pts[..., 1])))
-            got = provider.line_eval(axis, idx, t)
+            got = provider.line_eval(axis, idx)(t)
             for name in "vhV":
                 assert got[name].shape == exact[name].shape
                 scale = np.abs(exact[name]).max()
@@ -280,10 +280,75 @@ class TestGridInterpolation:
         idx = np.zeros((5, 2), dtype=int)
         idx[:, 1] = np.arange(5)
         with pytest.raises(UnsupportedGrid):
-            provider.line_eval(0, idx, np.array([0.05]))
+            provider.line_eval(0, idx)(np.array([0.05]))
         idx = np.zeros((3, 2), dtype=int)
         idx[:, 0] = np.arange(3)
-        assert provider.line_eval(1, idx, np.array([0.3]))["v"].shape == (2, 1, 3)
+        assert provider.line_eval(1, idx)(np.array([0.3]))["v"].shape == (2, 1, 3)
+
+
+def _fancy_gather_interp(provider, fields, axis, idx, t):
+    """Reference: the interpolation with four per-element fancy gathers per
+    field on every call, one per stencil node, summed in node order."""
+    i0, w = provider._weights(axis, t)
+    take = [idx[:, d] for d in range(provider.grid.ndim)]
+    out = []
+    for field in fields:
+        lead = (slice(None),) * (field.ndim - provider.grid.ndim)
+        acc = None
+        for m in range(4):
+            take[axis] = (i0 + m)[:, None]
+            term = w[:, m, None] * field[lead + tuple(take)]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _random_triple(grid, classes, R, rng):
+    cm = ClassMap(classes)
+    k, D = cm.n_classes, grid.ndim
+    v = rng.normal(size=(k,) + grid.shape)
+    h = rng.normal(size=(D, k) + grid.shape)
+    V = rng.normal(size=(k, R) + grid.shape)
+    # NaN nodes: one at the first node (a clipped first cell) and one inside
+    v[(0,) + (0,) * D] = np.nan
+    h[(D - 1, k - 1) + tuple(n // 2 for n in grid.shape)] = np.nan
+    V[(k - 1, R - 1) + tuple(n - 1 for n in grid.shape)] = np.nan
+    return Triple(grid, cm, v, h, V)
+
+
+@pytest.mark.parametrize("grid, classes, R", [
+    (TensorGrid((9,), (0.1,), (0.3,)), (0,), 3),
+    (TensorGrid((9, 7), (0.1, 0.2), (0.3, -0.5)), (0, 1), 1),
+    (TensorGrid((6, 5, 7), (0.1, 0.05, 0.2), (0.0, 1.0, -0.3)), (0, 1, 1), 2),
+])
+def test_row_gathers_equal_fancy_gathers_bit_for_bit(grid, classes, R):
+    # stage times over the whole axis reach the clipped first and last cells;
+    # line sets: every line, the base line alone, and lines whose sweep-axis
+    # entries (ignored) are not zero
+    rng = np.random.default_rng(_RNG_SEED)
+    tr = _random_triple(grid, classes, R, rng)
+    provider = _GridProvider(tr)
+    D = grid.ndim
+    for axis in range(D):
+        T, _ = _stage_times(grid.axis_coords(axis), 3)
+        t = T.T.reshape(-1)
+        every = _all_lines(grid, axis)
+        shifted = every.copy()
+        shifted[:, axis] = rng.integers(0, grid.shape[axis], len(every))
+        for idx in (every, np.zeros((1, D), dtype=int), shifted):
+            got = provider.line_eval(axis, idx)(t)
+            ref = _fancy_gather_interp(provider, (tr.v, tr.h, tr.V), axis, idx, t)
+            for name, want in zip("vhV", ref):
+                assert got[name].shape == want.shape[:-2] + (t.size, len(idx))
+                assert np.array_equal(_bits(got[name]), _bits(want)), (axis, name)
+            row = provider.h_row(axis, idx)(t)
+            want = _fancy_gather_interp(provider, (tr.h[axis],), axis, idx, t)[0]
+            assert np.array_equal(_bits(row), _bits(want))
+            assert np.isnan(got["v"]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +687,7 @@ def test_tensor_space_matches_stagewise_reference(case, request):
 def _dense_tensor_coef_factory(provider, classes):
     def factory(axis, idx):
         def coef(t):
-            h_axis = provider.h_row(axis, idx, t)
+            h_axis = provider.h_row(axis, idx)(t)
             A = np.zeros(h_axis.shape[1:] + (h_axis.shape[0],) * 2)
             A[..., :, classes[axis]] = np.moveaxis(h_axis, 0, -1)
             return A
@@ -687,7 +752,7 @@ def _columns_and_dense(t, substeps, propagators=_cell_propagators):
         idx = _all_lines(t.grid, axis)
         ca = t.class_map.classes[axis]
         coords = t.grid.axis_coords(axis)
-        cols = _tensor_columns(lambda tt: provider.h_row(axis, idx, tt), coords, ca, substeps)
+        cols = _tensor_columns(provider.h_row(axis, idx), coords, ca, substeps)
         dense = propagators(factory(axis, idx), coords, substeps)
         yield cols, dense, ca
 

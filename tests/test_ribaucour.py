@@ -282,6 +282,54 @@ class TestNRibaucour:
             assert np.abs((d - jp)[interior]).max() < 1e-6
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_frames_are_jet_values(sample, jets):
+    Xn, Xin = jets.new_frames()
+    for got, want in ((sample.tangents, Xn), (sample.normals, Xin)):
+        assert got.shape == (len(want),) + jets.grid.shape + (jets.N,)
+        for g, x in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(jets.full(x.val)))
+
+
+class TestValueOnlyFrames:
+    """new_sample and slice_sample apply P to values alone; their frames
+    equal the values of the jet frames bit for bit."""
+
+    @pytest.mark.parametrize("name", ["recursion_step1", "recursion_step2"])
+    def test_recursion_steps(self, name, request):
+        res = request.getfixturevalue(name)
+        _assert_frames_are_jet_values(res.sample, res.jet.jets)
+
+    def test_rank_two_subbundle(self):
+        c = circle_seed(radius=1.0, n=21, u_range=(0.0, 0.4), ambient=5)
+        nsub = ParallelNormalSubbundle((1, 2))
+        sol = solve_linear(c.triple, (0.1,), 1.0, (0.2,), (0.3, 0.0, 0.0, 0.9), substeps=12)
+        sol = sol.canonical(nsub.indices, c.triple)
+        res = n_ribaucour_transform(c, nsub, sol, TensorGrid((5, 6), (0.01, 0.01), (0.8, 0.6)))
+        _assert_frames_are_jet_values(res.sample, res.jet.jets)
+
+    @pytest.mark.parametrize("case", ["circle_inversion", "torus_inversion", "torus_nondupin"])
+    def test_transform_without_subbundle(self, case, circle4, torus, w_inv):
+        if case == "circle_inversion":
+            s, w = circle4, inversion_w(circle4, (0.2, 0.1, -0.3, 2.0), 1.1)
+        else:
+            s, w = torus, (w_inv if case == "torus_inversion" else nondupin_torus_w(torus))
+        out, jet = ribaucour_transform(s, w)
+        _assert_frames_are_jet_values(out, jet.jets)
+
+    def test_slice_sample(self, recursion_step2):
+        jets = recursion_step2.jet.jets
+        for y in ((0,), (7,), (20,)):
+            got = recursion_step2.slice_sample(y).normals
+            slv = (slice(None),) * jets.D + y + (slice(None),)
+            assert got.shape[0] == jets.R
+            for r in range(jets.R):
+                assert np.array_equal(_bits(got[r]), _bits(jets.full(jets.P(jets.xi[r]).val)[slv]))
+
+
 class TestRegularity:
     def test_generic_circle_solution_regular(self, circle_result):
         preds = circle_result.predicates
