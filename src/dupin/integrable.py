@@ -538,7 +538,9 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
                          tensor_lead=(provider.h_row, triple.class_map.classes))
     states, reports = _sweep(g, state0, phase, order, check_alternate)
     sol = _solution_from_states(triple, states[..., 0], reports)
-    reports["gnorm_fd"] = _gnorm_residual(triple, sol)
+    interior = g.interior_mask(2) & sol.valid()
+    reports["gnorm_fd"] = (_gnorm_residual(triple, sol.gamma, sol.beta, interior)
+                           if interior.any() else float("nan"))
     return sol
 
 
@@ -561,19 +563,17 @@ def solve_B(triple: Triple, B0, substeps: int = 12, order=None,
                              B=B[0].copy(), mask=None if good.all() else good, reports=reports)
 
 
-def _gnorm_residual(triple: Triple, sol: RibaucourSolution) -> float:
-    """fd residual of gamma_j V_{j'}^r / v_{j'} + X_j(beta_r) = 0."""
+def _gnorm_residual(triple: Triple, gamma: np.ndarray, beta: np.ndarray, interior: np.ndarray) -> float:
+    """fd residual of gamma_j V_{j'}^r / v_{j'} + X_j(beta_r) = 0, the
+    largest over the `interior` nodes."""
     g = triple.grid
     cls = triple.class_map.classes
-    interior = g.interior_mask(2) & sol.valid()
-    if not interior.any():
-        return float("nan")
     worst = 0.0
     for j in range(g.ndim):
         vj = triple.v[cls[j]]
         for r in range(triple.n_normals):
-            db = fd_axis(sol.beta[r], g.spacings[j], j, 1)
-            res = (sol.gamma[j] * triple.V[cls[j], r] + db) / vj
+            db = fd_axis(beta[r], g.spacings[j], j, 1)
+            res = (gamma[j] * triple.V[cls[j], r] + db) / vj
             worst = max(worst, float(np.abs(res[interior]).max()))
     return worst
 

@@ -21,7 +21,6 @@ from .errors import (
     AxisIncidence,
     DegenerateOffset,
     DimensionMismatch,
-    DupinError,
     FocalDegeneracy,
     NotOnQuadric,
     ThroughOrigin,
@@ -31,7 +30,6 @@ from .integrable import RibaucourSolution
 from .net import ClassMap, ImmersionSample, ParallelNormalSubbundle, Triple
 from .numerics import TensorGrid
 from .ribaucour import GeneralW
-from .verify import conformal_codim
 
 __all__ = [
     "Translate",
@@ -61,6 +59,12 @@ _CENTER_TOL = 1e-12        # smallest |x|^2 (model form) of a point mapped by an
 _DEGENERATE_TOL = 1e-9     # smallest |f|^2 and |v - sum c_r V^r| of a transformed sample
 _EPS_BAND = 1e-9           # relative half-width of the ambiguous discriminant band
 _LTRIVIAL_TOL = 1e-8       # relative F-fit and c-constancy residuals of L-trivial data
+# smallest sigma_min / sigma_max of the L-trivial design matrix with unit-norm
+# columns on a patch where the decomposition is unique; non-unique patches
+# read about 1e-15 and unique ones 1e-5 or more.  It lies above the 1e-8 Gram
+# tolerance of integrated frames, which perturbs a null vector of the system
+# built on them by about that much.
+_UNIQUE_GAP = 1e-7
 _QUADRIC_TOL = 1e-8        # largest defect of a base point on the eps-quadric
 _AXIS_TOL = 1e-9           # |<g, e>| of a node masked as incident to the rotation axis
 
@@ -358,19 +362,16 @@ def detect_ltrivial(s: ImmersionSample, w):
     Returns (LTrivialSpec | None, report).  The fit runs over valid nodes
     with delta constrained to the parallel frame span; acceptance needs both
     the F-fit and the constancy of 2 phi - a |f|^2 - 2 <f, v0> below
-    _LTRIVIAL_TOL (relative).  The decomposition is unique only on
-    conformally substantial patches; that is checked through the
-    verification module's conformal-codimension estimate and reported,
-    never raised.
+    _LTRIVIAL_TOL (relative).  The decomposition is unique exactly when the
+    fit's design matrix has full column rank: a null vector (a, v, d) puts f
+    on the hypersphere or affine hyperplane a f + v + sum_r d_r xi_r = 0.
+    report["substantial"] states it, from the singular values of the design
+    matrix with unit-norm columns against _UNIQUE_GAP; it is never raised.
     """
     pos = s.positions
     N = s.ambient_dim
     R = s.n_normals
     valid = s.valid()
-    try:
-        substantial = conformal_codim(s) == N - s.grid.ndim
-    except DupinError:
-        substantial = None
     f = pos[valid]                                  # (m, N)
     F = (np.einsum("i...,i...k->...k", w.gamma, s.tangents)
          + np.einsum("r...,r...k->...k", w.beta, s.normals))[valid]
@@ -385,6 +386,9 @@ def detect_ltrivial(s: ImmersionSample, w):
     A[:, 1 + N:] = xi.reshape(m * N, R)
     b = F.reshape(-1)
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+    sv = np.linalg.svd(A / np.linalg.norm(A, axis=0), compute_uv=False)
+    # fewer equations than unknowns (one valid node) leave a null vector too
+    substantial = bool(len(sv) == A.shape[1] and sv[-1] > _UNIQUE_GAP * sv[0])
     a = float(coef[0])
     v0 = coef[1:1 + N]
     d = coef[1 + N:]
@@ -395,9 +399,7 @@ def detect_ltrivial(s: ImmersionSample, w):
     c_res = np.abs(cvals - c).max() / scale
     report = {"fit_residual": float(fit_res), "c_residual": float(c_res),
               "substantial": substantial}
-    if substantial is None:
-        report["substantial"] = "unchecked"
-    elif not substantial:
+    if not substantial:
         report["note"] = "patch not conformally substantial: decomposition not unique"
     if fit_res < _LTRIVIAL_TOL and c_res < _LTRIVIAL_TOL:
         return LTrivialSpec(a, v0, d, c), report

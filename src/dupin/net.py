@@ -27,7 +27,6 @@ from .numerics import TensorGrid, fd_axis
 __all__ = [
     "ClassMap",
     "Triple",
-    "TripleCallables",
     "ParallelNormalSubbundle",
     "ImmersionSample",
     "PrincipalData",
@@ -79,27 +78,15 @@ class ClassMap:
         return ClassMap(tuple(range(n)))
 
 
-class TripleCallables:
-    """Closed-form provider for a triple: callables of the coordinate point.
-
-    ``eval(pts)`` receives an array of shape ``(..., D)`` and returns the
-    dict ``{"v": (k, ...), "h": (D, k, ...), "V": (k, R, ...)}``.
-    """
-
-    def __init__(self, eval_fn: Callable[[np.ndarray], dict]):
-        self._eval = eval_fn
-
-    def __call__(self, pts: np.ndarray) -> dict:
-        return self._eval(np.asarray(pts, dtype=float))
-
-
 @dataclass
 class Triple:
     """The (v, h, V) data of a holonomic net on a tensor grid.
 
     Shapes: ``v`` is (k, *grid.shape); ``h`` is (D, k, *grid.shape) with
     ``h[j, m] = v_{j'}^{-1} d v_m / d u_j``; ``V`` is (k, R, *grid.shape)
-    where R counts parallel normal frame fields.
+    where R counts parallel normal frame fields.  A closed-form triple
+    carries ``analytic``: called with coordinate points of shape ``(..., D)``
+    it returns ``{"v": (k, ...), "h": (D, k, ...), "V": (k, R, ...)}``.
     """
 
     grid: TensorGrid
@@ -108,7 +95,7 @@ class Triple:
     h: np.ndarray
     V: np.ndarray
     mask: np.ndarray | None = None
-    analytic: TripleCallables | None = None
+    analytic: Callable[[np.ndarray], dict] | None = None
 
     def __post_init__(self):
         k = self.class_map.n_classes

@@ -182,96 +182,81 @@ def sphere_fit(points):
     a*|q|^2 + <b,q> + c = 0 runs inside the span.  When the quadratic
     coefficient `a` is below _FLAT_TOL (after normalising the cloud to unit
     RMS radius) the span itself is returned as an AffineFlat.  Residual is
-    the RMS of | |p-center| - radius | over the input points.
+    the RMS of | |p-center| - radius | over the input points.  This is the
+    one-cloud case of `_sphere_fits`.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
         raise ValueError("points must be a (m, N) array")
-    m, N = P.shape
-    centroid = P.mean(axis=0)
-    Q = P - centroid
-    spread = np.sqrt((Q**2).sum(axis=1).mean())
-    if spread < 1e-13 * (1.0 + np.linalg.norm(centroid)):
-        raise DegenerateCloud("all points coincide")
-
-    U, s, Vt = np.linalg.svd(Q, full_matrices=False)
-    rank = int(np.sum(s > _SPAN_TOL * s[0]))
-    basis = Vt[:rank]                       # (rank, N)
-    q = Q @ basis.T                         # span coordinates, (m, rank)
-    off_span = Q - q @ basis
-    off_rms = float(np.sqrt((off_span**2).sum(axis=1).mean()))
-
-    def flat():
-        return AffineFlat(point=centroid.copy(), basis=basis.copy(), dim=rank, residual=off_rms)
-
-    if rank < 2:
-        # a 0-sphere is two points; treat 1-d spreads as affine lines
-        return flat()
-
-    # normalise to unit RMS radius for a scale-free flatness threshold
-    qs = q / spread
-    A = np.column_stack([(qs**2).sum(axis=1), qs, np.ones(m)])
-    _, _, Wt = np.linalg.svd(A, full_matrices=False)
-    coef = Wt[-1]
-    a, b, c = coef[0], coef[1 : 1 + rank], coef[-1]
-    if abs(a) < _FLAT_TOL * np.linalg.norm(coef):
-        return flat()
-    center_span = -b / (2.0 * a) * spread
-    r2 = (np.linalg.norm(b) ** 2 - 4.0 * a * c) / (4.0 * a * a) * spread**2
-    if r2 <= 0:
-        return flat()
-    radius = float(np.sqrt(r2))
-    center = centroid + center_span @ basis
-    dist = np.linalg.norm(P - center, axis=1)
-    residual = float(np.sqrt(((dist - radius) ** 2).mean()))
-    if rank < N and residual > max(10.0 * off_rms, 1e-8 * spread):
-        # the cloud fills a proper affine subspace without fitting any sphere
-        # in it: the flat is the exact container, the sphere is not
-        return flat()
-    return SphereFit(center=center, radius=radius, residual=residual, sphere_dim=rank - 1)
+    rank, flat, centroid, Vt, center, radius, residual = _sphere_fits(P[None])
+    if flat[0]:
+        return AffineFlat(point=centroid[0], basis=Vt[0, :rank[0]].copy(), dim=int(rank[0]),
+                          residual=float(residual[0]))
+    return SphereFit(center=center[0], radius=float(radius[0]), residual=float(residual[0]),
+                     sphere_dim=int(rank[0]) - 1)
 
 
-def _sphere_fit_batch(clouds):
-    """`sphere_fit` residuals of a stack of clouds (L, m, N), step for step
-    batched, or None when some cloud leaves the round-sphere branch: a
-    coincident or flat cloud, or span ranks that differ between clouds.
-    Callers then fit the clouds one by one."""
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of x (n, d) by one dot product per row, as `np.linalg.norm`
+    takes the norm of one vector."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _sphere_fits(clouds):
+    """`sphere_fit` of a stack of clouds (L, m, N); the clouds of one span
+    rank are fitted together, each as it would be alone.
+
+    Returns the span ranks (L,), the mask of flat clouds (L,), the centroids
+    (L, N), the right singular vectors Vt (L, min(m, N), N) whose first
+    `rank` rows span each cloud, and the centres (L, N), radii (L,) and
+    residuals (L,).  A flat cloud keeps a NaN centre and radius, and its
+    residual is the RMS distance to its affine span.  Raises DegenerateCloud
+    when the points of some cloud coincide.
+    """
     P = np.asarray(clouds, dtype=float)
     L, m, N = P.shape
     centroid = P.mean(axis=1)                                # (L, N)
     Q = P - centroid[:, None]
     spread = np.sqrt((Q**2).sum(axis=2).mean(axis=1))        # (L,)
     if (spread < 1e-13 * (1.0 + np.linalg.norm(centroid, axis=1))).any():
-        return None
+        raise DegenerateCloud("all points coincide")
 
     _, s, Vt = np.linalg.svd(Q, full_matrices=False)
     ranks = np.sum(s > _SPAN_TOL * s[:, :1], axis=1)
-    rank = int(ranks[0])
-    if rank < 2 or (ranks != rank).any():
-        return None
-    basis = Vt[:, :rank]                                     # (L, rank, N)
-    q = Q @ basis.swapaxes(-1, -2)                           # (L, m, rank)
-    off_span = Q - q @ basis
-    off_rms = np.sqrt((off_span**2).sum(axis=2).mean(axis=1))
+    flat = np.ones(L, dtype=bool)
+    center, radius, residual = np.full((L, N), np.nan), np.full(L, np.nan), np.empty(L)
+    for rank in np.unique(ranks):
+        at = np.flatnonzero(ranks == rank)
+        basis = Vt[at, :rank]                                # (n, rank, N)
+        q = Q[at] @ basis.swapaxes(-1, -2)                   # span coordinates, (n, m, rank)
+        off_rms = np.sqrt(((Q[at] - q @ basis) ** 2).sum(axis=2).mean(axis=1))
+        residual[at] = off_rms
+        if rank < 2:
+            # a 0-sphere is two points; treat 1-d spreads as affine lines
+            continue
 
-    qs = q / spread[:, None, None]
-    A = np.concatenate([(qs**2).sum(axis=2, keepdims=True), qs, np.ones((L, m, 1))], axis=2)
-    _, _, Wt = np.linalg.svd(A, full_matrices=False)
-    coef = Wt[:, -1]                                         # (L, rank + 2)
-    a, b, c = coef[:, 0], coef[:, 1 : 1 + rank], coef[:, -1]
-    if (np.abs(a) < _FLAT_TOL * np.linalg.norm(coef, axis=1)).any():
-        return None
-    center_span = -b / (2.0 * a[:, None]) * spread[:, None]
-    r2 = (np.linalg.norm(b, axis=1) ** 2 - 4.0 * a * c) / (4.0 * a * a) * spread**2
-    if (r2 <= 0).any():
-        return None
-    radius = np.sqrt(r2)
-    center = centroid + (center_span[:, None] @ basis)[:, 0]
-    dist = np.linalg.norm(P - center[:, None], axis=2)
-    residual = np.sqrt(((dist - radius[:, None]) ** 2).mean(axis=1))
-    if rank < N and (residual > np.maximum(10.0 * off_rms, 1e-8 * spread)).any():
-        return None
-    return residual
+        # normalise to unit RMS radius for a scale-free flatness threshold
+        qs = q / spread[at, None, None]
+        A = np.concatenate([(qs**2).sum(axis=2, keepdims=True), qs, np.ones((len(at), m, 1))], axis=2)
+        coef = np.linalg.svd(A, full_matrices=False)[2][:, -1]      # (n, rank + 2)
+        curved = np.abs(coef[:, 0]) >= _FLAT_TOL * _norms(coef)
+        at, coef, basis, off_rms = at[curved], coef[curved], basis[curved], off_rms[curved]
+        a, b, c, sp = coef[:, 0], coef[:, 1 : 1 + rank], coef[:, -1], spread[at]
+        center_span = -b / (2.0 * a[:, None]) * sp[:, None]
+        r2 = (_norms(b) ** 2 - 4.0 * a * c) / (4.0 * a * a) * sp**2
+        real = r2 > 0
+        at, basis, off_rms, sp = at[real], basis[real], off_rms[real], sp[real]
+        rad = np.sqrt(r2[real])
+        cen = centroid[at] + (center_span[real, None] @ basis)[:, 0]
+        dist = np.linalg.norm(P[at] - cen[:, None], axis=2)
+        res = np.sqrt(((dist - rad[:, None]) ** 2).mean(axis=1))
+        # a cloud that fills a proper affine subspace without fitting any
+        # sphere in it: the flat is the exact container, the sphere is not
+        keep = ~((rank < N) & (res > np.maximum(10.0 * off_rms, 1e-8 * sp)))
+        at = at[keep]
+        flat[at] = False
+        center[at], radius[at], residual[at] = cen[keep], rad[keep], res[keep]
+    return ranks, flat, centroid, Vt, center, radius, residual
 
 
 def _jacobi_angle(d, b):

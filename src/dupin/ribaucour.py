@@ -29,7 +29,7 @@ import numpy as np
 
 from ._jets import JS, JV
 from .errors import GridMismatch, LambdaZero, NotCanonical, NotRegular, RankZero
-from .integrable import RibaucourSolution
+from .integrable import RibaucourSolution, _gnorm_residual
 from .net import (
     ClassMap,
     ImmersionSample,
@@ -95,7 +95,7 @@ def inversion_w(s: ImmersionSample, P0, r: float) -> RibaucourSolution:
     gamma = np.stack([(diff * s.tangents[i]).sum(-1) for i in range(s.grid.ndim)])
     beta = np.stack([(diff * s.normals[rr]).sum(-1) for rr in range(s.n_normals)])
     return RibaucourSolution(grid=s.grid, class_map=t.class_map, phi=phi, gamma=gamma,
-                             beta=beta, B=t.v.copy(), reports={"closed_form": 0.0})
+                             beta=beta, B=t.v.copy())
 
 
 def parallel_w(s: ImmersionSample, coeffs) -> RibaucourSolution:
@@ -110,7 +110,7 @@ def parallel_w(s: ImmersionSample, coeffs) -> RibaucourSolution:
     beta = np.broadcast_to(-c.reshape((-1,) + (1,) * s.grid.ndim), (c.size,) + s.grid.shape).copy()
     B = np.einsum("r,mr...->m...", c, t.V)
     return RibaucourSolution(grid=s.grid, class_map=t.class_map, phi=phi, gamma=gamma,
-                             beta=beta, B=B, reports={"closed_form": 0.0})
+                             beta=beta, B=B)
 
 
 def ltrivial_w(s: ImmersionSample, a: float, v0, delta_coeffs, c: float) -> RibaucourSolution:
@@ -126,7 +126,7 @@ def ltrivial_w(s: ImmersionSample, a: float, v0, delta_coeffs, c: float) -> Riba
     beta = np.stack([((a * f + v0) * s.normals[r]).sum(-1) + d[r] for r in range(s.n_normals)])
     B = a * t.v - np.einsum("r,mr...->m...", d, t.V)
     return RibaucourSolution(grid=s.grid, class_map=t.class_map, phi=phi, gamma=gamma,
-                             beta=beta, B=B, reports={"closed_form": 0.0})
+                             beta=beta, B=B)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +265,17 @@ class HolonomicJets:
         self.F = F
         self.two_phi_nu = 2.0 * self.phi * self.nu
         self.f = self.g - F.scale(self.two_phi_nu)
-        inv_phi = self.phi.inv()
-        self.delta = F.scale(-1.0 * inv_phi)
+        # delta and beta_bar are read as values only: the value operations of
+        # JV.scale, in the same order
+        neg_inv_phi = ((1.0 / self.phi.val) * -1.0)[..., None]
+        self.delta = neg_inv_phi * F.val
         bb = None
         for r in range(R):
             if r in self.n_indices:
                 continue
-            term = self.xi[r].scale(self.beta[r])
+            term = self.beta[r].val[..., None] * self.xi[r].val
             bb = term if bb is None else bb + term
-        self.beta_bar = bb.scale(-1.0 * inv_phi) if bb is not None else None
+        self.beta_bar = neg_inv_phi * bb if bb is not None else None
 
         if dupin:
             # the y-offset shifts the tensor: Phi_t = Hess phi - A_{beta + t},
@@ -452,8 +454,8 @@ def _make_jet(jets: HolonomicJets) -> TransformJet:
         lam=np.stack([full(l.val) for l in jets.lam]) if jets.dupin_type else None,
         rho_coord=np.stack([full(r.val) for r in jets.rho_coord]),
         lam_coord=np.stack([full(l.val) for l in jets.lam_coord]),
-        delta=full(jets.delta.val),
-        beta_bar=full(jets.beta_bar.val) if jets.beta_bar is not None else None,
+        delta=full(jets.delta),
+        beta_bar=full(jets.beta_bar) if jets.beta_bar is not None else None,
         jets=jets,
     )
 
@@ -584,14 +586,7 @@ def combescure_check(s: ImmersionSample, w) -> dict:
         worst = max(worst, np.abs(res[interior]).max() / scale)
     out["combescure"] = float(worst)
 
-    worst = 0.0
-    for j in range(D):
-        vj = t.v[cls[j]]
-        for r in range(R):
-            db = fd_axis(w.beta[r], g.spacings[j], j, 1)
-            res = (w.gamma[j] * t.V[cls[j], r] + db) / vj
-            worst = max(worst, np.abs(res[interior]).max())
-    out["gnorm"] = float(worst)
+    out["gnorm"] = _gnorm_residual(t, w.gamma, w.beta, interior)
 
     # Phi = Hess phi - A_beta in the orthonormal frame
     lam = t.lame()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .net import ClassMap, ImmersionSample, Triple, TripleCallables
+from .net import ClassMap, ImmersionSample, Triple
 from .numerics import TensorGrid
 
 __all__ = [
@@ -38,6 +38,13 @@ def _pad(vecs: np.ndarray, ambient: int) -> np.ndarray:
     out = np.zeros(vecs.shape[:-1] + (ambient,))
     out[..., :n] = vecs
     return out
+
+
+def _analytic_triple(grid: TensorGrid, evaluate) -> Triple:
+    """Triple of a closed-form seed: the node arrays are `evaluate` at the
+    grid nodes, and `evaluate` stays on as its analytic provider."""
+    nodes = evaluate(np.stack(grid.meshgrid(), axis=-1))
+    return Triple(grid, ClassMap.simple(len(nodes["v"])), nodes["v"], nodes["h"], nodes["V"], analytic=evaluate)
 
 
 def _const_normals(first: int, ambient: int, shape: tuple) -> list:
@@ -74,10 +81,6 @@ def circle_seed(radius: float = 1.0, n: int = 21, u_range=(0.0, 2.0 * np.pi),
     normals = np.stack([xi_rad] + _const_normals(2, ambient, grid.shape))
     R = normals.shape[0]
     k = 1
-    v = np.full((k,) + grid.shape, float(radius))
-    h = np.zeros((1, k) + grid.shape)
-    V = np.zeros((k, R) + grid.shape)
-    V[0, 0] = -1.0
 
     def _eval(pts):
         base = pts.shape[:-1]
@@ -87,9 +90,9 @@ def circle_seed(radius: float = 1.0, n: int = 21, u_range=(0.0, 2.0 * np.pi),
             "V": np.concatenate([np.full((k, 1) + base, -1.0), np.zeros((k, R - 1) + base)], axis=1),
         }
 
-    triple = Triple(grid, ClassMap.simple(1), v, h, V, analytic=TripleCallables(_eval))
+    triple = _analytic_triple(grid, _eval)
     lame = np.full((1,) + grid.shape, float(radius))
-    sff = V / v[:, None]  # kappa_i^r = V/v per class; one coordinate, one class
+    sff = triple.V / triple.v[:, None]  # kappa_i^r = V/v per class; one coordinate, one class
     return ImmersionSample(grid, pos, tangents=X, normals=normals, lame=lame,
                            sff=sff.reshape((1, R) + grid.shape), triple=triple)
 
@@ -111,10 +114,6 @@ def cylinder_seed(radius: float = 1.0, shape=(21, 21), u_range=(0.0, 2.0 * np.pi
     normals = np.stack([xi1] + _const_normals(3, ambient, grid.shape))
     R = normals.shape[0]
     k = 2
-    v = np.stack([np.full(grid.shape, float(radius)), np.ones(grid.shape)])
-    h = np.zeros((2, k) + grid.shape)
-    V = np.zeros((k, R) + grid.shape)
-    V[0, 0] = -1.0
 
     def _eval(pts):
         base = pts.shape[:-1]
@@ -123,11 +122,11 @@ def cylinder_seed(radius: float = 1.0, shape=(21, 21), u_range=(0.0, 2.0 * np.pi
         V_[0, 0] = -1.0
         return {"v": v_, "h": np.zeros((2, k) + base), "V": V_}
 
-    triple = Triple(grid, ClassMap.simple(2), v, h, V, analytic=TripleCallables(_eval))
-    lame = v.copy()
+    triple = _analytic_triple(grid, _eval)
+    v, V = triple.v, triple.V
     sff = np.stack([V[0] / v[0], V[1] / v[1]])
     return ImmersionSample(grid, pos, tangents=np.stack([X1, X2]), normals=normals,
-                           lame=lame, sff=sff, triple=triple)
+                           lame=v.copy(), sff=sff, triple=triple)
 
 
 def torus_seed(R: float = 1.0, r: float = 0.3, shape=(21, 21),
@@ -153,12 +152,6 @@ def torus_seed(R: float = 1.0, r: float = 0.3, shape=(21, 21),
     normals = np.stack([xi1] + _const_normals(3, ambient, grid.shape))
     Rn = normals.shape[0]
     k = 2
-    v = np.stack([w, np.full(grid.shape, float(r))])
-    h = np.zeros((2, k) + grid.shape)
-    h[1, 0] = -s2
-    V = np.zeros((k, Rn) + grid.shape)
-    V[0, 0] = -c2
-    V[1, 0] = -1.0
 
     def _eval(pts):
         base = pts.shape[:-1]
@@ -172,11 +165,11 @@ def torus_seed(R: float = 1.0, r: float = 0.3, shape=(21, 21),
         V_[1, 0] = -1.0
         return {"v": v_, "h": h_, "V": V_}
 
-    triple = Triple(grid, ClassMap.simple(2), v, h, V, analytic=TripleCallables(_eval))
-    lame = v.copy()
+    triple = _analytic_triple(grid, _eval)
+    v, V = triple.v, triple.V
     sff = np.stack([V[0] / v[0], V[1] / v[1]])
     return ImmersionSample(grid, pos, tangents=np.stack([X1, X2]), normals=normals,
-                           lame=lame, sff=sff, triple=triple)
+                           lame=v.copy(), sff=sff, triple=triple)
 
 
 def flat_seed(shape=(11, 11), extent=(1.0, 1.0), ambient: int = 3) -> ImmersionSample:
@@ -189,17 +182,14 @@ def flat_seed(shape=(11, 11), extent=(1.0, 1.0), ambient: int = 3) -> ImmersionS
     normals = np.stack(_const_normals(2, ambient, grid.shape))
     Rn = normals.shape[0]
     k = 2
-    v = np.ones((k,) + grid.shape)
-    h = np.zeros((2, k) + grid.shape)
-    V = np.zeros((k, Rn) + grid.shape)
 
     def _eval(pts):
         base = pts.shape[:-1]
         return {"v": np.ones((k,) + base), "h": np.zeros((2, k) + base), "V": np.zeros((k, Rn) + base)}
 
-    triple = Triple(grid, ClassMap.simple(2), v, h, V, analytic=TripleCallables(_eval))
+    triple = _analytic_triple(grid, _eval)
     return ImmersionSample(grid, pos, tangents=np.stack([X1, X2]), normals=normals,
-                           lame=v.copy(), sff=np.zeros((2, Rn) + grid.shape), triple=triple)
+                           lame=triple.v.copy(), sff=np.zeros((2, Rn) + grid.shape), triple=triple)
 
 
 def sphere_patch(radius: float = 1.0, shape=(21, 21), u_range=(0.0, 1.2),

@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import (TensorGrid, fd_axis, sphere_fit, _fd_deep, _joint_eigh, _singular_values, _sphere_fit_batch,
-                       _sym_eigh, AffineFlat)
+from .numerics import TensorGrid, fd_axis, _fd_deep, _joint_eigh, _singular_values, _sphere_fits, _sym_eigh
 from .ribaucour import NRibaucourResult
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "conullity_integrability",
     "sphere_leaf_check",
     "sf_report",
-    "conformal_codim",
     "focal_constancy",
     "dupin_tensor_space",
     "DiagnosticsReport",
@@ -505,7 +503,9 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
 
 def sphere_leaf_check(result: NRibaucourResult) -> dict:
     """Leaf geometry of an N-Ribaucour result from its positions alone:
-    per-base-node sphere fits of y -> f(u0, y).  The constancy of the leaf
+    per-base-node sphere fits of y -> f(u0, y), all leaves in one
+    `numerics._sphere_fits` call, each leaf as its own `sphere_fit`; a leaf
+    whose points coincide raises DegenerateCloud.  The constancy of the leaf
     centres f + eta/|eta|^2 is `focal_constancy` (on extracted normals)."""
     g = result.grid
     Db = result.base.grid.ndim
@@ -514,17 +514,9 @@ def sphere_leaf_check(result: NRibaucourResult) -> dict:
     base_shape = g.shape[:Db]
     clouds = result.sample.positions.reshape(
         (int(np.prod(base_shape)), -1, result.sample.ambient_dim))   # leaves in ndindex order
-    res = _sphere_fit_batch(clouds)
-    if res is None:
-        # some leaf is flat, degenerate or of another span rank
-        fits = [sphere_fit(cloud) for cloud in clouds]
-        res = np.array([fit.residual for fit in fits])
-        kinds = ["flat" if isinstance(fit, AffineFlat) else "sphere" for fit in fits]
-    else:
-        kinds = ["sphere"] * len(clouds)
-    res = res.reshape(base_shape)
-    kinds = np.array(kinds, dtype=object).reshape(base_shape)
-    return {"max_fit_residual": float(res.max()), "kinds": kinds, "fit_residuals": res}
+    _, flat, *_, res = _sphere_fits(clouds)
+    kinds = np.where(flat, "flat", "sphere").astype(object).reshape(base_shape)
+    return {"max_fit_residual": float(res.max()), "kinds": kinds, "fit_residuals": res.reshape(base_shape)}
 
 
 @dataclass
@@ -606,21 +598,13 @@ def _span_rank(V: np.ndarray, basis: np.ndarray, gap: float):
 
 
 def _sf_span(pd: PrincipalData, basis: np.ndarray, valid: np.ndarray, gap: float):
-    """dim S_f, S_f = span{eta_i - eta_j}, as `_span_rank` reports it; the
-    differences to class 0 span the same space."""
+    """dim S_f, S_f = span{eta_j - eta_i}, as `_span_rank` reports it, from
+    all k(k-1)/2 differences i < j, so that no class order is singled out."""
     if pd.k == 1:
         return 0, np.zeros(0), True
     eta = pd.eta[:, valid]                             # (k, n, N)
-    return _span_rank(np.moveaxis(eta[1:] - eta[0], 0, 1), basis, gap)
-
-
-def conformal_codim(s: ImmersionSample) -> int:
-    """Conformal codimension estimate dim S_f from raw positions alone, the
-    `conformal_codim` of a default `sf_report` without its other checks."""
-    jet = numeric_jet(s)
-    pd = extract_principal_normals(s, jet=jet)
-    valid = jet.interior if pd.mask is None else (jet.interior & pd.mask)
-    return _sf_span(pd, np.moveaxis(jet.normal_basis[:, valid], 0, -1), valid, _RANK_GAP)[0]
+    diffs = [eta[j] - eta[i] for i, j in itertools.combinations(range(pd.k), 2)]
+    return _span_rank(np.stack(diffs, axis=1), basis, gap)
 
 
 def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,

@@ -190,27 +190,57 @@ class TestDetectLTrivial:
 
     def test_torus_in_r4_is_not_substantial(self):
         # the same torus in R^4: c = 1 < N - D = 2, so the decomposition is not unique
-        t = torus_seed(R=1.0, r=0.3, shape=(21, 21), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2),
-                       ambient=4)
+        t = _torus4()
         _, rep = detect_ltrivial(t, parallel_w(t, [0.25, 0.0]))
         assert rep["substantial"] is False
         assert rep["note"] == "patch not conformally substantial: decomposition not unique"
 
-    def test_oracle_error_leaves_substantial_unchecked(self):
-        # 4 x 4 nodes are too few for the oracle's stencils (TooFewNodes)
+    def test_small_patch_is_decided(self):
+        # 4 x 4 nodes are too few for the oracle's stencils, not for the fit's rank
+        t3 = torus_seed(R=1.0, r=0.3, shape=(4, 4))
+        t4 = torus_seed(R=1.0, r=0.3, shape=(4, 4), ambient=4)
+        assert detect_ltrivial(t3, parallel_w(t3, [0.25]))[1]["substantial"] is True
+        assert detect_ltrivial(t4, parallel_w(t4, [0.25, 0.0]))[1]["substantial"] is False
+
+    def test_one_valid_node_is_not_unique(self):
+        # N equations for 1 + N + R unknowns: the fit has a null vector
+        import dataclasses
+
         t = torus_seed(R=1.0, r=0.3, shape=(4, 4))
-        _, rep = detect_ltrivial(t, parallel_w(t, [0.25]))
-        assert rep["substantial"] == "unchecked"
+        mask = np.zeros(t.grid.shape, dtype=bool)
+        mask[1, 2] = True
+        t = dataclasses.replace(t, mask=mask)
+        assert detect_ltrivial(t, parallel_w(t, [0.25]))[1]["substantial"] is False
 
-    def test_other_errors_in_the_check_propagate(self, torus_off, monkeypatch):
-        import dupin.verify
+    @pytest.mark.parametrize("ambient", [3, 4])
+    @pytest.mark.parametrize("k", [1e-3, 1e3])
+    def test_uniqueness_is_scale_free(self, torus_off, ambient, k):
+        s = torus_off if ambient == 3 else _torus4()
+        w = parallel_w(s, [0.25] + [0.0] * (ambient - 3))
+        _, rep = detect_ltrivial(apply_ltransform(s, Homothety(k)), pushforward_w(w, Homothety(k), s))
+        assert rep["substantial"] is (ambient == 3)
 
-        def broken(*args, **kwargs):
-            raise RuntimeError("not a DupinError")
+    @pytest.mark.parametrize("ambient", [3, 4])
+    def test_uniqueness_along_catalog_transforms(self, torus_off, ambient):
+        s = torus_off if ambient == 3 else _torus4()
+        w = inversion_w(s, np.array([0.3, -0.2, 0.4, 0.1][:ambient]), 1.2)
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            T = random_catalog_transform(rng, ambient)
+            s, w = apply_ltransform(s, T), pushforward_w(w, T, s)
+            spec, rep = detect_ltrivial(s, w)
+            assert spec is not None and rep["substantial"] is (ambient == 3)
 
-        monkeypatch.setattr(dupin.verify, "numeric_jet", broken)
-        with pytest.raises(RuntimeError, match="not a DupinError"):
-            detect_ltrivial(torus_off, parallel_w(torus_off, [0.25]))
+    def test_r4_torus_stays_non_unique_when_moved(self):
+        t = _torus4()
+        O = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+        for T in (Translate([0.3, -2.0, 0.5, 1.0]), Orthogonal(O)):
+            _, rep = detect_ltrivial(apply_ltransform(t, T), pushforward_w(parallel_w(t, [0.25, 0.0]), T, t))
+            assert rep["substantial"] is False
+
+
+def _torus4():
+    return torus_seed(R=1.0, r=0.3, shape=(21, 21), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2), ambient=4)
 
 
 class TestEpsilon:

@@ -23,7 +23,6 @@ from dupin.verify import (
     _span_rank,
     _stencil_valid,
     _track,
-    conformal_codim,
     conullity_integrability,
     dupin_residual,
     dupin_tensor_space,
@@ -441,11 +440,10 @@ class TestSphereLeaves:
         for idx in np.ndindex(*rep["kinds"].shape):
             cloud = recursion_step2.leaf_positions(idx).reshape(-1, 4)
             fit = sphere_fit(cloud)
-            spread = np.sqrt(((cloud - cloud.mean(axis=0)) ** 2).sum(axis=1).mean())
             assert not isinstance(fit, AffineFlat)
-            assert abs(rep["fit_residuals"][idx] - fit.residual) <= 1e-13 * spread
+            assert rep["fit_residuals"][idx] == fit.residual
 
-    def test_flat_or_degenerate_leaf_falls_back_to_per_leaf_fits(self, recursion_step1):
+    def test_flat_or_degenerate_leaf_matches_its_sphere_fit(self, recursion_step1):
         # one leaf straightened onto its chord (span rank 1, a flat) or
         # collapsed onto one point (DegenerateCloud, as sphere_fit raises)
         flat = _with_leaf(recursion_step1, 3, lambda leaf: np.linspace(leaf[0], leaf[-1], len(leaf)))
@@ -457,6 +455,25 @@ class TestSphereLeaves:
         point = _with_leaf(recursion_step1, 5, lambda leaf: np.broadcast_to(leaf[0], leaf.shape))
         with pytest.raises(DegenerateCloud, match="^all points coincide$"):
             sphere_leaf_check(point)
+
+    def test_mixed_rank_and_flat_leaves_in_one_call(self, recursion_step1):
+        # circles (span rank 2), one round 2-sphere patch (rank 3) and one
+        # straightened leaf (a flat): every leaf is its own sphere_fit
+        def cap(leaf):
+            th = np.linspace(0.2, 1.4, len(leaf))
+            e = np.eye(4)[:3]
+            return 0.5 * (np.cos(th)[:, None] * (np.cos(3 * th)[:, None] * e[0] + np.sin(3 * th)[:, None] * e[1])
+                          + np.sin(th)[:, None] * e[2]) + 1.0
+
+        mixed = _with_leaf(_with_leaf(recursion_step1, 7, cap), 3,
+                           lambda leaf: np.linspace(leaf[0], leaf[-1], len(leaf)))
+        rep = sphere_leaf_check(mixed)
+        fits = [sphere_fit(mixed.leaf_positions((iu,))) for iu in range(len(rep["kinds"]))]
+        assert [fit.sphere_dim for fit in fits if not isinstance(fit, AffineFlat)].count(2) == 1
+        assert [isinstance(fit, AffineFlat) for fit in fits] == [iu == 3 for iu in range(len(fits))]
+        for iu, fit in enumerate(fits):
+            assert rep["kinds"][iu] == ("flat" if iu == 3 else "sphere")
+            assert rep["fit_residuals"][iu] == fit.residual
 
     def test_flat_leaves_for_subbundle_valued_F(self):
         from dupin.integrable import solve_linear
@@ -524,6 +541,23 @@ class TestSfReport:
         assert rep.k == 3
         assert rep.conformal_codim <= 2
         assert rep.checks["c_le_k_minus_1"]
+
+    def test_sf_spectrum_is_free_of_class_order(self, recursion_step2):
+        # S_f is spanned by all pairwise differences, so no class is the base
+        s = recursion_step2.sample
+        jet = numeric_jet(s)
+        pd = extract_principal_normals(s, jet=jet)
+        spectra = []
+        for perm in itertools.permutations(range(pd.k)):
+            perm = list(perm)
+            pp = dataclasses.replace(pd, eta=pd.eta[perm], projectors=pd.projectors[perm],
+                                     multiplicities=tuple(pd.multiplicities[j] for j in perm))
+            rep = sf_report(s, pd=pp, jet=jet)
+            assert rep.dim_Sf == 1
+            spectra.append(rep.spectra["Sf"])
+        assert len(spectra[0]) == 3
+        for sp in spectra:
+            assert np.abs(sp - spectra[0]).max() <= 1e-12 * spectra[0][0]
 
     def test_weakly_irreducible_bound(self, recursion_step1, recursion_step2):
         # dim S_f <= 2k/3 - 1 holds for k = 3, dim S_f = 1 and fails for k = 2
@@ -884,5 +918,4 @@ class TestNonFinitePositions:
         clean, rep = sf_report(torus_patch), sf_report(s)
         assert (rep.k, rep.multiplicities, rep.holonomic) == (clean.k, clean.multiplicities, clean.holonomic)
         assert (rep.dim_Sf, rep.dim_N1) == (clean.dim_Sf, clean.dim_N1)
-        assert conformal_codim(s) == clean.conformal_codim
         assert np.isfinite(rep.dupin_residuals).all() and max(rep.dupin_residuals) < 1e-6
