@@ -37,8 +37,10 @@ class RankZero(DupinError):
     pass
 
 
-class NotCanonical(DupinError):
-    pass
+class NotCanonical(DupinError, ValueError):
+    """A solution that is not, or cannot be made, the canonical class
+    representative (a ValueError too, as `RibaucourSolution.canonical`
+    raised before it had a class of its own)."""
 
 
 class LambdaZero(DupinError):

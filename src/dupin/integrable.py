@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameDrift, UnsupportedGrid
+from .errors import DimensionMismatch, FrameDrift, NotCanonical, UnsupportedGrid
 from .net import ClassMap, ImmersionSample, ResidualReport, Triple, validate_triple
 from .numerics import TensorGrid, fd_axis
 
@@ -144,10 +144,9 @@ class _GridProvider:
             i0, w = self._weights(axis, t)
             out = []
             for line in lines:
-                acc = None
-                for m in range(4):
-                    term = w[:, m, None] * line[..., i0 + m, :]
-                    acc = term if acc is None else acc + term
+                acc = w[:, 0, None] * line[..., i0, :]
+                for m in range(1, 4):
+                    acc += w[:, m, None] * line[..., i0 + m, :]
                 out.append(acc)
             return out
 
@@ -456,7 +455,7 @@ class RibaucourSolution:
         else:
             bnorm = np.linalg.norm(self.beta[sel])
             if bnorm < 1e-15:
-                raise ValueError("cannot canonicalize: phi(base) = 0 and beta(base) = 0")
+                raise NotCanonical("cannot canonicalize: phi(base) = 0 and beta(base) = 0")
             lam = 1.0 / bnorm
         sol = self.scaled(lam)
         beta = sol.beta.copy()

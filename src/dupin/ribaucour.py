@@ -24,6 +24,7 @@ holonomic again with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -480,17 +481,29 @@ def ribaucour_transform(s: ImmersionSample, w) -> tuple:
 @dataclass
 class NRibaucourResult:
     """An N-Ribaucour transform over the product of the base grid and a
-    parallel-section box; leaves y -> f(u0, y) are conformal spheres/flats."""
+    parallel-section box; leaves y -> f(u0, y) are conformal spheres/flats.
+
+    `jet` and `principal` are built on first read from `base`, `w`,
+    `n_indices` and the trailing (y-grid) axes of the sample's grid, which
+    must not be mutated in between."""
 
     sample: ImmersionSample
     triple: Triple | None
-    principal: PrincipalData | None
     regular: np.ndarray
-    jet: TransformJet
     base: ImmersionSample
     w: RibaucourSolution
     n_indices: tuple
     predicates: dict | None = None    # the regularity gate's report (dupin_step)
+
+    @cached_property
+    def jet(self) -> TransformJet:
+        g, D = self.sample.grid, self.base.grid.ndim
+        y_grid = TensorGrid(g.shape[D:], g.spacings[D:], g.origins[D:])
+        return _make_jet(HolonomicJets(self.base, self.w, self.n_indices, y_grid))
+
+    @cached_property
+    def principal(self) -> PrincipalData:
+        return principal_normals_from_triple(self.triple, self.sample)
 
     @property
     def grid(self) -> TensorGrid:
@@ -549,9 +562,7 @@ def n_ribaucour_transform(h: ImmersionSample, nsub: ParallelNormalSubbundle,
     mask = None if ok.all() else ok
     sample.mask = mask
     triple.mask = mask
-    principal = principal_normals_from_triple(triple, sample)
-    return NRibaucourResult(sample=sample, triple=triple, principal=principal,
-                            regular=ok, jet=_make_jet(jets), base=h, w=w,
+    return NRibaucourResult(sample=sample, triple=triple, regular=ok, base=h, w=w,
                             n_indices=nsub.indices)
 
 

@@ -69,7 +69,7 @@ class NumericJet:
     grid: TensorGrid
     metric: np.ndarray         # (*grid, D, D)
     normal_proj: np.ndarray    # (*grid, N, N) projector onto the normal space
-    alpha: np.ndarray          # (D, D, *grid, N) normal-projected second derivatives
+    alpha: np.ndarray          # (D, D, *grid, N) normal-projected second derivatives (a view, not C-contiguous)
     shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators
     normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis, `_normal_frame` (not smooth)
     g_isqrt: np.ndarray        # (*grid, D, D) metric inverse square root
@@ -109,12 +109,15 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     Vt = V.swapaxes(-1, -2).copy()
     g_isqrt, g_sqrt = (V / root) @ Vt, (V * root) @ Vt
     T = g_isqrt @ np.moveaxis(first, 0, -2)           # (*grid, D, N)
+    del first
     normal_proj = np.eye(N) - T.swapaxes(-1, -2).copy() @ T
     normal_basis = _normal_frame(normal_proj, N - D)
 
-    # alpha_ij = normal_proj second_ij, one (D*D, N) @ (N, N) product per node
-    alpha = np.moveaxis(np.moveaxis(second.reshape(D * D, -1, N), 0, 1)
-                        @ normal_proj.reshape(-1, N, N), 1, 0).reshape(second.shape)
+    # alpha_ij = normal_proj second_ij, one (D*D, N) @ (N, N) product per node,
+    # kept as a (D, D, *grid, N) view of the (n, D*D, N) product
+    alpha = np.moveaxis(second.reshape(D * D, -1, N), 0, 1) @ normal_proj.reshape(-1, N, N)
+    del second
+    alpha = np.moveaxis(alpha.reshape(g.shape + (D, D, N)), (-3, -2), (0, 1))
 
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)     # (p, *grid, D, D)
     shape_sym = g_isqrt @ H @ g_isqrt
@@ -178,11 +181,14 @@ def extract_principal_normals(s: ImmersionSample,
     node's reference is its predecessor idx - e_d along the first axis d whose
     predecessor is masked; a node without one refers to the first masked node
     in lexicographic order, which keeps the grouping's own class order.  Each
-    node takes the class order that minimizes sum_j |eta_j - ref_j|, the first
-    such permutation in itertools order on a tie.  A reference always lies
-    earlier in lexicographic order, so every chain of references ends at the
-    first masked node; each node's order as a function of its reference's is
-    composed up the chains by pointer doubling, in ceil(log2 depth) rounds.
+    node matches its groups to its reference's groups by the permutation
+    sigma that minimizes sum_b |eta(group sigma_b) - ref eta(group b)|, the
+    first such in itertools order on a tie, and takes the class order sigma
+    composed with its reference's (a node whose distances are all NaN keeps
+    its reference's order).  A reference always lies earlier in
+    lexicographic order, so every chain of references ends at the first
+    masked node; the matchings are composed up the chains by pointer
+    doubling, in ceil(log2 depth) rounds.
     """
     jet = numeric_jet(s) if jet is None else jet
     return _principal_normals(s, jet, normal_curvature_residual(jet))
@@ -285,30 +291,29 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
 def _track(gap: np.ndarray, parent: np.ndarray) -> np.ndarray:
     """Class order (n, k) of every node from the group distances gap[i, a, b]
     between group a at node i and group b at its reference parent[i] (node 0,
-    the root, keeps the identity).  A node takes the order that minimizes
-    sum_j gap[i, order_j, ref_order_j], NaN counting as inf, the first such
-    permutation in itertools order on a tie."""
+    the root, keeps the identity).  Each node's matching sigma_i, group b at
+    the reference to group sigma_i[b] at the node, minimizes
+    sum_b gap[i, sigma_i[b], b], NaN counting as inf, and is the first such
+    permutation in itertools order on a tie; it does not depend on the
+    reference's order.  The node's order is sigma_i composed with its
+    reference's, order_i[j] = sigma_i[order_parent[j]], so a node whose
+    distances are all NaN inherits its reference's order."""
     n, k = gap.shape[:2]
     perms = np.array(list(itertools.permutations(range(k))))
-    # step[i, r]: the order node i takes when its reference takes perms[r]
-    step = np.empty((n, len(perms)), dtype=np.intp)
-    for r, ref in enumerate(perms):
-        cost = gap[:, perms[:, 0], ref[0]]             # (n, k!), summed over j in order
-        for j in range(1, k):
-            cost += gap[:, perms[:, j], ref[j]]
-        cost[np.isnan(cost)] = np.inf
-        step[:, r] = cost.argmin(axis=1)
-    step[0] = 0
-    # compose the steps up the reference chains by pointer doubling: after
-    # round t, step maps the order 2^t references up to the node's own
+    cost = gap[:, perms[:, 0], 0]                      # (n, k!), summed over b in order
+    for b in range(1, k):
+        cost += gap[:, perms[:, b], b]
+    cost[np.isnan(cost)] = np.inf
+    sigma = perms[cost.argmin(axis=1)]
+    del cost
+    sigma[0] = np.arange(k)
+    # compose the matchings up the reference chains by pointer doubling: after
+    # round t, sigma maps the order 2^t references up to the node's own
     up = parent
-    rows = len(perms) * np.arange(n)[:, None]
     while (up != 0).any():
-        at = step[up]
-        at += rows
-        step = step.reshape(-1)[at]
+        sigma = np.take_along_axis(sigma, sigma[up], axis=1)
         up = up[up]
-    return perms[step[:, 0]]
+    return sigma
 
 
 def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:

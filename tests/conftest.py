@@ -41,3 +41,20 @@ def recursion_step2(recursion_step1):
                       y_grid=TensorGrid((21,), (0.01,), (0.828,)),
                       B0=(-0.204, 0.141), phi0=1.0, gamma0=(0.010, -0.042),
                       beta0=(-0.618, -0.174), substeps=10)
+
+
+@pytest.fixture(scope="session")
+def recursion_k4():
+    """The acceptance criterion-10 chain: circle in R^5 -> 4-Dupin on 11^4."""
+    from dupin.ribaucour import dupin_step
+
+    c = circle_seed(radius=1.0, n=11, u_range=(0.0, 0.4), ambient=5)
+    s1 = dupin_step(c, n_indices=(1,), y_grid=TensorGrid((11,), (0.01,), (0.8,)),
+                    B0=(0.1,), phi0=1.0, gamma0=(0.2,), beta0=(0.3, 0.0, 0.0, 0.9),
+                    substeps=16)
+    s2 = dupin_step(s1.sample, n_indices=(1,), y_grid=TensorGrid((11,), (0.01,), (0.828,)),
+                    B0=(-0.204, 0.141), phi0=1.0, gamma0=(0.010, -0.042),
+                    beta0=(-0.618, 0.0, -0.174), substeps=10)
+    return dupin_step(s2.sample, n_indices=(1,), y_grid=TensorGrid((11,), (0.01,), (0.6,)),
+                      B0=(0.15, -0.1, 0.12), phi0=1.0, gamma0=(0.02, 0.01, -0.03),
+                      beta0=(0.4, -0.5), substeps=8)

@@ -288,6 +288,32 @@ def test_irregular_recursion_exits_2_with_one_line(tmp_path, capsys, command):
     assert re.fullmatch(r"error: solution is not regular: min gap \S+\n", err)
 
 
+# a base node where phi and beta both vanish: no canonical representative
+UNCANONICAL_W = {"B0": [0.1], "phi0": 0.0, "gamma0": [0.2], "beta0": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("command,op", [("run", "recursion"), ("run", "n_ribaucour"),
+                                        ("recurse", None)])
+def test_uncanonicalizable_solution_exits_2_with_one_line(tmp_path, capsys, command, op):
+    y = IRREGULAR_STEP["y"]
+    if command == "run":
+        step = ({"op": op, "n_indices": [1], "y": y, **UNCANONICAL_W} if op == "recursion" else
+                {"op": op, "n_indices": [1], "y": y, "w": {"kind": "solve", **UNCANONICAL_W}})
+        spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE},
+                "steps": [step]}
+        serialize.dump_json(spec, tmp_path / "spec.json")
+        argv = ["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]
+    else:
+        assert main(["seed", "--kind", "circle", "--params", json.dumps(CIRCLE),
+                     "--out", str(tmp_path / "seed.json")]) == 0
+        serialize.dump_json({"n_indices": [1], "y": y, **UNCANONICAL_W}, tmp_path / "step.json")
+        argv = ["recurse", "--in", str(tmp_path / "seed.json"), "--spec", str(tmp_path / "step.json"),
+                "--out", str(tmp_path / "o.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot canonicalize: phi(base) = 0 and beta(base) = 0\n"
+
+
 def _broken_sample(torus_patch, how):
     doc = serialize.sample_to_dict(torus_patch)
     flat = torus_patch.positions.reshape(-1)

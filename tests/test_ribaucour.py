@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from dupin.net import ParallelNormalSubbundle, principal_normals_from_triple, va
 from dupin.numerics import TensorGrid, fd_axis, sphere_fit, AffineFlat
 from dupin.ribaucour import (
     GeneralW,
+    HolonomicJets,
+    _make_jet,
     combescure_check,
     dupin_step,
     inversion_w,
@@ -18,6 +22,7 @@ from dupin.ribaucour import (
     verify_mutual_ribaucour,
 )
 from dupin.seeds import circle_seed, torus_seed
+from dupin.serialize import dump_json, result_to_dict, sample_to_dict
 
 
 P0 = np.array([0.0, 0.0, 2.0])
@@ -411,6 +416,68 @@ class TestMutualRibaucour:
         C = circle_result.sample.positions + eta / nrm2[..., None]
         dev = np.linalg.norm(C - C.mean(axis=1, keepdims=True), axis=-1)
         assert dev.max() < 1e-7
+
+
+# the y-grids the fixtures' last recursion steps were built over
+_Y_GRIDS = {"recursion_step1": TensorGrid((21,), (0.01,), (0.8,)),
+            "recursion_step2": TensorGrid((21,), (0.01,), (0.828,)),
+            "recursion_k4": TensorGrid((11,), (0.01,), (0.6,))}
+
+
+def _assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _assert_same_jv(got, want):
+    _assert_same_bits(got.val, want.val)
+    assert set(got.d) == set(want.d)
+    for ax in want.d:
+        _assert_same_bits(np.asarray(got.d[ax]), np.asarray(want.d[ax]))
+
+
+class TestLazyResult:
+    """An N-Ribaucour result builds its transform jet and principal data on
+    first read; both equal the eager build bit for bit."""
+
+    def test_dupin_step_holds_neither(self, circle4):
+        res = dupin_step(circle4, n_indices=(1,), y_grid=_Y_GRIDS["recursion_step1"], B0=(0.1,),
+                         phi0=1.0, gamma0=(0.2,), beta0=(0.3, 0.0, 0.9), substeps=16)
+        assert "jet" not in vars(res) and "principal" not in vars(res)
+        assert res.jet is res.jet and "jet" in vars(res)
+
+    @pytest.mark.parametrize("name", sorted(_Y_GRIDS))
+    def test_lazy_equals_eager(self, name, request):
+        res = request.getfixturevalue(name)
+        want = _make_jet(HolonomicJets(res.base, res.w, res.n_indices, _Y_GRIDS[name]))
+        got = res.jet
+        for f in dataclasses.fields(want):
+            if f.name != "jets":
+                _assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+        _assert_same_jv(got.jets.f, want.jets.f)
+        assert len(got.jets.xi) == len(want.jets.xi)
+        for x, y in zip(got.jets.xi, want.jets.xi):
+            _assert_same_jv(x, y)
+        pd = principal_normals_from_triple(res.triple, res.sample)
+        assert res.principal.multiplicities == pd.multiplicities
+        for f in ("eta", "projectors", "mask"):
+            _assert_same_bits(getattr(res.principal, f), getattr(pd, f))
+
+    @pytest.mark.parametrize("name", ["recursion_step1", "recursion_step2"])
+    def test_documents_match_an_eager_jet(self, name, request, tmp_path):
+        res = request.getfixturevalue(name)
+        eager = dataclasses.replace(res)
+        eager.__dict__["jet"] = _make_jet(HolonomicJets(res.base, res.w, res.n_indices,
+                                                        _Y_GRIDS[name]))
+        for r, tag in ((res, "lazy"), (eager, "eager")):
+            dump_json(result_to_dict(r), tmp_path / f"{tag}_result.json")
+            dump_json(sample_to_dict(r.slice_sample((7,))), tmp_path / f"{tag}_slice.json")
+        for doc in ("result", "slice"):
+            assert ((tmp_path / f"lazy_{doc}.json").read_bytes()
+                    == (tmp_path / f"eager_{doc}.json").read_bytes())
 
 
 def test_dupin_type_rho_constant_along_own_class(circle_result):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,35 +141,37 @@ def _reference_extract_principal_normals(s, jet):
     proj = np.zeros((k,) + g.shape + (D, D))
     g_sqrt = jet.g_sqrt
     perms = list(itertools.permutations(range(k)))
-    done = np.zeros(g.shape, dtype=bool)
-    ref0 = None
+    done = {}                  # tracked node -> (normals in group order, class order)
+    root = None
     for idx in sorted(map(tuple, np.argwhere(mask))):
         vals = np.stack([eta_dir[idx][list(grp)].mean(axis=0) for grp in pattern])
         ref = None
         for d in range(D):
             if idx[d] > 0:
                 nb = idx[:d] + (idx[d] - 1,) + idx[d + 1:]
-                if done[nb]:
-                    ref = np.stack([eta[j][nb] for j in range(k)])
+                if nb in done:
+                    ref = nb
                     break
         if ref is None:
-            ref = ref0
+            ref = root
         if ref is None:
             best = tuple(range(k))
         else:
-            best, bcost = None, np.inf
-            for pm in perms:
-                cost = sum(np.linalg.norm(vals[pm[j]] - ref[j]) for j in range(k))
-                if cost < bcost:
-                    best, bcost = pm, cost
+            # the matching sigma (reference group b -> group sigma[b] here) of
+            # least summed distance, the first in itertools order on a tie;
+            # class j then takes the group sigma maps the reference's class j to
+            ref_vals, ref_order = done[ref]
+            costs = [sum(np.linalg.norm(vals[pm[b]] - ref_vals[b]) for b in range(k)) for pm in perms]
+            sigma = perms[int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))]
+            best = tuple(sigma[c] for c in ref_order)
         for j in range(k):
             grp = list(pattern[best[j]])
             eta[j][idx] = vals[best[j]]
             hat = Q[idx][:, grp]
             proj[(j,) + idx] = jet.g_isqrt[idx] @ (hat @ hat.T) @ g_sqrt[idx]
-        done[idx] = True
-        if ref0 is None:
-            ref0 = np.stack([eta[j][idx] for j in range(k)])
+        done[idx] = (vals, best)
+        if root is None:
+            root = idx
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 
@@ -258,6 +261,20 @@ class TestNumericJet:
             kap_fd = (jet.alpha[i, i] * torus_v.normals[0]).sum(-1) / jet.metric[..., i, i]
             err = np.abs(kap_fd - torus_v.sff[i, 0])[jet.interior].max()
             assert err < 1e-6
+
+    def test_peak_memory_beyond_its_result(self, recursion_step2):
+        # alpha is a view of the one (n, D*D, N) product and the second
+        # derivatives go as soon as it exists: at its peak the call holds at
+        # most two alpha-sized arrays besides the jet it returns
+        tracemalloc.start()
+        try:
+            jet = numeric_jet(recursion_step2.sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in vars(jet).values() if isinstance(a, np.ndarray))
+        assert not jet.alpha.flags.c_contiguous
+        assert peak - kept <= 2 * jet.alpha.nbytes
 
 
 class TestExtraction:
@@ -866,7 +883,8 @@ class TestTracking:
 
     def test_nan_costs_count_as_inf(self):
         # per-node loop over the documented rule, on chains with all-NaN,
-        # partly NaN and tied gap rows
+        # partly NaN and tied gap rows; an all-NaN row inherits its
+        # reference's order
         rng = np.random.default_rng(3)
         for k in (2, 3, 4):
             n = 40
@@ -878,9 +896,11 @@ class TestTracking:
             want = np.zeros((n, k), dtype=int)
             want[0] = np.arange(k)
             for i in range(1, n):
-                ref = want[parent[i]]
-                costs = [sum(gap[i, pm[j], ref[j]] for j in range(k)) for pm in perms]
-                want[i] = perms[int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))]
+                # each node's minimal matching to its reference's groups, then
+                # the reference's class order mapped through it
+                costs = [sum(gap[i, pm[b], b] for b in range(k)) for pm in perms]
+                sigma = perms[int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))]
+                want[i] = [sigma[c] for c in want[parent[i]]]
             assert np.array_equal(_track(gap, parent), want)
 
 
