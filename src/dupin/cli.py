@@ -396,10 +396,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_seed(args) -> int:
-    doc = {"kind": args.kind, "params": json.loads(args.params) if args.params else {}}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except ValueError as e:
+        raise ParseError(f"--params is not a JSON document ({e})") from None
     if args.grid:
-        doc["params"]["shape"] = tuple(int(x) for x in args.grid.split(","))
-    sample = _build_seed(doc)
+        if not isinstance(params, dict):
+            raise ParseError("seed params is not a JSON object")
+        try:
+            params["shape"] = tuple(int(x) for x in args.grid.split(","))
+        except ValueError:
+            raise ParseError(f"--grid must be comma-separated node counts, not {args.grid!r}") from None
+    sample = _build_seed({"kind": args.kind, "params": params})
     serialize.dump_json(serialize.sample_to_dict(sample), args.out)
     print(f"seed '{args.kind}' written to {args.out}")
     return 0

@@ -44,7 +44,10 @@ tensor system's bit for bit.  Repeating the sweep in the reversed axis
 order, with its own propagators, gives the built-in path-independence health
 check.  The Goursat march seeds its base row with a tensor-system sweep; its
 rows, whose rates are not linear, keep a stage-by-stage RK4 that reads the
-axis data from a table of all stage times.
+axis data from a table of all stage times.  The row state is family-major
+(v, V^r and h_{0, m}, each a (k, n) block), so every rate is one broadcast
+product with the class row of its family, and the stages, their argument
+and the RK4 sum are written into buffers allocated once per march.
 """
 
 from __future__ import annotations
@@ -200,18 +203,6 @@ def _stage_times(coords: np.ndarray, substeps: int):
         t = t + h
     T[:, -1] = t
     return T, h
-
-
-def _rk4_span(rhs, y: np.ndarray, h: float, substeps: int) -> np.ndarray:
-    """`substeps` classical RK4 steps of size h from y; rhs(i, y) is the rate
-    at the i-th half step of the span (a row of a stage table)."""
-    for i in range(0, 2 * substeps, 2):
-        k1 = rhs(i, y)
-        k2 = rhs(i + 1, y + 0.5 * h * k1)
-        k3 = rhs(i + 1, y + 0.5 * h * k2)
-        k4 = rhs(i + 2, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 def _cell_propagators(coef, coords: np.ndarray, substeps: int) -> np.ndarray:
@@ -752,53 +743,96 @@ def _march_axis0(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap, su
 
 def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap,
                          substeps: int) -> Triple:
-    """March rows along axis 1 after seeding the axis-0 base row."""
+    """March rows along axis 1 after seeding the axis-0 base row.
+
+    The row state is family-major, (2 + R, k, na): v, V^0 .. V^{R-1} and
+    ha = h_{0, m}, each a (k, na) block.  Every rate is the reconstructed
+    hb = h_{1, m} (k, na) times the class-cb row of its own family.  Each
+    cell takes `substeps` classical RK4 steps, stage by stage; the stages,
+    their argument and the RK4 sum are written into buffers allocated once
+    per march.
+    """
     k = class_map.n_classes
     R = data.V0.shape[1]
     ca, cb = class_map.classes
     na, nb = grid.shape
     ub = grid.axis_coords(1)
     row_v, row_V, row_ha = _march_axis0(data, grid, class_map, substeps)
-    # the axis-1 data at every stage time and node, read by stage index
+    # the axis-1 data at every stage time and node, read by stage index: the
+    # class-ca value as a float (a list per cell) and the (k, 1) column of
+    # all classes
     T, hs = _stage_times(ub, substeps)
     hb_stages = np.reshape(data.h_rows[1](T.reshape(-1)), (k,) + T.shape)
+    stage_ca = hb_stages[ca]
+    stage_col = np.moveaxis(hb_stages, 0, -1)[..., None]          # (cells, stages, k, 1)
     hb_nodes = np.reshape(data.h_rows[1](ub), (k, nb))
     # cumulative_integral along the row as a matrix: cumulative_integral(y) = Q @ y
     Q = cumulative_integral(np.eye(na), grid.spacings[0], axis=0)
+    QT = Q.T
 
     v = np.empty((k, na, nb))
     V = np.empty((k, R, na, nb))
     h = np.empty((2, k, na, nb))
 
-    def reconstruct_hb(ha_row: np.ndarray, hb0: np.ndarray) -> np.ndarray:
-        """Row values of h_{1, m}(., t) from the axis-1 data hb0 (k,) at t."""
-        hb_ca = hb0[ca] * np.exp(Q @ ha_row[ca])
-        hb = hb0[:, None] + (hb_ca * ha_row) @ Q.T     # the rows m != ca
-        hb[ca] = hb_ca
+    z, w, hb = np.empty(na), np.empty((k, na)), np.empty((k, na))
+
+    def reconstruct_hb(at: tuple, hb0_ca: float, hb0: np.ndarray) -> np.ndarray:
+        """Row values hb of h_{1, m}(., t) from the rows `at` of a state and
+        the axis-1 data hb0 (k, 1) at t."""
+        # np.dot makes the BLAS calls of @ with less overhead
+        ha, ha_ca, _ = at
+        np.dot(Q, ha_ca, out=z)
+        np.exp(z, out=z)
+        np.multiply(z, hb0_ca, out=z)
+        np.multiply(z, ha, out=w)
+        np.dot(w, QT, out=hb)                      # the rows m != ca
+        np.add(hb, hb0, out=hb)
+        hb[ca] = z
         return hb
 
-    # row state (2k + kR, na): v_m, V_m^r (m-major), ha_m; every rate is
-    # hb_m times the row of class cb of the same family
-    fam = np.arange(k)
-    scale = np.concatenate([fam, np.repeat(fam, R), fam])
-    src = np.concatenate([np.full(k, cb), k + cb * R + np.arange(k * R) % R,
-                          np.full(k, k + k * R + cb)])
+    Y = np.empty((2 + R, k, na))
+    Y[0], Y[1 : 1 + R], Y[1 + R] = row_v, np.moveaxis(row_V, 1, 0), row_ha
+    # K1 holds k1 and then k3, K2 holds k2 and then k4, X the stage arguments
+    # and S the sum k1 + 2 k2 + 2 k3 + k4; the additions run in the order of
+    # the formula (an IEEE sum does not depend on the order of its operands)
+    K1, K2, X, S = (np.empty_like(Y) for _ in range(4))
+    # the rows a rate reads: ha, its class-ca row and the class-cb rows
+    at_Y = (Y[1 + R], Y[1 + R, ca], Y[:, cb : cb + 1])
+    at_X = (X[1 + R], X[1 + R, ca], X[:, cb : cb + 1])
 
-    def rhs_b(hb0, Y):
-        return reconstruct_hb(Y[k + k * R :], hb0)[scale] * Y[src]
+    def rate(out, at, hb0_ca, hb0):
+        np.multiply(reconstruct_hb(at, hb0_ca, hb0), at[2], out=out)
 
-    def store(j, Y):
-        v[:, :, j] = Y[:k]
-        V[:, :, :, j] = Y[k : k + k * R].reshape(k, R, na)
-        h[0, :, :, j] = Y[k + k * R :]
-        h[1, :, :, j] = reconstruct_hb(Y[k + k * R :], hb_nodes[:, j])
+    def store(j):
+        v[:, :, j] = Y[0]
+        V[:, :, :, j] = np.moveaxis(Y[1 : 1 + R], 0, 1)
+        h[0, :, :, j] = at_Y[0]
+        h[1, :, :, j] = reconstruct_hb(at_Y, float(hb_nodes[ca, j]), hb_nodes[:, j, None])
 
-    Yb = np.concatenate([row_v, row_V.reshape(k * R, na), row_ha])
-    store(0, Yb)
+    store(0)
     for j in range(1, nb):
-        cell = hb_stages[:, j - 1]
-        Yb = _rk4_span(lambda i, Y, cell=cell: rhs_b(cell[:, i], Y), Yb, hs[j - 1], substeps)
-        store(j, Yb)
+        step = hs[j - 1]
+        half, sixth = 0.5 * step, step / 6.0
+        cell_ca, cell_col = stage_ca[j - 1].tolist(), stage_col[j - 1]
+        for i in range(0, 2 * substeps, 2):
+            rate(K1, at_Y, cell_ca[i], cell_col[i])                          # k1
+            np.multiply(half, K1, out=X)
+            X += Y
+            rate(K2, at_X, cell_ca[i + 1], cell_col[i + 1])                  # k2
+            np.multiply(2.0, K2, out=S)
+            S += K1
+            np.multiply(half, K2, out=X)
+            X += Y
+            rate(K1, at_X, cell_ca[i + 1], cell_col[i + 1])                  # k3
+            np.multiply(step, K1, out=X)
+            X += Y
+            K1 *= 2.0
+            S += K1
+            rate(K2, at_X, cell_ca[i + 2], cell_col[i + 2])                  # k4
+            S += K2
+            S *= sixth
+            Y += S
+        store(j)
     return Triple(grid, class_map, v, h, V)
 
 

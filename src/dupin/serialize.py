@@ -234,7 +234,11 @@ def dump_json(obj: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as f:
+    try:
+        f = open(path, encoding="utf-8")
+    except OSError as e:            # a missing file, a directory, no permission
+        raise ParseError(f"cannot read {path} ({e.strerror})") from None
+    with f:
         try:
             return json.load(f)
         except ValueError as e:     # JSONDecodeError, or bytes that are not UTF-8

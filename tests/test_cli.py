@@ -556,3 +556,27 @@ def test_export_slice_string_exits_2_with_one_line(tmp_path, capsys):
                  "--out", str(tmp_path / "m.obj"), "--slice", "x"]) == 2
     assert capsys.readouterr().err == ("error: export --slice: 'slice' must be a list of 1 "
                                        "node indices or nulls\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["seed", "--kind", "torus", "--grid", "a,b"],
+     r"--grid must be comma-separated node counts, not 'a,b'"),
+    (["seed", "--kind", "torus", "--params", "{bad"], r"--params is not a JSON document \(.+\)"),
+    (["seed", "--kind", "torus", "--params", "[1]", "--grid", "5,5"],
+     r"seed params is not a JSON object"),
+    (["export", "--in", "MISSING", "--format", "obj"],
+     r"cannot read \S+missing\.json \(No such file or directory\)"),
+    (["transform", "--in", "SEED", "--spec", "MISSING"],
+     r"cannot read \S+missing\.json \(No such file or directory\)"),
+    (["recurse", "--in", "SEED", "--spec", "TMP"], r"cannot read \S+ \(Is a directory\)"),
+], ids=["grid_not_ints", "params_not_json", "params_list_with_grid", "export_missing_in",
+        "transform_missing_spec", "recurse_spec_directory"])
+def test_malformed_or_missing_cli_input_exits_2_with_one_line(tmp_path, capsys, args, message):
+    assert main(["seed", "--kind", "circle", "--params", json.dumps(CIRCLE),
+                 "--out", str(tmp_path / "seed.json")]) == 0
+    paths = {"SEED": tmp_path / "seed.json", "MISSING": tmp_path / "missing.json", "TMP": tmp_path}
+    argv = [str(paths.get(a, a)) for a in args] + ["--out", str(tmp_path / "o.out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not (tmp_path / "o.out").exists()

@@ -13,6 +13,7 @@ from dupin.integrable import (
     _dense_phase,
     _GridProvider,
     _joint_coef_factory,
+    _march_axis0,
     _provider_for,
     _solution_from_states,
     _stage_times,
@@ -563,14 +564,17 @@ def _ref_integrate_triple_2d(data, grid, class_map, substeps):
     return v, h, V
 
 
-def _ref_integrate_triple(data, grid, class_map, substeps, order):
+def _ref_integrate_triple(data, grid, class_map, substeps, order, march_2d=None):
+    """(v, h, V) of the reference march; march_2d, if given, replaces the
+    2-d row march."""
+    march_2d = march_2d or _ref_integrate_triple_2d
     if grid.ndim == 1:
         v, V, h = _ref_march_axis0(data, grid, class_map, substeps)
         return v, h[None], V
     if order == (0, 1):
-        return _ref_integrate_triple_2d(data, grid, class_map, substeps)
+        return march_2d(data, grid, class_map, substeps)
     flip = TensorGrid(grid.shape[::-1], grid.spacings[::-1], grid.origins[::-1])
-    v, h, V = _ref_integrate_triple_2d(
+    v, h, V = march_2d(
         TripleAxisData(v0=data.v0, V0=data.V0, h_rows=data.h_rows[::-1]), flip,
         ClassMap(class_map.classes[::-1]), substeps)
     return (np.swapaxes(v, 1, 2), np.stack([np.swapaxes(h[1], 1, 2), np.swapaxes(h[0], 1, 2)]),
@@ -819,3 +823,96 @@ class TestRankOneTensorPropagators:
         for i, seed in enumerate(seeds):
             alone, _ = _sweep_tensor(t, seed[:, None], substeps)
             assert np.array_equal(batch[i], alone[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Goursat row march as it stood before its stages wrote into
+# preallocated buffers, frozen.  The row state is (2k + kR, na), m-major, and
+# every stage allocates its rate by gathering hb[scale] * Y[src].
+
+
+def _frozen_rk4_span(rhs, y, h, substeps):
+    for i in range(0, 2 * substeps, 2):
+        k1 = rhs(i, y)
+        k2 = rhs(i + 1, y + 0.5 * h * k1)
+        k3 = rhs(i + 1, y + 0.5 * h * k2)
+        k4 = rhs(i + 2, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def _frozen_integrate_triple_2d(data, grid, class_map, substeps):
+    k = class_map.n_classes
+    R = data.V0.shape[1]
+    ca, cb = class_map.classes
+    na, nb = grid.shape
+    ub = grid.axis_coords(1)
+    row_v, row_V, row_ha = _march_axis0(data, grid, class_map, substeps)
+    T, hs = _stage_times(ub, substeps)
+    hb_stages = np.reshape(data.h_rows[1](T.reshape(-1)), (k,) + T.shape)
+    hb_nodes = np.reshape(data.h_rows[1](ub), (k, nb))
+    Q = cumulative_integral(np.eye(na), grid.spacings[0], axis=0)
+    v, V, h = np.empty((k, na, nb)), np.empty((k, R, na, nb)), np.empty((2, k, na, nb))
+
+    def reconstruct_hb(ha_row, hb0):
+        hb_ca = hb0[ca] * np.exp(Q @ ha_row[ca])
+        hb = hb0[:, None] + (hb_ca * ha_row) @ Q.T
+        hb[ca] = hb_ca
+        return hb
+
+    fam = np.arange(k)
+    scale = np.concatenate([fam, np.repeat(fam, R), fam])
+    src = np.concatenate([np.full(k, cb), k + cb * R + np.arange(k * R) % R,
+                          np.full(k, k + k * R + cb)])
+
+    def rhs_b(hb0, Y):
+        return reconstruct_hb(Y[k + k * R :], hb0)[scale] * Y[src]
+
+    def store(j, Y):
+        v[:, :, j] = Y[:k]
+        V[:, :, :, j] = Y[k : k + k * R].reshape(k, R, na)
+        h[0, :, :, j] = Y[k + k * R :]
+        h[1, :, :, j] = reconstruct_hb(Y[k + k * R :], hb_nodes[:, j])
+
+    Yb = np.concatenate([row_v, row_V.reshape(k * R, na), row_ha])
+    store(0, Yb)
+    for j in range(1, nb):
+        cell = hb_stages[:, j - 1]
+        Yb = _frozen_rk4_span(lambda i, Y, cell=cell: rhs_b(cell[:, i], Y), Yb, hs[j - 1], substeps)
+        store(j, Yb)
+    return v, h, V
+
+
+@pytest.mark.parametrize("substeps", [4, 16])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["forward", "reversed"])
+@pytest.mark.parametrize("case", ["torus41", "cylinder41", "bare_torus_patch", "recursion_step1"])
+def test_row_march_equals_frozen_march_bit_for_bit(case, order, substeps, request):
+    # the buffered stages repeat every IEEE operation of the allocating ones,
+    # in the same order
+    t = (_bare(request.getfixturevalue("torus_patch").triple) if case == "bare_torus_patch"
+         else request.getfixturevalue(case).triple)
+    data = axis_data_from_triple(t)
+    out, _ = integrate_triple(data, t.grid, t.class_map, substeps=substeps, sweep_order=order)
+    v, h, V = _ref_integrate_triple(data, t.grid, t.class_map, substeps, order,
+                                    _frozen_integrate_triple_2d)
+    assert np.array_equal(out.v, v)
+    assert np.array_equal(out.h, h)
+    assert np.array_equal(out.V, V)
+
+
+def test_row_march_is_fourth_order(torus41):
+    t = torus41.triple
+    data = axis_data_from_triple(t)
+
+    def march(substeps):
+        return integrate_triple(data, t.grid, t.class_map, substeps=substeps)[0]
+
+    def rel_error(a, b):
+        return max(np.abs(x - y).max() / np.abs(y).max() for x, y in ((a.v, b.v), (a.h, b.h), (a.V, b.V)))
+
+    fine = march(64)
+    marches = {s: march(s) for s in (2, 4, 8, 16)}
+    errors = [rel_error(marches[s], fine) for s in (2, 4, 8, 16)]
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((orders >= 3.8) & (orders <= 4.2)), (errors, orders)
+    assert rel_error(marches[16], t) <= 2e-11
