@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import DupinError, ParseError, StepFailure
+from .errors import DupinError, OutputError, ParseError, StepFailure
 from .integrable import solve_linear
 from .net import ParallelNormalSubbundle, validate_triple
 from .moebius import (
@@ -293,7 +293,10 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
     steps = spec.get("steps", [])
     if not isinstance(steps, list):
         raise ParseError("pipeline steps is not a JSON list")
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:            # a file in the way, no permission
+        raise OutputError(f"cannot create {outdir} ({e.strerror or e})") from None
     h = serialize.spec_hash(spec)
     chain = []
     summary = {"spec_sha256": h, "steps": [], "ok": True}

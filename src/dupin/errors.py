@@ -101,6 +101,11 @@ class ParseError(DupinError):
     pass
 
 
+class OutputError(DupinError):
+    """An artifact, report or mesh that cannot be written: a missing
+    directory, a path that is a directory, no permission, a full disk."""
+
+
 class StepFailure(DupinError):
     def __init__(self, step_index, message):
         super().__init__(f"step {step_index}: {message}")

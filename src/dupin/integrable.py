@@ -38,13 +38,19 @@ triples interpolate the row h[a] alone), and the march applies
 Y + (c - e_{a'}) Y_{a'}.
 
 The joint and frame systems keep dense propagators, built one substep at a
-time and applied by ``_apply``.  The joint system's B block is autonomous
-and takes the tensor system's own propagator columns, so its B equals the
-tensor system's bit for bit.  Repeating the sweep in the reversed axis
-order, with its own propagators, gives the built-in path-independence health
-check.  The Goursat march seeds its base row with a tensor-system sweep; its
-rows, whose rates are not linear, keep a stage-by-stage RK4 that reads the
-axis data from a table of all stage times.  The row state is family-major
+time from coefficient fields that the provider evaluates for a block of
+substeps per call (at most _FIELD_VALUES values), and applied in index
+order.  The joint system's B block is autonomous and takes the tensor
+system's own propagator columns, so its B equals the tensor system's bit for
+bit.  B enters (phi, gamma, beta) only through B_ca (dgamma_axis += B_ca),
+so the whole system's propagator rows past B are nonzero only in column ca
+and in the (phi, gamma, beta) columns: the dense propagators cover just the
+coupled block (B_ca, phi, gamma, beta), of size 2 + D + R instead of
+k + 1 + D + R.  Repeating the sweep in the reversed axis order, with its own
+propagators, gives the built-in path-independence health check.  The
+Goursat march seeds its base row with a tensor-system sweep; its rows, whose
+rates are not linear, keep a stage-by-stage RK4 that reads the axis data
+from a table of all stage times.  The row state is family-major
 (v, V^r and h_{0, m}, each a (k, n) block), so every rate is one broadcast
 product with the class row of its family, and the stages, their argument
 and the RK4 sum are written into buffers allocated once per march.
@@ -74,6 +80,7 @@ __all__ = [
 
 BLOWUP_BOUND = 1e12
 _GRAM_TOL = 1e-8           # largest Gram defect of an integrated frame
+_FIELD_VALUES = 2**15      # coefficient field values of one provider call (at least one substep)
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +214,51 @@ def _stage_times(coords: np.ndarray, substeps: int):
 
 def _cell_propagators(coef, coords: np.ndarray, substeps: int) -> np.ndarray:
     """RK4 propagators (cells, L, S, S) of y' = A(t) y across the cells of
-    `coords`; coef(t) gives A (P, L, S, S) at the times t (P,)."""
+    `coords`.  coef is (fields, assemble): fields(t) gives the coefficient
+    fields at the times t (P,), a dict of arrays (comp..., P, L), and
+    assemble(C) the matrices A (P, L, S, S) from such fields.  The fields
+    are evaluated for a block of substeps per call, as many as fit in
+    _FIELD_VALUES values, and each substep assembles its own matrices."""
+    fields, assemble = coef
     T, h = _stage_times(coords, substeps)
+    cells = h.shape[0]
     h = h[:, None, None, None]
     half, sixth = 0.5 * h, h / 6.0
-    A0 = coef(T[:, 0])
+    C = fields(T[:, 0])
+    A0 = assemble(C)
+    block = max(1, _FIELD_VALUES // (2 * sum(a.size for a in C.values())))
     eye = np.eye(A0.shape[-1])
     # K holds K2, K3 and K4 in turn, X the stage arguments I + c K, and S the
     # sum A0 + 2 K2 + 2 K3 + K4; the additions run in the order of the
     # formula (an IEEE sum does not depend on the order of its two operands)
     K, X, S = np.empty_like(A0), np.empty_like(A0), np.empty_like(A0)
     prop = None
-    for s in range(substeps):
-        Amid, A1 = np.split(coef(T[:, 2 * s + 1 : 2 * s + 3].T.reshape(-1)), 2)
-        np.multiply(half, A0, out=X)
-        X += eye
-        np.matmul(Amid, X, out=K)                  # K2
-        np.multiply(2.0, K, out=S)
-        S += A0
-        np.multiply(half, K, out=X)
-        X += eye
-        np.matmul(Amid, X, out=K)                  # K3
-        np.multiply(h, K, out=X)
-        X += eye
-        K *= 2.0
-        S += K
-        np.matmul(A1, X, out=K)                    # K4
-        S += K
-        S *= sixth
-        S += eye
-        prop = S.copy() if prop is None else S @ prop
-        A0 = A1
+    for lo in range(0, substeps, block):
+        hi = min(lo + block, substeps)
+        # the stage times of substeps lo..hi-1, stage-major: the mid and end
+        # times of substep s are the 2 cells values from 2 (s - lo) cells on
+        C = fields(T[:, 2 * lo + 1 : 2 * hi + 1].T.reshape(-1))
+        for s in range(hi - lo):
+            at = slice(2 * s * cells, 2 * (s + 1) * cells)
+            Amid, A1 = np.split(assemble({key: a[..., at, :] for key, a in C.items()}), 2)
+            np.multiply(half, A0, out=X)
+            X += eye
+            np.matmul(Amid, X, out=K)                  # K2
+            np.multiply(2.0, K, out=S)
+            S += A0
+            np.multiply(half, K, out=X)
+            X += eye
+            np.matmul(Amid, X, out=K)                  # K3
+            np.multiply(h, K, out=X)
+            X += eye
+            K *= 2.0
+            S += K
+            np.matmul(A1, X, out=K)                    # K4
+            S += K
+            S *= sixth
+            S += eye
+            prop = S.copy() if prop is None else S @ prop
+            A0 = A1
     return prop
 
 
@@ -276,6 +297,14 @@ def _tensor_columns(col, coords: np.ndarray, ca: int, substeps: int) -> np.ndarr
     return np.moveaxis(c, 0, -1)
 
 
+def _tensor_step(c: np.ndarray, Y: np.ndarray, ca: int) -> np.ndarray:
+    """(I + (c - e_ca) e_ca^T) Y for a propagator column c (L, k, 1) and
+    states Y (L, k, M)."""
+    out = Y + c * Y[:, ca : ca + 1]
+    out[:, ca] = c[:, ca] * Y[:, ca]
+    return out
+
+
 def _tensor_phase(h_at, classes, substeps: int):
     """Axis phases of the tensor system; h_at(axis, idx) gives the evaluator
     t -> coefficient column h[axis] (k, P, L) on the lines through idx."""
@@ -283,35 +312,46 @@ def _tensor_phase(h_at, classes, substeps: int):
     def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
         ca = classes[axis]
         cols = _tensor_columns(h_at(axis, idx), coords, ca, substeps)[..., None]
-
-        def step(j: int, Y: np.ndarray) -> np.ndarray:
-            c = cols[j]                            # (L, k, 1); Y is (L, k, M)
-            out = Y + c * Y[:, ca : ca + 1]
-            out[:, ca] = c[:, ca] * Y[:, ca]
-            return out
-
-        return step
+        return lambda j, Y: _tensor_step(cols[j], Y, ca)
 
     return phase
 
 
 def _dense_phase(coef_factory, substeps: int, tensor_lead=None):
     """Axis phases of a dense total system; coef_factory(axis, idx) gives
-    the coefficient builder of the lines through idx (L, D).  tensor_lead,
-    if given, is (h_at, classes) of an autonomous leading tensor block: its
-    rank-one propagators replace that block of the whole system's, so that
-    its rows equal a tensor sweep bit for bit."""
+    the coefficients (fields, assemble) of `_cell_propagators` on the lines
+    through idx (L, D).
+
+    tensor_lead, if given, is (h_at, classes) of an autonomous leading
+    tensor block of k rows that drives the other rows through its class-ca
+    entry alone.  coef_factory then gives the coupled block only, state
+    (B_ca, rest): the tensor rows step by their rank-one propagator columns,
+    so that they equal a tensor sweep bit for bit, and the rest by the
+    coupled propagators' rows past the first, applied to (Y_ca, Y_k, ...) in
+    index order.  Those rows are the whole system's rows k: less its exact
+    zeros, as the other tensor rows never enter the rest."""
 
     def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
         props = _cell_propagators(coef_factory(axis, idx), coords, substeps)
-        if tensor_lead is not None:
-            h_at, classes = tensor_lead
-            ca = classes[axis]
-            cols = _tensor_columns(h_at(axis, idx), coords, ca, substeps)
-            k = cols.shape[-1]
-            props[..., :k, :k] = np.eye(k)
-            props[..., :k, ca] = cols
-        return lambda j, Y: _apply(props[j], Y)
+        if tensor_lead is None:
+            return lambda j, Y: _apply(props[j], Y)
+        h_at, classes = tensor_lead
+        ca = classes[axis]
+        cols = _tensor_columns(h_at(axis, idx), coords, ca, substeps)[..., None]
+        k = cols.shape[-2]
+        rows = props[..., 1:, :]
+
+        def step(j: int, Y: np.ndarray) -> np.ndarray:
+            out = np.empty_like(Y)
+            out[:, :k] = _tensor_step(cols[j], Y[:, :k], ca)
+            P = rows[j]
+            rest = out[:, k:]
+            np.multiply(P[..., :1], Y[:, ca : ca + 1], out=rest)
+            for l in range(1, P.shape[-1]):
+                rest += P[..., l : l + 1] * Y[:, k + l - 1 : k + l]
+            return out
+
+        return step
 
     return phase
 
@@ -458,26 +498,25 @@ class RibaucourSolution:
         return replace(sol, beta=beta, B=B)
 
 
-def _joint_coef_factory(provider, class_map: ClassMap, D: int, k: int, R: int):
-    """Coefficient builders of the joint system, state (B, phi, gamma, beta):
-    the tensor block for B, and (phi, gamma, beta) move like the frame's
-    (position, X, xi) with B_{ca} added to dgamma_axis."""
+def _joint_coef_factory(provider, class_map: ClassMap, D: int, R: int):
+    """Coefficients of the joint system's coupled block along an axis of
+    class ca, state (B_ca, phi, gamma, beta): dB_ca = h[axis, ca] B_ca, and
+    (phi, gamma, beta) move like the frame's (position, X, xi) with B_ca
+    added to dgamma_axis.  No other B_m enters (phi, gamma, beta)."""
     cls = class_map.classes
-    S = k + 1 + D + R
+    S = 2 + D + R
 
     def factory(axis: int, idx: np.ndarray):
         ca = cls[axis]
-        evaluate = provider.line_eval(axis, idx)
 
-        def coef(t: np.ndarray) -> np.ndarray:
-            C = evaluate(t)
+        def assemble(C: dict) -> np.ndarray:
             A = np.zeros(C["v"].shape[1:] + (S, S))
-            A[..., :k, ca] = np.moveaxis(C["h"][axis], 0, -1)    # dB_m = h[axis, m] B_{ca}
-            _frame_block(A, k, C, axis, ca)
-            A[..., k + 1 + axis, ca] = 1.0
+            A[..., 0, 0] = C["h"][axis, ca]
+            _frame_block(A, 1, C, axis, ca)
+            A[..., 2 + axis, 0] = 1.0
             return A
 
-        return coef
+        return provider.line_eval(axis, idx), assemble
 
     return factory
 
@@ -523,8 +562,9 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
     state0 = np.concatenate([B0, [float(phi0)], gamma0, beta0])[:, None]
     provider = _provider_for(triple)
     # the B block is autonomous: sweep it with the tensor system's propagators,
-    # so that B equals solve_B's bit for bit
-    phase = _dense_phase(_joint_coef_factory(provider, triple.class_map, D, k, R), substeps,
+    # so that B equals solve_B's bit for bit; dense propagators cover only
+    # the block that B_ca drives
+    phase = _dense_phase(_joint_coef_factory(provider, triple.class_map, D, R), substeps,
                          tensor_lead=(provider.h_row, triple.class_map.classes))
     states, reports = _sweep(g, state0, phase, order, check_alternate)
     sol = _solution_from_states(triple, states[..., 0], reports)
@@ -602,15 +642,12 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     provider = _provider_for(triple)
 
     def factory(axis: int, idx: np.ndarray):
-        evaluate = provider.line_eval(axis, idx)
-
-        def coef(t: np.ndarray) -> np.ndarray:
-            C = evaluate(t)
+        def assemble(C: dict) -> np.ndarray:
             A = np.zeros(C["v"].shape[1:] + (1 + D + R, 1 + D + R))
             _frame_block(A, 0, C, axis, cls[axis])
             return A
 
-        return coef
+        return provider.line_eval(axis, idx), assemble
 
     # state (1 + D + R, N): position, tangents and normals as rows
     state0 = np.concatenate([base_point[None], X0, xi0])

@@ -40,7 +40,7 @@ from .net import (
     _INTERIOR_LAYERS,
     principal_normals_from_triple,
 )
-from .numerics import TensorGrid, fd_axis
+from .numerics import TensorGrid, _sum_last, fd_axis
 
 __all__ = [
     "GeneralW",
@@ -136,9 +136,18 @@ def ltrivial_w(s: ImmersionSample, a: float, v0, delta_coeffs, c: float) -> Riba
 
 class HolonomicJets:
     """Exact first-derivative jets of a holonomic sample, a solution w and
-    the induced transform on the product grid (L-grid) x (y-grid)."""
+    the induced transform on the product grid (L-grid) x (y-grid).
 
-    def __init__(self, sample: ImmersionSample, w, n_indices=(), y_grid: TensorGrid | None = None):
+    With partials=False only the scalar jets that `new_triple`
+    differentiates keep their partials: v_new through 2 phi nu (phi, gamma,
+    beta, nu) and B_t (B, V, y).  The vector jets X, xi, g, F and f, and
+    rho_class, lam and lam_coord, are values only, each the value of the
+    full build bit for bit; `new_frames` and `P` then have no partials.
+    `n_ribaucour_transform` builds so; `NRibaucourResult.jet` builds the
+    full jets, partials and all, on first read."""
+
+    def __init__(self, sample: ImmersionSample, w, n_indices=(), y_grid: TensorGrid | None = None,
+                 partials: bool = True):
         if sample.triple is None or not sample.has_frames():
             raise ValueError("transform requires a sample with triple and frames")
         t = sample.triple
@@ -163,7 +172,7 @@ class HolonomicJets:
         with np.errstate(invalid="ignore", divide="ignore"):
             # degenerate nodes (phi F = 0, D singular) legitimately produce
             # non-finite intermediates; they are masked downstream
-            self._build()
+            self._build(partials)
 
     # -- lifting -----------------------------------------------------------
     def _ls(self, a: np.ndarray) -> np.ndarray:
@@ -179,9 +188,12 @@ class HolonomicJets:
         return JS(yc.reshape(shape), {self.D + l: np.asarray(1.0)})
 
     # -- construction ------------------------------------------------------
-    def _build(self):
+    def _build(self, partials: bool):
         t, w = self.triple, self.w
         D, k, R, cls = self.D, self.k, self.R, self.cls
+        # the operand of a jet whose partials are not kept: its value alone
+        # (an operation on values rounds as the same operation on jets)
+        val = (lambda a: a) if partials else (lambda a: JS(a.val))
         vL = [self._ls(t.v[m]) for m in range(k)]
         hL = [[self._ls(t.h[j, m]) for m in range(k)] for j in range(D)]
         VL = [[self._ls(t.V[m, r]) for r in range(R)] for m in range(k)]
@@ -227,22 +239,28 @@ class HolonomicJets:
             self.B = None
         self.rho_coord = [JS(rhoL[i]) for i in range(D)]
 
-        self.X = []
-        for i in range(D):
-            d = {}
-            for j in range(D):
-                if j != i:
-                    d[j] = hL[i][cls[j]][..., None] * XL[j]
-            acc = np.zeros_like(XL[i])
-            for kk in range(D):
-                if kk != i:
-                    acc = acc - hL[kk][cls[i]][..., None] * XL[kk]
-            for r in range(R):
-                acc = acc + VL[cls[i]][r][..., None] * xiL[r]
-            d[i] = acc
-            self.X.append(JV(XL[i], d))
-        self.xi = [JV(xiL[r], {j: -VL[cls[j]][r][..., None] * XL[j] for j in range(D)}) for r in range(R)]
-        self.g = JV(gL, {j: vL[cls[j]][..., None] * XL[j] for j in range(D)})
+        if partials:
+            self.X = []
+            for i in range(D):
+                d = {}
+                for j in range(D):
+                    if j != i:
+                        d[j] = hL[i][cls[j]][..., None] * XL[j]
+                acc = np.zeros_like(XL[i])
+                for kk in range(D):
+                    if kk != i:
+                        acc = acc - hL[kk][cls[i]][..., None] * XL[kk]
+                for r in range(R):
+                    acc = acc + VL[cls[i]][r][..., None] * xiL[r]
+                d[i] = acc
+                self.X.append(JV(XL[i], d))
+            self.xi = [JV(xiL[r], {j: -VL[cls[j]][r][..., None] * XL[j] for j in range(D)})
+                       for r in range(R)]
+            self.g = JV(gL, {j: vL[cls[j]][..., None] * XL[j] for j in range(D)})
+        else:
+            self.X = [JV(x) for x in XL]
+            self.xi = [JV(x) for x in xiL]
+            self.g = JV(gL)
 
         # y symbols and the shifted beta entries
         self.y = [self._ysym(l) for l in range(self.s)]
@@ -259,13 +277,13 @@ class HolonomicJets:
         self.nu = Q.inv()
         F = None
         for i in range(D):
-            term = self.X[i].scale(self.gamma[i])
+            term = self.X[i].scale(val(self.gamma[i]))
             F = term if F is None else F + term
         for r in range(R):
-            F = F + self.xi[r].scale(self.beta_t[r])
+            F = F + self.xi[r].scale(val(self.beta_t[r]))
         self.F = F
         self.two_phi_nu = 2.0 * self.phi * self.nu
-        self.f = self.g - F.scale(self.two_phi_nu)
+        self.f = self.g - F.scale(val(self.two_phi_nu))
         # delta and beta_bar are read as values only: the value operations of
         # JV.scale, in the same order
         neg_inv_phi = ((1.0 / self.phi.val) * -1.0)[..., None]
@@ -287,8 +305,8 @@ class HolonomicJets:
                 for l, r in enumerate(self.n_indices):
                     bt = bt - self.y[l] * self.V[m][r]
                 self.B_t.append(bt)
-            self.rho_class = [self.B_t[m] / self.v[m] for m in range(k)]
-            self.lam = [1.0 - self.two_phi_nu * self.rho_class[m] for m in range(k)]
+            self.rho_class = [val(self.B_t[m]) / val(self.v[m]) for m in range(k)]
+            self.lam = [1.0 - val(self.two_phi_nu) * self.rho_class[m] for m in range(k)]
             self.v_new = [self.v[m] - self.two_phi_nu * self.B_t[m] for m in range(k)]
             self.lam_coord = [self.lam[cls[i]] for i in range(D)]
         else:
@@ -296,7 +314,7 @@ class HolonomicJets:
             self.rho_class = None
             self.lam = None
             self.v_new = None
-            self.lam_coord = [1.0 - self.two_phi_nu * self.rho_coord[i] for i in range(D)]
+            self.lam_coord = [1.0 - val(self.two_phi_nu) * self.rho_coord[i] for i in range(D)]
         self.v_new_class_s = -1.0 * self.two_phi_nu if self.s else None
 
     # -- derived objects ----------------------------------------------------
@@ -307,7 +325,7 @@ class HolonomicJets:
         """P(Z).val from the values of Z alone: the operations of P on the
         values, in the same order, so the two agree bit for bit."""
         F = self.F.val
-        s = (self.nu.val * 2.0) * (F * Z).sum(-1)
+        s = (self.nu.val * 2.0) * _sum_last(F * Z)
         return Z + -(s[..., None] * F)
 
     def full(self, a) -> np.ndarray:
@@ -350,13 +368,16 @@ class HolonomicJets:
         vbar = list(self.v_new)
         if self.s:
             vbar.append(self.v_new_class_s)
+        # V + 2 nu beta B_t and 2 nu beta from values, as the jet operations
+        # compute their values
         Vbar = np.empty((k_new, Rn) + self.grid.shape)
-        for m in range(self.k):
-            for jr, r in enumerate(out_r):
-                Vbar[m, jr] = self.full((self.V[m][r] + 2.0 * self.nu * self.beta[r] * self.B_t[m]).val)
-        if self.s:
-            for jr, r in enumerate(out_r):
-                Vbar[self.k, jr] = self.full((2.0 * self.nu * self.beta[r]).val)
+        two_nu = self.nu.val * 2.0
+        for jr, r in enumerate(out_r):
+            nu_beta = two_nu * self.beta[r].val
+            for m in range(self.k):
+                Vbar[m, jr] = self.V[m][r].val + nu_beta * self.B_t[m].val
+            if self.s:
+                Vbar[self.k, jr] = nu_beta
         v_arr = np.stack([self.full(vb.val) for vb in vbar])
         h_arr = np.empty((self.Dp, k_new) + self.grid.shape)
         for j in range(self.Dp):
@@ -555,7 +576,7 @@ def n_ribaucour_transform(h: ImmersionSample, nsub: ParallelNormalSubbundle,
         raise NotCanonical(f"phi(base) = {phi0:.6g}; canonicalize first")
     if bet0 > _CANONICAL_TOL:
         raise NotCanonical("beta has nonvanishing subbundle components at the base node")
-    jets = HolonomicJets(h, w, n_indices=nsub.indices, y_grid=y_grid)
+    jets = HolonomicJets(h, w, n_indices=nsub.indices, y_grid=y_grid, partials=False)
     triple = jets.new_triple()
     sample = jets.new_sample(triple)
     ok = jets.regular_mask()

@@ -14,13 +14,14 @@ alphabet needs no escaping; the schemas are unchanged.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import math
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedSlice
+from .errors import OutputError, ParseError, UnsupportedSlice
 from .net import ClassMap, ImmersionSample, Triple
 from .numerics import TensorGrid
 
@@ -226,9 +227,20 @@ def _json_pieces(obj, depth: int):
         yield json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """The text file at path, open for writing; an OSError while it is
+    opened or written becomes an OutputError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+    except OSError as e:            # a missing directory, a directory, no permission
+        raise OutputError(f"cannot write {path} ({e.strerror or e})") from None
+
+
 def dump_json(obj: dict, path) -> None:
     """Write obj as the bytes of json.dump(obj, f, indent=1) plus a newline."""
-    with open(path, "w", encoding="utf-8") as f:
+    with _writing(path) as f:
         f.writelines(_json_pieces(obj, 0))
         f.write("\n")
 
@@ -251,7 +263,7 @@ def spec_hash(obj: dict) -> str:
 
 def residual_csv(rows, path) -> None:
     """Rows of (equation id, max residual, masked fraction)."""
-    with open(path, "w", encoding="utf-8") as f:
+    with _writing(path) as f:
         f.write("equation,max_residual,masked_fraction\n")
         for eq, res, frac in rows:
             f.write(f"{eq},{res!r},{frac!r}\n")
@@ -330,7 +342,7 @@ def _mesh_data(s: ImmersionSample, slice_idx, coords):
 def export_obj(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
     """Quad mesh of a 2-d (slice of a) sample; masked cells are omitted."""
     verts, faces = _mesh_data(s, slice_idx, coords)
-    with open(path, "w", encoding="utf-8") as f:
+    with _writing(path) as f:
         for v in verts:
             f.write(f"v {v[0]!r} {v[1]!r} {v[2]!r}\n")
         for a, b, c, d in faces:
@@ -340,7 +352,7 @@ def export_obj(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
 
 def export_ply(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
     verts, faces = _mesh_data(s, slice_idx, coords)
-    with open(path, "w", encoding="utf-8") as f:
+    with _writing(path) as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {len(verts)}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")
@@ -360,7 +372,7 @@ def export_csv(s: ImmersionSample, path) -> dict:
     mesh = g.meshgrid()
     cols = [f"u{d}" for d in range(g.ndim)] + [f"x{i}" for i in range(N)] + ["valid"]
     valid = s.valid().reshape(-1)
-    with open(path, "w", encoding="utf-8") as f:
+    with _writing(path) as f:
         f.write(",".join(cols) + "\n")
         U = np.stack([m.reshape(-1) for m in mesh], axis=1)
         P = s.positions.reshape(-1, N)

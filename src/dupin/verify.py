@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import TensorGrid, fd_axis, _fd_deep, _joint_eigh, _singular_values, _sphere_fits, _sym_eigh
+from .numerics import (TensorGrid, fd_axis, _fd_deep, _joint_eigh, _singular_values, _sphere_fits,
+                       _sum_last, _sym_eigh)
 from .ribaucour import NRibaucourResult
 
 __all__ = [
@@ -221,7 +222,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     linked = np.tile(np.eye(D, dtype=np.uint8), (len(cand), 1, 1))
     for a, b in itertools.combinations(range(D), 2):
         linked[:, a, b] = linked[:, b, a] = (
-            np.sqrt(((cand[:, a] - cand[:, b]) ** 2).sum(-1)) < eta_tol * 10)
+            np.sqrt(_sum_last((cand[:, a] - cand[:, b]) ** 2)) < eta_tol * 10)
     for _ in range(D.bit_length()):
         linked = np.minimum(linked @ linked, 1)
     labels = linked.argmax(axis=-1)
@@ -270,7 +271,8 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     for a in range(k):
         for b in range(k):
             diff = vals[a] - vals[b, parent]
-            gap[:, a, b] = np.sqrt((diff[:, None] @ diff[..., None])[:, 0, 0])
+            diff *= diff
+            gap[:, a, b] = np.sqrt(_sum_last(diff))
     order = _track(gap, parent)                        # class j takes group order[:, j]
     eta_f[:, nodes] = vals[order.T, np.arange(len(nodes))]
     del vals, gap
@@ -390,7 +392,7 @@ def _eigenframes(jet: NumericJet, P: np.ndarray, valid: np.ndarray):
     eigenbundle frames) for projectors P (c, n, D, D) at the valid nodes, and
     their metric norms |X|_g (c, n, D)."""
     dirs = P @ jet.g_isqrt[valid]                  # (c, n, D, D), columns X
-    return dirs, np.sqrt(np.abs(((jet.metric[valid] @ dirs) * dirs).sum(-2)))
+    return dirs, np.sqrt(np.abs(_sum_last(((jet.metric[valid] @ dirs) * dirs).swapaxes(-1, -2))))
 
 
 def _along(dirs: np.ndarray, nX: np.ndarray, dV: np.ndarray, proj: np.ndarray | None = None) -> np.ndarray:
@@ -400,7 +402,7 @@ def _along(dirs: np.ndarray, nX: np.ndarray, dV: np.ndarray, proj: np.ndarray | 
     DXV = dirs.swapaxes(-1, -2) @ dV               # (c, n, D, N), one row per X
     if proj is not None:
         DXV = DXV @ proj
-    mag = np.sqrt((DXV * DXV).sum(-1))
+    mag = np.sqrt(_sum_last(DXV * DXV))
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
     return mag.max(axis=(1, 2))
@@ -447,8 +449,8 @@ def _conullity(jet: NumericJet, pd: PrincipalData, classes: range, valid: np.nda
         DY = dQ @ Qj[:, None]                              # (n, i, b, a): (D_{Y_a} Y_b)^i
         br = (DY[:, :, b, a] - DY[:, :, a, b]).swapaxes(-1, -2)   # (n, pairs, D): [Y_a, Y_b]
         bad = br @ Pj.swapaxes(-1, -2)                     # eigenbundle component
-        worst = np.sqrt(np.abs(((bad @ G) * bad).sum(-1))).max(initial=0.0)
-        scale = np.sqrt(np.abs(((br @ G) * br).sum(-1))).max(initial=0.0)
+        worst = np.sqrt(np.abs(_sum_last((bad @ G) * bad))).max(initial=0.0)
+        scale = np.sqrt(np.abs(_sum_last((br @ G) * br))).max(initial=0.0)
         # sufficient condition: differences to other classes pairwise independent
         others = [i for i in range(pd.k) if i != j]
         suff = np.inf
@@ -456,7 +458,7 @@ def _conullity(jet: NumericJet, pd: PrincipalData, classes: range, valid: np.nda
             for l in others[y + 1:]:
                 di = eta[i] - eta[j]
                 dl = eta[l] - eta[j]
-                cross2 = (di**2).sum(-1) * (dl**2).sum(-1) - ((di * dl).sum(-1)) ** 2
+                cross2 = _sum_last(di**2) * _sum_last(dl**2) - _sum_last(di * dl) ** 2
                 suff = min(suff, float(np.sqrt(np.maximum(cross2, 0.0)).min()))
         reports.append({
             "class": j,
@@ -495,9 +497,9 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
         group = classes[lo:lo + step]
         at = slice(group.start, group.stop)
         eta = pd.eta[(at,) + box]
-        live = [x for x, j in enumerate(group) if (pd.eta[j][valid] ** 2).sum(-1).min() >= _ETA_FLOOR**2]
+        live = [x for x, j in enumerate(group) if _sum_last(pd.eta[j][valid] ** 2).min() >= _ETA_FLOOR**2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            F = s.positions[box] + eta[live] / (eta[live] ** 2).sum(-1)[..., None]
+            F = s.positions[box] + eta[live] / _sum_last(eta[live] ** 2)[..., None]
         d_eta, d_Q, d_F = _slopes(jet.grid, valid, box, [eta, np.eye(D) - pd.projectors[(at,) + box], F])
         dirs, nX = _eigenframes(jet, pd.projectors[at][:, valid], valid)
         dupin[lo:lo + len(group)] = _along(dirs, nX, d_eta, proj)

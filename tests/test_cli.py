@@ -580,3 +580,42 @@ def test_malformed_or_missing_cli_input_exits_2_with_one_line(tmp_path, capsys, 
     assert main(argv) == 2
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
     assert not (tmp_path / "o.out").exists()
+
+
+# every output a subcommand writes, each argv with BAD in place of the output
+# path; SEED is a torus sample, STEP a regular recursion request on the
+# circle CIRCLE4 and CHAIN a transform chain
+CIRCLE4 = {"radius": 1.0, "n": 21, "u_range": [0.0, 0.4], "ambient": 4}
+REGULAR_STEP = {"n_indices": [1], "y": {"shape": [5], "spacings": [0.01], "origins": [0.8]},
+                "B0": [0.1], "phi0": 1.0, "gamma0": [0.2], "beta0": [0.3, 0.0, 0.9]}
+UNWRITABLE = {
+    "run": ["run", "--spec", "PIPE", "--out", "BAD"],
+    "seed": ["seed", "--kind", "circle", "--params", json.dumps(CIRCLE), "--out", "BAD"],
+    "transform": ["transform", "--in", "SEED", "--spec", "CHAIN", "--out", "BAD"],
+    "recurse": ["recurse", "--in", "CIRCLE4", "--spec", "STEP", "--out", "BAD"],
+    "verify": ["verify", "--in", "SEED", "--out", "BAD"],
+    "verify_csv": ["verify", "--in", "SEED", "--out", "OK", "--csv", "BAD"],
+    **{f"export_{fmt}": ["export", "--in", "SEED", "--format", fmt, "--out", "BAD"]
+       for fmt in ("obj", "ply", "csv", "json")},
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE))
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, case):
+    seed, circle = tmp_path / "seed.json", tmp_path / "circle4.json"
+    assert main(["seed", "--kind", "torus", "--grid", "21,21", "--out", str(seed)]) == 0
+    assert main(["seed", "--kind", "circle", "--params", json.dumps(CIRCLE4),
+                 "--out", str(circle)]) == 0
+    serialize.dump_json({"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE},
+                         "steps": []}, tmp_path / "pipe.json")
+    serialize.dump_json([{"kind": "translate", "u": [0.0, 0.0, 1.0]}], tmp_path / "chain.json")
+    serialize.dump_json(REGULAR_STEP, tmp_path / "step.json")
+    (tmp_path / "file").write_bytes(b"")
+    bad = tmp_path / "file" / "o.out"                  # below a regular file
+    paths = {"SEED": seed, "CIRCLE4": circle, "PIPE": tmp_path / "pipe.json",
+             "CHAIN": tmp_path / "chain.json", "STEP": tmp_path / "step.json",
+             "OK": tmp_path / "ok.json", "BAD": bad}
+    capsys.readouterr()
+    assert main([str(paths.get(a, a)) for a in UNWRITABLE[case]]) == 2
+    verb = "create" if case == "run" else "write"
+    assert capsys.readouterr().err == f"error: cannot {verb} {bad} (Not a directory)\n"

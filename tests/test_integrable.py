@@ -11,6 +11,7 @@ from dupin.integrable import (
     _bounded,
     _cell_propagators,
     _dense_phase,
+    _frame_block,
     _GridProvider,
     _joint_coef_factory,
     _march_axis0,
@@ -690,20 +691,53 @@ def test_tensor_space_matches_stagewise_reference(case, request):
 
 def _dense_tensor_coef_factory(provider, classes):
     def factory(axis, idx):
-        def coef(t):
-            h_axis = provider.h_row(axis, idx)(t)
+        evaluate = provider.h_row(axis, idx)
+
+        def assemble(C):
+            h_axis = C["h"]
             A = np.zeros(h_axis.shape[1:] + (h_axis.shape[0],) * 2)
             A[..., :, classes[axis]] = np.moveaxis(h_axis, 0, -1)
             return A
 
-        return coef
+        return (lambda t: {"h": evaluate(t)}), assemble
+
+    return factory
+
+
+# Reference: the joint system's whole coefficient matrices, state (B, phi,
+# gamma, beta) of size k + 1 + D + R, that the coupled block replaced: the
+# tensor block for B, and (phi, gamma, beta) move like the frame's
+# (position, X, xi) with B_ca added to dgamma_axis.
+
+
+def _full_joint_coef_factory(provider, class_map, D, k, R):
+    cls = class_map.classes
+    S = k + 1 + D + R
+
+    def factory(axis, idx):
+        ca = cls[axis]
+
+        def assemble(C):
+            A = np.zeros(C["v"].shape[1:] + (S, S))
+            A[..., :k, ca] = np.moveaxis(C["h"][axis], 0, -1)    # dB_m = h[axis, m] B_ca
+            _frame_block(A, k, C, axis, ca)
+            A[..., k + 1 + axis, ca] = 1.0
+            return A
+
+        return provider.line_eval(axis, idx), assemble
 
     return factory
 
 
 def _unfused_cell_propagators(coef, coords, substeps):
     """`_cell_propagators` with every matrix product summed in index order by
-    `_apply`, so that no multiply-add is fused (BLAS promises neither)."""
+    `_apply`, so that no multiply-add is fused (BLAS promises neither), and
+    the coefficient fields evaluated one substep at a time."""
+    fields, assemble = coef
+
+    def coef(t):
+        return assemble(fields(t))
+
     T, h = _stage_times(coords, substeps)
     h = h[:, None, None, None]
     A0 = coef(T[:, 0])
@@ -810,9 +844,32 @@ class TestRankOneTensorPropagators:
         assert np.abs(sol.B[:, good] - ref[:, good]).max() <= 1e-15 * np.abs(ref[:, good]).max()
         joint = solve_linear(t, B0, 1.0, (0.1, 0.2), (0.3,), substeps=4, order=order,
                              check_alternate=False)
-        dense = _dense_phase(_joint_coef_factory(_provider_for(t), t.class_map, 2, 2, 1), 4)
+        dense = _dense_phase(_full_joint_coef_factory(_provider_for(t), t.class_map, 2, 2, 1), 4)
         states = _sweep_total(g, np.array([0.4, -0.3, 1.0, 0.1, 0.2, 0.3])[:, None], dense, order)
         assert np.array_equal(joint.mask, _bounded(states[..., 0], axis=-1))
+
+    @pytest.mark.parametrize("case", ["recursion_step1", "recursion_step2", "bare_torus41"])
+    def test_coupled_block_rows_equal_full_joint_rows(self, case, request):
+        # rows k: of the whole joint propagator read B through B_ca alone:
+        # summed in index order, they are the coupled block's rows 1: in
+        # column ca and columns k:, and exact zeros in the other B columns
+        t, substeps = _column_case(case, request)
+        D, k, R = t.grid.ndim, t.n_classes, t.n_normals
+        provider = _provider_for(t)
+        full = _full_joint_coef_factory(provider, t.class_map, D, k, R)
+        coupled = _joint_coef_factory(provider, t.class_map, D, R)
+        for axis in range(D):
+            idx, coords = _all_lines(t.grid, axis), t.grid.axis_coords(axis)
+            ca = t.class_map.classes[axis]
+            whole = _unfused_cell_propagators(full(axis, idx), coords, substeps)[..., k:, :]
+            block = _unfused_cell_propagators(coupled(axis, idx), coords, substeps)[..., 1:, :]
+            assert block.shape[-1] == 2 + D + R
+            rows = np.zeros_like(whole)
+            rows[..., ca] = block[..., 0]
+            rows[..., k:] = block[..., 1:]
+            assert np.array_equal(whole, rows)
+            cols = [ca] + list(range(k, whole.shape[-1]))
+            assert np.array_equal(_bits(whole[..., cols]), _bits(rows[..., cols]))
 
     @pytest.mark.parametrize("case", ["torus41", "bare_torus41", "recursion_step2"])
     def test_a_batched_column_equals_its_own_sweep(self, case, request):

@@ -10,7 +10,7 @@ from dupin.net import (
     principal_normals_from_triple,
     validate_triple,
 )
-from dupin.numerics import TensorGrid
+from dupin.numerics import TensorGrid, fd_axis
 from dupin.seeds import torus_seed
 
 
@@ -52,6 +52,82 @@ class TestValidateTriple:
         rep = validate_triple(bad, tol=1e-6)
         assert not rep.passed
         assert rep.max_residual > 1e-3
+
+
+    @pytest.mark.parametrize("case", ["torus_patch", "cylinder_patch", "recursion_step1",
+                                      "recursion_step2", "masked_multiplicity"])
+    def test_residuals_equal_the_per_equation_loop(self, case, request):
+        t = _masked_multiplicity_triple() if case == "masked_multiplicity" else request.getfixturevalue(case)
+        t = t.triple if hasattr(t, "triple") else t
+        got, want = validate_triple(t).residuals, _loop_residuals(t)
+        assert list(got) == list(want)
+        assert got == want
+
+
+def _masked_multiplicity_triple():
+    """Random fields on a 3-d grid with a two-coordinate class and masked nodes."""
+    rng = np.random.default_rng(5)
+    g = TensorGrid((9, 7, 6), (0.1, 0.2, 0.15), (0.3, -0.1, 0.2))
+    cm = ClassMap((0, 1, 1))
+    mask = np.ones(g.shape, dtype=bool)
+    mask[4, 3, 2] = mask[2, 5, 3] = False
+    return Triple(g, cm, rng.normal(size=(2,) + g.shape), rng.normal(size=(3, 2) + g.shape),
+                  rng.normal(size=(2, 3) + g.shape), mask=mask)
+
+
+def _loop_residuals(t):
+    """Reference: validate_triple's residuals as it computed them before it
+    differentiated each field once per axis, one fd_axis call and one
+    maximum per equation component."""
+    g = t.grid
+    D, k, R = g.ndim, t.n_classes, t.n_normals
+    cls = t.class_map.classes
+    valid = t.valid() & g.interior_mask(2)
+    if not valid.any():
+        valid = t.valid()
+
+    def d(values, axis):
+        return fd_axis(values, g.spacings[axis], axis, 1)
+
+    def mx(arr):
+        return float(np.abs(arr[valid]).max()) if valid.any() else float("nan")
+
+    res = {}
+    r1 = 0.0
+    for j in range(D):
+        for m in range(k):
+            r1 = max(r1, mx(d(t.v[m], j) - t.h[j, m] * t.v[cls[j]]))
+    res["I.i"] = r1
+    r2 = 0.0
+    for i in range(D):
+        for j in range(i + 1, D):
+            if cls[i] == cls[j]:
+                continue
+            term = d(t.h[i, cls[j]], i) + d(t.h[j, cls[i]], j)
+            for l in range(D):
+                if l in (i, j):
+                    continue
+                term = term + t.h[l, cls[i]] * t.h[l, cls[j]]
+            term = term + (t.V[cls[i]] * t.V[cls[j]]).sum(axis=0)
+            r2 = max(r2, mx(term))
+    res["I.ii"] = r2
+    r3 = 0.0
+    for i in range(D):
+        for j in range(D):
+            if i == j:
+                continue
+            for m in range(k):
+                if m == cls[i]:
+                    continue
+                r3 = max(r3, mx(d(t.h[i, m], j) - t.h[i, cls[j]] * t.h[j, m]))
+    res["I.iii"] = r3
+    r4 = 0.0
+    for j in range(D):
+        for m in range(k):
+            for r in range(R):
+                r4 = max(r4, mx(d(t.V[m, r], j) - t.h[j, m] * t.V[cls[j], r]))
+    res["I.iv"] = r4
+    return res
 
 
 class TestPrincipalNormals:

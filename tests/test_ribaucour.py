@@ -467,6 +467,33 @@ class TestLazyResult:
             _assert_same_bits(getattr(res.principal, f), getattr(pd, f))
 
     @pytest.mark.parametrize("name", ["recursion_step1", "recursion_step2"])
+    def test_eager_vector_jets_are_values_only(self, name, request):
+        res = request.getfixturevalue(name)
+        jets = HolonomicJets(res.base, res.w, res.n_indices, _Y_GRIDS[name], partials=False)
+        full = HolonomicJets(res.base, res.w, res.n_indices, _Y_GRIDS[name])
+        for x in jets.X + jets.xi + [jets.g, jets.F, jets.f]:
+            assert x.d == {}
+        for got, want in zip(jets.X + jets.xi + [jets.g, jets.F, jets.f] + jets.lam,
+                             full.X + full.xi + [full.g, full.F, full.f] + full.lam):
+            _assert_same_bits(got.val, want.val)
+        for got, want in zip(jets.v_new, full.v_new):
+            _assert_same_jv(got, want)
+
+    @pytest.mark.parametrize("name", ["recursion_step1", "recursion_step2"])
+    def test_eager_outputs_equal_a_full_jet_build(self, name, request):
+        # the fixture's sample, triple and mask come from the values-only build
+        res = request.getfixturevalue(name)
+        full = HolonomicJets(res.base, res.w, res.n_indices, _Y_GRIDS[name])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            triple = full.new_triple()
+            sample = full.new_sample(triple)
+            _assert_same_bits(res.regular, full.regular_mask())
+        for f in ("v", "h", "V"):
+            _assert_same_bits(getattr(res.triple, f), getattr(triple, f))
+        for f in ("positions", "tangents", "normals", "lame", "sff"):
+            _assert_same_bits(getattr(res.sample, f), getattr(sample, f))
+
+    @pytest.mark.parametrize("name", ["recursion_step1", "recursion_step2"])
     def test_documents_match_an_eager_jet(self, name, request, tmp_path):
         res = request.getfixturevalue(name)
         eager = dataclasses.replace(res)
