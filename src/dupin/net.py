@@ -239,20 +239,23 @@ class PrincipalData:
 
 @dataclass
 class ResidualReport:
-    """Per-equation max residuals with a pass/fail verdict."""
+    """Per-equation max residuals with a pass/fail verdict.  A non-empty
+    `failure` says why the check cannot pass whatever the residuals are."""
 
     residuals: dict
     tol: float
     masked_fraction: float = 0.0
+    failure: str = ""
 
     @property
     def max_residual(self) -> float:
+        """The largest finite residual; NaN when none is finite."""
         vals = [v for v in self.residuals.values() if np.isfinite(v)]
-        return float(max(vals)) if vals else 0.0
+        return float(max(vals)) if vals else float("nan")
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tol
+        return not self.failure and self.max_residual < self.tol
 
     def rows(self) -> list:
         """CSV-ready rows: (equation id, max residual, masked fraction)."""
@@ -260,9 +263,11 @@ class ResidualReport:
 
     def __str__(self):
         body = ", ".join(f"{k}={v:.3e}" for k, v in self.residuals.items())
-        return f"ResidualReport({body}; tol={self.tol:g}, pass={self.passed})"
+        failure = f"; {self.failure}" if self.failure else ""
+        return f"ResidualReport({body}; tol={self.tol:g}, pass={self.passed}{failure})"
 
 
+@np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities
 def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
     """Residuals of the first-order net system for a candidate triple.
 
@@ -282,17 +287,28 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
     Along each axis j one `fd_axis` call per field differentiates v and V
     whole and, of h, the components the equations read along j: h_{im}
     for (iii) and h_{j i'} for (ii).  Each residual is the largest over the
-    valid nodes and the equation's components; a component whose maximum
-    is NaN does not count.
+    valid nodes and the equation's components.
+
+    The check fails outright (`ResidualReport.failure`) when no node is
+    valid, with every residual NaN, or when v, h or V is not finite at a
+    valid node.  A masked node may hold any value, so a residual whose
+    stencil reaches one may be NaN: a component whose maximum is NaN does
+    not count.
     """
     g = t.grid
     D, k, R = g.ndim, t.n_classes, t.n_normals
     cls = t.class_map.classes
+    if not t.valid().any():
+        return ResidualReport(residuals=dict.fromkeys(("I.i", "I.ii", "I.iii", "I.iv"), float("nan")),
+                              tol=tol, masked_fraction=1.0, failure="no valid node")
     interior = g.interior_mask(_INTERIOR_LAYERS)
     valid = t.valid() & interior
     if not valid.any():
         valid = t.valid()
     frac = 1.0 - t.valid().mean()
+    bad = [name for name, f in (("v", t.v), ("h", t.h), ("V", t.V))
+           if not np.isfinite(f).all() and not np.isfinite(f[..., t.valid()]).all()]
+    failure = f"{', '.join(bad)} not finite at valid nodes" if bad else ""
 
     nodes = np.flatnonzero(valid)
 
@@ -335,7 +351,7 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
             term = term + (t.V[cls[i]] * t.V[cls[j]]).sum(axis=0)
             res["I.ii"] = worst(res["I.ii"], term[None])
 
-    return ResidualReport(residuals=res, tol=tol, masked_fraction=float(frac))
+    return ResidualReport(residuals=res, tol=tol, masked_fraction=float(frac), failure=failure)
 
 
 def principal_normals_from_triple(t: Triple, s: ImmersionSample) -> PrincipalData:

@@ -137,16 +137,33 @@ def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     if n < 5:
         raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
 
+    out = np.empty_like(values)
+    _fd_into(np.moveaxis(out, axis, 0), np.moveaxis(values, axis, 0), h, order, 0, n)
+    return out
+
+
+def _fd_into(o: np.ndarray, v: np.ndarray, h: float, order: int, lo: int, hi: int) -> None:
+    """Rows lo..hi-1 of the `fd_axis` derivative along the first axis of v,
+    written to o (hi - lo rows): each row takes its own row's stencil, so a
+    row range reads at most three rows beyond it and equals the whole-axis
+    derivative there bit for bit."""
+    n = len(v)
     first, last, central, deep = _STENCILS[order]
     scale = 1.0 / h**order
-    out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[0:1] = _stencil_rows(v, 0, 1, first, scale)
-    o[n - 1:n] = _stencil_rows(v, n - 1, n, last, scale)
-    o[1:2] = _stencil_rows(v, 1, 2, central, scale)
-    o[n - 2:n - 1] = _stencil_rows(v, n - 2, n - 1, central, scale)
-    o[2:n - 2] = _stencil_rows(v, 2, n - 2, deep, scale)
+    for a, b, stencil in ((0, 1, first), (n - 1, n, last), (1, 2, central), (n - 2, n - 1, central),
+                          (2, n - 2, deep)):
+        a, b = max(a, lo), min(b, hi)
+        if a < b:
+            o[a - lo:b - lo] = _stencil_rows(v, a, b, stencil, scale)
+
+
+def _fd_rows(values: np.ndarray, h: float, order: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 along axis 0 of `fd_axis(values, h, 0, order)`, bit for bit."""
+    values = np.asarray(values, dtype=float)
+    if len(values) < 5:
+        raise GridTooSmall(f"need >= 5 nodes along axis 0, got {len(values)}")
+    out = np.empty((hi - lo,) + values.shape[1:])
+    _fd_into(out, values, h, order, lo, hi)
     return out
 
 

@@ -131,6 +131,18 @@ def _field(d: dict, key: str, shape: tuple, where: str,
     return a.reshape(shape).astype(dtype)
 
 
+def _check_finite(where: str, key: str, a: np.ndarray, lead: int, mask: np.ndarray | None, D: int) -> None:
+    """ParseError unless the field a (lead axes, grid axes, D of them, then
+    value axes) is finite at every node that mask leaves valid."""
+    if np.isfinite(a).all():
+        return
+    bad = ~np.isfinite(a).all(axis=tuple(range(lead)) + tuple(range(lead + D, a.ndim)))
+    if mask is not None:
+        bad &= mask
+    if bad.any():
+        raise ParseError(f"{where} has non-finite {key} at {int(bad.sum())} unmasked nodes")
+
+
 def triple_from_dict(d: dict) -> Triple:
     _check_schema(d, TRIPLE_SCHEMA)
     g = grid_from_dict(_get(d, "grid", "triple"))
@@ -146,6 +158,8 @@ def triple_from_dict(d: dict) -> Triple:
     mask = None
     if "mask" in d:
         mask = _field(d, "mask", g.shape, "triple", _MASK, bool)
+    for key, a, lead in (("v", v, 1), ("h", h, 2), ("V", V, 2)):
+        _check_finite("triple", key, a, lead, mask, D)
     return Triple(g, cm, v, h, V, mask=mask)
 
 
@@ -200,11 +214,10 @@ def sample_from_dict(d: dict) -> ImmersionSample:
         triple = triple_from_dict(d["triple"])
     if "mask" in d:
         mask = _field(d, "mask", g.shape, "sample", _MASK, bool)
-    bad = ~np.isfinite(pos).all(axis=-1)
-    if mask is not None:
-        bad &= mask
-    if bad.any():
-        raise ParseError(f"sample has non-finite positions at {int(bad.sum())} unmasked nodes")
+    for key, a, lead in (("positions", pos, 0), ("tangents", tangents, 1), ("normals", normals, 1),
+                         ("lame", lame, 1), ("sff", sff, 2)):
+        if a is not None:
+            _check_finite("sample", key, a, lead, mask, g.ndim)
     return ImmersionSample(g, pos, tangents=tangents, normals=normals, lame=lame,
                            sff=sff, triple=triple, mask=mask)
 

@@ -21,6 +21,12 @@ in the rank decisions (`numerics._singular_values`), class tracking by pointer
 doubling (`_track`) and one deep-stencil derivative pass over the
 stencil-valid box for every class's fields (`_slopes`).  No output depends on
 the normal basis, so none depends on where the sample sits in space.
+
+Memory stays close to what the oracle returns: `numeric_jet` builds the
+second fundamental form in slabs of axis-0 rows, and the extraction's cost
+and distance tables, its projector chains and the derived checks' derivative
+passes run over bounded blocks of nodes.  Every value is the one a
+whole-grid evaluation gives, bit for bit, whatever the block sizes.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import (TensorGrid, fd_axis, _fd_deep, _joint_eigh, _singular_values, _sphere_fits,
-                       _sum_last, _sym_eigh)
+from .numerics import (TensorGrid, fd_axis, _fd_deep, _fd_rows, _joint_eigh, _singular_values,
+                       _sphere_fits, _sum_last, _sym_eigh)
 from .ribaucour import NRibaucourResult
 
 __all__ = [
@@ -59,18 +65,28 @@ _ETA_FLOOR = 1e-8          # |eta_j| below this counts as a vanishing normal
 _PROBE_SEEDS = 2           # random seeds swept beside the k unit seeds
 _GAP_REQUIRED = 1e6        # sigma_k / sigma_{k+1} of a rank-k solution stack
 _PASS_VALUES = 2**17       # derived checks: box values differentiated in one pass
+_JET_VALUES = 2**16        # numeric_jet: second-derivative values per slab
+_BLOCK_VALUES = 2**17      # extraction: values of a per-node temporary built in one block
 
 
 @dataclass
 class NumericJet:
-    """Finite-difference fundamental forms of a position grid, with the
-    metric's square root g_sqrt and inverse square root g_isqrt, both from
-    the metric's eigenpairs."""
+    """Finite-difference fundamental forms of a position grid: the metric,
+    the normal projector, the second fundamental form H in an orthonormal
+    normal basis, the symmetrized shape operators g^{-1/2} H g^{-1/2}, and
+    the metric's square root g_sqrt and inverse square root g_isqrt, both
+    from its eigenpairs.
+
+    The ambient second fundamental form `alpha` is not kept: reading it
+    differentiates the positions again.  `numeric_jet` builds H in node
+    blocks, so neither alpha nor the second derivatives behind it ever
+    exist for the whole grid."""
 
     grid: TensorGrid
+    positions: np.ndarray      # (*grid, N) the sample's positions, not copied
     metric: np.ndarray         # (*grid, D, D)
     normal_proj: np.ndarray    # (*grid, N, N) projector onto the normal space
-    alpha: np.ndarray          # (D, D, *grid, N) normal-projected second derivatives (a view, not C-contiguous)
+    H: np.ndarray              # (p, *grid, D, D) second fundamental form <alpha_ij, nu_r>
     shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators
     normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis, `_normal_frame` (not smooth)
     g_isqrt: np.ndarray        # (*grid, D, D) metric inverse square root
@@ -81,25 +97,66 @@ class NumericJet:
     def codim(self) -> int:
         return self.shape_sym.shape[0]
 
+    @property
+    def alpha(self) -> np.ndarray:
+        """(D, D, *grid, N) normal-projected second derivatives, built on
+        each read from the positions for the whole grid (a view of one
+        (n, D*D, N) product, not C-contiguous); every value is the one
+        `numeric_jet` contracts into H."""
+        g = self.grid
+        pos = _finite(self.positions)
+        first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(g.ndim)])
+        return _project(_second(g, pos, first, 0, g.shape[0]), self.normal_proj)
+
+
+def _finite(pos: np.ndarray) -> np.ndarray:
+    """Positions with every non-finite value (allowed at masked nodes) made NaN."""
+    return np.where(np.isfinite(pos), pos, np.nan)
+
+
+def _second(g: TensorGrid, pos: np.ndarray, first: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Second derivatives (D, D, hi - lo, *grid[1:], N) on the axis-0 rows
+    lo..hi-1 of positions pos with first derivatives first (D, *grid, N),
+    bit for bit those of whole-grid `fd_axis` calls: d_00 by the rows' own
+    stencils (`numerics._fd_rows`, at most three rows beyond the slab), d_ii
+    and d_j first_i (i < j) within the slab, whose axes past the first are
+    whole."""
+    D = g.ndim
+    sec = np.empty((D, D, hi - lo) + pos.shape[1:])
+    sec[0, 0] = _fd_rows(pos, g.spacings[0], 2, lo, hi)
+    for i in range(D):
+        if i:
+            sec[i, i] = fd_axis(pos[lo:hi], g.spacings[i], i, 2)
+        for j in range(i + 1, D):
+            sec[i, j] = sec[j, i] = fd_axis(first[i, lo:hi], g.spacings[j], j, 1)
+    return sec
+
+
+def _project(second: np.ndarray, normal_proj: np.ndarray) -> np.ndarray:
+    """alpha_ij = normal_proj second_ij for second derivatives (D, D, *nodes,
+    N), one (D*D, N) @ (N, N) product per node, as a (D, D, *nodes, N) view
+    of the (n, D*D, N) product."""
+    D, N = second.shape[0], second.shape[-1]
+    alpha = np.moveaxis(second.reshape(D * D, -1, N), 0, 1) @ normal_proj.reshape(-1, N, N)
+    return np.moveaxis(alpha.reshape(second.shape[2:-1] + (D, D, N)), (-3, -2), (0, 1))
+
 
 def numeric_jet(s: ImmersionSample) -> NumericJet:
-    """Fundamental forms from raw positions, independent of cached data."""
+    """Fundamental forms from raw positions, independent of cached data.
+
+    H is built in slabs of axis-0 rows, about _JET_VALUES second-derivative
+    values each: the slab's second derivatives (`_second`), their normal
+    projection (`_project`) and its contraction with the normal basis, one
+    slab at a time.  Every value equals the whole-grid evaluation's."""
     g, pos = s.grid, s.positions
     D, N = g.ndim, pos.shape[-1]
     if min(g.shape) < 5:
         raise TooFewNodes("need at least 5 nodes per axis for the oracle")
     # non-finite positions (allowed at masked nodes) become NaN, which reaches
     # the forms of their stencil neighbours quietly; those nodes are not interior
-    pos = np.where(np.isfinite(pos), pos, np.nan)
+    pos = _finite(pos)
 
     first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
-    second = np.empty((D, D) + g.shape + (N,))
-    for i in range(D):
-        second[i, i] = fd_axis(pos, g.spacings[i], i, 2)
-        for j in range(i + 1, D):
-            second[i, j] = second[j, i] = fd_axis(first[i], g.spacings[j], j, 1)
-    del pos
-
     metric = np.einsum("i...k,j...k->...ij", first, first)
 
     # metric square roots from its eigenpairs (NaN where the forms are not
@@ -109,25 +166,26 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     # the transposed operands are copied: a strided stack takes numpy's slow loop
     Vt = V.swapaxes(-1, -2).copy()
     g_isqrt, g_sqrt = (V / root) @ Vt, (V * root) @ Vt
+    del w, V, root, Vt
     T = g_isqrt @ np.moveaxis(first, 0, -2)           # (*grid, D, N)
-    del first
     normal_proj = np.eye(N) - T.swapaxes(-1, -2).copy() @ T
+    del T
     normal_basis = _normal_frame(normal_proj, N - D)
 
-    # alpha_ij = normal_proj second_ij, one (D*D, N) @ (N, N) product per node,
-    # kept as a (D, D, *grid, N) view of the (n, D*D, N) product
-    alpha = np.moveaxis(second.reshape(D * D, -1, N), 0, 1) @ normal_proj.reshape(-1, N, N)
-    del second
-    alpha = np.moveaxis(alpha.reshape(g.shape + (D, D, N)), (-3, -2), (0, 1))
-
-    H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)     # (p, *grid, D, D)
+    H = np.empty((N - D,) + g.shape + (D, D))
+    rows = max(1, _JET_VALUES // (D * D * N * (g.size // g.shape[0])))
+    for lo in range(0, g.shape[0], rows):
+        hi = min(lo + rows, g.shape[0])
+        alpha = _project(_second(g, pos, first, lo, hi), normal_proj[lo:hi])
+        np.einsum("ij...k,r...k->r...ij", alpha, normal_basis[:, lo:hi], out=H[:, lo:hi])
+    del first, pos, alpha
     shape_sym = g_isqrt @ H @ g_isqrt
 
     interior = (g.interior_mask(2) & s.valid() & np.isfinite(metric).all(axis=(-2, -1))
                 & np.isfinite(shape_sym).all(axis=(0, -2, -1)))
     if not interior.any():
         raise TooFewNodes("no interior nodes left after masking")
-    return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
+    return NumericJet(grid=g, positions=s.positions, metric=metric, normal_proj=normal_proj, H=H,
                       shape_sym=shape_sym, normal_basis=normal_basis,
                       g_isqrt=g_isqrt, g_sqrt=g_sqrt, interior=interior)
 
@@ -213,7 +271,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     # classify every valid node with finite forms (boundary rows included) so
     # the eta fields support full stencils; reporting happens on the interior
     valid = s.valid() & np.isfinite(eta_dir).all(axis=(-2, -1))
-    cand = eta_dir[valid]                              # (n, D, N), lexicographic
+    cand = _at(eta_dir, valid)                         # (n, D, N), lexicographic
     del eta_dir
     if not len(cand):
         raise NotProper("no usable interior nodes")
@@ -243,10 +301,11 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     k = len(groups)
     mult = tuple(len(grp) for grp in groups)
     nodes = np.flatnonzero(mask)                       # lexicographic order
-    Q = Q.reshape(-1, D, D)[nodes]
+    n = len(nodes)
+    Q = _at(Q, mask)
     eta = np.zeros((k,) + g.shape + (N,))
     eta_f = eta.reshape(k, -1, N)
-    cand = cand[hit]
+    cand = _at(cand, hit)
     for a, grp in enumerate(groups):
         eta_f[a, nodes] = cand[:, grp].mean(axis=1)
     del cand
@@ -254,8 +313,8 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     # reference of each masked node (slot 0, the first masked node, is the root)
     coords = np.unravel_index(nodes, g.shape)
     slot = np.full(mask.size, -1)
-    slot[nodes] = np.arange(len(nodes))
-    parent = np.full(len(nodes), -1)
+    slot[nodes] = np.arange(n)
+    parent = np.full(n, -1)
     for d in range(D):
         stride = int(np.prod(g.shape[d + 1:], dtype=int))
         pred = np.where(coords[d] > 0, slot[nodes - stride], -1)
@@ -266,31 +325,51 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     # track classes against the reference so smooth eta fields survive
     # arbitrarily long patches (frames may rotate fully); gap[i, a, b] is the
     # distance from group a at node i to group b at its reference
-    vals = eta_f[:, nodes]                             # (k, n, N), group order
-    gap = np.empty((len(nodes), k, k))
-    for a in range(k):
-        for b in range(k):
-            diff = vals[a] - vals[b, parent]
-            diff *= diff
-            gap[:, a, b] = np.sqrt(_sum_last(diff))
-    order = _track(gap, parent)                        # class j takes group order[:, j]
-    eta_f[:, nodes] = vals[order.T, np.arange(len(nodes))]
-    del vals, gap
+    vals = eta_f if n == eta_f.shape[1] else eta_f[:, nodes]   # (k, n, N), group order
 
-    # one projector chain per group over the tracked nodes, scattered to the
-    # class that takes the group at each node
+    def gap(lo: int, hi: int) -> np.ndarray:
+        rows, ref = np.empty((hi - lo, k, k)), vals[:, parent[lo:hi]]
+        for a in range(k):
+            for b in range(k):
+                diff = vals[a, lo:hi] - ref[b]
+                diff *= diff
+                rows[:, a, b] = np.sqrt(_sum_last(diff))
+        return rows
+
+    order = _track(gap, parent, k)                     # class j takes group order[:, j]
+    # reordered block by block: a block reads only its own nodes' columns
+    step = max(1, _BLOCK_VALUES // (k * N))
+    for lo in range(0, n, step):
+        at = np.arange(lo, min(lo + step, n))
+        eta_f[:, nodes[at]] = vals[order[at].T, at]
+    del vals
+
+    # one projector chain per group over blocks of tracked nodes, scattered to
+    # the class that takes the group at each node
     proj = np.zeros((k,) + g.shape + (D, D))
     proj_f = proj.reshape(k, -1, D, D)
-    g_isqrt = jet.g_isqrt.reshape(-1, D, D)[nodes]
-    g_sqrt = jet.g_sqrt.reshape(-1, D, D)[nodes]
+    g_isqrt, g_sqrt = _at(jet.g_isqrt, mask), _at(jet.g_sqrt, mask)
     cls = np.argsort(order, axis=1)                    # group a is class cls[:, a]
-    for a, grp in enumerate(groups):
-        hat = Q[:, :, grp]                             # (n, D, mult)
-        proj_f[cls[:, a], nodes] = g_isqrt @ (hat @ hat.swapaxes(-1, -2).copy()) @ g_sqrt
+    step = max(1, _BLOCK_VALUES // (D * D))
+    hh, chain = np.empty((min(step, n), D, D)), np.empty((min(step, n), D, D))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        out, tmp = hh[:hi - lo], chain[:hi - lo]
+        for a, grp in enumerate(groups):
+            hat = Q[lo:hi, :, grp]                     # (m, D, mult)
+            np.matmul(hat, hat.swapaxes(-1, -2).copy(), out=out)
+            np.matmul(g_isqrt[lo:hi], out, out=tmp)
+            np.matmul(tmp, g_sqrt[lo:hi], out=out)
+            proj_f[cls[lo:hi, a], nodes[lo:hi]] = out
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 
-def _track(gap: np.ndarray, parent: np.ndarray) -> np.ndarray:
+def _at(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """a[mask] for a (*mask.shape, ...), a view of a when mask selects every node."""
+    return a.reshape((-1,) + a.shape[mask.ndim:]) if mask.all() else a[mask]
+
+
+def _track(gap, parent: np.ndarray, k: int) -> np.ndarray:
     """Class order (n, k) of every node from the group distances gap[i, a, b]
     between group a at node i and group b at its reference parent[i] (node 0,
     the root, keeps the identity).  Each node's matching sigma_i, group b at
@@ -299,15 +378,22 @@ def _track(gap: np.ndarray, parent: np.ndarray) -> np.ndarray:
     permutation in itertools order on a tie; it does not depend on the
     reference's order.  The node's order is sigma_i composed with its
     reference's, order_i[j] = sigma_i[order_parent[j]], so a node whose
-    distances are all NaN inherits its reference's order."""
-    n, k = gap.shape[:2]
+    distances are all NaN inherits its reference's order.
+
+    gap(lo, hi) gives the table's rows lo..hi-1 (hi - lo, k, k).  They are
+    asked for in blocks of about _BLOCK_VALUES matching costs, so neither
+    the table nor the n x k! cost table is built whole."""
+    n = len(parent)
     perms = np.array(list(itertools.permutations(range(k))))
-    cost = gap[:, perms[:, 0], 0]                      # (n, k!), summed over b in order
-    for b in range(1, k):
-        cost += gap[:, perms[:, b], b]
-    cost[np.isnan(cost)] = np.inf
-    sigma = perms[cost.argmin(axis=1)]
-    del cost
+    sigma = np.empty((n, k), dtype=perms.dtype)
+    step = max(1, _BLOCK_VALUES // len(perms))
+    for lo in range(0, n, step):
+        rows = gap(lo, min(lo + step, n))
+        cost = rows[:, perms[:, 0], 0]                 # (m, k!), summed over b in order
+        for b in range(1, k):
+            cost += rows[:, perms[:, b], b]
+        cost[np.isnan(cost)] = np.inf
+        sigma[lo:lo + step] = perms[cost.argmin(axis=1)]
     sigma[0] = np.arange(k)
     # compose the matchings up the reference chains by pointer doubling: after
     # round t, sigma maps the order 2^t references up to the node's own
@@ -387,12 +473,12 @@ def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
     return out
 
 
-def _eigenframes(jet: NumericJet, P: np.ndarray, valid: np.ndarray):
+def _eigenframes(P: np.ndarray, g_isqrt: np.ndarray, metric: np.ndarray):
     """The columns X of P_j g^{-1/2} (the chart components of g-orthonormal
-    eigenbundle frames) for projectors P (c, n, D, D) at the valid nodes, and
-    their metric norms |X|_g (c, n, D)."""
-    dirs = P @ jet.g_isqrt[valid]                  # (c, n, D, D), columns X
-    return dirs, np.sqrt(np.abs(_sum_last(((jet.metric[valid] @ dirs) * dirs).swapaxes(-1, -2))))
+    eigenbundle frames) for projectors P (c, n, D, D) at n nodes with metric
+    roots g_isqrt and metric (n, D, D), and their metric norms |X|_g (c, n, D)."""
+    dirs = P @ g_isqrt                             # (c, n, D, D), columns X
+    return dirs, np.sqrt(np.abs(_sum_last(((metric @ dirs) * dirs).swapaxes(-1, -2))))
 
 
 def _along(dirs: np.ndarray, nX: np.ndarray, dV: np.ndarray, proj: np.ndarray | None = None) -> np.ndarray:
@@ -431,35 +517,43 @@ def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
     return _derived(s, jet, pd, range(j, j + 1))[2][0]
 
 
-def _conullity(jet: NumericJet, pd: PrincipalData, classes: range, valid: np.ndarray,
-               d_Q: np.ndarray) -> tuple:
-    """Bracket tests of the given classes from the chart derivatives
-    d_Q[c, n, m, i, a] = d_m Q^i_a of their conullity projectors
-    Q = 1 - P at the valid nodes."""
-    D = jet.grid.ndim
-    G = jet.metric[valid]
-    eta = pd.eta[:, valid]
+def _conullity(classes: range, P: np.ndarray, G: np.ndarray, eta: np.ndarray, d_Q: np.ndarray) -> tuple:
+    """Bracket tests of the given classes at n nodes from their projectors P
+    (c, n, D, D), the metric G (n, D, D), every class's eta (k, n, N) and the chart
+    derivatives d_Q[c, n, m, i, a] = d_m Q^i_a of the conullity projectors
+    Q = 1 - P: per class the largest bracket residual and bracket scale
+    (c, 2), and per pair of other classes the smallest norm of the cross
+    product of their differences to it (c, pairs).  Slabs of nodes combine
+    by the maximum and the minimum; `_bracket_reports` reads the result."""
+    D, k = G.shape[-1], len(eta)
     a, b = np.triu_indices(D, 1)
-    reports = []
-    for x, j in enumerate(classes):
-        Pj = pd.projectors[j][valid]
+    top, low = [], []
+    for x, (j, Pj) in enumerate(zip(classes, P)):
         Qj = np.eye(D) - Pj                                # conullity projector
         # spanning fields Y_a = Qj e_a (the columns of Qj); dQ[n, i, a, m] = d_m Y_a^i
         dQ = np.ascontiguousarray(np.moveaxis(d_Q[x], 1, -1))
         DY = dQ @ Qj[:, None]                              # (n, i, b, a): (D_{Y_a} Y_b)^i
         br = (DY[:, :, b, a] - DY[:, :, a, b]).swapaxes(-1, -2)   # (n, pairs, D): [Y_a, Y_b]
         bad = br @ Pj.swapaxes(-1, -2)                     # eigenbundle component
-        worst = np.sqrt(np.abs(_sum_last((bad @ G) * bad))).max(initial=0.0)
-        scale = np.sqrt(np.abs(_sum_last((br @ G) * br))).max(initial=0.0)
+        top.append((np.sqrt(np.abs(_sum_last((bad @ G) * bad))).max(initial=0.0),
+                    np.sqrt(np.abs(_sum_last((br @ G) * br))).max(initial=0.0)))
         # sufficient condition: differences to other classes pairwise independent
-        others = [i for i in range(pd.k) if i != j]
-        suff = np.inf
-        for y, i in enumerate(others):
-            for l in others[y + 1:]:
-                di = eta[i] - eta[j]
-                dl = eta[l] - eta[j]
-                cross2 = _sum_last(di**2) * _sum_last(dl**2) - _sum_last(di * dl) ** 2
-                suff = min(suff, float(np.sqrt(np.maximum(cross2, 0.0)).min()))
+        cross = []
+        for i, l in itertools.combinations([i for i in range(k) if i != j], 2):
+            di = eta[i] - eta[j]
+            dl = eta[l] - eta[j]
+            cross2 = _sum_last(di**2) * _sum_last(dl**2) - _sum_last(di * dl) ** 2
+            cross.append(np.sqrt(np.maximum(cross2, 0.0)).min())
+        low.append(cross)
+    return np.array(top).reshape(len(P), 2), np.array(low).reshape(len(P), -1)
+
+
+def _bracket_reports(classes: range, top: np.ndarray, low: np.ndarray) -> tuple:
+    """The bracket-test dicts of the given classes from `_conullity`'s
+    maxima and minima over all valid nodes."""
+    reports = []
+    for j, (worst, scale), cross in zip(classes, top, low):
+        suff = min([np.inf] + [float(x) for x in cross])     # a NaN pair minimum does not count
         reports.append({
             "class": j,
             "bracket_residual": float(worst),
@@ -483,29 +577,48 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
 def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: range) -> tuple:
     """Dupin residuals (c,), focal-map constancy (c,) and bracket tests (c
     dicts) of the given classes at the stencil-valid nodes.  One derivative
-    pass per group of classes (all of them unless the box is large)
-    differentiates each class's eta_j, conullity projector and focal map; the
+    pass per group of classes (all of them unless the box is large) and slab
+    of axis-0 rows (the whole box unless one class's box fields exceed
+    _PASS_VALUES values) differentiates each class's eta_j, conullity
+    projector and focal map; the slabs' maxima and minima combine.  The
     focal constancy is nan for a class whose normal falls below _ETA_FLOOR."""
-    D = jet.grid.ndim
-    valid = _stencil_valid(jet.grid, jet.interior, pd.mask)
+    g = jet.grid
+    D = g.ndim
+    valid = _stencil_valid(g, jet.interior, pd.mask)
     box = _box(valid)
-    proj = jet.normal_proj[valid].swapaxes(-1, -2)
-    size = int(np.prod([sl.stop - sl.start for sl in box])) * (2 * s.ambient_dim + D * D)
-    step = max(1, _PASS_VALUES // size)
-    dupin, leaves, conull = np.empty(len(classes)), np.full(len(classes), np.nan), ()
-    for lo in range(0, len(classes), step):
+    row = int(np.prod([sl.stop - sl.start for sl in box[1:]])) * (2 * s.ambient_dim + D * D)
+    start, stop = box[0].start + 2, box[0].stop - 2     # rows holding valid nodes
+    step = max(1, _PASS_VALUES // ((stop - start + 4) * row))
+    width = max(1, _PASS_VALUES // (step * row) - 4)  # rows per slab, besides the two-row halos
+    c = len(classes)
+    dupin, leaves = np.full(c, -np.inf), np.full(c, np.nan)
+    top, low = np.full((c, 2), -np.inf), np.full((c, (pd.k - 1) * (pd.k - 2) // 2), np.inf)
+    for lo in range(0, c, step):
         group = classes[lo:lo + step]
-        at = slice(group.start, group.stop)
-        eta = pd.eta[(at,) + box]
+        at, now = slice(group.start, group.stop), slice(lo, lo + len(group))
         live = [x for x, j in enumerate(group) if _sum_last(pd.eta[j][valid] ** 2).min() >= _ETA_FLOOR**2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = s.positions[box] + eta[live] / _sum_last(eta[live] ** 2)[..., None]
-        d_eta, d_Q, d_F = _slopes(jet.grid, valid, box, [eta, np.eye(D) - pd.projectors[(at,) + box], F])
-        dirs, nX = _eigenframes(jet, pd.projectors[at][:, valid], valid)
-        dupin[lo:lo + len(group)] = _along(dirs, nX, d_eta, proj)
-        leaves[[lo + x for x in live]] = _along(dirs[live], nX[live], d_F)
-        conull += _conullity(jet, pd, group, valid, d_Q)
-    return dupin, leaves, conull
+        leaf = np.full(len(live), -np.inf)
+        for r0 in range(start, stop, width):
+            rows = slice(r0, min(r0 + width, stop))
+            here = valid[rows]
+            if not here.any():
+                continue
+            sub = (slice(r0 - 2, rows.stop + 2),) + box[1:]
+            eta = pd.eta[(at,) + sub]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                F = s.positions[sub] + eta[live] / _sum_last(eta[live] ** 2)[..., None]
+            d_eta, d_Q, d_F = _slopes(g, valid, sub, [eta, np.eye(D) - pd.projectors[(at,) + sub], F])
+            del eta, F
+            P, G = pd.projectors[at, rows][:, here], jet.metric[rows][here]
+            dirs, nX = _eigenframes(P, jet.g_isqrt[rows][here], G)
+            proj = jet.normal_proj[rows][here].swapaxes(-1, -2)
+            dupin[now] = np.maximum(dupin[now], _along(dirs, nX, d_eta, proj))
+            leaf = np.maximum(leaf, _along(dirs[live], nX[live], d_F))
+            t, m = _conullity(group, P, G, pd.eta[:, rows][:, here], d_Q)
+            top[now], low[now] = np.maximum(top[now], t), np.minimum(low[now], m)
+            del d_eta, d_Q, d_F, P, G, dirs, nX, proj
+        leaves[[lo + x for x in live]] = leaf
+    return dupin, leaves, _bracket_reports(classes, top, low)
 
 
 def sphere_leaf_check(result: NRibaucourResult) -> dict:
@@ -584,18 +697,18 @@ class DiagnosticsReport:
         }
 
 
-def _span_rank(V: np.ndarray, basis: np.ndarray, gap: float):
-    """Numerical rank of a family of normal vectors V (n, m, N) at n nodes.
+def _span_rank(C: np.ndarray, N: int, gap: float):
+    """Numerical rank of a family of m normal vectors in R^N at n nodes,
+    given by their coordinates C (n, m, p) in an orthonormal normal basis.
 
-    Singular values come from the vectors' coordinates in the normal basis
-    (n, N, p) by `_singular_values`; the min(m, N) - min(m, p) tangential
-    ones are 0.  Returns (max node rank, spectrum of the worst node attaining
-    it, whether the rank is constant).  Rank uses singular values
-    > gap * sigma_max.
+    Singular values come from C by `_singular_values`; the min(m, N) -
+    min(m, p) tangential ones are 0.  Returns (max node rank, spectrum of
+    the worst node attaining it, whether the rank is constant).  Rank uses
+    singular values > gap * sigma_max.
     """
-    m, N = V.shape[1:]
-    sv = np.zeros((len(V), min(m, N)))
-    sv[:, :min(m, basis.shape[-1])] = _singular_values(V @ basis)
+    m, p = C.shape[1:]
+    sv = np.zeros((len(C), min(m, N)))
+    sv[:, :min(m, p)] = _singular_values(C)
     smax = np.maximum(sv[:, :1], 1e-300)
     ranks = (sv > gap * smax).sum(axis=1)
     worst = int(ranks.max()) if ranks.size else 0
@@ -606,12 +719,15 @@ def _span_rank(V: np.ndarray, basis: np.ndarray, gap: float):
 
 def _sf_span(pd: PrincipalData, basis: np.ndarray, valid: np.ndarray, gap: float):
     """dim S_f, S_f = span{eta_j - eta_i}, as `_span_rank` reports it, from
-    all k(k-1)/2 differences i < j, so that no class order is singled out."""
+    all k(k-1)/2 differences i < j, so that no class order is singled out;
+    basis (n, N, p) holds the normal basis as columns."""
     if pd.k == 1:
         return 0, np.zeros(0), True
-    eta = pd.eta[:, valid]                             # (k, n, N)
-    diffs = [eta[j] - eta[i] for i, j in itertools.combinations(range(pd.k), 2)]
-    return _span_rank(np.stack(diffs, axis=1), basis, gap)
+    pairs = list(itertools.combinations(range(pd.k), 2))
+    diffs = np.empty((len(basis), len(pairs), basis.shape[1]))       # (n, pairs, N)
+    for x, (i, j) in enumerate(pairs):
+        np.subtract(pd.eta[j][valid], pd.eta[i][valid], out=diffs[:, x])
+    return _span_rank(diffs @ basis, basis.shape[1], gap)
 
 
 def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
@@ -636,9 +752,10 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
 
     basis = np.moveaxis(jet.normal_basis[:, valid], 0, -1)          # (n, N, p) columns
     dim_sf, sf_spec, sf_const = _sf_span(pd, basis, valid, _RANK_GAP)
-    # N_1 = span of all alpha(X, Y)
-    alpha = np.stack([jet.alpha[i, j][valid] for i in range(D) for j in range(i, D)], axis=1)
-    dim_n1, n1_spec, n1_const = _span_rank(alpha, basis, _RANK_GAP)
+    # N_1 = span of all alpha(X, Y), by their coordinates H in the normal basis
+    i, j = np.triu_indices(D)
+    dim_n1, n1_spec, n1_const = _span_rank(np.moveaxis(jet.H[:, valid][..., i, j], 0, -1),
+                                           s.ambient_dim, _RANK_GAP)
 
     checks = {
         "c_le_k_minus_1": dim_sf <= k - 1,

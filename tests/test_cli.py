@@ -112,7 +112,8 @@ class TestSerialize:
         s.positions[5, 6] = [-np.inf, -payload_nan, np.inf]
         s.positions[1, 1, 0] = -0.0
         s.positions[1, 2, 1] = 5e-324                  # smallest subnormal
-        s.triple.v[0, 2, 2] = payload_nan
+        s.triple.mask = s.mask.copy()                  # non-finite values only where masked
+        s.triple.v[0, 3, 4] = payload_nan
         s.triple.h[1, 0, 7, 7] = -0.0
         s.tangents[0, 4, 4, 2] = 2.5e-310
         doc = serialize.sample_to_dict(s)
@@ -325,6 +326,10 @@ def _broken_sample(torus_patch, how):
         flat = flat.copy()
         flat[7] = float("nan")
         doc["positions"] = serialize._arr(flat)
+    elif how == "non_finite_tangents":
+        tangents = torus_patch.tangents.copy()
+        tangents[1, 4, 9, 2] = float("inf")
+        doc["tangents"] = serialize._arr(tangents)
     return doc
 
 
@@ -332,7 +337,8 @@ def _broken_sample(torus_patch, how):
     ("missing_key", "sample document missing key 'positions'"),
     ("size_mismatch", "sample field 'positions' has 1320 values, expected shape (21, 21, 3)"),
     ("non_finite", "sample has non-finite positions at 1 unmasked nodes"),
-], ids=["missing_key", "size_mismatch", "non_finite"])
+    ("non_finite_tangents", "sample has non-finite tangents at 1 unmasked nodes"),
+], ids=["missing_key", "size_mismatch", "non_finite", "non_finite_tangents"])
 def test_verify_bad_input_exits_2_with_one_line(tmp_path, torus_patch, capsys, how, message):
     sp = tmp_path / "bad.json"
     serialize.dump_json(_broken_sample(torus_patch, how), sp)

@@ -973,3 +973,23 @@ def test_row_march_is_fourth_order(torus41):
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders >= 3.8) & (orders <= 4.2)), (errors, orders)
     assert rel_error(marches[16], t) <= 2e-11
+
+
+def test_linear_solves_are_fourth_order(torus41):
+    # the open convergence family of the sweeps: solve_linear and solve_B on
+    # the analytic torus against substeps 48, at substeps 2, 4 and 8
+    t = torus41.triple
+
+    def solves(substeps):
+        lin = solve_linear(t, (0.3, -0.2), 1.0, (0.1, 0.05), (0.2,) * t.n_normals, substeps=substeps,
+                           check_alternate=False)
+        sB = solve_B(t, (0.5, 1.0), substeps=substeps, check_alternate=False)
+        return {"solve_linear": (lin.phi, lin.gamma, lin.beta, lin.B), "solve_B": (sB.B,)}
+
+    fine = solves(48)
+    runs = {s: solves(s) for s in (2, 4, 8)}
+    for name, ref in fine.items():
+        errors = np.array([max(np.abs(x - y).max() / np.abs(y).max() for x, y in zip(runs[s][name], ref))
+                           for s in (2, 4, 8)])
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all(np.abs(orders - 4.0) <= 0.2), (name, errors, orders)

@@ -3,6 +3,7 @@ truncated or corrupted payloads, deleted keys, values of the wrong type and
 foreign schemas.  Only a `DupinError` may escape a loader, and `dupin verify`
 on a rejected sample file exits 2 with one line."""
 
+import base64
 import contextlib
 import copy
 import io
@@ -102,6 +103,39 @@ def test_sample_loader_raises_only_dupin_errors(data):
 def test_triple_loader_raises_only_dupin_errors(data):
     doc, must_reject = _mutate(data, _TRIPLE)
     assert _rejects(serialize.triple_from_dict, doc) or not must_reject
+
+
+# field -> (document path, leading axes before the grid axes)
+_FIELDS = {"positions": ((), 0), "tangents": ((), 1), "normals": ((), 1), "lame": ((), 1),
+           "sff": ((), 2), "v": (("triple",), 1), "h": (("triple",), 2), "V": (("triple",), 2)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_FIELDS)), st.integers(0, 10**6),
+       st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+def test_non_finite_values_rejected_only_at_unmasked_nodes(key, at, value):
+    # one non-finite value anywhere in one field of the sample or its triple
+    doc = copy.deepcopy(_SAMPLE)
+    path, lead = _FIELDS[key]
+    obj = doc["triple"] if path else doc
+    shape = {"positions": (5, 6, 3), "tangents": (2, 5, 6, 3), "normals": (1, 5, 6, 3),
+             "lame": (2, 5, 6), "sff": (2, 1, 5, 6), "v": (2, 5, 6), "h": (2, 2, 5, 6),
+             "V": (2, 1, 5, 6)}[key]
+    a = np.frombuffer(base64.b64decode(obj[key]), dtype="<f8").reshape(shape).copy()
+    idx = np.unravel_index(at % a.size, shape)
+    a[idx] = value
+    obj[key] = serialize._arr(a)
+    node = idx[lead:lead + 2]
+    if node == (2, 3):                       # the masked node: accepted as it is
+        serialize.sample_from_dict(doc)
+        return
+    where = "triple" if path else "sample"
+    message = f"{where} has non-finite {key} at 1 unmasked nodes"
+    with pytest.raises(ParseError, match=message):
+        serialize.sample_from_dict(doc)
+    if path:
+        with pytest.raises(ParseError, match=message):
+            serialize.triple_from_dict(obj)
 
 
 def test_unmutated_documents_load():

@@ -63,6 +63,44 @@ class TestValidateTriple:
         assert list(got) == list(want)
         assert got == want
 
+    def test_non_finite_value_at_a_valid_node_fails(self, torus_patch):
+        # a 10x10 NaN block of v at unmasked nodes, then v NaN everywhere
+        t = torus_patch.triple
+        for block in ((slice(None), slice(5, 15), slice(5, 15)), (slice(None),)):
+            v = t.v.copy()
+            v[block] = np.nan
+            rep = validate_triple(Triple(t.grid, t.class_map, v, t.h, t.V))
+            assert not rep.passed
+            assert rep.failure == "v not finite at valid nodes"
+        h, V = t.h.copy(), t.V.copy()
+        h[1, 0, 0, 20] = np.inf
+        V[0, 0, 20, 0] = np.nan
+        rep = validate_triple(Triple(t.grid, t.class_map, t.v, h, V))
+        assert not rep.passed and rep.failure == "h, V not finite at valid nodes"
+
+    def test_no_valid_node_is_an_explicit_failure(self, torus_patch):
+        t = torus_patch.triple
+        rep = validate_triple(Triple(t.grid, t.class_map, t.v, t.h, t.V, mask=np.zeros(t.grid.shape, dtype=bool)))
+        assert not rep.passed
+        assert rep.failure == "no valid node" and rep.masked_fraction == 1.0
+        assert np.isnan(list(rep.residuals.values())).all() and np.isnan(rep.max_residual)
+        assert "no valid node" in str(rep)
+
+    def test_blow_up_mask_still_passes(self, torus_patch):
+        # integrate_triple masks the nodes where v is not finite or beyond
+        # BLOWUP_BOUND; the fields there may be anything, and the stencils of
+        # their valid neighbours read them
+        from dupin.integrable import BLOWUP_BOUND
+
+        t = torus_patch.triple
+        v, h, V = t.v.copy(), t.h.copy(), t.V.copy()
+        v[0, 14:, 12:] = np.inf
+        h[..., 14:, 12:] = V[..., 14:, 12:] = np.nan
+        bad = ~np.isfinite(v).all(axis=0) | (np.abs(v) > BLOWUP_BOUND).any(axis=0)
+        rep = validate_triple(Triple(t.grid, t.class_map, v, h, V, mask=~bad))
+        assert rep.passed and not rep.failure, rep
+        assert rep.max_residual <= validate_triple(t).max_residual
+
 
 def _masked_multiplicity_triple():
     """Random fields on a 3-d grid with a two-coordinate class and masked nodes."""

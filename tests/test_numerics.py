@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from dupin.numerics import (
     AffineFlat,
     SphereFit,
     TensorGrid,
+    _fd_rows,
     fd_axis,
     sphere_fit,
 )
@@ -45,6 +48,19 @@ class TestFdJet:
     def test_too_small_grid(self):
         with pytest.raises(GridTooSmall):
             fd_axis(np.zeros(4), 0.1, 0, 1)
+        with pytest.raises(GridTooSmall):
+            _fd_rows(np.zeros(4), 0.1, 2, 0, 2)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_row_ranges_are_fd_axis(self, n):
+        # every row range, including those that end at the boundary stencils
+        v = np.random.default_rng(n).normal(size=(n, 3, 2))
+        v[n // 2, 1] = np.nan
+        for order in (1, 2):
+            whole = fd_axis(v, 0.1, 0, order)
+            for lo, hi in itertools.combinations(range(n + 1), 2):
+                assert np.array_equal(_fd_rows(v, 0.1, order, lo, hi).view(np.uint64),
+                                      whole[lo:hi].view(np.uint64))
 
 
 def _reference_fd_axis(values, h, axis, order):

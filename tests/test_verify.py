@@ -17,9 +17,11 @@ from dupin.seeds import (
     sphere_patch,
     torus_seed,
 )
+import dupin.verify as verify
 from dupin.verify import (
     NumericJet,
     _box,
+    _second,
     _slopes,
     _span_rank,
     _stencil_valid,
@@ -52,7 +54,7 @@ def clifford_product(a=1.0, b=0.6, n=31):
 def _reference_numeric_jet(s):
     """`numeric_jet` as whole-grid einsums, the definition of the matmul
     kernels: the same stencils, metric roots, tangent projector and
-    Gram-Schmidt pivot rule."""
+    Gram-Schmidt pivot rule.  Returns the jet and its alpha."""
     g = s.grid
     D = g.ndim
     pos = s.positions
@@ -81,10 +83,11 @@ def _reference_numeric_jet(s):
     alpha = np.einsum("...kl,ij...l->ij...k", normal_proj, second)
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)
     shape_sym = np.einsum("...ia,r...ab,...bj->r...ij", g_isqrt, H, g_isqrt)
-    return NumericJet(grid=g, metric=metric, normal_proj=normal_proj, alpha=alpha,
-                      shape_sym=shape_sym, normal_basis=normal_basis, g_isqrt=g_isqrt,
-                      g_sqrt=np.linalg.inv(g_isqrt),
-                      interior=g.interior_mask(2) & s.valid())
+    jet = NumericJet(grid=g, positions=pos, metric=metric, normal_proj=normal_proj, H=H,
+                     shape_sym=shape_sym, normal_basis=normal_basis, g_isqrt=g_isqrt,
+                     g_sqrt=np.linalg.inv(g_isqrt),
+                     interior=g.interior_mask(2) & s.valid())
+    return jet, alpha
 
 
 def _reference_cluster_pattern(dist, tol):
@@ -203,7 +206,7 @@ def _diagonal_jet(diag, g, mask=None):
     for r in range(p):
         normal_basis[r, ..., D + r] = 1.0
     eye = np.broadcast_to(np.eye(D), g.shape + (D, D))
-    jet = NumericJet(grid=g, metric=None, normal_proj=None, alpha=None,
+    jet = NumericJet(grid=g, positions=None, metric=None, normal_proj=None, H=None,
                      shape_sym=shape_sym, normal_basis=normal_basis, g_isqrt=eye, g_sqrt=eye,
                      interior=np.ones(g.shape, dtype=bool))
     return ImmersionSample(g, np.zeros(g.shape + (D + p,)), mask=mask), jet
@@ -245,13 +248,13 @@ class TestNumericJet:
             s = request.getfixturevalue(case).sample
         else:
             s = request.getfixturevalue(case)
-        jet, ref = numeric_jet(s), _reference_numeric_jet(s)
+        jet, (ref, ref_alpha) = numeric_jet(s), _reference_numeric_jet(s)
         assert jet.grid == ref.grid
         assert np.array_equal(jet.interior, ref.interior)
-        for f in dataclasses.fields(NumericJet):
-            new, old = getattr(jet, f.name), getattr(ref, f.name)
+        for name, new, old in [(f.name, getattr(jet, f.name), getattr(ref, f.name))
+                               for f in dataclasses.fields(NumericJet)] + [("alpha", jet.alpha, ref_alpha)]:
             if isinstance(old, np.ndarray) and old.dtype == float:
-                assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max(), f.name
+                assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max(), name
         eye = np.eye(s.grid.ndim)
         assert np.abs(jet.g_sqrt @ jet.g_isqrt - eye).max() <= 1e-13
 
@@ -263,18 +266,21 @@ class TestNumericJet:
             assert err < 1e-6
 
     def test_peak_memory_beyond_its_result(self, recursion_step2):
-        # alpha is a view of the one (n, D*D, N) product and the second
-        # derivatives go as soon as it exists: at its peak the call holds at
-        # most two alpha-sized arrays besides the jet it returns
+        # H is built in slabs of axis-0 rows, so neither the second
+        # derivatives nor their normal projection exists for the whole grid:
+        # at its peak the call holds less than one whole-grid alpha besides
+        # the jet it returns, whose positions are the sample's own
         tracemalloc.start()
         try:
             jet = numeric_jet(recursion_step2.sample)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in vars(jet).values() if isinstance(a, np.ndarray))
-        assert not jet.alpha.flags.c_contiguous
-        assert peak - kept <= 2 * jet.alpha.nbytes
+        assert jet.positions is recursion_step2.sample.positions
+        kept = sum(a.nbytes for a in vars(jet).values() if isinstance(a, np.ndarray) and a is not jet.positions)
+        alpha = jet.alpha
+        assert not alpha.flags.c_contiguous
+        assert peak - kept <= alpha.nbytes
 
 
 class TestExtraction:
@@ -726,7 +732,7 @@ class TestJacobiKernels:
         r = int(rng.integers(0, min(m, p) + 1))
         coef = rng.normal(size=(n, m, r)) @ rng.normal(size=(n, r, p))
         V = coef @ basis.swapaxes(-1, -2) * rng.uniform(1e-3, 1e3)
-        rank, spec, const = _span_rank(V, basis, 1e-6)
+        rank, spec, const = _span_rank(V @ basis, N, 1e-6)
         sv = np.linalg.svd(V, compute_uv=False)
         ranks = (sv > 1e-6 * np.maximum(sv[:, :1], 1e-300)).sum(axis=1)
         assert (rank, const) == (int(ranks.max()), bool(ranks.min() == ranks.max())) == (r, True)
@@ -901,7 +907,7 @@ class TestTracking:
                 costs = [sum(gap[i, pm[b], b] for b in range(k)) for pm in perms]
                 sigma = perms[int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))]
                 want[i] = [sigma[c] for c in want[parent[i]]]
-            assert np.array_equal(_track(gap, parent), want)
+            assert np.array_equal(_track(lambda lo, hi: gap[lo:hi], parent, k), want)
 
 
 class TestBoxDerivatives:
@@ -939,3 +945,76 @@ class TestNonFinitePositions:
         assert (rep.k, rep.multiplicities, rep.holonomic) == (clean.k, clean.multiplicities, clean.holonomic)
         assert (rep.dim_Sf, rep.dim_N1) == (clean.dim_Sf, clean.dim_N1)
         assert np.isfinite(rep.dupin_residuals).all() and max(rep.dupin_residuals) < 1e-6
+
+
+def _bits(a):
+    """The bytes of a float or bool array, so that NaN compares by its bits."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def _whole_grid_alpha(s, normal_proj):
+    """The whole-grid normal-projected second derivatives as one (n, D*D, N)
+    product, in the (D, D, *grid, N) view: the construction `numeric_jet`
+    replaced by its slabs."""
+    g = s.grid
+    D = g.ndim
+    pos = np.where(np.isfinite(s.positions), s.positions, np.nan)
+    N = pos.shape[-1]
+    first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
+    second = np.empty((D, D) + g.shape + (N,))
+    for i in range(D):
+        second[i, i] = fd_axis(pos, g.spacings[i], i, 2)
+        for j in range(i + 1, D):
+            second[i, j] = second[j, i] = fd_axis(first[i], g.spacings[j], j, 1)
+    alpha = np.moveaxis(second.reshape(D * D, -1, N), 0, 1) @ normal_proj.reshape(-1, N, N)
+    return np.moveaxis(alpha.reshape(g.shape + (D, D, N)), (-3, -2), (0, 1)), second, first
+
+
+class TestNodeBlocks:
+    """numeric_jet's slabs, extraction's node blocks and the derived checks'
+    slabs give the whole-grid values bit for bit, whatever the block size."""
+
+    @pytest.mark.parametrize("n0", [5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_slab_second_derivatives_are_fd_axis(self, n0, D):
+        # every slab lo..hi-1 of a short first axis, where slabs meet the
+        # boundary stencils; one masked node has a NaN position
+        rng = np.random.default_rng(10 * n0 + D)
+        g = TensorGrid((n0,) + (6, 5)[:D - 1], (0.1, 0.07, 0.05)[:D])
+        pos = rng.normal(size=g.shape + (D + 2,))
+        pos[(n0 // 2,) + (2,) * (D - 1)] = np.nan
+        _, second, first = _whole_grid_alpha(ImmersionSample(g, pos, mask=np.isfinite(pos).all(-1)), np.eye(D + 2))
+        for lo, hi in itertools.combinations(range(n0 + 1), 2):
+            assert np.array_equal(_bits(_second(g, pos, first, lo, hi)), _bits(second[:, :, lo:hi]))
+
+    @pytest.mark.parametrize("case", ["torus_patch", "recursion_step2", "recursion_k4", "holed_nan_clifford"])
+    @pytest.mark.parametrize("jet_values", [None, 1])
+    def test_alpha_and_H_are_the_whole_grid_product(self, case, jet_values, request, monkeypatch):
+        if case == "holed_nan_clifford":
+            s = _with_nan_at(_holed(clifford_product()), (8, 3))
+        else:
+            s = request.getfixturevalue(case)
+            s = s if isinstance(s, ImmersionSample) else s.sample
+        if jet_values is not None:
+            monkeypatch.setattr(verify, "_JET_VALUES", jet_values)      # one-row slabs
+        jet = numeric_jet(s)
+        alpha, _, _ = _whole_grid_alpha(s, jet.normal_proj)
+        assert not jet.alpha.flags.c_contiguous and jet.alpha.shape == alpha.shape
+        assert np.array_equal(_bits(jet.alpha), _bits(alpha))
+        H = np.einsum("ij...k,r...k->r...ij", alpha, jet.normal_basis)
+        assert np.array_equal(_bits(jet.H), _bits(H))
+        assert np.array_equal(_bits(jet.shape_sym), _bits(jet.g_isqrt @ H @ jet.g_isqrt))
+
+    @pytest.mark.parametrize("case", ["recursion_step1", "recursion_step2", "holed_clifford"])
+    def test_block_sizes_do_not_change_outputs(self, case, request, monkeypatch):
+        s = _holed(clifford_product()) if case == "holed_clifford" else request.getfixturevalue(case).sample
+        jet = numeric_jet(s)
+        pd = extract_principal_normals(s, jet=jet)
+        rep = sf_report(s, pd=pd, jet=jet).to_dict()
+        for values in (1, 50, 3000):
+            monkeypatch.setattr(verify, "_BLOCK_VALUES", values)
+            monkeypatch.setattr(verify, "_PASS_VALUES", values)
+            small = extract_principal_normals(s, jet=jet)
+            for f in ("eta", "projectors", "mask"):
+                assert np.array_equal(_bits(getattr(small, f)), _bits(getattr(pd, f))), (values, f)
+            assert sf_report(s, pd=pd, jet=jet).to_dict() == rep, values
