@@ -29,9 +29,11 @@ from .moebius import (
     pushforward_ltrivial,
     stereographic_points,
     StereographicMap,
+    _fiber_sections,
     _quadric_form,
 )
 from .net import ImmersionSample, ParallelNormalSubbundle
+from .ribaucour import _reflect
 
 __all__ = ["LTrivialFamily", "normalize_to_form", "quadric_cylinder_residual",
            "euclidean_cylinder_match", "euclidean_rotation_match", "euclidean_tube_match"]
@@ -60,24 +62,18 @@ class LTrivialFamily:
         s = len(self.fiber)
         return arr.reshape(self.base_grid.shape + (1,) * s + arr.shape[self.base_grid.ndim:])
 
+    def _normal_field(self, coeffs: np.ndarray) -> np.ndarray:
+        """The parallel normal field sum_r c_r xi_r, lifted to the product grid."""
+        return np.einsum("r,r...k->...k", coeffs, np.stack([self._lift(x) for x in self.sample.normals]))
+
     def t_vectors(self) -> np.ndarray:
         """Parallel-section vectors t(u, y) on the product grid."""
-        N = self.sample.ambient_dim
-        shape = self.base_grid.shape + tuple(len(f) for f in self.fiber)
-        out = np.zeros(shape + (N,))
-        for l, r in enumerate(self.nsub.indices):
-            cshape = [1] * len(shape)
-            cshape[self.base_grid.ndim + l] = len(self.fiber[l])
-            out = out + self.fiber[l].reshape(cshape)[..., None] * self._lift(self.sample.normals[r])
-        return out
+        return _fiber_sections(self.sample, self.nsub.indices, list(self.fiber))[2]
 
     def F_t(self) -> np.ndarray:
         f = self._lift(self.sample.positions)
         sp = self.spec
-        delta = np.einsum("r,r...k->...k", sp.delta,
-                          np.stack([self._lift(self.sample.normals[r])
-                                    for r in range(self.sample.n_normals)]))
-        return sp.a * f + sp.v0 + delta + self.t_vectors()
+        return sp.a * f + sp.v0 + self._normal_field(sp.delta) + self.t_vectors()
 
     def two_phi(self) -> np.ndarray:
         f = self._lift(self.sample.positions)
@@ -90,17 +86,13 @@ class LTrivialFamily:
 
     def P_t(self, Z: np.ndarray) -> np.ndarray:
         F = self.F_t()
-        nu = 1.0 / (F**2).sum(-1)
-        return Z - 2.0 * (nu * (F * Z).sum(-1))[..., None] * F
+        return _reflect(F, 1.0 / (F**2).sum(-1), Z)
 
     def apply(self, T) -> tuple:
         """Catalog step: returns (new family, commuting-square residual)."""
         old_pos = self.positions()
         if isinstance(T, ParallelTranslate):
-            xi = np.einsum("r,r...k->...k", T.coeffs,
-                           np.stack([self._lift(self.sample.normals[r])
-                                     for r in range(self.sample.n_normals)]))
-            xi = np.broadcast_to(xi, old_pos.shape)
+            xi = np.broadcast_to(self._normal_field(T.coeffs), old_pos.shape)
             mapped = old_pos + self.P_t(xi)
         else:
             mapped = apply_points(T, old_pos)

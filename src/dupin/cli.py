@@ -59,6 +59,10 @@ _STEP_KEYS = {
 
 _PIPE_KEYS = {"schema", "seed", "steps", "tolerances", "out"}
 
+_GATE_KEYS = {"k", "max_dupin_residual", "holonomic", "c_le_k_minus_1"}
+
+_VALIDATE_TOL = 1e-6        # default largest residual of a recursion step's new net
+
 
 def _check_keys(doc: dict, allowed: set, where: str):
     if not isinstance(doc, dict):
@@ -265,10 +269,26 @@ def _recursion_args(step: dict, where: str, n_normals: int) -> dict:
             "y_grid": serialize.grid_from_dict(step.get("y")), **_solve_args(step, where)}
 
 
+def _gates(val, where: str) -> dict:
+    """A validated gates document (absent: no gates): the known gates, with
+    an integer k, a finite residual bound and true/false flags."""
+    if val is None:
+        return {}
+    _check_keys(val, _GATE_KEYS, f"{where} gates")
+    if "k" in val:
+        _int_at_least(val["k"], where, "k", 1)
+    if "max_dupin_residual" in val:
+        _number(val["max_dupin_residual"], where, "max_dupin_residual")
+    for key in ("holonomic", "c_le_k_minus_1"):
+        if key in val and type(val[key]) is not bool:
+            raise ParseError(f"{where}: {key!r} must be true or false")
+    return val
+
+
 def _verify_gates(sample, gates: dict):
+    """The oracle's report on sample and the failures of the validated gates."""
     rep = sf_report(sample)
     failures = []
-    gates = dict(gates or {})
     if "k" in gates and rep.k != gates["k"]:
         failures.append(f"k = {rep.k}, expected {gates['k']}")
     if "max_dupin_residual" in gates:
@@ -282,6 +302,24 @@ def _verify_gates(sample, gates: dict):
     return rep, failures
 
 
+def _recursion_step(sample, step: dict, where: str, tol: float, info: dict):
+    """A recursion step document run on sample: `dupin_step`, then
+    `validate_triple` of the new net at tol, then the step's gates on the new
+    sample.  Records the residuals and the gate report in info; returns the
+    result and the failures, none when the step passed."""
+    gates = _gates(step.get("gates"), where)
+    res = dupin_step(sample, **_recursion_args(step, where, sample.n_normals))
+    rep = validate_triple(res.triple, tol=tol)
+    info["validate"] = dict(rep.residuals)
+    if not rep.passed:
+        return res, [f"transformed net fails validation: {rep}"]
+    if not gates:
+        return res, []
+    vrep, failures = _verify_gates(res.sample, gates)
+    info["verify"] = vrep.to_dict()
+    return res, failures
+
+
 def run_pipeline(spec: dict, outdir: str) -> dict:
     """Execute a pipeline document; returns the summary (also written to disk)."""
     _check_keys(spec, _PIPE_KEYS, "pipeline")
@@ -289,7 +327,7 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
         raise ParseError(f"expected schema {serialize.PIPELINE_SCHEMA}")
     tolerances = spec.get("tolerances", {})
     _check_keys(tolerances, {"validate"}, "tolerances")
-    tol = _number(tolerances.get("validate", 1e-6), "tolerances", "validate")
+    tol = _number(tolerances.get("validate", _VALIDATE_TOL), "tolerances", "validate")
     steps = spec.get("steps", [])
     if not isinstance(steps, list):
         raise ParseError("pipeline steps is not a JSON list")
@@ -326,18 +364,9 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                 w = _build_w(step.get("w"), sample)
                 sample, _jet = ribaucour_transform(sample, w)
             elif op == "recursion":
-                res = dupin_step(sample, **_recursion_args(step, f"step {i} (recursion)",
-                                                           sample.n_normals))
-                rep = validate_triple(res.triple, tol=tol)
-                info["validate"] = dict(rep.residuals)
-                if not rep.passed:
-                    raise StepFailure(i, f"transformed net fails validation: {rep}")
-                gates = step.get("gates")
-                if gates:
-                    vrep, failures = _verify_gates(res.sample, gates)
-                    info["verify"] = vrep.to_dict()
-                    if failures:
-                        raise StepFailure(i, "; ".join(failures))
+                res, failures = _recursion_step(sample, step, f"step {i} (recursion)", tol, info)
+                if failures:
+                    raise StepFailure(i, "; ".join(failures))
                 sample = res.sample
             elif op == "construct":
                 sample = _construct(step, f"step {i} (construct)", sample)
@@ -351,7 +380,7 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
                 res = n_ribaucour_transform(sample, ParallelNormalSubbundle(n_indices), w, ygrid)
                 sample = res.sample
             elif op == "verify":
-                rep, failures = _verify_gates(sample, step.get("gates"))
+                rep, failures = _verify_gates(sample, _gates(step.get("gates"), f"step {i} (verify)"))
                 info["report"] = rep.to_dict()
                 serialize.dump_json(info["report"], os.path.join(outdir, f"step_{i:02d}_verify.json"))
                 serialize.residual_csv(rep.rows(), os.path.join(outdir, f"step_{i:02d}_verify.csv"))
@@ -432,7 +461,10 @@ def _cmd_recurse(args) -> int:
     sample = serialize.sample_from_dict(serialize.load_json(args.input))
     step = serialize.load_json(args.spec)
     _check_keys(step, _STEP_KEYS["recursion"] - {"op"}, "recursion spec")
-    res = dupin_step(sample, **_recursion_args(step, "recursion spec", sample.n_normals))
+    res, failures = _recursion_step(sample, step, "recursion spec", _VALIDATE_TOL, {})
+    if failures:
+        print(f"recursion failed: {'; '.join(failures)}", file=sys.stderr)
+        return 1
     serialize.dump_json(serialize.sample_to_dict(res.sample), args.out)
     print(f"recursion output ({res.triple.n_classes} classes) written to {args.out}")
     return 0

@@ -663,11 +663,8 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     if defect > _GRAM_TOL:
         raise FrameDrift(f"Gram defect {defect:.3e} exceeds tol {_GRAM_TOL:g}")
 
-    lame = triple.lame()
-    kap = np.stack([triple.V[cls[i]] / triple.v[cls[i]] for i in range(D)])
-    return ImmersionSample(g, positions, tangents=X.copy(), normals=xi.copy(),
-                           lame=lame, sff=kap, triple=triple, mask=triple.mask,
-                           reports={"gram_defect": float(defect), **reports})
+    return ImmersionSample(g, positions, tangents=X.copy(), normals=xi.copy(), triple=triple,
+                           mask=triple.mask, reports={"gram_defect": float(defect), **reports})
 
 
 # ---------------------------------------------------------------------------
@@ -721,29 +718,12 @@ class TripleAxisData:
 
 
 def axis_data_from_triple(triple: Triple) -> TripleAxisData:
-    """Extract per-axis data from a triple.
-
-    Analytic triples provide exact callables; node-valued triples (e.g.
-    deserialized ones) fall back to cubic Lagrange interpolation of the
-    h-rows along their own axes.
-    """
+    """Extract per-axis data from a triple: the base-node values of v and V,
+    and the h-rows on the axis lines through the base node as read by the
+    triple's coefficient provider (its analytic callables, else cubic
+    Lagrange interpolation of the node values along each axis)."""
     g = triple.grid
-    base = np.array(g.origins)
-    if triple.analytic is not None:
-        def row(j):
-            def fn(t):
-                t = np.asarray(t, dtype=float)
-                pts = np.broadcast_to(base, t.shape + (g.ndim,)).copy()
-                pts[..., j] = t
-                return triple.analytic(pts)["h"][j]
-            return fn
-
-        at_base = triple.analytic(base[None])
-        return TripleAxisData(v0=at_base["v"][:, 0], V0=at_base["V"][:, :, 0],
-                              h_rows=tuple(row(j) for j in range(g.ndim)))
-
-    provider = _GridProvider(triple)
-    base_idx = (0,) * g.ndim
+    provider = _provider_for(triple)
     base_line = np.zeros((1, g.ndim), dtype=int)
 
     def row(j):
@@ -751,12 +731,12 @@ def axis_data_from_triple(triple: Triple) -> TripleAxisData:
 
         def fn(t):
             t = np.asarray(t, dtype=float)
-            hj = evaluate(t.reshape(-1))
-            return hj.reshape((triple.n_classes,) + t.shape)
+            return evaluate(t.reshape(-1)).reshape((triple.n_classes,) + t.shape)
         return fn
 
-    sel = (slice(None),) + base_idx
-    return TripleAxisData(v0=triple.v[sel].copy(), V0=triple.V[(slice(None), slice(None)) + base_idx].copy(),
+    base = (0,) * g.ndim
+    return TripleAxisData(v0=triple.v[(slice(None),) + base].copy(),
+                          V0=triple.V[(slice(None), slice(None)) + base].copy(),
                           h_rows=tuple(row(j) for j in range(g.ndim)))
 
 

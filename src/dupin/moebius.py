@@ -196,23 +196,18 @@ def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
         newpos = pos / Q[..., None]
         tangents = None if s.tangents is None else np.stack([_p_inv(pos, s.tangents[i]) for i in range(D)])
         normals = None if s.normals is None else np.stack([_p_inv(pos, s.normals[r]) for r in range(s.n_normals)])
-        newt = None
-        lame = None if s.lame is None else s.lame / Q
-        sff = None
-        if t is not None:
-            v = t.v / Q
-            cls = t.class_map.classes
-            h = np.empty_like(t.h)
-            V = np.empty_like(t.V)
-            for m in range(t.n_classes):
-                for r in range(t.n_normals):
-                    V[m, r] = t.V[m, r] + 2.0 * t.v[m] * (pos * s.normals[r]).sum(-1) / Q
-                for j in range(D):
-                    h[j, m] = t.h[j, m] - 2.0 * t.v[m] * (pos * s.tangents[j]).sum(-1) / Q
-            newt = Triple(t.grid, t.class_map, v, h, V, mask=t.mask)
-            sff = np.stack([V[cls[i]] / v[cls[i]] for i in range(D)])
+        if t is None:
+            return replace_sample(s, positions=newpos, tangents=tangents, normals=normals,
+                                  lame=None if s.lame is None else s.lame / Q)
+        h = np.empty_like(t.h)
+        V = np.empty_like(t.V)
+        for m in range(t.n_classes):
+            for r in range(t.n_normals):
+                V[m, r] = t.V[m, r] + 2.0 * t.v[m] * (pos * s.normals[r]).sum(-1) / Q
+            for j in range(D):
+                h[j, m] = t.h[j, m] - 2.0 * t.v[m] * (pos * s.tangents[j]).sum(-1) / Q
         return replace_sample(s, positions=newpos, tangents=tangents, normals=normals,
-                              lame=lame, sff=sff, triple=newt)
+                              triple=Triple(t.grid, t.class_map, t.v / Q, h, V, mask=t.mask))
     if isinstance(T, ParallelTranslate):
         if s.normals is None or t is None:
             raise ValueError("parallel translation needs a sample with normal frame and triple")
@@ -223,17 +218,18 @@ def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
         v = t.v - np.einsum("r,mr...->m...", c, t.V)
         if np.abs(v).min() < _DEGENERATE_TOL:
             raise DegenerateOffset("I - A_xi degenerates on the patch")
-        cls = t.class_map.classes
-        newt = Triple(t.grid, t.class_map, v, t.h.copy(), t.V.copy(), mask=t.mask)
-        sff = np.stack([t.V[cls[i]] / v[cls[i]] for i in range(D)])
-        lame = None if s.lame is None else np.stack([v[cls[i]] for i in range(D)])
-        return replace_sample(s, positions=pos + xi, lame=lame, sff=sff, triple=newt)
+        return replace_sample(s, positions=pos + xi,
+                              triple=Triple(t.grid, t.class_map, v, t.h.copy(), t.V.copy(), mask=t.mask))
     raise TypeError(f"unknown transform {T!r}")
 
 
 def replace_sample(s: ImmersionSample, **kw) -> ImmersionSample:
+    """s with the fields given and not None replaced.  A new triple drops
+    s's lame and sff: unless given, the new sample takes them from it."""
     data = dict(grid=s.grid, positions=s.positions, tangents=s.tangents, normals=s.normals,
-                lame=s.lame, sff=s.sff, triple=s.triple, mask=s.mask)
+                triple=s.triple, mask=s.mask)
+    if kw.get("triple") is None:
+        data.update(lame=s.lame, sff=s.sff)
     data.update({k: v for k, v in kw.items() if v is not None})
     return ImmersionSample(**data)
 
@@ -410,6 +406,30 @@ def detect_ltrivial(s: ImmersionSample, w):
 # cylinder-type constructors
 
 
+def _fiber_sections(base: ImmersionSample, indices: tuple, fiber: TensorGrid | list) -> tuple:
+    """The product grid of base and fiber, the fiber coefficient axes shaped
+    to broadcast over it, and the section sum gamma = sum_l c_l xi_{n_l}
+    (*grid, N).  fiber is a TensorGrid over the coefficients or a list of
+    per-axis coefficient arrays, one axis per frame index."""
+    if isinstance(fiber, TensorGrid):
+        axes = [fiber.axis_coords(l) for l in range(fiber.ndim)]
+    else:
+        axes = [np.asarray(c, dtype=float) for c in fiber]
+        fiber = TensorGrid(tuple(len(c) for c in axes), (1.0,) * len(axes))
+    if len(axes) != len(indices):
+        raise DimensionMismatch("fiber rank must match subbundle rank")
+    grid = base.grid.product(fiber)
+    lift = base.grid.shape + (1,) * len(indices) + (base.ambient_dim,)
+    gam = np.zeros(grid.shape + (base.ambient_dim,))
+    coeffs = []
+    for l, r in enumerate(indices):
+        cshape = [1] * grid.ndim
+        cshape[base.grid.ndim + l] = len(axes[l])
+        coeffs.append(axes[l].reshape(cshape))
+        gam = gam + coeffs[l][..., None] * base.normals[r].reshape(lift)
+    return grid, coeffs, gam
+
+
 def generalized_cylinder(h: ImmersionSample, sub: ParallelNormalSubbundle, eps: int,
                          fiber: TensorGrid | list) -> ImmersionSample:
     """Generalized cylinder over h determined by the parallel subbundle.
@@ -424,75 +444,53 @@ def generalized_cylinder(h: ImmersionSample, sub: ParallelNormalSubbundle, eps: 
     if h.normals is None:
         raise ValueError("base sample needs a parallel normal frame")
     s_rank = sub.rank
-    if isinstance(fiber, TensorGrid):
-        if fiber.ndim != s_rank:
-            raise DimensionMismatch("fiber grid rank must match subbundle rank")
-        coeff_axes = [fiber.axis_coords(l) for l in range(s_rank)]
-        fgrid = fiber
-    else:
-        coeff_axes = [np.asarray(c, dtype=float) for c in fiber]
-        fgrid = TensorGrid(tuple(len(c) for c in coeff_axes), (1.0,) * s_rank)
-    grid = h.grid.product(fgrid)
+    grid, coeffs, gam = _fiber_sections(h, sub.indices, fiber)
     Db = h.grid.ndim
     shape = grid.shape
     N = h.ambient_dim
     pos_b = h.positions.reshape(h.grid.shape + (1,) * s_rank + (N,))
-    gam = np.zeros(shape + (N,))
-    coeffs = []
-    for l, r in enumerate(sub.indices):
-        cshape = [1] * grid.ndim
-        cshape[Db + l] = len(coeff_axes[l])
-        cl = coeff_axes[l].reshape(cshape)
-        coeffs.append(cl)
-        gam = gam + cl[..., None] * h.normals[r].reshape(h.grid.shape + (1,) * s_rank + (N,))
 
     if eps == 0:
         positions = np.broadcast_to(pos_b, shape + (N,)) + gam
         t = h.triple
-        sample = ImmersionSample(grid, positions)
-        if t is not None and h.tangents is not None:
-            k = t.n_classes
-            cls = t.class_map.classes
-            Rn = t.n_normals
-            out_r = [r for r in range(Rn) if r not in sub.indices]
-            v = np.empty((k + 1,) + shape)
-            for m in range(k):
-                acc = t.v[m].reshape(h.grid.shape + (1,) * s_rank) + np.zeros(shape)
-                for l, r in enumerate(sub.indices):
-                    acc = acc - coeffs[l] * t.V[m, r].reshape(h.grid.shape + (1,) * s_rank)
-                v[m] = acc
-            v[k] = 1.0
-            hh = np.zeros((grid.ndim, k + 1) + shape)
-            # rotation coefficients: d_j v_m = h_{jm} v_{j'} still holds with the
-            # shifted v on base axes; fiber rows are -V_m^{n_l}
-            for j in range(Db):
-                for m in range(k):
-                    dv = (t.h[j, m].reshape(h.grid.shape + (1,) * s_rank)
-                          * t.v[cls[j]].reshape(h.grid.shape + (1,) * s_rank))
-                    for l, r in enumerate(sub.indices):
-                        dv = dv - coeffs[l] * (t.h[j, m] * t.V[cls[j], r]).reshape(h.grid.shape + (1,) * s_rank)
-                    hh[j, m] = dv / v[cls[j]]
+        if t is None or h.tangents is None:
+            return ImmersionSample(grid, positions)
+        k, cls = t.n_classes, t.class_map.classes
+        out_r = [r for r in range(t.n_normals) if r not in sub.indices]
+
+        def lb(a):  # lift a base scalar field
+            return a.reshape(h.grid.shape + (1,) * s_rank)
+
+        def lf(a):  # a base vector field on the product grid
+            return np.broadcast_to(a.reshape(h.grid.shape + (1,) * s_rank + (N,)), shape + (N,)).copy()
+
+        v = np.empty((k + 1,) + shape)
+        for m in range(k):
+            acc = lb(t.v[m]) + np.zeros(shape)
             for l, r in enumerate(sub.indices):
-                for m in range(k):
-                    hh[Db + l, m] = -t.V[m, r].reshape(h.grid.shape + (1,) * s_rank) / 1.0
-            Vn = np.zeros((k + 1, len(out_r)) + shape)
+                acc = acc - coeffs[l] * lb(t.V[m, r])
+            v[m] = acc
+        v[k] = 1.0
+        hh = np.zeros((grid.ndim, k + 1) + shape)
+        # rotation coefficients: d_j v_m = h_{jm} v_{j'} still holds with the
+        # shifted v on base axes; fiber rows are -V_m^{n_l}
+        for j in range(Db):
             for m in range(k):
-                for jr, r in enumerate(out_r):
-                    Vn[m, jr] = t.V[m, r].reshape(h.grid.shape + (1,) * s_rank) + np.zeros(shape)
-            cmap = ClassMap(tuple(cls) + (k,) * s_rank)
-            newt = Triple(grid, cmap, v, hh, Vn)
-            tangents = np.concatenate([
-                np.broadcast_to(h.tangents.reshape((Db,) + h.grid.shape + (1,) * s_rank + (N,)), (Db,) + shape + (N,)).copy(),
-                np.stack([np.broadcast_to(h.normals[r].reshape(h.grid.shape + (1,) * s_rank + (N,)), shape + (N,)).copy()
-                          for r in sub.indices]) if s_rank else np.zeros((0,) + shape + (N,)),
-            ])
-            normals = (np.stack([np.broadcast_to(h.normals[r].reshape(h.grid.shape + (1,) * s_rank + (N,)), shape + (N,)).copy()
-                                 for r in out_r]) if out_r else np.zeros((0,) + shape + (N,)))
-            lame = np.stack([v[cmap.classes[i]] for i in range(grid.ndim)])
-            sff = np.stack([Vn[cmap.classes[i]] / v[cmap.classes[i]] for i in range(grid.ndim)])
-            sample = ImmersionSample(grid, positions, tangents=tangents, normals=normals,
-                                     lame=lame, sff=sff, triple=newt)
-        return sample
+                dv = lb(t.h[j, m]) * lb(t.v[cls[j]])
+                for l, r in enumerate(sub.indices):
+                    dv = dv - coeffs[l] * lb(t.h[j, m] * t.V[cls[j], r])
+                hh[j, m] = dv / v[cls[j]]
+        for l, r in enumerate(sub.indices):
+            for m in range(k):
+                hh[Db + l, m] = -lb(t.V[m, r])
+        Vn = np.zeros((k + 1, len(out_r)) + shape)
+        for m in range(k):
+            for jr, r in enumerate(out_r):
+                Vn[m, jr] = lb(t.V[m, r]) + np.zeros(shape)
+        newt = Triple(grid, ClassMap(tuple(cls) + (k,) * s_rank), v, hh, Vn)
+        tangents = np.stack([lf(x) for x in h.tangents] + [lf(h.normals[r]) for r in sub.indices])
+        normals = np.stack([lf(h.normals[r]) for r in out_r]) if out_r else np.zeros((0,) + shape + (N,))
+        return ImmersionSample(grid, positions, tangents=tangents, normals=normals, triple=newt)
 
     if eps not in (1, -1):
         raise ValueError("eps must be -1, 0 or +1")
@@ -588,10 +586,7 @@ def generalized_tube(g: ImmersionSample, sub: ParallelNormalSubbundle, a: float,
             np.stack([np.broadcast_to(lbv(g.normals[r]), shape + (N,)).copy() for r in out_r])
             if out_r else np.zeros((0,) + shape + (N,)),
         ])
-        lame = np.stack([v[cmap.classes[i]] for i in range(grid.ndim)])
-        sff = np.stack([Vn[cmap.classes[i]] / v[cmap.classes[i]] for i in range(grid.ndim)])
-    out = ImmersionSample(grid, positions, tangents=tangents, normals=normals,
-                          lame=lame, sff=sff, triple=newt,
+    out = ImmersionSample(grid, positions, tangents=tangents, normals=normals, triple=newt,
                           mask=None if focal.all() else focal)
     if not focal.all() and focal.mean() < 0.5:
         raise FocalDegeneracy("tube radius reaches the focal set on most of the patch")
@@ -609,31 +604,16 @@ def generalized_rotation(g: ImmersionSample, sub: ParallelNormalSubbundle, e,
         raise ValueError("axis vector e must be unit")
     if g.normals is None:
         raise ValueError("base sample needs a parallel normal frame")
-    s_rank = sub.rank
-    if isinstance(fiber, TensorGrid):
-        coeff_axes = [fiber.axis_coords(l) for l in range(s_rank)]
-        fgrid = fiber
-    else:
-        coeff_axes = [np.asarray(cv, dtype=float) for cv in fiber]
-        fgrid = TensorGrid(tuple(len(cv) for cv in coeff_axes), (1.0,) * s_rank)
-    grid = g.grid.product(fgrid)
-    N = g.ambient_dim
+    grid, _, gam = _fiber_sections(g, sub.indices, fiber)
     shape = grid.shape
-    Db = g.grid.ndim
-    pos_b = g.positions.reshape(g.grid.shape + (1,) * s_rank + (N,))
-    gam = np.zeros(shape + (N,))
-    for l, r in enumerate(sub.indices):
-        cshape = [1] * grid.ndim
-        cshape[Db + l] = len(coeff_axes[l])
-        gam = gam + coeff_axes[l].reshape(cshape)[..., None] * g.normals[r].reshape(
-            g.grid.shape + (1,) * s_rank + (N,))
+    pos_b = g.positions.reshape(g.grid.shape + (1,) * sub.rank + (g.ambient_dim,))
     ge = (pos_b * e).sum(-1)
     mask = np.broadcast_to(np.abs(ge) > _AXIS_TOL, shape).copy()
     if not mask.any():
         raise AxisIncidence("the whole patch is incident to the rotation axis")
     den = ((e + gam) ** 2).sum(-1)
     positions = pos_b - 2.0 * ge[..., None] * (e + gam) / den[..., None]
-    positions = np.broadcast_to(positions, shape + (N,)).copy()
+    positions = np.broadcast_to(positions, shape + (g.ambient_dim,)).copy()
     return ImmersionSample(grid, positions, mask=None if mask.all() else mask)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatch, NotParallel, ZeroLame
-from .numerics import TensorGrid, fd_axis
+from .numerics import TensorGrid, _erode_mask, fd_axis
 
 __all__ = [
     "ClassMap",
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _INTERIOR_LAYERS = 2       # boundary node layers the fd residual checks leave out
+_FD_REACH = 2              # nodes an fd_axis stencil reads on either side along its axis
 _ZERO_LAME = 1e-12         # |v| below this counts as a vanishing Lame coefficient
 _PARALLEL_TOL = 1e-6       # largest normal-connection residual of a parallel frame
 
@@ -125,6 +126,15 @@ class Triple:
         idx = np.array(self.class_map.classes)
         return self.v[idx]
 
+    @np.errstate(divide="ignore", invalid="ignore")     # masked nodes may hold v = 0
+    def sff(self) -> np.ndarray:
+        """Per-coordinate shape coefficients <alpha(X_i, X_i), xi_r> =
+        V_{i'}^r / v_{i'}, shape (D, R, *grid)."""
+        out = np.empty((self.grid.ndim, self.n_normals) + self.grid.shape)
+        for i, c in enumerate(self.class_map.classes):
+            np.divide(self.V[c], self.v[c], out=out[i])
+        return out
+
     def valid(self) -> np.ndarray:
         if self.mask is None:
             return np.ones(self.grid.shape, dtype=bool)
@@ -153,7 +163,9 @@ class ImmersionSample:
 
     ``tangents`` has shape (D, *grid, N) and ``normals`` (R, *grid, N); both
     optional for position-only patches fed to the finite-difference oracle.
-    ``sff`` caches <alpha(X_i, X_i), xi_r> as an array (D, R, *grid).
+    ``sff`` caches <alpha(X_i, X_i), xi_r> as an array (D, R, *grid).  A
+    sample built with a triple and without ``lame`` or ``sff`` takes them
+    from the triple (`Triple.lame`, `Triple.sff`).
     """
 
     grid: TensorGrid
@@ -170,6 +182,11 @@ class ImmersionSample:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.shape[:-1] != self.grid.shape:
             raise ValueError("positions must have shape (*grid, N)")
+        if self.triple is not None:
+            if self.lame is None:
+                self.lame = self.triple.lame()
+            if self.sff is None:
+                self.sff = self.triple.sff()
 
     @property
     def ambient_dim(self) -> int:
@@ -287,37 +304,39 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
     Along each axis j one `fd_axis` call per field differentiates v and V
     whole and, of h, the components the equations read along j: h_{im}
     for (iii) and h_{j i'} for (ii).  Each residual is the largest over the
-    valid nodes and the equation's components.
+    equation's components and the checked nodes: the valid nodes whose fd
+    stencils along every axis read valid nodes only, without the boundary
+    layers when any such node lies inside them.  A masked node may hold
+    any value, so no residual reads one.
 
     The check fails outright (`ResidualReport.failure`) when no node is
-    valid, with every residual NaN, or when v, h or V is not finite at a
-    valid node.  A masked node may hold any value, so a residual whose
-    stencil reaches one may be NaN: a component whose maximum is NaN does
-    not count.
+    checked, with every residual NaN, when v, h or V is not finite at a
+    valid node, or when a residual is not finite.
     """
     g = t.grid
     D, k, R = g.ndim, t.n_classes, t.n_normals
     cls = t.class_map.classes
-    if not t.valid().any():
+    valid = t.valid()
+    checked = valid.copy()
+    if t.mask is not None:
+        for ax in range(D):
+            checked &= _erode_mask(valid, ax, _FD_REACH)
+    inner = checked & g.interior_mask(_INTERIOR_LAYERS)
+    nodes = np.flatnonzero(inner if inner.any() else checked)
+    frac = 1.0 - valid.mean()
+    if not nodes.size:
         return ResidualReport(residuals=dict.fromkeys(("I.i", "I.ii", "I.iii", "I.iv"), float("nan")),
-                              tol=tol, masked_fraction=1.0, failure="no valid node")
-    interior = g.interior_mask(_INTERIOR_LAYERS)
-    valid = t.valid() & interior
-    if not valid.any():
-        valid = t.valid()
-    frac = 1.0 - t.valid().mean()
+                              tol=tol, masked_fraction=float(frac),
+                              failure="no valid node" if not valid.any() else
+                              "no valid node has its fd stencils inside the valid set")
     bad = [name for name, f in (("v", t.v), ("h", t.h), ("V", t.V))
-           if not np.isfinite(f).all() and not np.isfinite(f[..., t.valid()]).all()]
+           if not np.isfinite(f).all() and not np.isfinite(f[..., valid]).all()]
     failure = f"{', '.join(bad)} not finite at valid nodes" if bad else ""
 
-    nodes = np.flatnonzero(valid)
-
     def worst(r: float, arr: np.ndarray) -> float:
-        """r and the max |arr| over the valid nodes of each component of
-        arr (c, *grid); a NaN maximum leaves r as it is."""
-        if not nodes.size:
-            return r
-        return max([r] + np.abs(arr.reshape(len(arr), -1).take(nodes, axis=1)).max(axis=1).tolist())
+        """r and the max |arr| over the checked nodes of arr (c, *grid); a
+        NaN carries through."""
+        return float(np.maximum(r, np.abs(arr.reshape(len(arr), -1).take(nodes, axis=1)).max()))
 
     res = dict.fromkeys(("I.i", "I.ii", "I.iii", "I.iv"), 0.0)
     gauss = {}                # (ii)'s derivatives d_j h_{j m} by (j, m)
@@ -350,7 +369,8 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
                 term = term + t.h[l, cls[i]] * t.h[l, cls[j]]
             term = term + (t.V[cls[i]] * t.V[cls[j]]).sum(axis=0)
             res["I.ii"] = worst(res["I.ii"], term[None])
-
+    if not failure and not np.isfinite(list(res.values())).all():
+        failure = "a residual is not finite"
     return ResidualReport(residuals=res, tol=tol, masked_fraction=float(frac), failure=failure)
 
 

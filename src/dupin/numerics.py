@@ -181,6 +181,17 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """Invalidate every node whose +-width window along axis touches an invalid node."""
+    out = mask.copy()
+    m, o = np.moveaxis(mask, axis, 0), np.moveaxis(out, axis, 0)
+    n = len(m)
+    for off in range(1, min(width, n) + 1):
+        o[:n - off] &= m[off:]
+        o[off:] &= m[:n - off]
+    return out
+
+
 def _fd_deep(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     """The deep-interior rows of `fd_axis`: rows 2..n-3 along `axis`, which
     comes out four nodes shorter, bit for bit `fd_axis(...)` there."""

@@ -80,6 +80,14 @@ class GeneralW:
         return False
 
 
+def _reflect(F: np.ndarray, nu: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """P(Z) = Z - 2 nu <F, Z> F pointwise, for F, Z (..., N) and nu (...).
+    The operations of the jet `HolonomicJets.P` on values, in its order, so
+    the two agree bit for bit."""
+    s = (nu * 2.0) * _sum_last(F * Z)
+    return Z + -(s[..., None] * F)
+
+
 # ---------------------------------------------------------------------------
 # closed-form solution constructors
 
@@ -322,11 +330,8 @@ class HolonomicJets:
         return Z - self.F.scale(2.0 * self.nu * self.F.dot(Z))
 
     def _p_values(self, Z: np.ndarray) -> np.ndarray:
-        """P(Z).val from the values of Z alone: the operations of P on the
-        values, in the same order, so the two agree bit for bit."""
-        F = self.F.val
-        s = (self.nu.val * 2.0) * _sum_last(F * Z)
-        return Z + -(s[..., None] * F)
+        """P(Z).val from the values of Z alone, bit for bit."""
+        return _reflect(self.F.val, self.nu.val, Z)
 
     def full(self, a) -> np.ndarray:
         """Broadcast a jet value array to the full product-grid shape."""
@@ -341,19 +346,6 @@ class HolonomicJets:
             Xn.append(self.P(self.xi[l]))
         Xin = [self.P(self.xi[r]) for r in range(self.R) if r not in self.n_indices]
         return Xn, Xin
-
-    def new_lame_values(self) -> np.ndarray:
-        """Signed per-coordinate Lame fields of the transform, (Dp, *grid)."""
-        lame = []
-        for i in range(self.D):
-            if self.dupin_type:
-                lame.append(self.full(self.v_new[self.cls[i]].val))
-            else:
-                vi = JS(self._ls(self.triple.v[self.cls[i]]))
-                lame.append(self.full((vi * self.lam_coord[i]).val))
-        for _ in range(self.s):
-            lame.append(self.full(self.v_new_class_s.val))
-        return np.stack(lame) if lame else np.zeros((0,) + self.grid.shape)
 
     def new_triple(self) -> Triple:
         """Transformed holonomic net on the product grid (Dupin type only)."""
@@ -391,6 +383,8 @@ class HolonomicJets:
                       cmap, v_arr, h_arr, Vbar)
 
     def new_sample(self, triple: Triple | None = None) -> ImmersionSample:
+        """The transformed sample.  With the new triple its lame and sff are
+        the triple's; without (GeneralW data) they come from the jets."""
         # the values of new_frames(), without the partials
         out_r = [r for r in range(self.R) if r not in self.n_indices]
         Z = [X.val for X in self.X] + [self.xi[l].val for l in self.n_indices]
@@ -400,24 +394,23 @@ class HolonomicJets:
             tangents[i] = self._p_values(z)
         for i, r in enumerate(out_r):
             normals[i] = self._p_values(self.xi[r].val)
-        lame = self.new_lame_values()
-        Rn = normals.shape[0]
-        sff = np.empty((self.Dp, Rn) + self.grid.shape)
-        if triple is not None:
-            for i in range(self.Dp):
-                ci = triple.class_map.classes[i]
-                for r in range(Rn):
-                    sff[i, r] = triple.V[ci, r] / triple.v[ci]
-        else:
-            for i in range(self.D):
-                ci = self.cls[i]
-                vi = JS(self._ls(self.triple.v[ci]))
-                for jr, r in enumerate(out_r):
-                    kap = (self.V[ci][r] / vi + 2.0 * self.nu * self.beta[r] * self.rho_coord[i]) / self.lam_coord[i]
-                    sff[i, jr] = self.full(kap.val)
         grid = TensorGrid(self.grid.shape, self.grid.spacings, self.grid.origins)
+        if triple is not None:
+            return ImmersionSample(grid, self.full(self.f.val), tangents=tangents,
+                                   normals=normals, triple=triple)
+        lame = np.empty((self.Dp,) + self.grid.shape)
+        sff = np.empty((self.Dp, len(out_r)) + self.grid.shape)
+        if self.s:
+            lame[self.D:] = self.v_new_class_s.val
+        for i in range(self.D):
+            ci = self.cls[i]
+            vi = JS(self._ls(self.triple.v[ci]))
+            lame[i] = self.full((self.v_new[ci] if self.dupin_type else vi * self.lam_coord[i]).val)
+            for jr, r in enumerate(out_r):
+                kap = (self.V[ci][r] / vi + 2.0 * self.nu * self.beta[r] * self.rho_coord[i]) / self.lam_coord[i]
+                sff[i, jr] = self.full(kap.val)
         return ImmersionSample(grid, self.full(self.f.val), tangents=tangents,
-                               normals=normals, lame=lame, sff=sff, triple=triple)
+                               normals=normals, lame=lame, sff=sff)
 
     def regular_mask(self) -> np.ndarray:
         """Nodes where phi F != 0 and D is invertible (each above _REGULAR_NODE_TOL)."""
@@ -462,8 +455,7 @@ class TransformJet:
 
     def P_apply(self, Z: np.ndarray) -> np.ndarray:
         """Apply the bundle isometry P = I - 2 nu F F^* pointwise."""
-        inner = (self.F * Z).sum(-1)
-        return Z - 2.0 * (self.nu * inner)[..., None] * self.F
+        return _reflect(self.F, self.nu, Z)
 
 
 def _make_jet(jets: HolonomicJets) -> TransformJet:

@@ -90,11 +90,7 @@ def circle_seed(radius: float = 1.0, n: int = 21, u_range=(0.0, 2.0 * np.pi),
             "V": np.concatenate([np.full((k, 1) + base, -1.0), np.zeros((k, R - 1) + base)], axis=1),
         }
 
-    triple = _analytic_triple(grid, _eval)
-    lame = np.full((1,) + grid.shape, float(radius))
-    sff = triple.V / triple.v[:, None]  # kappa_i^r = V/v per class; one coordinate, one class
-    return ImmersionSample(grid, pos, tangents=X, normals=normals, lame=lame,
-                           sff=sff.reshape((1, R) + grid.shape), triple=triple)
+    return ImmersionSample(grid, pos, tangents=X, normals=normals, triple=_analytic_triple(grid, _eval))
 
 
 def cylinder_seed(radius: float = 1.0, shape=(21, 21), u_range=(0.0, 2.0 * np.pi),
@@ -122,11 +118,8 @@ def cylinder_seed(radius: float = 1.0, shape=(21, 21), u_range=(0.0, 2.0 * np.pi
         V_[0, 0] = -1.0
         return {"v": v_, "h": np.zeros((2, k) + base), "V": V_}
 
-    triple = _analytic_triple(grid, _eval)
-    v, V = triple.v, triple.V
-    sff = np.stack([V[0] / v[0], V[1] / v[1]])
     return ImmersionSample(grid, pos, tangents=np.stack([X1, X2]), normals=normals,
-                           lame=v.copy(), sff=sff, triple=triple)
+                           triple=_analytic_triple(grid, _eval))
 
 
 def torus_seed(R: float = 1.0, r: float = 0.3, shape=(21, 21),
@@ -165,11 +158,8 @@ def torus_seed(R: float = 1.0, r: float = 0.3, shape=(21, 21),
         V_[1, 0] = -1.0
         return {"v": v_, "h": h_, "V": V_}
 
-    triple = _analytic_triple(grid, _eval)
-    v, V = triple.v, triple.V
-    sff = np.stack([V[0] / v[0], V[1] / v[1]])
     return ImmersionSample(grid, pos, tangents=np.stack([X1, X2]), normals=normals,
-                           lame=v.copy(), sff=sff, triple=triple)
+                           triple=_analytic_triple(grid, _eval))
 
 
 def flat_seed(shape=(11, 11), extent=(1.0, 1.0), ambient: int = 3) -> ImmersionSample:
@@ -187,9 +177,8 @@ def flat_seed(shape=(11, 11), extent=(1.0, 1.0), ambient: int = 3) -> ImmersionS
         base = pts.shape[:-1]
         return {"v": np.ones((k,) + base), "h": np.zeros((2, k) + base), "V": np.zeros((k, Rn) + base)}
 
-    triple = _analytic_triple(grid, _eval)
     return ImmersionSample(grid, pos, tangents=np.stack([X1, X2]), normals=normals,
-                           lame=triple.v.copy(), sff=np.zeros((2, Rn) + grid.shape), triple=triple)
+                           triple=_analytic_triple(grid, _eval))
 
 
 def sphere_patch(radius: float = 1.0, shape=(21, 21), u_range=(0.0, 1.2),

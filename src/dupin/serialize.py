@@ -282,31 +282,6 @@ def residual_csv(rows, path) -> None:
             f.write(f"{eq},{res!r},{frac!r}\n")
 
 
-def result_to_dict(result) -> dict:
-    """Serialize an N-Ribaucour result: the sample plus a transform-provenance
-    block (solution seed values, subbundle indices, jet summary statistics)."""
-    w = result.w
-    base = (0,) * w.grid.ndim
-    jet = result.jet
-    prov = {
-        "transform": "n_ribaucour",
-        "n_indices": list(result.n_indices),
-        "w_seed": {
-            "phi0": float(w.phi[base]),
-            "gamma0": [float(x) for x in w.gamma[(slice(None),) + base]],
-            "beta0": [float(x) for x in w.beta[(slice(None),) + base]],
-            "B0": [float(x) for x in w.B[(slice(None),) + base]],
-        },
-        "jet_stats": {
-            "phi": [float(jet.phi.min()), float(jet.phi.max())],
-            "nu": [float(jet.nu.min()), float(jet.nu.max())],
-            "lambda": [float(jet.lam.min()), float(jet.lam.max())],
-            "regular_fraction": float(result.regular.mean()),
-        },
-    }
-    return sample_to_dict(result.sample, provenance=prov)
-
-
 def _mesh_slice(s: ImmersionSample, slice_idx):
     """Positions and mask of a 2-d slice for mesh export."""
     g = s.grid

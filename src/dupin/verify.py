@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import (TensorGrid, fd_axis, _fd_deep, _fd_rows, _joint_eigh, _singular_values,
+from .numerics import (TensorGrid, fd_axis, _erode_mask, _fd_deep, _fd_rows, _joint_eigh, _singular_values,
                        _sphere_fits, _sum_last, _sym_eigh)
 from .ribaucour import NRibaucourResult
 
@@ -402,17 +402,6 @@ def _track(gap, parent: np.ndarray, k: int) -> np.ndarray:
         sigma = np.take_along_axis(sigma, sigma[up], axis=1)
         up = up[up]
     return sigma
-
-
-def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
-    """Invalidate every node whose +-width window along axis touches an invalid node."""
-    out = mask.copy()
-    m, o = np.moveaxis(mask, axis, 0), np.moveaxis(out, axis, 0)
-    n = len(m)
-    for off in range(1, min(width, n) + 1):
-        o[:n - off] &= m[off:]
-        o[off:] &= m[:n - off]
-    return out
 
 
 def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | None) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dupin.cli import main, run_pipeline
-from dupin.errors import NotRegular, ParseError
+from dupin.errors import DimensionMismatch, NotRegular, ParseError
 from dupin.seeds import torus_seed
 from dupin import serialize
 
@@ -34,8 +34,8 @@ class TestSerialize:
         assert np.abs(back.triple.v - torus_patch.triple.v).max() == 0.0
         assert back.triple.class_map.classes == torus_patch.triple.class_map.classes
 
-    @pytest.mark.parametrize("case", ["sample", "masked_sample", "triple", "result",
-                                      "provenance", "chain"])
+    @pytest.mark.parametrize("case", ["sample", "masked_sample", "triple", "provenance",
+                                      "chain"])
     def test_dump_json_writes_json_dumps_indent_1(self, case, torus_patch, recursion_step1, tmp_path):
         # payloads go out unescaped; every byte equals json.dumps(obj, indent=1)
         if case == "sample":
@@ -47,8 +47,6 @@ class TestSerialize:
             doc = serialize.sample_to_dict(s)
         elif case == "triple":
             doc = serialize.triple_to_dict(recursion_step1.triple)
-        elif case == "result":
-            doc = serialize.result_to_dict(recursion_step1)
         elif case == "provenance":
             doc = serialize.sample_to_dict(torus_patch, provenance={
                 "nested": [[1, [2.5, -0.0]], {"a": [], "b": {}}, [], {}],
@@ -200,8 +198,8 @@ class TestPipeline:
         with pytest.raises(ParseError):
             run_pipeline(spec2, str(tmp_path / "o"))
 
-    def test_broken_recursion_fails_at_validation(self, tmp_path):
-        # a degenerate recursion request fails with a recorded step failure
+    def test_beta0_of_the_wrong_length_is_a_dimension_mismatch(self, tmp_path):
+        # a circle in R^3 has two normals; three beta0 entries are refused
         spec = {
             "schema": "dupin/pipeline@1",
             "seed": {"kind": "circle", "params": {"radius": 1.0, "n": 21, "u_range": [0.0, 0.4]}},
@@ -211,8 +209,21 @@ class TestPipeline:
                  "B0": [0.0], "phi0": 1.0, "gamma0": [0.0], "beta0": [1.0, 0.0, 0.0]},
             ],
         }
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match=re.escape("seed shapes must be (k,), (D,), (R,)")):
             run_pipeline(spec, str(tmp_path / "o"))
+
+    def test_recursion_failing_validation_is_a_step_failure(self, tmp_path, capsys):
+        # a regular recursion step whose new net cannot meet a 1e-300 tolerance
+        spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE4},
+                "tolerances": {"validate": 1e-300}, "steps": [{"op": "recursion", **REGULAR_STEP}]}
+        summary = run_pipeline(spec, str(tmp_path / "p"))
+        assert summary["ok"] is False and summary["failed_step"] == 1
+        assert "fails validation" in summary["steps"][0]["error"]
+        assert set(summary["steps"][0]["validate"]) == {"I.i", "I.ii", "I.iii", "I.iv"}
+        serialize.dump_json(spec, tmp_path / "spec.json")
+        capsys.readouterr()
+        assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "pipeline failed at step 1\n"
 
     def test_provenance_embedded(self, tmp_path):
         out = tmp_path / "o"
@@ -535,6 +546,14 @@ _NEEDS_FRAMES = "needs a sample with frames and a net triple (a construct step l
      "step 1 (export): 'coords' must be a list of 3 coordinate indices"),
     ({"steps": [{"op": "export", "format": "csv"}]},
      "step 1 (export): 'path' must be a non-empty string"),
+    ({"steps": [{"op": "verify", "gates": {"max_dupin_residal": 1e-30, "holonomik": True}}]},
+     "unknown keys ['holonomik', 'max_dupin_residal'] in step 1 (verify) gates"),
+    ({"steps": [{"op": "verify", "gates": {"max_dupin_residual": "tiny"}}]},
+     "step 1 (verify): 'max_dupin_residual' must be a finite number"),
+    ({"steps": [{"op": "verify", "gates": [2]}]}, "step 1 (verify) gates is not a JSON object"),
+    ({"steps": [{"op": "verify", "gates": {"k": True}}]}, "step 1 (verify): 'k' must be an integer >= 1"),
+    ({"steps": [{"op": "recursion", **IRREGULAR_STEP, "gates": {"holonomic": 1}}]},
+     "step 1 (recursion): 'holonomic' must be true or false"),
 ], ids=["step_not_object", "steps_not_list", "tolerances_list", "validate_string", "n_one",
         "shape_short", "center_short", "empty_range", "k_string", "k_zero", "u_missing", "u_short",
         "matrix_4x4", "matrix_not_orthogonal", "w_not_object", "inversion_P0_string",
@@ -545,7 +564,9 @@ _NEEDS_FRAMES = "needs a sample with frames and a net triple (a construct step l
         "rotation_e_string", "n_ribaucour_n_indices_out_of_range",
         "ribaucour_inversion_positions_only", "ribaucour_solve_positions_only",
         "n_ribaucour_positions_only", "recursion_positions_only", "export_slice_string",
-        "export_coords_string", "export_path_missing"])
+        "export_coords_string", "export_path_missing", "verify_gate_keys_misspelled",
+        "verify_gate_residual_string", "verify_gates_list", "verify_gate_k_bool",
+        "recursion_gate_flag_int"])
 def test_malformed_pipeline_exits_2_with_one_line(tmp_path, capsys, change, message):
     spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE}, "steps": [],
             **change}
@@ -625,3 +646,32 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, case):
     assert main([str(paths.get(a, a)) for a in UNWRITABLE[case]]) == 2
     verb = "create" if case == "run" else "write"
     assert capsys.readouterr().err == f"error: cannot {verb} {bad} (Not a directory)\n"
+
+
+def _recurse(tmp_path, step: dict, out: str) -> int:
+    """`dupin recurse` of step on the circle CIRCLE4."""
+    seed = tmp_path / "circle4.json"
+    if not seed.exists():
+        assert main(["seed", "--kind", "circle", "--params", json.dumps(CIRCLE4), "--out", str(seed)]) == 0
+    serialize.dump_json(step, tmp_path / "step.json")
+    return main(["recurse", "--in", str(seed), "--spec", str(tmp_path / "step.json"),
+                 "--out", str(tmp_path / out)])
+
+
+def test_recurse_failing_gate_exits_1_without_output(tmp_path, capsys):
+    assert _recurse(tmp_path, {**REGULAR_STEP, "gates": {"k": 7}}, "o.json") == 1
+    assert re.fullmatch(r"recursion failed: k = 2, expected 7\n", capsys.readouterr().err)
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_recurse_passing_gates_write_the_ungated_bytes(tmp_path, capsys):
+    assert _recurse(tmp_path, REGULAR_STEP, "plain.json") == 0
+    assert _recurse(tmp_path, {**REGULAR_STEP, "gates": {"k": 2, "holonomic": True}}, "gated.json") == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "gated.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_recurse_misspelled_gate_exits_2_before_solving(tmp_path, capsys):
+    # the gates are checked before the solve, which this request would fail
+    assert _recurse(tmp_path, {**IRREGULAR_STEP, "gates": {"kk": 2}}, "o.json") == 2
+    assert capsys.readouterr().err == "error: unknown keys ['kk'] in recursion spec gates\n"

@@ -429,13 +429,13 @@ def test_cylinder_leaves_congruent_by_translation():
         assert np.abs(offsets - offsets[0]).max() < 1e-12
 
 
-def test_nribaucour_result_provenance_block(recursion_step1):
-    from dupin import serialize
-
-    doc = serialize.result_to_dict(recursion_step1)
-    prov = doc["provenance"]
-    assert prov["n_indices"] == [1]
-    assert abs(prov["w_seed"]["phi0"] - 1.0) < 1e-12
-    assert prov["jet_stats"]["regular_fraction"] == 1.0
-    back = serialize.sample_from_dict(doc)
-    assert np.abs(back.positions - recursion_step1.sample.positions).max() == 0.0
+@pytest.mark.parametrize("fiber", [TensorGrid((3, 4), (0.1, 0.1), (0.5, 0.5)), [np.linspace(0.5, 1.0, 3)] * 2],
+                         ids=["grid", "list"])
+@pytest.mark.parametrize("build", ["cylinder", "rotation"])
+def test_fiber_of_the_wrong_rank_is_a_dimension_mismatch(circle4, build, fiber):
+    sub = ParallelNormalSubbundle((1,))
+    with pytest.raises(DimensionMismatch, match="fiber rank must match subbundle rank"):
+        if build == "cylinder":
+            generalized_cylinder(circle4, sub, 0, fiber)
+        else:
+            generalized_rotation(circle4, sub, np.array([1.0, 0.0, 0.0, 0.0]), fiber)

@@ -5,6 +5,7 @@ from dupin.errors import NotParallel
 from dupin.net import (
     ClassMap,
     ImmersionSample,
+    ParallelNormalSubbundle,
     Triple,
     attach_subbundle,
     principal_normals_from_triple,
@@ -86,10 +87,26 @@ class TestValidateTriple:
         assert np.isnan(list(rep.residuals.values())).all() and np.isnan(rep.max_residual)
         assert "no valid node" in str(rep)
 
+    def test_no_checkable_node_is_an_explicit_failure(self, torus_patch):
+        # a checkerboard mask: every stencil of a valid node reads a masked one
+        t = torus_patch.triple
+        mask = np.indices(t.grid.shape).sum(axis=0) % 2 == 0
+        rep = validate_triple(Triple(t.grid, t.class_map, t.v, t.h, t.V, mask=mask))
+        assert not rep.passed
+        assert rep.failure == "no valid node has its fd stencils inside the valid set"
+        assert np.isnan(list(rep.residuals.values())).all() and rep.masked_fraction == 1.0 - mask.mean()
+
+    def test_non_finite_residual_fails(self, torus_patch):
+        # finite fields whose product h v overflows
+        t = torus_patch.triple
+        rep = validate_triple(Triple(t.grid, t.class_map, 1e300 * t.v, 1e10 * t.h, t.V))
+        assert not rep.passed and rep.failure == "a residual is not finite"
+        assert not np.isfinite(rep.residuals["I.i"])
+
     def test_blow_up_mask_still_passes(self, torus_patch):
         # integrate_triple masks the nodes where v is not finite or beyond
-        # BLOWUP_BOUND; the fields there may be anything, and the stencils of
-        # their valid neighbours read them
+        # BLOWUP_BOUND; the fields there may be anything, so the nodes whose
+        # stencils read them are not checked, and every other node is
         from dupin.integrable import BLOWUP_BOUND
 
         t = torus_patch.triple
@@ -99,6 +116,8 @@ class TestValidateTriple:
         bad = ~np.isfinite(v).all(axis=0) | (np.abs(v) > BLOWUP_BOUND).any(axis=0)
         rep = validate_triple(Triple(t.grid, t.class_map, v, h, V, mask=~bad))
         assert rep.passed and not rep.failure, rep
+        vals = np.array(list(rep.residuals.values()))
+        assert np.isfinite(vals).all() and (vals > 0).all(), rep
         assert rep.max_residual <= validate_triple(t).max_residual
 
 
@@ -116,13 +135,20 @@ def _masked_multiplicity_triple():
 def _loop_residuals(t):
     """Reference: validate_triple's residuals as it computed them before it
     differentiated each field once per axis, one fd_axis call and one
-    maximum per equation component."""
+    maximum per equation component, at the valid nodes whose five-node
+    windows along every axis hold valid nodes only (interior ones when
+    there are any)."""
     g = t.grid
     D, k, R = g.ndim, t.n_classes, t.n_normals
     cls = t.class_map.classes
-    valid = t.valid() & g.interior_mask(2)
+    checked = t.valid().copy()
+    for ax in range(D):
+        pad = np.pad(t.valid(), [(2, 2) if a == ax else (0, 0) for a in range(D)], constant_values=True)
+        for off in range(5):
+            checked &= np.take(pad, np.arange(off, off + g.shape[ax]), axis=ax)
+    valid = checked & g.interior_mask(2)
     if not valid.any():
-        valid = t.valid()
+        valid = checked
 
     def d(values, axis):
         return fd_axis(values, g.spacings[axis], axis, 1)
@@ -224,3 +250,56 @@ def test_frame_residuals_consistency(torus_patch):
     res = torus_patch.frame_residuals()
     assert res["gram"] < 1e-12
     assert res["dg_vs_vX"] < 1e-6
+
+
+def _fill_rule_sample(case, request):
+    """A library-built sample of each construction site that has a triple."""
+    from dupin.integrable import reconstruct_frame
+    from dupin.moebius import (Homothety, Inversion, Orthogonal, ParallelTranslate, Translate,
+                               apply_ltransform, generalized_cylinder, generalized_tube)
+    from dupin.ribaucour import inversion_w, ribaucour_transform
+    from dupin.seeds import circle_seed, cylinder_seed, flat_seed
+
+    tor = request.getfixturevalue("torus_patch")
+    lifted = apply_ltransform(tor, Translate([0.0, 0.0, 2.0]))
+    c, s = np.cos(0.3), np.sin(0.3)
+    build = {
+        "circle": lambda: circle_seed(ambient=4),
+        "cylinder": lambda: cylinder_seed(shape=(9, 9)),
+        "torus": lambda: tor,
+        "flat": lambda: flat_seed(),
+        "translate": lambda: lifted,
+        "orthogonal": lambda: apply_ltransform(tor, Orthogonal([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])),
+        "homothety": lambda: apply_ltransform(tor, Homothety(-1.3)),
+        "inversion": lambda: apply_ltransform(lifted, Inversion()),
+        "parallel": lambda: apply_ltransform(tor, ParallelTranslate([0.1])),
+        "generalized_cylinder": lambda: generalized_cylinder(
+            request.getfixturevalue("circle4"), ParallelNormalSubbundle((1,)), 0,
+            TensorGrid((7,), (0.1,), (0.2,))),
+        "generalized_tube": lambda: generalized_tube(
+            torus_seed(shape=(9, 9), ambient=5), ParallelNormalSubbundle((1, 2)), 0.2, n_angle=9),
+        "focal_tube": lambda: generalized_tube(
+            circle_seed(u_range=(0.1, 1.1)), ParallelNormalSubbundle((0, 1)), 1.0, n_angle=21),
+        "reconstruct_frame": lambda: reconstruct_frame(tor.triple),
+        "ribaucour_transform": lambda: ribaucour_transform(
+            lifted, inversion_w(lifted, np.array([0.4, -0.3, 4.0]), 1.1))[0],
+        "dupin_step": lambda: request.getfixturevalue("recursion_step1").sample,
+    }
+    return build[case]()
+
+
+@pytest.mark.parametrize("case", [
+    "circle", "cylinder", "torus", "flat", "translate", "orthogonal", "homothety", "inversion",
+    "parallel", "generalized_cylinder", "generalized_tube", "focal_tube", "reconstruct_frame",
+    "ribaucour_transform", "dupin_step"])
+def test_lame_and_sff_come_from_the_triple(case, request):
+    # one place computes a sample's Lame and shape coefficients from its
+    # triple; the homothety scales the parent's sff (s.sff / k), which can
+    # differ from V / (k v) in the last bit
+    s = _fill_rule_sample(case, request)
+    assert s.triple is not None
+    pairs = [(s.lame, s.triple.lame())] + ([] if case == "homothety" else [(s.sff, s.triple.sff())])
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if case == "focal_tube":
+        assert s.mask is not None and not np.isfinite(s.sff[:, :, ~s.mask]).all()

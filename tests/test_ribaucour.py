@@ -22,7 +22,7 @@ from dupin.ribaucour import (
     verify_mutual_ribaucour,
 )
 from dupin.seeds import circle_seed, torus_seed
-from dupin.serialize import dump_json, result_to_dict, sample_to_dict
+from dupin.serialize import dump_json, sample_to_dict
 
 
 P0 = np.array([0.0, 0.0, 2.0])
@@ -500,9 +500,9 @@ class TestLazyResult:
         eager.__dict__["jet"] = _make_jet(HolonomicJets(res.base, res.w, res.n_indices,
                                                         _Y_GRIDS[name]))
         for r, tag in ((res, "lazy"), (eager, "eager")):
-            dump_json(result_to_dict(r), tmp_path / f"{tag}_result.json")
+            dump_json(sample_to_dict(r.sample), tmp_path / f"{tag}_sample.json")
             dump_json(sample_to_dict(r.slice_sample((7,))), tmp_path / f"{tag}_slice.json")
-        for doc in ("result", "slice"):
+        for doc in ("sample", "slice"):
             assert ((tmp_path / f"lazy_{doc}.json").read_bytes()
                     == (tmp_path / f"eager_{doc}.json").read_bytes())
 
