@@ -26,34 +26,36 @@ step of size h is the matrix
 
 whose stage times are known before the march starts.  Each axis phase builds
 one propagator per cell and line, the product of its substep matrices, and
-then marches cell by cell.
+then marches cell by cell.  Its coefficient fields are evaluated once at the
+phase's first stage time and then for a block of substeps per call, at most
+_FIELD_VALUES values and at least one substep (``_stage_fields``), so no
+phase holds its fields at every stage time at once.
 
 The tensor system's coefficient matrix has one nonzero column: along axis a
 it is A = h[a] e_{a'}^T with a' the class of a.  Every stage matrix, substep
 matrix and propagator is then I + p e_{a'}^T, so a propagator is its column
 a' alone, a k-vector per cell and line.  The column recursion repeats the
-matrix products' arithmetic less their exact-zero terms; its coefficients
-come from one evaluation of h[a] at all stage times of the phase (grid
-triples interpolate the row h[a] alone), and the march applies
-Y + (c - e_{a'}) Y_{a'}.
+matrix products' arithmetic less their exact-zero terms; a tensor sweep
+reads the row h[a] alone (grid triples interpolate just that row), and the
+march applies Y + (c - e_{a'}) Y_{a'}.
 
 The joint and frame systems keep dense propagators, built one substep at a
-time from coefficient fields that the provider evaluates for a block of
-substeps per call (at most _FIELD_VALUES values), and applied in index
-order.  The joint system's B block is autonomous and takes the tensor
-system's own propagator columns, so its B equals the tensor system's bit for
-bit.  B enters (phi, gamma, beta) only through B_ca (dgamma_axis += B_ca),
-so the whole system's propagator rows past B are nonzero only in column ca
-and in the (phi, gamma, beta) columns: the dense propagators cover just the
-coupled block (B_ca, phi, gamma, beta), of size 2 + D + R instead of
-k + 1 + D + R.  Repeating the sweep in the reversed axis order, with its own
-propagators, gives the built-in path-independence health check.  The
-Goursat march seeds its base row with a tensor-system sweep; its rows, whose
-rates are not linear, keep a stage-by-stage RK4 that reads the axis data
-from a table of all stage times.  The row state is family-major
-(v, V^r and h_{0, m}, each a (k, n) block), so every rate is one broadcast
-product with the class row of its family, and the stages, their argument
-and the RK4 sum are written into buffers allocated once per march.
+time and applied in index order.  The joint system's B block is autonomous:
+the same column recursion builds its propagator columns in the dense loop,
+from the h[a] of the coupled block's own fields, so its B equals the tensor
+system's bit for bit and each phase makes one provider pass.  B enters
+(phi, gamma, beta) only through B_ca (dgamma_axis += B_ca), so the whole
+system's propagator rows past B are nonzero only in column ca and in the
+(phi, gamma, beta) columns: the dense propagators cover just the coupled
+block (B_ca, phi, gamma, beta), of size 2 + D + R instead of k + 1 + D + R.
+Repeating the sweep in the reversed axis order, with its own propagators,
+gives the built-in path-independence health check.  The Goursat march seeds
+its base row with a tensor-system sweep; its rows, whose rates are not
+linear, keep a stage-by-stage RK4 that reads the axis data from a table of
+all stage times.  The row state is family-major (v, V^r and h_{0, m}, each
+a (k, n) block), so every rate is one broadcast product with the class row
+of its family, and the stages, their argument and the RK4 sum are written
+into buffers allocated once per march.
 """
 
 from __future__ import annotations
@@ -212,27 +214,17 @@ def _stage_times(coords: np.ndarray, substeps: int):
     return T, h
 
 
-def _cell_propagators(coef, coords: np.ndarray, substeps: int) -> np.ndarray:
-    """RK4 propagators (cells, L, S, S) of y' = A(t) y across the cells of
-    `coords`.  coef is (fields, assemble): fields(t) gives the coefficient
-    fields at the times t (P,), a dict of arrays (comp..., P, L), and
-    assemble(C) the matrices A (P, L, S, S) from such fields.  The fields
-    are evaluated for a block of substeps per call, as many as fit in
-    _FIELD_VALUES values, and each substep assembles its own matrices."""
-    fields, assemble = coef
-    T, h = _stage_times(coords, substeps)
-    cells = h.shape[0]
-    h = h[:, None, None, None]
-    half, sixth = 0.5 * h, h / 6.0
+def _stage_fields(fields, T: np.ndarray):
+    """The coefficient fields of a phase with stage times T (cells,
+    2 substeps + 1), each a dict of arrays (comp..., P, L): first at the
+    times T[:, 0] (P = cells), then for each substep at its mid and end times
+    (P = 2 cells, mid first).  After the first call, fields(t) is called for
+    a block of substeps at a time, as many as fit in _FIELD_VALUES values and
+    at least one."""
+    cells, substeps = T.shape[0], T.shape[1] // 2
     C = fields(T[:, 0])
-    A0 = assemble(C)
+    yield C
     block = max(1, _FIELD_VALUES // (2 * sum(a.size for a in C.values())))
-    eye = np.eye(A0.shape[-1])
-    # K holds K2, K3 and K4 in turn, X the stage arguments I + c K, and S the
-    # sum A0 + 2 K2 + 2 K3 + K4; the additions run in the order of the
-    # formula (an IEEE sum does not depend on the order of its two operands)
-    K, X, S = np.empty_like(A0), np.empty_like(A0), np.empty_like(A0)
-    prop = None
     for lo in range(0, substeps, block):
         hi = min(lo + block, substeps)
         # the stage times of substeps lo..hi-1, stage-major: the mid and end
@@ -240,60 +232,101 @@ def _cell_propagators(coef, coords: np.ndarray, substeps: int) -> np.ndarray:
         C = fields(T[:, 2 * lo + 1 : 2 * hi + 1].T.reshape(-1))
         for s in range(hi - lo):
             at = slice(2 * s * cells, 2 * (s + 1) * cells)
-            Amid, A1 = np.split(assemble({key: a[..., at, :] for key, a in C.items()}), 2)
-            np.multiply(half, A0, out=X)
-            X += eye
-            np.matmul(Amid, X, out=K)                  # K2
-            np.multiply(2.0, K, out=S)
-            S += A0
-            np.multiply(half, K, out=X)
-            X += eye
-            np.matmul(Amid, X, out=K)                  # K3
-            np.multiply(h, K, out=X)
-            X += eye
-            K *= 2.0
-            S += K
-            np.matmul(A1, X, out=K)                    # K4
-            S += K
-            S *= sixth
-            S += eye
-            prop = S.copy() if prop is None else S @ prop
-            A0 = A1
-    return prop
+            yield {key: a[..., at, :] for key, a in C.items()}
+
+
+def _column_step(c, a0: np.ndarray, a: np.ndarray, h: np.ndarray, ca: int):
+    """One RK4 substep of the tensor system's propagator column ca: c (k,
+    cells, L) is the column of the product of the substeps so far (None
+    before the first), a0 (k, cells, L) the coefficient column h[axis] at the
+    substep's start and a (k, 2 cells, L) at its mid and end times; h
+    (cells, 1) is the step size.  Returns the new column and h[axis] at the
+    substep's end.
+
+    The recursion repeats the arithmetic of `_cell_propagators` on the
+    matrices A = a e_ca^T in the same order, less the products' exact-zero
+    terms.  A BLAS matrix product may fuse c_m + s_m c_ca into one rounding;
+    the column rounds it twice, so the two can differ in the last bit.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    am, a1 = np.split(a, 2, axis=1)
+    k2 = am * (1.0 + half * a0[ca])
+    k3 = am * (1.0 + half * k2[ca])
+    k4 = a1 * (1.0 + h * k3[ca])
+    step = sixth * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    if c is None:
+        c = step
+        c[ca] += 1.0
+    else:                              # (I + step e_ca^T) c
+        c_ca = c[ca].copy()
+        c += step * c_ca
+        c[ca] = (1.0 + step[ca]) * c_ca
+    return c, a1
+
+
+def _cell_propagators(coef, coords: np.ndarray, substeps: int, lead=None):
+    """RK4 propagators (cells, L, S, S) of y' = A(t) y across the cells of
+    `coords`.  coef is (fields, assemble): fields(t) gives the coefficient
+    fields at the times t (P,), a dict of arrays (comp..., P, L), and
+    assemble(C) the matrices A (P, L, S, S) from such fields.  The fields
+    are evaluated once at the phase's first stage time and then for a block
+    of substeps per call (`_stage_fields`); each substep assembles its own
+    matrices.
+
+    lead, if given, is (axis, ca): the same loop then also builds the tensor
+    system's propagator columns ca (cells, L, k) from the fields' h[axis]
+    (`_column_step`).  Returns (propagators, columns or None)."""
+    fields, assemble = coef
+    T, h = _stage_times(coords, substeps)
+    stages = _stage_fields(fields, T)
+    C = next(stages)
+    A0 = assemble(C)
+    if lead is not None:
+        axis, ca = lead
+        hc, a0, c = h[:, None], C["h"][axis], None
+    h = h[:, None, None, None]
+    half, sixth = 0.5 * h, h / 6.0
+    eye = np.eye(A0.shape[-1])
+    # K holds K2, K3 and K4 in turn, X the stage arguments I + c K, and S the
+    # sum A0 + 2 K2 + 2 K3 + K4; the additions run in the order of the
+    # formula (an IEEE sum does not depend on the order of its two operands)
+    K, X, S = np.empty_like(A0), np.empty_like(A0), np.empty_like(A0)
+    prop = None
+    for C in stages:
+        Amid, A1 = np.split(assemble(C), 2)
+        np.multiply(half, A0, out=X)
+        X += eye
+        np.matmul(Amid, X, out=K)                  # K2
+        np.multiply(2.0, K, out=S)
+        S += A0
+        np.multiply(half, K, out=X)
+        X += eye
+        np.matmul(Amid, X, out=K)                  # K3
+        np.multiply(h, K, out=X)
+        X += eye
+        K *= 2.0
+        S += K
+        np.matmul(A1, X, out=K)                    # K4
+        S += K
+        S *= sixth
+        S += eye
+        prop = S.copy() if prop is None else S @ prop
+        A0 = A1
+        if lead is not None:
+            c, a0 = _column_step(c, a0, C["h"][axis], hc, ca)
+    return prop, (None if lead is None else np.moveaxis(c, 0, -1))
 
 
 def _tensor_columns(col, coords: np.ndarray, ca: int, substeps: int) -> np.ndarray:
     """Columns ca (cells, L, k) of the tensor system's RK4 propagators
-    I + (c - e_ca) e_ca^T across the cells of `coords`; col(t) gives the
-    coefficient column h[axis] (k, P, L) at the times t (P,), here at every
-    stage time of the phase in one call.
-
-    Each line repeats the arithmetic of `_cell_propagators` on the matrices
-    A = a e_ca^T in the same order, less the products' exact-zero terms.  A
-    BLAS matrix product may fuse c_m + s_m c_ca into one rounding; the
-    columns round it twice, so the two can differ in the last bit.
-    """
+    I + (c - e_ca) e_ca^T across the cells of `coords` (`_column_step`);
+    col(t) gives the coefficient column h[axis] (k, P, L) at the times t
+    (P,), called as `_stage_fields` calls its fields."""
     T, h = _stage_times(coords, substeps)
-    H = col(T.T.reshape(-1))
-    H = H.reshape((H.shape[0],) + T.T.shape + H.shape[2:])    # (k, 2 substeps + 1, cells, L)
-    h = h[:, None]
-    half, sixth = 0.5 * h, h / 6.0
-    a0 = H[:, 0]
-    c = None
-    for s in range(substeps):
-        am, a1 = H[:, 2 * s + 1], H[:, 2 * s + 2]
-        k2 = am * (1.0 + half * a0[ca])
-        k3 = am * (1.0 + half * k2[ca])
-        k4 = a1 * (1.0 + h * k3[ca])
-        step = sixth * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-        if c is None:
-            c = step
-            c[ca] += 1.0
-        else:                          # (I + step e_ca^T) c
-            c_ca = c[ca].copy()
-            c += step * c_ca
-            c[ca] = (1.0 + step[ca]) * c_ca
-        a0 = a1
+    stages = _stage_fields(lambda t: {"h": col(t)}, T)
+    a0, c = next(stages)["h"], None
+    for C in stages:
+        c, a0 = _column_step(c, a0, C["h"], h[:, None], ca)
     return np.moveaxis(c, 0, -1)
 
 
@@ -322,22 +355,23 @@ def _dense_phase(coef_factory, substeps: int, tensor_lead=None):
     the coefficients (fields, assemble) of `_cell_propagators` on the lines
     through idx (L, D).
 
-    tensor_lead, if given, is (h_at, classes) of an autonomous leading
-    tensor block of k rows that drives the other rows through its class-ca
-    entry alone.  coef_factory then gives the coupled block only, state
-    (B_ca, rest): the tensor rows step by their rank-one propagator columns,
+    tensor_lead, if given, is the classes of an autonomous leading tensor
+    block of k rows that drives the other rows through its class-ca entry
+    alone.  coef_factory then gives the coupled block only, state
+    (B_ca, rest), with h among its fields: the tensor rows step by their
+    rank-one propagator columns, built from those fields in the same loop,
     so that they equal a tensor sweep bit for bit, and the rest by the
     coupled propagators' rows past the first, applied to (Y_ca, Y_k, ...) in
     index order.  Those rows are the whole system's rows k: less its exact
     zeros, as the other tensor rows never enter the rest."""
 
     def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
-        props = _cell_propagators(coef_factory(axis, idx), coords, substeps)
         if tensor_lead is None:
+            props, _ = _cell_propagators(coef_factory(axis, idx), coords, substeps)
             return lambda j, Y: _apply(props[j], Y)
-        h_at, classes = tensor_lead
-        ca = classes[axis]
-        cols = _tensor_columns(h_at(axis, idx), coords, ca, substeps)[..., None]
+        ca = tensor_lead[axis]
+        props, cols = _cell_propagators(coef_factory(axis, idx), coords, substeps, (axis, ca))
+        cols = cols[..., None]
         k = cols.shape[-2]
         rows = props[..., 1:, :]
 
@@ -561,11 +595,11 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
         raise DimensionMismatch("seed shapes must be (k,), (D,), (R,)")
     state0 = np.concatenate([B0, [float(phi0)], gamma0, beta0])[:, None]
     provider = _provider_for(triple)
-    # the B block is autonomous: sweep it with the tensor system's propagators,
-    # so that B equals solve_B's bit for bit; dense propagators cover only
-    # the block that B_ca drives
+    # the B block is autonomous: sweep it with the tensor system's propagator
+    # columns, so that B equals solve_B's bit for bit; dense propagators cover
+    # only the block that B_ca drives
     phase = _dense_phase(_joint_coef_factory(provider, triple.class_map, D, R), substeps,
-                         tensor_lead=(provider.h_row, triple.class_map.classes))
+                         tensor_lead=triple.class_map.classes)
     states, reports = _sweep(g, state0, phase, order, check_alternate)
     sol = _solution_from_states(triple, states[..., 0], reports)
     interior = g.interior_mask(2) & sol.valid()

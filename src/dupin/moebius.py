@@ -159,8 +159,9 @@ def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
 
     Closed forms:  translations/orthogonal maps act trivially; homotheties
     scale v; the inversion maps frames by P_i, v by v/|f|^2 and V by
-    V + 2 v <f, xi_r> / |f|^2; parallel translation shifts v by -sum c_r V^r
-    and leaves h, V unchanged.
+    V + 2 v <f, xi_r> / |f|^2 (on a sample without a triple, lame by
+    lame/|f|^2 and sff by |f|^2 sff + 2 <f, xi_r>); parallel translation
+    shifts v by -sum c_r V^r and leaves h, V unchanged.
     """
     _check_size(T, s.ambient_dim)
     t = s.triple
@@ -197,8 +198,14 @@ def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
         tangents = None if s.tangents is None else np.stack([_p_inv(pos, s.tangents[i]) for i in range(D)])
         normals = None if s.normals is None else np.stack([_p_inv(pos, s.normals[r]) for r in range(s.n_normals)])
         if t is None:
+            sff = s.sff
+            if sff is not None:
+                if s.normals is None or sff.shape[1] != s.n_normals:
+                    raise DimensionMismatch("inverting sff needs one normal per sff column")
+                # V/v of the triple branch: |f|^2 sff + 2 <f, xi_r>
+                sff = Q * sff + 2.0 * (pos * s.normals).sum(-1)
             return replace_sample(s, positions=newpos, tangents=tangents, normals=normals,
-                                  lame=None if s.lame is None else s.lame / Q)
+                                  lame=None if s.lame is None else s.lame / Q, sff=sff)
         h = np.empty_like(t.h)
         V = np.empty_like(t.V)
         for m in range(t.n_classes):

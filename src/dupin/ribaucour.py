@@ -383,8 +383,14 @@ class HolonomicJets:
                       cmap, v_arr, h_arr, Vbar)
 
     def new_sample(self, triple: Triple | None = None) -> ImmersionSample:
-        """The transformed sample.  With the new triple its lame and sff are
-        the triple's; without (GeneralW data) they come from the jets."""
+        """The transformed sample.  Its lame and sff are the new triple's:
+        the one given, else `new_triple()` for Dupin-type data.  GeneralW
+        data has no new triple; its lame and sff come from the jets, which
+        give them only for the base coordinates (no y-grid)."""
+        if triple is None and self.dupin_type:
+            triple = self.new_triple()
+        if triple is None and self.s:
+            raise ValueError("GeneralW data gives no lame or sff for the y-grid coordinates")
         # the values of new_frames(), without the partials
         out_r = [r for r in range(self.R) if r not in self.n_indices]
         Z = [X.val for X in self.X] + [self.xi[l].val for l in self.n_indices]
@@ -398,14 +404,12 @@ class HolonomicJets:
         if triple is not None:
             return ImmersionSample(grid, self.full(self.f.val), tangents=tangents,
                                    normals=normals, triple=triple)
-        lame = np.empty((self.Dp,) + self.grid.shape)
-        sff = np.empty((self.Dp, len(out_r)) + self.grid.shape)
-        if self.s:
-            lame[self.D:] = self.v_new_class_s.val
+        lame = np.empty((self.D,) + self.grid.shape)
+        sff = np.empty((self.D, len(out_r)) + self.grid.shape)
         for i in range(self.D):
             ci = self.cls[i]
             vi = JS(self._ls(self.triple.v[ci]))
-            lame[i] = self.full((self.v_new[ci] if self.dupin_type else vi * self.lam_coord[i]).val)
+            lame[i] = self.full((vi * self.lam_coord[i]).val)
             for jr, r in enumerate(out_r):
                 kap = (self.V[ci][r] / vi + 2.0 * self.nu * self.beta[r] * self.rho_coord[i]) / self.lam_coord[i]
                 sff[i, jr] = self.full(kap.val)
@@ -482,12 +486,11 @@ def ribaucour_transform(s: ImmersionSample, w) -> tuple:
     """
     jets = HolonomicJets(s, w, n_indices=(), y_grid=None)
     with np.errstate(invalid="ignore", divide="ignore"):
-        triple = jets.new_triple() if jets.dupin_type else None
-        out = jets.new_sample(triple)
+        out = jets.new_sample()
         ok = jets.regular_mask()
     out.mask = None if ok.all() else ok
-    if triple is not None:
-        triple.mask = out.mask
+    if out.triple is not None:
+        out.triple.mask = out.mask
     return out, _make_jet(jets)
 
 

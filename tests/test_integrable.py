@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dupin import integrable
 from dupin.errors import DimensionMismatch, UnsupportedGrid
 from dupin.integrable import (
     BLOWUP_BOUND,
@@ -149,15 +151,23 @@ class TestSolveB:
         assert np.abs(sol.B - t.v).max() < 1e-9
 
 
-    @pytest.mark.parametrize("fixture", ["torus_patch", "recursion_step1"])
-    def test_same_B_as_the_joint_system(self, fixture, request):
-        # solve_B sweeps the B block alone with the joint system's tensor rate
-        t = request.getfixturevalue(fixture).triple
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("case,substeps", [("torus_patch", 4), ("recursion_step1", 4),
+                                               ("torus41", 12), ("bare_torus41", 12)])
+    def test_same_B_as_the_joint_system(self, case, substeps, reverse, request):
+        # solve_B sweeps the B block alone from h[axis]; the joint system
+        # builds the same columns from its coupled block's fields, whose
+        # blocks of substeps differ (on the 41^2 torus at 12 substeps the
+        # tensor columns of the second phase take three calls, the joint
+        # fields twelve)
+        t, _ = _column_case(case, request)
         B0 = np.linspace(0.4, -0.3, t.n_classes)
         D, R = t.grid.ndim, t.n_normals
-        joint = solve_linear(t, B0, 1.0, np.full(D, 0.1), np.full(R, 0.2), substeps=4)
-        sol = solve_B(t, B0, substeps=4)
-        assert np.array_equal(sol.B, joint.B)
+        order = _order(t, reverse)
+        joint = solve_linear(t, B0, 1.0, np.full(D, 0.1), np.full(R, 0.2), substeps=substeps,
+                             order=order)
+        sol = solve_B(t, B0, substeps=substeps, order=order)
+        assert np.array_equal(_bits(sol.B), _bits(joint.B))
 
 
 class TestSolveLinear:
@@ -783,7 +793,11 @@ def _column_case(name, request):
     return (_bare(t) if name.startswith("bare_") else t), (4 if t.grid.ndim == 3 else 12)
 
 
-def _columns_and_dense(t, substeps, propagators=_cell_propagators):
+def _dense_propagators(coef, coords, substeps):
+    return _cell_propagators(coef, coords, substeps)[0]
+
+
+def _columns_and_dense(t, substeps, propagators=_dense_propagators):
     provider = _provider_for(t)
     factory = _dense_tensor_coef_factory(provider, t.class_map.classes)
     for axis in range(t.grid.ndim):
@@ -955,6 +969,51 @@ def test_row_march_equals_frozen_march_bit_for_bit(case, order, substeps, reques
     assert np.array_equal(out.v, v)
     assert np.array_equal(out.h, h)
     assert np.array_equal(out.V, V)
+
+
+def _sweep_outputs(t, substeps):
+    D, k, R = t.grid.ndim, t.n_classes, t.n_normals
+    lin = solve_linear(t, np.linspace(0.3, -0.2, k), 1.0, np.full(D, 0.1), np.full(R, 0.2),
+                       substeps=substeps)
+    sB = solve_B(t, np.linspace(0.5, 1.0, k), substeps=substeps)
+    space = dupin_tensor_space(t, substeps=4)
+    out = [lin.phi, lin.gamma, lin.beta, lin.B, sB.B, space["basis"], space["singular_values"],
+           np.array([lin.reports["path_independence"], lin.reports["gnorm_fd"],
+                     sB.reports["path_independence"]])]
+    if t.grid.ndim == 2:
+        rec = reconstruct_frame(t, substeps=substeps)
+        out += [rec.positions, rec.tangents, rec.normals]
+    return out
+
+
+@pytest.mark.parametrize("case", ["torus41", "bare_torus41", "recursion_step2"])
+def test_one_substep_per_provider_call_changes_no_bit(case, request, monkeypatch):
+    # the coefficient fields are evaluated per element, so how many
+    # substeps share a provider call moves no output bit
+    t, substeps = _column_case(case, request)
+    default = _sweep_outputs(t, substeps)
+    monkeypatch.setattr(integrable, "_FIELD_VALUES", 1)
+    for got, want in zip(_sweep_outputs(t, substeps), default, strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_sweeps_hold_no_stage_table(recursion_step2, torus41):
+    # the coefficient columns come in blocks of at most _FIELD_VALUES values
+    # (one substep here): the 21^3 tensor space's last phase no longer holds
+    # h[axis] at all nine stage times of its 20 x 441 lines (1.9 MB, with as
+    # much again for each gathered stencil term).  With whole-phase tables
+    # the two calls peak at 6.9 and 4.1 MB
+    assert _traced_peak_mb(lambda: dupin_tensor_space(recursion_step2.triple, substeps=4)) <= 4.5
+    assert _traced_peak_mb(lambda: solve_B(torus41.triple, (0.5, 1.0), substeps=12)) <= 2.5
 
 
 def test_row_march_is_fourth_order(torus41):

@@ -23,7 +23,7 @@ from dupin.moebius import (
     StereographicMap,
     umbilic_normal_form,
 )
-from dupin.net import ParallelNormalSubbundle, validate_triple
+from dupin.net import ImmersionSample, ParallelNormalSubbundle, validate_triple
 from dupin.numerics import TensorGrid, sphere_fit
 from dupin.ribaucour import inversion_w, parallel_w, ribaucour_transform
 from dupin.seeds import circle_seed, sphere_patch, torus_seed
@@ -79,6 +79,18 @@ class TestCatalog:
         assert validate_triple(si.triple, tol=2e-4).passed
         res = si.frame_residuals()
         assert res["gram"] < 1e-12 and res["dg_vs_vX"] < 1e-5
+
+    def test_inversion_without_a_triple_maps_sff(self, torus_off):
+        # lame and sff map as the triple branch's v and V/v do
+        bare = ImmersionSample(torus_off.grid, torus_off.positions, tangents=torus_off.tangents,
+                               normals=torus_off.normals, lame=torus_off.lame, sff=torus_off.sff)
+        got, want = apply_ltransform(bare, Inversion()), apply_ltransform(torus_off, Inversion())
+        assert got.triple is None
+        for f in ("lame", "sff"):
+            a, b = getattr(got, f), getattr(want, f)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        with pytest.raises(DimensionMismatch, match="one normal per sff column"):
+            apply_ltransform(ImmersionSample(bare.grid, bare.positions, sff=bare.sff), Inversion())
 
     def test_inversion_through_origin_raises(self):
         t = torus_seed(R=1.0, r=0.3, shape=(9, 9))

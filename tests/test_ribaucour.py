@@ -507,6 +507,23 @@ class TestLazyResult:
                     == (tmp_path / f"eager_{doc}.json").read_bytes())
 
 
+class TestNewSampleWithoutATriple:
+    @pytest.mark.parametrize("name", ["recursion_step1", "recursion_step2"])
+    def test_dupin_jets_take_the_new_triple(self, name, request):
+        # the y-grid coordinates' lame and sff come from the new triple
+        jets = request.getfixturevalue(name).jet.jets
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got, want = jets.new_sample(), jets.new_sample(jets.new_triple())
+        for f in ("positions", "tangents", "normals", "lame", "sff"):
+            _assert_same_bits(getattr(got, f), getattr(want, f))
+
+    def test_generalw_over_a_y_grid_is_rejected(self, torus):
+        jets = HolonomicJets(torus, nondupin_torus_w(torus), n_indices=(0,),
+                             y_grid=TensorGrid((3,), (0.01,), (0.5,)))
+        with pytest.raises(ValueError, match="y-grid"):
+            jets.new_sample()
+
+
 def test_dupin_type_rho_constant_along_own_class(circle_result):
     # for Dupin-type data the Phi eigenvalue of each class is constant along
     # that class: X_j(rho_j) vanishes identically in the exact jets
