@@ -66,7 +66,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, FrameDrift, NotCanonical, UnsupportedGrid
-from .net import ClassMap, ImmersionSample, ResidualReport, Triple, validate_triple
+from .net import (_GRAM_TOL, ClassMap, ImmersionSample, ResidualReport, Triple, _fd_nodes, _gram_defect,
+                  _worst, validate_triple)
 from .numerics import TensorGrid, fd_axis
 
 __all__ = [
@@ -81,7 +82,6 @@ __all__ = [
 ]
 
 BLOWUP_BOUND = 1e12
-_GRAM_TOL = 1e-8           # largest Gram defect of an integrated frame
 _FIELD_VALUES = 2**15      # coefficient field values of one provider call (at least one substep)
 
 
@@ -602,9 +602,7 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
                          tensor_lead=triple.class_map.classes)
     states, reports = _sweep(g, state0, phase, order, check_alternate)
     sol = _solution_from_states(triple, states[..., 0], reports)
-    interior = g.interior_mask(2) & sol.valid()
-    reports["gnorm_fd"] = (_gnorm_residual(triple, sol.gamma, sol.beta, interior)
-                           if interior.any() else float("nan"))
+    reports["gnorm_fd"] = _gnorm_residual(triple, sol.gamma, sol.beta, triple.valid() & sol.valid())
     return sol
 
 
@@ -627,18 +625,19 @@ def solve_B(triple: Triple, B0, substeps: int = 12, order=None,
                              B=B[0].copy(), mask=None if good.all() else good, reports=reports)
 
 
-def _gnorm_residual(triple: Triple, gamma: np.ndarray, beta: np.ndarray, interior: np.ndarray) -> float:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")     # masked nodes may hold anything
+def _gnorm_residual(triple: Triple, gamma: np.ndarray, beta: np.ndarray, valid: np.ndarray) -> float:
     """fd residual of gamma_j V_{j'}^r / v_{j'} + X_j(beta_r) = 0, the
-    largest over the `interior` nodes."""
+    largest over the nodes `_fd_nodes` checks in the `valid` node set."""
     g = triple.grid
     cls = triple.class_map.classes
+    nodes = _fd_nodes(g, valid)
     worst = 0.0
     for j in range(g.ndim):
         vj = triple.v[cls[j]]
         for r in range(triple.n_normals):
             db = fd_axis(beta[r], g.spacings[j], j, 1)
-            res = (gamma[j] * triple.V[cls[j], r] + db) / vj
-            worst = max(worst, float(np.abs(res[interior]).max()))
+            worst = _worst((gamma[j] * triple.V[cls[j], r] + db) / vj, nodes, worst)
     return worst
 
 
@@ -654,8 +653,9 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     frame0 is a tuple (X0 (D, N), xi0 (R, N)) of orthonormal columns spanning
     tangent and normal directions at the base node; base_point defaults to
     the origin of the ambient space R^N with N = D + R ... (D tangent + R
-    normal directions).  The Gram defect of the integrated frame must stay
-    below _GRAM_TOL, else FrameDrift is raised (no silent re-orthonormalization).
+    normal directions).  Unless the Gram defect of the integrated frame at the
+    triple's valid nodes is at most _GRAM_TOL, FrameDrift is raised (no silent
+    re-orthonormalization).
     """
     g = triple.grid
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
@@ -690,11 +690,8 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     X = np.moveaxis(Z[..., 1 : 1 + D, :], -2, 0)
     xi = np.moveaxis(Z[..., 1 + D :, :], -2, 0)
 
-    frame = np.concatenate([X, xi], axis=0)          # (D+R, *grid, N)
-    Fmat = np.moveaxis(frame, 0, -2)                 # (*grid, D+R, N)
-    gram = Fmat @ np.swapaxes(Fmat, -1, -2)
-    defect = np.abs(gram - np.eye(D + R)).max()
-    if defect > _GRAM_TOL:
+    defect = _gram_defect((X, xi), triple.valid())
+    if not defect <= _GRAM_TOL:
         raise FrameDrift(f"Gram defect {defect:.3e} exceeds tol {_GRAM_TOL:g}")
 
     return ImmersionSample(g, positions, tangents=X.copy(), normals=xi.copy(), triple=triple,
@@ -929,7 +926,7 @@ def integrate_triple(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap
     else:
         raise UnsupportedGrid("triple integration supports 1-d and 2-d grids; "
                               "higher-dimensional nets come from the transform recursion")
-    bad = ~np.isfinite(t.v).all(axis=0) | (np.abs(t.v) > BLOWUP_BOUND).any(axis=0)
-    if bad.any():
-        t.mask = ~bad
+    good = _bounded(t.v, axis=0)
+    if not good.all():
+        t.mask = good
     return t, validate_triple(t)

@@ -40,6 +40,7 @@ _INTERIOR_LAYERS = 2       # boundary node layers the fd residual checks leave o
 _FD_REACH = 2              # nodes an fd_axis stencil reads on either side along its axis
 _ZERO_LAME = 1e-12         # |v| below this counts as a vanishing Lame coefficient
 _PARALLEL_TOL = 1e-6       # largest normal-connection residual of a parallel frame
+_GRAM_TOL = 1e-8           # largest Gram defect of an integrated or loaded frame
 
 
 @dataclass(frozen=True)
@@ -205,33 +206,22 @@ class ImmersionSample:
         return self.tangents is not None and self.normals is not None
 
     def frame_residuals(self) -> dict:
-        """Orthonormality and dg = v X consistency checks (fd-based)."""
+        """The frame's Gram defect at the valid nodes, and the largest fd
+        residual of dg/du_i = lame_i X_i at the nodes `_fd_nodes` checks."""
         out = {}
         if not self.has_frames():
             return out
-        D = self.grid.ndim
-        X = self.tangents
-        xi = self.normals
-        gram = 0.0
-        for i in range(D):
-            for j in range(i, D):
-                dot = (X[i] * X[j]).sum(-1)
-                gram = max(gram, np.abs(dot - (1.0 if i == j else 0.0)).max())
-            for r in range(self.n_normals):
-                gram = max(gram, np.abs((X[i] * xi[r]).sum(-1)).max())
-        for r in range(self.n_normals):
-            for s in range(r, self.n_normals):
-                dot = (xi[r] * xi[s]).sum(-1)
-                gram = max(gram, np.abs(dot - (1.0 if r == s else 0.0)).max())
-        out["gram"] = float(gram)
+        valid = self.valid()
+        out["gram"] = _gram_defect((self.tangents, self.normals), valid)
         if self.lame is not None:
-            interior = self.grid.interior_mask(_INTERIOR_LAYERS)
+            nodes = _fd_nodes(self.grid, valid)
             err = 0.0
-            for i in range(D):
-                dg = fd_axis(self.positions, self.grid.spacings[i], i, 1)
-                res = dg - self.lame[i][..., None] * X[i]
-                err = max(err, np.abs(res[interior]).max() if interior.any() else 0.0)
-            out["dg_vs_vX"] = float(err)
+            with np.errstate(invalid="ignore", over="ignore"):      # masked nodes may hold infinities
+                for i in range(self.grid.ndim):
+                    dg = fd_axis(self.positions, self.grid.spacings[i], i, 1)
+                    res = dg - self.lame[i][..., None] * self.tangents[i]
+                    err = _worst(np.moveaxis(res, -1, 0), nodes, err)
+            out["dg_vs_vX"] = err
         return out
 
 
@@ -284,6 +274,36 @@ class ResidualReport:
         return f"ResidualReport({body}; tol={self.tol:g}, pass={self.passed}{failure})"
 
 
+# the node rule of the construction-side checks: a pointwise check reads the valid nodes,
+# an fd check the nodes `_fd_nodes` gives, and a non-finite value there fails the check
+
+def _fd_nodes(grid: TensorGrid, valid: np.ndarray) -> np.ndarray:
+    """The nodes an fd check reads: the valid nodes whose stencils, _FD_REACH
+    nodes each way along every axis, read valid nodes only, without the
+    _INTERIOR_LAYERS boundary layers when any such node lies inside them."""
+    checked = valid.copy()
+    for ax in range(grid.ndim):
+        checked &= _erode_mask(valid, ax, _FD_REACH)
+    inner = checked & grid.interior_mask(_INTERIOR_LAYERS)
+    return inner if inner.any() else checked
+
+
+def _worst(a: np.ndarray, nodes: np.ndarray, r: float = 0.0) -> float:
+    """r and the largest |a| over the nodes (a boolean grid mask) of a field
+    a (..., *grid).  A NaN among them carries through, and no node gives NaN."""
+    return float(np.abs(a).max(initial=r, where=nodes)) if nodes.any() else float("nan")
+
+
+@np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities
+def _gram_defect(frames: Sequence[np.ndarray], valid: np.ndarray) -> float:
+    """The largest |<F_a, F_b> - delta_ab| over the valid nodes of the frame
+    fields F stacked from frames, each (n, *grid, N); see `_worst`."""
+    F = np.moveaxis(np.concatenate(frames), 0, -2)          # (*grid, n, N)
+    gram = F @ np.swapaxes(F, -1, -2)
+    gram -= np.eye(F.shape[-2])
+    return _worst(np.moveaxis(gram, (-2, -1), (0, 1)), valid)
+
+
 @np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities
 def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
     """Residuals of the first-order net system for a candidate triple.
@@ -304,27 +324,20 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
     Along each axis j one `fd_axis` call per field differentiates v and V
     whole and, of h, the components the equations read along j: h_{im}
     for (iii) and h_{j i'} for (ii).  Each residual is the largest over the
-    equation's components and the checked nodes: the valid nodes whose fd
-    stencils along every axis read valid nodes only, without the boundary
-    layers when any such node lies inside them.  A masked node may hold
-    any value, so no residual reads one.
+    equation's components and the nodes `_fd_nodes` checks.  A masked node
+    may hold any value, so no residual reads one.
 
     The check fails outright (`ResidualReport.failure`) when no node is
     checked, with every residual NaN, when v, h or V is not finite at a
     valid node, or when a residual is not finite.
     """
     g = t.grid
-    D, k, R = g.ndim, t.n_classes, t.n_normals
+    D, k = g.ndim, t.n_classes
     cls = t.class_map.classes
     valid = t.valid()
-    checked = valid.copy()
-    if t.mask is not None:
-        for ax in range(D):
-            checked &= _erode_mask(valid, ax, _FD_REACH)
-    inner = checked & g.interior_mask(_INTERIOR_LAYERS)
-    nodes = np.flatnonzero(inner if inner.any() else checked)
+    nodes = _fd_nodes(g, valid)
     frac = 1.0 - valid.mean()
-    if not nodes.size:
+    if not nodes.any():
         return ResidualReport(residuals=dict.fromkeys(("I.i", "I.ii", "I.iii", "I.iv"), float("nan")),
                               tol=tol, masked_fraction=float(frac),
                               failure="no valid node" if not valid.any() else
@@ -333,18 +346,13 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
            if not np.isfinite(f).all() and not np.isfinite(f[..., valid]).all()]
     failure = f"{', '.join(bad)} not finite at valid nodes" if bad else ""
 
-    def worst(r: float, arr: np.ndarray) -> float:
-        """r and the max |arr| over the checked nodes of arr (c, *grid); a
-        NaN carries through."""
-        return float(np.maximum(r, np.abs(arr.reshape(len(arr), -1).take(nodes, axis=1)).max()))
-
     res = dict.fromkeys(("I.i", "I.ii", "I.iii", "I.iv"), 0.0)
     gauss = {}                # (ii)'s derivatives d_j h_{j m} by (j, m)
     for j in range(D):
         hj = g.spacings[j]
-        res["I.i"] = worst(res["I.i"], fd_axis(t.v, hj, 1 + j, 1) - t.h[j] * t.v[cls[j]])
+        res["I.i"] = _worst(fd_axis(t.v, hj, 1 + j, 1) - t.h[j] * t.v[cls[j]], nodes, res["I.i"])
         dV = fd_axis(t.V, hj, 2 + j, 1) - t.h[j][:, None] * t.V[cls[j]]
-        res["I.iv"] = worst(res["I.iv"], dV.reshape((k * R,) + g.shape))
+        res["I.iv"] = _worst(dV, nodes, res["I.iv"])
         # h along j: (iii)'s h_{im}, m != i', a block of rows per i != j,
         # then (ii)'s h_{jm} for the classes m of the other coordinates
         blocks = [(i, [m for m in range(k) if m != cls[i]]) for i in range(D) if i != j]
@@ -355,7 +363,7 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
         dh = fd_axis(t.h[rows[:, 0], rows[:, 1]], hj, 1 + j, 1)
         at = 0
         for i, ms in blocks:
-            res["I.iii"] = worst(res["I.iii"], dh[at : at + len(ms)] - t.h[i, cls[j]] * t.h[j, ms])
+            res["I.iii"] = _worst(dh[at : at + len(ms)] - t.h[i, cls[j]] * t.h[j, ms], nodes, res["I.iii"])
             at += len(ms)
         gauss.update(zip(((j, m) for m in own), dh[at:].copy()))
     for i in range(D):
@@ -368,14 +376,16 @@ def validate_triple(t: Triple, tol: float = 1e-6) -> ResidualReport:
                     continue
                 term = term + t.h[l, cls[i]] * t.h[l, cls[j]]
             term = term + (t.V[cls[i]] * t.V[cls[j]]).sum(axis=0)
-            res["I.ii"] = worst(res["I.ii"], term[None])
+            res["I.ii"] = _worst(term, nodes, res["I.ii"])
     if not failure and not np.isfinite(list(res.values())).all():
         failure = "a residual is not finite"
     return ResidualReport(residuals=res, tol=tol, masked_fraction=float(frac), failure=failure)
 
 
+@np.errstate(divide="ignore", invalid="ignore")     # masked nodes may hold v = 0
 def principal_normals_from_triple(t: Triple, s: ImmersionSample) -> PrincipalData:
-    """Principal normals eta_m = v_m^{-1} sum_r V_m^r xi_r per class."""
+    """Principal normals eta_m = v_m^{-1} sum_r V_m^r xi_r per class; ZeroLame
+    unless every |v| at the triple's valid nodes is finite and >= _ZERO_LAME."""
     if s.triple is not None and s.triple is not t:
         if s.triple.grid.shape != t.grid.shape:
             raise GridMismatch("triple and sample grids differ")
@@ -384,8 +394,9 @@ def principal_normals_from_triple(t: Triple, s: ImmersionSample) -> PrincipalDat
     if s.grid.shape != t.grid.shape:
         raise GridMismatch("triple and sample grids differ")
     k = t.n_classes
-    vmin = np.abs(t.v).min()
-    if vmin < _ZERO_LAME:
+    valid = t.valid()
+    vmin = np.abs(t.v[:, valid]).min() if valid.any() else float("nan")
+    if not vmin >= _ZERO_LAME:
         raise ZeroLame(f"some Lame coefficient vanishes (min |v| = {vmin:.2e})")
     eta = np.zeros((k,) + t.grid.shape + (s.ambient_dim,))
     for m in range(k):
@@ -395,12 +406,14 @@ def principal_normals_from_triple(t: Triple, s: ImmersionSample) -> PrincipalDat
     return PrincipalData(eta=eta, multiplicities=t.class_map.multiplicities, mask=t.mask)
 
 
+@np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities
 def attach_subbundle(s: ImmersionSample, indices: Sequence[int]) -> ParallelNormalSubbundle:
     """Select parallel frame vectors spanning a flat normal subbundle.
 
     The parallelism residual is max over axes i, selected r and other frame
-    indices t of |<d xi_r / du_i, xi_t>| / |v_i| at interior nodes; frames
-    above _PARALLEL_TOL raise NotParallel.
+    indices t of |<d xi_r / du_i, xi_t>| / max |v_i|, both read at the nodes
+    `_fd_nodes` checks; a residual above _PARALLEL_TOL, or not finite,
+    raises NotParallel.
     """
     if s.normals is None:
         raise ValueError("sample carries no normal frame")
@@ -408,19 +421,16 @@ def attach_subbundle(s: ImmersionSample, indices: Sequence[int]) -> ParallelNorm
     for r in indices:
         if not 0 <= r < s.n_normals:
             raise ValueError(f"frame index {r} out of range")
-    interior = s.grid.interior_mask(_INTERIOR_LAYERS) & s.valid()
-    if not interior.any():
-        interior = s.valid()
+    nodes = _fd_nodes(s.grid, s.valid())
     worst = 0.0
     for r in indices:
         for i in range(s.grid.ndim):
             d = fd_axis(s.normals[r], s.grid.spacings[i], i, 1)
-            scale = np.abs(s.lame[i][interior]).max() if s.lame is not None else 1.0
+            scale = np.maximum(_worst(s.lame[i], nodes), 1e-30) if s.lame is not None else 1.0
             for tix in range(s.n_normals):
                 if tix == r:
                     continue
-                comp = (d * s.normals[tix]).sum(-1)
-                worst = max(worst, np.abs(comp[interior]).max() / max(scale, 1e-30))
-    if worst > _PARALLEL_TOL:
+                worst = _worst((d * s.normals[tix]).sum(-1) / scale, nodes, worst)
+    if not worst <= _PARALLEL_TOL:
         raise NotParallel(f"normal-connection residual {worst:.3e} exceeds tol {_PARALLEL_TOL:g}")
-    return ParallelNormalSubbundle(indices=indices, residual=float(worst))
+    return ParallelNormalSubbundle(indices=indices, residual=worst)

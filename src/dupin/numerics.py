@@ -8,7 +8,8 @@ Conventions used across the package:
   vector field has shape ``grid.shape + (N,)``.
 * Masks are boolean arrays of shape ``grid.shape`` with True = valid node.
   Every stencil that touches an invalid node produces an invalid node; the
-  oracle applies that rule in ``verify._stencil_valid``.
+  construction-side checks apply that rule in ``net._fd_nodes``, the oracle
+  in ``verify._stencil_valid``.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ class TensorGrid:
 
     def meshgrid(self) -> list:
         return list(np.meshgrid(*[self.axis_coords(d) for d in range(self.ndim)], indexing="ij"))
-
-    def point(self, idx: Sequence[int]) -> np.ndarray:
-        return np.array([self.origins[d] + self.spacings[d] * idx[d] for d in range(self.ndim)])
 
     def _check_axis(self, axis: int) -> None:
         if not 0 <= axis < self.ndim:

@@ -37,7 +37,8 @@ from .net import (
     ParallelNormalSubbundle,
     PrincipalData,
     Triple,
-    _INTERIOR_LAYERS,
+    _fd_nodes,
+    _worst,
     principal_normals_from_triple,
 )
 from .numerics import TensorGrid, _sum_last, fd_axis
@@ -586,12 +587,14 @@ def n_ribaucour_transform(h: ImmersionSample, nsub: ParallelNormalSubbundle,
 # checks and predicates
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")     # masked nodes may hold anything
 def combescure_check(s: ImmersionSample, w) -> dict:
     """Finite-difference residuals of the Combescure property of F.
 
     Reports: dF = f_* Phi (per axis), the normal-gradient constraint, and the
     Hessian assembly Phi = Hess(phi) - A_beta (diagonal vs rho, off-diagonal
-    vs zero).
+    vs zero), at the nodes `_fd_nodes` checks in the valid nodes of s and of
+    a solution w; F's scale is read at those valid nodes.
     """
     t = s.triple
     g = s.grid
@@ -602,18 +605,19 @@ def combescure_check(s: ImmersionSample, w) -> dict:
                  if isinstance(w, RibaucourSolution) else w.rho)
     F = np.einsum("i...,i...k->...k", w.gamma, s.tangents) + np.einsum(
         "r...,r...k->...k", w.beta, s.normals)
-    interior = g.interior_mask(_INTERIOR_LAYERS) & s.valid()
+    valid = s.valid() & w.valid() if isinstance(w, RibaucourSolution) else s.valid()
+    nodes = _fd_nodes(g, valid)
     out = {}
     worst = 0.0
-    scale = max(np.abs(F).max(), 1.0)
+    scale = np.maximum(_worst(np.moveaxis(F, -1, 0), valid), 1.0)
     for i in range(D):
         dF = fd_axis(F, g.spacings[i], i, 1)
         dg = fd_axis(s.positions, g.spacings[i], i, 1)
         res = dF - rho_coord[i][..., None] * dg
-        worst = max(worst, np.abs(res[interior]).max() / scale)
-    out["combescure"] = float(worst)
+        worst = _worst(np.moveaxis(res, -1, 0) / scale, nodes, worst)
+    out["combescure"] = worst
 
-    out["gnorm"] = _gnorm_residual(t, w.gamma, w.beta, interior)
+    out["gnorm"] = _gnorm_residual(t, w.gamma, w.beta, valid)
 
     # Phi = Hess phi - A_beta in the orthonormal frame
     lam = t.lame()
@@ -628,14 +632,14 @@ def combescure_check(s: ImmersionSample, w) -> dict:
                 hess_ii = hess_ii + lam[i] * t.h[kk, cls[i]] / lam[kk] * dphi[kk]
         abeta = sum(w.beta[r] * t.V[cls[i], r] for r in range(R)) / lam[i]
         phi_ii = hess_ii / lam[i] ** 2 - abeta
-        worst_d = max(worst_d, np.abs((phi_ii - rho_coord[i])[interior]).max())
+        worst_d = _worst(phi_ii - rho_coord[i], nodes, worst_d)
         for j in range(i + 1, D):
             dij = fd_axis(dphi[i], g.spacings[j], j, 1)
             hess_ij = dij - (t.h[j, cls[i]] * lam[j] / lam[i]) * dphi[i] - (
                 t.h[i, cls[j]] * lam[i] / lam[j]) * dphi[j]
-            worst_o = max(worst_o, np.abs(hess_ij[interior] / (lam[i] * lam[j])[interior]).max())
-    out["phi_diag_vs_rho"] = float(worst_d)
-    out["phi_offdiag"] = float(worst_o)
+            worst_o = _worst(hess_ij / (lam[i] * lam[j]), nodes, worst_o)
+    out["phi_diag_vs_rho"] = worst_d
+    out["phi_offdiag"] = worst_o
     return out
 
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import OutputError, ParseError, UnsupportedSlice
-from .net import ClassMap, ImmersionSample, Triple
+from .net import _GRAM_TOL, ClassMap, ImmersionSample, Triple, _gram_defect
 from .numerics import TensorGrid
 
 TRIPLE_SCHEMA = "dupin/triple@2"
@@ -198,6 +198,8 @@ def sample_from_dict(d: dict) -> ImmersionSample:
     tangents = normals = lame = sff = mask = triple = None
     if "tangents" in d:
         nt = _count(_get(d, "n_tangents", "sample"), "n_tangents", "sample")
+        if nt != g.ndim:
+            raise ParseError(f"sample field 'n_tangents' is {nt}, not the grid's rank {g.ndim}")
         tangents = _field(d, "tangents", (nt,) + g.shape + (N,), "sample")
     if "normals" in d:
         nn = _count(_get(d, "n_normals", "sample"), "n_normals", "sample")
@@ -205,10 +207,15 @@ def sample_from_dict(d: dict) -> ImmersionSample:
     if "lame" in d:
         lame = _field(d, "lame", (g.ndim,) + g.shape, "sample")
     if "sff" in d:
+        if normals is None:
+            raise ParseError("sample has 'sff' but no normals")
         ab = _get(d, "sff_shape", "sample")
         if not isinstance(ab, list) or len(ab) != 2:
             raise ParseError(f"sample field 'sff_shape' is not a pair of counts ({ab!r:.40})")
         a, b = (_count(x, "sff_shape", "sample") for x in ab)
+        if (a, b) != (g.ndim, len(normals)):
+            raise ParseError(f"sample field 'sff_shape' is {[a, b]}, not the grid's rank and "
+                             f"the normal count {[g.ndim, len(normals)]}")
         sff = _field(d, "sff", (a, b) + g.shape, "sample")
     if "triple" in d:
         triple = triple_from_dict(d["triple"])
@@ -218,6 +225,12 @@ def sample_from_dict(d: dict) -> ImmersionSample:
                          ("lame", lame, 1), ("sff", sff, 2)):
         if a is not None:
             _check_finite("sample", key, a, lead, mask, g.ndim)
+    frames = [f for f in (tangents, normals) if f is not None]
+    if frames:
+        defect = _gram_defect(frames, np.ones(g.shape, dtype=bool) if mask is None else mask)
+        if not defect <= _GRAM_TOL:
+            raise ParseError(f"sample frame is not orthonormal at valid nodes "
+                             f"(Gram defect {defect:.3e} exceeds {_GRAM_TOL:g})")
     return ImmersionSample(g, pos, tangents=tangents, normals=normals, lame=lame,
                            sff=sff, triple=triple, mask=mask)
 

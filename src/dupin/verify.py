@@ -413,6 +413,10 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     would turn that into O(h) noise.  A node within _STENCIL_WIDTH of a
     masked node along any axis is invalid.  TooFewNodes is raised when no
     node is left.
+
+    The oracle keeps this rule, wider than `net._fd_nodes` of the
+    construction-side checks, because it differentiates fields it has already
+    differentiated and it stays independent of the construction code.
     """
     valid = interior & grid.interior_mask(4)
     if not valid.any():

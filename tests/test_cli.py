@@ -341,6 +341,18 @@ def _broken_sample(torus_patch, how):
         tangents = torus_patch.tangents.copy()
         tangents[1, 4, 9, 2] = float("inf")
         doc["tangents"] = serialize._arr(tangents)
+    elif how == "three_tangents":              # on a 2-d grid
+        del doc["triple"]
+        doc["tangents"] = serialize._arr(np.concatenate([torus_patch.tangents, torus_patch.tangents[:1]]))
+        doc["n_tangents"] = 3
+    elif how == "sff_shape":                   # one normal, an sff for three
+        del doc["triple"]
+        doc["sff"] = serialize._arr(np.zeros((2, 3) + torus_patch.grid.shape))
+        doc["sff_shape"] = [2, 3]
+    elif how == "sff_without_normals":
+        del doc["normals"], doc["n_normals"]
+    elif how == "doubled_tangents":
+        doc["tangents"] = serialize._arr(2.0 * torus_patch.tangents)
     return doc
 
 
@@ -349,7 +361,12 @@ def _broken_sample(torus_patch, how):
     ("size_mismatch", "sample field 'positions' has 1320 values, expected shape (21, 21, 3)"),
     ("non_finite", "sample has non-finite positions at 1 unmasked nodes"),
     ("non_finite_tangents", "sample has non-finite tangents at 1 unmasked nodes"),
-], ids=["missing_key", "size_mismatch", "non_finite", "non_finite_tangents"])
+    ("three_tangents", "sample field 'n_tangents' is 3, not the grid's rank 2"),
+    ("sff_shape", "sample field 'sff_shape' is [2, 3], not the grid's rank and the normal count [2, 1]"),
+    ("sff_without_normals", "sample has 'sff' but no normals"),
+    ("doubled_tangents", "sample frame is not orthonormal at valid nodes (Gram defect 3.000e+00 exceeds 1e-08)"),
+], ids=["missing_key", "size_mismatch", "non_finite", "non_finite_tangents", "three_tangents", "sff_shape",
+        "sff_without_normals", "doubled_tangents"])
 def test_verify_bad_input_exits_2_with_one_line(tmp_path, torus_patch, capsys, how, message):
     sp = tmp_path / "bad.json"
     serialize.dump_json(_broken_sample(torus_patch, how), sp)

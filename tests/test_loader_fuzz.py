@@ -1,6 +1,7 @@
 """Property tests of the sample and triple loaders against mutated documents:
 truncated or corrupted payloads, deleted keys, values of the wrong type and
-foreign schemas.  Only a `DupinError` may escape a loader, and `dupin verify`
+foreign schemas, tangent counts and sff shapes that do not fit the grid and
+the frame.  Only a `DupinError` may escape a loader, and `dupin verify`
 on a rejected sample file exits 2 with one line."""
 
 import base64
@@ -40,13 +41,34 @@ _SAMPLE = _base_sample()
 _TRIPLE = _SAMPLE["triple"]
 
 
+def _recount(data, doc):
+    """A copy of the sample document `doc` with a tangent count off the
+    grid's rank, or an sff shape off (rank, normal count), and payloads of
+    the drawn sizes; returns the copy and the count's key."""
+    doc = copy.deepcopy(doc)
+    grid = tuple(doc["grid"]["shape"])
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(0, 4).filter(lambda n: n != len(grid)))
+        doc["n_tangents"] = n
+        doc["tangents"] = serialize._arr(np.zeros((n,) + grid + (doc["ambient_dim"],)))
+        return doc, "n_tangents"
+    ab = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3))
+                   .filter(lambda ab: ab != (len(grid), doc["n_normals"])))
+    doc["sff_shape"] = list(ab)
+    doc["sff"] = serialize._arr(np.zeros(ab + grid))
+    return doc, "sff_shape"
+
+
 def _mutate(data, doc):
     """One drawn mutation of a copy of `doc`; returns the copy and whether
     every draw of this mutation must be rejected."""
+    ops = ["truncate", "corrupt", "delete", "swap", "schema"] + (["recount"] if "sff" in doc else [])
+    op = data.draw(st.sampled_from(ops))
+    if op == "recount":
+        return _recount(data, doc)[0], True
     doc = copy.deepcopy(doc)
     documents = [doc] + ([doc["triple"]] if "triple" in doc else [])
     objects = documents + [d["grid"] for d in documents]
-    op = data.draw(st.sampled_from(["truncate", "corrupt", "delete", "swap", "schema"]))
     if op in ("truncate", "corrupt"):
         obj = data.draw(st.sampled_from(documents))
         key = data.draw(st.sampled_from(
@@ -96,6 +118,14 @@ def test_sample_loader_raises_only_dupin_errors(data):
             assert rc == 2
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
             assert not os.path.exists(os.path.join(tmp, "r.json"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_counts_off_the_grid_or_the_frame_rejected(data):
+    doc, key = _recount(data, _SAMPLE)
+    with pytest.raises(ParseError, match=repr(key)):
+        serialize.sample_from_dict(doc)
 
 
 @settings(max_examples=100, deadline=None)
