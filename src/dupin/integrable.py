@@ -420,6 +420,7 @@ def _field_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.nanmax(np.abs(a - b)) / scale)
 
 
+@np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities
 def _sweep(grid: TensorGrid, state0: np.ndarray, phase, order, check_alternate: bool):
     """Sweep a total linear system in `order` (default: axis order); returns
     (states, reports).  With check_alternate on a grid of >= 2 axes the sweep

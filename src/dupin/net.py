@@ -297,11 +297,20 @@ def _worst(a: np.ndarray, nodes: np.ndarray, r: float = 0.0) -> float:
 @np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities
 def _gram_defect(frames: Sequence[np.ndarray], valid: np.ndarray) -> float:
     """The largest |<F_a, F_b> - delta_ab| over the valid nodes of the frame
-    fields F stacked from frames, each (n, *grid, N); see `_worst`."""
-    F = np.moveaxis(np.concatenate(frames), 0, -2)          # (*grid, n, N)
-    gram = F @ np.swapaxes(F, -1, -2)
-    gram -= np.eye(F.shape[-2])
-    return _worst(np.moveaxis(gram, (-2, -1), (0, 1)), valid)
+    fields F stacked from frames, each (n, *grid, N); see `_worst`.  Each
+    product is summed in index order, not by BLAS, so the value does not
+    depend on the BLAS build."""
+    F = [f for frame in frames for f in frame]               # each (*grid, N)
+    worst, term = 0.0, np.empty(F[0].shape[:-1])
+    for a in range(len(F)):
+        for b in range(a, len(F)):
+            dot = F[a][..., 0] * F[b][..., 0]
+            for k in range(1, F[a].shape[-1]):
+                dot += np.multiply(F[a][..., k], F[b][..., k], out=term)
+            if a == b:
+                dot -= 1.0
+            worst = _worst(dot, valid, worst)
+    return worst
 
 
 @np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities

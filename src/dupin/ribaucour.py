@@ -723,15 +723,18 @@ def transform_principal_data(pd: PrincipalData, jet: TransformJet) -> PrincipalD
                          mask=None if mask.all() else mask)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")     # masked nodes may hold anything
 def verify_mutual_ribaucour(slice_a: ImmersionSample, slice_b: ImmersionSample) -> dict:
     """Check that two immersions of the same base are Ribaucour transforms:
     with u = (f - f~)/|f - f~| and P = I - 2 u u^T, P must map tangent
     spaces to tangent spaces and D = f_*^{-1} P^{-1} f~_* must be
-    self-adjoint in the metric of f."""
+    self-adjoint in the metric of f.  Both maxima are taken over the nodes
+    valid in both slices; see `_worst`."""
     fa, fb = slice_a.positions, slice_b.positions
+    valid = slice_a.valid() & slice_b.valid()
     diff = fa - fb
     norm = np.linalg.norm(diff, axis=-1)
-    if norm.min() < 1e-12:
+    if norm.min(initial=np.inf, where=valid) < 1e-12:
         raise ValueError("slices coincide somewhere (f~ = f)")
     u = diff / norm[..., None]
     D = slice_a.grid.ndim
@@ -742,12 +745,14 @@ def verify_mutual_ribaucour(slice_a: ImmersionSample, slice_b: ImmersionSample) 
     Xa = slice_a.tangents
     coeff = np.einsum("j...k,i...k->...ji", PEb, Xa)
     recon = np.einsum("...ji,i...k->j...k", coeff, Xa)
-    tangency = np.abs(PEb - recon).max() / max(np.abs(Eb).max(), 1e-30)
+    tangency = (_worst(np.moveaxis(PEb - recon, -1, 0), valid)
+                / np.maximum(_worst(np.moveaxis(Eb, -1, 0), valid), 1e-30))
     # D in the coordinate basis: f_a* D = P^{-1} f_b* = P f_b*  (P^2 = I)
     Dmat = coeff / np.stack([slice_a.lame[i] for i in range(D)], axis=-1)[..., None, :]
     Ga = np.einsum("i...k,j...k->...ij", Ea, Ea)
     GD = np.einsum("...ij,...jl->...il", Ga, np.swapaxes(Dmat, -1, -2))
-    sym = np.abs(GD - np.swapaxes(GD, -1, -2)).max() / max(np.abs(GD).max(), 1e-30)
+    GD = np.moveaxis(GD, (-2, -1), (0, 1))
+    sym = _worst(GD - np.swapaxes(GD, 0, 1), valid) / np.maximum(_worst(GD, valid), 1e-30)
     return {"tangency": float(tangency), "d_symmetry": float(sym)}
 
 

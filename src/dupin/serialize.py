@@ -1,23 +1,24 @@
-"""Versioned JSON schemas, residual CSV rows and mesh export.
+"""Versioned artifact formats, residual CSV rows and mesh export.
 
-Each field array of a sample or triple is one ASCII string: the base64 of its
-raw bytes in row-major node order, little-endian float64 (``<f8``) for values
-and one byte of 0/1 (``|u1``) per node for masks.  A round trip is bit-exact,
-NaN payloads and signed zeros included.  Outputs are deterministic: dict keys
-are written in fixed order, so identical inputs produce bit-identical files.
-
-``dump_json`` writes the UTF-8 bytes of ``json.dump(obj, f, indent=1)`` plus a
-newline.  The base64 payloads go into the file unescaped, since their
-alphabet needs no escaping; the schemas are unchanged.
+A sample or triple document holds each array field as a NumPy array of its
+stored type in row-major node order: ``<f8`` values, ``|u1`` 0/1 masks.
+``dump_json`` writes such a document as a container: the magic line, the
+header length (4 bytes, little-endian), the document as ``indent=1`` JSON with
+each array replaced by ``{"offset", "nbytes"}`` and padded with spaces and a
+newline to a multiple of 8 bytes, then the body, the arrays' raw bytes at
+those offsets, multiples of 8.  Any other document is written as
+``json.dump(doc, f, indent=1)`` plus a newline.  Round trips are bit-exact,
+NaN payloads and signed zeros included, and identical inputs give
+bit-identical files.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -25,27 +26,14 @@ from .errors import OutputError, ParseError, UnsupportedSlice
 from .net import _GRAM_TOL, ClassMap, ImmersionSample, Triple, _gram_defect
 from .numerics import TensorGrid
 
-TRIPLE_SCHEMA = "dupin/triple@2"
-SAMPLE_SCHEMA = "dupin/sample@2"
+TRIPLE_SCHEMA = "dupin/triple@3"
+SAMPLE_SCHEMA = "dupin/sample@3"
 PIPELINE_SCHEMA = "dupin/pipeline@1"
 
 __all__ = [
-    "TRIPLE_SCHEMA",
-    "SAMPLE_SCHEMA",
-    "PIPELINE_SCHEMA",
-    "grid_to_dict",
-    "grid_from_dict",
-    "triple_to_dict",
-    "triple_from_dict",
-    "sample_to_dict",
-    "sample_from_dict",
-    "dump_json",
-    "load_json",
-    "spec_hash",
-    "residual_csv",
-    "export_obj",
-    "export_ply",
-    "export_csv",
+    "TRIPLE_SCHEMA", "SAMPLE_SCHEMA", "PIPELINE_SCHEMA", "grid_to_dict", "grid_from_dict",
+    "triple_to_dict", "triple_from_dict", "sample_to_dict", "sample_from_dict", "dump_json",
+    "load_json", "spec_hash", "residual_csv", "export_obj", "export_ply", "export_csv",
 ]
 
 
@@ -62,31 +50,19 @@ def grid_from_dict(d: dict) -> TensorGrid:
         raise ParseError(f"malformed grid document ({e})") from None
 
 
-# stored element types of the array fields: values and masks
+# stored element types of the array fields, values and masks; load_json gives raw bytes
 _VALUES = np.dtype("<f8")
-_MASK = np.dtype("|u1")
+_MASK = _BYTES = np.dtype("|u1")
 
 
-class _Payload(str):
-    """The base64 text of an array field; its alphabet needs no JSON escaping."""
-
-    __slots__ = ()
-
-
-def _arr(a: np.ndarray, dtype: np.dtype = _VALUES) -> str:
-    return _Payload(base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()), "ascii")
+def _arr(a: np.ndarray, dtype: np.dtype = _VALUES) -> np.ndarray:
+    """a as a C-contiguous array of the stored type; a itself when it is one."""
+    return np.ascontiguousarray(a, dtype=dtype)
 
 
 def triple_to_dict(t: Triple) -> dict:
-    out = {
-        "schema": TRIPLE_SCHEMA,
-        "grid": grid_to_dict(t.grid),
-        "classes": list(t.class_map.classes),
-        "n_normals": t.n_normals,
-        "v": _arr(t.v),
-        "h": _arr(t.h),
-        "V": _arr(t.V),
-    }
+    out = {"schema": TRIPLE_SCHEMA, "grid": grid_to_dict(t.grid), "classes": list(t.class_map.classes),
+           "n_normals": t.n_normals, "v": _arr(t.v), "h": _arr(t.h), "V": _arr(t.V)}
     if t.mask is not None:
         out["mask"] = _arr(t.mask, _MASK)
     return out
@@ -107,28 +83,28 @@ def _check_schema(d, schema: str) -> None:
 
 def _count(value, key: str, where: str) -> int:
     """A non-negative integer metadata entry, or ParseError."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = -1
-    if n < 0:
-        raise ParseError(f"{where} field {key!r} is not a count ({value!r:.40})")
-    return n
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if (n := int(value)) >= 0:
+            return n
+    raise ParseError(f"{where} field {key!r} is not a count ({value!r:.40})")
 
 
 def _field(d: dict, key: str, shape: tuple, where: str,
            stored: np.dtype = _VALUES, dtype=float) -> np.ndarray:
-    """A base64 entry of `stored` elements as a writable `dtype` array of the
-    grid-derived shape, or ParseError."""
-    s = _get(d, key, where)
+    """An array entry, of `stored` elements or of the raw bytes load_json
+    gives, as a writable `dtype` array of the grid-derived shape, or
+    ParseError.  Raw bytes are taken over, a typed array is copied."""
+    p = _get(d, key, where)
     try:
-        a = np.frombuffer(base64.b64decode(s, validate=True), dtype=stored)
+        if not isinstance(p, np.ndarray) or p.dtype not in (stored, _BYTES):
+            raise TypeError(f"a {type(p).__name__} is not a byte field")
+        a = p.reshape(-1).view(stored)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{where} field {key!r} is not a numeric array ({e})") from None
     if a.size != math.prod(shape):
         raise ParseError(f"{where} field {key!r} has {a.size} values, "
                          f"expected shape {tuple(shape)}")
-    return a.reshape(shape).astype(dtype)
+    return a.reshape(shape).astype(dtype, copy=p.dtype != _BYTES)
 
 
 def _check_finite(where: str, key: str, a: np.ndarray, lead: int, mask: np.ndarray | None, D: int) -> None:
@@ -164,12 +140,8 @@ def triple_from_dict(d: dict) -> Triple:
 
 
 def sample_to_dict(s: ImmersionSample, provenance: dict | None = None) -> dict:
-    out = {
-        "schema": SAMPLE_SCHEMA,
-        "grid": grid_to_dict(s.grid),
-        "ambient_dim": s.ambient_dim,
-        "positions": _arr(s.positions),
-    }
+    out = {"schema": SAMPLE_SCHEMA, "grid": grid_to_dict(s.grid), "ambient_dim": s.ambient_dim,
+           "positions": _arr(s.positions)}
     if s.tangents is not None:
         out["tangents"] = _arr(s.tangents)
         out["n_tangents"] = s.tangents.shape[0]
@@ -235,51 +207,108 @@ def sample_from_dict(d: dict) -> ImmersionSample:
                            sff=sff, triple=triple, mask=mask)
 
 
-def _json_pieces(obj, depth: int):
-    """The text of json.dumps(obj, indent=1) nested `depth` levels deep, in
-    pieces: base64 payloads pass through as they are, str-keyed dicts are
-    walked, and every other value is written by json.dumps."""
-    if isinstance(obj, _Payload):
-        yield from ('"', obj, '"')
-    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        pad = "\n" + " " * (depth + 1)
-        sep = "{"
-        for key, value in obj.items():
-            yield sep + pad + json.dumps(key) + ": "
-            yield from _json_pieces(value, depth + 1)
-            sep = ","
-        yield "\n" + " " * depth + "}"
-    else:
-        yield json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
+_MAGIC = b"\x93DUPIN\n"
+_ALIGN = 8          # of the body's start and of every array in it
+
+
+def _is_ref(value) -> bool:
+    return isinstance(value, dict) and value.keys() == {"offset", "nbytes"}
+
+
+def _split(obj, arrays: list):
+    """obj with every array in it and in its nested dicts replaced by its
+    {"offset", "nbytes"} in the body; the arrays are appended to arrays."""
+    if isinstance(obj, np.ndarray):
+        offset = sum(-(-a.nbytes // _ALIGN) * _ALIGN for a in arrays)
+        arrays.append(np.ascontiguousarray(obj))
+        return {"offset": offset, "nbytes": obj.nbytes}
+    if _is_ref(obj):                # it would read back as an array
+        raise OutputError(f"cannot write a document holding the dict {obj!r:.60}")
+    return {key: _split(value, arrays) for key, value in obj.items()} if isinstance(obj, dict) else obj
 
 
 @contextlib.contextmanager
-def _writing(path):
-    """The text file at path, open for writing; an OSError while it is
-    opened or written becomes an OutputError naming the path."""
+def _writing(path, mode: str = "w"):
+    """The file at path, open for writing as UTF-8 text or as bytes; an
+    OSError while it is opened or written becomes an OutputError."""
     try:
-        with open(path, "w", encoding="utf-8") as f:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
             yield f
     except OSError as e:            # a missing directory, a directory, no permission
         raise OutputError(f"cannot write {path} ({e.strerror or e})") from None
 
 
 def dump_json(obj: dict, path) -> None:
-    """Write obj as the bytes of json.dump(obj, f, indent=1) plus a newline."""
-    with _writing(path) as f:
-        f.writelines(_json_pieces(obj, 0))
-        f.write("\n")
+    """Write obj as a container when it holds arrays (see the module
+    docstring), else as json.dump(obj, f, indent=1) plus a newline."""
+    arrays = []
+    header = _split(obj, arrays)
+    if not arrays:
+        with _writing(path) as f:
+            f.write(json.dumps(obj, indent=1) + "\n")
+        return
+    text = json.dumps(header, indent=1).encode("utf-8")
+    text += b" " * (-(len(_MAGIC) + 5 + len(text)) % _ALIGN) + b"\n"
+    with _writing(path, "wb") as f:
+        f.write(_MAGIC + len(text).to_bytes(4, "little") + text)
+        for a in arrays:
+            f.write(bytes(-f.tell() % _ALIGN))
+            f.write(a)              # the array's own buffer, not a copy of it
+
+
+def _refs(obj):
+    """The (dict, key) of every array reference in obj's nested dicts, in document order."""
+    for key, value in obj.items() if isinstance(obj, dict) else ():
+        yield from [(obj, key)] if _is_ref(value) else _refs(value)
+
+
+def _load_container(f, path) -> dict:
+    """The document in the container f, read past its magic, each array a
+    writable uint8 array of its body bytes, or ParseError."""
+    def bad(why: str) -> ParseError:
+        return ParseError(f"{path} is not a dupin artifact ({why})")
+
+    size = os.fstat(f.fileno()).st_size
+    start = len(_MAGIC) + 4 + int.from_bytes(f.read(4), "little")
+    if start > size or start % _ALIGN:
+        raise bad(f"a header ending at byte {start} of {size}, or not at a multiple of {_ALIGN}")
+    try:
+        doc = json.loads(f.read(start - len(_MAGIC) - 4).decode("utf-8"))
+        refs, end = list(_refs(doc)), 0
+    except (ValueError, RecursionError) as e:      # not JSON, not UTF-8, nested too deep
+        raise bad(f"a header that is not JSON: {e}") from None
+    for obj, key in refs:
+        offset, nbytes = obj[key]["offset"], obj[key]["nbytes"]
+        if not (type(offset) is type(nbytes) is int and nbytes >= 0 and offset >= end
+                and offset % _ALIGN == 0):
+            raise bad(f"array {key!r} at offset {offset!r:.20} of {nbytes!r:.20} bytes, "
+                      f"not at a multiple of {_ALIGN} from byte {end} on")
+        end = offset + nbytes
+    if size - start != end:
+        raise bad(f"a body of {size - start} bytes, where the header says {end}")
+    for obj, key in refs:
+        f.seek(start + obj[key]["offset"])
+        a = obj[key] = np.empty(obj[key]["nbytes"], dtype=np.uint8)
+        if f.readinto(a) != a.size:
+            raise bad("a body cut while it was read")
+    return doc
 
 
 def load_json(path) -> dict:
+    """The document in the file at path; each array of a container is a
+    writable uint8 array of its raw bytes, which sample_from_dict and
+    triple_from_dict take over."""
     try:
-        f = open(path, encoding="utf-8")
+        f = open(path, "rb")
     except OSError as e:            # a missing file, a directory, no permission
         raise ParseError(f"cannot read {path} ({e.strerror})") from None
     with f:
+        head = f.read(len(_MAGIC))
+        if head == _MAGIC:
+            return _load_container(f, path)
         try:
-            return json.load(f)
-        except ValueError as e:     # JSONDecodeError, or bytes that are not UTF-8
+            return json.loads((head + f.read()).decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, nested too deep
             raise ParseError(f"{path} is not a JSON document ({e})") from None
 
 
@@ -291,93 +320,64 @@ def residual_csv(rows, path) -> None:
     """Rows of (equation id, max residual, masked fraction)."""
     with _writing(path) as f:
         f.write("equation,max_residual,masked_fraction\n")
-        for eq, res, frac in rows:
-            f.write(f"{eq},{res!r},{frac!r}\n")
+        f.writelines(f"{eq},{res!r},{frac!r}\n" for eq, res, frac in rows)
 
 
 def _mesh_slice(s: ImmersionSample, slice_idx):
     """Positions and mask of a 2-d slice for mesh export."""
-    g = s.grid
-    if g.ndim == 2:
-        return s.positions, (s.mask if s.mask is not None else None)
+    if s.grid.ndim == 2:
+        return s.positions, s.mask
     if slice_idx is None:
         raise UnsupportedSlice("mesh export of a >2-d sample needs a slice specification")
-    sel = []
-    free = 0
-    for d in range(g.ndim):
-        v = slice_idx[d]
-        if v is None:
-            sel.append(slice(None))
-            free += 1
-        else:
-            sel.append(int(v))
-    if free != 2:
+    sel = tuple(slice(None) if slice_idx[d] is None else int(slice_idx[d]) for d in range(s.grid.ndim))
+    if sel.count(slice(None)) != 2:
         raise UnsupportedSlice("mesh slice must leave exactly two axes free")
-    sel = tuple(sel)
-    mask = s.mask[sel] if s.mask is not None else None
-    return s.positions[sel], mask
+    return s.positions[sel], None if s.mask is None else s.mask[sel]
 
 
 def _mesh_data(s: ImmersionSample, slice_idx, coords):
+    """Vertices (n1 * n2, 3) and quad faces (F, 4) as lists of Python numbers."""
     pos, mask = _mesh_slice(s, slice_idx)
-    if pos.shape[-1] < 3:
-        pad = np.zeros(pos.shape[:-1] + (3 - pos.shape[-1],))
-        pos = np.concatenate([pos, pad], axis=-1)
+    pos = np.pad(pos, [(0, 0)] * (pos.ndim - 1) + [(0, max(3 - pos.shape[-1], 0))])
     coords = tuple(coords) if coords is not None else (0, 1, 2)
     if len(coords) != 3 or max(coords) >= pos.shape[-1]:
         raise UnsupportedSlice("mesh export needs three valid coordinate indices")
     xyz = pos[..., list(coords)]
-    n1, n2 = xyz.shape[:2]
-    verts = xyz.reshape(-1, 3)
-    faces = []
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            if mask is not None:
-                if not (mask[i, j] and mask[i + 1, j] and mask[i, j + 1] and mask[i + 1, j + 1]):
-                    continue
-            a = i * n2 + j
-            faces.append((a, a + n2, a + n2 + 1, a + 1))
-    return verts, faces
+    idx = np.arange(xyz.shape[0] * xyz.shape[1]).reshape(xyz.shape[:2])
+    quads = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]], axis=-1)
+    if mask is not None:            # a cell with a masked corner is omitted
+        quads = quads[mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]]
+    return xyz.reshape(-1, 3).tolist(), quads.reshape(-1, 4).tolist()
 
 
 def export_obj(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
     """Quad mesh of a 2-d (slice of a) sample; masked cells are omitted."""
     verts, faces = _mesh_data(s, slice_idx, coords)
     with _writing(path) as f:
-        for v in verts:
-            f.write(f"v {v[0]!r} {v[1]!r} {v[2]!r}\n")
-        for a, b, c, d in faces:
-            f.write(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n")
+        f.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in verts)
+        f.writelines(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n" for a, b, c, d in faces)
     return {"vertices": len(verts), "faces": len(faces)}
 
 
 def export_ply(s: ImmersionSample, path, slice_idx=None, coords=None) -> dict:
     verts, faces = _mesh_data(s, slice_idx, coords)
     with _writing(path) as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(verts)}\n")
-        f.write("property float x\nproperty float y\nproperty float z\n")
-        f.write(f"element face {len(faces)}\n")
-        f.write("property list uchar int vertex_indices\nend_header\n")
-        for v in verts:
-            f.write(f"{v[0]!r} {v[1]!r} {v[2]!r}\n")
-        for a, b, c, d in faces:
-            f.write(f"4 {a} {b} {c} {d}\n")
+        f.write(f"ply\nformat ascii 1.0\nelement vertex {len(verts)}\nproperty float x\n"
+                f"property float y\nproperty float z\nelement face {len(faces)}\n"
+                "property list uchar int vertex_indices\nend_header\n")
+        f.writelines(f"{x!r} {y!r} {z!r}\n" for x, y, z in verts)
+        f.writelines(f"4 {a} {b} {c} {d}\n" for a, b, c, d in faces)
     return {"vertices": len(verts), "faces": len(faces)}
 
 
 def export_csv(s: ImmersionSample, path) -> dict:
     """Full node data: one row per node in row-major order."""
-    g = s.grid
-    N = s.ambient_dim
-    mesh = g.meshgrid()
+    g, N = s.grid, s.ambient_dim
     cols = [f"u{d}" for d in range(g.ndim)] + [f"x{i}" for i in range(N)] + ["valid"]
-    valid = s.valid().reshape(-1)
+    U = np.stack([m.reshape(-1) for m in g.meshgrid()], axis=1).tolist()
+    P = s.positions.reshape(-1, N).tolist()
     with _writing(path) as f:
         f.write(",".join(cols) + "\n")
-        U = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        P = s.positions.reshape(-1, N)
-        for row in range(U.shape[0]):
-            vals = [repr(x) for x in U[row]] + [repr(x) for x in P[row]] + [str(int(valid[row]))]
-            f.write(",".join(vals) + "\n")
-    return {"rows": U.shape[0]}
+        for u, x, valid in zip(U, P, s.valid().reshape(-1).tolist()):
+            f.write(",".join([repr(a) for a in u + x] + [str(int(valid))]) + "\n")
+    return {"rows": len(U)}

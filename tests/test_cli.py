@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from dupin.cli import main, run_pipeline
-from dupin.errors import DimensionMismatch, NotRegular, ParseError
+from dupin.errors import DimensionMismatch, NotRegular, OutputError, ParseError, UnsupportedSlice
+from dupin.net import ImmersionSample
+from dupin.numerics import TensorGrid
 from dupin.seeds import torus_seed
 from dupin import serialize
 
@@ -24,6 +26,21 @@ PIPE_TUBE = {
 }
 
 
+def _container(data: bytes):
+    """The header text and the body of a container file's bytes."""
+    assert data[:7] == b"\x93DUPIN\n"
+    start = 11 + int.from_bytes(data[7:11], "little")
+    assert start % 8 == 0
+    return data[11:start].decode("utf-8"), data[start:]
+
+
+def _plain(doc):
+    """doc with each array replaced by the hex of its bytes, for comparison."""
+    if isinstance(doc, np.ndarray):
+        return doc.tobytes().hex()
+    return {key: _plain(value) for key, value in doc.items()} if isinstance(doc, dict) else doc
+
+
 class TestSerialize:
     def test_sample_roundtrip(self, torus_patch, tmp_path):
         doc = serialize.sample_to_dict(torus_patch)
@@ -37,7 +54,9 @@ class TestSerialize:
     @pytest.mark.parametrize("case", ["sample", "masked_sample", "triple", "provenance",
                                       "chain"])
     def test_dump_json_writes_json_dumps_indent_1(self, case, torus_patch, recursion_step1, tmp_path):
-        # payloads go out unescaped; every byte equals json.dumps(obj, indent=1)
+        # a document without arrays is json.dumps(obj, indent=1); one with arrays is a
+        # container: the header is that text of the document with each array replaced
+        # by its {offset, nbytes}, the body its bytes at 8-aligned offsets in document order
         if case == "sample":
             doc = serialize.sample_to_dict(recursion_step1.sample)
         elif case == "masked_sample":
@@ -60,9 +79,27 @@ class TestSerialize:
             doc = [{"kind": "translate", "u": [0.0, 0.0, 2.0]}, {"kind": "inversion"}, {}]
         path = tmp_path / "doc.json"
         serialize.dump_json(doc, path)
-        text = json.dumps(doc, indent=1) + "\n"
-        assert path.read_bytes() == text.encode("utf-8")
-        assert serialize.load_json(path) == json.loads(text)
+        if case == "chain":
+            text = json.dumps(doc, indent=1) + "\n"
+            assert path.read_bytes() == text.encode("utf-8")
+            assert serialize.load_json(path) == json.loads(text)
+            return
+        body = bytearray()
+
+        def refs(obj):
+            if isinstance(obj, np.ndarray):
+                body.extend(bytes(-len(body) % 8))
+                ref = {"offset": len(body), "nbytes": obj.nbytes}
+                body.extend(obj.astype(obj.dtype.newbyteorder("<")).tobytes())
+                return ref
+            return {key: refs(value) for key, value in obj.items()} if isinstance(obj, dict) else obj
+
+        expected = json.dumps(refs(doc), indent=1)
+        header, got = _container(path.read_bytes())
+        assert header.startswith(expected) and set(header[len(expected):-1]) <= {" "}
+        assert header.endswith("\n") and len(header) - len(expected) <= 8
+        assert got == body
+        assert _plain(serialize.load_json(path)) == json.loads(json.dumps(_plain(doc)))
 
     def test_triple_roundtrip(self, torus_patch):
         doc = serialize.triple_to_dict(torus_patch.triple)
@@ -73,14 +110,14 @@ class TestSerialize:
         with pytest.raises(ParseError):
             serialize.triple_from_dict({"schema": "bogus"})
 
-    def test_masked_nan_roundtrip_is_exact(self, torus_patch):
+    def test_masked_nan_roundtrip_is_exact(self, torus_patch, tmp_path):
         # non-finite positions are accepted where the sample masks them
         s = serialize.sample_from_dict(serialize.sample_to_dict(torus_patch))
         s.positions[3, 4] = np.nan
         s.mask = np.ones(s.grid.shape, dtype=bool)
         s.mask[3, 4] = False
-        doc = json.loads(json.dumps(serialize.sample_to_dict(s)))
-        back = serialize.sample_from_dict(doc)
+        serialize.dump_json(serialize.sample_to_dict(s), tmp_path / "s.json")
+        back = serialize.sample_from_dict(serialize.load_json(tmp_path / "s.json"))
         assert np.array_equal(back.positions, s.positions, equal_nan=True)
         assert np.array_equal(back.mask, s.mask)
 
@@ -97,8 +134,8 @@ class TestSerialize:
         with pytest.raises(ParseError, match="'h' has"):
             serialize.triple_from_dict(doc)
         doc = serialize.triple_to_dict(torus_patch.triple)
-        doc["v"] = "*" + doc["v"][1:]
-        with pytest.raises(ParseError, match="'v' is not a numeric array"):
+        doc["v"] = "AAAAAAAAAAA="               # base64 text, not a byte field
+        with pytest.raises(ParseError, match="'v' is not a numeric array \\(a str is not a byte field\\)"):
             serialize.triple_from_dict(doc)
 
     def test_special_values_roundtrip_bit_exact(self, torus_patch, tmp_path):
@@ -125,27 +162,48 @@ class TestSerialize:
             a, b = getattr(s.triple, name), getattr(back.triple, name)
             assert np.array_equal(b.view(np.uint64), a.view(np.uint64)), name
         assert back.mask.dtype == bool and np.array_equal(back.mask, s.mask)
-        assert serialize.sample_to_dict(back) == doc
+        assert _plain(serialize.sample_to_dict(back)) == _plain(doc)
 
-    def test_payload_layout(self, torus_patch):
-        # little-endian float64 values and 0/1 mask bytes, in row-major node order
+    def test_payload_layout(self, torus_patch, tmp_path):
+        # little-endian float64 values and 0/1 mask bytes, in row-major node order,
+        # at the header's 8-aligned offsets into the body
         s = serialize.sample_from_dict(serialize.sample_to_dict(torus_patch))
         s.mask = np.ones(s.grid.shape, dtype=bool)
         s.mask[3, 4] = False
-        doc = serialize.sample_to_dict(s)
-        values = s.positions.reshape(-1).view(np.uint64).tolist()
-        assert base64.b64decode(doc["positions"]) == b"".join(x.to_bytes(8, "little") for x in values)
-        assert base64.b64decode(doc["mask"]) == bytes(s.mask.reshape(-1).tolist())
-        assert base64.b64decode(doc["triple"]["V"]) == s.triple.V.astype("<f8").tobytes(order="C")
+        path = tmp_path / "s.json"
+        serialize.dump_json(serialize.sample_to_dict(s), path)
+        data = path.read_bytes()
+        text, body = _container(data)
+        header = json.loads(text)
 
+        def at(ref):
+            assert ref["offset"] % 8 == 0
+            return body[ref["offset"]:ref["offset"] + ref["nbytes"]]
+
+        values = s.positions.reshape(-1).view(np.uint64).tolist()
+        assert at(header["positions"]) == b"".join(x.to_bytes(8, "little") for x in values)
+        assert at(header["mask"]) == bytes(s.mask.reshape(-1).tolist())
+        assert at(header["triple"]["V"]) == s.triple.V.astype("<f8").tobytes(order="C")
+        # a field read straight from the file, as the README shows
+        ref, start = header["tangents"], len(data) - len(body)
+        tangents = np.fromfile(path, "<f8", count=ref["nbytes"] // 8, offset=start + ref["offset"])
+        assert np.array_equal(tangents.reshape(s.tangents.shape), s.tangents)
+
+    def test_a_dict_that_would_read_as_an_array_is_not_written(self, torus_patch, tmp_path):
+        doc = serialize.sample_to_dict(torus_patch, provenance={"x": {"offset": 0, "nbytes": 8}})
+        with pytest.raises(OutputError, match="cannot write a document holding the dict"):
+            serialize.dump_json(doc, tmp_path / "s.json")
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("kind", ["sample", "triple"])
-    def test_schema_1_rejected(self, torus_patch, kind):
+    def test_old_schemas_rejected(self, torus_patch, kind, version):
         if kind == "sample":
             doc, load = serialize.sample_to_dict(torus_patch), serialize.sample_from_dict
         else:
             doc, load = serialize.triple_to_dict(torus_patch.triple), serialize.triple_from_dict
-        doc["schema"] = f"dupin/{kind}@1"
-        with pytest.raises(ParseError, match=f"expected schema dupin/{kind}@2, got 'dupin/{kind}@1'"):
+        doc["schema"] = f"dupin/{kind}@{version}"
+        with pytest.raises(ParseError, match=f"expected schema dupin/{kind}@3, got 'dupin/{kind}@{version}'"):
             load(doc)
 
     def test_obj_counts_and_masking(self, tmp_path):
@@ -156,13 +214,32 @@ class TestSerialize:
         info = serialize.export_obj(t, tmp_path / "m.obj", None)
         assert info["vertices"] == 81
         assert info["faces"] == 8 * 8 - 4  # four cells touch the masked node
+        # plain decimal numbers, the vertices in row-major node order
+        lines = (tmp_path / "m.obj").read_text(encoding="utf-8").splitlines()
+        verts = np.array([[float(x) for x in line.split()[1:]] for line in lines if line.startswith("v ")])
+        assert np.array_equal(verts, t.positions.reshape(-1, 3))
+        faces = [line for line in lines if line.startswith("f ")]
+        assert faces[0] == "f 1 10 11 2" and "f 41 50 51 42" not in faces
+
+    @pytest.mark.parametrize("fmt", ["ply", "obj"])
+    def test_slice_of_a_3d_sample_exports(self, tmp_path, fmt):
+        s = ImmersionSample(TensorGrid((4, 5, 6), (1.0, 1.0, 1.0)),
+                            np.arange(4 * 5 * 6 * 2, dtype=float).reshape(4, 5, 6, 2))
+        export = serialize.export_ply if fmt == "ply" else serialize.export_obj
+        assert export(s, tmp_path / f"m.{fmt}", (None, 2, None)) == {"vertices": 24, "faces": 15}
+        for bad in [None, (None, None, None), (1, 2, None)]:
+            with pytest.raises(UnsupportedSlice):
+                export(s, tmp_path / f"m.{fmt}", bad)
 
     def test_csv_rows(self, tmp_path, torus_patch):
         info = serialize.export_csv(torus_patch, tmp_path / "t.csv")
         assert info["rows"] == torus_patch.grid.size
         with open(tmp_path / "t.csv", encoding="utf-8") as f:
             header = f.readline().strip().split(",")
+            rows = np.array([[float(x) for x in line.split(",")] for line in f])
         assert header[:2] == ["u0", "u1"]
+        assert np.array_equal(rows[:, 2:-1], torus_patch.positions.reshape(-1, 3))
+        assert (rows[:, -1] == 1).all()
 
 
 class TestPipeline:
@@ -392,14 +469,14 @@ def test_verify_accepts_nan_at_masked_node(tmp_path, torus_patch, capsys):
     assert re.match(r"k=2 dupin_max=\S+ holonomic=True c=1\n$", capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("how", ["bad_base64", "ragged_bytes", "list"])
+@pytest.mark.parametrize("how", ["not_bytes", "ragged_bytes", "list"])
 def test_verify_bad_payload_exits_2_with_one_line(tmp_path, torus_patch, capsys, how):
     doc = serialize.sample_to_dict(torus_patch)
-    if how == "bad_base64":
-        doc["positions"] = doc["positions"][:40] + "!" + doc["positions"][40:]
-    elif how == "ragged_bytes":                # 8n + 3 bytes
-        raw = np.ascontiguousarray(torus_patch.positions, "<f8").tobytes() + b"\0\0\0"
+    raw = np.ascontiguousarray(torus_patch.positions, "<f8").tobytes()
+    if how == "not_bytes":                     # a dupin/sample@2 base64 payload
         doc["positions"] = base64.b64encode(raw).decode("ascii")
+    elif how == "ragged_bytes":                # 8n + 3 bytes
+        doc["positions"] = np.frombuffer(raw + b"\0\0\0", np.uint8)
     else:                                      # a dupin/sample@1 value list
         doc["positions"] = torus_patch.positions.reshape(-1).tolist()
     sp = tmp_path / "bad.json"
@@ -413,12 +490,27 @@ def test_verify_bad_payload_exits_2_with_one_line(tmp_path, torus_patch, capsys,
     assert not (tmp_path / "r.json").exists()
 
 
-def test_verify_truncated_file_exits_2_with_one_line(tmp_path, torus_patch, capsys):
+@pytest.mark.parametrize("cut", [5, 9, 300, 1000, -1])
+def test_verify_truncated_file_exits_2_with_one_line(tmp_path, torus_patch, capsys, cut):
+    # in the magic, the header length, the header, the body and the last byte
     sp = tmp_path / "cut.json"
     serialize.dump_json(serialize.sample_to_dict(torus_patch), sp)
-    sp.write_bytes(sp.read_bytes()[:1000])
+    sp.write_bytes(sp.read_bytes()[:cut])
     assert main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json")]) == 2
-    assert re.fullmatch(r"error: \S+cut\.json is not a JSON document \(.+\)\n", capsys.readouterr().err)
+    kind = "a JSON document" if 0 <= cut < 7 else "a dupin artifact"
+    assert re.fullmatch(rf"error: \S+cut\.json is not {kind} \(.+\)\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("container", [False, True])
+def test_verify_deeply_nested_file_exits_2_with_one_line(tmp_path, capsys, container):
+    text = b"[" * 100_000 + b"]" * 100_000
+    if container:                              # the same text as a container's header
+        text = b"\x93DUPIN\n" + (len(text) + 5).to_bytes(4, "little") + text + b"    \n"
+    sp = tmp_path / "deep.json"
+    sp.write_bytes(text)
+    assert main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json")]) == 2
+    kind = "a dupin artifact" if container else "a JSON document"
+    assert re.fullmatch(rf"error: \S+deep\.json is not {kind} \(.+\)\n", capsys.readouterr().err)
 
 
 def test_bad_seed_shapes_exit_2_with_one_line(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Property tests of the sample and triple loaders against mutated documents:
-truncated or corrupted payloads, deleted keys, values of the wrong type and
-foreign schemas, tangent counts and sff shapes that do not fit the grid and
-the frame.  Only a `DupinError` may escape a loader, and `dupin verify`
-on a rejected sample file exits 2 with one line."""
+truncated, corrupted or retyped payloads, deleted keys, values of the wrong
+type and foreign schemas, tangent counts and sff shapes that do not fit the
+grid and the frame; and of `load_json` against mutated container files:
+magic, header length, header bytes, array offsets and body bytes.  Only a
+`DupinError` may escape a loader, and `dupin verify` on a rejected sample
+file exits 2 with one line."""
 
-import base64
 import contextlib
 import copy
 import io
+import json
 import os
 import tempfile
 
@@ -20,8 +22,8 @@ from dupin.cli import main
 from dupin.errors import DupinError, ParseError
 from dupin.seeds import torus_seed
 
-# characters outside the standard base64 alphabet
-_NON_BASE64 = "!*-_.~ \né"
+# element types a payload may not have
+_NOT_STORED = ["<f4", ">f8", "<i8", "<u2", "?", "<c16"]
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(),
     st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=3),
@@ -62,23 +64,26 @@ def _recount(data, doc):
 def _mutate(data, doc):
     """One drawn mutation of a copy of `doc`; returns the copy and whether
     every draw of this mutation must be rejected."""
-    ops = ["truncate", "corrupt", "delete", "swap", "schema"] + (["recount"] if "sff" in doc else [])
+    ops = ["truncate", "corrupt", "retype", "delete", "swap", "schema"] + (["recount"] if "sff" in doc else [])
     op = data.draw(st.sampled_from(ops))
     if op == "recount":
         return _recount(data, doc)[0], True
     doc = copy.deepcopy(doc)
     documents = [doc] + ([doc["triple"]] if "triple" in doc else [])
     objects = documents + [d["grid"] for d in documents]
-    if op in ("truncate", "corrupt"):
+    if op in ("truncate", "corrupt", "retype"):
         obj = data.draw(st.sampled_from(documents))
-        key = data.draw(st.sampled_from(
-            sorted(k for k, v in obj.items() if isinstance(v, str) and k != "schema")))
-        s = obj[key]
-        i = data.draw(st.integers(0, len(s) - 1))
+        key = data.draw(st.sampled_from(sorted(k for k, v in obj.items() if isinstance(v, np.ndarray))))
+        raw = np.frombuffer(obj[key].tobytes(), np.uint8).copy()      # the payload as load_json gives it
+        i = data.draw(st.integers(0, len(raw) - 1))
         if op == "truncate":
-            obj[key] = s[:i]
+            obj[key] = raw[:i]
+        elif op == "corrupt":               # any byte value: a float or a mask byte may stay valid
+            raw[i] = data.draw(st.integers(0, 255))
+            obj[key] = raw
+            return doc, False
         else:
-            obj[key] = s[:i] + data.draw(st.sampled_from(_NON_BASE64)) + s[i + 1:]
+            obj[key] = obj[key].astype(data.draw(st.sampled_from(_NOT_STORED)))
         return doc, True
     if op == "schema":
         obj = data.draw(st.sampled_from(documents))
@@ -151,7 +156,7 @@ def test_non_finite_values_rejected_only_at_unmasked_nodes(key, at, value):
     shape = {"positions": (5, 6, 3), "tangents": (2, 5, 6, 3), "normals": (1, 5, 6, 3),
              "lame": (2, 5, 6), "sff": (2, 1, 5, 6), "v": (2, 5, 6), "h": (2, 2, 5, 6),
              "V": (2, 1, 5, 6)}[key]
-    a = np.frombuffer(base64.b64decode(obj[key]), dtype="<f8").reshape(shape).copy()
+    a = obj[key].reshape(shape).copy()
     idx = np.unravel_index(at % a.size, shape)
     a[idx] = value
     obj[key] = serialize._arr(a)
@@ -202,3 +207,124 @@ def test_bad_counts_rejected(key, value):
     doc[key] = value
     with pytest.raises(ParseError, match=repr(key)):
         serialize.sample_from_dict(doc)
+
+
+def _file_of(doc) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        serialize.dump_json(doc, path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+_FILE = _file_of(_SAMPLE)
+_START = 11 + int.from_bytes(_FILE[7:11], "little")      # where the body begins
+
+
+def _with_header(header: dict, body: bytes) -> bytes:
+    """A container of header and body with a correct header length."""
+    text = json.dumps(header, indent=1).encode() + b"\n"
+    text += b" " * (-(11 + len(text)) % 8)
+    return _FILE[:7] + len(text).to_bytes(4, "little") + text + body
+
+
+def _refs(obj):
+    """The array references of a header, in document order."""
+    for value in obj.values():
+        if isinstance(value, dict):
+            yield from [value] if value.keys() == {"offset", "nbytes"} else _refs(value)
+
+
+def _mutate_file(data) -> tuple:
+    """One drawn mutation of _FILE's bytes; returns them and whether every
+    draw of this mutation must be rejected."""
+    op = data.draw(st.sampled_from(["magic", "length_past_eof", "length", "header", "offsets",
+                                    "body_cut", "body_extended", "body_byte"]))
+    f = bytearray(_FILE)
+    if op == "magic":
+        i = data.draw(st.integers(0, 6))
+        f[i] = data.draw(st.integers(0, 255).filter(lambda b: b != f[i]))
+        return bytes(f), True
+    if op in ("length_past_eof", "length"):
+        lo = len(f) - 10 if op == "length_past_eof" else 0
+        n = data.draw(st.integers(lo, 2**32 - 1).filter(lambda n: n != _START - 11))
+        f[7:11] = n.to_bytes(4, "little")
+        return bytes(f), op == "length_past_eof"
+    if op == "header":
+        i = data.draw(st.integers(11, _START - 1))
+        f[i] = data.draw(st.integers(0, 255))
+        return bytes(f), False
+    if op == "offsets":
+        header = json.loads(_FILE[11:_START])
+        ref = data.draw(st.sampled_from(list(_refs(header))))
+        key = data.draw(st.sampled_from(["offset", "nbytes"]))
+        ref[key] = data.draw(st.one_of(st.integers(-8, 2 * len(f)), st.floats(0, 64), st.booleans(),
+                                       st.none(), st.text(max_size=3)).filter(lambda v: v != ref[key]))
+        return _with_header(header, _FILE[_START:]), True
+    if op == "body_cut":
+        return _FILE[:data.draw(st.integers(_START, len(f) - 1))], True
+    if op == "body_extended":
+        return _FILE + bytes(data.draw(st.integers(1, 16))), True
+    i = data.draw(st.integers(_START, len(f) - 1))
+    f[i] = data.draw(st.integers(0, 255))
+    return bytes(f), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_container_mutations_raise_only_dupin_errors(data):
+    raw, must_reject = _mutate_file(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "wb") as f:
+            f.write(raw)
+        rejected = _rejects(lambda p: serialize.sample_from_dict(serialize.load_json(p)), path)
+        assert rejected or not must_reject
+        if rejected:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["verify", "--in", path, "--out", os.path.join(tmp, "r.json")])
+            assert rc == 2
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not os.path.exists(os.path.join(tmp, "r.json"))
+
+
+def test_unmutated_container_loads_bit_exact():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "wb") as f:
+            f.write(_FILE)
+        doc = serialize.load_json(path)
+    assert _file_of(doc) == _FILE
+    back = serialize.sample_from_dict(doc)
+    assert np.array_equal(back.positions, _SAMPLE["positions"])
+
+
+@pytest.mark.parametrize("how,message", [
+    ("overlap", r"array 'mask' at offset \d+ of 30 bytes, not at a multiple of 8 from byte \d+ on"),
+    ("misaligned", r"array 'mask' at offset \d+ of 30 bytes, not at a multiple of 8 from byte \d+ on"),
+    ("unaligned_body", r"a header ending at byte \d+ of \d+, or not at a multiple of 8"),
+    ("trailing", r"a body of \d+ bytes, where the header says \d+"),
+    ("short", r"a body of \d+ bytes, where the header says \d+"),
+])
+def test_container_layout_errors_rejected(tmp_path, how, message):
+    # each file differs from a loadable one in its layout alone
+    header, body = json.loads(_FILE[11:_START]), _FILE[_START:]
+    last, before = list(_refs(header))[-1], list(_refs(header))[-2]
+    if how == "overlap":                     # the last array starts where the one before it does
+        last["offset"] = before["offset"]
+        body = body[:last["offset"] + last["nbytes"]]
+    elif how == "misaligned":                # the last array 4 bytes later, the body 4 bytes longer
+        body = body[:last["offset"]] + bytes(4) + body[last["offset"]:]
+        last["offset"] += 4
+    elif how == "trailing":
+        body += bytes(8)
+    elif how == "short":
+        body = body[:-1]
+    raw = _with_header(header, body)
+    if how == "unaligned_body":              # 4 more spaces after the header's JSON
+        raw = _FILE[:7] + (_START - 7).to_bytes(4, "little") + _FILE[11:_START] + b"    " + body
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=rf"bad\.json is not a dupin artifact \({message}\)"):
+        serialize.load_json(path)

@@ -90,9 +90,7 @@ def _principal(s, value):
 
 
 def _reconstruct(s, value):
-    # the march itself meets the poisoned coefficients; only its Gram check is under test
-    with np.errstate(invalid="ignore", over="ignore"):
-        rec = reconstruct_frame(_poisoned_corner(s, value), substeps=4)
+    rec = reconstruct_frame(_poisoned_corner(s, value), substeps=4)
     return rec.reports["gram_defect"], rec.positions[rec.mask]
 
 

@@ -409,6 +409,24 @@ class TestMutualRibaucour:
         assert rep["tangency"] < 1e-9
         assert rep["d_symmetry"] < 1e-9
 
+    @pytest.mark.parametrize("holed", [2, 17])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_a_masked_node_of_one_slice_is_not_read(self, circle_result, value, holed):
+        # slices 2 and 17, one of them masked at node 7, where its fields hold
+        # `value`: the maxima are taken over the nodes valid in both slices
+        def slices(value):
+            out = [circle_result.slice_sample((y,)) for y in (2, 17)]
+            s = out[(2, 17).index(holed)]
+            s.mask = np.ones(s.grid.shape, dtype=bool)
+            s.mask[7] = False
+            s.positions, s.tangents, s.lame = s.positions.copy(), s.tangents.copy(), s.lame.copy()
+            s.positions[7] = s.tangents[:, 7] = s.lame[:, 7] = value
+            return out
+
+        rep = verify_mutual_ribaucour(*slices(value))
+        assert rep == verify_mutual_ribaucour(*slices(0.7))
+        assert rep["tangency"] < 1e-9 and rep["d_symmetry"] < 1e-9
+
     def test_center_invariant_constant_on_leaves(self, circle_result):
         # f + eta/|eta|^2 is constant along each nullity leaf
         eta = circle_result.principal.eta[-1]
