@@ -15,6 +15,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,7 +74,7 @@ class TensorGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         self._check_axis(axis)
@@ -97,28 +98,40 @@ class TensorGrid:
 
 
 # fd_axis stencils by derivative order, each as (offsets, coefficients): the
-# first row, the last row, the second and second-to-last rows, the deep interior
+# first and the last row (the last row's offsets mirror the first's, and at
+# order 1 so do its coefficients: one coefficient pair per term), the second
+# and second-to-last rows, the deep interior
 _STENCILS = {
-    1: (((0, 1, 2), (-1.5, 2.0, -0.5)),
-        ((0, -1, -2), (1.5, -2.0, 0.5)),
+    1: (((0, 1, 2), np.array([[-1.5, 1.5], [2.0, -2.0], [-0.5, 0.5]])),
         ((-1, 1), (-0.5, 0.5)),
         ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12))),
-    2: (((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)),
-        ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0)),
+    2: (((0, 1, 2, 3), np.array([[2.0, 2.0], [-5.0, -5.0], [4.0, 4.0], [-1.0, -1.0]])),
         ((-1, 0, 1), (1.0, -2.0, 1.0)),
         ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12))),
 }
 
 
-def _stencil_rows(v, lo, hi, stencil, scale):
-    """Rows lo..hi-1 of a stencil along the first axis of v: terms summed in
-    offset order, then scaled."""
-    (off, c), *rest = zip(*stencil)
-    total = c * v[lo + off:hi + off]
-    for off, c in rest:
-        total += c * v[lo + off:hi + off]
+def _stencil_sum(terms, scale):
+    """The sum of c * rows over the (c, rows) terms in offset order, then scaled."""
+    (c, rows), *rest = terms
+    total = c * rows
+    for c, rows in rest:
+        total += c * rows
     total *= scale
     return total
+
+
+def _stencil_rows(v, lo, hi, stencil, scale):
+    """Rows lo..hi-1 of a stencil along the first axis of v."""
+    return _stencil_sum([(c, v[lo + off:hi + off]) for off, c in zip(*stencil)], scale)
+
+
+def _mirrored(v, off):
+    """Rows off and n-1-off of v (n rows), the reads of the first and the
+    last row's stencil term at offset off: a (2, ...) view, or the one row
+    (1, ...), which broadcasts, where the two meet."""
+    step = len(v) - 1 - 2 * off
+    return v[off::step][:2] if step else v[off:off + 1]
 
 
 def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
@@ -136,7 +149,7 @@ def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
         raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
 
     out = np.empty_like(values)
-    _fd_into(np.moveaxis(out, axis, 0), np.moveaxis(values, axis, 0), h, order, 0, n)
+    _fd_to(out, values, h, axis, order)
     return out
 
 
@@ -144,15 +157,37 @@ def _fd_into(o: np.ndarray, v: np.ndarray, h: float, order: int, lo: int, hi: in
     """Rows lo..hi-1 of the `fd_axis` derivative along the first axis of v,
     written to o (hi - lo rows): each row takes its own row's stencil, so a
     row range reads at most three rows beyond it and equals the whole-axis
-    derivative there bit for bit."""
+    derivative there bit for bit.  Three stencil passes: the deep rows, the
+    mirrored rows {0, n-1} together and the rows {1, n-2} together, each
+    pair's per-element sums in offset order as one row's."""
     n = len(v)
-    first, last, central, deep = _STENCILS[order]
+    edge, near, deep = _STENCILS[order]
     scale = 1.0 / h**order
-    for a, b, stencil in ((0, 1, first), (n - 1, n, last), (1, 2, central), (n - 2, n - 1, central),
-                          (2, n - 2, deep)):
-        a, b = max(a, lo), min(b, hi)
-        if a < b:
-            o[a - lo:b - lo] = _stencil_rows(v, a, b, stencil, scale)
+    a, b = max(2, lo), min(n - 2, hi)
+    if a < b:
+        o[a - lo:b - lo] = _stencil_rows(v, a, b, deep, scale)
+    for row in (0, 1):
+        last = n - 1 - row
+        first_in, last_in = lo <= row < hi, lo <= last < hi
+        if not (first_in or last_in):
+            continue
+        if row:
+            pair = _stencil_sum([(c, v[1 + off:last + 1 + off:last - 1]) for off, c in zip(*near)], scale)
+        else:
+            coef = edge[1].reshape(edge[1].shape + (1,) * (v.ndim - 1))
+            pair = _stencil_sum([(c, _mirrored(v, off)) for off, c in zip(edge[0], coef)], scale)
+        if first_in and last_in:
+            o[row - lo:last - lo + 1:last - row] = pair
+        elif first_in:
+            o[row - lo] = pair[0]
+        else:
+            o[last - lo] = pair[1]
+
+
+def _fd_to(out: np.ndarray, values: np.ndarray, h: float, axis: int, order: int) -> None:
+    """`fd_axis(values, h, axis, order)` written to out, for float values
+    already known to have 5 or more nodes along axis."""
+    _fd_into(out.swapaxes(0, axis), values.swapaxes(0, axis), h, order, 0, values.shape[axis])
 
 
 def _fd_rows(values: np.ndarray, h: float, order: int, lo: int, hi: int) -> np.ndarray:
@@ -182,7 +217,7 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
 def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
     """Invalidate every node whose +-width window along axis touches an invalid node."""
     out = mask.copy()
-    m, o = np.moveaxis(mask, axis, 0), np.moveaxis(out, axis, 0)
+    m, o = mask.swapaxes(0, axis), out.swapaxes(0, axis)
     n = len(m)
     for off in range(1, min(width, n) + 1):
         o[:n - off] &= m[off:]
@@ -193,9 +228,8 @@ def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
 def _fd_deep(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     """The deep-interior rows of `fd_axis`: rows 2..n-3 along `axis`, which
     comes out four nodes shorter, bit for bit `fd_axis(...)` there."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    deep = _stencil_rows(v, 2, len(v) - 2, _STENCILS[order][3], 1.0 / h**order)
-    return np.moveaxis(deep, 0, axis)
+    v = np.asarray(values, dtype=float).swapaxes(0, axis)
+    return _stencil_rows(v, 2, len(v) - 2, _STENCILS[order][2], 1.0 / h**order).swapaxes(0, axis)
 
 
 @dataclass(frozen=True)
@@ -330,12 +364,15 @@ def _joint_eigh(A: np.ndarray, key):
     a family leaves its Q the same.  A NaN entry gives NaN diagonals and Q."""
     m, shape, D = A.shape[0], A.shape[1:-2], A.shape[-1]
     A = A.reshape(m, -1, D, D)
-    w, V = np.empty(A.shape[:-1]), np.empty(A.shape[1:])
+    w, Vt = np.empty(A.shape[:-1]), np.empty(A.shape[1:])        # Vt: eigenvectors as rows
     pairs = list(itertools.combinations(range(D), 2))
     for lo in range(0, A.shape[1], _JACOBI_BLOCK):
         B = A[:, lo:lo + _JACOBI_BLOCK]
-        a = [[B[:, :, min(i, j), max(i, j)].copy() for j in range(D)] for i in range(D)]
-        v = [[np.full(B.shape[1], float(i == j)) for j in range(D)] for i in range(D)]
+        # the rotations replace entries, so they start as views of B; a[p][q]
+        # and a[q][p] stay one array, and v (D, D, n) is updated a column at a time
+        a = [[B[:, :, min(i, j), max(i, j)] for j in range(D)] for i in range(D)]
+        v = np.zeros((D, D, B.shape[1]))
+        v.reshape(D * D, -1)[::D + 1] = 1.0
         tol = _JACOBI_TOL**2 * (B * B).sum(axis=(0, 2, 3))
         with np.errstate(invalid="ignore", over="ignore"):
             for sweep in range(_JACOBI_SWEEPS):
@@ -356,14 +393,15 @@ def _joint_eigh(A: np.ndarray, key):
                             arp, arq = a[r][p], a[r][q]
                             a[r][p] = a[p][r] = c * arp - s * arq
                             a[r][q] = a[q][r] = s * arp + c * arq
-                        vrp, vrq = v[r][p], v[r][q]
-                        v[r][p], v[r][q] = c * vrp - s * vrq, s * vrp + c * vrq
+                    vp, vq = v[:, p], v[:, q]
+                    v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
                 if done:
                     break
-        w[:, lo:lo + _JACOBI_BLOCK] = np.stack([a[i][i] for i in range(D)], axis=-1)
-        V[lo:lo + _JACOBI_BLOCK] = np.array(v).transpose(2, 0, 1)
-    at = np.argsort(key(w), axis=-1, kind="stable") + D * np.arange(len(V))[:, None]
-    cols = V.swapaxes(-1, -2).reshape(-1, D)[at].swapaxes(-1, -2)
+        for i in range(D):
+            w[:, lo:lo + _JACOBI_BLOCK, i] = a[i][i]
+        Vt[lo:lo + _JACOBI_BLOCK] = v.transpose(2, 1, 0)
+    at = np.argsort(key(w), axis=-1, kind="stable") + D * np.arange(len(Vt))[:, None]
+    cols = Vt.reshape(-1, D)[at].swapaxes(-1, -2)
     return w.reshape(m, -1)[:, at].reshape((m,) + shape + (D,)), cols.reshape(shape + (D, D))
 
 
@@ -372,10 +410,12 @@ def _singular_values(C: np.ndarray) -> np.ndarray:
     min(m, p) per matrix: `np.linalg.svd(C, compute_uv=False)` by one-sided
     Jacobi rotations of the shorter side's vectors until they are orthogonal
     to _EPS; for min(m, p) = 1 this is the norm."""
-    cols = list(np.moveaxis(C, -1 if C.shape[-1] <= C.shape[-2] else -2, 0))   # each (n, L)
+    cols = list(C.transpose(2, 0, 1) if C.shape[-1] <= C.shape[-2] else C.transpose(1, 0, 2))   # each (n, L)
+    if len(cols) == 1:
+        return np.sqrt((cols[0] * cols[0]).sum(-1))[:, None]
     pairs = list(itertools.combinations(range(len(cols)), 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_JACOBI_SWEEPS if pairs else 0):
+        for _ in range(_JACOBI_SWEEPS):
             done = True
             for p, q in pairs:
                 x, y = cols[p], cols[q]

@@ -93,7 +93,9 @@ def _field(d: dict, key: str, shape: tuple, where: str,
            stored: np.dtype = _VALUES, dtype=float) -> np.ndarray:
     """An array entry, of `stored` elements or of the raw bytes load_json
     gives, as a writable `dtype` array of the grid-derived shape, or
-    ParseError.  Raw bytes are taken over, a typed array is copied."""
+    ParseError.  Writable raw bytes are taken over and marked read-only in
+    the document, so a later read of the same document copies them; a typed
+    array is copied."""
     p = _get(d, key, where)
     try:
         if not isinstance(p, np.ndarray) or p.dtype not in (stored, _BYTES):
@@ -104,7 +106,10 @@ def _field(d: dict, key: str, shape: tuple, where: str,
     if a.size != math.prod(shape):
         raise ParseError(f"{where} field {key!r} has {a.size} values, "
                          f"expected shape {tuple(shape)}")
-    return a.reshape(shape).astype(dtype, copy=p.dtype != _BYTES)
+    out = a.reshape(shape).astype(dtype, copy=p.dtype != _BYTES or not p.flags.writeable)
+    if np.may_share_memory(out, p):
+        p.flags.writeable = False
+    return out
 
 
 def _check_finite(where: str, key: str, a: np.ndarray, lead: int, mask: np.ndarray | None, D: int) -> None:
@@ -296,8 +301,8 @@ def _load_container(f, path) -> dict:
 
 def load_json(path) -> dict:
     """The document in the file at path; each array of a container is a
-    writable uint8 array of its raw bytes, which sample_from_dict and
-    triple_from_dict take over."""
+    writable uint8 array of its raw bytes, which the first sample_from_dict
+    or triple_from_dict call on the document takes over."""
     try:
         f = open(path, "rb")
     except OSError as e:            # a missing file, a directory, no permission

@@ -20,7 +20,9 @@ Gram-Schmidt normal basis (`_normal_frame`), one-sided Jacobi singular values
 in the rank decisions (`numerics._singular_values`), class tracking by pointer
 doubling (`_track`) and one deep-stencil derivative pass over the
 stencil-valid box for every class's fields (`_slopes`).  No output depends on
-the normal basis, so none depends on where the sample sits in space.
+the normal basis, so none depends on where the sample sits in space.  The
+flat-normal-bundle check (`normal_curvature_residual`) is computed once per
+jet: extraction and `sf_report` on the same jet share it.
 
 Memory stays close to what the oracle returns: `numeric_jet` builds the
 second fundamental form in slabs of axis-0 rows, and the extraction's cost
@@ -31,14 +33,16 @@ whole-grid evaluation gives, bit for bit, whatever the block sizes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .net import ImmersionSample, PrincipalData, Triple
-from .numerics import (TensorGrid, fd_axis, _erode_mask, _fd_deep, _fd_rows, _joint_eigh, _singular_values,
+from .numerics import (TensorGrid, _erode_mask, _fd_deep, _fd_rows, _fd_to, _joint_eigh, _singular_values,
                        _sphere_fits, _sum_last, _sym_eigh)
 from .ribaucour import NRibaucourResult
 
@@ -92,6 +96,8 @@ class NumericJet:
     g_isqrt: np.ndarray        # (*grid, D, D) metric inverse square root
     g_sqrt: np.ndarray         # (*grid, D, D) metric square root
     interior: np.ndarray       # bool (*grid): valid nodes two layers in with finite forms
+    # normal_curvature_residual, computed on its first call
+    _normal_curvature: float | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def codim(self) -> int:
@@ -105,13 +111,40 @@ class NumericJet:
         `numeric_jet` contracts into H."""
         g = self.grid
         pos = _finite(self.positions)
-        first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(g.ndim)])
-        return _project(_second(g, pos, first, 0, g.shape[0]), self.normal_proj)
+        return _project(_second(g, pos, _gradient(g, pos), 0, g.shape[0]), self.normal_proj)
 
 
 def _finite(pos: np.ndarray) -> np.ndarray:
     """Positions with every non-finite value (allowed at masked nodes) made NaN."""
     return np.where(np.isfinite(pos), pos, np.nan)
+
+
+def _gradient(g: TensorGrid, pos: np.ndarray) -> np.ndarray:
+    """First derivatives (D, *grid, N) of positions pos, `fd_axis` along each axis."""
+    first = np.empty((g.ndim,) + pos.shape)
+    for i in range(g.ndim):
+        _fd_to(first[i], pos, g.spacings[i], i, 1)
+    return first
+
+
+@functools.lru_cache(maxsize=None)
+def _triu(D: int, offset: int) -> tuple:
+    """`np.triu_indices(D, offset)`, read-only, built once per size."""
+    rows, cols = np.triu_indices(D, offset)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+@functools.lru_cache(maxsize=None)
+def _perms(k: int) -> tuple:
+    """The permutations of range(k) in `itertools` order (k!, k) and their
+    composition table comp (k!, k!), perms[comp[x, y]] = perms[x][perms[y]];
+    read-only, built once per size."""
+    perms = np.array(list(itertools.permutations(range(k))))
+    index = {p: x for x, p in enumerate(map(tuple, perms.tolist()))}
+    comp = np.array([[index[tuple(px[py])] for py in perms] for px in perms])
+    perms.flags.writeable = comp.flags.writeable = False
+    return perms, comp
 
 
 def _second(g: TensorGrid, pos: np.ndarray, first: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -126,9 +159,10 @@ def _second(g: TensorGrid, pos: np.ndarray, first: np.ndarray, lo: int, hi: int)
     sec[0, 0] = _fd_rows(pos, g.spacings[0], 2, lo, hi)
     for i in range(D):
         if i:
-            sec[i, i] = fd_axis(pos[lo:hi], g.spacings[i], i, 2)
+            _fd_to(sec[i, i], pos[lo:hi], g.spacings[i], i, 2)
         for j in range(i + 1, D):
-            sec[i, j] = sec[j, i] = fd_axis(first[i, lo:hi], g.spacings[j], j, 1)
+            _fd_to(sec[i, j], first[i, lo:hi], g.spacings[j], j, 1)
+            sec[j, i] = sec[i, j]
     return sec
 
 
@@ -137,8 +171,10 @@ def _project(second: np.ndarray, normal_proj: np.ndarray) -> np.ndarray:
     N), one (D*D, N) @ (N, N) product per node, as a (D, D, *nodes, N) view
     of the (n, D*D, N) product."""
     D, N = second.shape[0], second.shape[-1]
-    alpha = np.moveaxis(second.reshape(D * D, -1, N), 0, 1) @ normal_proj.reshape(-1, N, N)
-    return np.moveaxis(alpha.reshape(second.shape[2:-1] + (D, D, N)), (-3, -2), (0, 1))
+    alpha = second.reshape(D * D, -1, N).transpose(1, 0, 2) @ normal_proj.reshape(-1, N, N)
+    alpha = alpha.reshape(second.shape[2:-1] + (D, D, N))
+    nodes = tuple(range(alpha.ndim - 3))
+    return alpha.transpose((alpha.ndim - 3, alpha.ndim - 2) + nodes + (alpha.ndim - 1,))
 
 
 def numeric_jet(s: ImmersionSample) -> NumericJet:
@@ -156,7 +192,7 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     # the forms of their stencil neighbours quietly; those nodes are not interior
     pos = _finite(pos)
 
-    first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
+    first = _gradient(g, pos)
     metric = np.einsum("i...k,j...k->...ij", first, first)
 
     # metric square roots from its eigenpairs (NaN where the forms are not
@@ -167,7 +203,7 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     Vt = V.swapaxes(-1, -2).copy()
     g_isqrt, g_sqrt = (V / root) @ Vt, (V * root) @ Vt
     del w, V, root, Vt
-    T = g_isqrt @ np.moveaxis(first, 0, -2)           # (*grid, D, N)
+    T = g_isqrt @ first.transpose(tuple(range(1, D + 1)) + (0, D + 1))   # (*grid, D, N)
     normal_proj = np.eye(N) - T.swapaxes(-1, -2).copy() @ T
     del T
     normal_basis = _normal_frame(normal_proj, N - D)
@@ -181,8 +217,10 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     del first, pos, alpha
     shape_sym = g_isqrt @ H @ g_isqrt
 
-    interior = (g.interior_mask(2) & s.valid() & np.isfinite(metric).all(axis=(-2, -1))
+    interior = (g.interior_mask(2) & np.isfinite(metric).all(axis=(-2, -1))
                 & np.isfinite(shape_sym).all(axis=(0, -2, -1)))
+    if s.mask is not None:
+        interior &= s.mask
     if not interior.any():
         raise TooFewNodes("no interior nodes left after masking")
     return NumericJet(grid=g, positions=s.positions, metric=metric, normal_proj=normal_proj, H=H,
@@ -211,11 +249,13 @@ def normal_curvature_residual(jet: NumericJet) -> float:
     """Flat-normal-bundle estimate (Ricci equation: R-perp = 0 iff all shape
     operators commute): the largest over interior nodes of
     sqrt(1/2 sum_{r,q} |[S_r, S_q]|_F^2), the same in any orthonormal normal
-    basis."""
-    S = jet.shape_sym[:, jet.interior]                 # (p, n, D, D)
-    r, q = np.triu_indices(len(S), 1)
-    X = S[r] @ S[q]                                    # [S_r, S_q] = X - X^T
-    return float(np.sqrt(((X - X.swapaxes(-1, -2)) ** 2).sum(axis=(0, -2, -1))).max())
+    basis.  Computed once per jet: later calls return the first value."""
+    if jet._normal_curvature is None:
+        S = jet.shape_sym[:, jet.interior]             # (p, n, D, D)
+        r, q = _triu(len(S), 1)
+        X = S[r] @ S[q]                                # [S_r, S_q] = X - X^T
+        jet._normal_curvature = float(np.sqrt(((X - X.swapaxes(-1, -2)) ** 2).sum(axis=(0, -2, -1))).max())
+    return jet._normal_curvature
 
 
 def extract_principal_normals(s: ImmersionSample,
@@ -276,18 +316,14 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     if not len(cand):
         raise NotProper("no usable interior nodes")
     # single-linkage groups: each candidate is labelled by the smallest index
-    # of its component (transitive closure by repeated squaring of 0/1 matrices)
-    linked = np.tile(np.eye(D, dtype=np.uint8), (len(cand), 1, 1))
-    for a, b in itertools.combinations(range(D), 2):
-        linked[:, a, b] = linked[:, b, a] = (
-            np.sqrt(_sum_last((cand[:, a] - cand[:, b]) ** 2)) < eta_tol * 10)
-    for _ in range(D.bit_length()):
-        linked = np.minimum(linked @ linked, 1)
-    labels = linked.argmax(axis=-1)
-    del linked
+    # of its component
+    linked = np.empty((len(cand), D * (D - 1) // 2), dtype=bool)
+    for x, (a, b) in enumerate(itertools.combinations(range(D), 2)):
+        linked[:, x] = np.sqrt(_sum_last((cand[:, a] - cand[:, b]) ** 2)) < eta_tol * 10
+    labels = _linkage_labels(linked, D)
     key = labels @ D ** np.arange(D)                   # one integer per grouping
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    top = first[counts == counts.max()].min()
+    counts = np.bincount(key)
+    top = int((counts == counts.max())[key].argmax())   # first node of a most frequent grouping
     pattern = labels[top]
     hit = key == key[top]
     del labels, key
@@ -297,7 +333,8 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     if frac < 0.5:
         raise NotProper(f"principal-normal count varies (dominant pattern on {frac:.0%} of nodes)")
 
-    groups = [np.flatnonzero(pattern == a) for a in np.unique(pattern)]
+    pattern = pattern.tolist()
+    groups = [np.array([b for b in range(D) if pattern[b] == a]) for a in range(D) if pattern[a] == a]
     k = len(groups)
     mult = tuple(len(grp) for grp in groups)
     nodes = np.flatnonzero(mask)                       # lexicographic order
@@ -306,8 +343,9 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     eta = np.zeros((k,) + g.shape + (N,))
     eta_f = eta.reshape(k, -1, N)
     cand = _at(cand, hit)
+    tracked = slice(None) if n == eta_f.shape[1] else nodes
     for a, grp in enumerate(groups):
-        eta_f[a, nodes] = cand[:, grp].mean(axis=1)
+        eta_f[a, tracked] = np.add.reduce(cand[:, grp], axis=1) / len(grp)     # the groups' means
     del cand
 
     # reference of each masked node (slot 0, the first masked node, is the root)
@@ -316,7 +354,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     slot[nodes] = np.arange(n)
     parent = np.full(n, -1)
     for d in range(D):
-        stride = int(np.prod(g.shape[d + 1:], dtype=int))
+        stride = math.prod(g.shape[d + 1:])
         pred = np.where(coords[d] > 0, slot[nodes - stride], -1)
         parent = np.where(parent < 0, pred, parent)
     parent[parent < 0] = 0
@@ -325,15 +363,14 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     # track classes against the reference so smooth eta fields survive
     # arbitrarily long patches (frames may rotate fully); gap[i, a, b] is the
     # distance from group a at node i to group b at its reference
-    vals = eta_f if n == eta_f.shape[1] else eta_f[:, nodes]   # (k, n, N), group order
+    vals = eta_f[:, tracked]                           # (k, n, N), group order
 
     def gap(lo: int, hi: int) -> np.ndarray:
         rows, ref = np.empty((hi - lo, k, k)), vals[:, parent[lo:hi]]
         for a in range(k):
-            for b in range(k):
-                diff = vals[a, lo:hi] - ref[b]
-                diff *= diff
-                rows[:, a, b] = np.sqrt(_sum_last(diff))
+            diff = vals[a, lo:hi] - ref                # (k, m, N), one row per group b
+            diff *= diff
+            rows[:, a] = np.sqrt(_sum_last(diff)).T
         return rows
 
     order = _track(gap, parent, k)                     # class j takes group order[:, j]
@@ -364,6 +401,27 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
 
+def _linkage_labels(linked: np.ndarray, D: int) -> np.ndarray:
+    """Single-linkage labels (n, D) of n graphs over D nodes whose edges
+    linked (n, D(D-1)/2) lists in `np.triu_indices(D, 1)` order: each node is
+    labelled by the smallest node of its component.  Warshall's transitive
+    closure over the graphs' boolean node-pair arrays."""
+    pairs = list(itertools.combinations(range(D), 2))
+    close = [[None] * D for _ in range(D)]
+    for x, (a, b) in enumerate(pairs):
+        close[a][b] = close[b][a] = linked[:, x]
+    for m in range(D):
+        for a, b in pairs:
+            if m != a and m != b:
+                close[a][b] = close[b][a] = close[a][b] | (close[a][m] & close[m][b])
+    labels = np.empty((len(linked), D), dtype=np.intp)
+    for a in range(D):
+        labels[:, a] = a
+        for b in range(a - 1, -1, -1):
+            labels[close[a][b], a] = b
+    return labels
+
+
 def _at(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """a[mask] for a (*mask.shape, ...), a view of a when mask selects every node."""
     return a.reshape((-1,) + a.shape[mask.ndim:]) if mask.all() else a[mask]
@@ -384,8 +442,8 @@ def _track(gap, parent: np.ndarray, k: int) -> np.ndarray:
     asked for in blocks of about _BLOCK_VALUES matching costs, so neither
     the table nor the n x k! cost table is built whole."""
     n = len(parent)
-    perms = np.array(list(itertools.permutations(range(k))))
-    sigma = np.empty((n, k), dtype=perms.dtype)
+    perms, comp = _perms(k)
+    sigma = np.empty(n, dtype=np.intp)                 # each matching by its row of perms
     step = max(1, _BLOCK_VALUES // len(perms))
     for lo in range(0, n, step):
         rows = gap(lo, min(lo + step, n))
@@ -393,15 +451,16 @@ def _track(gap, parent: np.ndarray, k: int) -> np.ndarray:
         for b in range(1, k):
             cost += rows[:, perms[:, b], b]
         cost[np.isnan(cost)] = np.inf
-        sigma[lo:lo + step] = perms[cost.argmin(axis=1)]
-    sigma[0] = np.arange(k)
-    # compose the matchings up the reference chains by pointer doubling: after
-    # round t, sigma maps the order 2^t references up to the node's own
+        sigma[lo:lo + step] = cost.argmin(axis=1)
+    sigma[0] = 0                                       # the identity
+    # compose the matchings up the reference chains by pointer doubling, one
+    # composition-table lookup per node a round: after round t, sigma maps
+    # the order 2^t references up to the node's own
     up = parent
-    while (up != 0).any():
-        sigma = np.take_along_axis(sigma, sigma[up], axis=1)
+    while up.any():
+        sigma = comp[sigma, sigma[up]]
         up = up[up]
-    return sigma
+    return perms[sigma]
 
 
 def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -421,7 +480,7 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     valid = interior & grid.interior_mask(4)
     if not valid.any():
         valid = interior
-    if mask is not None:
+    if mask is not None and not mask.all():          # eroding an all-valid mask changes nothing
         er = mask.copy()
         for ax in range(grid.ndim):
             er = _erode_mask(er, ax, _STENCIL_WIDTH)
@@ -450,11 +509,13 @@ def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
     per axis differentiates all fields at once."""
     D = g.ndim
     shape = tuple(sl.stop - sl.start for sl in box)
-    sizes = [int(np.prod(f.shape[:1] + f.shape[D + 1:], dtype=int)) for f in fields]
-    ends = np.cumsum(sizes)
-    stack = np.empty(shape + (int(ends[-1]),))
+    sizes = [math.prod(f.shape[:1] + f.shape[D + 1:]) for f in fields]
+    ends = list(itertools.accumulate(sizes))
+    stack = np.empty(shape + (ends[-1],))
     for f, end, size in zip(fields, ends, sizes):
-        stack[..., end - size:end] = np.moveaxis(f, 0, D).reshape(shape + (size,))
+        # (c, *box, *t) -> (*box, c, *t) -> (*box, c * t)
+        stack[..., end - size:end] = f.transpose(tuple(range(1, D + 1)) + (0,) + tuple(range(D + 1, f.ndim))
+                                                 ).reshape(shape + (size,))
     inner = (slice(2, -2),) * D
     at = valid[box][inner]
     n = int(at.sum())
@@ -462,7 +523,7 @@ def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
     for d in range(D):
         dv = _fd_deep(stack[inner[:d] + (slice(None),) + inner[d + 1:]], g.spacings[d], d, 1)[at]
         for f, o, end, size in zip(fields, out, ends, sizes):
-            o[:, :, d] = np.moveaxis(dv[:, end - size:end].reshape((n,) + f.shape[:1] + f.shape[D + 1:]), 1, 0)
+            o[:, :, d] = dv[:, end - size:end].reshape((n,) + f.shape[:1] + f.shape[D + 1:]).swapaxes(0, 1)
     return out
 
 
@@ -474,17 +535,22 @@ def _eigenframes(P: np.ndarray, g_isqrt: np.ndarray, metric: np.ndarray):
     return dirs, np.sqrt(np.abs(_sum_last(((metric @ dirs) * dirs).swapaxes(-1, -2))))
 
 
-def _along(dirs: np.ndarray, nX: np.ndarray, dV: np.ndarray, proj: np.ndarray | None = None) -> np.ndarray:
+def _along(dirs: np.ndarray, nX: np.ndarray, d_eta: np.ndarray, proj: np.ndarray,
+           live: list, d_F: np.ndarray) -> tuple:
     """Per class, the max over valid nodes and frame columns X of
-    |D_X V| / |X|_g for ambient fields V with chart derivatives dV
-    (c, n, D, N), D_X V multiplied by proj (n, N, N) when given."""
-    DXV = dirs.swapaxes(-1, -2) @ dV               # (c, n, D, N), one row per X
-    if proj is not None:
-        DXV = DXV @ proj
+    |D_X V| / |X|_g for ambient fields V with chart derivatives dV: for
+    V = eta_j (d_eta, (c, n, D, N)) with D_X V multiplied by proj (n, N, N),
+    and for the live classes' V = F_j (d_F, (l, n, D, N)).  The two come
+    back as (c,) and (l,)."""
+    c = len(dirs)
+    DXV = np.empty((c + len(live),) + d_eta.shape[1:])   # one row per X
+    np.matmul(dirs.swapaxes(-1, -2) @ d_eta, proj, out=DXV[:c])
+    np.matmul(dirs[live].swapaxes(-1, -2), d_F, out=DXV[c:])
     mag = np.sqrt(_sum_last(DXV * DXV))
+    nX = np.concatenate([nX, nX[live]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
-    return mag.max(axis=(1, 2))
+        mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0).max(axis=(1, 2))
+    return mag[:c], mag[c:]
 
 
 def dupin_residual(s: ImmersionSample, pd: PrincipalData,
@@ -519,26 +585,25 @@ def _conullity(classes: range, P: np.ndarray, G: np.ndarray, eta: np.ndarray, d_
     product of their differences to it (c, pairs).  Slabs of nodes combine
     by the maximum and the minimum; `_bracket_reports` reads the result."""
     D, k = G.shape[-1], len(eta)
-    a, b = np.triu_indices(D, 1)
-    top, low = [], []
-    for x, (j, Pj) in enumerate(zip(classes, P)):
-        Qj = np.eye(D) - Pj                                # conullity projector
-        # spanning fields Y_a = Qj e_a (the columns of Qj); dQ[n, i, a, m] = d_m Y_a^i
-        dQ = np.ascontiguousarray(np.moveaxis(d_Q[x], 1, -1))
-        DY = dQ @ Qj[:, None]                              # (n, i, b, a): (D_{Y_a} Y_b)^i
-        br = (DY[:, :, b, a] - DY[:, :, a, b]).swapaxes(-1, -2)   # (n, pairs, D): [Y_a, Y_b]
-        bad = br @ Pj.swapaxes(-1, -2)                     # eigenbundle component
-        top.append((np.sqrt(np.abs(_sum_last((bad @ G) * bad))).max(initial=0.0),
-                    np.sqrt(np.abs(_sum_last((br @ G) * br))).max(initial=0.0)))
-        # sufficient condition: differences to other classes pairwise independent
-        cross = []
-        for i, l in itertools.combinations([i for i in range(k) if i != j], 2):
-            di = eta[i] - eta[j]
-            dl = eta[l] - eta[j]
-            cross2 = _sum_last(di**2) * _sum_last(dl**2) - _sum_last(di * dl) ** 2
-            cross.append(np.sqrt(np.maximum(cross2, 0.0)).min())
-        low.append(cross)
-    return np.array(top).reshape(len(P), 2), np.array(low).reshape(len(P), -1)
+    a, b = _triu(D, 1)
+    Q = np.eye(D) - P                                      # conullity projectors
+    # spanning fields Y_a = Q_j e_a (the columns of Q_j); dQ[c, n, i, a, m] = d_m Y_a^i
+    dQ = np.ascontiguousarray(d_Q.transpose(0, 1, 3, 4, 2))
+    DY = dQ @ Q[:, :, None]                                # (c, n, i, b, a): (D_{Y_a} Y_b)^i
+    br = (DY[..., b, a] - DY[..., a, b]).swapaxes(-1, -2)  # (c, n, pairs, D): [Y_a, Y_b]
+    bad = br @ P.swapaxes(-1, -2)                          # eigenbundle component
+    top = np.empty((len(P), 2))
+    for x, Y in enumerate((bad, br)):
+        top[:, x] = np.sqrt(np.abs(_sum_last((Y @ G) * Y))).max(axis=(1, 2), initial=0.0)
+    # sufficient condition: differences to other classes pairwise independent,
+    # per class j the pairs (i, l) of the other classes
+    triples = [(j, i, l) for j in classes for i, l in itertools.combinations([i for i in range(k) if i != j], 2)]
+    if not triples:
+        return top, np.empty((len(P), 0))
+    j, i, l = np.array(triples).T
+    di, dl = eta[i] - eta[j], eta[l] - eta[j]
+    cross2 = _sum_last(di**2) * _sum_last(dl**2) - _sum_last(di * dl) ** 2
+    return top, np.sqrt(np.maximum(cross2, 0.0)).min(axis=1).reshape(len(P), -1)
 
 
 def _bracket_reports(classes: range, top: np.ndarray, low: np.ndarray) -> tuple:
@@ -579,7 +644,7 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
     D = g.ndim
     valid = _stencil_valid(g, jet.interior, pd.mask)
     box = _box(valid)
-    row = int(np.prod([sl.stop - sl.start for sl in box[1:]])) * (2 * s.ambient_dim + D * D)
+    row = math.prod([sl.stop - sl.start for sl in box[1:]]) * (2 * s.ambient_dim + D * D)
     start, stop = box[0].start + 2, box[0].stop - 2     # rows holding valid nodes
     step = max(1, _PASS_VALUES // ((stop - start + 4) * row))
     width = max(1, _PASS_VALUES // (step * row) - 4)  # rows per slab, besides the two-row halos
@@ -589,7 +654,8 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
     for lo in range(0, c, step):
         group = classes[lo:lo + step]
         at, now = slice(group.start, group.stop), slice(lo, lo + len(group))
-        live = [x for x, j in enumerate(group) if _sum_last(pd.eta[j][valid] ** 2).min() >= _ETA_FLOOR**2]
+        size = _sum_last(pd.eta[at][:, valid] ** 2).min(axis=1)
+        live = [x for x, sq in enumerate(size.tolist()) if sq >= _ETA_FLOOR**2]
         leaf = np.full(len(live), -np.inf)
         for r0 in range(start, stop, width):
             rows = slice(r0, min(r0 + width, stop))
@@ -598,15 +664,16 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
                 continue
             sub = (slice(r0 - 2, rows.stop + 2),) + box[1:]
             eta = pd.eta[(at,) + sub]
+            eta_live = eta[live]
             with np.errstate(divide="ignore", invalid="ignore"):
-                F = s.positions[sub] + eta[live] / _sum_last(eta[live] ** 2)[..., None]
+                F = s.positions[sub] + eta_live / _sum_last(eta_live ** 2)[..., None]
             d_eta, d_Q, d_F = _slopes(g, valid, sub, [eta, np.eye(D) - pd.projectors[(at,) + sub], F])
-            del eta, F
+            del eta, eta_live, F
             P, G = pd.projectors[at, rows][:, here], jet.metric[rows][here]
             dirs, nX = _eigenframes(P, jet.g_isqrt[rows][here], G)
             proj = jet.normal_proj[rows][here].swapaxes(-1, -2)
-            dupin[now] = np.maximum(dupin[now], _along(dirs, nX, d_eta, proj))
-            leaf = np.maximum(leaf, _along(dirs[live], nX[live], d_F))
+            dup, lf = _along(dirs, nX, d_eta, proj, live, d_F)
+            dupin[now], leaf = np.maximum(dupin[now], dup), np.maximum(leaf, lf)
             t, m = _conullity(group, P, G, pd.eta[:, rows][:, here], d_Q)
             top[now], low[now] = np.maximum(top[now], t), np.minimum(low[now], m)
             del d_eta, d_Q, d_F, P, G, dirs, nX, proj
@@ -700,14 +767,12 @@ def _span_rank(C: np.ndarray, N: int, gap: float):
     singular values > gap * sigma_max.
     """
     m, p = C.shape[1:]
-    sv = np.zeros((len(C), min(m, N)))
-    sv[:, :min(m, p)] = _singular_values(C)
-    smax = np.maximum(sv[:, :1], 1e-300)
-    ranks = (sv > gap * smax).sum(axis=1)
-    worst = int(ranks.max()) if ranks.size else 0
-    at = int(np.argmax(ranks)) if ranks.size else 0
-    constant = bool(ranks.size and ranks.min() == ranks.max())
-    return worst, sv[at], constant
+    sv = _singular_values(C)
+    if min(m, N) > min(m, p):
+        sv = np.concatenate([sv, np.zeros((len(C), min(m, N) - min(m, p)))], axis=1)
+    ranks = (sv > gap * np.maximum(sv[:, :1], 1e-300)).sum(axis=1)
+    at = int(ranks.argmax())
+    return int(ranks[at]), sv[at], bool(ranks.min() == ranks[at])
 
 
 def _sf_span(pd: PrincipalData, basis: np.ndarray, valid: np.ndarray, gap: float):
@@ -743,11 +808,11 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
     dupin, leaves, conull = _derived(s, jet, pd, range(k))
     holonomic = all(c["integrable"] for c in conull)
 
-    basis = np.moveaxis(jet.normal_basis[:, valid], 0, -1)          # (n, N, p) columns
+    basis = jet.normal_basis[:, valid].transpose(1, 2, 0)          # (n, N, p) columns
     dim_sf, sf_spec, sf_const = _sf_span(pd, basis, valid, _RANK_GAP)
     # N_1 = span of all alpha(X, Y), by their coordinates H in the normal basis
-    i, j = np.triu_indices(D)
-    dim_n1, n1_spec, n1_const = _span_rank(np.moveaxis(jet.H[:, valid][..., i, j], 0, -1),
+    i, j = _triu(D, 0)
+    dim_n1, n1_spec, n1_const = _span_rank(jet.H[:, valid][..., i, j].transpose(1, 2, 0),
                                            s.ambient_dim, _RANK_GAP)
 
     checks = {
@@ -773,7 +838,7 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
         dim_Sf=dim_sf,
         conformal_codim=dim_sf,
         holonomic=holonomic,
-        masked_fraction=float(1.0 - valid.mean()),
+        masked_fraction=1.0 - np.count_nonzero(valid) / valid.size,
         spherical_leaf=tuple(float(x) for x in leaves),
         spectra={"Sf": sf_spec, "N1": n1_spec},
         checks=checks,

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import re
@@ -120,6 +121,33 @@ class TestSerialize:
         back = serialize.sample_from_dict(serialize.load_json(tmp_path / "s.json"))
         assert np.array_equal(back.positions, s.positions, equal_nan=True)
         assert np.array_equal(back.mask, s.mask)
+
+    def test_loading_a_document_twice_shares_no_memory(self, torus_patch, tmp_path):
+        # the first read takes the loaded bytes over; a second read of the
+        # same document copies, so writing one sample leaves the other alone
+        mask = np.ones(torus_patch.grid.shape, dtype=bool)
+        mask[3, 4] = False
+        s = dataclasses.replace(torus_patch, mask=mask,
+                                triple=dataclasses.replace(torus_patch.triple, mask=mask.copy()))
+        serialize.dump_json(serialize.sample_to_dict(s), tmp_path / "s.json")
+        serialize.dump_json(serialize.triple_to_dict(s.triple), tmp_path / "t.json")
+        doc = serialize.load_json(tmp_path / "s.json")
+        first, second = serialize.sample_from_dict(doc), serialize.sample_from_dict(doc)
+        assert np.shares_memory(first.positions, doc["positions"])
+        fields = [(f, getattr(first, f), getattr(second, f))
+                  for f in ("positions", "tangents", "normals", "lame", "sff", "mask")]
+        fields += [(f, getattr(first.triple, f), getattr(second.triple, f)) for f in ("v", "h", "V", "mask")]
+        tdoc = serialize.load_json(tmp_path / "t.json")
+        t1, t2 = serialize.triple_from_dict(tdoc), serialize.triple_from_dict(tdoc)
+        assert np.shares_memory(t1.v, tdoc["v"])
+        fields += [("triple " + f, getattr(t1, f), getattr(t2, f)) for f in ("v", "h", "V", "mask")]
+        for name, a, b in fields:
+            assert a is not None and b is not None, name
+            assert a.flags.writeable and b.flags.writeable, name
+            assert not np.shares_memory(a, b), name
+            assert np.array_equal(a, b), name
+        first.positions[0, 0] = 7.0
+        assert second.positions[0, 0, 0] != 7.0
 
     @pytest.mark.parametrize("key", ["grid", "classes", "n_normals", "v", "h", "V"])
     def test_triple_missing_key_rejected(self, torus_patch, key):

@@ -63,6 +63,55 @@ class TestFdJet:
                                       whole[lo:hi].view(np.uint64))
 
 
+# a frozen copy of the per-region stencil passes fd_axis and _fd_rows once
+# made: five passes (first row, last row, second row, second-to-last row, deep
+# interior), each row's terms summed in offset order, then scaled
+_FROZEN_STENCILS = {
+    1: (((0, 1, 2), (-1.5, 2.0, -0.5)),
+        ((0, -1, -2), (1.5, -2.0, 0.5)),
+        ((-1, 1), (-0.5, 0.5)),
+        ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12))),
+    2: (((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)),
+        ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0)),
+        ((-1, 0, 1), (1.0, -2.0, 1.0)),
+        ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12))),
+}
+
+
+def _frozen_fd_rows(v, h, order, lo, hi):
+    """Rows lo..hi-1 along axis 0 of the derivative, region by region."""
+    n = len(v)
+    out = np.empty((hi - lo,) + v.shape[1:])
+    first, last, central, deep = _FROZEN_STENCILS[order]
+    for a, b, (offsets, coeffs) in ((0, 1, first), (n - 1, n, last), (1, 2, central),
+                                    (n - 2, n - 1, central), (2, n - 2, deep)):
+        a, b = max(a, lo), min(b, hi)
+        if a < b:
+            total = coeffs[0] * v[a + offsets[0]:b + offsets[0]]
+            for off, c in zip(offsets[1:], coeffs[1:]):
+                total += c * v[a + off:b + off]
+            total *= 1.0 / h**order
+            out[a - lo:b - lo] = total
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_stencils_match_the_frozen_per_region_passes(n):
+    # the mirrored rows {0, n-1} and {1, n-2} are computed together; for
+    # n = 5..7 their reads meet.  A NaN node keeps its bits through both
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=(n, n, n, 2))
+    v[1, n - 2, n // 2] = np.nan
+    bits = lambda a: a.view(np.uint64)
+    for order in (1, 2):
+        for axis in range(3):
+            want = np.moveaxis(_frozen_fd_rows(np.moveaxis(v, axis, 0), 0.1, order, 0, n), 0, axis)
+            assert np.array_equal(bits(fd_axis(v, 0.1, axis, order)), bits(want)), (order, axis)
+        for lo, hi in itertools.combinations(range(n + 1), 2):
+            assert np.array_equal(bits(_fd_rows(v, 0.1, order, lo, hi)),
+                                  bits(_frozen_fd_rows(v, 0.1, order, lo, hi))), (order, lo, hi)
+
+
 def _reference_fd_axis(values, h, axis, order):
     """Index-array stencils: every interior row at second order, the deep
     rows overwritten at fourth order (terms summed in offset order, then

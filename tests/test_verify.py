@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dupin.errors import DegenerateCloud, NotProper, TooFewNodes
 from dupin.net import ImmersionSample, ParallelNormalSubbundle, PrincipalData
-from dupin.numerics import AffineFlat, TensorGrid, _joint_eigh, _sym_eigh, fd_axis, sphere_fit
+from dupin.numerics import AffineFlat, TensorGrid, _joint_eigh, _sum_last, _sym_eigh, fd_axis, sphere_fit
 from dupin.seeds import (
     circle_seed,
     cylinder_seed,
@@ -21,6 +21,7 @@ import dupin.verify as verify
 from dupin.verify import (
     NumericJet,
     _box,
+    _linkage_labels,
     _second,
     _slopes,
     _span_rank,
@@ -909,6 +910,20 @@ class TestTracking:
                 want[i] = [sigma[c] for c in want[parent[i]]]
             assert np.array_equal(_track(lambda lo, hi: gap[lo:hi], parent, k), want)
 
+    @pytest.mark.parametrize("D", [2, 3, 4])
+    def test_linkage_closure_on_every_graph(self, D):
+        # Warshall's closure labels every graph over D nodes as the closure
+        # by repeated squaring of 0/1 matrices does: one graph per edge set
+        pairs = list(itertools.combinations(range(D), 2))
+        graphs = np.arange(2 ** len(pairs))
+        linked = (graphs[:, None] >> np.arange(len(pairs)) & 1).astype(bool)
+        power = np.tile(np.eye(D, dtype=np.uint8), (len(graphs), 1, 1))
+        for x, (a, b) in enumerate(pairs):
+            power[:, a, b] = power[:, b, a] = linked[:, x]
+        for _ in range(D.bit_length()):
+            power = np.minimum(power @ power, 1)
+        assert np.array_equal(_linkage_labels(linked, D), power.argmax(axis=-1))
+
 
 class TestBoxDerivatives:
     @pytest.mark.parametrize("shape,holes", [((21, 21), False), ((21, 21), True), ((9, 9), False),
@@ -968,6 +983,65 @@ def _whole_grid_alpha(s, normal_proj):
             second[i, j] = second[j, i] = fd_axis(first[i], g.spacings[j], j, 1)
     alpha = np.moveaxis(second.reshape(D * D, -1, N), 0, 1) @ normal_proj.reshape(-1, N, N)
     return np.moveaxis(alpha.reshape(g.shape + (D, D, N)), (-3, -2), (0, 1)), second, first
+
+
+class TestBatchedDerivedChecks:
+    """The derived checks batch their per-class products over the classes;
+    each value is the per-class loop's, bit for bit."""
+
+    @staticmethod
+    def _conullity_per_class(classes, P, G, eta, d_Q):
+        D, k = G.shape[-1], len(eta)
+        a, b = np.triu_indices(D, 1)
+        top, low = [], []
+        for x, (j, Pj) in enumerate(zip(classes, P)):
+            Qj = np.eye(D) - Pj
+            dQ = np.ascontiguousarray(np.moveaxis(d_Q[x], 1, -1))
+            DY = dQ @ Qj[:, None]
+            br = (DY[:, :, b, a] - DY[:, :, a, b]).swapaxes(-1, -2)
+            bad = br @ Pj.swapaxes(-1, -2)
+            top.append((np.sqrt(np.abs(_sum_last((bad @ G) * bad))).max(initial=0.0),
+                        np.sqrt(np.abs(_sum_last((br @ G) * br))).max(initial=0.0)))
+            cross = []
+            for i, l in itertools.combinations([i for i in range(k) if i != j], 2):
+                di, dl = eta[i] - eta[j], eta[l] - eta[j]
+                cross2 = _sum_last(di**2) * _sum_last(dl**2) - _sum_last(di * dl) ** 2
+                cross.append(np.sqrt(np.maximum(cross2, 0.0)).min())
+            low.append(cross)
+        return np.array(top).reshape(len(P), 2), np.array(low).reshape(len(P), -1)
+
+    @staticmethod
+    def _along_one(dirs, nX, dV, proj=None):
+        DXV = dirs.swapaxes(-1, -2) @ dV
+        if proj is not None:
+            DXV = DXV @ proj
+        mag = np.sqrt(_sum_last(DXV * DXV))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0)
+        return mag.max(axis=(1, 2))
+
+    @pytest.mark.parametrize("k,D", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
+    def test_conullity_and_along_match_the_per_class_loop(self, k, D):
+        rng = np.random.default_rng(10 * k + D)
+        n, N = 37, D + 2
+        classes = range(1, k)                    # a group that leaves class 0 out
+        c = len(classes)
+        P, G = rng.normal(size=(c, n, D, D)), rng.normal(size=(n, D, D))
+        eta, d_Q = rng.normal(size=(k, n, N)), rng.normal(size=(c, n, D, D, D))
+        P[0, 5, 1, 0] = np.nan
+        top, low = verify._conullity(classes, P, G, eta, d_Q)
+        want_top, want_low = self._conullity_per_class(classes, P, G, eta, d_Q)
+        assert np.array_equal(_bits(top), _bits(want_top)) and np.array_equal(_bits(low), _bits(want_low))
+
+        dirs, d_eta = rng.normal(size=(c, n, D, D)), rng.normal(size=(c, n, D, N))
+        nX = rng.uniform(0.5, 2.0, size=(c, n, D))
+        nX[:, 3] = 1e-9                          # a frame column too short to divide by
+        proj = rng.normal(size=(n, N, N))
+        live = [x for x in range(c) if x % 2 == 0]
+        d_F = rng.normal(size=(len(live), n, D, N))
+        dupin, leaf = verify._along(dirs, nX, d_eta, proj, live, d_F)
+        assert np.array_equal(_bits(dupin), _bits(self._along_one(dirs, nX, d_eta, proj)))
+        assert np.array_equal(_bits(leaf), _bits(self._along_one(dirs[live], nX[live], d_F)))
 
 
 class TestNodeBlocks:
