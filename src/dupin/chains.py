@@ -26,13 +26,17 @@ from .moebius import (
     Translate,
     apply_ltransform,
     apply_points,
+    generalized_cylinder,
+    generalized_rotation,
     pushforward_ltrivial,
     stereographic_points,
     StereographicMap,
     _fiber_sections,
+    _p_inv,
     _quadric_form,
 )
 from .net import ImmersionSample, ParallelNormalSubbundle
+from .numerics import _lift
 from .ribaucour import _reflect
 
 __all__ = ["LTrivialFamily", "normalize_to_form", "quadric_cylinder_residual",
@@ -58,31 +62,31 @@ class LTrivialFamily:
     def base_grid(self):
         return self.sample.grid
 
-    def _lift(self, arr: np.ndarray) -> np.ndarray:
-        s = len(self.fiber)
-        return arr.reshape(self.base_grid.shape + (1,) * s + arr.shape[self.base_grid.ndim:])
+    @property
+    def f(self) -> np.ndarray:
+        """The base positions on the product grid."""
+        return _lift(self.sample.positions, self.base_grid.ndim, len(self.fiber))
 
     def _normal_field(self, coeffs: np.ndarray) -> np.ndarray:
         """The parallel normal field sum_r c_r xi_r, lifted to the product grid."""
-        return np.einsum("r,r...k->...k", coeffs, np.stack([self._lift(x) for x in self.sample.normals]))
+        xi = _lift(self.sample.normals, self.base_grid.ndim, len(self.fiber), 1)
+        return np.einsum("r,r...k->...k", coeffs, xi)
 
     def t_vectors(self) -> np.ndarray:
         """Parallel-section vectors t(u, y) on the product grid."""
         return _fiber_sections(self.sample, self.nsub.indices, list(self.fiber))[2]
 
     def F_t(self) -> np.ndarray:
-        f = self._lift(self.sample.positions)
         sp = self.spec
-        return sp.a * f + sp.v0 + self._normal_field(sp.delta) + self.t_vectors()
+        return sp.a * self.f + sp.v0 + self._normal_field(sp.delta) + self.t_vectors()
 
     def two_phi(self) -> np.ndarray:
-        f = self._lift(self.sample.positions)
-        sp = self.spec
+        f, sp = self.f, self.spec
         return sp.a * (f**2).sum(-1) + 2.0 * (f * sp.v0).sum(-1) + sp.c
 
     def positions(self) -> np.ndarray:
         F = self.F_t()
-        return self._lift(self.sample.positions) - (self.two_phi() / (F**2).sum(-1))[..., None] * F
+        return self.f - (self.two_phi() / (F**2).sum(-1))[..., None] * F
 
     def P_t(self, Z: np.ndarray) -> np.ndarray:
         F = self.F_t()
@@ -202,15 +206,12 @@ def quadric_cylinder_residual(fam: LTrivialFamily, eps: int) -> float:
     m = StereographicMap(eps)
     img = stereographic_points(fam.positions(), m, "fwd")
     g = fam.sample.positions
-    s_rank = len(fam.fiber)
+    D, s_rank = fam.base_grid.ndim, len(fam.fiber)
     t_vec = fam.t_vectors()
+    kl = _lift(stereographic_points(g, m, "fwd"), D, s_rank)
     if eps == 0:
-        kpos = stereographic_points(g, m, "fwd")
-        kpos = fam._lift(kpos)
-        gl = fam._lift(g)
-        Q = (gl**2).sum(-1)
-        t_hat = t_vec - 2.0 * ((t_vec * gl).sum(-1) / Q)[..., None] * gl
-        target = kpos - t_hat / (t_hat**2).sum(-1)[..., None]
+        t_hat = _p_inv(fam.f, t_vec)
+        target = kl - t_hat / (t_hat**2).sum(-1)[..., None]
         return float(np.abs(img - target).max())
     # embed and shift by the pole
     N = fam.sample.ambient_dim
@@ -220,14 +221,12 @@ def quadric_cylinder_residual(fam: LTrivialFamily, eps: int) -> float:
     gt[..., 0] -= eps * eps
     te = np.zeros(t_vec.shape[:-1] + (N + 1,))
     te[..., 1:] = t_vec
-    gtl = fam._lift(gt)
+    gtl = _lift(gt, D, s_rank)
     Qg = _quadric_form(gtl, eps)
     inner = (te * gtl).sum(-1)
     if eps == -1:
         inner = inner - 2.0 * te[..., 0] * gtl[..., 0]
     t_hat = te - 2.0 * (inner / Qg)[..., None] * gtl
-    k = stereographic_points(g, m, "fwd")
-    kl = fam._lift(k)
     Qt = _quadric_form(t_hat, eps)
     target = kl - (1 + eps * eps) * (eps * kl + t_hat) / (eps + Qt)[..., None]
     return float(np.abs(img - target).max())
@@ -236,8 +235,6 @@ def quadric_cylinder_residual(fam: LTrivialFamily, eps: int) -> float:
 def euclidean_cylinder_match(fam: LTrivialFamily) -> dict:
     """eps = 0: the inverted family is the flat cylinder over i(g) along the
     pushed subbundle, at fiber coefficients -1/y."""
-    from .moebius import generalized_cylinder
-
     if any(np.abs(f).min() < 1e-9 for f in fam.fiber):
         raise ValueError("fiber coefficients must avoid 0 for the inversion chart")
     inv_base = apply_ltransform(fam.sample, Inversion())
@@ -251,8 +248,6 @@ def euclidean_rotation_match(fam: LTrivialFamily, e=None) -> dict:
     """eps = -1: T_{-e} . i . T_{e/2} lands on the rotation submanifold
     psi = h - 2 <h, e> (e + gamma)/|e + gamma|^2 over h = i(g - e) + e/2 at
     gamma = t."""
-    from .moebius import generalized_rotation
-
     N = fam.sample.ambient_dim
     if e is None:
         e = np.zeros(N)
@@ -284,27 +279,24 @@ def euclidean_tube_match(fam: LTrivialFamily, xi_index: int) -> dict:
     # family is h - (delta + t)/|delta + t|^2 with |delta| = 1
     sp = f3.spec
     assert abs(sp.a) < 1e-9 and abs(sp.c - 1.0) < 1e-9
-    delta_vec = np.einsum("r,r...k->...k", sp.delta,
-                          np.stack([f3.sample.normals[r] for r in range(f3.sample.n_normals)]))
-    dl = f3._lift(delta_vec)
-    center = f3._lift(f3.sample.positions) - 0.5 * dl
+    delta_vec = np.einsum("r,r...k->...k", sp.delta, f3.sample.normals)
+    D, s_rank = f3.base_grid.ndim, len(f3.fiber)
+    center = f3.f - 0.5 * _lift(delta_vec, D, s_rank)
     fampos = f3.positions()
     radial = fampos - center
     rad = np.linalg.norm(radial, axis=-1)
     rad_err = float(np.abs(rad - 0.5).max())
     # fiber frame: delta direction and the pushed subbundle direction
-    nu1 = delta_vec / np.linalg.norm(delta_vec, axis=-1)[..., None]
-    r_n = fam.nsub.indices[0]
-    nu2 = f3.sample.normals[r_n]
-    c1 = (radial * f3._lift(nu1)).sum(-1) / rad
-    c2 = (radial * f3._lift(nu2)).sum(-1) / rad
+    nu1 = _lift(delta_vec / np.linalg.norm(delta_vec, axis=-1)[..., None], D, s_rank)
+    nu2 = _lift(f3.sample.normals[fam.nsub.indices[0]], D, s_rank)
+    c1 = (radial * nu1).sum(-1) / rad
+    c2 = (radial * nu2).sum(-1) / rad
     theta = np.arctan2(c2, c1)
-    base_axes = tuple(range(fam.base_grid.ndim))
+    base_axes = tuple(range(D))
     theta_spread = float((theta.max(axis=base_axes) - theta.min(axis=base_axes)).max())
     # directly constructed tube: radius 1/2 fibers at the per-leaf mean angle
     theta_bar = theta.mean(axis=base_axes, keepdims=True)
-    tube_pos = center + 0.5 * (np.cos(theta_bar)[..., None] * f3._lift(nu1)
-                               + np.sin(theta_bar)[..., None] * f3._lift(nu2))
+    tube_pos = center + 0.5 * (np.cos(theta_bar)[..., None] * nu1 + np.sin(theta_bar)[..., None] * nu2)
     res = float(np.abs(fampos - tube_pos).max())
     return {
         "radius_residual": rad_err,

@@ -26,8 +26,12 @@ from .moebius import (
     ParallelTranslate,
     Translate,
     apply_ltransform,
+    generalized_cylinder,
+    generalized_rotation,
+    generalized_tube,
 )
-from .ribaucour import dupin_step, inversion_w, ltrivial_w, parallel_w, ribaucour_transform
+from .ribaucour import (dupin_step, inversion_w, ltrivial_w, n_ribaucour_transform, parallel_w,
+                        ribaucour_transform)
 from .seeds import SEED_BUILDERS
 from . import serialize
 from .verify import sf_report
@@ -174,8 +178,6 @@ def _fiber(val, where: str, rank: int):
 
 
 def _construct(step: dict, where: str, sample):
-    from .moebius import generalized_cylinder, generalized_rotation, generalized_tube
-
     kind = step.get("kind")
     if kind not in ("tube", "cylinder", "rotation"):
         raise ParseError(f"unknown construct kind {kind!r}")
@@ -292,8 +294,8 @@ def _verify_gates(sample, gates: dict):
     if "k" in gates and rep.k != gates["k"]:
         failures.append(f"k = {rep.k}, expected {gates['k']}")
     if "max_dupin_residual" in gates:
-        worst = max(rep.dupin_residuals)
-        if worst > gates["max_dupin_residual"]:
+        worst = float(np.max(rep.dupin_residuals))            # NaN if any is NaN
+        if not worst <= gates["max_dupin_residual"]:
             failures.append(f"dupin residual {worst:.3e} > {gates['max_dupin_residual']}")
     if gates.get("holonomic") and not rep.holonomic:
         failures.append("patch is not holonomic")
@@ -371,8 +373,6 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
             elif op == "construct":
                 sample = _construct(step, f"step {i} (construct)", sample)
             elif op == "n_ribaucour":
-                from .ribaucour import n_ribaucour_transform
-
                 n_indices = _normal_indices(step.get("n_indices"), f"step {i} (n_ribaucour)",
                                             sample.n_normals)
                 ygrid = serialize.grid_from_dict(step.get("y"))
@@ -471,6 +471,7 @@ def _cmd_recurse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = None if args.tol is None else _number(args.tol, "verify", "--tol")
     sample = serialize.sample_from_dict(serialize.load_json(args.input))
     rep = sf_report(sample)
     doc = rep.to_dict()
@@ -479,10 +480,10 @@ def _cmd_verify(args) -> int:
         serialize.residual_csv(rep.rows(), args.csv)
     if args.mask_report:
         print(f"masked fraction: {rep.masked_fraction:.4f}")
-    worst = max(rep.dupin_residuals) if rep.dupin_residuals else 0.0
+    worst = float(np.max(rep.dupin_residuals, initial=0.0))     # NaN if any is NaN
     print(f"k={rep.k} dupin_max={worst:.3e} holonomic={rep.holonomic} c={rep.conformal_codim}")
-    if args.tol is not None and worst > args.tol:
-        print(f"dupin residual exceeds tolerance {args.tol}", file=sys.stderr)
+    if tol is not None and not worst <= tol:
+        print(f"dupin residual exceeds tolerance {tol}", file=sys.stderr)
         return 1
     return 0
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .integrable import RibaucourSolution
 from .net import ClassMap, ImmersionSample, ParallelNormalSubbundle, Triple
-from .numerics import TensorGrid
+from .numerics import TensorGrid, _coord_axis, _lift
 from .ribaucour import GeneralW
 
 __all__ = [
@@ -165,8 +165,6 @@ def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
     """
     _check_size(T, s.ambient_dim)
     t = s.triple
-    g = s.grid
-    D = g.ndim
     pos = s.positions
     if isinstance(T, Translate):
         return replace_sample(s, positions=pos + T.u)
@@ -195,8 +193,8 @@ def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
         if Q.min() < _DEGENERATE_TOL:
             raise ThroughOrigin("sample passes through the inversion center")
         newpos = pos / Q[..., None]
-        tangents = None if s.tangents is None else np.stack([_p_inv(pos, s.tangents[i]) for i in range(D)])
-        normals = None if s.normals is None else np.stack([_p_inv(pos, s.normals[r]) for r in range(s.n_normals)])
+        tangents = None if s.tangents is None else _p_inv(pos, s.tangents)
+        normals = None if s.normals is None else _p_inv(pos, s.normals)
         if t is None:
             sff = s.sff
             if sff is not None:
@@ -206,13 +204,8 @@ def apply_ltransform(s: ImmersionSample, T) -> ImmersionSample:
                 sff = Q * sff + 2.0 * (pos * s.normals).sum(-1)
             return replace_sample(s, positions=newpos, tangents=tangents, normals=normals,
                                   lame=None if s.lame is None else s.lame / Q, sff=sff)
-        h = np.empty_like(t.h)
-        V = np.empty_like(t.V)
-        for m in range(t.n_classes):
-            for r in range(t.n_normals):
-                V[m, r] = t.V[m, r] + 2.0 * t.v[m] * (pos * s.normals[r]).sum(-1) / Q
-            for j in range(D):
-                h[j, m] = t.h[j, m] - 2.0 * t.v[m] * (pos * s.tangents[j]).sum(-1) / Q
+        V = t.V + 2.0 * t.v[:, None] * (pos * s.normals).sum(-1) / Q
+        h = t.h - 2.0 * t.v * (pos * s.tangents).sum(-1)[:, None] / Q
         return replace_sample(s, positions=newpos, tangents=tangents, normals=normals,
                               triple=Triple(t.grid, t.class_map, t.v / Q, h, V, mask=t.mask))
     if isinstance(T, ParallelTranslate):
@@ -264,8 +257,8 @@ def pushforward_w(w, T, s: ImmersionSample):
     if isinstance(T, Inversion):
         pos = s.positions
         Q = (pos**2).sum(-1)
-        fX = np.stack([(pos * s.tangents[i]).sum(-1) for i in range(s.grid.ndim)])
-        fxi = np.stack([(pos * s.normals[r]).sum(-1) for r in range(s.n_normals)])
+        fX = (pos * s.tangents).sum(-1)
+        fxi = (pos * s.normals).sum(-1)
         Ff = (w.gamma * fX).sum(0) + (w.beta * fxi).sum(0)
         phi = w.phi / Q
         gamma = w.gamma - 2.0 * w.phi * fX / Q
@@ -281,9 +274,8 @@ def pushforward_w(w, T, s: ImmersionSample):
         phi = w.phi + Fxi
         if dupin:
             return replace(w, phi=phi)
-        cls = t.class_map.classes
-        kap = np.stack([np.einsum("r,r...->...", c, t.V[cls[i]]) / t.v[cls[i]]
-                        for i in range(s.grid.ndim)])
+        cls = list(t.class_map.classes)
+        kap = np.einsum("r,ir...->i...", c, t.V[cls]) / t.v[cls]
         return GeneralW(phi=phi, gamma=w.gamma.copy(), beta=w.beta.copy(),
                         rho=w.rho / (1.0 - kap))
     raise TypeError(f"unknown transform {T!r}")
@@ -378,15 +370,11 @@ def detect_ltrivial(s: ImmersionSample, w):
     f = pos[valid]                                  # (m, N)
     F = (np.einsum("i...,i...k->...k", w.gamma, s.tangents)
          + np.einsum("r...,r...k->...k", w.beta, s.normals))[valid]
-    xi = np.stack([s.normals[r][valid] for r in range(R)], axis=-1)  # (m, N, R)
     m = f.shape[0]
     A = np.zeros((m * N, 1 + N + R))
     A[:, 0] = f.reshape(-1)
-    for col in range(N):
-        e = np.zeros(N)
-        e[col] = 1.0
-        A[:, 1 + col] = np.tile(e, m)
-    A[:, 1 + N:] = xi.reshape(m * N, R)
+    A[:, 1:1 + N] = np.tile(np.eye(N), (m, 1))
+    A[:, 1 + N:] = s.normals[:, valid].reshape(R, m * N).T
     b = F.reshape(-1)
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     sv = np.linalg.svd(A / np.linalg.norm(A, axis=0), compute_uv=False)
@@ -425,15 +413,11 @@ def _fiber_sections(base: ImmersionSample, indices: tuple, fiber: TensorGrid | l
         fiber = TensorGrid(tuple(len(c) for c in axes), (1.0,) * len(axes))
     if len(axes) != len(indices):
         raise DimensionMismatch("fiber rank must match subbundle rank")
-    grid = base.grid.product(fiber)
-    lift = base.grid.shape + (1,) * len(indices) + (base.ambient_dim,)
-    gam = np.zeros(grid.shape + (base.ambient_dim,))
-    coeffs = []
-    for l, r in enumerate(indices):
-        cshape = [1] * grid.ndim
-        cshape[base.grid.ndim + l] = len(axes[l])
-        coeffs.append(axes[l].reshape(cshape))
-        gam = gam + coeffs[l][..., None] * base.normals[r].reshape(lift)
+    grid, Db = base.grid.product(fiber), base.grid.ndim
+    coeffs = [_coord_axis(c, grid.ndim, Db + l) for l, c in enumerate(axes)]
+    normals = _lift(base.normals, Db, len(axes), 1)
+    gam = sum((c[..., None] * normals[r] for c, r in zip(coeffs, indices)),
+              np.zeros(grid.shape + (base.ambient_dim,)))
     return grid, coeffs, gam
 
 
@@ -450,53 +434,39 @@ def generalized_cylinder(h: ImmersionSample, sub: ParallelNormalSubbundle, eps: 
     """
     if h.normals is None:
         raise ValueError("base sample needs a parallel normal frame")
-    s_rank = sub.rank
+    s_rank, Db, N = sub.rank, h.grid.ndim, h.ambient_dim
     grid, coeffs, gam = _fiber_sections(h, sub.indices, fiber)
-    Db = h.grid.ndim
     shape = grid.shape
-    N = h.ambient_dim
-    pos_b = h.positions.reshape(h.grid.shape + (1,) * s_rank + (N,))
+    pos_b = _lift(h.positions, Db, s_rank)
 
     if eps == 0:
-        positions = np.broadcast_to(pos_b, shape + (N,)) + gam
+        positions = pos_b + gam
         t = h.triple
         if t is None or h.tangents is None:
             return ImmersionSample(grid, positions)
-        k, cls = t.n_classes, t.class_map.classes
+        k, cls = t.n_classes, list(t.class_map.classes)
         out_r = [r for r in range(t.n_normals) if r not in sub.indices]
-
-        def lb(a):  # lift a base scalar field
-            return a.reshape(h.grid.shape + (1,) * s_rank)
-
-        def lf(a):  # a base vector field on the product grid
-            return np.broadcast_to(a.reshape(h.grid.shape + (1,) * s_rank + (N,)), shape + (N,)).copy()
-
+        hb, Vb = _lift(t.h, Db, s_rank, 2), _lift(t.V, Db, s_rank, 2)
+        # the shifted v_m - sum_l c_l V_m^{n_l} of every class, and its
+        # derivative h_{jm} (v_{j'} - sum_l c_l V_{j'}^{n_l}) along base axis j
         v = np.empty((k + 1,) + shape)
-        for m in range(k):
-            acc = lb(t.v[m]) + np.zeros(shape)
-            for l, r in enumerate(sub.indices):
-                acc = acc - coeffs[l] * lb(t.V[m, r])
-            v[m] = acc
+        v[:k] = _lift(t.v, Db, s_rank, 1) + np.zeros(shape)
+        dv = hb * _lift(t.v[cls], Db, s_rank, 1)[:, None]
+        for c, r in zip(coeffs, sub.indices):
+            v[:k] -= c * Vb[:, r]
+            dv = dv - c * (hb * Vb[cls, r][:, None])
         v[k] = 1.0
-        hh = np.zeros((grid.ndim, k + 1) + shape)
         # rotation coefficients: d_j v_m = h_{jm} v_{j'} still holds with the
         # shifted v on base axes; fiber rows are -V_m^{n_l}
-        for j in range(Db):
-            for m in range(k):
-                dv = lb(t.h[j, m]) * lb(t.v[cls[j]])
-                for l, r in enumerate(sub.indices):
-                    dv = dv - coeffs[l] * lb(t.h[j, m] * t.V[cls[j], r])
-                hh[j, m] = dv / v[cls[j]]
-        for l, r in enumerate(sub.indices):
-            for m in range(k):
-                hh[Db + l, m] = -lb(t.V[m, r])
+        hh = np.zeros((grid.ndim, k + 1) + shape)
+        hh[:Db, :k] = dv / v[cls][:, None]
+        hh[Db:, :k] = -Vb[:, list(sub.indices)].swapaxes(0, 1)
         Vn = np.zeros((k + 1, len(out_r)) + shape)
-        for m in range(k):
-            for jr, r in enumerate(out_r):
-                Vn[m, jr] = lb(t.V[m, r]) + np.zeros(shape)
+        Vn[:k] = Vb[:, out_r] + 0.0
         newt = Triple(grid, ClassMap(tuple(cls) + (k,) * s_rank), v, hh, Vn)
-        tangents = np.stack([lf(x) for x in h.tangents] + [lf(h.normals[r]) for r in sub.indices])
-        normals = np.stack([lf(h.normals[r]) for r in out_r]) if out_r else np.zeros((0,) + shape + (N,))
+        frames = np.concatenate([h.tangents, h.normals[list(sub.indices)]])
+        tangents = np.broadcast_to(_lift(frames, Db, s_rank, 1), (len(frames),) + shape + (N,)).copy()
+        normals = np.broadcast_to(_lift(h.normals[out_r], Db, s_rank, 1), (len(out_r),) + shape + (N,)).copy()
         return ImmersionSample(grid, positions, tangents=tangents, normals=normals, triple=newt)
 
     if eps not in (1, -1):
@@ -507,8 +477,8 @@ def generalized_cylinder(h: ImmersionSample, sub: ParallelNormalSubbundle, eps: 
                            f"(max defect {np.abs(Qh - eps).max():.2e})")
     Qg = (gam**2).sum(-1)
     denom = eps + Qg
-    positions = np.broadcast_to(pos_b, shape + (N,)) - (1 + eps * eps) * (
-        (eps * np.broadcast_to(pos_b, shape + (N,)) + gam) / denom[..., None])
+    with np.errstate(divide="ignore", invalid="ignore"):       # masked below
+        positions = pos_b - (1 + eps * eps) * ((eps * pos_b + gam) / denom[..., None])
     mask = np.abs(denom) > 1e-10
     return ImmersionSample(grid, positions, mask=None if mask.all() else mask)
 
@@ -538,61 +508,42 @@ def generalized_tube(g: ImmersionSample, sub: ParallelNormalSubbundle, a: float,
     r1, r2 = sub.indices
     fgrid = TensorGrid((n_angle,), ((angle_range[1] - angle_range[0]) / (n_angle - 1),),
                        (angle_range[0],))
-    th = fgrid.axis_coords(0)
+    th = fgrid.axis_coords(0)        # the last grid axis: it broadcasts as is
     grid = g.grid.product(fgrid)
     shape = grid.shape
     N = g.ambient_dim
     Db = g.grid.ndim
     k = t.n_classes
-    cls = t.class_map.classes
+    cls = list(t.class_map.classes)
+    out_r = [r for r in range(t.n_normals) if r not in sub.indices]
+    hb, vb, Vb = _lift(t.h, Db, 1, 2), _lift(t.v, Db, 1, 1), _lift(t.V, Db, 1, 2)
+    xi = _lift(g.normals, Db, 1, 1)
 
-    def lb(arr):  # lift base scalar
-        return arr.reshape(arr.shape + (1,))
+    sth, cth = np.sin(th), np.cos(th)
+    nu_dir = cth[..., None] * xi[r1] + sth[..., None] * xi[r2]
+    tdir = -sth[..., None] * xi[r1] + cth[..., None] * xi[r2]
+    positions = _lift(g.positions, Db, 1) + a * nu_dir
 
-    def lbv(arr):  # lift base vector
-        return arr.reshape(arr.shape[:-1] + (1, N))
-
-    sth = np.sin(th).reshape((1,) * Db + (-1,))
-    cth = np.cos(th).reshape((1,) * Db + (-1,))
-    nu_dir = cth[..., None] * lbv(g.normals[r1]) + sth[..., None] * lbv(g.normals[r2])
-    tdir = -sth[..., None] * lbv(g.normals[r1]) + cth[..., None] * lbv(g.normals[r2])
-    positions = lbv(g.positions) + a * nu_dir
-
-    W = np.empty((k,) + shape)
-    for m in range(k):
-        W[m] = cth * lb(t.V[m, r1]) + sth * lb(t.V[m, r2])
+    W = cth * Vb[:, r1] + sth * Vb[:, r2]
     v = np.empty((k + 1,) + shape)
-    for m in range(k):
-        v[m] = lb(t.v[m]) - a * W[m]
+    v[:k] = vb - a * W
     v[k] = a
     focal = np.abs(v[:k]).min(axis=0) > 1e-9
-    out_r = [r for r in range(t.n_normals) if r not in sub.indices]
     Vn = np.zeros((k + 1, 1 + len(out_r)) + shape)
-    for m in range(k):
-        Vn[m, 0] = W[m]
-        for jr, r in enumerate(out_r):
-            Vn[m, 1 + jr] = lb(t.V[m, r]) + np.zeros(shape)
+    Vn[:k, 0] = W
+    Vn[:k, 1:] = Vb[:, out_r] + 0.0
     Vn[k, 0] = -1.0
     hh = np.zeros((grid.ndim, k + 1) + shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(Db):
-            for m in range(k):
-                dv = lb(t.h[j, m] * t.v[cls[j]]) - a * (cth * lb(t.h[j, m] * t.V[cls[j], r1])
-                                                        + sth * lb(t.h[j, m] * t.V[cls[j], r2]))
-                hh[j, m] = dv / v[cls[j]]
-        for m in range(k):
-            hh[Db, m] = (a * (sth * lb(t.V[m, r1]) - cth * lb(t.V[m, r2]))) / v[k]
+        dv = hb * vb[cls][:, None] - a * (cth * (hb * Vb[cls, r1][:, None])
+                                          + sth * (hb * Vb[cls, r2][:, None]))
+        hh[:Db, :k] = dv / v[cls][:, None]
+        hh[Db, :k] = (a * (sth * Vb[:, r1] - cth * Vb[:, r2])) / v[k]
         cmap = ClassMap(tuple(cls) + (k,))
         newt = Triple(grid, cmap, v, hh, Vn, mask=None if focal.all() else focal)
-        tangents = np.concatenate([
-            np.broadcast_to(g.tangents.reshape((Db,) + g.grid.shape + (1, N)), (Db,) + shape + (N,)).copy(),
-            tdir[None],
-        ])
-        normals = np.concatenate([
-            nu_dir[None],
-            np.stack([np.broadcast_to(lbv(g.normals[r]), shape + (N,)).copy() for r in out_r])
-            if out_r else np.zeros((0,) + shape + (N,)),
-        ])
+        tangents = np.concatenate([np.broadcast_to(_lift(g.tangents, Db, 1, 1), (Db,) + shape + (N,)),
+                                   tdir[None]])
+        normals = np.concatenate([nu_dir[None], np.broadcast_to(xi[out_r], (len(out_r),) + shape + (N,))])
     out = ImmersionSample(grid, positions, tangents=tangents, normals=normals, triple=newt,
                           mask=None if focal.all() else focal)
     if not focal.all() and focal.mean() < 0.5:
@@ -613,7 +564,7 @@ def generalized_rotation(g: ImmersionSample, sub: ParallelNormalSubbundle, e,
         raise ValueError("base sample needs a parallel normal frame")
     grid, _, gam = _fiber_sections(g, sub.indices, fiber)
     shape = grid.shape
-    pos_b = g.positions.reshape(g.grid.shape + (1,) * sub.rank + (g.ambient_dim,))
+    pos_b = _lift(g.positions, g.grid.ndim, sub.rank)
     ge = (pos_b * e).sum(-1)
     mask = np.broadcast_to(np.abs(ge) > _AXIS_TOL, shape).copy()
     if not mask.any():
@@ -646,10 +597,7 @@ def stereographic_points(x: np.ndarray, m: StereographicMap, direction: str = "f
     """Apply the stereographic composition to a position array."""
     eps = m.eps
     if eps == 0:
-        Q = (x**2).sum(-1)
-        if Q.min() < _CENTER_TOL:
-            raise ThroughOrigin("node at the inversion center")
-        return x / Q[..., None]
+        return apply_points(Inversion(), x)
     if direction == "fwd":
         z = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
         z[..., 1:] = x
@@ -690,53 +638,35 @@ def umbilic_normal_form(kind: str, g: ImmersionSample, fiber: TensorGrid,
     """
     Nb = g.ambient_dim
     grid = g.grid.product(fiber)
-    shape = grid.shape
-    s_rank = fiber.ndim
-    Db = g.grid.ndim
-    pos_b = g.positions.reshape(g.grid.shape + (1,) * s_rank + (Nb,))
+    pos_b = _lift(g.positions, g.grid.ndim, fiber.ndim)
+    box = np.stack(fiber.meshgrid(), -1)       # fiber coordinates; broadcasts over the base axes
     if kind == "a":
-        N = Nb + s_rank
-        positions = np.zeros(shape + (N,))
+        positions = np.zeros(grid.shape + (Nb + fiber.ndim,))
         positions[..., :Nb] = pos_b
-        for l in range(s_rank):
-            cshape = [1] * grid.ndim
-            cshape[Db + l] = fiber.shape[l]
-            positions[..., Nb + l] = fiber.axis_coords(l).reshape(cshape)
+        positions[..., Nb:] = box
         return ImmersionSample(grid, positions)
     if kind == "b":
         nrm = np.linalg.norm(g.positions, axis=-1)
         if np.abs(nrm - 1.0).max() > 1e-9:
             raise DimensionMismatch("cone base must be spherical (|g| = 1)")
-        N = Nb + s_rank - 1
-        positions = np.zeros(shape + (N,))
-        tshape = [1] * grid.ndim
-        tshape[Db] = fiber.shape[0]
-        tvals = fiber.axis_coords(0).reshape(tshape)
-        positions[..., :Nb] = tvals[..., None] * pos_b
-        for l in range(1, s_rank):
-            cshape = [1] * grid.ndim
-            cshape[Db + l] = fiber.shape[l]
-            positions[..., Nb + l - 1] = fiber.axis_coords(l).reshape(cshape)
+        positions = np.zeros(grid.shape + (Nb + fiber.ndim - 1,))
+        positions[..., :Nb] = box[..., :1] * pos_b
+        positions[..., Nb:] = box[..., 1:]
         return ImmersionSample(grid, positions)
     if kind == "c":
-        if s_rank != 1:
+        if fiber.ndim != 1:
             raise UnsupportedGrid("warped normal form discretizes a circle fiber")
         if rho is None:
             rho = np.ones(g.grid.shape)
         rho = np.asarray(rho, dtype=float)
         if rho.min() <= 0:
             raise ValueError("warp function must be positive")
-        N = Nb + 2
-        th = fiber.axis_coords(0)
-        cshape = [1] * grid.ndim
-        cshape[Db] = fiber.shape[0]
-        cth = np.cos(th).reshape(cshape)
-        sth = np.sin(th).reshape(cshape)
+        th = fiber.axis_coords(0)              # the last grid axis: it broadcasts as is
         rr = rho.reshape(g.grid.shape + (1,))
-        positions = np.zeros(shape + (N,))
+        positions = np.zeros(grid.shape + (Nb + 2,))
         positions[..., :Nb] = pos_b
-        positions[..., Nb] = rr * cth
-        positions[..., Nb + 1] = rr * sth
+        positions[..., Nb] = rr * np.cos(th)
+        positions[..., Nb + 1] = rr * np.sin(th)
         return ImmersionSample(grid, positions)
     raise ValueError("kind must be 'a', 'b' or 'c'")
 

@@ -97,6 +97,20 @@ class TensorGrid:
         return m
 
 
+def _lift(a: np.ndarray, base_ndim: int, fiber_ndim: int, lead: int = 0) -> np.ndarray:
+    """A base field a in the layout of the product grid `base.product(fiber)`:
+    a's `lead` leading axes (classes, normals, ...), the base axes, one unit
+    axis per fiber axis, then a's value axes.  It broadcasts against every
+    field on the product grid."""
+    cut = lead + base_ndim
+    return a.reshape(a.shape[:cut] + (1,) * fiber_ndim + a.shape[cut:])
+
+
+def _coord_axis(c: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """A 1-d axis of coordinates shaped to broadcast along `axis` of an ndim-d grid."""
+    return c.reshape((1,) * axis + (-1,) + (1,) * (ndim - 1 - axis))
+
+
 # fd_axis stencils by derivative order, each as (offsets, coefficients): the
 # first and the last row (the last row's offsets mirror the first's, and at
 # order 1 so do its coefficients: one coefficient pair per term), the second

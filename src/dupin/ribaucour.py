@@ -30,7 +30,7 @@ import numpy as np
 
 from ._jets import JS, JV
 from .errors import GridMismatch, LambdaZero, NotCanonical, NotRegular, RankZero
-from .integrable import RibaucourSolution, _gnorm_residual
+from .integrable import RibaucourSolution, _gnorm_residual, solve_linear
 from .net import (
     ClassMap,
     ImmersionSample,
@@ -41,7 +41,7 @@ from .net import (
     _worst,
     principal_normals_from_triple,
 )
-from .numerics import TensorGrid, _sum_last, fd_axis
+from .numerics import TensorGrid, _coord_axis, _lift, _sum_last, fd_axis
 
 __all__ = [
     "GeneralW",
@@ -102,8 +102,8 @@ def inversion_w(s: ImmersionSample, P0, r: float) -> RibaucourSolution:
     P0 = np.asarray(P0, dtype=float)
     diff = s.positions - P0
     phi = 0.5 * ((diff**2).sum(-1) - r * r)
-    gamma = np.stack([(diff * s.tangents[i]).sum(-1) for i in range(s.grid.ndim)])
-    beta = np.stack([(diff * s.normals[rr]).sum(-1) for rr in range(s.n_normals)])
+    gamma = (diff * s.tangents).sum(-1)
+    beta = (diff * s.normals).sum(-1)
     return RibaucourSolution(grid=s.grid, class_map=t.class_map, phi=phi, gamma=gamma,
                              beta=beta, B=t.v.copy())
 
@@ -132,8 +132,9 @@ def ltrivial_w(s: ImmersionSample, a: float, v0, delta_coeffs, c: float) -> Riba
     d = np.zeros(s.n_normals) if delta_coeffs is None else np.asarray(delta_coeffs, dtype=float)
     f = s.positions
     phi = 0.5 * (a * (f**2).sum(-1) + 2.0 * (f * v0).sum(-1) + c)
-    gamma = np.stack([((a * f + v0) * s.tangents[i]).sum(-1) for i in range(s.grid.ndim)])
-    beta = np.stack([((a * f + v0) * s.normals[r]).sum(-1) + d[r] for r in range(s.n_normals)])
+    F = a * f + v0
+    gamma = (F * s.tangents).sum(-1)
+    beta = (F * s.normals).sum(-1) + _coord_axis(d, s.grid.ndim + 1, 0)
     B = a * t.v - np.einsum("r,mr...->m...", d, t.V)
     return RibaucourSolution(grid=s.grid, class_map=t.class_map, phi=phi, gamma=gamma,
                              beta=beta, B=B)
@@ -183,44 +184,26 @@ class HolonomicJets:
             # non-finite intermediates; they are masked downstream
             self._build(partials)
 
-    # -- lifting -----------------------------------------------------------
-    def _ls(self, a: np.ndarray) -> np.ndarray:
-        return a.reshape(self.L.shape + (1,) * (self.Dp - self.D))
-
-    def _lv(self, a: np.ndarray) -> np.ndarray:
-        return a.reshape(self.L.shape + (1,) * (self.Dp - self.D) + (self.N,))
-
-    def _ysym(self, l: int) -> JS:
-        yc = self.y_grid.axis_coords(l)
-        shape = [1] * self.Dp
-        shape[self.D + l] = yc.size
-        return JS(yc.reshape(shape), {self.D + l: np.asarray(1.0)})
-
     # -- construction ------------------------------------------------------
     def _build(self, partials: bool):
         t, w = self.triple, self.w
-        D, k, R, cls = self.D, self.k, self.R, self.cls
+        D, k, R, cls, s = self.D, self.k, self.R, self.cls, self.s
         # the operand of a jet whose partials are not kept: its value alone
         # (an operation on values rounds as the same operation on jets)
         val = (lambda a: a) if partials else (lambda a: JS(a.val))
-        vL = [self._ls(t.v[m]) for m in range(k)]
-        hL = [[self._ls(t.h[j, m]) for m in range(k)] for j in range(D)]
-        VL = [[self._ls(t.V[m, r]) for r in range(R)] for m in range(k)]
-        phiL = self._ls(w.phi)
-        gamL = [self._ls(w.gamma[i]) for i in range(D)]
-        betL = [self._ls(w.beta[r]) for r in range(R)]
-        XL = [self._lv(self.sample.tangents[i]) for i in range(D)]
-        xiL = [self._lv(self.sample.normals[r]) for r in range(R)]
-        gL = self._lv(self.sample.positions)
+        vL, hL, VL = _lift(t.v, D, s, 1), _lift(t.h, D, s, 2), _lift(t.V, D, s, 2)
+        phiL, gamL, betL = _lift(w.phi, D, s), _lift(w.gamma, D, s, 1), _lift(w.beta, D, s, 1)
+        XL, xiL = _lift(self.sample.tangents, D, s, 1), _lift(self.sample.normals, D, s, 1)
+        gL = _lift(self.sample.positions, D, s)
 
         dupin = isinstance(w, RibaucourSolution)
         self.dupin_type = dupin
         if dupin:
-            BL = [self._ls(w.B[m]) for m in range(k)]
-            rhoL = [BL[cls[i]] / vL[cls[i]] for i in range(D)]
+            BL = _lift(w.B, D, s, 1)
+            rhoL = BL[list(cls)] / vL[list(cls)]
         else:
             BL = None
-            rhoL = [self._ls(w.rho[i]) for i in range(D)]
+            rhoL = _lift(w.rho, D, s, 1)
 
         # base jets from the net-system rules
         self.v = [JS(vL[m], {j: hL[j][m] * vL[cls[j]] for j in range(D)}) for m in range(k)]
@@ -272,7 +255,8 @@ class HolonomicJets:
             self.g = JV(gL)
 
         # y symbols and the shifted beta entries
-        self.y = [self._ysym(l) for l in range(self.s)]
+        self.y = [JS(_coord_axis(self.y_grid.axis_coords(l), self.Dp, D + l), {D + l: np.asarray(1.0)})
+                  for l in range(s)]
         self.beta_t = list(self.beta)
         for l, r in enumerate(self.n_indices):
             self.beta_t[r] = self.beta[r] + self.y[l]
@@ -409,7 +393,7 @@ class HolonomicJets:
         sff = np.empty((self.D, len(out_r)) + self.grid.shape)
         for i in range(self.D):
             ci = self.cls[i]
-            vi = JS(self._ls(self.triple.v[ci]))
+            vi = JS(_lift(self.triple.v[ci], self.D, self.s))
             lame[i] = self.full((vi * self.lam_coord[i]).val)
             for jr, r in enumerate(out_r):
                 kap = (self.V[ci][r] / vi + 2.0 * self.nu * self.beta[r] * self.rho_coord[i]) / self.lam_coord[i]
@@ -690,37 +674,25 @@ def transform_principal_data(pd: PrincipalData, jet: TransformJet) -> PrincipalD
     if jet.rho is None:
         raise ValueError("principal-normal transport needs Dupin-type data")
     jets = jet.jets
-    k = pd.k
-    shape = jet.F.shape[:-1]
-    N = jet.F.shape[-1]
-    out = []
-    mask = np.ones(shape, dtype=bool)
-    n_idx = jets.n_indices
-    for m in range(k):
-        eta = pd.eta[m]
-        eta_l = eta.reshape(jets.L.shape + (1,) * (jets.Dp - jets.D) + (N,))
-        # remove subbundle components
-        eta_perp = np.broadcast_to(eta_l, shape + (N,)).copy()
-        for l in n_idx:
-            xi = jets.full(jets.xi[l].val)
-            comp = (eta_perp * xi).sum(-1)
-            eta_perp -= comp[..., None] * xi
-        vec = eta_perp
-        if jet.beta_bar is not None:
-            vec = vec - (2.0 * jet.phi * jet.nu * jet.rho[m])[..., None] * jet.beta_bar
-        lam = jet.lam[m]
-        mask &= np.abs(lam) > _LAMBDA_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out.append(jet.P_apply(vec) / lam[..., None])
-    etas = out
-    mult = list(pd.multiplicities)
+    n_idx, k = jets.n_indices, pd.k
+    lam = jet.lam[:k]
+    # the class normals without their subbundle components, on the product grid
+    eta = np.broadcast_to(_lift(pd.eta, jets.D, jets.s, 1), (k,) + jet.F.shape).copy()
+    for l in n_idx:
+        xi = jets.xi[l].val
+        eta -= (eta * xi).sum(-1)[..., None] * xi
+    if jet.beta_bar is not None:
+        eta = eta - (2.0 * jet.phi * jet.nu * jet.rho[:k])[..., None] * jet.beta_bar
+    mask = (np.abs(lam) > _LAMBDA_TOL).all(0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        etas = jet.P_apply(eta) / lam[..., None]
+    mult = tuple(pd.multiplicities)
     if n_idx and jet.beta_bar is not None:
-        etas.append(jet.P_apply(jet.beta_bar))
-        mult.append(len(n_idx))
+        etas = np.concatenate([etas, jet.P_apply(jet.beta_bar)[None]])
+        mult += (len(n_idx),)
     if not mask.all() and not mask.any():
         raise LambdaZero("a D eigenvalue vanishes everywhere")
-    return PrincipalData(eta=np.stack(etas), multiplicities=tuple(mult),
-                         mask=None if mask.all() else mask)
+    return PrincipalData(eta=etas, multiplicities=mult, mask=None if mask.all() else mask)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")     # masked nodes may hold anything
@@ -768,8 +740,6 @@ def dupin_step(sample: ImmersionSample, n_indices, y_grid: TensorGrid,
 
     Produces a (k+1)-class holonomic sample over (base grid) x (y_grid).
     """
-    from .integrable import solve_linear
-
     t = sample.triple
     sol = solve_linear(t, B0, phi0, gamma0, beta0, substeps=substeps)
     nsub = ParallelNormalSubbundle(n_indices)

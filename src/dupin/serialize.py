@@ -196,6 +196,8 @@ def sample_from_dict(d: dict) -> ImmersionSample:
         sff = _field(d, "sff", (a, b) + g.shape, "sample")
     if "triple" in d:
         triple = triple_from_dict(d["triple"])
+        if triple.grid != g:
+            raise ParseError("sample's triple is not on the sample's grid")
     if "mask" in d:
         mask = _field(d, "mask", g.shape, "sample", _MASK, bool)
     for key, a, lead in (("positions", pos, 0), ("tangents", tangents, 1), ("normals", normals, 1),

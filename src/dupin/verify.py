@@ -41,6 +41,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
+from .integrable import _bounded, _sweep_tensor
 from .net import ImmersionSample, PrincipalData, Triple
 from .numerics import (TensorGrid, _erode_mask, _fd_deep, _fd_rows, _fd_to, _joint_eigh, _singular_values,
                        _sphere_fits, _sum_last, _sym_eigh)
@@ -853,8 +854,6 @@ def dupin_tensor_space(t: Triple, substeps: int = 8) -> dict:
     spectrum: the rank must equal k (a gap above _GAP_REQUIRED) and any
     probe solution must lie in the unit-seed span.
     """
-    from .integrable import _bounded, _sweep_tensor
-
     k = t.n_classes
     rng = np.random.default_rng(_RNG_SEED + 1)
     seeds = np.concatenate([np.eye(k), rng.normal(size=(_PROBE_SEEDS, k))])

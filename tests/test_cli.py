@@ -11,7 +11,7 @@ from dupin.cli import main, run_pipeline
 from dupin.errors import DimensionMismatch, NotRegular, OutputError, ParseError, UnsupportedSlice
 from dupin.net import ImmersionSample
 from dupin.numerics import TensorGrid
-from dupin.seeds import torus_seed
+from dupin.seeds import circle_seed, torus_seed
 from dupin import serialize
 
 
@@ -458,6 +458,9 @@ def _broken_sample(torus_patch, how):
         del doc["normals"], doc["n_normals"]
     elif how == "doubled_tangents":
         doc["tangents"] = serialize._arr(2.0 * torus_patch.tangents)
+    elif how == "triple_on_another_grid":      # a 17 x 21 triple in a 21 x 21 sample
+        doc["triple"] = serialize.triple_to_dict(
+            torus_seed(R=1.0, r=0.3, shape=(17, 21), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2)).triple)
     return doc
 
 
@@ -470,8 +473,9 @@ def _broken_sample(torus_patch, how):
     ("sff_shape", "sample field 'sff_shape' is [2, 3], not the grid's rank and the normal count [2, 1]"),
     ("sff_without_normals", "sample has 'sff' but no normals"),
     ("doubled_tangents", "sample frame is not orthonormal at valid nodes (Gram defect 3.000e+00 exceeds 1e-08)"),
+    ("triple_on_another_grid", "sample's triple is not on the sample's grid"),
 ], ids=["missing_key", "size_mismatch", "non_finite", "non_finite_tangents", "three_tangents", "sff_shape",
-        "sff_without_normals", "doubled_tangents"])
+        "sff_without_normals", "doubled_tangents", "triple_on_another_grid"])
 def test_verify_bad_input_exits_2_with_one_line(tmp_path, torus_patch, capsys, how, message):
     sp = tmp_path / "bad.json"
     serialize.dump_json(_broken_sample(torus_patch, how), sp)
@@ -482,6 +486,43 @@ def test_verify_bad_input_exits_2_with_one_line(tmp_path, torus_patch, capsys, h
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_recurse_on_a_triple_of_another_grid_exits_2_with_one_line(tmp_path, capsys):
+    # a 21-node circle carrying the triple of a 17-node circle
+    doc = serialize.sample_to_dict(circle_seed(radius=1.0, n=21, u_range=(0.0, 0.4)))
+    doc["triple"] = serialize.triple_to_dict(circle_seed(radius=1.0, n=17, u_range=(0.0, 0.4)).triple)
+    serialize.dump_json(doc, tmp_path / "seed.json")
+    serialize.dump_json(IRREGULAR_STEP, tmp_path / "step.json")
+    rc = main(["recurse", "--in", str(tmp_path / "seed.json"), "--spec", str(tmp_path / "step.json"),
+               "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sample's triple is not on the sample's grid\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tol_exits_2_with_one_line(tmp_path, torus_patch, capsys, tol):
+    sp = tmp_path / "s.json"
+    serialize.dump_json(serialize.sample_to_dict(torus_patch), sp)
+    rc = main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json"), f"--tol={tol}"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: verify: '--tol' must be a finite number\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("residuals", [(float("nan"), 1e-9), (1e-9, float("nan"))], ids=["first", "last"])
+def test_a_nan_dupin_residual_fails_the_gates(tmp_path, torus_patch, monkeypatch, residuals):
+    from dupin import cli
+
+    sf_report = cli.sf_report
+    monkeypatch.setattr(cli, "sf_report",
+                        lambda s: dataclasses.replace(sf_report(s), dupin_residuals=residuals))
+    _, failures = cli._verify_gates(torus_patch, {"max_dupin_residual": 1e-3})
+    assert failures == ["dupin residual nan > 0.001"]
+    sp = tmp_path / "s.json"
+    serialize.dump_json(serialize.sample_to_dict(torus_patch), sp)
+    assert main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json"), "--tol", "1e-3"]) == 1
 
 
 def test_verify_accepts_nan_at_masked_node(tmp_path, torus_patch, capsys):

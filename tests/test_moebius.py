@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dupin.errors import DimensionMismatch, NotOnQuadric, ThroughOrigin
+from dupin.errors import DimensionMismatch, FocalDegeneracy, NotOnQuadric, ThroughOrigin
 from dupin.moebius import (
     Homothety,
     Inversion,
@@ -451,3 +451,195 @@ def test_fiber_of_the_wrong_rank_is_a_dimension_mismatch(circle4, build, fiber):
             generalized_cylinder(circle4, sub, 0, fiber)
         else:
             generalized_rotation(circle4, sub, np.array([1.0, 0.0, 0.0, 0.0]), fiber)
+
+
+def test_cylinder_eps_minus_one_stays_on_the_hyperbolic_quadric():
+    # the hyperbola (cosh u, sinh u, 0) on Q = -|x_0|^2 + |x_1|^2 + |x_2|^2 = -1,
+    # with its parallel section along e3
+    u = np.linspace(-0.8, 1.0, 17)
+    base = ImmersionSample(TensorGrid((17,), (u[1] - u[0],), (u[0],)),
+                           np.stack([np.cosh(u), np.sinh(u), np.zeros_like(u)], -1),
+                           normals=np.broadcast_to([0.0, 0.0, 1.0], (1, 17, 3)).copy())
+    cyl = generalized_cylinder(base, ParallelNormalSubbundle((0,)), -1, TensorGrid((9,), (0.25,), (-1.0,)))
+    assert cyl.grid.shape == (17, 9)
+    # |gamma|^2 = 1 at the coefficients -1 and 1: those two fibers are masked
+    assert cyl.mask is not None and not cyl.mask[:, [0, 8]].any() and cyl.mask[:, 1:8].all()
+    p = cyl.positions[cyl.valid()]
+    assert np.abs(-p[:, 0] ** 2 + p[:, 1] ** 2 + p[:, 2] ** 2 + 1.0).max() < 1e-12
+
+
+# -- the per-index loops the product-grid constructions replaced, frozen ------
+
+
+def _frozen_cylinder(h, sub, fiber):
+    """generalized_cylinder(h, sub, 0, fiber) on a sample with a triple, one
+    class, normal and fiber axis at a time."""
+    if isinstance(fiber, TensorGrid):
+        axes = [fiber.axis_coords(l) for l in range(fiber.ndim)]
+    else:
+        axes = [np.asarray(c, dtype=float) for c in fiber]
+        fiber = TensorGrid(tuple(len(c) for c in axes), (1.0,) * len(axes))
+    grid = h.grid.product(fiber)
+    s_rank, Db, N, shape = sub.rank, h.grid.ndim, h.ambient_dim, grid.shape
+    lift = h.grid.shape + (1,) * s_rank + (N,)
+    gam = np.zeros(shape + (N,))
+    coeffs = []
+    for l, r in enumerate(sub.indices):
+        cshape = [1] * grid.ndim
+        cshape[Db + l] = len(axes[l])
+        coeffs.append(axes[l].reshape(cshape))
+        gam = gam + coeffs[l][..., None] * h.normals[r].reshape(lift)
+    positions = np.broadcast_to(h.positions.reshape(lift), shape + (N,)) + gam
+    t = h.triple
+    k, cls = t.n_classes, t.class_map.classes
+    out_r = [r for r in range(t.n_normals) if r not in sub.indices]
+
+    def lb(a):
+        return a.reshape(h.grid.shape + (1,) * s_rank)
+
+    def lf(a):
+        return np.broadcast_to(a.reshape(lift), shape + (N,)).copy()
+
+    v = np.empty((k + 1,) + shape)
+    for m in range(k):
+        acc = lb(t.v[m]) + np.zeros(shape)
+        for l, r in enumerate(sub.indices):
+            acc = acc - coeffs[l] * lb(t.V[m, r])
+        v[m] = acc
+    v[k] = 1.0
+    hh = np.zeros((grid.ndim, k + 1) + shape)
+    for j in range(Db):
+        for m in range(k):
+            dv = lb(t.h[j, m]) * lb(t.v[cls[j]])
+            for l, r in enumerate(sub.indices):
+                dv = dv - coeffs[l] * lb(t.h[j, m] * t.V[cls[j], r])
+            hh[j, m] = dv / v[cls[j]]
+    for l, r in enumerate(sub.indices):
+        for m in range(k):
+            hh[Db + l, m] = -lb(t.V[m, r])
+    Vn = np.zeros((k + 1, len(out_r)) + shape)
+    for m in range(k):
+        for jr, r in enumerate(out_r):
+            Vn[m, jr] = lb(t.V[m, r]) + np.zeros(shape)
+    tangents = np.stack([lf(x) for x in h.tangents] + [lf(h.normals[r]) for r in sub.indices])
+    normals = np.stack([lf(h.normals[r]) for r in out_r]) if out_r else np.zeros((0,) + shape + (N,))
+    return positions, tangents, normals, v, hh, Vn
+
+
+def _frozen_tube(g, sub, a, n_angle):
+    """generalized_tube(g, sub, a, n_angle) one class and normal at a time."""
+    t = g.triple
+    r1, r2 = sub.indices
+    th = TensorGrid((n_angle,), (2.0 * np.pi / (n_angle - 1),), (0.0,)).axis_coords(0)
+    Db, N, k, cls = g.grid.ndim, g.ambient_dim, t.n_classes, t.class_map.classes
+    shape = g.grid.shape + (n_angle,)
+
+    def lb(arr):
+        return arr.reshape(arr.shape + (1,))
+
+    def lbv(arr):
+        return arr.reshape(arr.shape[:-1] + (1, N))
+
+    sth = np.sin(th).reshape((1,) * Db + (-1,))
+    cth = np.cos(th).reshape((1,) * Db + (-1,))
+    nu_dir = cth[..., None] * lbv(g.normals[r1]) + sth[..., None] * lbv(g.normals[r2])
+    tdir = -sth[..., None] * lbv(g.normals[r1]) + cth[..., None] * lbv(g.normals[r2])
+    positions = lbv(g.positions) + a * nu_dir
+    W = np.empty((k,) + shape)
+    for m in range(k):
+        W[m] = cth * lb(t.V[m, r1]) + sth * lb(t.V[m, r2])
+    v = np.empty((k + 1,) + shape)
+    for m in range(k):
+        v[m] = lb(t.v[m]) - a * W[m]
+    v[k] = a
+    out_r = [r for r in range(t.n_normals) if r not in sub.indices]
+    Vn = np.zeros((k + 1, 1 + len(out_r)) + shape)
+    for m in range(k):
+        Vn[m, 0] = W[m]
+        for jr, r in enumerate(out_r):
+            Vn[m, 1 + jr] = lb(t.V[m, r]) + np.zeros(shape)
+    Vn[k, 0] = -1.0
+    hh = np.zeros((Db + 1, k + 1) + shape)
+    for j in range(Db):
+        for m in range(k):
+            dv = lb(t.h[j, m] * t.v[cls[j]]) - a * (cth * lb(t.h[j, m] * t.V[cls[j], r1])
+                                                    + sth * lb(t.h[j, m] * t.V[cls[j], r2]))
+            hh[j, m] = dv / v[cls[j]]
+    for m in range(k):
+        hh[Db, m] = (a * (sth * lb(t.V[m, r1]) - cth * lb(t.V[m, r2]))) / v[k]
+    tangents = np.concatenate([
+        np.broadcast_to(g.tangents.reshape((Db,) + g.grid.shape + (1, N)), (Db,) + shape + (N,)).copy(),
+        tdir[None]])
+    normals = np.concatenate([
+        nu_dir[None],
+        np.stack([np.broadcast_to(lbv(g.normals[r]), shape + (N,)).copy() for r in out_r])
+        if out_r else np.zeros((0,) + shape + (N,))])
+    return positions, tangents, normals, v, hh, Vn
+
+
+def _frozen_inversion(s):
+    """apply_ltransform(s, Inversion()) one frame vector, class and normal at a time."""
+    pos, t = s.positions, s.triple
+    Q = (pos**2).sum(-1)
+
+    def p_inv(Z):
+        return Z - 2.0 * ((pos * Z).sum(-1) / Q)[..., None] * pos
+
+    tangents = np.stack([p_inv(s.tangents[i]) for i in range(s.grid.ndim)])
+    normals = np.stack([p_inv(s.normals[r]) for r in range(s.n_normals)])
+    h, V = np.empty_like(t.h), np.empty_like(t.V)
+    for m in range(t.n_classes):
+        for r in range(t.n_normals):
+            V[m, r] = t.V[m, r] + 2.0 * t.v[m] * (pos * s.normals[r]).sum(-1) / Q
+        for j in range(s.grid.ndim):
+            h[j, m] = t.h[j, m] - 2.0 * t.v[m] * (pos * s.tangents[j]).sum(-1) / Q
+    return pos / Q[..., None], tangents, normals, t.v / Q, h, V
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bases():
+    # moved off the origin and inverted, so that no h, v or V is constant
+    c4 = circle_seed(radius=1.0, n=15, u_range=(0.0, 0.4), ambient=4)
+    t5 = torus_seed(R=1.0, r=0.3, shape=(9, 11), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2), ambient=5)
+    return {"circle4": apply_ltransform(apply_ltransform(c4, Translate([0.3, 0.1, 0.2, 0.5])), Inversion()),
+            "torus5": apply_ltransform(apply_ltransform(t5, Translate([0.2, 0.1, 1.7, -0.3, 0.4])),
+                                       Inversion())}
+
+
+@pytest.mark.parametrize("indices", [(1,), (2, 0), (0, 1, 2)])
+@pytest.mark.parametrize("list_fiber", [False, True], ids=["grid", "list"])
+@pytest.mark.parametrize("base", ["circle4", "torus5"])
+def test_cylinder_triple_is_the_per_index_assembly(base, list_fiber, indices):
+    h = _bases()[base]
+    sub = ParallelNormalSubbundle(indices)
+    fiber = ([np.linspace(-0.5, 0.7, 4 + l) ** (l + 1) for l in range(sub.rank)] if list_fiber
+             else TensorGrid((5,) * sub.rank, (0.3,) * sub.rank, (-0.4,) * sub.rank))
+    cyl = generalized_cylinder(h, sub, 0, fiber)
+    t = cyl.triple
+    _same_bits((cyl.positions, cyl.tangents, cyl.normals, t.v, t.h, t.V), _frozen_cylinder(h, sub, fiber))
+
+
+@pytest.mark.parametrize("indices,a", [((1, 2), 0.2), ((2, 0), -0.4), ((0, 1), 1.5)])
+@pytest.mark.parametrize("base", ["circle4", "torus5"])
+def test_tube_triple_is_the_per_index_assembly(base, indices, a):
+    g = _bases()[base]
+    sub = ParallelNormalSubbundle(indices)
+    try:
+        tube = generalized_tube(g, sub, a, n_angle=9)
+    except FocalDegeneracy:
+        pytest.skip("radius reaches the focal set on most of the patch")
+    t = tube.triple
+    _same_bits((tube.positions, tube.tangents, tube.normals, t.v, t.h, t.V), _frozen_tube(g, sub, a, 9))
+
+
+@pytest.mark.parametrize("base", ["circle4", "torus5"])
+def test_inversion_is_the_per_index_closed_form(base):
+    s = _bases()[base]
+    out = apply_ltransform(s, Inversion())
+    t = out.triple
+    _same_bits((out.positions, out.tangents, out.normals, t.v, t.h, t.V), _frozen_inversion(s))

@@ -400,6 +400,37 @@ class TestPrincipalTransport:
         eta_perp = pd.eta[0] - (pd.eta[0] * c.normals[1]).sum(-1)[..., None] * c.normals[1]
         assert np.abs(moved.eta[0][:, 0, :] - eta_perp).max() < 1e-5
 
+    @pytest.mark.parametrize("case", ["inverted_torus", "recursion_step1", "recursion_step2"])
+    def test_transport_is_the_per_class_loop(self, case, request):
+        if case == "inverted_torus":
+            base = request.getfixturevalue("torus_h01")
+            _, jet = ribaucour_transform(base, inversion_w(base, P0, 1.3))
+        else:
+            res = request.getfixturevalue(case)
+            base, jet = res.base, res.jet
+        pd = principal_normals_from_triple(base.triple, base)
+        moved = transform_principal_data(pd, jet)
+        # the transport one class at a time, as it was written before the
+        # whole-array form; the two must agree bit for bit
+        jets, shape, N = jet.jets, jet.F.shape[:-1], jet.F.shape[-1]
+        etas, mask = [], np.ones(shape, dtype=bool)
+        for m in range(pd.k):
+            lifted = pd.eta[m].reshape(jets.L.shape + (1,) * (jets.Dp - jets.D) + (N,))
+            eta = np.broadcast_to(lifted, shape + (N,)).copy()
+            for l in jets.n_indices:
+                xi = jets.full(jets.xi[l].val)
+                eta -= (eta * xi).sum(-1)[..., None] * xi
+            if jet.beta_bar is not None:
+                eta = eta - (2.0 * jet.phi * jet.nu * jet.rho[m])[..., None] * jet.beta_bar
+            mask &= np.abs(jet.lam[m]) > 1e-10
+            with np.errstate(divide="ignore", invalid="ignore"):
+                etas.append(jet.P_apply(eta) / jet.lam[m][..., None])
+        if jets.n_indices and jet.beta_bar is not None:
+            etas.append(jet.P_apply(jet.beta_bar))
+        assert moved.eta.tobytes() == np.stack(etas).tobytes()
+        assert moved.eta.shape == np.stack(etas).shape
+        assert (moved.mask is None) == mask.all()
+
 
 class TestMutualRibaucour:
     def test_two_slices_are_ribaucour_transforms(self, circle_result):
