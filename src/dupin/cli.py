@@ -512,9 +512,17 @@ def _cmd_export(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown option, a missing
+    or malformed argument) raise ParseError, so that they end as one
+    `error:` line and exit 2 like every other malformed input."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="dupin",
-                                 description="Dupin submanifolds by Ribaucour transformations")
+    ap = _ArgumentParser(prog="dupin", description="Dupin submanifolds by Ribaucour transformations")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute a pipeline document")
@@ -556,8 +564,8 @@ def main(argv=None) -> int:
     p.add_argument("--slice", help="comma-separated indices, ':' for free axes")
     p.set_defaults(fn=_cmd_export)
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
     except DupinError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -48,11 +48,14 @@ system's bit for bit and each phase makes one provider pass.  B enters
 system's propagator rows past B are nonzero only in column ca and in the
 (phi, gamma, beta) columns: the dense propagators cover just the coupled
 block (B_ca, phi, gamma, beta), of size 2 + D + R instead of k + 1 + D + R.
-Repeating the sweep in the reversed axis order, with its own propagators,
-gives the built-in path-independence health check.  The Goursat march seeds
-its base row with a tensor-system sweep; its rows, whose rates are not
-linear, keep a stage-by-stage RK4 that reads the axis data from a table of
-all stage times.  The row state is family-major (v, V^r and h_{0, m}, each
+Repeating the sweep in the reversed axis order gives the built-in
+path-independence health check; both orders read one propagator build per
+axis, over the union of their lines.  On a node-valued triple with masked
+nodes, the mask of `solve_linear`'s and `solve_B`'s solution drops every
+node whose sweep read a masked node's values through the interpolation
+stencils.  The Goursat march seeds its base row with a tensor-system sweep;
+its rows, whose rates are not linear, keep a stage-by-stage RK4 that reads
+the axis data from a table of all stage times.  The row state is family-major (v, V^r and h_{0, m}, each
 a (k, n) block), so every rate is one broadcast product with the class row
 of its family, and the stages, their argument and the RK4 sum are written
 into buffers allocated once per march.
@@ -113,6 +116,10 @@ class _AnalyticProvider:
         """Evaluator of the sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
         evaluate = self.line_eval(axis, idx)
         return lambda t: evaluate(t)["h"][axis]
+
+    def reads(self, substeps: int):
+        """None: the closed forms read no node values (`_GridProvider.reads`)."""
+        return None
 
 
 class _GridProvider:
@@ -176,6 +183,25 @@ class _GridProvider:
         """Evaluator of the sweep-axis row h[axis] (k, P, L) at the times t (P,)."""
         evaluate = self._interpolator((self.triple.h[axis],), axis, idx)
         return lambda t: evaluate(t)[0]
+
+    def reads(self, substeps: int):
+        """(valid, spans) of a triple with masked nodes, for `_sweep`: the
+        triple's valid nodes and, per axis a of two or more nodes, spans[a] =
+        (lo, hi) (cells,), the first and past-last node that each cell's
+        stencils read at its RK4 stage times, weight 0 included.  None when
+        every node is valid."""
+        mask = self.triple.mask
+        if mask is None or mask.all():
+            return None
+        spans = []
+        for axis, n in enumerate(self.grid.shape):
+            if n > 1:
+                T, _ = _stage_times(self.grid.axis_coords(axis), substeps)
+                i0 = self._weights(axis, T.reshape(-1))[0].reshape(T.shape)
+                spans.append((i0.min(axis=1), i0.max(axis=1) + 4))
+            else:
+                spans.append(None)
+        return mask, spans
 
 
 def _provider_for(triple: Triple):
@@ -345,7 +371,7 @@ def _tensor_phase(h_at, classes, substeps: int):
     def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
         ca = classes[axis]
         cols = _tensor_columns(h_at(axis, idx), coords, ca, substeps)[..., None]
-        return lambda j, Y: _tensor_step(cols[j], Y, ca)
+        return lambda j, Y, lines=slice(None): _tensor_step(cols[j, lines], Y, ca)
 
     return phase
 
@@ -368,17 +394,17 @@ def _dense_phase(coef_factory, substeps: int, tensor_lead=None):
     def phase(axis: int, idx: np.ndarray, coords: np.ndarray):
         if tensor_lead is None:
             props, _ = _cell_propagators(coef_factory(axis, idx), coords, substeps)
-            return lambda j, Y: _apply(props[j], Y)
+            return lambda j, Y, lines=slice(None): _apply(props[j, lines], Y)
         ca = tensor_lead[axis]
         props, cols = _cell_propagators(coef_factory(axis, idx), coords, substeps, (axis, ca))
         cols = cols[..., None]
         k = cols.shape[-2]
         rows = props[..., 1:, :]
 
-        def step(j: int, Y: np.ndarray) -> np.ndarray:
+        def step(j: int, Y: np.ndarray, lines=slice(None)) -> np.ndarray:
             out = np.empty_like(Y)
-            out[:, :k] = _tensor_step(cols[j], Y[:, :k], ca)
-            P = rows[j]
+            out[:, :k] = _tensor_step(cols[j, lines], Y[:, :k], ca)
+            P = rows[j, lines]
             rest = out[:, k:]
             np.multiply(P[..., :1], Y[:, ca : ca + 1], out=rest)
             for l in range(1, P.shape[-1]):
@@ -390,19 +416,27 @@ def _dense_phase(coef_factory, substeps: int, tensor_lead=None):
     return phase
 
 
+def _lines(grid: TensorGrid, done, axis: int) -> np.ndarray:
+    """The lines (L, D) along `axis` that a sweep marches once the axes in
+    `done` are filled, in lexicographic order: every node of those axes, 0
+    on the others and on the sweep axis."""
+    ranges = [range(grid.shape[d]) if d in done else (0,) for d in range(grid.ndim)]
+    return np.array(list(itertools.product(*ranges)), dtype=int)
+
+
 def _sweep_total(grid: TensorGrid, state0: np.ndarray, phase, order) -> np.ndarray:
     """Fill the grid with states (S, M) of a total linear system, axis by
     axis; phase(axis, idx, coords) gives the cell step (j, Y) -> Y of the
-    lines through idx (L, D), their states at node j + 1 from those at j."""
+    lines through idx (L, D), their states at node j + 1 from those at j.
+    The phases of `_tensor_phase` and `_dense_phase` take an optional third
+    argument, the rows of the lines to step (all of them by default)."""
     D = grid.ndim
     out = np.full(grid.shape + state0.shape, np.nan)
     out[(0,) * D] = state0
-    done = []
-    for a in order:
+    for x, a in enumerate(order):
         n = grid.shape[a]
         if n > 1:      # a single-node axis has no cells
-            ranges = [range(grid.shape[d]) if d in done else (0,) for d in range(D)]
-            idx = np.array(list(itertools.product(*ranges)), dtype=int)
+            idx = _lines(grid, order[:x], a)
             step = phase(a, idx, grid.axis_coords(a))
             Y = np.empty((n, idx.shape[0]) + state0.shape)
             Y[0] = out[tuple(idx.T)]
@@ -411,8 +445,58 @@ def _sweep_total(grid: TensorGrid, state0: np.ndarray, phase, order) -> np.ndarr
             take = [idx[:, d] for d in range(D)]
             take[a] = np.arange(n)[:, None]
             out[tuple(take)] = Y
-        done.append(a)
     return out
+
+
+def _shared_phase(grid: TensorGrid, phase, orders):
+    """`phase` for sweeps in each of `orders`, built once per axis over the
+    union of the lines those sweeps march along it; each sweep's cell step
+    reads its own lines' rows, (j, Y) -> step(j, Y, lines).  A line's
+    propagators do not depend on the other lines built with it, so every
+    sweep's states are those of its own build, bit for bit.  An axis's build
+    is released once every order has taken it."""
+    hit, left = {}, {}
+    for order in orders:
+        for x, a in enumerate(order):
+            on = hit.setdefault(a, np.zeros(grid.size, dtype=bool))
+            on[np.ravel_multi_index(_lines(grid, order[:x], a).T, grid.shape)] = True
+            left[a] = left.get(a, 0) + 1
+    union = {a: np.flatnonzero(on) for a, on in hit.items()}     # flat node indices, lexicographic
+    built = {}
+
+    def shared(axis: int, idx: np.ndarray, coords: np.ndarray):
+        lines = union[axis]
+        if axis not in built:
+            built[axis] = phase(axis, np.column_stack(np.unravel_index(lines, grid.shape)), coords)
+        step = built[axis]
+        left[axis] -= 1
+        if not left[axis]:
+            del built[axis]
+        if len(idx) < len(lines):
+            at = np.searchsorted(lines, np.ravel_multi_index(idx.T, grid.shape))
+            return lambda j, Y: step(j, Y, at)
+        return step
+
+    return shared
+
+
+def _clean_nodes(valid: np.ndarray, spans, order) -> np.ndarray:
+    """Nodes whose states a sweep in `order` computes from the coefficients
+    at valid nodes alone.  spans[a] is (lo, hi) (cells,): each cell along
+    axis a reads the nodes lo..hi-1 of its line.  A node is clean when the
+    node its line starts from is clean and no cell before it on the line
+    reads an invalid node; the base node is clean when it is valid."""
+    clean = np.zeros(valid.shape, dtype=bool)
+    clean[(0,) * valid.ndim] = valid[(0,) * valid.ndim]
+    for a in order:
+        if valid.shape[a] > 1:
+            lo, hi = spans[a]
+            seen = np.cumsum(np.moveaxis(~valid, a, 0), axis=0)      # invalid nodes up to each node
+            seen = np.concatenate([np.zeros_like(seen[:1]), seen])
+            hit = np.cumsum(seen[hi] > seen[lo], axis=0)            # cells so far that read one
+            line = np.moveaxis(clean, a, 0)
+            line[1:] = line[0] & (hit == 0)
+    return clean
 
 
 def _field_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -421,18 +505,30 @@ def _field_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @np.errstate(invalid="ignore", over="ignore")      # masked nodes may hold infinities
-def _sweep(grid: TensorGrid, state0: np.ndarray, phase, order, check_alternate: bool):
+def _sweep(grid: TensorGrid, state0: np.ndarray, phase, order, check_alternate: bool, reads=None):
     """Sweep a total linear system in `order` (default: axis order); returns
-    (states, reports).  With check_alternate on a grid of >= 2 axes the sweep
-    is repeated in the reversed order and the relative disagreement of the
-    two is reported as path_independence."""
+    (states, reports, clean).  With check_alternate on a grid of >= 2 axes
+    the sweep is repeated in the reversed order, from one propagator build
+    per axis for both (`_shared_phase`), and the relative disagreement of
+    the two is reported as path_independence.
+
+    reads, if given, is (valid, spans) of a coefficient provider that reads
+    node values (`_GridProvider.reads`); clean (None without it) is then
+    `_clean_nodes` of the sweep, and path_independence compares only the
+    nodes that both orders compute cleanly."""
     order = tuple(range(grid.ndim)) if order is None else tuple(order)
-    states = _sweep_total(grid, state0, phase, order)
-    reports = {}
-    if check_alternate and grid.ndim > 1:
-        alt = _sweep_total(grid, state0, phase, tuple(reversed(order)))
-        reports["path_independence"] = _field_rel_diff(states, alt)
-    return states, reports
+    clean = None if reads is None else _clean_nodes(*reads, order)
+    if not (check_alternate and grid.ndim > 1):
+        return _sweep_total(grid, state0, phase, order), {}, clean
+    alt = tuple(reversed(order))
+    shared = _shared_phase(grid, phase, (order, alt))
+    states = _sweep_total(grid, state0, shared, order)
+    alt_states = _sweep_total(grid, state0, shared, alt)
+    if clean is None:
+        return states, {"path_independence": _field_rel_diff(states, alt_states)}, clean
+    both = clean & _clean_nodes(*reads, alt)
+    reports = {"path_independence": _field_rel_diff(states[both], alt_states[both])} if both.any() else {}
+    return states, reports, clean
 
 
 def _bounded(x: np.ndarray, axis: int) -> np.ndarray:
@@ -469,7 +565,7 @@ def _sweep_tensor(triple: Triple, B0: np.ndarray, substeps: int, order=None,
     """Sweep the tensor system from the M seed columns of B0 (k, M) at once;
     returns (B (M, k, *grid), reports)."""
     phase = _tensor_phase(_provider_for(triple).h_row, triple.class_map.classes, substeps)
-    B, reports = _sweep(triple.grid, B0, phase, order, check_alternate)
+    B, reports, _ = _sweep(triple.grid, B0, phase, order, check_alternate)
     return np.moveaxis(B, (-1, -2), (0, 1)), reports
 
 
@@ -556,7 +652,10 @@ def _joint_coef_factory(provider, class_map: ClassMap, D: int, R: int):
     return factory
 
 
-def _solution_from_states(triple: Triple, states: np.ndarray, reports: dict) -> RibaucourSolution:
+def _solution_from_states(triple: Triple, states: np.ndarray, reports: dict, clean=None) -> RibaucourSolution:
+    """The solution of swept joint states; its mask drops nodes whose
+    states are unbounded, where phi vanishes, or (clean, when not None) that
+    the sweep computed from masked nodes' coefficients."""
     g = triple.grid
     D, k, R = g.ndim, triple.n_classes, triple.n_normals
     move = np.moveaxis(states, -1, 0)
@@ -565,8 +664,10 @@ def _solution_from_states(triple: Triple, states: np.ndarray, reports: dict) -> 
     gamma = move[k + 1 : k + 1 + D]
     beta = move[k + 1 + D :]
     good = _bounded(states, axis=-1)
+    if clean is not None:
+        good &= clean
     # phi crossing zero is not fatal, but the transform is undefined there
-    phi_scale = np.nanmax(np.abs(phi))
+    phi_scale = np.nanmax(np.abs(phi)) if clean is None else np.nanmax(np.abs(phi[clean]), initial=0.0)
     if phi_scale > 0:
         vanished = np.abs(phi) < 1e-12 * phi_scale
         if vanished.any() and not vanished.all():
@@ -601,8 +702,8 @@ def solve_linear(triple: Triple, B0, phi0: float, gamma0, beta0,
     # only the block that B_ca drives
     phase = _dense_phase(_joint_coef_factory(provider, triple.class_map, D, R), substeps,
                          tensor_lead=triple.class_map.classes)
-    states, reports = _sweep(g, state0, phase, order, check_alternate)
-    sol = _solution_from_states(triple, states[..., 0], reports)
+    states, reports, clean = _sweep(g, state0, phase, order, check_alternate, provider.reads(substeps))
+    sol = _solution_from_states(triple, states[..., 0], reports, clean)
     reports["gnorm_fd"] = _gnorm_residual(triple, sol.gamma, sol.beta, triple.valid() & sol.valid())
     return sol
 
@@ -619,11 +720,16 @@ def solve_B(triple: Triple, B0, substeps: int = 12, order=None,
     B0 = np.asarray(B0, dtype=float)
     if B0.shape != (k,):
         raise DimensionMismatch("B seed shape must be (k,)")
-    B, reports = _sweep_tensor(triple, B0[:, None], substeps, order, check_alternate)
-    good = _bounded(B[0], axis=0)
+    provider = _provider_for(triple)
+    phase = _tensor_phase(provider.h_row, triple.class_map.classes, substeps)
+    states, reports, clean = _sweep(g, B0[:, None], phase, order, check_alternate, provider.reads(substeps))
+    B = np.moveaxis(states[..., 0], -1, 0)
+    good = _bounded(B, axis=0)
+    if clean is not None:
+        good &= clean
     return RibaucourSolution(grid=g, class_map=triple.class_map, phi=np.zeros(g.shape),
                              gamma=np.zeros((D,) + g.shape), beta=np.zeros((R,) + g.shape),
-                             B=B[0].copy(), mask=None if good.all() else good, reports=reports)
+                             B=B.copy(), mask=None if good.all() else good, reports=reports)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")     # masked nodes may hold anything
@@ -686,7 +792,7 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
 
     # state (1 + D + R, N): position, tangents and normals as rows
     state0 = np.concatenate([base_point[None], X0, xi0])
-    Z, reports = _sweep(g, state0, _dense_phase(factory, substeps), order, check_alternate)
+    Z, reports, _ = _sweep(g, state0, _dense_phase(factory, substeps), order, check_alternate)
     positions = Z[..., 0, :]
     X = np.moveaxis(Z[..., 1 : 1 + D, :], -2, 0)
     xi = np.moveaxis(Z[..., 1 + D :, :], -2, 0)

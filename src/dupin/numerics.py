@@ -358,13 +358,6 @@ def _jacobi_angle(d, b):
     return np.sqrt(1.0 - ss), s, ss * np.sqrt(x * x + y * y)
 
 
-def _sym_eigh(A: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors (columns) of a stack of symmetric
-    D x D matrices, D <= 4: `np.linalg.eigh` by one-matrix `_joint_eigh`."""
-    w, V = _joint_eigh(A[None], lambda w: w[0])
-    return w[0], V
-
-
 def _joint_eigh(A: np.ndarray, key):
     """Simultaneous diagonalization of families of symmetric D x D matrices,
     D <= 4: A (m, *shape, D, D) gives the diagonals w (m, *shape, D) of

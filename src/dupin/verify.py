@@ -1,8 +1,8 @@
 """Independent finite-difference differential-geometry oracle.
 
 Everything here works from raw position grids: metric and second fundamental
-form by stencils on the chart, shape operators by symmetrized normal
-projection, principal normals by simultaneous diagonalization, Dupin and
+form by stencils on the chart, shape operators in an orthonormal tangent
+frame, principal normals by simultaneous diagonalization, Dupin and
 integrability residuals by contracted derivatives and Lie brackets.  Cached
 frames or triples on a sample are deliberately ignored so these checks stay
 independent of the construction path.
@@ -14,15 +14,19 @@ spectrum so borderline calls can be audited.
 The per-node algebra is batched: stacked small-matrix products over all nodes
 (or over the valid nodes only, in the derived checks) and one batched sphere
 fit over all leaves.  No LAPACK call per node is left; elementwise kernels
-over the node axis give the metric's eigenpairs and one simultaneous Jacobi
-diagonalization of the shape operators (`numerics._joint_eigh`), a pivoted
-Gram-Schmidt normal basis (`_normal_frame`), one-sided Jacobi singular values
-in the rank decisions (`numerics._singular_values`), class tracking by pointer
-doubling (`_track`) and one deep-stencil derivative pass over the
-stencil-valid box for every class's fields (`_slopes`).  No output depends on
-the normal basis, so none depends on where the sample sits in space.  The
-flat-normal-bundle check (`normal_curvature_residual`) is computed once per
-jet: extraction and `sf_report` on the same jet share it.
+over the node axis give the metric's Cholesky factors, whose inverse
+transpose is the orthonormal tangent frame (`_cholesky_frame`), one
+simultaneous Jacobi diagonalization of the shape operators in that frame
+(`numerics._joint_eigh`), a pivoted Gram-Schmidt normal basis
+(`_normal_frame`), one-sided Jacobi singular values in the rank decisions
+(`numerics._singular_values`), class tracking by pointer doubling (`_track`)
+and one deep-stencil derivative pass over the stencil-valid box for every
+class's fields (`_slopes`).  No output depends on the normal basis, so none
+depends on where the sample sits in space; the tangent frame moves outputs
+only by rounding, except where a class of multiplicity > 1 is sampled
+along its frame columns (`_along`).  The flat-normal-bundle check
+(`normal_curvature_residual`) is computed once per jet: extraction and
+`sf_report` on the same jet share it.
 
 Memory stays close to what the oracle returns: `numeric_jet` builds the
 second fundamental form in slabs of axis-0 rows, and the extraction's cost
@@ -44,7 +48,7 @@ from .errors import NotProper, RankDeficient, TooFewNodes
 from .integrable import _bounded, _sweep_tensor
 from .net import ImmersionSample, PrincipalData, Triple
 from .numerics import (TensorGrid, _erode_mask, _fd_deep, _fd_rows, _fd_to, _joint_eigh, _singular_values,
-                       _sphere_fits, _sum_last, _sym_eigh)
+                       _sphere_fits, _sum_last)
 from .ribaucour import NRibaucourResult
 
 __all__ = [
@@ -78,9 +82,14 @@ _BLOCK_VALUES = 2**17      # extraction: values of a per-node temporary built in
 class NumericJet:
     """Finite-difference fundamental forms of a position grid: the metric,
     the normal projector, the second fundamental form H in an orthonormal
-    normal basis, the symmetrized shape operators g^{-1/2} H g^{-1/2}, and
-    the metric's square root g_sqrt and inverse square root g_isqrt, both
-    from its eigenpairs.
+    normal basis, an orthonormal tangent frame and the shape operators in it.
+    The frame E = L^{-T} comes from the metric's Cholesky factors g = L L^T:
+    its columns are the chart components of g-orthonormal vectors
+    (E^T g E = I), and its inverse is the coframe L^T.  The shape operators
+    E^T H E are symmetric; in any other orthonormal frame they are
+    orthogonally similar, so no output depends on the choice beyond
+    rounding, except the frame columns along which `_along` samples a class
+    of multiplicity > 1.
 
     The ambient second fundamental form `alpha` is not kept: reading it
     differentiates the positions again.  `numeric_jet` builds H in node
@@ -94,8 +103,8 @@ class NumericJet:
     H: np.ndarray              # (p, *grid, D, D) second fundamental form <alpha_ij, nu_r>
     shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators
     normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis, `_normal_frame` (not smooth)
-    g_isqrt: np.ndarray        # (*grid, D, D) metric inverse square root
-    g_sqrt: np.ndarray         # (*grid, D, D) metric square root
+    frame: np.ndarray          # (*grid, D, D) E = L^{-T}, columns g-orthonormal
+    coframe: np.ndarray        # (*grid, D, D) E^{-1} = L^T
     interior: np.ndarray       # bool (*grid): valid nodes two layers in with finite forms
     # normal_curvature_residual, computed on its first call
     _normal_curvature: float | None = dc_field(default=None, init=False, repr=False, compare=False)
@@ -108,8 +117,9 @@ class NumericJet:
     def alpha(self) -> np.ndarray:
         """(D, D, *grid, N) normal-projected second derivatives, built on
         each read from the positions for the whole grid (a view of one
-        (n, D*D, N) product, not C-contiguous); every value is the one
-        `numeric_jet` contracts into H."""
+        (n, D*D, N) product, not C-contiguous).  `numeric_jet` contracts the
+        same second derivatives with the normal basis into H, which needs no
+        projection, so H and alpha agree to rounding."""
         g = self.grid
         pos = _finite(self.positions)
         return _project(_second(g, pos, _gradient(g, pos), 0, g.shape[0]), self.normal_proj)
@@ -178,13 +188,49 @@ def _project(second: np.ndarray, normal_proj: np.ndarray) -> np.ndarray:
     return alpha.transpose((alpha.ndim - 3, alpha.ndim - 2) + nodes + (alpha.ndim - 1,))
 
 
+def _cholesky_frame(metric: np.ndarray) -> tuple:
+    """The frame E = L^{-T} (*grid, D, D), whose columns are g-orthonormal
+    (E^T g E = I), and its inverse, the coframe L^T, of the Cholesky factors
+    g = L L^T of a stack of metrics (*grid, D, D), D <= 4 (Golub & Van Loan,
+    *Matrix Computations*, 4.2).  Closed form, one array over the node axis
+    per entry, written into the two outputs; every intermediate goes through
+    two scratch arrays (fresh temporaries per entry fragmented the heap: the
+    k = 4 chain at 21^4 held 6.6 MB more RSS).  A non-positive pivot (a
+    degenerate metric) gives NaN, as a NaN entry does."""
+    D = metric.shape[-1]
+    frame, coframe = np.zeros(metric.shape), np.zeros(metric.shape)
+    L, M = [[None] * D for _ in range(D)], [[None] * D for _ in range(D)]   # L and M = L^{-1}
+    acc, term = np.empty(metric.shape[:-2]), np.empty(metric.shape[:-2])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for i in range(D):
+            for j in range(i):
+                np.copyto(acc, metric[..., i, j])
+                for k in range(j):
+                    acc -= np.multiply(L[i][k], L[j][k], out=term)
+                L[i][j] = np.multiply(acc, M[j][j], out=coframe[..., j, i])
+            np.copyto(acc, metric[..., i, i])
+            for k in range(i):
+                acc -= np.multiply(L[i][k], L[i][k], out=term)
+            acc[~(acc > 0)] = np.nan
+            L[i][i] = np.sqrt(acc, out=coframe[..., i, i])
+            M[i][i] = np.divide(1.0, L[i][i], out=frame[..., i, i])
+            for j in range(i - 1, -1, -1):
+                np.multiply(L[i][j], M[j][j], out=acc)
+                for k in range(j + 1, i):
+                    acc += np.multiply(L[i][k], M[k][j], out=term)
+                np.negative(acc, out=acc)
+                M[i][j] = np.multiply(acc, M[i][i], out=frame[..., j, i])
+    return frame, coframe
+
+
 def numeric_jet(s: ImmersionSample) -> NumericJet:
     """Fundamental forms from raw positions, independent of cached data.
 
+    The tangent frame is the metric's Cholesky frame (`_cholesky_frame`).
     H is built in slabs of axis-0 rows, about _JET_VALUES second-derivative
-    values each: the slab's second derivatives (`_second`), their normal
-    projection (`_project`) and its contraction with the normal basis, one
-    slab at a time.  Every value equals the whole-grid evaluation's."""
+    values each: the slab's second derivatives (`_second`) contracted with
+    the orthonormal normal basis, one slab at a time.  Every value equals
+    the whole-grid evaluation's."""
     g, pos = s.grid, s.positions
     D, N = g.ndim, pos.shape[-1]
     if min(g.shape) < 5:
@@ -196,27 +242,24 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     first = _gradient(g, pos)
     metric = np.einsum("i...k,j...k->...ij", first, first)
 
-    # metric square roots from its eigenpairs (NaN where the forms are not
-    # finite); the rows of T = g^{-1/2} E are an orthonormal tangent frame
-    w, V = _sym_eigh(metric)
-    root = np.sqrt(np.maximum(w, 1e-300))[..., None, :]
-    # the transposed operands are copied: a strided stack takes numpy's slow loop
-    Vt = V.swapaxes(-1, -2).copy()
-    g_isqrt, g_sqrt = (V / root) @ Vt, (V * root) @ Vt
-    del w, V, root, Vt
-    T = g_isqrt @ first.transpose(tuple(range(1, D + 1)) + (0, D + 1))   # (*grid, D, N)
-    normal_proj = np.eye(N) - T.swapaxes(-1, -2).copy() @ T
+    # the rows of T = E^T (f_1, ..., f_D) are an orthonormal tangent frame;
+    # T^T is copied: that strided stack takes numpy's slow loop
+    frame, coframe = _cholesky_frame(metric)
+    T = frame.swapaxes(-1, -2) @ first.transpose(tuple(range(1, D + 1)) + (0, D + 1))   # (*grid, D, N)
+    normal_proj = T.swapaxes(-1, -2).copy() @ T
     del T
+    np.subtract(np.eye(N), normal_proj, out=normal_proj)
     normal_basis = _normal_frame(normal_proj, N - D)
 
+    # <second_ij, nu_r> is the normal part's: the basis lies in the normal space
     H = np.empty((N - D,) + g.shape + (D, D))
     rows = max(1, _JET_VALUES // (D * D * N * (g.size // g.shape[0])))
     for lo in range(0, g.shape[0], rows):
         hi = min(lo + rows, g.shape[0])
-        alpha = _project(_second(g, pos, first, lo, hi), normal_proj[lo:hi])
-        np.einsum("ij...k,r...k->r...ij", alpha, normal_basis[:, lo:hi], out=H[:, lo:hi])
-    del first, pos, alpha
-    shape_sym = g_isqrt @ H @ g_isqrt
+        np.einsum("ij...k,r...k->r...ij", _second(g, pos, first, lo, hi), normal_basis[:, lo:hi],
+                  out=H[:, lo:hi])
+    del first, pos
+    shape_sym = frame.swapaxes(-1, -2) @ H @ frame
 
     interior = (g.interior_mask(2) & np.isfinite(metric).all(axis=(-2, -1))
                 & np.isfinite(shape_sym).all(axis=(0, -2, -1)))
@@ -226,7 +269,7 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
         raise TooFewNodes("no interior nodes left after masking")
     return NumericJet(grid=g, positions=s.positions, metric=metric, normal_proj=normal_proj, H=H,
                       shape_sym=shape_sym, normal_basis=normal_basis,
-                      g_isqrt=g_isqrt, g_sqrt=g_sqrt, interior=interior)
+                      frame=frame, coframe=coframe, interior=interior)
 
 
 def _normal_frame(proj: np.ndarray, p: int) -> np.ndarray:
@@ -386,7 +429,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     # the class that takes the group at each node
     proj = np.zeros((k,) + g.shape + (D, D))
     proj_f = proj.reshape(k, -1, D, D)
-    g_isqrt, g_sqrt = _at(jet.g_isqrt, mask), _at(jet.g_sqrt, mask)
+    frame, coframe = _at(jet.frame, mask), _at(jet.coframe, mask)
     cls = np.argsort(order, axis=1)                    # group a is class cls[:, a]
     step = max(1, _BLOCK_VALUES // (D * D))
     hh, chain = np.empty((min(step, n), D, D)), np.empty((min(step, n), D, D))
@@ -396,8 +439,8 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
         for a, grp in enumerate(groups):
             hat = Q[lo:hi, :, grp]                     # (m, D, mult)
             np.matmul(hat, hat.swapaxes(-1, -2).copy(), out=out)
-            np.matmul(g_isqrt[lo:hi], out, out=tmp)
-            np.matmul(tmp, g_sqrt[lo:hi], out=out)
+            np.matmul(frame[lo:hi], out, out=tmp)
+            np.matmul(tmp, coframe[lo:hi], out=out)
             proj_f[cls[lo:hi, a], nodes[lo:hi]] = out
     return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
 
@@ -528,11 +571,12 @@ def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
     return out
 
 
-def _eigenframes(P: np.ndarray, g_isqrt: np.ndarray, metric: np.ndarray):
-    """The columns X of P_j g^{-1/2} (the chart components of g-orthonormal
-    eigenbundle frames) for projectors P (c, n, D, D) at n nodes with metric
-    roots g_isqrt and metric (n, D, D), and their metric norms |X|_g (c, n, D)."""
-    dirs = P @ g_isqrt                             # (c, n, D, D), columns X
+def _eigenframes(P: np.ndarray, frame: np.ndarray, metric: np.ndarray):
+    """The columns X of P_j E (the chart components of the eigenbundles'
+    projections of a g-orthonormal frame) for projectors P (c, n, D, D) at n
+    nodes with tangent frames E and metric (n, D, D), and their metric norms
+    |X|_g (c, n, D)."""
+    dirs = P @ frame                               # (c, n, D, D), columns X
     return dirs, np.sqrt(np.abs(_sum_last(((metric @ dirs) * dirs).swapaxes(-1, -2))))
 
 
@@ -671,7 +715,7 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
             d_eta, d_Q, d_F = _slopes(g, valid, sub, [eta, np.eye(D) - pd.projectors[(at,) + sub], F])
             del eta, eta_live, F
             P, G = pd.projectors[at, rows][:, here], jet.metric[rows][here]
-            dirs, nX = _eigenframes(P, jet.g_isqrt[rows][here], G)
+            dirs, nX = _eigenframes(P, jet.frame[rows][here], G)
             proj = jet.normal_proj[rows][here].swapaxes(-1, -2)
             dup, lf = _along(dirs, nX, d_eta, proj, live, d_F)
             dupin[now], leaf = np.maximum(dupin[now], dup), np.maximum(leaf, lf)

@@ -511,6 +511,22 @@ def test_verify_non_finite_tol_exits_2_with_one_line(tmp_path, torus_patch, caps
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--tol", "-inf"], "dupin verify: argument --tol: expected one argument"),
+    (["--tol", "1e-3", "--bogus"], "dupin: unrecognized arguments: --bogus"),
+    (["--tol"], "dupin verify: argument --tol: expected one argument"),
+], ids=["tol_minus_inf_as_two_tokens", "unknown_option", "missing_argument"])
+def test_argument_errors_exit_2_with_one_line(tmp_path, torus_patch, capsys, args, message):
+    # errors that argparse catches itself end like every other malformed input
+    sp = tmp_path / "s.json"
+    serialize.dump_json(serialize.sample_to_dict(torus_patch), sp)
+    rc = main(["verify", "--in", str(sp), "--out", str(tmp_path / "r.json")] + args)
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("residuals", [(float("nan"), 1e-9), (1e-9, float("nan"))], ids=["first", "last"])
 def test_a_nan_dupin_residual_fails_the_gates(tmp_path, torus_patch, monkeypatch, residuals):
     from dupin import cli

@@ -997,6 +997,96 @@ def test_one_substep_per_provider_call_changes_no_bit(case, request, monkeypatch
         assert np.array_equal(_bits(got), _bits(want))
 
 
+def _per_order_sweep(grid, state0, phase, order, check_alternate, reads=None):
+    """`integrable._sweep` with one propagator build per sweep order, as it
+    stood before the orders shared one: the alternate order builds its own
+    phases over its own lines."""
+    assert reads is None
+    order = tuple(range(grid.ndim)) if order is None else tuple(order)
+    states = _sweep_total(grid, state0, phase, order)
+    if not (check_alternate and grid.ndim > 1):
+        return states, {}, None
+    alt = _sweep_total(grid, state0, phase, tuple(reversed(order)))
+    return states, {"path_independence": integrable._field_rel_diff(states, alt)}, None
+
+
+@pytest.mark.parametrize("case", ["torus41", "bare_torus41", "recursion_step2"])
+def test_shared_propagator_build_changes_no_bit(case, request, monkeypatch):
+    # a line's propagators do not depend on the lines built with them, so
+    # both sweep orders reading one build per axis (D = 2 and D = 3) give
+    # every field and report of the per-order builds, bit for bit
+    t, substeps = _column_case(case, request)
+    builds = []
+    monkeypatch.setattr(integrable, "_cell_propagators",
+                        lambda *args, **kw: builds.append(1) or _cell_propagators(*args, **kw))
+    shared = _sweep_outputs(t, substeps)
+    shared_builds, builds[:] = len(builds), []
+    monkeypatch.setattr(integrable, "_sweep", _per_order_sweep)
+    for got, want in zip(shared, _sweep_outputs(t, substeps), strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
+    # solve_linear and reconstruct_frame (D = 2) build each axis once, not once per order
+    D = t.grid.ndim
+    assert (shared_builds, len(builds)) == ((2 * D, 4 * D) if D == 2 else (D, 2 * D))
+
+
+def _masked_torus(torus_patch):
+    """The 21^2 torus as node arrays, and a copy masked at (15, 14) whose v,
+    h and V hold 0.7 there."""
+    t = _bare(torus_patch.triple)
+    v, h, V = t.v.copy(), t.h.copy(), t.V.copy()
+    v[:, 15, 14] = h[:, :, 15, 14] = V[:, :, 15, 14] = 0.7
+    mask = np.ones(t.grid.shape, dtype=bool)
+    mask[15, 14] = False
+    return t, Triple(t.grid, t.class_map, v, h, V, mask=mask)
+
+
+def _masked_solves(t, order, check_alternate=False):
+    return (solve_linear(t, (0.1, 0.2), 1.0, (0.1, 0.2), (0.3,), substeps=8, order=order,
+                         check_alternate=check_alternate),
+            solve_B(t, (0.1, 0.2), substeps=8, order=order, check_alternate=check_alternate))
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_masked_node_values_mask_the_nodes_they_reach(torus_patch, order):
+    # the cubic stencils of the cells around (15, 14) read it into the nodes
+    # that follow on the main order's line through it: the returned mask
+    # drops exactly those nodes, and every kept node holds the unmasked
+    # triple's values bit for bit
+    bare, masked = _masked_torus(torus_patch)
+    assert _GridProvider(bare).reads(8) is None              # unmasked triples skip this work
+    dropped = np.zeros(masked.grid.shape, dtype=bool)
+    if order == (0, 1):
+        dropped[15, 13:] = True
+    else:
+        dropped[14:, 14] = True
+    assert (dropped & masked.valid()).sum() == (7 if order == (0, 1) else 6)
+    for clean, got in zip(_masked_solves(bare, order), _masked_solves(masked, order), strict=True):
+        assert clean.mask is None and np.array_equal(got.mask, ~dropped)
+        differ = np.zeros_like(dropped)
+        for name in ("phi", "gamma", "beta", "B"):
+            a, b = getattr(got, name), getattr(clean, name)
+            assert np.array_equal(_bits(a[..., got.mask]), _bits(b[..., got.mask]))
+            differ |= (a != b).reshape((-1,) + dropped.shape).any(axis=0)
+        assert np.array_equal(differ | ~masked.valid(), dropped)
+
+
+def test_path_independence_compares_the_nodes_both_orders_keep(torus_patch):
+    # there the states are the unmasked triple's; over every node the masked
+    # triple's orders would differ by 3.7e-2 (solve_linear), not 8.1e-9
+    bare, masked = _masked_torus(torus_patch)
+    (lin, sB), (lin_alt, sB_alt) = _masked_solves(masked, (0, 1)), _masked_solves(masked, (1, 0))
+    both = lin.mask & lin_alt.mask
+    assert np.array_equal(both, sB.mask & sB_alt.mask) and (~both).sum() == 14
+
+    def states(sol):
+        return np.concatenate([sol.B, sol.phi[None], sol.gamma, sol.beta])[:, both]
+
+    (main, main_B), (alt, alt_B) = _masked_solves(bare, (0, 1)), _masked_solves(bare, (1, 0))
+    lin, sB = _masked_solves(masked, (0, 1), check_alternate=True)
+    assert lin.reports["path_independence"] == integrable._field_rel_diff(states(main), states(alt))
+    assert sB.reports["path_independence"] == integrable._field_rel_diff(main_B.B[:, both], alt_B.B[:, both])
+
+
 def _traced_peak_mb(fn) -> float:
     tracemalloc.start()
     try:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dupin.errors import DegenerateCloud, NotProper, TooFewNodes
 from dupin.net import ImmersionSample, ParallelNormalSubbundle, PrincipalData
-from dupin.numerics import AffineFlat, TensorGrid, _joint_eigh, _sum_last, _sym_eigh, fd_axis, sphere_fit
+from dupin.numerics import AffineFlat, TensorGrid, _joint_eigh, _sum_last, fd_axis, sphere_fit
 from dupin.seeds import (
     circle_seed,
     cylinder_seed,
@@ -54,8 +54,9 @@ def clifford_product(a=1.0, b=0.6, n=31):
 
 def _reference_numeric_jet(s):
     """`numeric_jet` as whole-grid einsums, the definition of the matmul
-    kernels: the same stencils, metric roots, tangent projector and
-    Gram-Schmidt pivot rule.  Returns the jet and its alpha."""
+    kernels: the same stencils, Cholesky frame (here LAPACK's factor),
+    tangent projector and Gram-Schmidt pivot rule.  Returns the jet and its
+    alpha."""
     g = s.grid
     D = g.ndim
     pos = s.positions
@@ -67,9 +68,9 @@ def _reference_numeric_jet(s):
         for j in range(i + 1, D):
             second[i, j] = second[j, i] = fd_axis(first[i], g.spacings[j], j, 1)
     metric = np.einsum("i...k,j...k->...ij", first, first)
-    w, Q = np.linalg.eigh(metric)
-    g_isqrt = np.einsum("...ik,...k,...jk->...ij", Q, 1.0 / np.sqrt(np.maximum(w, 1e-300)), Q)
-    tangent_basis = np.einsum("...ij,j...k->...ik", g_isqrt, first)
+    coframe = np.linalg.cholesky(metric).swapaxes(-1, -2)          # L^T
+    frame = np.linalg.inv(coframe)                                 # E = L^{-T}
+    tangent_basis = np.einsum("...ji,j...k->...ik", frame, first)
     normal_proj = np.eye(N) - np.einsum("...ak,...al->...kl", tangent_basis, tangent_basis)
     # pivoted Gram-Schmidt on the rows: the first with at least half the largest squared norm
     W, normal_basis = normal_proj.copy(), []
@@ -83,10 +84,9 @@ def _reference_numeric_jet(s):
     normal_basis = np.stack(normal_basis)
     alpha = np.einsum("...kl,ij...l->ij...k", normal_proj, second)
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)
-    shape_sym = np.einsum("...ia,r...ab,...bj->r...ij", g_isqrt, H, g_isqrt)
+    shape_sym = np.einsum("...ai,r...ab,...bj->r...ij", frame, H, frame)
     jet = NumericJet(grid=g, positions=pos, metric=metric, normal_proj=normal_proj, H=H,
-                     shape_sym=shape_sym, normal_basis=normal_basis, g_isqrt=g_isqrt,
-                     g_sqrt=np.linalg.inv(g_isqrt),
+                     shape_sym=shape_sym, normal_basis=normal_basis, frame=frame, coframe=coframe,
                      interior=g.interior_mask(2) & s.valid())
     return jet, alpha
 
@@ -143,7 +143,6 @@ def _reference_extract_principal_normals(s, jet):
     mult = tuple(len(grp) for grp in pattern)
     eta = np.zeros((k,) + g.shape + (N,))
     proj = np.zeros((k,) + g.shape + (D, D))
-    g_sqrt = jet.g_sqrt
     perms = list(itertools.permutations(range(k)))
     done = {}                  # tracked node -> (normals in group order, class order)
     root = None
@@ -172,7 +171,7 @@ def _reference_extract_principal_normals(s, jet):
             grp = list(pattern[best[j]])
             eta[j][idx] = vals[best[j]]
             hat = Q[idx][:, grp]
-            proj[(j,) + idx] = jet.g_isqrt[idx] @ (hat @ hat.T) @ g_sqrt[idx]
+            proj[(j,) + idx] = jet.frame[idx] @ (hat @ hat.T) @ jet.coframe[idx]
         done[idx] = (vals, best)
         if root is None:
             root = idx
@@ -208,7 +207,7 @@ def _diagonal_jet(diag, g, mask=None):
         normal_basis[r, ..., D + r] = 1.0
     eye = np.broadcast_to(np.eye(D), g.shape + (D, D))
     jet = NumericJet(grid=g, positions=None, metric=None, normal_proj=None, H=None,
-                     shape_sym=shape_sym, normal_basis=normal_basis, g_isqrt=eye, g_sqrt=eye,
+                     shape_sym=shape_sym, normal_basis=normal_basis, frame=eye, coframe=eye,
                      interior=np.ones(g.shape, dtype=bool))
     return ImmersionSample(g, np.zeros(g.shape + (D + p,)), mask=mask), jet
 
@@ -257,7 +256,37 @@ class TestNumericJet:
             if isinstance(old, np.ndarray) and old.dtype == float:
                 assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max(), name
         eye = np.eye(s.grid.ndim)
-        assert np.abs(jet.g_sqrt @ jet.g_isqrt - eye).max() <= 1e-13
+        assert np.abs(jet.coframe @ jet.frame - eye).max() <= 1e-13
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 4])
+    def test_cholesky_frame_is_lapack_factor(self, D):
+        # the closed form is LAPACK's Cholesky factor; a zero or negative
+        # pivot gives NaN
+        rng = np.random.default_rng(D)
+        X = rng.normal(size=(40, D, D + 2)) * rng.uniform(1e-2, 1e2, (40, 1, 1))
+        metric = X @ X.swapaxes(-1, -2)
+        metric[0], metric[1] = 0.0, -np.eye(D)
+        frame, coframe = verify._cholesky_frame(metric)
+        assert np.isnan(frame[:2]).any(axis=(-2, -1)).all() and np.isnan(coframe[:2]).any(axis=(-2, -1)).all()
+        frame, coframe, metric = frame[2:], coframe[2:], metric[2:]
+        L = np.linalg.cholesky(metric)
+        size = np.sqrt(np.linalg.norm(metric, axis=(-2, -1)))[:, None, None]
+        assert (np.abs(coframe - L.swapaxes(-1, -2)) <= 1e-14 * size).all()
+        assert np.array_equal(frame, np.triu(frame)) and np.array_equal(coframe, np.triu(coframe))
+        assert np.abs(frame.swapaxes(-1, -2) @ metric @ frame - np.eye(D)).max() <= 1e-13
+        assert np.abs(coframe @ frame - np.eye(D)).max() <= 1e-14
+
+    def test_degenerate_metric_leaves_the_interior(self):
+        # a strip of columns collapsed onto the origin: the chart derivative
+        # along axis 0 vanishes there, the metric's first pivot is 0 and the
+        # frame NaN, so those nodes are not interior (no clamped root)
+        g = TensorGrid((15, 15), (0.1, 0.1))
+        U, V = g.meshgrid()
+        pos = np.stack([U, V, 0.3 * U * U + 0.2 * V * V], axis=-1)
+        pos[:, 8:13] = 0.0
+        jet = numeric_jet(ImmersionSample(g, pos))
+        assert (jet.metric[:, 8:13, 0, 0] == 0.0).all() and np.isnan(jet.frame[:, 8:13]).any(axis=(-2, -1)).all()
+        assert not jet.interior[:, 8:13].any() and jet.interior[2:13, 2:8].all()
 
     def test_cached_forms_match_oracle(self, torus_v):
         jet = numeric_jet(torus_v)
@@ -282,6 +311,47 @@ class TestNumericJet:
         alpha = jet.alpha
         assert not alpha.flags.c_contiguous
         assert peak - kept <= alpha.nbytes
+
+
+def _symmetric_root_jet(s):
+    """`numeric_jet(s)` and the same forms in the frame of the metric's
+    symmetric inverse square root g^{-1/2} (LAPACK eigenpairs), the frame
+    the oracle took before its Cholesky frame: any g-orthonormal frame
+    serves, its inverse is the coframe."""
+    jet = numeric_jet(s)
+    w, Q = np.linalg.eigh(jet.metric)
+    root, Qt = np.sqrt(w)[..., None, :], Q.swapaxes(-1, -2)
+    frame = (Q / root) @ Qt
+    return jet, dataclasses.replace(jet, frame=frame, coframe=(Q * root) @ Qt, shape_sym=frame @ jet.H @ frame)
+
+
+@pytest.mark.parametrize("case", ["torus_patch", "recursion_step1", "recursion_step2", "sphere",
+                                  "holed_clifford_product"])
+def test_outputs_do_not_depend_on_the_tangent_frame(case, request):
+    # shape operators in two orthonormal frames are orthogonally similar:
+    # every discrete output is the same, eta and the projectors agree to
+    # 5e-14 relative (measured up to 7e-15) and the Dupin residuals of
+    # multiplicity-1 classes to 1e-11 (measured up to 2.3e-12, on 1.1e-6)
+    if case == "sphere":
+        s = sphere_patch(radius=1.0, shape=(41, 41))
+    elif case == "holed_clifford_product":
+        s = _holed(clifford_product())
+    else:
+        s = request.getfixturevalue(case)
+        s = s if isinstance(s, ImmersionSample) else s.sample
+    jet, root_jet = _symmetric_root_jet(s)
+    pd, ref = extract_principal_normals(s, jet=jet), extract_principal_normals(s, jet=root_jet)
+    assert pd.multiplicities == ref.multiplicities and np.array_equal(pd.mask, ref.mask)
+    for name in ("eta", "projectors"):
+        new, old = getattr(pd, name), getattr(ref, name)
+        assert np.abs(new - old).max() <= 5e-14 * np.abs(old).max(), name
+    rep, ref_rep = sf_report(s, pd=pd, jet=jet), sf_report(s, pd=ref, jet=root_jet)
+    fields = ("k", "multiplicities", "dim_N1", "dim_Sf", "conformal_codim", "holonomic", "masked_fraction",
+              "checks")
+    assert [getattr(rep, f) for f in fields] == [getattr(ref_rep, f) for f in fields]
+    assert [c["integrable"] for c in rep.conullity] == [c["integrable"] for c in ref_rep.conullity]
+    for m, new, old in zip(pd.multiplicities, rep.dupin_residuals, ref_rep.dupin_residuals, strict=True):
+        assert m > 1 or abs(new - old) <= 1e-11
 
 
 class TestExtraction:
@@ -693,7 +763,7 @@ def _with_nan_at(s, where, value=np.nan):
 class TestJacobiKernels:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 10**6))
-    def test_sym_eigh_matches_lapack(self, D, seed):
+    def test_one_family_matches_lapack(self, D, seed):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(60, D, D)) * rng.uniform(1e-3, 1e3, (60, 1, 1))
         A = X + X.swapaxes(-1, -2)
@@ -705,7 +775,8 @@ class TestJacobiKernels:
         A[20:30] = np.eye(D) * rng.normal(size=(10, 1, D))
         A[30:33] = 0.0
         A[33:35, 0, D - 1] = A[33:35, D - 1, 0] = np.nan
-        w, V = _sym_eigh(A)
+        w, V = _joint_eigh(A[None], lambda w: w[0])
+        w = w[0]
         nan = np.zeros(len(A), dtype=bool)
         nan[33:35] = True
         assert np.isnan(w[nan]).all() and np.isnan(V[nan]).all()
@@ -749,7 +820,6 @@ class TestJacobiKernels:
         X = rng.normal(size=(60, D, D)) * rng.uniform(1e-3, 1e3, (60, 1, 1))
         A = X + X.swapaxes(-1, -2)
         w, V = _joint_eigh(A[None], lambda w: w[0])
-        assert np.array_equal(w[0], _sym_eigh(A)[0]) and np.array_equal(V, _sym_eigh(A)[1])
         size = np.linalg.norm(A, axis=(-2, -1))
         assert (np.abs(w[0] - np.linalg.eigh(A)[0]).max(axis=-1) <= 1e-14 * size).all()
         assert (np.abs(A @ V - V * w[0][:, None, :]).max(axis=(-2, -1)) <= 1e-14 * size).all()
@@ -1072,12 +1142,13 @@ class TestNodeBlocks:
         if jet_values is not None:
             monkeypatch.setattr(verify, "_JET_VALUES", jet_values)      # one-row slabs
         jet = numeric_jet(s)
-        alpha, _, _ = _whole_grid_alpha(s, jet.normal_proj)
+        alpha, second, _ = _whole_grid_alpha(s, jet.normal_proj)
         assert not jet.alpha.flags.c_contiguous and jet.alpha.shape == alpha.shape
         assert np.array_equal(_bits(jet.alpha), _bits(alpha))
-        H = np.einsum("ij...k,r...k->r...ij", alpha, jet.normal_basis)
+        # the normal basis lies in the normal space, so H contracts the unprojected second derivatives
+        H = np.einsum("ij...k,r...k->r...ij", second, jet.normal_basis)
         assert np.array_equal(_bits(jet.H), _bits(H))
-        assert np.array_equal(_bits(jet.shape_sym), _bits(jet.g_isqrt @ H @ jet.g_isqrt))
+        assert np.array_equal(_bits(jet.shape_sym), _bits(jet.frame.swapaxes(-1, -2) @ H @ jet.frame))
 
     @pytest.mark.parametrize("case", ["recursion_step1", "recursion_step2", "holed_clifford"])
     def test_block_sizes_do_not_change_outputs(self, case, request, monkeypatch):
