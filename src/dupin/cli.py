@@ -307,12 +307,17 @@ def _verify_gates(sample, gates: dict):
 def _recursion_step(sample, step: dict, where: str, tol: float, info: dict):
     """A recursion step document run on sample: `dupin_step`, then
     `validate_triple` of the new net at tol, then the step's gates on the new
-    sample.  Records the residuals and the gate report in info; returns the
-    result and the failures, none when the step passed."""
+    sample.  Records in info the residuals, the solve's health numbers
+    (path_independence, gnorm_fd and, where set, phi_vanishes_fraction), the
+    regularity gate's min_gap, the transform's masked fraction and the gate
+    report; returns the result and the failures, none when the step passed."""
     gates = _gates(step.get("gates"), where)
     res = dupin_step(sample, **_recursion_args(step, where, sample.n_normals))
     rep = validate_triple(res.triple, tol=tol)
     info["validate"] = dict(rep.residuals)
+    info.update({key: float(value) for key, value in res.w.reports.items()})
+    info["min_gap"] = float(res.predicates["min_gap"])
+    info["masked_fraction"] = float(1.0 - res.regular.mean())
     if not rep.passed:
         return res, [f"transformed net fails validation: {rep}"]
     if not gates:

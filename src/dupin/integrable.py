@@ -55,10 +55,15 @@ nodes, the mask of `solve_linear`'s and `solve_B`'s solution drops every
 node whose sweep read a masked node's values through the interpolation
 stencils.  The Goursat march seeds its base row with a tensor-system sweep;
 its rows, whose rates are not linear, keep a stage-by-stage RK4 that reads
-the axis data from a table of all stage times.  The row state is family-major (v, V^r and h_{0, m}, each
-a (k, n) block), so every rate is one broadcast product with the class row
-of its family, and the stages, their argument and the RK4 sum are written
-into buffers allocated once per march.
+the axis data from a table of all stage times.  The row state is
+family-major (v, V^r and h_{0, m}, each a (2, n) block), so every rate is
+one broadcast product of the reconstructed row h_{1, m} with the class row
+of its family.  Each stage is one run of ufunc and BLAS calls into buffers
+allocated once per march: the exponential of a quadrature for h_{1, ca},
+then one product of a folded quadrature row for h_{1, cb}, whose axis-1
+datum enters the product as one more term against a row of ones, then the
+rate.  The RK4 sum stays elementwise, in the order of the formula: a BLAS
+product would make its rounding depend on the kernel the CPU selects.
 """
 
 from __future__ import annotations
@@ -760,8 +765,11 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
     frame0 is a tuple (X0 (D, N), xi0 (R, N)) of orthonormal columns spanning
     tangent and normal directions at the base node; base_point defaults to
     the origin of the ambient space R^N with N = D + R ... (D tangent + R
-    normal directions).  Unless the Gram defect of the integrated frame at the
-    triple's valid nodes is at most _GRAM_TOL, FrameDrift is raised (no silent
+    normal directions).  On a node-valued triple with masked nodes, the
+    sample's mask also drops every node whose sweep read a masked node's
+    values through the interpolation stencils (as `solve_linear`'s does).
+    Unless the Gram defect of the integrated frame at the sample's valid
+    nodes is at most _GRAM_TOL, FrameDrift is raised (no silent
     re-orthonormalization).
     """
     g = triple.grid
@@ -792,17 +800,19 @@ def reconstruct_frame(triple: Triple, frame0=None, base_point=None,
 
     # state (1 + D + R, N): position, tangents and normals as rows
     state0 = np.concatenate([base_point[None], X0, xi0])
-    Z, reports, _ = _sweep(g, state0, _dense_phase(factory, substeps), order, check_alternate)
+    Z, reports, clean = _sweep(g, state0, _dense_phase(factory, substeps), order, check_alternate,
+                               provider.reads(substeps))
     positions = Z[..., 0, :]
     X = np.moveaxis(Z[..., 1 : 1 + D, :], -2, 0)
     xi = np.moveaxis(Z[..., 1 + D :, :], -2, 0)
+    mask = triple.mask if clean is None else triple.valid() & clean
 
-    defect = _gram_defect((X, xi), triple.valid())
+    defect = _gram_defect((X, xi), triple.valid() if mask is None else mask)
     if not defect <= _GRAM_TOL:
         raise FrameDrift(f"Gram defect {defect:.3e} exceeds tol {_GRAM_TOL:g}")
 
     return ImmersionSample(g, positions, tangents=X.copy(), normals=xi.copy(), triple=triple,
-                           mask=triple.mask, reports={"gram_defect": float(defect), **reports})
+                           mask=mask, reports={"gram_defect": float(defect), **reports})
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +835,8 @@ def cumulative_integral(y: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
         raise UnsupportedGrid("cumulative integral needs >= 4 nodes")
     inc = np.empty(y.shape[:-1] + (n - 1,))
     inc[..., 0] = y[..., :4] @ _CUM_FIRST
-    if n > 4:
-        stack = np.stack([y[..., m : m + n - 3] for m in range(4)], axis=-1)
-        inc[..., 1 : n - 2] = stack @ _CUM_INNER
+    stack = np.stack([y[..., m : m + n - 3] for m in range(4)], axis=-1)
+    inc[..., 1 : n - 2] = stack @ _CUM_INNER
     inc[..., n - 2] = y[..., -4:] @ _CUM_FIRST[::-1]
     out = np.concatenate([np.zeros(y.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
     return np.moveaxis(out * h, -1, axis)
@@ -896,16 +905,36 @@ def _march_axis0(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap, su
             np.reshape(hrow(coords), (k, coords.shape[0])))
 
 
+def _quadrature_matrices(n: int, h: float):
+    """`cumulative_integral` on n uniform nodes of spacing h as matrices: Q
+    (n, n), with Q @ y = cumulative_integral(y, h), and [Q^T; 1] (n + 1, n),
+    which folds an additive constant into the product: [w, c] @ [Q^T; 1] =
+    c + Q @ w."""
+    Q = cumulative_integral(np.eye(n), h, axis=0)
+    return Q, np.vstack([Q.T, np.ones(n)])
+
+
 def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: ClassMap,
                          substeps: int) -> Triple:
     """March rows along axis 1 after seeding the axis-0 base row.
 
-    The row state is family-major, (2 + R, k, na): v, V^0 .. V^{R-1} and
-    ha = h_{0, m}, each a (k, na) block.  Every rate is the reconstructed
-    hb = h_{1, m} (k, na) times the class-cb row of its own family.  Each
-    cell takes `substeps` classical RK4 steps, stage by stage; the stages,
-    their argument and the RK4 sum are written into buffers allocated once
-    per march.
+    The row state is family-major, (2 + R, 2, na): v, V^0 .. V^{R-1} and
+    ha = h_{0, m}, each a (2, na) block (a simple class map on a 2-d grid has
+    k = 2).  Every rate is the reconstructed hb = h_{1, m} (2, na) times the
+    class-cb row of its own family.  hb at the axis-1 data (c_ca, c_cb) of a
+    stage time is
+
+        hb[ca] = c_ca exp(Q ha[ca]),      hb[cb] = [hb[ca] ha[cb], c_cb] @ [Q^T; 1],
+
+    with Q the cumulative quadrature matrix (`_quadrature_matrices`): the
+    datum c_cb enters the quadrature's product as one more term, against a
+    row of ones.  Each cell takes `substeps` classical RK4 steps, and each
+    stage is one straight run of calls into buffers allocated once per
+    march: Q ha[ca], its exponential times c_ca into hb[ca], the weights
+    hb[ca] ha[cb] of the folded row, its product into hb[cb], then the rate;
+    k2 and k3 share their stage data.  The RK4 sum k1 + 2 k2 + 2 k3 + k4 is
+    formed elementwise in the order of the formula, not by a BLAS product,
+    so that its rounding does not depend on the BLAS kernel.
     """
     k = class_map.n_classes
     R = data.V0.shape[1]
@@ -913,37 +942,18 @@ def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: Clas
     na, nb = grid.shape
     ub = grid.axis_coords(1)
     row_v, row_V, row_ha = _march_axis0(data, grid, class_map, substeps)
-    # the axis-1 data at every stage time and node, read by stage index: the
-    # class-ca value as a float (a list per cell) and the (k, 1) column of
-    # all classes
+    # the axis-1 data of each class at every stage time, read as floats by
+    # cell and stage index
     T, hs = _stage_times(ub, substeps)
     hb_stages = np.reshape(data.h_rows[1](T.reshape(-1)), (k,) + T.shape)
-    stage_ca = hb_stages[ca]
-    stage_col = np.moveaxis(hb_stages, 0, -1)[..., None]          # (cells, stages, k, 1)
+    stage_ca, stage_cb = hb_stages[ca].tolist(), hb_stages[cb].tolist()
     hb_nodes = np.reshape(data.h_rows[1](ub), (k, nb))
-    # cumulative_integral along the row as a matrix: cumulative_integral(y) = Q @ y
-    Q = cumulative_integral(np.eye(na), grid.spacings[0], axis=0)
-    QT = Q.T
+    # np.dot makes the BLAS calls of @ with less overhead
+    Q, QT1 = _quadrature_matrices(na, grid.spacings[0])
 
     v = np.empty((k, na, nb))
     V = np.empty((k, R, na, nb))
     h = np.empty((2, k, na, nb))
-
-    z, w, hb = np.empty(na), np.empty((k, na)), np.empty((k, na))
-
-    def reconstruct_hb(at: tuple, hb0_ca: float, hb0: np.ndarray) -> np.ndarray:
-        """Row values hb of h_{1, m}(., t) from the rows `at` of a state and
-        the axis-1 data hb0 (k, 1) at t."""
-        # np.dot makes the BLAS calls of @ with less overhead
-        ha, ha_ca, _ = at
-        np.dot(Q, ha_ca, out=z)
-        np.exp(z, out=z)
-        np.multiply(z, hb0_ca, out=z)
-        np.multiply(z, ha, out=w)
-        np.dot(w, QT, out=hb)                      # the rows m != ca
-        np.add(hb, hb0, out=hb)
-        hb[ca] = z
-        return hb
 
     Y = np.empty((2 + R, k, na))
     Y[0], Y[1 : 1 + R], Y[1 + R] = row_v, np.moveaxis(row_V, 1, 0), row_ha
@@ -951,39 +961,70 @@ def _integrate_triple_2d(data: TripleAxisData, grid: TensorGrid, class_map: Clas
     # and S the sum k1 + 2 k2 + 2 k3 + k4; the additions run in the order of
     # the formula (an IEEE sum does not depend on the order of its operands)
     K1, K2, X, S = (np.empty_like(Y) for _ in range(4))
-    # the rows a rate reads: ha, its class-ca row and the class-cb rows
-    at_Y = (Y[1 + R], Y[1 + R, ca], Y[:, cb : cb + 1])
-    at_X = (X[1 + R], X[1 + R, ca], X[:, cb : cb + 1])
-
-    def rate(out, at, hb0_ca, hb0):
-        np.multiply(reconstruct_hb(at, hb0_ca, hb0), at[2], out=out)
+    hb, wc = np.empty((k, na)), np.empty(na + 1)
+    hb_ca, hb_cb, w = hb[ca], hb[cb], wc[:na]
+    # the rows a rate reads: ha[ca], ha[cb] and the class-cb rows of every family
+    Y_ca, Y_cb, Y_rows = Y[1 + R, ca], Y[1 + R, cb], Y[:, cb : cb + 1]
+    X_ca, X_cb, X_rows = X[1 + R, ca], X[1 + R, cb], X[:, cb : cb + 1]
 
     def store(j):
         v[:, :, j] = Y[0]
         V[:, :, :, j] = np.moveaxis(Y[1 : 1 + R], 0, 1)
-        h[0, :, :, j] = at_Y[0]
-        h[1, :, :, j] = reconstruct_hb(at_Y, float(hb_nodes[ca, j]), hb_nodes[:, j, None])
+        h[0, :, :, j] = Y[1 + R]
+        np.dot(Q, Y_ca, out=hb_ca)
+        np.exp(hb_ca, out=hb_ca)
+        np.multiply(hb_ca, hb_nodes[ca, j], out=hb_ca)
+        np.multiply(hb_ca, Y_cb, out=w)
+        wc[na] = hb_nodes[cb, j]
+        np.dot(wc, QT1, out=hb_cb)
+        h[1, :, :, j] = hb
 
     store(0)
     for j in range(1, nb):
         step = hs[j - 1]
         half, sixth = 0.5 * step, step / 6.0
-        cell_ca, cell_col = stage_ca[j - 1].tolist(), stage_col[j - 1]
+        cell_ca, cell_cb = stage_ca[j - 1], stage_cb[j - 1]
         for i in range(0, 2 * substeps, 2):
-            rate(K1, at_Y, cell_ca[i], cell_col[i])                          # k1
+            c_ca, c_cb = cell_ca[i], cell_cb[i]                      # k1
+            np.dot(Q, Y_ca, out=hb_ca)
+            np.exp(hb_ca, out=hb_ca)
+            hb_ca *= c_ca
+            np.multiply(hb_ca, Y_cb, out=w)
+            wc[na] = c_cb
+            np.dot(wc, QT1, out=hb_cb)
+            np.multiply(hb, Y_rows, out=K1)
             np.multiply(half, K1, out=X)
             X += Y
-            rate(K2, at_X, cell_ca[i + 1], cell_col[i + 1])                  # k2
+            c_ca, c_cb = cell_ca[i + 1], cell_cb[i + 1]              # k2
+            np.dot(Q, X_ca, out=hb_ca)
+            np.exp(hb_ca, out=hb_ca)
+            hb_ca *= c_ca
+            np.multiply(hb_ca, X_cb, out=w)
+            wc[na] = c_cb
+            np.dot(wc, QT1, out=hb_cb)
+            np.multiply(hb, X_rows, out=K2)
             np.multiply(2.0, K2, out=S)
             S += K1
             np.multiply(half, K2, out=X)
             X += Y
-            rate(K1, at_X, cell_ca[i + 1], cell_col[i + 1])                  # k3
+            np.dot(Q, X_ca, out=hb_ca)                               # k3, at k2's time
+            np.exp(hb_ca, out=hb_ca)
+            hb_ca *= c_ca
+            np.multiply(hb_ca, X_cb, out=w)
+            np.dot(wc, QT1, out=hb_cb)
+            np.multiply(hb, X_rows, out=K1)
             np.multiply(step, K1, out=X)
             X += Y
             K1 *= 2.0
             S += K1
-            rate(K2, at_X, cell_ca[i + 2], cell_col[i + 2])                  # k4
+            c_ca, c_cb = cell_ca[i + 2], cell_cb[i + 2]              # k4
+            np.dot(Q, X_ca, out=hb_ca)
+            np.exp(hb_ca, out=hb_ca)
+            hb_ca *= c_ca
+            np.multiply(hb_ca, X_cb, out=w)
+            wc[na] = c_cb
+            np.dot(wc, QT1, out=hb_cb)
+            np.multiply(hb, X_rows, out=K2)
             S += K2
             S *= sixth
             Y += S

@@ -286,6 +286,29 @@ class TestPipeline:
         for name in ("final_sample.json", "torus.obj", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_recursion_health_numbers_are_deterministic(self, tmp_path):
+        # each recursion step records its solve's health numbers, the
+        # regularity gate's min_gap and the transform's masked fraction next
+        # to validate, and two runs write the same summary.json byte for byte
+        spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE4},
+                "steps": [{"op": "recursion", **REGULAR_STEP},
+                          {"op": "recursion", "n_indices": [1],
+                           "y": {"shape": [5], "spacings": [0.01], "origins": [0.828]},
+                           "B0": [-0.204, 0.141], "phi0": 1.0, "gamma0": [0.010, -0.042],
+                           "beta0": [-0.618, -0.174]}]}
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_pipeline(spec, str(a))
+        run_pipeline(spec, str(b))
+        assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+        steps = json.loads((a / "summary.json").read_text(encoding="utf-8"))["steps"]
+        health = {"gnorm_fd", "min_gap", "masked_fraction"}
+        # a curve's solve has one sweep order, so no path independence
+        assert set(steps[0]) == {"op", "validate"} | health
+        assert set(steps[1]) == {"op", "validate", "path_independence"} | health
+        for step in steps:
+            assert all(type(step[key]) is float for key in set(step) - {"op", "validate"})
+            assert step["min_gap"] > 0 and step["masked_fraction"] == 0.0
+
     def test_empty_steps_exports_seed_only(self, tmp_path):
         spec = {"schema": "dupin/pipeline@1",
                 "seed": {"kind": "torus", "params": {"shape": [9, 9]}}, "steps": []}

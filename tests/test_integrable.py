@@ -38,11 +38,13 @@ from dupin.verify import _RNG_SEED, dupin_tensor_space
 
 
 def test_cumulative_integral_exact_on_cubics():
+    # four nodes have one inner interval too
     h = 0.13
-    x = np.arange(17) * h
-    y = 2 * x**3 - x**2 + 4 * x - 1
-    exact = 0.5 * x**4 - x**3 / 3 + 2 * x**2 - x
-    assert np.abs(cumulative_integral(y, h) - exact).max() < 1e-12
+    for n in (4, 5, 17):
+        x = np.arange(n) * h
+        y = 2 * x**3 - x**2 + 4 * x - 1
+        exact = 0.5 * x**4 - x**3 / 3 + 2 * x**2 - x
+        assert np.abs(cumulative_integral(y, h) - exact).max() < 1e-12
 
 
 class TestIntegrateTriple:
@@ -954,21 +956,67 @@ def _frozen_integrate_triple_2d(data, grid, class_map, substeps):
     return v, h, V
 
 
-@pytest.mark.parametrize("substeps", [4, 16])
-@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["forward", "reversed"])
-@pytest.mark.parametrize("case", ["torus41", "cylinder41", "bare_torus_patch", "recursion_step1"])
-def test_row_march_equals_frozen_march_bit_for_bit(case, order, substeps, request):
-    # the buffered stages repeat every IEEE operation of the allocating ones,
-    # in the same order
+@pytest.fixture(scope="module")
+def torus41x21():
+    return torus_seed(R=1.0, r=0.3, shape=(41, 21))
+
+
+@pytest.fixture(scope="module")
+def torus21x41():
+    return torus_seed(R=1.0, r=0.3, shape=(21, 41))
+
+
+def _row_marches(case, order, substeps, request):
+    """The row march's (v, h, V) and the frozen march's on a case."""
     t = (_bare(request.getfixturevalue("torus_patch").triple) if case == "bare_torus_patch"
          else request.getfixturevalue(case).triple)
     data = axis_data_from_triple(t)
     out, _ = integrate_triple(data, t.grid, t.class_map, substeps=substeps, sweep_order=order)
-    v, h, V = _ref_integrate_triple(data, t.grid, t.class_map, substeps, order,
-                                    _frozen_integrate_triple_2d)
-    assert np.array_equal(out.v, v)
-    assert np.array_equal(out.h, h)
-    assert np.array_equal(out.V, V)
+    ref = _ref_integrate_triple(data, t.grid, t.class_map, substeps, order,
+                                _frozen_integrate_triple_2d)
+    return (out.v, out.h, out.V), ref
+
+
+@pytest.mark.parametrize("substeps", [4, 16])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["forward", "reversed"])
+@pytest.mark.parametrize("case", ["torus41", "cylinder41", "bare_torus_patch"])
+def test_row_march_equals_frozen_march_bit_for_bit(case, order, substeps, request):
+    # on these surfaces of revolution hb[ca] or ha[cb] is 0 in each order, so
+    # the folded quadrature row adds the datum to exact zeros, and the march
+    # repeats every other IEEE operation of the frozen one in the same order:
+    # an RK4 sum formed any other way (a BLAS product, say) fails here
+    for got, want in zip(*_row_marches(case, order, substeps, request), strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("substeps", [4, 16])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["forward", "reversed"])
+@pytest.mark.parametrize("case", ["torus41", "cylinder41", "bare_torus_patch", "recursion_step1",
+                                  "torus41x21", "torus21x41"])
+def test_row_march_matches_frozen_march_to_rounding(case, order, substeps, request):
+    # the fold sums the axis-1 datum with the quadrature terms in one BLAS
+    # product, so hb[cb] may round differently from the frozen product plus
+    # add; v, h and V stay within 4 eps of each field's largest value.  The
+    # 41 x 21 and 21 x 41 grids shape the march's buffers both ways round
+    for got, want in zip(*_row_marches(case, order, substeps, request), strict=True):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
+def test_folded_quadrature_row_is_the_cumulative_integral_plus_its_constant():
+    # [w, c] @ [Q^T; 1] = c + cumulative_integral(w, h) to 4 ulp of the size
+    # of the summed terms, |c| + h sum |w| (the two sum them in different
+    # orders, and a cancelling sum can end far below its terms), on four
+    # nodes (one inner interval) and more
+    rng = np.random.default_rng(20)
+    for n in (4, 5, 9, 21, 41):
+        h = rng.uniform(0.005, 0.5)
+        _, QT1 = integrable._quadrature_matrices(n, h)
+        for _ in range(20):
+            w, c = rng.normal(size=n), rng.normal()
+            want = c + cumulative_integral(w, h)
+            got = np.dot(np.append(w, c), QT1)
+            assert np.abs(got - want).max() <= 4 * np.spacing(abs(c) + h * np.abs(w).sum())
 
 
 def _sweep_outputs(t, substeps):
@@ -1068,6 +1116,23 @@ def test_masked_node_values_mask_the_nodes_they_reach(torus_patch, order):
             assert np.array_equal(_bits(a[..., got.mask]), _bits(b[..., got.mask]))
             differ |= (a != b).reshape((-1,) + dropped.shape).any(axis=0)
         assert np.array_equal(differ | ~masked.valid(), dropped)
+
+
+def test_masked_node_values_mask_the_frame_nodes_they_reach(torus_patch):
+    # as for the solves: the 7 valid nodes (15, 13) and (15, 15..20) read
+    # (15, 14) through the cubic stencils of their line's cells, and the
+    # reconstruction at every other node, its Gram defect and its path
+    # independence are the unmasked triple's bit for bit
+    bare, masked = _masked_torus(torus_patch)
+    clean, got = reconstruct_frame(bare), reconstruct_frame(masked)
+    dropped = np.zeros(masked.grid.shape, dtype=bool)
+    dropped[15, 13:] = True
+    assert clean.mask is None and np.array_equal(got.mask, ~dropped)
+    keep = got.mask
+    assert np.array_equal(_bits(got.positions[keep]), _bits(clean.positions[keep]))
+    for name in ("tangents", "normals"):
+        assert np.array_equal(_bits(getattr(got, name)[:, keep]), _bits(getattr(clean, name)[:, keep]))
+    assert got.reports == clean.reports
 
 
 def test_path_independence_compares_the_nodes_both_orders_keep(torus_patch):
