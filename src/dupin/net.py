@@ -229,19 +229,68 @@ class ImmersionSample:
 class PrincipalData:
     """Principal normals and eigenbundle data of a proper submanifold patch.
 
-    ``eta`` holds the k principal normals as ambient fields (k, *grid, N);
-    ``projectors`` (optional) holds the chart-coordinate eigenbundle
-    projectors (k, *grid, D, D) from the independent extraction path.
+    ``eta`` holds the k principal normals as ambient fields (k, *grid, N),
+    ``multiplicities`` the size of each group of eigendirections.  The
+    independent extraction path (`verify.extract_principal_normals`) also
+    keeps, per node, its eigenframe and class order: ``eigenframe``
+    (*grid, D, D) holds the chart components E Q of a g-orthonormal
+    eigenbasis as columns, class j's block of
+    ``multiplicities[order[..., j]]`` columns after the blocks of classes
+    0..j-1, and ``order`` (*grid, k) the group that class j takes.  Both are
+    zero at nodes outside ``mask``.  The eigenbundle projectors
+    (``projectors``) are formed from them on each read, not stored.
     """
 
     eta: np.ndarray
     multiplicities: tuple
-    projectors: np.ndarray | None = None
     mask: np.ndarray | None = None
+    eigenframe: np.ndarray | None = None
+    order: np.ndarray | None = None
 
     @property
     def k(self) -> int:
         return self.eta.shape[0]
+
+    @property
+    def projectors(self) -> np.ndarray | None:
+        """The chart-coordinate eigenbundle projectors (k, *grid, D, D), zero
+        outside ``mask``; None without an eigenframe: `_class_projectors`
+        of the eigenframe R and its inverse, R^{-1} = R^T g."""
+        R = self.eigenframe
+        if R is None:
+            return None
+        at = np.ones(R.shape[:-2], dtype=bool) if self.mask is None else self.mask
+        C = np.zeros(R.shape)
+        C[at] = np.linalg.inv(R[at])
+        return _class_projectors(R, C, self.multiplicities, self.order, range(self.k))
+
+
+def _class_projectors(R: np.ndarray, C: np.ndarray, multiplicities: tuple, order: np.ndarray,
+                      classes: range) -> np.ndarray:
+    """The projectors (c, *nodes, D, D) onto the eigenbundles of the given
+    classes at nodes with eigenframe R (*nodes, D, D), its columns in class
+    order (see `PrincipalData`), co-eigenframe C = R^{-1} (*nodes, D, D) and
+    class order (*nodes, k): per class, the product of R's columns and C's
+    rows in the class's block.  When the groups have one size m, class j's
+    block is columns j m .. (j + 1) m - 1 at every node; otherwise it can
+    move from node to node, and each block is formed at the nodes that hold
+    it."""
+    D = R.shape[-1]
+    P = np.empty((len(classes),) + R.shape)
+    if len(set(multiplicities)) == 1:
+        m = multiplicities[0]
+        for x, j in enumerate(classes):
+            np.matmul(R[..., j * m:(j + 1) * m], C[..., j * m:(j + 1) * m, :], out=P[x])
+        return P
+    sizes = np.asarray(multiplicities)[order]
+    for x, j in enumerate(classes):
+        hi = sizes[..., :j + 1].sum(axis=-1)
+        lo = hi - sizes[..., j]
+        for block in np.unique(lo * (D + 1) + hi).tolist():
+            b0, b1 = divmod(block, D + 1)
+            at = (lo == b0) & (hi == b1)
+            P[x][at] = R[at][..., b0:b1] @ C[at][..., b0:b1, :]
+    return P
 
 
 @dataclass

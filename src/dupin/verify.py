@@ -21,16 +21,21 @@ simultaneous Jacobi diagonalization of the shape operators in that frame
 (`_normal_frame`), one-sided Jacobi singular values in the rank decisions
 (`numerics._singular_values`), class tracking by pointer doubling (`_track`)
 and one deep-stencil derivative pass over the stencil-valid box for every
-class's fields (`_slopes`).  No output depends on the normal basis, so none
-depends on where the sample sits in space; the tangent frame moves outputs
-only by rounding, except where a class of multiplicity > 1 is sampled
-along its frame columns (`_along`).  The flat-normal-bundle check
-(`normal_curvature_residual`) is computed once per jet: extraction and
-`sf_report` on the same jet share it.
+class's fields (`_slopes`).  No output depends on the normal basis, and
+the stencils read the positions less a reference point, so none depends on
+where the sample sits in space beyond the rounding of its positions; the
+tangent frame moves outputs only by rounding, except where a class of
+multiplicity > 1 is sampled along its frame columns (`_along`).  The
+flat-normal-bundle check (`normal_curvature_residual`) is computed once per
+jet: extraction and `sf_report` on the same jet share it.
 
-Memory stays close to what the oracle returns: `numeric_jet` builds the
-second fundamental form in slabs of axis-0 rows, and the extraction's cost
-and distance tables, its projector chains and the derived checks' derivative
+Memory stays close to the oracle's degrees of freedom: the jet keeps the
+metric, the tangent frame, the shape operators and the normal basis, and the
+extraction the principal normals, one eigenframe and the class order per
+node.  Every other field (the coframe, the normal projector, H, alpha, the
+class projectors) is formed where it is read.  `numeric_jet` builds the
+normal basis and the shape operators in slabs of axis-0 rows, and the
+extraction's cost and distance tables and the derived checks' derivative
 passes run over bounded blocks of nodes.  Every value is the one a
 whole-grid evaluation gives, bit for bit, whatever the block sizes.
 """
@@ -46,7 +51,7 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .integrable import _bounded, _sweep_tensor
-from .net import ImmersionSample, PrincipalData, Triple
+from .net import ImmersionSample, PrincipalData, Triple, _class_projectors
 from .numerics import (TensorGrid, _erode_mask, _fd_deep, _fd_rows, _fd_to, _joint_eigh, _singular_values,
                        _sphere_fits, _sum_last)
 from .ribaucour import NRibaucourResult
@@ -76,35 +81,34 @@ _GAP_REQUIRED = 1e6        # sigma_k / sigma_{k+1} of a rank-k solution stack
 _PASS_VALUES = 2**17       # derived checks: box values differentiated in one pass
 _JET_VALUES = 2**16        # numeric_jet: second-derivative values per slab
 _BLOCK_VALUES = 2**17      # extraction: values of a per-node temporary built in one block
+_SCALE_OUTLIER = 100.0     # numeric_jet drops nodes whose |S| exceeds this multiple of the interior median
 
 
 @dataclass
 class NumericJet:
-    """Finite-difference fundamental forms of a position grid: the metric,
-    the normal projector, the second fundamental form H in an orthonormal
-    normal basis, an orthonormal tangent frame and the shape operators in it.
+    """Finite-difference fundamental forms of a position grid, kept at their
+    degrees of freedom: the metric, an orthonormal tangent frame, the shape
+    operators in it, an orthonormal normal basis and the interior nodes.
     The frame E = L^{-T} comes from the metric's Cholesky factors g = L L^T:
     its columns are the chart components of g-orthonormal vectors
-    (E^T g E = I), and its inverse is the coframe L^T.  The shape operators
-    E^T H E are symmetric; in any other orthonormal frame they are
-    orthogonally similar, so no output depends on the choice beyond
-    rounding, except the frame columns along which `_along` samples a class
-    of multiplicity > 1.
+    (E^T g E = I).  The shape operators E^T H E are symmetric; in any other
+    orthonormal frame they are orthogonally similar, so no output depends on
+    the choice beyond rounding, except the frame columns along which `_along`
+    samples a class of multiplicity > 1.
 
-    The ambient second fundamental form `alpha` is not kept: reading it
-    differentiates the positions again.  `numeric_jet` builds H in node
-    blocks, so neither alpha nor the second derivatives behind it ever
-    exist for the whole grid."""
+    The coframe L^T, the normal projector, the second fundamental form H in
+    the normal basis and the ambient second fundamental form `alpha` are not
+    stored: each property forms its field on every read, by the formula
+    `numeric_jet` uses for it (the last three differentiate the positions
+    again).  `numeric_jet` forms the normal projector and H in node slabs,
+    so neither exists for the whole grid there."""
 
     grid: TensorGrid
     positions: np.ndarray      # (*grid, N) the sample's positions, not copied
     metric: np.ndarray         # (*grid, D, D)
-    normal_proj: np.ndarray    # (*grid, N, N) projector onto the normal space
-    H: np.ndarray              # (p, *grid, D, D) second fundamental form <alpha_ij, nu_r>
-    shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators
-    normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis, `_normal_frame` (not smooth)
     frame: np.ndarray          # (*grid, D, D) E = L^{-T}, columns g-orthonormal
-    coframe: np.ndarray        # (*grid, D, D) E^{-1} = L^T
+    shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators; NaN at dropped nodes
+    normal_basis: np.ndarray   # (p, *grid, N) orthonormal normal basis, `_normal_frame` (not smooth)
     interior: np.ndarray       # bool (*grid): valid nodes two layers in with finite forms
     # normal_curvature_residual, computed on its first call
     _normal_curvature: float | None = dc_field(default=None, init=False, repr=False, compare=False)
@@ -114,20 +118,54 @@ class NumericJet:
         return self.shape_sym.shape[0]
 
     @property
+    def coframe(self) -> np.ndarray:
+        """(*grid, D, D) E^{-1} = L^T, from the metric on each read."""
+        return _cholesky_frame(self.metric)[1]
+
+    def _forms(self) -> tuple:
+        """The grid, the stencils' positions and their first derivatives."""
+        g = self.grid
+        pos = _centered(self.positions)
+        return g, pos, _gradient(g, pos)
+
+    @property
+    def normal_proj(self) -> np.ndarray:
+        """(*grid, N, N) projector onto the normal space, from the positions
+        on each read."""
+        _, _, first = self._forms()
+        return _normal_proj(first, self.frame)
+
+    @property
+    def H(self) -> np.ndarray:
+        """(p, *grid, D, D) second fundamental form <alpha_ij, nu_r> in the
+        normal basis, from the positions on each read; shape_sym is
+        E^T H E."""
+        g, pos, first = self._forms()
+        return _second_form(g, pos, first, self.normal_basis, 0, g.shape[0])
+
+    @property
     def alpha(self) -> np.ndarray:
         """(D, D, *grid, N) normal-projected second derivatives, built on
         each read from the positions for the whole grid (a view of one
-        (n, D*D, N) product, not C-contiguous).  `numeric_jet` contracts the
-        same second derivatives with the normal basis into H, which needs no
-        projection, so H and alpha agree to rounding."""
-        g = self.grid
-        pos = _finite(self.positions)
-        return _project(_second(g, pos, _gradient(g, pos), 0, g.shape[0]), self.normal_proj)
+        (n, D*D, N) product, not C-contiguous).  H contracts the same second
+        derivatives with the normal basis, which needs no projection, so H
+        and alpha agree to rounding."""
+        g, pos, first = self._forms()
+        return _project(_second(g, pos, first, 0, g.shape[0]), _normal_proj(first, self.frame))
 
 
-def _finite(pos: np.ndarray) -> np.ndarray:
-    """Positions with every non-finite value (allowed at masked nodes) made NaN."""
-    return np.where(np.isfinite(pos), pos, np.nan)
+def _centered(pos: np.ndarray) -> np.ndarray:
+    """Positions less a reference point, with every non-finite value
+    (allowed at masked nodes) made NaN.  The reference is the coordinatewise
+    median of the nodes whose coordinates are all finite, so no single node
+    moves it, and the stencils of the differences do not depend on where
+    the sample sits in space."""
+    finite = np.isfinite(pos)
+    flat = pos.reshape(-1, pos.shape[-1])
+    ref = (flat if finite.all() else flat[finite.all(axis=-1).reshape(-1)]).T.copy()
+    half = ref.shape[1] // 2
+    ref = np.partition(ref, half, axis=1)[:, half] if ref.size else 0.0
+    return np.where(finite, pos - ref, np.nan)
 
 
 def _gradient(g: TensorGrid, pos: np.ndarray) -> np.ndarray:
@@ -177,6 +215,14 @@ def _second(g: TensorGrid, pos: np.ndarray, first: np.ndarray, lo: int, hi: int)
     return sec
 
 
+def _second_form(g: TensorGrid, pos: np.ndarray, first: np.ndarray, basis: np.ndarray,
+                 lo: int, hi: int) -> np.ndarray:
+    """H (p, hi - lo, *grid[1:], D, D) on the axis-0 rows lo..hi-1: the rows'
+    second derivatives contracted with the normal basis (p, *grid, N).  The
+    basis lies in the normal space, so this is the normal part's."""
+    return np.einsum("ij...k,r...k->r...ij", _second(g, pos, first, lo, hi), basis[:, lo:hi])
+
+
 def _project(second: np.ndarray, normal_proj: np.ndarray) -> np.ndarray:
     """alpha_ij = normal_proj second_ij for second derivatives (D, D, *nodes,
     N), one (D*D, N) @ (N, N) product per node, as a (D, D, *nodes, N) view
@@ -186,6 +232,17 @@ def _project(second: np.ndarray, normal_proj: np.ndarray) -> np.ndarray:
     alpha = alpha.reshape(second.shape[2:-1] + (D, D, N))
     nodes = tuple(range(alpha.ndim - 3))
     return alpha.transpose((alpha.ndim - 3, alpha.ndim - 2) + nodes + (alpha.ndim - 1,))
+
+
+def _normal_proj(first: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The projector I - T^T T (*nodes, N, N) onto the normal space at nodes
+    with first derivatives first (D, *nodes, N) and tangent frame E (*nodes,
+    D, D): the rows of T = E^T (f_1, ..., f_D) are an orthonormal tangent
+    frame.  T^T is copied: that strided stack takes numpy's slow loop."""
+    D, N = first.shape[0], first.shape[-1]
+    T = frame.swapaxes(-1, -2) @ first.transpose(tuple(range(1, D + 1)) + (0, D + 1))   # (*nodes, D, N)
+    proj = T.swapaxes(-1, -2).copy() @ T
+    return np.subtract(np.eye(N), proj, out=proj)
 
 
 def _cholesky_frame(metric: np.ndarray) -> tuple:
@@ -226,64 +283,83 @@ def _cholesky_frame(metric: np.ndarray) -> tuple:
 def numeric_jet(s: ImmersionSample) -> NumericJet:
     """Fundamental forms from raw positions, independent of cached data.
 
-    The tangent frame is the metric's Cholesky frame (`_cholesky_frame`).
-    H is built in slabs of axis-0 rows, about _JET_VALUES second-derivative
-    values each: the slab's second derivatives (`_second`) contracted with
-    the orthonormal normal basis, one slab at a time.  Every value equals
-    the whole-grid evaluation's."""
-    g, pos = s.grid, s.positions
-    D, N = g.ndim, pos.shape[-1]
+    The stencils read the positions less a reference point (`_centered`).
+    The tangent frame is the metric's Cholesky frame (`_cholesky_frame`; its
+    coframe is scratch).  The normal basis and the shape operators are built
+    in slabs of axis-0 rows, about _JET_VALUES second-derivative values each:
+    per slab the normal projector's pivoted Gram-Schmidt basis
+    (`_normal_frame`), then the slab's H (`_second_form`) turned into its
+    shape operators at once.  Every value equals the whole-grid evaluation's.
+
+    A node whose shape operator is more than _SCALE_OUTLIER times the
+    interior median in size (the largest norm of an entry of sum_r S_r nu_r)
+    is dropped: its shape operators become NaN, so it leaves the interior
+    and extraction masks it.  One wild position then cannot set the shape
+    scale of the whole sample."""
+    g = s.grid
+    D, N = g.ndim, s.positions.shape[-1]
     if min(g.shape) < 5:
         raise TooFewNodes("need at least 5 nodes per axis for the oracle")
     # non-finite positions (allowed at masked nodes) become NaN, which reaches
     # the forms of their stencil neighbours quietly; those nodes are not interior
-    pos = _finite(pos)
+    pos = _centered(s.positions)
 
     first = _gradient(g, pos)
     metric = np.einsum("i...k,j...k->...ij", first, first)
+    frame = _cholesky_frame(metric)[0]
 
-    # the rows of T = E^T (f_1, ..., f_D) are an orthonormal tangent frame;
-    # T^T is copied: that strided stack takes numpy's slow loop
-    frame, coframe = _cholesky_frame(metric)
-    T = frame.swapaxes(-1, -2) @ first.transpose(tuple(range(1, D + 1)) + (0, D + 1))   # (*grid, D, N)
-    normal_proj = T.swapaxes(-1, -2).copy() @ T
-    del T
-    np.subtract(np.eye(N), normal_proj, out=normal_proj)
-    normal_basis = _normal_frame(normal_proj, N - D)
-
-    # <second_ij, nu_r> is the normal part's: the basis lies in the normal space
-    H = np.empty((N - D,) + g.shape + (D, D))
+    normal_basis = np.empty((N - D,) + g.shape + (N,))
+    shape_sym = np.empty((N - D,) + g.shape + (D, D))
     rows = max(1, _JET_VALUES // (D * D * N * (g.size // g.shape[0])))
     for lo in range(0, g.shape[0], rows):
-        hi = min(lo + rows, g.shape[0])
-        np.einsum("ij...k,r...k->r...ij", _second(g, pos, first, lo, hi), normal_basis[:, lo:hi],
-                  out=H[:, lo:hi])
+        at = slice(lo, min(lo + rows, g.shape[0]))
+        E = frame[at]
+        normal_basis[:, at] = _normal_frame(first[:, at], E, N - D)
+        np.matmul(E.swapaxes(-1, -2) @ _second_form(g, pos, first, normal_basis, at.start, at.stop), E,
+                  out=shape_sym[:, at])
     del first, pos
-    shape_sym = frame.swapaxes(-1, -2) @ H @ frame
 
-    interior = (g.interior_mask(2) & np.isfinite(metric).all(axis=(-2, -1))
-                & np.isfinite(shape_sym).all(axis=(0, -2, -1)))
+    # |S| per node, NaN where a shape operator is, inf where its square overflows
+    with np.errstate(over="ignore"):
+        sq = (shape_sym * shape_sym).sum(0)
+    size = sq[..., 0, 0].copy()
+    for a, b in zip(*_triu(D, 0)):
+        np.maximum(size, sq[..., a, b], out=size)
+    size = np.sqrt(size, out=size)
+    del sq
+    interior = g.interior_mask(2) & np.isfinite(metric).all(axis=(-2, -1)) & np.isfinite(size)
     if s.mask is not None:
         interior &= s.mask
     if not interior.any():
         raise TooFewNodes("no interior nodes left after masking")
-    return NumericJet(grid=g, positions=s.positions, metric=metric, normal_proj=normal_proj, H=H,
-                      shape_sym=shape_sym, normal_basis=normal_basis,
-                      frame=frame, coframe=coframe, interior=interior)
+    inner = size[interior]
+    median = np.partition(inner, len(inner) // 2)[len(inner) // 2]     # the upper median
+    wild = size > _SCALE_OUTLIER * max(float(median), 1e-30)
+    if wild.any():
+        shape_sym[:, wild] = np.nan
+        interior &= ~wild
+    return NumericJet(grid=g, positions=s.positions, metric=metric, frame=frame, shape_sym=shape_sym,
+                      normal_basis=normal_basis, interior=interior)
 
 
-def _normal_frame(proj: np.ndarray, p: int) -> np.ndarray:
-    """An orthonormal basis (p, *grid, N) of the range of rank-p projectors
-    (*grid, N, N) by pivoted Gram-Schmidt on their rows: each step normalizes
-    the first row whose squared norm is at least half the largest and
-    projects it out of every row.  Any orthonormal normal basis gives the
-    oracle the same outputs; this one is cheap."""
+def _normal_frame(first: np.ndarray, frame: np.ndarray, p: int) -> np.ndarray:
+    """An orthonormal basis (p, *nodes, N) of the normal spaces at nodes with
+    first derivatives first (D, *nodes, N) and tangent frame (*nodes, D, D),
+    by pivoted Gram-Schmidt on the rows of the normal projector
+    (`_normal_proj`, a temporary): each step normalizes the first row whose
+    squared norm is at least half the largest and projects it out of every
+    row.  Any orthonormal normal basis gives the oracle the same outputs;
+    this one is cheap."""
+    proj = _normal_proj(first, frame)
     N = proj.shape[-1]
     W, rows = proj.reshape(-1, N, N), N * np.arange(proj[..., 0, 0].size)
-    basis = np.empty((p,) + W.shape[:-1])
+    basis, top = np.empty((p,) + W.shape[:-1]), np.empty(len(W))
     for r, nu in enumerate(basis):
         sq = np.einsum("nkl,nkl->nk", W, W)
-        at = rows + (sq >= 0.5 * sq.max(axis=-1, keepdims=True)).argmax(axis=-1)
+        np.copyto(top, sq[:, 0])                       # the rows' largest squared norm, one column at a time
+        for c in range(1, N):
+            np.maximum(top, sq[:, c], out=top)
+        at = rows + (sq >= 0.5 * top[:, None]).argmax(axis=-1)
         nu[:] = W.reshape(-1, N)[at] / np.sqrt(sq.reshape(-1)[at])[:, None]
         W = W - (W @ nu[:, :, None]) * nu[:, None, :] if r + 1 < p else W
     return basis.reshape((p,) + proj.shape[:-1])
@@ -332,6 +408,10 @@ def extract_principal_normals(s: ImmersionSample,
     lexicographic order, so every chain of references ends at the first
     masked node; the matchings are composed up the chains by pointer
     doubling, in ceil(log2 depth) rounds.
+
+    The result keeps, besides eta and the mask, the eigenframe E Q at every
+    masked node with its columns in class order, and the class order itself
+    (`PrincipalData`); the class projectors are formed from them on demand.
     """
     jet = numeric_jet(s) if jet is None else jet
     return _principal_normals(s, jet, normal_curvature_residual(jet))
@@ -425,24 +505,26 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
         eta_f[:, nodes[at]] = vals[order[at].T, at]
     del vals
 
-    # one projector chain per group over blocks of tracked nodes, scattered to
-    # the class that takes the group at each node
-    proj = np.zeros((k,) + g.shape + (D, D))
-    proj_f = proj.reshape(k, -1, D, D)
-    frame, coframe = _at(jet.frame, mask), _at(jet.coframe, mask)
+    # the eigenframe E Q at the tracked nodes, its columns in class order:
+    # class j's block of mult[order[i, j]] columns follows classes 0..j-1's
     cls = np.argsort(order, axis=1)                    # group a is class cls[:, a]
-    step = max(1, _BLOCK_VALUES // (D * D))
-    hh, chain = np.empty((min(step, n), D, D)), np.empty((min(step, n), D, D))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        out, tmp = hh[:hi - lo], chain[:hi - lo]
-        for a, grp in enumerate(groups):
-            hat = Q[lo:hi, :, grp]                     # (m, D, mult)
-            np.matmul(hat, hat.swapaxes(-1, -2).copy(), out=out)
-            np.matmul(frame[lo:hi], out, out=tmp)
-            np.matmul(tmp, coframe[lo:hi], out=out)
-            proj_f[cls[lo:hi, a], nodes[lo:hi]] = out
-    return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
+    size = np.array(mult)[order]
+    start = np.cumsum(size, axis=1) - size
+    col = np.empty((n, D), dtype=np.intp)              # Q's column at each eigenframe column
+    every = np.arange(n)
+    for a, grp in enumerate(groups):
+        first = start[every, cls[:, a]]
+        for t, b in enumerate(grp.tolist()):
+            col[every, first + t] = b
+    del cls, size, start, first
+    hat = Q[every[:, None, None], np.arange(D)[:, None], col[:, None, :]]   # C-contiguous
+    del Q, col
+    R = np.zeros(g.shape + (D, D))
+    R.reshape(-1, D, D)[tracked] = _at(jet.frame, mask) @ hat
+    del hat
+    cls_order = np.zeros(g.shape + (k,), dtype=np.int8)
+    cls_order.reshape(-1, k)[tracked] = order
+    return PrincipalData(eta=eta, multiplicities=mult, mask=mask, eigenframe=R, order=cls_order)
 
 
 def _linkage_labels(linked: np.ndarray, D: int) -> np.ndarray:
@@ -580,18 +662,16 @@ def _eigenframes(P: np.ndarray, frame: np.ndarray, metric: np.ndarray):
     return dirs, np.sqrt(np.abs(_sum_last(((metric @ dirs) * dirs).swapaxes(-1, -2))))
 
 
-def _along(dirs: np.ndarray, nX: np.ndarray, d_eta: np.ndarray, proj: np.ndarray,
+def _along(dirs: np.ndarray, nX: np.ndarray, d_eta: np.ndarray, basis: np.ndarray,
            live: list, d_F: np.ndarray) -> tuple:
     """Per class, the max over valid nodes and frame columns X of
     |D_X V| / |X|_g for ambient fields V with chart derivatives dV: for
-    V = eta_j (d_eta, (c, n, D, N)) with D_X V multiplied by proj (n, N, N),
-    and for the live classes' V = F_j (d_F, (l, n, D, N)).  The two come
-    back as (c,) and (l,)."""
+    V = eta_j (d_eta, (c, n, D, N)) with D_X V in the coordinates of the
+    normal basis (n, N, p), its normal part, and for the live classes'
+    V = F_j (d_F, (l, n, D, N)).  The two come back as (c,) and (l,)."""
     c = len(dirs)
-    DXV = np.empty((c + len(live),) + d_eta.shape[1:])   # one row per X
-    np.matmul(dirs.swapaxes(-1, -2) @ d_eta, proj, out=DXV[:c])
-    np.matmul(dirs[live].swapaxes(-1, -2), d_F, out=DXV[c:])
-    mag = np.sqrt(_sum_last(DXV * DXV))
+    mag = [dirs.swapaxes(-1, -2) @ d_eta @ basis, dirs[live].swapaxes(-1, -2) @ d_F]    # one row per X
+    mag = np.concatenate([np.sqrt(_sum_last(DXV * DXV)) for DXV in mag])
     nX = np.concatenate([nX, nX[live]])
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.where(nX > 1e-8, mag / np.maximum(nX, 1e-300), 0.0).max(axis=(1, 2))
@@ -696,33 +776,46 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
     c = len(classes)
     dupin, leaves = np.full(c, -np.inf), np.full(c, np.nan)
     top, low = np.full((c, 2), -np.inf), np.full((c, (pd.k - 1) * (pd.k - 2) // 2), np.inf)
+    origin = s.positions.reshape(-1, s.ambient_dim)[valid.argmax()]     # the focal maps' stencils read f less it
+    passes = []                 # per group of classes: its slice, its result slots and its live classes
     for lo in range(0, c, step):
         group = classes[lo:lo + step]
-        at, now = slice(group.start, group.stop), slice(lo, lo + len(group))
+        at = slice(group.start, group.stop)
         size = _sum_last(pd.eta[at][:, valid] ** 2).min(axis=1)
         live = [x for x, sq in enumerate(size.tolist()) if sq >= _ETA_FLOOR**2]
-        leaf = np.full(len(live), -np.inf)
-        for r0 in range(start, stop, width):
-            rows = slice(r0, min(r0 + width, stop))
-            here = valid[rows]
-            if not here.any():
-                continue
-            sub = (slice(r0 - 2, rows.stop + 2),) + box[1:]
+        leaves[[lo + x for x in live]] = -np.inf
+        passes.append((group, at, slice(lo, lo + len(group)), live, [lo + x for x in live]))
+    for r0 in range(start, stop, width):
+        rows = slice(r0, min(r0 + width, stop))
+        here = valid[rows]
+        if not here.any():
+            continue
+        sub = (slice(r0 - 2, rows.stop + 2),) + box[1:]
+        # the slab box's eigenframe R and its inverse R^{-1} = R^T g, shared by
+        # the passes; R is 0 at masked nodes, whose metric may be infinite
+        R = pd.eigenframe[sub]
+        with np.errstate(invalid="ignore", over="ignore"):
+            C = (np.ascontiguousarray(jet.metric[sub]) @ R).swapaxes(-1, -2)
+        G, E = jet.metric[rows][here], jet.frame[rows][here]
+        basis = jet.normal_basis[:, rows][:, here].transpose(1, 2, 0)
+        inner = here[(slice(None),) + box[1:]]                 # the valid nodes among the box's inner rows
+        for group, at, now, live, lit in passes:
             eta = pd.eta[(at,) + sub]
             eta_live = eta[live]
             with np.errstate(divide="ignore", invalid="ignore"):
-                F = s.positions[sub] + eta_live / _sum_last(eta_live ** 2)[..., None]
-            d_eta, d_Q, d_F = _slopes(g, valid, sub, [eta, np.eye(D) - pd.projectors[(at,) + sub], F])
-            del eta, eta_live, F
-            P, G = pd.projectors[at, rows][:, here], jet.metric[rows][here]
-            dirs, nX = _eigenframes(P, jet.frame[rows][here], G)
-            proj = jet.normal_proj[rows][here].swapaxes(-1, -2)
-            dup, lf = _along(dirs, nX, d_eta, proj, live, d_F)
-            dupin[now], leaf = np.maximum(dupin[now], dup), np.maximum(leaf, lf)
+                F = (s.positions[sub] - origin) + eta_live / _sum_last(eta_live ** 2)[..., None]
+            # the class projectors R_j (g R_j)^T on the box, at the valid nodes,
+            # and the conullity projectors 1 - P_j in their place
+            proj = _class_projectors(R, C, pd.multiplicities, pd.order[sub], group)
+            P = proj[:, 2:-2][:, inner]
+            d_eta, d_Q, d_F = _slopes(g, valid, sub, [eta, np.subtract(np.eye(D), proj, out=proj), F])
+            del eta, eta_live, F, proj
+            dirs, nX = _eigenframes(P, E, G)
+            dup, lf = _along(dirs, nX, d_eta, basis, live, d_F)
+            dupin[now], leaves[lit] = np.maximum(dupin[now], dup), np.maximum(leaves[lit], lf)
             t, m = _conullity(group, P, G, pd.eta[:, rows][:, here], d_Q)
             top[now], low[now] = np.maximum(top[now], t), np.minimum(low[now], m)
-            del d_eta, d_Q, d_F, P, G, dirs, nX, proj
-        leaves[[lo + x for x in live]] = leaf
+            del d_eta, d_Q, d_F, P, dirs, nX
     return dupin, leaves, _bracket_reports(classes, top, low)
 
 
@@ -855,9 +948,10 @@ def sf_report(s: ImmersionSample, pd: PrincipalData | None = None,
 
     basis = jet.normal_basis[:, valid].transpose(1, 2, 0)          # (n, N, p) columns
     dim_sf, sf_spec, sf_const = _sf_span(pd, basis, valid, _RANK_GAP)
-    # N_1 = span of all alpha(X, Y), by their coordinates H in the normal basis
+    # N_1 = span of all alpha(X, Y), by the coordinates of the shape operators
+    # in the normal basis: E^T H E spans what H does, E being invertible
     i, j = _triu(D, 0)
-    dim_n1, n1_spec, n1_const = _span_rank(jet.H[:, valid][..., i, j].transpose(1, 2, 0),
+    dim_n1, n1_spec, n1_const = _span_rank(jet.shape_sym[:, valid][..., i, j].transpose(1, 2, 0),
                                            s.ambient_dim, _RANK_GAP)
 
     checks = {

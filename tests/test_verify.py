@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,14 +54,23 @@ def clifford_product(a=1.0, b=0.6, n=31):
     return ImmersionSample(g, pos)
 
 
+def _reference_centered(pos):
+    """The positions less the coordinatewise upper median of the nodes whose
+    coordinates are all finite, non-finite values made NaN: the stencils'
+    input."""
+    rows = pos.reshape(-1, pos.shape[-1])
+    rows = rows[np.isfinite(rows).all(axis=1)]
+    return np.where(np.isfinite(pos), pos - np.sort(rows, axis=0)[len(rows) // 2], np.nan)
+
+
 def _reference_numeric_jet(s):
     """`numeric_jet` as whole-grid einsums, the definition of the matmul
-    kernels: the same stencils, Cholesky frame (here LAPACK's factor),
-    tangent projector and Gram-Schmidt pivot rule.  Returns the jet and its
-    alpha."""
+    kernels: the same centered positions, stencils, Cholesky frame (here
+    LAPACK's factor), tangent projector and Gram-Schmidt pivot rule.
+    Returns the jet's fields and properties by name, alpha included."""
     g = s.grid
     D = g.ndim
-    pos = s.positions
+    pos = _reference_centered(s.positions)
     N = pos.shape[-1]
     first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
     second = np.empty((D, D) + g.shape + (N,))
@@ -85,10 +96,9 @@ def _reference_numeric_jet(s):
     alpha = np.einsum("...kl,ij...l->ij...k", normal_proj, second)
     H = np.einsum("ij...k,r...k->r...ij", alpha, normal_basis)
     shape_sym = np.einsum("...ai,r...ab,...bj->r...ij", frame, H, frame)
-    jet = NumericJet(grid=g, positions=pos, metric=metric, normal_proj=normal_proj, H=H,
-                     shape_sym=shape_sym, normal_basis=normal_basis, frame=frame, coframe=coframe,
-                     interior=g.interior_mask(2) & s.valid())
-    return jet, alpha
+    return {"metric": metric, "frame": frame, "shape_sym": shape_sym, "normal_basis": normal_basis,
+            "interior": g.interior_mask(2) & s.valid(), "coframe": coframe, "normal_proj": normal_proj,
+            "H": H, "alpha": alpha}
 
 
 def _reference_cluster_pattern(dist, tol):
@@ -115,7 +125,10 @@ def _reference_cluster_pattern(dist, tol):
 def _reference_extract_principal_normals(s, jet):
     """The per-node extraction loop that the batched implementation replaced,
     kept as the definition of its result: one cluster pattern per node, then
-    class tracking node by node in lexicographic order."""
+    class tracking node by node in lexicographic order.  Returns the
+    principal data and, frozen, the class projectors the extraction used to
+    store: E (Q_j Q_j^T) E^{-1} per node and class, Q_j the class's
+    eigenvector columns in the orthonormal frame."""
     g = jet.grid
     D = g.ndim
     N = s.ambient_dim
@@ -142,6 +155,8 @@ def _reference_extract_principal_normals(s, jet):
     k = len(pattern)
     mult = tuple(len(grp) for grp in pattern)
     eta = np.zeros((k,) + g.shape + (N,))
+    frames = np.zeros(g.shape + (D, D))
+    order = np.zeros(g.shape + (k,), dtype=np.int8)
     proj = np.zeros((k,) + g.shape + (D, D))
     perms = list(itertools.permutations(range(k)))
     done = {}                  # tracked node -> (normals in group order, class order)
@@ -167,15 +182,17 @@ def _reference_extract_principal_normals(s, jet):
             costs = [sum(np.linalg.norm(vals[pm[b]] - ref_vals[b]) for b in range(k)) for pm in perms]
             sigma = perms[int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))]
             best = tuple(sigma[c] for c in ref_order)
+        # the eigenframe's columns: each class's group in class order
         for j in range(k):
-            grp = list(pattern[best[j]])
             eta[j][idx] = vals[best[j]]
-            hat = Q[idx][:, grp]
-            proj[(j,) + idx] = jet.frame[idx] @ (hat @ hat.T) @ jet.coframe[idx]
+            hat = Q[idx][:, list(pattern[best[j]])]
+            proj[(j,) + idx] = jet.frame[idx] @ (hat @ hat.T) @ np.linalg.inv(jet.frame[idx])
+        frames[idx] = jet.frame[idx] @ Q[idx][:, [b for j in range(k) for b in pattern[best[j]]]]
+        order[idx] = best
         done[idx] = (vals, best)
         if root is None:
             root = idx
-    return PrincipalData(eta=eta, multiplicities=mult, projectors=proj, mask=mask)
+    return PrincipalData(eta=eta, multiplicities=mult, mask=mask, eigenframe=frames, order=order), proj
 
 
 def _with_leaf(result, iu, change):
@@ -206,18 +223,20 @@ def _diagonal_jet(diag, g, mask=None):
     for r in range(p):
         normal_basis[r, ..., D + r] = 1.0
     eye = np.broadcast_to(np.eye(D), g.shape + (D, D))
-    jet = NumericJet(grid=g, positions=None, metric=None, normal_proj=None, H=None,
-                     shape_sym=shape_sym, normal_basis=normal_basis, frame=eye, coframe=eye,
-                     interior=np.ones(g.shape, dtype=bool))
+    jet = NumericJet(grid=g, positions=None, metric=None, frame=eye, shape_sym=shape_sym,
+                     normal_basis=normal_basis, interior=np.ones(g.shape, dtype=bool))
     return ImmersionSample(g, np.zeros(g.shape + (D + p,)), mask=mask), jet
 
 
 def _assert_same_as_reference(pd, s, jet):
-    ref = _reference_extract_principal_normals(s, jet)
+    # the stored state bit for bit; the projectors formed from it within
+    # 5e-14 of the largest of the frozen chain's (measured up to 1.8e-15)
+    ref, proj = _reference_extract_principal_normals(s, jet)
     assert pd.multiplicities == ref.multiplicities
     assert np.array_equal(pd.mask, ref.mask)
     assert np.array_equal(pd.eta, ref.eta)
-    assert np.array_equal(pd.projectors, ref.projectors)
+    assert np.array_equal(pd.eigenframe, ref.eigenframe) and np.array_equal(pd.order, ref.order)
+    assert np.abs(pd.projectors - proj).max() <= 5e-14 * np.abs(proj).max()
 
 
 class TestNumericJet:
@@ -248,12 +267,13 @@ class TestNumericJet:
             s = request.getfixturevalue(case).sample
         else:
             s = request.getfixturevalue(case)
-        jet, (ref, ref_alpha) = numeric_jet(s), _reference_numeric_jet(s)
-        assert jet.grid == ref.grid
-        assert np.array_equal(jet.interior, ref.interior)
-        for name, new, old in [(f.name, getattr(jet, f.name), getattr(ref, f.name))
-                               for f in dataclasses.fields(NumericJet)] + [("alpha", jet.alpha, ref_alpha)]:
-            if isinstance(old, np.ndarray) and old.dtype == float:
+        jet, ref = numeric_jet(s), _reference_numeric_jet(s)
+        assert jet.grid == s.grid
+        assert np.array_equal(jet.interior, ref["interior"])
+        # the stored fields and the properties formed on demand
+        for name, old in ref.items():
+            if old.dtype == float:
+                new = getattr(jet, name)
                 assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max(), name
         eye = np.eye(s.grid.ndim)
         assert np.abs(jet.coframe @ jet.frame - eye).max() <= 1e-13
@@ -278,14 +298,20 @@ class TestNumericJet:
 
     def test_degenerate_metric_leaves_the_interior(self):
         # a strip of columns collapsed onto the origin: the chart derivative
-        # along axis 0 vanishes there, the metric's first pivot is 0 and the
-        # frame NaN, so those nodes are not interior (no clamped root)
+        # along axis 0 vanishes there and the metric's first pivot with it, so
+        # those nodes are not interior (no clamped root).  The stencils read
+        # the positions less a reference point, so the strip is a nonzero
+        # constant that they cancel to rounding: where the pivot is 0 the
+        # frame is NaN, elsewhere the frame is finite but the shape operators
+        # exceed _SCALE_OUTLIER times the median and are dropped
         g = TensorGrid((15, 15), (0.1, 0.1))
         U, V = g.meshgrid()
         pos = np.stack([U, V, 0.3 * U * U + 0.2 * V * V], axis=-1)
         pos[:, 8:13] = 0.0
         jet = numeric_jet(ImmersionSample(g, pos))
-        assert (jet.metric[:, 8:13, 0, 0] == 0.0).all() and np.isnan(jet.frame[:, 8:13]).any(axis=(-2, -1)).all()
+        assert jet.metric[:, 8:13, 0, 0].max() < 1e-30
+        assert (np.isnan(jet.frame[:, 8:13]).any(axis=(-2, -1))
+                | np.isnan(jet.shape_sym[:, :, 8:13]).any(axis=(0, -2, -1))).all()
         assert not jet.interior[:, 8:13].any() and jet.interior[2:13, 2:8].all()
 
     def test_cached_forms_match_oracle(self, torus_v):
@@ -312,17 +338,78 @@ class TestNumericJet:
         assert not alpha.flags.c_contiguous
         assert peak - kept <= alpha.nbytes
 
+    @pytest.mark.parametrize("case", ["torus_patch", "recursion_step1", "recursion_step2", "sphere",
+                                      "holed_clifford_product"])
+    def test_properties_are_the_parent_fields(self, case, request):
+        # the coframe, normal projector, H and alpha were stored fields; the
+        # properties form them on each read.  Against frozen copies of the
+        # parent's whole-grid formulas: the projector I - T^T T, H and alpha
+        # bit for bit (the same products), the coframe within 1e-14 |g|^(1/2)
+        # of LAPACK's Cholesky factor L^T
+        if case == "sphere":
+            s = sphere_patch(radius=1.0, shape=(41, 41))
+        elif case == "holed_clifford_product":
+            s = _holed(clifford_product())
+        else:
+            s = request.getfixturevalue(case)
+            s = s if isinstance(s, ImmersionSample) else s.sample
+        jet = numeric_jet(s)
+        g, D, N = s.grid, s.grid.ndim, s.ambient_dim
+        pos = _reference_centered(s.positions)
+        _, second, first = _whole_grid_alpha(g, pos, np.eye(N))
+        T = jet.frame.swapaxes(-1, -2) @ first.transpose(tuple(range(1, D + 1)) + (0, D + 1))
+        normal_proj = T.swapaxes(-1, -2).copy() @ T
+        np.subtract(np.eye(N), normal_proj, out=normal_proj)
+        assert np.array_equal(_bits(jet.normal_proj), _bits(normal_proj))
+        assert np.array_equal(_bits(jet.alpha), _bits(_whole_grid_alpha(g, pos, normal_proj)[0]))
+        assert np.array_equal(_bits(jet.H), _bits(np.einsum("ij...k,r...k->r...ij", second, jet.normal_basis)))
+        size = np.sqrt(np.linalg.norm(jet.metric, axis=(-2, -1)))[..., None, None]
+        assert (np.abs(jet.coframe - np.linalg.cholesky(jet.metric).swapaxes(-1, -2)) <= 1e-14 * size).all()
+
+    def test_jet_and_principal_data_keep_their_degrees_of_freedom(self, recursion_step2):
+        # per node the jet keeps the metric, the frame, p shape operators, p
+        # normal vectors and the interior flag (249 B at D = 3, N = 4),
+        # besides the sample's own positions; the extraction keeps k normals,
+        # one eigenframe, the class order and the mask (172 B at k = 3)
+        s = recursion_step2.sample
+        jet = numeric_jet(s)
+        pd = extract_principal_normals(s, jet=jet)
+        n, D, N, k = s.grid.size, s.grid.ndim, s.ambient_dim, pd.k
+        p = N - D
+        arrays = {name: a for name, a in vars(jet).items() if isinstance(a, np.ndarray)}
+        assert arrays.keys() == {"positions", "metric", "frame", "shape_sym", "normal_basis", "interior"}
+        assert jet.positions is s.positions
+        kept = sum(a.nbytes for name, a in arrays.items() if name != "positions")
+        assert kept == n * (8 * (2 * D * D + p * D * D + p * N) + 1) == n * 249
+        arrays = {name: a for name, a in vars(pd).items() if isinstance(a, np.ndarray)}
+        assert arrays.keys() == {"eta", "mask", "eigenframe", "order"}
+        assert sum(a.nbytes for a in arrays.values()) == n * (8 * (k * N + D * D) + k + 1) == n * 172
+
+    def test_peak_memory_of_extraction_and_report(self, recursion_step2):
+        # extraction and the rest of sf_report on a held jet peak at 5.45 MiB
+        # of traced allocations (the parent: 6.35 MiB, with its stored class
+        # projectors); the bound is the measured peak plus 6 %
+        s = recursion_step2.sample
+        jet = numeric_jet(s)
+        tracemalloc.start()
+        try:
+            pd = extract_principal_normals(s, jet=jet)
+            sf_report(s, pd=pd, jet=jet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.8 * 2**20
+
 
 def _symmetric_root_jet(s):
     """`numeric_jet(s)` and the same forms in the frame of the metric's
     symmetric inverse square root g^{-1/2} (LAPACK eigenpairs), the frame
     the oracle took before its Cholesky frame: any g-orthonormal frame
-    serves, its inverse is the coframe."""
+    serves."""
     jet = numeric_jet(s)
     w, Q = np.linalg.eigh(jet.metric)
-    root, Qt = np.sqrt(w)[..., None, :], Q.swapaxes(-1, -2)
-    frame = (Q / root) @ Qt
-    return jet, dataclasses.replace(jet, frame=frame, coframe=(Q * root) @ Qt, shape_sym=frame @ jet.H @ frame)
+    frame = (Q / np.sqrt(w)[..., None, :]) @ Q.swapaxes(-1, -2)
+    return jet, dataclasses.replace(jet, frame=frame, shape_sym=frame @ jet.H @ frame)
 
 
 @pytest.mark.parametrize("case", ["torus_patch", "recursion_step1", "recursion_step2", "sphere",
@@ -406,6 +493,25 @@ class TestExtraction:
         if case != "torus_patch" and not case.startswith("recursion"):
             # the borderline-masking path (sphere) and the input holes ran
             assert not pd.mask.all()
+
+    def test_class_blocks_move_with_the_class_order(self):
+        # multiplicities (2, 1) whose normals trade places from axis-0 row 4
+        # on: class 0 takes the one-column group there, so its block in the
+        # eigenframe shrinks from two columns to one, and its projector is
+        # diag(1, 1, 0) before the swap and diag(0, 0, 1) after it
+        g = TensorGrid((8, 6, 6), (0.1, 0.1, 0.1))
+        diag = np.zeros((2,) + g.shape + (3,))
+        diag[0, :4, ..., :2] = diag[1, :4, ..., 2] = 1.0
+        diag[1, 4:, ..., :2] = diag[0, 4:, ..., 2] = 1.0
+        s, jet = _diagonal_jet(diag, g)
+        pd = extract_principal_normals(s, jet=jet)
+        assert pd.multiplicities == (2, 1) and pd.mask.all()
+        assert (pd.order[:4] == [0, 1]).all() and (pd.order[4:] == [1, 0]).all()
+        P = pd.projectors
+        assert np.array_equal(P[0, :4], np.broadcast_to(np.diag([1.0, 1.0, 0.0]), P[0, :4].shape))
+        assert np.array_equal(P[0, 4:], np.broadcast_to(np.diag([0.0, 0.0, 1.0]), P[0, 4:].shape))
+        assert np.array_equal(P.sum(0), np.broadcast_to(np.eye(3), P[0].shape))
+        _assert_same_as_reference(pd, s, jet)
 
     def test_tracking_rule_on_random_normals(self):
         # random normals: the class order changes from node to node and every
@@ -644,7 +750,9 @@ class TestSfReport:
         spectra = []
         for perm in itertools.permutations(range(pd.k)):
             perm = list(perm)
-            pp = dataclasses.replace(pd, eta=pd.eta[perm], projectors=pd.projectors[perm],
+            # one column per class: class j's eigenframe column is column j
+            pp = dataclasses.replace(pd, eta=pd.eta[perm], eigenframe=pd.eigenframe[..., perm],
+                                     order=pd.order[..., perm],
                                      multiplicities=tuple(pd.multiplicities[j] for j in perm))
             rep = sf_report(s, pd=pp, jet=jet)
             assert rep.dim_Sf == 1
@@ -1032,18 +1140,72 @@ class TestNonFinitePositions:
         assert np.isfinite(rep.dupin_residuals).all() and max(rep.dupin_residuals) < 1e-6
 
 
+class TestWildNodes:
+    @pytest.mark.parametrize("value", [1e3, 1e6, 1e160])
+    def test_one_wild_coordinate_leaves_the_scale_alone(self, torus_patch, value):
+        # one coordinate of node (10, 10) moved far off: the nodes whose shape
+        # operators exceed _SCALE_OUTLIER times the interior median are
+        # dropped, so the shape scale stays the torus's (the parent read
+        # k = 1 at 1e3 and 1e6 and raised at 1e160).  Only nodes whose
+        # fourth-order stencils reach the node, two nodes each way, are
+        # masked: 21 of that 5 x 5 block, the node itself among them
+        pos = torus_patch.positions.copy()
+        pos[10, 10, 0] = value
+        s = ImmersionSample(torus_patch.grid, pos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jet = numeric_jet(s)
+            pd = extract_principal_normals(s, jet=jet)
+            rep = sf_report(s, pd=pd, jet=jet)
+        clean = sf_report(torus_patch)
+        assert (rep.k, rep.multiplicities, rep.dim_Sf, rep.holonomic) == (2, (1, 1), 1, True)
+        reach = np.zeros(s.grid.shape, dtype=bool)
+        reach[8:13, 8:13] = True
+        assert pd.mask[~reach].all() and not pd.mask[10, 10] and (~pd.mask).sum() == 21
+        assert max(rep.dupin_residuals) <= 2 * max(clean.dupin_residuals)
+
+    def test_the_scale_outlier_margin(self, recursion_step2):
+        # the largest ratio of a node's |S| to the interior median over the
+        # 20 oracle fixtures and the catalog transforms is 1.63 (an
+        # ellipsoid patch, boundary nodes included); the recursion sample
+        # reads 1.19, and _SCALE_OUTLIER keeps a margin of more than 60
+        jet = numeric_jet(recursion_step2.sample)
+        size = np.sqrt((jet.shape_sym ** 2).sum(0)).max(axis=(-2, -1))
+        assert np.isfinite(jet.shape_sym).all()
+        assert 1.0 <= size.max() / np.median(size[jet.interior]) < 1.2
+        assert verify._SCALE_OUTLIER >= 60 * 1.63
+
+
+class TestTranslations:
+    def test_exact_translations_change_no_bit(self, recursion_step1):
+        # positions on the lattice 2^-36 Z^N and a translation t on it: p + t
+        # is exact, and the stencils read it less the translated reference
+        # point, exactly p less the reference point, so every stored jet
+        # field and every report number is the same bit for bit
+        s = recursion_step1.sample
+        pos = np.round(s.positions * 2.0**36) / 2.0**36
+        t = np.round(np.random.default_rng(4).normal(size=s.ambient_dim) * 3 * 2.0**36) / 2.0**36
+        base, moved = ImmersionSample(s.grid, pos), ImmersionSample(s.grid, pos + t)
+        assert np.array_equal(moved.positions - t, pos)
+        jet, jet_t = numeric_jet(base), numeric_jet(moved)
+        for name in ("metric", "frame", "shape_sym", "normal_basis", "interior"):
+            assert np.array_equal(_bits(getattr(jet, name)), _bits(getattr(jet_t, name))), name
+        rep, rep_t = sf_report(base, jet=jet).to_dict(), sf_report(moved, jet=jet_t).to_dict()
+        assert json.dumps(rep, sort_keys=True) == json.dumps(rep_t, sort_keys=True)
+
+
 def _bits(a):
     """The bytes of a float or bool array, so that NaN compares by its bits."""
     return np.ascontiguousarray(a).view(np.uint8)
 
 
-def _whole_grid_alpha(s, normal_proj):
-    """The whole-grid normal-projected second derivatives as one (n, D*D, N)
-    product, in the (D, D, *grid, N) view: the construction `numeric_jet`
-    replaced by its slabs."""
-    g = s.grid
+def _whole_grid_alpha(g, pos, normal_proj):
+    """The whole-grid normal-projected second derivatives of positions pos as
+    one (n, D*D, N) product, in the (D, D, *grid, N) view: the construction
+    `numeric_jet` replaced by its slabs.  Also returns the second and first
+    derivatives."""
     D = g.ndim
-    pos = np.where(np.isfinite(s.positions), s.positions, np.nan)
+    pos = np.where(np.isfinite(pos), pos, np.nan)
     N = pos.shape[-1]
     first = np.stack([fd_axis(pos, g.spacings[i], i, 1) for i in range(D)])
     second = np.empty((D, D) + g.shape + (N,))
@@ -1127,7 +1289,7 @@ class TestNodeBlocks:
         g = TensorGrid((n0,) + (6, 5)[:D - 1], (0.1, 0.07, 0.05)[:D])
         pos = rng.normal(size=g.shape + (D + 2,))
         pos[(n0 // 2,) + (2,) * (D - 1)] = np.nan
-        _, second, first = _whole_grid_alpha(ImmersionSample(g, pos, mask=np.isfinite(pos).all(-1)), np.eye(D + 2))
+        _, second, first = _whole_grid_alpha(g, pos, np.eye(D + 2))
         for lo, hi in itertools.combinations(range(n0 + 1), 2):
             assert np.array_equal(_bits(_second(g, pos, first, lo, hi)), _bits(second[:, :, lo:hi]))
 
@@ -1142,9 +1304,11 @@ class TestNodeBlocks:
         if jet_values is not None:
             monkeypatch.setattr(verify, "_JET_VALUES", jet_values)      # one-row slabs
         jet = numeric_jet(s)
-        alpha, second, _ = _whole_grid_alpha(s, jet.normal_proj)
+        alpha, second, first = _whole_grid_alpha(s.grid, _reference_centered(s.positions), jet.normal_proj)
         assert not jet.alpha.flags.c_contiguous and jet.alpha.shape == alpha.shape
         assert np.array_equal(_bits(jet.alpha), _bits(alpha))
+        # the slabs' normal bases are the whole grid's
+        assert np.array_equal(_bits(jet.normal_basis), _bits(verify._normal_frame(first, jet.frame, jet.codim)))
         # the normal basis lies in the normal space, so H contracts the unprojected second derivatives
         H = np.einsum("ij...k,r...k->r...ij", second, jet.normal_basis)
         assert np.array_equal(_bits(jet.H), _bits(H))
@@ -1160,6 +1324,6 @@ class TestNodeBlocks:
             monkeypatch.setattr(verify, "_BLOCK_VALUES", values)
             monkeypatch.setattr(verify, "_PASS_VALUES", values)
             small = extract_principal_normals(s, jet=jet)
-            for f in ("eta", "projectors", "mask"):
+            for f in ("eta", "eigenframe", "order", "mask"):
                 assert np.array_equal(_bits(getattr(small, f)), _bits(getattr(pd, f))), (values, f)
             assert sf_report(s, pd=pd, jet=jet).to_dict() == rep, values
