@@ -16,6 +16,7 @@ Sign conventions (fixed here, documented once):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -255,7 +256,10 @@ class PrincipalData:
     def projectors(self) -> np.ndarray | None:
         """The chart-coordinate eigenbundle projectors (k, *grid, D, D), zero
         outside ``mask``; None without an eigenframe: `_class_projectors`
-        of the eigenframe R and its inverse, R^{-1} = R^T g."""
+        of the eigenframe R and its inverse from `np.linalg.inv`.  The
+        derived checks of `verify` form R^{-1} = (g R)^T from the metric,
+        which this class does not hold, so their projectors differ from
+        these by rounding."""
         R = self.eigenframe
         if R is None:
             return None
@@ -270,26 +274,27 @@ def _class_projectors(R: np.ndarray, C: np.ndarray, multiplicities: tuple, order
     """The projectors (c, *nodes, D, D) onto the eigenbundles of the given
     classes at nodes with eigenframe R (*nodes, D, D), its columns in class
     order (see `PrincipalData`), co-eigenframe C = R^{-1} (*nodes, D, D) and
-    class order (*nodes, k): per class, the product of R's columns and C's
-    rows in the class's block.  When the groups have one size m, class j's
-    block is columns j m .. (j + 1) m - 1 at every node; otherwise it can
-    move from node to node, and each block is formed at the nodes that hold
-    it."""
-    D = R.shape[-1]
+    class order (*nodes, k): the product of R's columns and C's rows in the
+    class's block.  Class j's block at a node follows the sizes of the
+    groups that classes 0..j take there, so it can take one of a few column
+    ranges, read off the orders of the groups.  The first range's product
+    fills every node; each further range's overwrites the nodes that hold
+    it.  With groups of one size a class has one range, so one product."""
+    k = len(multiplicities)
+    ranges = [list(itertools.accumulate((multiplicities[g] for g in p), initial=0))
+              for p in itertools.permutations(range(k))]
+    bounds = None       # per node, the first column of each class's block and the end of the last
     P = np.empty((len(classes),) + R.shape)
-    if len(set(multiplicities)) == 1:
-        m = multiplicities[0]
-        for x, j in enumerate(classes):
-            np.matmul(R[..., j * m:(j + 1) * m], C[..., j * m:(j + 1) * m, :], out=P[x])
-        return P
-    sizes = np.asarray(multiplicities)[order]
     for x, j in enumerate(classes):
-        hi = sizes[..., :j + 1].sum(axis=-1)
-        lo = hi - sizes[..., j]
-        for block in np.unique(lo * (D + 1) + hi).tolist():
-            b0, b1 = divmod(block, D + 1)
-            at = (lo == b0) & (hi == b1)
-            P[x][at] = R[at][..., b0:b1] @ C[at][..., b0:b1, :]
+        blocks = sorted({(r[j], r[j + 1]) for r in ranges})
+        for y, (b0, b1) in enumerate(blocks):
+            Q = np.matmul(R[..., b0:b1], C[..., b0:b1, :], out=None if y else P[x])
+            if y:
+                if bounds is None:
+                    bounds = np.zeros(order.shape[:-1] + (k + 1,), dtype=int)
+                    np.cumsum(np.asarray(multiplicities)[order], axis=-1, out=bounds[..., 1:])
+                holds = (bounds[..., j] == b0) & (bounds[..., j + 1] == b1)
+                np.copyto(P[x], Q, where=holds[..., None, None])
     return P
 
 

@@ -21,13 +21,12 @@ simultaneous Jacobi diagonalization of the shape operators in that frame
 (`_normal_frame`), one-sided Jacobi singular values in the rank decisions
 (`numerics._singular_values`), class tracking by pointer doubling (`_track`)
 and one deep-stencil derivative pass over the stencil-valid box for every
-class's fields (`_slopes`).  No output depends on the normal basis, and
-the stencils read the positions less a reference point, so none depends on
-where the sample sits in space beyond the rounding of its positions; the
-tangent frame moves outputs only by rounding, except where a class of
-multiplicity > 1 is sampled along its frame columns (`_along`).  The
-flat-normal-bundle check (`normal_curvature_residual`) is computed once per
-jet: extraction and `sf_report` on the same jet share it.
+class's fields (`_slopes`).  No output depends on the normal basis, so none
+depends on where the sample sits in space; the tangent frame moves outputs
+only by rounding, except where a class of multiplicity > 1 is sampled
+along its frame columns (`_along`).  The flat-normal-bundle check
+(`normal_curvature_residual`) is computed once per jet: extraction and
+`sf_report` on the same jet share it.
 
 Memory stays close to the oracle's degrees of freedom: the jet keeps the
 metric, the tangent frame, the shape operators and the normal basis, and the
@@ -82,6 +81,7 @@ _PASS_VALUES = 2**17       # derived checks: box values differentiated in one pa
 _JET_VALUES = 2**16        # numeric_jet: second-derivative values per slab
 _BLOCK_VALUES = 2**17      # extraction: values of a per-node temporary built in one block
 _SCALE_OUTLIER = 100.0     # numeric_jet drops nodes whose |S| exceeds this multiple of the interior median
+_WILD_REACH = 4            # ... and of the median over the node's window, this many nodes each way
 
 
 @dataclass
@@ -125,7 +125,7 @@ class NumericJet:
     def _forms(self) -> tuple:
         """The grid, the stencils' positions and their first derivatives."""
         g = self.grid
-        pos = _centered(self.positions)
+        pos = _finite(self.positions)
         return g, pos, _gradient(g, pos)
 
     @property
@@ -154,18 +154,9 @@ class NumericJet:
         return _project(_second(g, pos, first, 0, g.shape[0]), _normal_proj(first, self.frame))
 
 
-def _centered(pos: np.ndarray) -> np.ndarray:
-    """Positions less a reference point, with every non-finite value
-    (allowed at masked nodes) made NaN.  The reference is the coordinatewise
-    median of the nodes whose coordinates are all finite, so no single node
-    moves it, and the stencils of the differences do not depend on where
-    the sample sits in space."""
-    finite = np.isfinite(pos)
-    flat = pos.reshape(-1, pos.shape[-1])
-    ref = (flat if finite.all() else flat[finite.all(axis=-1).reshape(-1)]).T.copy()
-    half = ref.shape[1] // 2
-    ref = np.partition(ref, half, axis=1)[:, half] if ref.size else 0.0
-    return np.where(finite, pos - ref, np.nan)
+def _finite(pos: np.ndarray) -> np.ndarray:
+    """Positions with every non-finite value (allowed at masked nodes) made NaN."""
+    return np.where(np.isfinite(pos), pos, np.nan)
 
 
 def _gradient(g: TensorGrid, pos: np.ndarray) -> np.ndarray:
@@ -283,7 +274,6 @@ def _cholesky_frame(metric: np.ndarray) -> tuple:
 def numeric_jet(s: ImmersionSample) -> NumericJet:
     """Fundamental forms from raw positions, independent of cached data.
 
-    The stencils read the positions less a reference point (`_centered`).
     The tangent frame is the metric's Cholesky frame (`_cholesky_frame`; its
     coframe is scratch).  The normal basis and the shape operators are built
     in slabs of axis-0 rows, about _JET_VALUES second-derivative values each:
@@ -291,18 +281,26 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     (`_normal_frame`), then the slab's H (`_second_form`) turned into its
     shape operators at once.  Every value equals the whole-grid evaluation's.
 
-    A node whose shape operator is more than _SCALE_OUTLIER times the
-    interior median in size (the largest norm of an entry of sum_r S_r nu_r)
-    is dropped: its shape operators become NaN, so it leaves the interior
-    and extraction masks it.  One wild position then cannot set the shape
-    scale of the whole sample."""
+    A node whose shape operator (the largest norm of an entry of
+    sum_r S_r nu_r) is more than _SCALE_OUTLIER times both the interior
+    median and the median over its window is dropped: its shape operators
+    become NaN, so it leaves the interior and extraction masks it.  One
+    wild position then cannot set the shape scale of the whole sample.
+    The window is the node's (2 _WILD_REACH + 1)^D = 9^D box, moved inside
+    the grid where it would leave it, and the median is over its nodes with
+    finite forms.  The 5^D nodes whose fourth-order stencils reach one wild
+    position away from the edges are under half of it, so its median is a
+    clean one; curvature that grows smoothly, even by orders of magnitude
+    across the patch (a cone's |S| ~ 1/r), stays within the window's
+    median, and nodes at rounding level in a curved sample stay below the
+    interior median."""
     g = s.grid
     D, N = g.ndim, s.positions.shape[-1]
     if min(g.shape) < 5:
         raise TooFewNodes("need at least 5 nodes per axis for the oracle")
     # non-finite positions (allowed at masked nodes) become NaN, which reaches
     # the forms of their stencil neighbours quietly; those nodes are not interior
-    pos = _centered(s.positions)
+    pos = _finite(s.positions)
 
     first = _gradient(g, pos)
     metric = np.einsum("i...k,j...k->...ij", first, first)
@@ -327,19 +325,33 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
         np.maximum(size, sq[..., a, b], out=size)
     size = np.sqrt(size, out=size)
     del sq
-    interior = g.interior_mask(2) & np.isfinite(metric).all(axis=(-2, -1)) & np.isfinite(size)
+    finite = np.isfinite(metric).all(axis=(-2, -1)) & np.isfinite(size)
     if s.mask is not None:
-        interior &= s.mask
+        finite &= s.mask
+    interior = g.interior_mask(2) & finite
     if not interior.any():
         raise TooFewNodes("no interior nodes left after masking")
-    inner = size[interior]
-    median = np.partition(inner, len(inner) // 2)[len(inner) // 2]     # the upper median
-    wild = size > _SCALE_OUTLIER * max(float(median), 1e-30)
+    median = _upper_median(size[interior])
+    wild = size > _SCALE_OUTLIER * max(median, 1e-30)
+    width = 2 * _WILD_REACH + 1
+    for idx in zip(*np.nonzero(wild)):
+        starts = [max(min(i - _WILD_REACH, n - width), 0) for i, n in zip(idx, g.shape)]
+        near = tuple(slice(a, a + width) for a in starts)
+        if size[idx] <= _SCALE_OUTLIER * _upper_median(size[near][finite[near]], median):
+            wild[idx] = False
     if wild.any():
         shape_sym[:, wild] = np.nan
         interior &= ~wild
     return NumericJet(grid=g, positions=s.positions, metric=metric, frame=frame, shape_sym=shape_sym,
                       normal_basis=normal_basis, interior=interior)
+
+
+def _upper_median(values: np.ndarray, empty: float = 0.0) -> float:
+    """The upper median of a 1-d array (`np.partition`, not `np.median`,
+    which imports `numpy.ma` on its first call), or empty for no values."""
+    if not values.size:
+        return empty
+    return float(np.partition(values, len(values) // 2)[len(values) // 2])
 
 
 def _normal_frame(first: np.ndarray, frame: np.ndarray, p: int) -> np.ndarray:
@@ -776,7 +788,6 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
     c = len(classes)
     dupin, leaves = np.full(c, -np.inf), np.full(c, np.nan)
     top, low = np.full((c, 2), -np.inf), np.full((c, (pd.k - 1) * (pd.k - 2) // 2), np.inf)
-    origin = s.positions.reshape(-1, s.ambient_dim)[valid.argmax()]     # the focal maps' stencils read f less it
     passes = []                 # per group of classes: its slice, its result slots and its live classes
     for lo in range(0, c, step):
         group = classes[lo:lo + step]
@@ -803,7 +814,7 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
             eta = pd.eta[(at,) + sub]
             eta_live = eta[live]
             with np.errstate(divide="ignore", invalid="ignore"):
-                F = (s.positions[sub] - origin) + eta_live / _sum_last(eta_live ** 2)[..., None]
+                F = s.positions[sub] + eta_live / _sum_last(eta_live ** 2)[..., None]
             # the class projectors R_j (g R_j)^T on the box, at the valid nodes,
             # and the conullity projectors 1 - P_j in their place
             proj = _class_projectors(R, C, pd.multiplicities, pd.order[sub], group)
