@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -64,6 +65,8 @@ _STEP_KEYS = {
 _PIPE_KEYS = {"schema", "seed", "steps", "tolerances", "out"}
 
 _GATE_KEYS = {"k", "max_dupin_residual", "holonomic", "c_le_k_minus_1"}
+# a recursion step's gates on the linear solve's health numbers, by the number they bound
+_HEALTH_GATES = {"max_path_independence": "path_independence", "max_gnorm_fd": "gnorm_fd"}
 
 _VALIDATE_TOL = 1e-6        # default largest residual of a recursion step's new net
 
@@ -271,16 +274,18 @@ def _recursion_args(step: dict, where: str, n_normals: int) -> dict:
             "y_grid": serialize.grid_from_dict(step.get("y")), **_solve_args(step, where)}
 
 
-def _gates(val, where: str) -> dict:
+def _gates(val, where: str, health: bool = False) -> dict:
     """A validated gates document (absent: no gates): the known gates, with
-    an integer k, a finite residual bound and true/false flags."""
+    an integer k, finite bounds and true/false flags; health admits a
+    recursion step's bounds on its solve's health numbers."""
     if val is None:
         return {}
-    _check_keys(val, _GATE_KEYS, f"{where} gates")
+    _check_keys(val, _GATE_KEYS | (set(_HEALTH_GATES) if health else set()), f"{where} gates")
     if "k" in val:
         _int_at_least(val["k"], where, "k", 1)
-    if "max_dupin_residual" in val:
-        _number(val["max_dupin_residual"], where, "max_dupin_residual")
+    for key in ("max_dupin_residual", *_HEALTH_GATES):
+        if key in val:
+            _number(val[key], where, key)
     for key in ("holonomic", "c_le_k_minus_1"):
         if key in val and type(val[key]) is not bool:
             raise ParseError(f"{where}: {key!r} must be true or false")
@@ -309,9 +314,15 @@ def _recursion_step(sample, step: dict, where: str, tol: float, info: dict):
     `validate_triple` of the new net at tol, then the step's gates on the new
     sample.  Records in info the residuals, the solve's health numbers
     (path_independence, gnorm_fd and, where set, phi_vanishes_fraction), the
-    regularity gate's min_gap, the transform's masked fraction and the gate
-    report; returns the result and the failures, none when the step passed."""
-    gates = _gates(step.get("gates"), where)
+    regularity gate's min_gap, the transform's masked fraction and, when
+    the step has oracle gates, their report; returns the result and the
+    failures, none when the step passed.  The health gates bound the
+    recorded numbers; a curve's solve has one sweep order, so a
+    path-independence gate on a 1-d base is refused before the solve."""
+    gates = _gates(step.get("gates"), where, health=True)
+    if "max_path_independence" in gates and sample.grid.ndim < 2:
+        raise ParseError(f"{where}: 'max_path_independence' needs a base of two or more axes "
+                         f"(a curve's solve has one sweep order)")
     res = dupin_step(sample, **_recursion_args(step, where, sample.n_normals))
     rep = validate_triple(res.triple, tol=tol)
     info["validate"] = dict(rep.residuals)
@@ -320,10 +331,16 @@ def _recursion_step(sample, step: dict, where: str, tol: float, info: dict):
     info["masked_fraction"] = float(1.0 - res.regular.mean())
     if not rep.passed:
         return res, [f"transformed net fails validation: {rep}"]
-    if not gates:
-        return res, []
-    vrep, failures = _verify_gates(res.sample, gates)
-    info["verify"] = vrep.to_dict()
+    failures = []
+    for key, name in _HEALTH_GATES.items():
+        value = info.get(name, math.nan)        # an absent number fails, as NaN does
+        if key in gates and not value <= gates[key]:
+            failures.append(f"{name} {value:.3e} > {gates[key]}")
+    oracle = {key: val for key, val in gates.items() if key in _GATE_KEYS}
+    if oracle:
+        vrep, more = _verify_gates(res.sample, oracle)
+        info["verify"] = vrep.to_dict()
+        failures += more
     return res, failures
 
 

@@ -8,8 +8,10 @@ frames or triples on a sample are deliberately ignored so these checks stay
 independent of the construction path.
 
 Diagnostics ignore the two outermost node layers (one-sided stencils are
-noisier); rank decisions use singular-value gaps and always report the full
-spectrum so borderline calls can be audited.
+noisier), and where a grid has nodes four layers in, the checks that
+differentiate derived fields run there; extraction classifies only the
+nodes those checks read (`_read_region`).  Rank decisions use singular-value
+gaps and always report the full spectrum so borderline calls can be audited.
 
 The per-node algebra is batched: stacked small-matrix products over all nodes
 (or over the valid nodes only, in the derived checks) and one batched sphere
@@ -401,32 +403,52 @@ def extract_principal_normals(s: ImmersionSample,
     shape operators (`numerics._joint_eigh`) gives per node D eigendirections
     e_a and candidate normals eta_a = sum_r <S_r e_a, e_a> nu_r, ordered by
     ascending |eta_a| and on ties by the sweeps, which the chart alone sets.
-    At every valid node they are grouped by single linkage at distance
+
+    Only the nodes the checks read are classified (`_read_region`): on a
+    grid whose every axis has at least 9 nodes the nodes two layers in, on
+    a smaller grid the whole grid.  Every step below (the diagonalization,
+    the candidates, the linkage, the vote, the half rule, the references
+    and the eigenframe) runs on that region's nodes alone.  At every valid
+    node of it the candidates are grouped by single linkage at distance
     10 * _ETA_TOL * scale.  The dominant grouping (most nodes; on a tie
     the one met first in lexicographic node order) fixes k and the
     multiplicities.  Borderline nodes (another grouping) and nodes whose
     forms are not finite are masked rather than guessed, and a NotProper error
-    is raised only when no grouping covers half of the valid nodes.
+    is raised only when no grouping covers half of the region's valid nodes.
 
     Classes are tracked across nodes so the eta fields are smooth.  A masked
     node's reference is its predecessor idx - e_d along the first axis d whose
     predecessor is masked; a node without one refers to the first masked node
-    in lexicographic order, which keeps the grouping's own class order.  Each
-    node matches its groups to its reference's groups by the permutation
-    sigma that minimizes sum_b |eta(group sigma_b) - ref eta(group b)|, the
-    first such in itertools order on a tie, and takes the class order sigma
-    composed with its reference's (a node whose distances are all NaN keeps
-    its reference's order).  A reference always lies earlier in
-    lexicographic order, so every chain of references ends at the first
-    masked node; the matchings are composed up the chains by pointer
+    in lexicographic order (the root), which keeps the grouping's own class
+    order.  Each node matches its groups to its reference's groups by the
+    permutation sigma that minimizes sum_b |eta(group sigma_b) - ref eta(group b)|,
+    the first such in itertools order on a tie, and takes the class order
+    sigma composed with its reference's (a node whose distances are all NaN
+    keeps its reference's order).  A reference always lies earlier in
+    lexicographic order and inside the region, so every chain of references
+    ends at the root; the matchings are composed up the chains by pointer
     doubling, in ceil(log2 depth) rounds.
 
     The result keeps, besides eta and the mask, the eigenframe E Q at every
     masked node with its columns in class order, and the class order itself
     (`PrincipalData`); the class projectors are formed from them on demand.
+    Every field has the whole grid's shape; outside the region the mask is
+    False and the other fields are zero.
     """
     jet = numeric_jet(s) if jet is None else jet
     return _principal_normals(s, jet, normal_curvature_residual(jet))
+
+
+def _read_region(g: TensorGrid) -> tuple:
+    """The box (one slice per axis) of nodes whose principal data the
+    oracle's checks read.  On a grid whose every axis has at least 9 nodes
+    the derived checks run at the nodes four layers in (`_stencil_valid`),
+    whose deep stencils reach two nodes each way, and sf_report's S_f and
+    N_1 spans at the interior two layers in: the box is the nodes two layers
+    in.  On a smaller grid the checks fall back to the interior itself, and
+    the box is the whole grid."""
+    lay = 2 if min(g.shape) >= 9 else 0
+    return tuple(slice(lay, n - lay) for n in g.shape)
 
 
 def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> PrincipalData:
@@ -439,14 +461,15 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
         raise NotProper(f"normal bundle not numerically flat (commutator {flat_res:.2e})")
     eta_tol = _ETA_TOL * shape_scale
 
+    # classify the valid nodes with finite forms in the read region only: no
+    # stencil of the checks reads a node outside it, which stays unclassified
+    region = _read_region(g)
+    sub = (slice(None),) + region
     # Q columns: hat-e_a by ascending |eta_a|; lam[r, ..., a] = <S_r e_a, e_a>
-    lam, Q = _joint_eigh(jet.shape_sym, lambda lam: (lam * lam).sum(0))
-    eta_dir = np.einsum("r...a,r...k->...ak", lam, jet.normal_basis)   # (*grid, D, N)
+    lam, Q = _joint_eigh(jet.shape_sym[sub], lambda lam: (lam * lam).sum(0))
+    eta_dir = np.einsum("r...a,r...k->...ak", lam, jet.normal_basis[sub])   # (*region, D, N)
     del lam
-
-    # classify every valid node with finite forms (boundary rows included) so
-    # the eta fields support full stencils; reporting happens on the interior
-    valid = s.valid() & np.isfinite(eta_dir).all(axis=(-2, -1))
+    valid = s.valid()[region] & np.isfinite(eta_dir).all(axis=(-2, -1))
     cand = _at(eta_dir, valid)                         # (n, D, N), lexicographic
     del eta_dir
     if not len(cand):
@@ -464,8 +487,8 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     hit = key == key[top]
     del labels, key
     frac = int(hit.sum()) / len(cand)
-    mask = np.zeros(g.shape, dtype=bool)
-    mask[valid] = hit
+    inside = np.zeros(valid.shape, dtype=bool)         # the classified nodes of the region
+    inside[valid] = hit
     if frac < 0.5:
         raise NotProper(f"principal-normal count varies (dominant pattern on {frac:.0%} of nodes)")
 
@@ -473,9 +496,12 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     groups = [np.array([b for b in range(D) if pattern[b] == a]) for a in range(D) if pattern[a] == a]
     k = len(groups)
     mult = tuple(len(grp) for grp in groups)
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[region] = inside
     nodes = np.flatnonzero(mask)                       # lexicographic order
+    local = np.flatnonzero(inside)                     # the same nodes, in the region
     n = len(nodes)
-    Q = _at(Q, mask)
+    Q = _at(Q, inside)
     eta = np.zeros((k,) + g.shape + (N,))
     eta_f = eta.reshape(k, -1, N)
     cand = _at(cand, hit)
@@ -484,17 +510,19 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
         eta_f[a, tracked] = np.add.reduce(cand[:, grp], axis=1) / len(grp)     # the groups' means
     del cand
 
-    # reference of each masked node (slot 0, the first masked node, is the root)
-    coords = np.unravel_index(nodes, g.shape)
-    slot = np.full(mask.size, -1)
-    slot[nodes] = np.arange(n)
+    # reference of each classified node (slot 0, the first classified node,
+    # is the root), by the region's own strides: a predecessor outside the
+    # region is unclassified, so every chain of references stays inside it
+    coords = np.unravel_index(local, inside.shape)
+    slot = np.full(inside.size, -1)
+    slot[local] = np.arange(n)
     parent = np.full(n, -1)
     for d in range(D):
-        stride = math.prod(g.shape[d + 1:])
-        pred = np.where(coords[d] > 0, slot[nodes - stride], -1)
+        stride = math.prod(inside.shape[d + 1:])
+        pred = np.where(coords[d] > 0, slot[local - stride], -1)
         parent = np.where(parent < 0, pred, parent)
     parent[parent < 0] = 0
-    del coords, slot, pred
+    del coords, local, slot, pred
 
     # track classes against the reference so smooth eta fields survive
     # arbitrarily long patches (frames may rotate fully); gap[i, a, b] is the
@@ -532,7 +560,7 @@ def _principal_normals(s: ImmersionSample, jet: NumericJet, flat_res: float) -> 
     hat = Q[every[:, None, None], np.arange(D)[:, None], col[:, None, :]]   # C-contiguous
     del Q, col
     R = np.zeros(g.shape + (D, D))
-    R.reshape(-1, D, D)[tracked] = _at(jet.frame, mask) @ hat
+    R.reshape(-1, D, D)[tracked] = _at(jet.frame[region], inside) @ hat
     del hat
     cls_order = np.zeros(g.shape + (k,), dtype=np.int8)
     cls_order.reshape(-1, k)[tracked] = order
@@ -607,24 +635,25 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     Checks that differentiate an already fd-derived field need four layers of
     margin: the outer two layers of the first derivative carry lower-order
     stencil error, and differentiating across the stencil-regime boundary
-    would turn that into O(h) noise.  A node within _STENCIL_WIDTH of a
-    masked node along any axis is invalid.  TooFewNodes is raised when no
-    node is left.
+    would turn that into O(h) noise.  On a grid whose every axis has at
+    least 9 nodes only interior nodes four layers in are valid, and there is
+    no fallback to the ring two or three layers in; on a smaller grid, which
+    has no such node, the interior nodes are.  A node within _STENCIL_WIDTH
+    of a masked node of the read region (`_read_region`) along any axis is
+    invalid; nodes outside the region are never classified and mask nothing.
+    TooFewNodes is raised when no node is left.
 
     The oracle keeps this rule, wider than `net._fd_nodes` of the
     construction-side checks, because it differentiates fields it has already
     differentiated and it stays independent of the construction code.
     """
-    valid = interior & grid.interior_mask(4)
-    if not valid.any():
-        valid = interior
-    if mask is not None and not mask.all():          # eroding an all-valid mask changes nothing
-        er = mask.copy()
+    region = _read_region(grid)
+    valid = interior & grid.interior_mask(region[0].start + 2)   # four layers in, or the interior
+    if mask is not None and not mask[region].all():   # eroding an all-valid mask changes nothing
+        er = mask[region]
         for ax in range(grid.ndim):
             er = _erode_mask(er, ax, _STENCIL_WIDTH)
-        valid = valid & er
-        if not valid.any():
-            valid = interior & er
+        valid[region] &= er
     if not valid.any():
         raise TooFewNodes("no stencil-valid nodes left after masking")
     return valid

@@ -309,6 +309,47 @@ class TestPipeline:
             assert all(type(step[key]) is float for key in set(step) - {"op", "validate"})
             assert step["min_gap"] > 0 and step["masked_fraction"] == 0.0
 
+    @staticmethod
+    def _two_steps(gates1=None, gates2=None) -> dict:
+        """The circle CIRCLE4 through two recursion steps, with the given gates."""
+        steps = [{"op": "recursion", **REGULAR_STEP},
+                 {"op": "recursion", "n_indices": [1], "y": {"shape": [5], "spacings": [0.01], "origins": [0.828]},
+                  "B0": [-0.204, 0.141], "phi0": 1.0, "gamma0": [0.010, -0.042], "beta0": [-0.618, -0.174]}]
+        for step, gates in zip(steps, (gates1, gates2)):
+            if gates is not None:
+                step["gates"] = gates
+        return {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE4}, "steps": steps}
+
+    @pytest.mark.parametrize("gate,number", [("max_path_independence", "path_independence"),
+                                             ("max_gnorm_fd", "gnorm_fd")])
+    def test_a_health_number_above_its_gate_exits_1(self, tmp_path, capsys, gate, number):
+        serialize.dump_json(self._two_steps(gates2={gate: 1e-300}), tmp_path / "spec.json")
+        assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "pipeline failed at step 2\n"
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text(encoding="utf-8"))
+        assert not summary["ok"] and summary["failed_step"] == 2
+        step = summary["steps"][1]
+        assert step["error"] == f"step 2: {number} {step[number]:.3e} > 1e-300" and step[number] > 0
+        assert "verify" not in step
+
+    def test_a_path_independence_gate_on_a_curve_exits_2(self, tmp_path, capsys):
+        # the circle's solve has one sweep order: refused before the solve
+        serialize.dump_json(self._two_steps(gates1={"max_path_independence": 1.0}), tmp_path / "spec.json")
+        assert main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: step 1 (recursion): 'max_path_independence' needs a base of "
+                                           "two or more axes (a curve's solve has one sweep order)\n")
+
+    def test_passing_health_gates_write_the_ungated_summary(self, tmp_path):
+        # the health gates bound numbers the summary records anyway and run no
+        # oracle, so the summary is the ungated one's but for the spec's hash
+        plain, gated = self._two_steps(), self._two_steps({"max_gnorm_fd": 1.0},
+                                                          {"max_path_independence": 1.0, "max_gnorm_fd": 1.0})
+        assert run_pipeline(plain, str(tmp_path / "a"))["ok"] and run_pipeline(gated, str(tmp_path / "b"))["ok"]
+        a, b = ((tmp_path / d / "summary.json").read_bytes() for d in "ab")
+        h_a, h_b = (serialize.spec_hash(spec).encode() for spec in (plain, gated))
+        assert h_a != h_b and b.count(h_b) == 1
+        assert b.replace(h_b, h_a) == a
+
     def test_empty_steps_exports_seed_only(self, tmp_path):
         spec = {"schema": "dupin/pipeline@1",
                 "seed": {"kind": "torus", "params": {"shape": [9, 9]}}, "steps": []}
@@ -771,6 +812,10 @@ _NEEDS_FRAMES = "needs a sample with frames and a net triple (a construct step l
     ({"steps": [{"op": "verify", "gates": {"k": True}}]}, "step 1 (verify): 'k' must be an integer >= 1"),
     ({"steps": [{"op": "recursion", **IRREGULAR_STEP, "gates": {"holonomic": 1}}]},
      "step 1 (recursion): 'holonomic' must be true or false"),
+    ({"steps": [{"op": "verify", "gates": {"max_gnorm_fd": 1.0}}]},
+     "unknown keys ['max_gnorm_fd'] in step 1 (verify) gates"),
+    ({"steps": [{"op": "recursion", **IRREGULAR_STEP, "gates": {"max_gnorm_fd": "small"}}]},
+     "step 1 (recursion): 'max_gnorm_fd' must be a finite number"),
 ], ids=["step_not_object", "steps_not_list", "tolerances_list", "validate_string", "n_one",
         "shape_short", "center_short", "empty_range", "k_string", "k_zero", "u_missing", "u_short",
         "matrix_4x4", "matrix_not_orthogonal", "w_not_object", "inversion_P0_string",
@@ -783,7 +828,7 @@ _NEEDS_FRAMES = "needs a sample with frames and a net triple (a construct step l
         "n_ribaucour_positions_only", "recursion_positions_only", "export_slice_string",
         "export_coords_string", "export_path_missing", "verify_gate_keys_misspelled",
         "verify_gate_residual_string", "verify_gates_list", "verify_gate_k_bool",
-        "recursion_gate_flag_int"])
+        "recursion_gate_flag_int", "verify_gate_health_key", "recursion_gate_gnorm_string"])
 def test_malformed_pipeline_exits_2_with_one_line(tmp_path, capsys, change, message):
     spec = {"schema": "dupin/pipeline@1", "seed": {"kind": "circle", "params": CIRCLE}, "steps": [],
             **change}

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import tracemalloc
 import warnings
 
@@ -119,19 +120,36 @@ def _reference_cluster_pattern(dist, tol):
 
 def _reference_extract_principal_normals(s, jet):
     """The per-node extraction loop that the batched implementation replaced,
-    kept as the definition of its result: one cluster pattern per node, then
-    class tracking node by node in lexicographic order.  Returns the
-    principal data and, frozen, the class projectors the extraction used to
-    store: E (Q_j Q_j^T) E^{-1} per node and class, Q_j the class's
-    eigenvector columns in the orthonormal frame."""
+    kept as the definition of its result: one cluster pattern per node of
+    the region the checks read, then class tracking node by node in
+    lexicographic order.  Returns the principal data and, frozen, the class
+    projectors the extraction used to store: E (Q_j Q_j^T) E^{-1} per node
+    and class, Q_j the class's eigenvector columns in the orthonormal frame.
+
+    The region, by its definition: the derived checks run at the nodes four
+    layers in and their deep stencils reach two nodes, so on a grid whose
+    every axis has at least 9 nodes they read the nodes two layers in; a
+    smaller grid has no node four layers in, its checks run at the interior
+    itself and it is read whole.  The Jacobi prelude runs on the region's
+    nodes alone, as extraction's does: a block of families stops rotating
+    when all of them converge, so a family's last rounding depends on the
+    families beside it."""
     g = jet.grid
     D = g.ndim
     N = s.ambient_dim
     shape_scale = max(np.linalg.norm(jet.shape_sym[:, jet.interior], axis=0).max(), 1e-30)
     eta_tol = max(1e-5 * shape_scale, 1e-9 * shape_scale)
+    lay = 2 if all(n >= 9 for n in g.shape) else 0
+    region = tuple(slice(lay, n - lay) for n in g.shape)
+    read = np.zeros(g.shape, dtype=bool)
+    read[region] = True
 
-    # eigendirections in the order of the Jacobi sweeps, then by ascending |eta|, stable on ties
-    diag, Q = _joint_eigh(jet.shape_sym, lambda w: np.zeros(w.shape[1:]))
+    # eigendirections in the order of the Jacobi sweeps, then by ascending |eta|, stable on ties;
+    # NaN outside the region
+    diag = np.full((jet.codim,) + g.shape + (D,), np.nan)
+    Q = np.full(g.shape + (D, D), np.nan)
+    diag[(slice(None),) + region], Q[region] = _joint_eigh(jet.shape_sym[(slice(None),) + region],
+                                                           lambda w: np.zeros(w.shape[1:]))
     order = np.argsort((diag**2).sum(0), axis=-1, kind="stable")
     diag = np.take_along_axis(diag, order[None], axis=-1)
     Q = np.take_along_axis(Q, order[..., None, :], axis=-1)
@@ -139,7 +157,7 @@ def _reference_extract_principal_normals(s, jet):
     dist = np.linalg.norm(eta_dir[..., :, None, :] - eta_dir[..., None, :, :], axis=-1)
 
     patterns = {}
-    for idx in np.argwhere(s.valid()):
+    for idx in np.argwhere(s.valid() & read):
         pat = _reference_cluster_pattern(dist[tuple(idx)], eta_tol * 10)
         patterns.setdefault(pat, []).append(tuple(idx))
     pattern = max(patterns, key=lambda k: len(patterns[k]))
@@ -1096,11 +1114,13 @@ class TestBoxDerivatives:
     @pytest.mark.parametrize("shape,holes", [((21, 21), False), ((21, 21), True), ((9, 9), False),
                                              ((13, 11, 12), True)])
     def test_bit_identical_to_fd_axis(self, shape, holes):
+        # on 13 x 11 x 12 a hole at node 5 leaves no node four layers in, so
+        # its hole sits at node 3, which leaves the ones at 7 and 8 along axis 0
         rng = np.random.default_rng(len(shape))
         g = TensorGrid(shape, tuple(0.01 * (d + 1) for d in range(len(shape))))
         mask = np.ones(shape, dtype=bool)
         if holes:
-            mask[(5,) * len(shape)] = False
+            mask[(5 if len(shape) == 2 else 3,) * len(shape)] = False
             mask[(slice(0, 2),) * len(shape)] = False
         valid = _stencil_valid(g, g.interior_mask(2), mask)
         fields = [rng.normal(size=(2,) + shape + (4,)), rng.normal(size=(3,) + shape + (3, 3))]
@@ -1142,7 +1162,11 @@ class TestWildNodes:
         # cut at the grid's edge, or with 5 nodes a side, would be mostly
         # block there, so the 9 x 9 window moves inside the grid.  Only nodes whose
         # fourth-order stencils reach the node, two nodes each way, are
-        # masked: 21 of that 5 x 5 block, the node itself among them
+        # masked: 21 of that 5 x 5 block, the node itself among them.  Only
+        # the nodes two layers in are classified, so the masked ones are
+        # counted there: all 21 for (10, 10) and (4, 4), 7 of the 9 in the
+        # region for (2, 2), as the extraction that also classified the
+        # boundary rows masked
         pos = torus_patch.positions.copy()
         pos[node + (0,)] = value
         s = ImmersionSample(torus_patch.grid, pos)
@@ -1155,7 +1179,28 @@ class TestWildNodes:
         assert (rep.k, rep.multiplicities, rep.dim_Sf, rep.holonomic) == (2, (1, 1), 1, True)
         reach = np.zeros(s.grid.shape, dtype=bool)
         reach[node[0] - 2:node[0] + 3, node[1] - 2:node[1] + 3] = True
-        assert pd.mask[~reach].all() and not pd.mask[node] and (~pd.mask).sum() == 21
+        read = s.grid.interior_mask(2)
+        assert not pd.mask[~read].any()
+        assert pd.mask[read & ~reach].all() and not pd.mask[node]
+        assert (~pd.mask[read]).sum() == {(10, 10): 21, (4, 4): 21, (2, 2): 7}[node]
+        assert max(rep.dupin_residuals) <= 2 * max(clean.dupin_residuals)
+
+    @pytest.mark.parametrize("value", [1e3, 1e160])
+    @pytest.mark.parametrize("node", [(0, 0), (0, 10)])
+    def test_one_wild_edge_coordinate_stays_out_of_the_checks(self, torus_patch, node, value):
+        # a wild position on the grid's edge: extraction classifies only the
+        # nodes two layers in, so its normals never enter a tracking chain.
+        # Classifying the boundary rows too, at 1e3 the largest Dupin
+        # residual read 6.4e10 (0, 0) and 4.9e11 (0, 10) times the clean
+        # torus's, and the patch was not holonomic
+        pos = torus_patch.positions.copy()
+        pos[node + (0,)] = value
+        s = ImmersionSample(torus_patch.grid, pos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sf_report(s)
+        clean = sf_report(torus_patch)
+        assert (rep.k, rep.multiplicities, rep.dim_Sf, rep.holonomic) == (2, (1, 1), 1, True)
         assert max(rep.dupin_residuals) <= 2 * max(clean.dupin_residuals)
 
     def test_smooth_curvature_growth_drops_nothing(self):
@@ -1186,6 +1231,58 @@ class TestWildNodes:
         assert np.isfinite(jet.shape_sym).all()
         assert 1.0 <= size.max() / np.median(size[jet.interior]) < 1.2
         assert verify._SCALE_OUTLIER >= 60 * 1.63
+
+
+class TestReadRegion:
+    """Extraction classifies the nodes the checks read: two layers in on a
+    grid whose every axis has at least 9 nodes, else the whole grid."""
+
+    @pytest.mark.parametrize("case", ["recursion_step2", "holed_clifford_product"])
+    def test_nothing_outside_the_region_is_read(self, case, request):
+        # principal data outside the nodes two layers in made unusable: NaN
+        # normals and eigenframes, class orders out of range and the mask
+        # set, and the report is the same to the byte
+        s = _holed(clifford_product()) if case == "holed_clifford_product" else request.getfixturevalue(case).sample
+        jet = numeric_jet(s)
+        pd = extract_principal_normals(s, jet=jet)
+        out = ~s.grid.interior_mask(2)
+        assert not pd.mask[out].any() and pd.mask[~out].sum() > 0.9 * (~out).sum()
+        eta, frame, order, mask = pd.eta.copy(), pd.eigenframe.copy(), pd.order.copy(), pd.mask.copy()
+        eta[:, out], frame[out], order[out], mask[out] = np.nan, np.nan, 99, True
+        spoiled = dataclasses.replace(pd, eta=eta, eigenframe=frame, order=order, mask=mask)
+        with np.errstate(all="raise"):
+            rep = json.dumps(sf_report(s, pd=spoiled, jet=jet).to_dict())
+        assert rep == json.dumps(sf_report(s, pd=pd, jet=jet).to_dict())
+
+    @pytest.mark.parametrize("shape", [(21, 7), (7, 21), (9, 8)])
+    def test_a_short_axis_classifies_every_valid_node(self, shape):
+        # no node four layers in: the checks fall back to the interior, and
+        # extraction classifies the whole grid, boundary rows included
+        s = torus_seed(R=1.0, r=0.3, shape=shape, u1_range=(0.1, 1.1), u2_range=(0.2, 1.2))
+        mask = np.ones(shape, dtype=bool)
+        mask[0, 0] = mask[3, 3] = False
+        for sample in (s, dataclasses.replace(s, mask=mask)):
+            pd = extract_principal_normals(sample)
+            assert pd.k == 2 and np.array_equal(pd.mask, sample.valid())
+
+    def test_no_node_four_layers_in_raises(self):
+        # a hole at the middle of 13 x 13 masks every node four layers in;
+        # the ring two to three layers in, which a fallback checked, reads
+        # Dupin residuals of 7e-3 and 0.13 on this torus
+        s = torus_seed(R=1.0, r=0.3, shape=(13, 13), u1_range=(0.1, 1.1), u2_range=(0.2, 1.2))
+        mask = np.ones(s.grid.shape, dtype=bool)
+        mask[6, 6] = False
+        holed = dataclasses.replace(s, mask=mask)
+        jet = numeric_jet(holed)
+        pd = extract_principal_normals(holed, jet=jet)
+        assert pd.k == 2
+        with pytest.raises(TooFewNodes, match="^no stencil-valid nodes left after masking$"):
+            sf_report(holed, pd=pd, jet=jet)
+        # the same with no mask, from an interior without those nodes
+        g = s.grid
+        with pytest.raises(TooFewNodes, match="^no stencil-valid nodes left after masking$"):
+            _stencil_valid(g, g.interior_mask(2) & ~g.interior_mask(4), None)
+        assert np.array_equal(_stencil_valid(g, g.interior_mask(2), None), g.interior_mask(4))
 
 
 def _bits(a):
