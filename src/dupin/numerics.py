@@ -204,13 +204,17 @@ def _fd_to(out: np.ndarray, values: np.ndarray, h: float, axis: int, order: int)
     _fd_into(out.swapaxes(0, axis), values.swapaxes(0, axis), h, order, 0, values.shape[axis])
 
 
-def _fd_rows(values: np.ndarray, h: float, order: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 along axis 0 of `fd_axis(values, h, 0, order)`, bit for bit."""
+def _fd_rows(values: np.ndarray, h: float, order: int, lo: int, hi: int, axis: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Rows lo..hi-1 along `axis` of `fd_axis(values, h, axis, order)`, bit
+    for bit, written to out (hi - lo rows along axis) when it is given."""
     values = np.asarray(values, dtype=float)
-    if len(values) < 5:
-        raise GridTooSmall(f"need >= 5 nodes along axis 0, got {len(values)}")
-    out = np.empty((hi - lo,) + values.shape[1:])
-    _fd_into(out, values, h, order, lo, hi)
+    n = values.shape[axis]
+    if n < 5:
+        raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
+    if out is None:
+        out = np.empty(values.shape[:axis] + (hi - lo,) + values.shape[axis + 1:])
+    _fd_into(out.swapaxes(0, axis), values.swapaxes(0, axis), h, order, lo, hi)
     return out
 
 
@@ -364,11 +368,15 @@ def _joint_eigh(A: np.ndarray, key):
     Q^T A_r Q and one orthogonal Q (*shape, D, D) per family, its columns
     ordered by ascending key(w) (*shape, D), stable on ties.
     Cyclic Jacobi sweeps by `_jacobi_angle` over blocks of _JACOBI_BLOCK
-    families (each matrix entry one array) stop when no rotation changes an
-    entry by more than _JACOBI_TOL times the family's norm.  For commuting
-    families this converges locally quadratically (Bunse-Gerstner, Byers &
-    Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993); an orthogonal mixing of
-    a family leaves its Q the same.  A NaN entry gives NaN diagonals and Q."""
+    families (each matrix entry one array).  From the second sweep on, a
+    family stops once its off-diagonal part is within _JACOBI_TOL times its
+    norm, or once a sweep's rotations would change none of its entries by
+    more than that, and a pair whose rotation would not do so leaves it
+    alone: each family's result is the one it gets alone, bit for bit,
+    whichever families share its block.  For commuting families this
+    converges locally quadratically (Bunse-Gerstner, Byers & Mehrmann, SIAM
+    J. Matrix Anal. Appl. 14, 1993); an orthogonal mixing of a family leaves
+    its Q the same.  A NaN entry gives NaN diagonals and Q."""
     m, shape, D = A.shape[0], A.shape[1:-2], A.shape[-1]
     A = A.reshape(m, -1, D, D)
     w, Vt = np.empty(A.shape[:-1]), np.empty(A.shape[1:])        # Vt: eigenvectors as rows
@@ -383,25 +391,32 @@ def _joint_eigh(A: np.ndarray, key):
         tol = _JACOBI_TOL**2 * (B * B).sum(axis=(0, 2, 3))
         with np.errstate(invalid="ignore", over="ignore"):
             for sweep in range(_JACOBI_SWEEPS):
-                if sweep and not (sum((a[p][q] ** 2).sum(0) for p, q in pairs) > tol).any():
-                    break
+                if sweep:
+                    live = sum((a[p][q] ** 2).sum(0) for p, q in pairs) > tol     # the families not yet done
+                    if not live.any():
+                        break
                 done = True
                 for p, q in pairs:
                     d, apq = a[p][p] - a[q][q], a[p][q]
                     c, s, moved = _jacobi_angle(d, apq)
-                    if sweep and not (moved > tol).any():
-                        continue
+                    turn = None                                   # every family turns in sweep 0
+                    if sweep:
+                        turn = live & (moved > tol)
+                        if not turn.any():
+                            continue
+                        turn = None if turn.all() else turn
                     done = False
                     shift = s * (s * d + (2.0 * c) * apq)
-                    a[p][p], a[q][q] = a[p][p] - shift, a[q][q] + shift
-                    a[p][q] = a[q][p] = (c * s) * d + (c * c - s * s) * apq
+                    app, aqq = a[p][p], a[q][q]
+                    a[p][p], a[q][q] = _turned(turn, app - shift, app), _turned(turn, aqq + shift, aqq)
+                    a[p][q] = a[q][p] = _turned(turn, (c * s) * d + (c * c - s * s) * apq, apq)
                     for r in range(D):
                         if r != p and r != q:
                             arp, arq = a[r][p], a[r][q]
-                            a[r][p] = a[p][r] = c * arp - s * arq
-                            a[r][q] = a[q][r] = s * arp + c * arq
+                            a[r][p] = a[p][r] = _turned(turn, c * arp - s * arq, arp)
+                            a[r][q] = a[q][r] = _turned(turn, s * arp + c * arq, arq)
                     vp, vq = v[:, p], v[:, q]
-                    v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
+                    v[:, p], v[:, q] = _turned(turn, c * vp - s * vq, vp), _turned(turn, s * vp + c * vq, vq)
                 if done:
                     break
         for i in range(D):
@@ -410,6 +425,11 @@ def _joint_eigh(A: np.ndarray, key):
     at = np.argsort(key(w), axis=-1, kind="stable") + D * np.arange(len(Vt))[:, None]
     cols = Vt.reshape(-1, D)[at].swapaxes(-1, -2)
     return w.reshape(m, -1)[:, at].reshape((m,) + shape + (D,)), cols.reshape(shape + (D, D))
+
+
+def _turned(turn, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """A rotated entry: new for every family, or only where turn (n,) is set."""
+    return new if turn is None else np.where(turn, new, old)
 
 
 def _singular_values(C: np.ndarray) -> np.ndarray:

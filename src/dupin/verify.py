@@ -10,20 +10,23 @@ independent of the construction path.
 Diagnostics ignore the two outermost node layers (one-sided stencils are
 noisier), and where a grid has nodes four layers in, the checks that
 differentiate derived fields run there; extraction classifies only the
-nodes those checks read (`_read_region`).  Rank decisions use singular-value
-gaps and always report the full spectrum so borderline calls can be audited.
+nodes those checks read (`_read_region`), and on a grid with at least 13
+nodes a side `numeric_jet` forms only those nodes (`_form_box`).  Rank
+decisions use singular-value gaps and always report the full spectrum so
+borderline calls can be audited.
 
 The per-node algebra is batched: stacked small-matrix products over all nodes
 (or over the valid nodes only, in the derived checks) and one batched sphere
-fit over all leaves.  No LAPACK call per node is left; elementwise kernels
-over the node axis give the metric's Cholesky factors, whose inverse
-transpose is the orthonormal tangent frame (`_cholesky_frame`), one
-simultaneous Jacobi diagonalization of the shape operators in that frame
-(`numerics._joint_eigh`), a pivoted Gram-Schmidt normal basis
-(`_normal_frame`), one-sided Jacobi singular values in the rank decisions
-(`numerics._singular_values`), class tracking by pointer doubling (`_track`)
-and one deep-stencil derivative pass over the stencil-valid box for every
-class's fields (`_slopes`).  No output depends on the normal basis, so none
+fit over all leaves.  That fit's two stacked `np.linalg.svd` calls
+(`numerics._sphere_fits`) are the only LAPACK calls left, one per leaf
+each.  Elementwise kernels over the node axis give the metric's Cholesky
+factors, whose inverse transpose is the orthonormal tangent frame
+(`_cholesky_frame`), one simultaneous Jacobi diagonalization of the shape
+operators in that frame (`numerics._joint_eigh`), a pivoted Gram-Schmidt
+normal basis (`_normal_frame`), one-sided Jacobi singular values in the
+rank decisions (`numerics._singular_values`), class tracking by pointer
+doubling (`_track`) and one deep-stencil derivative pass over the
+stencil-valid box for every class's fields (`_slopes`).  No output depends on the normal basis, so none
 depends on where the sample sits in space; the tangent frame moves outputs
 only by rounding, except where a class of multiplicity > 1 is sampled
 along its frame columns (`_along`).  The flat-normal-bundle check
@@ -34,8 +37,8 @@ Memory stays close to the oracle's degrees of freedom: the jet keeps the
 metric, the tangent frame, the shape operators and the normal basis, and the
 extraction the principal normals, one eigenframe and the class order per
 node.  Every other field (the coframe, the normal projector, H, alpha, the
-class projectors) is formed where it is read.  `numeric_jet` builds the
-normal basis and the shape operators in slabs of axis-0 rows, and the
+class projectors) is formed where it is read.  `numeric_jet` builds every
+per-node field in slabs of axis-0 rows of its form box, and the
 extraction's cost and distance tables and the derived checks' derivative
 passes run over bounded blocks of nodes.  Every value is the one a
 whole-grid evaluation gives, bit for bit, whatever the block sizes.
@@ -98,12 +101,20 @@ class NumericJet:
     the choice beyond rounding, except the frame columns along which `_along`
     samples a class of multiplicity > 1.
 
+    Every field has the whole grid's shape, but `numeric_jet` forms the
+    metric, the frame, the normal basis and the shape operators only on its
+    form box (`_form_box`): the nodes two layers in on a grid whose every
+    axis has at least 13 nodes, else the whole grid.  Outside it they are
+    NaN; nothing reads them there, since the interior and every node the
+    checks read lie inside it.
+
     The coframe L^T, the normal projector, the second fundamental form H in
     the normal basis and the ambient second fundamental form `alpha` are not
     stored: each property forms its field on every read, by the formula
     `numeric_jet` uses for it (the last three differentiate the positions
-    again).  `numeric_jet` forms the normal projector and H in node slabs,
-    so neither exists for the whole grid there."""
+    again), for the whole grid, so NaN where the frame or the normal basis
+    is.  `numeric_jet` forms the normal projector and H in node slabs, so
+    neither exists for the whole grid there."""
 
     grid: TensorGrid
     positions: np.ndarray      # (*grid, N) the sample's positions, not copied
@@ -143,7 +154,7 @@ class NumericJet:
         normal basis, from the positions on each read; shape_sym is
         E^T H E."""
         g, pos, first = self._forms()
-        return _second_form(g, pos, first, self.normal_basis, 0, g.shape[0])
+        return _second_form(g, pos, first, self.normal_basis, _full_box(g.shape))
 
     @property
     def alpha(self) -> np.ndarray:
@@ -153,7 +164,7 @@ class NumericJet:
         derivatives with the normal basis, which needs no projection, so H
         and alpha agree to rounding."""
         g, pos, first = self._forms()
-        return _project(_second(g, pos, first, 0, g.shape[0]), _normal_proj(first, self.frame))
+        return _project(_second(g, pos, first, _full_box(g.shape)), _normal_proj(first, self.frame))
 
 
 def _finite(pos: np.ndarray) -> np.ndarray:
@@ -161,11 +172,15 @@ def _finite(pos: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(pos), pos, np.nan)
 
 
-def _gradient(g: TensorGrid, pos: np.ndarray) -> np.ndarray:
-    """First derivatives (D, *grid, N) of positions pos, `fd_axis` along each axis."""
-    first = np.empty((g.ndim,) + pos.shape)
-    for i in range(g.ndim):
-        _fd_to(first[i], pos, g.spacings[i], i, 1)
+def _gradient(g: TensorGrid, pos: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """First derivatives (D, rows, *grid[1:], N) of positions pos on the
+    axis-0 rows given (all by default), bit for bit `fd_axis` along each
+    axis: along axis 0 by the rows' own stencils (`numerics._fd_rows`)."""
+    lo, hi, _ = rows.indices(len(pos))
+    first = np.empty((g.ndim, hi - lo) + pos.shape[1:])
+    _fd_rows(pos, g.spacings[0], 1, lo, hi, 0, first[0])
+    for i in range(1, g.ndim):
+        _fd_to(first[i], pos[lo:hi], g.spacings[i], i, 1)
     return first
 
 
@@ -189,31 +204,39 @@ def _perms(k: int) -> tuple:
     return perms, comp
 
 
-def _second(g: TensorGrid, pos: np.ndarray, first: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Second derivatives (D, D, hi - lo, *grid[1:], N) on the axis-0 rows
-    lo..hi-1 of positions pos with first derivatives first (D, *grid, N),
-    bit for bit those of whole-grid `fd_axis` calls: d_00 by the rows' own
-    stencils (`numerics._fd_rows`, at most three rows beyond the slab), d_ii
-    and d_j first_i (i < j) within the slab, whose axes past the first are
-    whole."""
+def _second(g: TensorGrid, pos: np.ndarray, first: np.ndarray, box: tuple) -> np.ndarray:
+    """Second derivatives (D, D, *box, N) on the nodes of box (one slice per
+    axis, start and stop given) of positions pos (*grid, N), given their
+    first derivatives on the box's axis-0 rows (D, rows, *grid[1:], N), bit
+    for bit those of whole-grid `fd_axis` calls: d_ii of the positions and
+    d_j first_i (i < j), each along axis d by the box's rows of its own
+    stencils (`numerics._fd_rows`) on its field cut to the box along the
+    other axes, so at most three nodes beyond the box along d are read."""
     D = g.ndim
-    sec = np.empty((D, D, hi - lo) + pos.shape[1:])
-    sec[0, 0] = _fd_rows(pos, g.spacings[0], 2, lo, hi)
+    sec = np.empty((D, D) + tuple(sl.stop - sl.start for sl in box) + pos.shape[D:])
+    rows = (slice(None),) + box[1:]            # first holds the box's rows only
+
+    def along(out, v, d, order, cut):
+        _fd_rows(v[cut[:d] + (slice(None),) + cut[d + 1:]], g.spacings[d], order, box[d].start, box[d].stop, d, out)
+
     for i in range(D):
-        if i:
-            _fd_to(sec[i, i], pos[lo:hi], g.spacings[i], i, 2)
+        along(sec[i, i], pos, i, 2, box)
         for j in range(i + 1, D):
-            _fd_to(sec[i, j], first[i, lo:hi], g.spacings[j], j, 1)
+            along(sec[i, j], first[i], j, 1, rows)
             sec[j, i] = sec[i, j]
     return sec
 
 
-def _second_form(g: TensorGrid, pos: np.ndarray, first: np.ndarray, basis: np.ndarray,
-                 lo: int, hi: int) -> np.ndarray:
-    """H (p, hi - lo, *grid[1:], D, D) on the axis-0 rows lo..hi-1: the rows'
-    second derivatives contracted with the normal basis (p, *grid, N).  The
-    basis lies in the normal space, so this is the normal part's."""
-    return np.einsum("ij...k,r...k->r...ij", _second(g, pos, first, lo, hi), basis[:, lo:hi])
+def _second_form(g: TensorGrid, pos: np.ndarray, first: np.ndarray, basis: np.ndarray, box: tuple) -> np.ndarray:
+    """H (p, *box, D, D) on the nodes of box: their second derivatives
+    contracted with their normal basis (p, *box, N).  The basis lies in the
+    normal space, so this is the normal part's."""
+    return np.einsum("ij...k,r...k->r...ij", _second(g, pos, first, box), basis)
+
+
+def _full_box(shape: tuple) -> tuple:
+    """The box (one slice per axis) of every node of a grid of this shape."""
+    return tuple(slice(0, n) for n in shape)
 
 
 def _project(second: np.ndarray, normal_proj: np.ndarray) -> np.ndarray:
@@ -276,12 +299,20 @@ def _cholesky_frame(metric: np.ndarray) -> tuple:
 def numeric_jet(s: ImmersionSample) -> NumericJet:
     """Fundamental forms from raw positions, independent of cached data.
 
-    The tangent frame is the metric's Cholesky frame (`_cholesky_frame`; its
-    coframe is scratch).  The normal basis and the shape operators are built
-    in slabs of axis-0 rows, about _JET_VALUES second-derivative values each:
-    per slab the normal projector's pivoted Gram-Schmidt basis
-    (`_normal_frame`), then the slab's H (`_second_form`) turned into its
-    shape operators at once.  Every value equals the whole-grid evaluation's.
+    The per-node fields are formed on the form box (`_form_box`) only: the
+    nodes two layers in, which hold every node the checks read, when every
+    axis has at least 2 (2 + _WILD_REACH) + 1 = 13 nodes, else the whole
+    grid.  Outside it the metric, the frame, the normal basis and the shape
+    operators are NaN.  They are built in slabs of the box's axis-0 rows,
+    about _JET_VALUES second-derivative values each (`_form_slab`): per
+    slab the first derivatives on its rows, whole along the other axes
+    (the mixed second derivatives at box nodes read them out to the edge
+    there), the metric, its Cholesky frame (`_cholesky_frame`; its coframe
+    is scratch), the normal projector's pivoted Gram-Schmidt basis
+    (`_normal_frame`), and the slab's H (`_second_form`, the box's rows of
+    each stencil) turned into its shape operators at once, each a
+    contiguous array copied into the whole-grid field.  Every value at a
+    box node equals the whole-grid evaluation's, bit for bit.
 
     A node whose shape operator (the largest norm of an entry of
     sum_r S_r nu_r) is more than _SCALE_OUTLIER times both the interior
@@ -289,10 +320,10 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     become NaN, so it leaves the interior and extraction masks it.  One
     wild position then cannot set the shape scale of the whole sample.
     The window is the node's (2 _WILD_REACH + 1)^D = 9^D box, moved inside
-    the grid where it would leave it, and the median is over its nodes with
-    finite forms.  The 5^D nodes whose fourth-order stencils reach one wild
-    position away from the edges are under half of it, so its median is a
-    clean one; curvature that grows smoothly, even by orders of magnitude
+    the form box where it would leave it, and the median is over its nodes
+    with finite forms.  The 5^D nodes whose fourth-order stencils reach one
+    wild position away from the edges are under half of it, so its median
+    is a clean one; curvature that grows smoothly, even by orders of magnitude
     across the patch (a cone's |S| ~ 1/r), stays within the window's
     median, and nodes at rounding level in a curved sample stay below the
     interior median."""
@@ -304,29 +335,16 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     # the forms of their stencil neighbours quietly; those nodes are not interior
     pos = _finite(s.positions)
 
-    first = _gradient(g, pos)
-    metric = np.einsum("i...k,j...k->...ij", first, first)
-    frame = _cholesky_frame(metric)[0]
+    box = _form_box(g)
+    field = np.empty if box == _full_box(g.shape) else functools.partial(np.full, fill_value=np.nan)
+    metric, frame, size = field(g.shape + (D, D)), field(g.shape + (D, D)), field(g.shape)
+    normal_basis, shape_sym = field((N - D,) + g.shape + (N,)), field((N - D,) + g.shape + (D, D))
+    rows = max(1, _JET_VALUES // (D * D * N * math.prod(sl.stop - sl.start for sl in box[1:])))
+    for lo in range(box[0].start, box[0].stop, rows):
+        at = (slice(lo, min(lo + rows, box[0].stop)),) + box[1:]
+        _form_slab(g, pos, at, metric, frame, normal_basis, shape_sym, size)
+    del pos
 
-    normal_basis = np.empty((N - D,) + g.shape + (N,))
-    shape_sym = np.empty((N - D,) + g.shape + (D, D))
-    rows = max(1, _JET_VALUES // (D * D * N * (g.size // g.shape[0])))
-    for lo in range(0, g.shape[0], rows):
-        at = slice(lo, min(lo + rows, g.shape[0]))
-        E = frame[at]
-        normal_basis[:, at] = _normal_frame(first[:, at], E, N - D)
-        np.matmul(E.swapaxes(-1, -2) @ _second_form(g, pos, first, normal_basis, at.start, at.stop), E,
-                  out=shape_sym[:, at])
-    del first, pos
-
-    # |S| per node, NaN where a shape operator is, inf where its square overflows
-    with np.errstate(over="ignore"):
-        sq = (shape_sym * shape_sym).sum(0)
-    size = sq[..., 0, 0].copy()
-    for a, b in zip(*_triu(D, 0)):
-        np.maximum(size, sq[..., a, b], out=size)
-    size = np.sqrt(size, out=size)
-    del sq
     finite = np.isfinite(metric).all(axis=(-2, -1)) & np.isfinite(size)
     if s.mask is not None:
         finite &= s.mask
@@ -337,7 +355,7 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     wild = size > _SCALE_OUTLIER * max(median, 1e-30)
     width = 2 * _WILD_REACH + 1
     for idx in zip(*np.nonzero(wild)):
-        starts = [max(min(i - _WILD_REACH, n - width), 0) for i, n in zip(idx, g.shape)]
+        starts = [max(min(i - _WILD_REACH, sl.stop - width), sl.start) for i, sl in zip(idx, box)]
         near = tuple(slice(a, a + width) for a in starts)
         if size[idx] <= _SCALE_OUTLIER * _upper_median(size[near][finite[near]], median):
             wild[idx] = False
@@ -346,6 +364,41 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
         interior &= ~wild
     return NumericJet(grid=g, positions=s.positions, metric=metric, frame=frame, shape_sym=shape_sym,
                       normal_basis=normal_basis, interior=interior)
+
+
+def _form_slab(g: TensorGrid, pos: np.ndarray, at: tuple, metric: np.ndarray, frame: np.ndarray,
+               normal_basis: np.ndarray, shape_sym: np.ndarray, size: np.ndarray) -> None:
+    """`numeric_jet`'s fields on the nodes of box at, written into the
+    whole-grid fields: each formed as a contiguous array and copied in
+    (products on the whole-grid arrays' strided views take numpy's slow
+    loops), and each released once copied, so one slab's arrays at most
+    are held at a time.  size (*grid) takes |S|, the largest norm of an
+    entry of sum_r S_r nu_r: NaN where a shape operator is, inf where its
+    square overflows."""
+    D, p = g.ndim, normal_basis.shape[0]
+    first = _gradient(g, pos, at[0])
+    f = first[(slice(None), slice(None)) + at[1:]]
+    metric[at] = G = np.einsum("i...k,j...k->...ij", f, f)
+    frame[at] = E = _cholesky_frame(G)[0]
+    del G
+    normal_basis[(slice(None),) + at] = nu = _normal_frame(f, E, p)
+    shape_sym[(slice(None),) + at] = S = E.swapaxes(-1, -2) @ _second_form(g, pos, first, nu, at) @ E
+    del E, nu
+    with np.errstate(over="ignore"):
+        sq = (S * S).sum(0)
+    del S
+    top = sq[..., 0, 0].copy()
+    for a, b in zip(*_triu(D, 0)):
+        np.maximum(top, sq[..., a, b], out=top)
+    size[at] = np.sqrt(top, out=top)
+
+
+def _form_box(g: TensorGrid) -> tuple:
+    """The box (one slice per axis) on which `numeric_jet` forms its
+    per-node fields: the read region (`_read_region`, the nodes two layers
+    in) when every axis has at least 2 (2 + _WILD_REACH) + 1 = 13 nodes, so
+    that it holds a whole wild-node window, else the whole grid."""
+    return _read_region(g) if min(g.shape) >= 2 * (2 + _WILD_REACH) + 1 else _full_box(g.shape)
 
 
 def _upper_median(values: np.ndarray, empty: float = 0.0) -> float:
