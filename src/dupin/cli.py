@@ -223,6 +223,22 @@ def _export_args(step: dict, where: str, sample) -> tuple:
     return path, _mesh_slice(step.get("slice"), sample.grid.shape, where), coords
 
 
+def _export(sample, fmt, path: str, sl, coords, provenance: dict | None, unknown: str) -> tuple:
+    """Write sample to path as obj or ply (the mesh of slice sl in the
+    coordinates coords), csv or json (with provenance): the summary key of
+    the writer's report and the report, (None, {}) for json.  Any other
+    format raises ParseError(f"{unknown} {fmt!r}")."""
+    if fmt in ("obj", "ply"):
+        write = serialize.export_obj if fmt == "obj" else serialize.export_ply
+        return "mesh", write(sample, path, sl, coords)
+    if fmt == "csv":
+        return "csv", serialize.export_csv(sample, path)
+    if fmt == "json":
+        serialize.dump_json(serialize.sample_to_dict(sample, provenance=provenance), path)
+        return None, {}
+    raise ParseError(f"{unknown} {fmt!r}")
+
+
 def _build_seed(doc: dict):
     _check_keys(doc, {"kind", "params"}, "seed")
     kind = doc.get("kind")
@@ -411,19 +427,10 @@ def run_pipeline(spec: dict, outdir: str) -> dict:
             elif op == "export":
                 fmt = step.get("format")
                 path, sl, coords = _export_args(step, f"step {i} (export)", sample)
-                path = os.path.join(outdir, path)
-                if fmt == "obj":
-                    info["mesh"] = serialize.export_obj(sample, path, sl, coords)
-                elif fmt == "ply":
-                    info["mesh"] = serialize.export_ply(sample, path, sl, coords)
-                elif fmt == "csv":
-                    info["csv"] = serialize.export_csv(sample, path)
-                elif fmt == "json":
-                    serialize.dump_json(
-                        serialize.sample_to_dict(sample, provenance={"spec_sha256": h, "chain": list(chain)}),
-                        path)
-                else:
-                    raise ParseError(f"unknown export format {fmt!r}")
+                key, written = _export(sample, fmt, os.path.join(outdir, path), sl, coords,
+                                       {"spec_sha256": h, "chain": list(chain)}, "unknown export format")
+                if key:
+                    info[key] = written
         except StepFailure as e:
             info["error"] = str(e)
             summary["steps"].append(info)
@@ -519,17 +526,7 @@ def _cmd_export(args) -> int:
         except ValueError:
             sl = args.slice
         _mesh_slice(sl, sample.grid.shape, "export --slice")
-    if args.format == "obj":
-        info = serialize.export_obj(sample, args.out, sl)
-    elif args.format == "ply":
-        info = serialize.export_ply(sample, args.out, sl)
-    elif args.format == "csv":
-        info = serialize.export_csv(sample, args.out)
-    elif args.format == "json":
-        serialize.dump_json(serialize.sample_to_dict(sample), args.out)
-        info = {}
-    else:
-        raise ParseError(f"unknown format {args.format!r}")
+    _, info = _export(sample, args.format, args.out, sl, None, None, "unknown format")
     print(f"exported {args.format} to {args.out} {info}")
     return 0
 

@@ -16,7 +16,6 @@ Sign conventions (fixed here, documented once):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -238,8 +237,9 @@ class PrincipalData:
     eigenbasis as columns, class j's block of
     ``multiplicities[order[..., j]]`` columns after the blocks of classes
     0..j-1, and ``order`` (*grid, k) the group that class j takes.  Both are
-    zero at nodes outside ``mask``.  The eigenbundle projectors
-    (``projectors``) are formed from them on each read, not stored.
+    zero at nodes outside ``mask``.  The eigenbundle projectors are not
+    stored: the derived checks of `verify` form them from these two and the
+    metric where they read them (`verify._class_projectors`).
     """
 
     eta: np.ndarray
@@ -251,51 +251,6 @@ class PrincipalData:
     @property
     def k(self) -> int:
         return self.eta.shape[0]
-
-    @property
-    def projectors(self) -> np.ndarray | None:
-        """The chart-coordinate eigenbundle projectors (k, *grid, D, D), zero
-        outside ``mask``; None without an eigenframe: `_class_projectors`
-        of the eigenframe R and its inverse from `np.linalg.inv`.  The
-        derived checks of `verify` form R^{-1} = (g R)^T from the metric,
-        which this class does not hold, so their projectors differ from
-        these by rounding."""
-        R = self.eigenframe
-        if R is None:
-            return None
-        at = np.ones(R.shape[:-2], dtype=bool) if self.mask is None else self.mask
-        C = np.zeros(R.shape)
-        C[at] = np.linalg.inv(R[at])
-        return _class_projectors(R, C, self.multiplicities, self.order, range(self.k))
-
-
-def _class_projectors(R: np.ndarray, C: np.ndarray, multiplicities: tuple, order: np.ndarray,
-                      classes: range) -> np.ndarray:
-    """The projectors (c, *nodes, D, D) onto the eigenbundles of the given
-    classes at nodes with eigenframe R (*nodes, D, D), its columns in class
-    order (see `PrincipalData`), co-eigenframe C = R^{-1} (*nodes, D, D) and
-    class order (*nodes, k): the product of R's columns and C's rows in the
-    class's block.  Class j's block at a node follows the sizes of the
-    groups that classes 0..j take there, so it can take one of a few column
-    ranges, read off the orders of the groups.  The first range's product
-    fills every node; each further range's overwrites the nodes that hold
-    it.  With groups of one size a class has one range, so one product."""
-    k = len(multiplicities)
-    ranges = [list(itertools.accumulate((multiplicities[g] for g in p), initial=0))
-              for p in itertools.permutations(range(k))]
-    bounds = None       # per node, the first column of each class's block and the end of the last
-    P = np.empty((len(classes),) + R.shape)
-    for x, j in enumerate(classes):
-        blocks = sorted({(r[j], r[j + 1]) for r in ranges})
-        for y, (b0, b1) in enumerate(blocks):
-            Q = np.matmul(R[..., b0:b1], C[..., b0:b1, :], out=None if y else P[x])
-            if y:
-                if bounds is None:
-                    bounds = np.zeros(order.shape[:-1] + (k + 1,), dtype=int)
-                    np.cumsum(np.asarray(multiplicities)[order], axis=-1, out=bounds[..., 1:])
-                holds = (bounds[..., j] == b0) & (bounds[..., j + 1] == b1)
-                np.copyto(P[x], Q, where=holds[..., None, None])
-    return P
 
 
 @dataclass

@@ -1,6 +1,10 @@
 """Uniform tensor grids, finite-difference derivatives, sphere fitting and
 Jacobi kernels for stacks of small matrices (eigenpairs, singular values).
 
+Every finite difference in the package is `fd_axis` or a row range of it:
+`fd_axis` is the whole axis of `_fd_rows`, the one kernel that applies the
+stencils, and the oracle calls `_fd_rows` for the rows it reads.
+
 Conventions used across the package:
 
 * Ambient vectors are plain numpy arrays of shape ``(N,)`` with ``N >= 2``.
@@ -159,25 +163,34 @@ def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     n = values.shape[axis]
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
+    return _fd_rows(values, h, axis, order, 0, n, np.empty_like(values))
+
+
+def _fd_rows(values: np.ndarray, h: float, axis: int, order: int, lo: int, hi: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Rows lo..hi-1 along `axis` of `fd_axis(values, h, axis, order)`,
+    written to out (hi - lo rows along axis) when it is given.  Each row
+    takes its own row's stencil, so a row range reads at most three rows
+    beyond it and equals the whole-axis derivative there bit for bit.
+    Three stencil passes: the deep rows, the mirrored rows {0, n-1} together
+    and the rows {1, n-2} together, each pair's per-element sums in offset
+    order as one row's.  The deep rows are summed in a temporary laid out
+    as values is (summed into a strided out, numpy loops over short runs of
+    it instead), and that temporary is the result when no out is given and
+    the range holds deep rows only."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[axis]
     if n < 5:
         raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
-
-    out = np.empty_like(values)
-    _fd_to(out, values, h, axis, order)
-    return out
-
-
-def _fd_into(o: np.ndarray, v: np.ndarray, h: float, order: int, lo: int, hi: int) -> None:
-    """Rows lo..hi-1 of the `fd_axis` derivative along the first axis of v,
-    written to o (hi - lo rows): each row takes its own row's stencil, so a
-    row range reads at most three rows beyond it and equals the whole-axis
-    derivative there bit for bit.  Three stencil passes: the deep rows, the
-    mirrored rows {0, n-1} together and the rows {1, n-2} together, each
-    pair's per-element sums in offset order as one row's."""
-    n = len(v)
+    v = values.swapaxes(0, axis)
     edge, near, deep = _STENCILS[order]
     scale = 1.0 / h**order
     a, b = max(2, lo), min(n - 2, hi)
+    if out is None and (a, b) == (lo, hi):
+        return _stencil_rows(v, a, b, deep, scale).swapaxes(0, axis)
+    if out is None:
+        out = np.empty(values.shape[:axis] + (hi - lo,) + values.shape[axis + 1:])
+    o = out.swapaxes(0, axis)
     if a < b:
         o[a - lo:b - lo] = _stencil_rows(v, a, b, deep, scale)
     for row in (0, 1):
@@ -196,25 +209,6 @@ def _fd_into(o: np.ndarray, v: np.ndarray, h: float, order: int, lo: int, hi: in
             o[row - lo] = pair[0]
         else:
             o[last - lo] = pair[1]
-
-
-def _fd_to(out: np.ndarray, values: np.ndarray, h: float, axis: int, order: int) -> None:
-    """`fd_axis(values, h, axis, order)` written to out, for float values
-    already known to have 5 or more nodes along axis."""
-    _fd_into(out.swapaxes(0, axis), values.swapaxes(0, axis), h, order, 0, values.shape[axis])
-
-
-def _fd_rows(values: np.ndarray, h: float, order: int, lo: int, hi: int, axis: int = 0,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Rows lo..hi-1 along `axis` of `fd_axis(values, h, axis, order)`, bit
-    for bit, written to out (hi - lo rows along axis) when it is given."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
-    if n < 5:
-        raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")
-    if out is None:
-        out = np.empty(values.shape[:axis] + (hi - lo,) + values.shape[axis + 1:])
-    _fd_into(out.swapaxes(0, axis), values.swapaxes(0, axis), h, order, lo, hi)
     return out
 
 
@@ -241,13 +235,6 @@ def _erode_mask(mask: np.ndarray, axis: int, width: int) -> np.ndarray:
         o[:n - off] &= m[off:]
         o[off:] &= m[:n - off]
     return out
-
-
-def _fd_deep(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    """The deep-interior rows of `fd_axis`: rows 2..n-3 along `axis`, which
-    comes out four nodes shorter, bit for bit `fd_axis(...)` there."""
-    v = np.asarray(values, dtype=float).swapaxes(0, axis)
-    return _stencil_rows(v, 2, len(v) - 2, _STENCILS[order][2], 1.0 / h**order).swapaxes(0, axis)
 
 
 @dataclass(frozen=True)

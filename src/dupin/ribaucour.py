@@ -633,9 +633,9 @@ def regularity_predicates(h: ImmersionSample, nsub: ParallelNormalSubbundle,
 
     Ew_zero: the regularity condition E(w) = 0 (no class projection agrees
     with beta_bar anywhere); regular: beta_bar and the projected principal
-    normals are everywhere pairwise distinct; generic: the same separation
-    computed from the solution fields (coefficient space).  Distinct means
-    farther apart than _REGULAR_GAP.
+    normals, in the coefficients of the normals outside the subbundle, are
+    everywhere pairwise distinct, min_gap being their least separation.
+    Distinct means farther apart than _REGULAR_GAP.
     """
     t = h.triple
     k = t.n_classes
@@ -648,7 +648,7 @@ def regularity_predicates(h: ImmersionSample, nsub: ParallelNormalSubbundle,
             coeffs.append(np.stack([t.V[m, r] / t.v[m] for r in out_r]) if out_r else None)
     report = {"degenerate_complement": degenerate}
     if degenerate:
-        report.update({"Ew_zero": False, "regular": False, "generic": False, "min_gap": 0.0})
+        report.update({"Ew_zero": False, "regular": False, "min_gap": 0.0})
         return report
     valid = h.valid()
     gaps_to_bb = []
@@ -662,7 +662,6 @@ def regularity_predicates(h: ImmersionSample, nsub: ParallelNormalSubbundle,
             pair_gaps.append(float(gap[valid].min()))
     report["Ew_zero"] = min(gaps_to_bb) > _REGULAR_GAP
     report["regular"] = min(pair_gaps) > _REGULAR_GAP
-    report["generic"] = report["regular"]
     report["min_gap"] = min(pair_gaps)
     return report
 

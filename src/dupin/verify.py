@@ -25,22 +25,24 @@ factors, whose inverse transpose is the orthonormal tangent frame
 operators in that frame (`numerics._joint_eigh`), a pivoted Gram-Schmidt
 normal basis (`_normal_frame`), one-sided Jacobi singular values in the
 rank decisions (`numerics._singular_values`), class tracking by pointer
-doubling (`_track`) and one deep-stencil derivative pass over the
-stencil-valid box for every class's fields (`_slopes`).  No output depends on the normal basis, so none
-depends on where the sample sits in space; the tangent frame moves outputs
-only by rounding, except where a class of multiplicity > 1 is sampled
-along its frame columns (`_along`).  The flat-normal-bundle check
-(`normal_curvature_residual`) is computed once per jet: extraction and
-`sf_report` on the same jet share it.
+doubling (`_track`) and one deep-stencil derivative pass over the read
+region for every class's fields (`_slopes`).  No output depends on the
+normal basis, so none depends on where the sample sits in space; the
+tangent frame moves outputs only by rounding, except where a class of
+multiplicity > 1 is sampled along its frame columns (`_along`).  The
+flat-normal-bundle check (`normal_curvature_residual`) is computed once per
+jet: extraction and `sf_report` on the same jet share it.  Each field has
+one way to be formed, and every derivative is taken by `numerics._fd_rows`,
+the row-range kernel behind `numerics.fd_axis`.
 
 Memory stays close to the oracle's degrees of freedom: the jet keeps the
 metric, the tangent frame, the shape operators and the normal basis, and the
 extraction the principal normals, one eigenframe and the class order per
-node.  Every other field (the coframe, the normal projector, H, alpha, the
-class projectors) is formed where it is read.  `numeric_jet` builds every
-per-node field in slabs of axis-0 rows of its form box, and the
-extraction's cost and distance tables and the derived checks' derivative
-passes run over bounded blocks of nodes.  Every value is the one a
+node.  Every other field (the normal projector, H, the class projectors) is
+formed where it is read and for the nodes read there.  `numeric_jet`
+builds every per-node field in slabs of axis-0 rows of its form box, and
+the extraction's cost and distance tables and the derived checks'
+derivative passes run over bounded blocks of nodes.  Every value is the one a
 whole-grid evaluation gives, bit for bit, whatever the block sizes.
 """
 
@@ -55,9 +57,8 @@ import numpy as np
 
 from .errors import NotProper, RankDeficient, TooFewNodes
 from .integrable import _bounded, _sweep_tensor
-from .net import ImmersionSample, PrincipalData, Triple, _class_projectors
-from .numerics import (TensorGrid, _erode_mask, _fd_deep, _fd_rows, _fd_to, _joint_eigh, _singular_values,
-                       _sphere_fits, _sum_last)
+from .net import ImmersionSample, PrincipalData, Triple
+from .numerics import TensorGrid, _erode_mask, _fd_rows, _joint_eigh, _singular_values, _sphere_fits, _sum_last
 from .ribaucour import NRibaucourResult
 
 __all__ = [
@@ -106,18 +107,12 @@ class NumericJet:
     form box (`_form_box`): the nodes two layers in on a grid whose every
     axis has at least 13 nodes, else the whole grid.  Outside it they are
     NaN; nothing reads them there, since the interior and every node the
-    checks read lie inside it.
-
-    The coframe L^T, the normal projector, the second fundamental form H in
-    the normal basis and the ambient second fundamental form `alpha` are not
-    stored: each property forms its field on every read, by the formula
-    `numeric_jet` uses for it (the last three differentiate the positions
-    again), for the whole grid, so NaN where the frame or the normal basis
-    is.  `numeric_jet` forms the normal projector and H in node slabs, so
-    neither exists for the whole grid there."""
+    checks read lie inside it.  The normal projector sum_r nu_r nu_r^T and
+    the second fundamental form H_r = E^{-T} S_r E^{-1} follow from these
+    fields; `numeric_jet` forms both in node slabs on its way to them and
+    keeps neither."""
 
     grid: TensorGrid
-    positions: np.ndarray      # (*grid, N) the sample's positions, not copied
     metric: np.ndarray         # (*grid, D, D)
     frame: np.ndarray          # (*grid, D, D) E = L^{-T}, columns g-orthonormal
     shape_sym: np.ndarray      # (p, *grid, D, D) symmetrized shape operators; NaN at dropped nodes
@@ -125,46 +120,6 @@ class NumericJet:
     interior: np.ndarray       # bool (*grid): valid nodes two layers in with finite forms
     # normal_curvature_residual, computed on its first call
     _normal_curvature: float | None = dc_field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def codim(self) -> int:
-        return self.shape_sym.shape[0]
-
-    @property
-    def coframe(self) -> np.ndarray:
-        """(*grid, D, D) E^{-1} = L^T, from the metric on each read."""
-        return _cholesky_frame(self.metric)[1]
-
-    def _forms(self) -> tuple:
-        """The grid, the stencils' positions and their first derivatives."""
-        g = self.grid
-        pos = _finite(self.positions)
-        return g, pos, _gradient(g, pos)
-
-    @property
-    def normal_proj(self) -> np.ndarray:
-        """(*grid, N, N) projector onto the normal space, from the positions
-        on each read."""
-        _, _, first = self._forms()
-        return _normal_proj(first, self.frame)
-
-    @property
-    def H(self) -> np.ndarray:
-        """(p, *grid, D, D) second fundamental form <alpha_ij, nu_r> in the
-        normal basis, from the positions on each read; shape_sym is
-        E^T H E."""
-        g, pos, first = self._forms()
-        return _second_form(g, pos, first, self.normal_basis, _full_box(g.shape))
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """(D, D, *grid, N) normal-projected second derivatives, built on
-        each read from the positions for the whole grid (a view of one
-        (n, D*D, N) product, not C-contiguous).  H contracts the same second
-        derivatives with the normal basis, which needs no projection, so H
-        and alpha agree to rounding."""
-        g, pos, first = self._forms()
-        return _project(_second(g, pos, first, _full_box(g.shape)), _normal_proj(first, self.frame))
 
 
 def _finite(pos: np.ndarray) -> np.ndarray:
@@ -178,9 +133,9 @@ def _gradient(g: TensorGrid, pos: np.ndarray, rows: slice = slice(None)) -> np.n
     axis: along axis 0 by the rows' own stencils (`numerics._fd_rows`)."""
     lo, hi, _ = rows.indices(len(pos))
     first = np.empty((g.ndim, hi - lo) + pos.shape[1:])
-    _fd_rows(pos, g.spacings[0], 1, lo, hi, 0, first[0])
+    _fd_rows(pos, g.spacings[0], 0, 1, lo, hi, first[0])
     for i in range(1, g.ndim):
-        _fd_to(first[i], pos[lo:hi], g.spacings[i], i, 1)
+        _fd_rows(pos[lo:hi], g.spacings[i], i, 1, 0, g.shape[i], first[i])
     return first
 
 
@@ -217,7 +172,7 @@ def _second(g: TensorGrid, pos: np.ndarray, first: np.ndarray, box: tuple) -> np
     rows = (slice(None),) + box[1:]            # first holds the box's rows only
 
     def along(out, v, d, order, cut):
-        _fd_rows(v[cut[:d] + (slice(None),) + cut[d + 1:]], g.spacings[d], order, box[d].start, box[d].stop, d, out)
+        _fd_rows(v[cut[:d] + (slice(None),) + cut[d + 1:]], g.spacings[d], d, order, box[d].start, box[d].stop, out)
 
     for i in range(D):
         along(sec[i, i], pos, i, 2, box)
@@ -237,17 +192,6 @@ def _second_form(g: TensorGrid, pos: np.ndarray, first: np.ndarray, basis: np.nd
 def _full_box(shape: tuple) -> tuple:
     """The box (one slice per axis) of every node of a grid of this shape."""
     return tuple(slice(0, n) for n in shape)
-
-
-def _project(second: np.ndarray, normal_proj: np.ndarray) -> np.ndarray:
-    """alpha_ij = normal_proj second_ij for second derivatives (D, D, *nodes,
-    N), one (D*D, N) @ (N, N) product per node, as a (D, D, *nodes, N) view
-    of the (n, D*D, N) product."""
-    D, N = second.shape[0], second.shape[-1]
-    alpha = second.reshape(D * D, -1, N).transpose(1, 0, 2) @ normal_proj.reshape(-1, N, N)
-    alpha = alpha.reshape(second.shape[2:-1] + (D, D, N))
-    nodes = tuple(range(alpha.ndim - 3))
-    return alpha.transpose((alpha.ndim - 3, alpha.ndim - 2) + nodes + (alpha.ndim - 1,))
 
 
 def _normal_proj(first: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -362,8 +306,8 @@ def numeric_jet(s: ImmersionSample) -> NumericJet:
     if wild.any():
         shape_sym[:, wild] = np.nan
         interior &= ~wild
-    return NumericJet(grid=g, positions=s.positions, metric=metric, frame=frame, shape_sym=shape_sym,
-                      normal_basis=normal_basis, interior=interior)
+    return NumericJet(grid=g, metric=metric, frame=frame, shape_sym=shape_sym, normal_basis=normal_basis,
+                      interior=interior)
 
 
 def _form_slab(g: TensorGrid, pos: np.ndarray, at: tuple, metric: np.ndarray, frame: np.ndarray,
@@ -484,7 +428,8 @@ def extract_principal_normals(s: ImmersionSample,
 
     The result keeps, besides eta and the mask, the eigenframe E Q at every
     masked node with its columns in class order, and the class order itself
-    (`PrincipalData`); the class projectors are formed from them on demand.
+    (`PrincipalData`); the derived checks form the class projectors from
+    them and the metric (`_class_projectors`).
     Every field has the whole grid's shape; outside the region the mask is
     False and the other fields are zero.
     """
@@ -712,16 +657,6 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     return valid
 
 
-def _box(valid: np.ndarray) -> tuple:
-    """Index box (slices) of the valid nodes widened by the deep stencils'
-    reach of two nodes per side; valid nodes lie two or more nodes inside."""
-    box = []
-    for d in range(valid.ndim):
-        hit = np.flatnonzero(valid.any(axis=tuple(a for a in range(valid.ndim) if a != d)))
-        box.append(slice(hit[0] - 2, hit[-1] + 3))
-    return tuple(box)
-
-
 def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
     """First derivatives at the valid nodes of class-stacked fields given on
     the box: each field (c, *box, *t) comes back as (c, n, D, *t), along axis
@@ -741,10 +676,39 @@ def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
     n = int(at.sum())
     out = [np.empty(f.shape[:1] + (n, D) + f.shape[D + 1:]) for f in fields]
     for d in range(D):
-        dv = _fd_deep(stack[inner[:d] + (slice(None),) + inner[d + 1:]], g.spacings[d], d, 1)[at]
+        dv = _fd_rows(stack[inner[:d] + (slice(None),) + inner[d + 1:]], g.spacings[d], d, 1, 2, shape[d] - 2)[at]
         for f, o, end, size in zip(fields, out, ends, sizes):
             o[:, :, d] = dv[:, end - size:end].reshape((n,) + f.shape[:1] + f.shape[D + 1:]).swapaxes(0, 1)
     return out
+
+
+def _class_projectors(R: np.ndarray, C: np.ndarray, multiplicities: tuple, order: np.ndarray,
+                      classes: range) -> np.ndarray:
+    """The projectors (c, *nodes, D, D) onto the eigenbundles of the given
+    classes at nodes with eigenframe R (*nodes, D, D), its columns in class
+    order (see `PrincipalData`), co-eigenframe C = R^{-1} (*nodes, D, D) and
+    class order (*nodes, k): the product of R's columns and C's rows in the
+    class's block.  Class j's block at a node follows the sizes of the
+    groups that classes 0..j take there, so it can take one of a few column
+    ranges, read off the orders of the groups.  The first range's product
+    fills every node; each further range's overwrites the nodes that hold
+    it.  With groups of one size a class has one range, so one product."""
+    k = len(multiplicities)
+    ranges = [list(itertools.accumulate((multiplicities[g] for g in p), initial=0))
+              for p in itertools.permutations(range(k))]
+    bounds = None       # per node, the first column of each class's block and the end of the last
+    P = np.empty((len(classes),) + R.shape)
+    for x, j in enumerate(classes):
+        blocks = sorted({(r[j], r[j + 1]) for r in ranges})
+        for y, (b0, b1) in enumerate(blocks):
+            Q = np.matmul(R[..., b0:b1], C[..., b0:b1, :], out=None if y else P[x])
+            if y:
+                if bounds is None:
+                    bounds = np.zeros(order.shape[:-1] + (k + 1,), dtype=int)
+                    np.cumsum(np.asarray(multiplicities)[order], axis=-1, out=bounds[..., 1:])
+                holds = (bounds[..., j] == b0) & (bounds[..., j + 1] == b1)
+                np.copyto(P[x], Q, where=holds[..., None, None])
+    return P
 
 
 def _eigenframes(P: np.ndarray, frame: np.ndarray, metric: np.ndarray):
@@ -853,18 +817,19 @@ def focal_constancy(s: ImmersionSample, pd: PrincipalData,
 
 def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: range) -> tuple:
     """Dupin residuals (c,), focal-map constancy (c,) and bracket tests (c
-    dicts) of the given classes at the stencil-valid nodes.  One derivative
-    pass per group of classes (all of them unless the box is large) and slab
-    of axis-0 rows (the whole box unless one class's box fields exceed
-    _PASS_VALUES values) differentiates each class's eta_j, conullity
+    dicts) of the given classes at the stencil-valid nodes, from fields on
+    the read region (`_read_region`).  One derivative pass per group of
+    classes (all of them unless the region is large) and slab of axis-0 rows
+    (the whole region unless one class's fields there exceed _PASS_VALUES
+    values) differentiates each class's eta_j, conullity
     projector and focal map; the slabs' maxima and minima combine.  The
     focal constancy is nan for a class whose normal falls below _ETA_FLOOR."""
     g = jet.grid
     D = g.ndim
     valid = _stencil_valid(g, jet.interior, pd.mask)
-    box = _box(valid)
+    box = _read_region(g)
     row = math.prod([sl.stop - sl.start for sl in box[1:]]) * (2 * s.ambient_dim + D * D)
-    start, stop = box[0].start + 2, box[0].stop - 2     # rows holding valid nodes
+    start, stop = box[0].start + 2, box[0].stop - 2     # the rows valid nodes can lie on
     step = max(1, _PASS_VALUES // ((stop - start + 4) * row))
     width = max(1, _PASS_VALUES // (step * row) - 4)  # rows per slab, besides the two-row halos
     c = len(classes)

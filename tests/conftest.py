@@ -1,7 +1,24 @@
+import numpy as np
 import pytest
 
 from dupin.numerics import TensorGrid
 from dupin.seeds import circle_seed, cylinder_seed, torus_seed
+from dupin.verify import _cholesky_frame
+
+
+def _jet_alpha(jet):
+    """The ambient second fundamental form alpha (D, D, *grid, N) of a
+    numeric jet from its stored fields: H_r = L S_r L^T, with g = L L^T the
+    Cholesky factors of its metric, contracted with its normal basis nu_r.
+    NaN where the jet's fields are."""
+    coframe = _cholesky_frame(jet.metric)[1]                  # L^T
+    H = coframe.swapaxes(-1, -2) @ jet.shape_sym @ coframe
+    return np.einsum("r...ij,r...k->ij...k", H, jet.normal_basis)
+
+
+@pytest.fixture(scope="session")
+def jet_alpha():
+    return _jet_alpha
 
 
 @pytest.fixture(scope="session")

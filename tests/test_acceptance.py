@@ -59,7 +59,7 @@ P0 = np.array([0.0, 0.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
-def test_criterion_1_closed_form_transforms():
+def test_criterion_1_closed_form_transforms(jet_alpha):
     """Inversion / parallel-translation transforms match the closed forms to
     1e-9 on a 21x21 torus patch; the special shape laws match fd shape
     operators to 1e-4 at h = 1e-2.  Runtime < 5 s."""
@@ -82,21 +82,23 @@ def test_criterion_1_closed_form_transforms():
     w2 = inversion_w(fine, P0, r0)
     inv2, _ = ribaucour_transform(fine, w2)
     jet = numeric_jet(inv2)
+    alpha = jet_alpha(jet)
     Q = ((fine.positions - P0) ** 2).sum(-1)
     ip = ((fine.positions - P0) * fine.normals[0]).sum(-1)
     e_law_inv = 0.0
     for i in range(2):
         pred = (Q * fine.sff[i, 0] + 2 * ip) / r0**2       # kappa of A~ against P xi
-        kap_fd = (jet.alpha[i, i] * inv2.normals[0]).sum(-1) / jet.metric[..., i, i]
+        kap_fd = (alpha[i, i] * inv2.normals[0]).sum(-1) / jet.metric[..., i, i]
         e_law_inv = max(e_law_inv, np.abs((kap_fd - pred)[jet.interior]).max())
 
     wp2 = parallel_w(fine, [0.15])
     par2, _ = ribaucour_transform(fine, wp2)
     jet2 = numeric_jet(par2)
+    alpha2 = jet_alpha(jet2)
     e_law_par = 0.0
     for i in range(2):
         pred = -fine.sff[i, 0] / (1.0 - 0.15 * fine.sff[i, 0])  # frame P xi = -xi
-        kap_fd = (jet2.alpha[i, i] * par2.normals[0]).sum(-1) / jet2.metric[..., i, i]
+        kap_fd = (alpha2[i, i] * par2.normals[0]).sum(-1) / jet2.metric[..., i, i]
         e_law_par = max(e_law_par, np.abs((kap_fd - pred)[jet2.interior]).max())
     dt = time.time() - t0
     report("criterion 1: closed-form transforms",
@@ -177,7 +179,7 @@ def test_criterion_3_transform_identity_suite():
 
 
 # ---------------------------------------------------------------------------
-def test_criterion_4_leaf_family_suite():
+def test_criterion_4_leaf_family_suite(jet_alpha):
     """Normal-space identity and second-fundamental-form formulas of the leaf
     family vs the fd oracle < 1e-4; sphere-leaf residual < 1e-7; the far
     leaf at |y| = 1e6 recovers the base to 1e-5."""
@@ -188,13 +190,15 @@ def test_criterion_4_leaf_family_suite():
     res = n_ribaucour_transform(c, nsub, sol, TensorGrid((21,), (0.01,), (0.8,)))
     s = res.sample
     jet = numeric_jet(s)
+    alpha = jet_alpha(jet)
     jets = res.jet.jets
 
-    # (ii): the fd normal space equals the P-image of the complement span
+    # (ii): the fd normal space equals the P-image of the complement span:
+    # each xi_r is its projection sum_q <xi_r, nu_q> nu_q onto it
     e_ns = 0.0
     for r in range(s.n_normals):
         xi = s.normals[r]
-        proj = np.einsum("...kl,...l->...k", jet.normal_proj, xi)
+        proj = np.einsum("q...k,q...l,...l->...k", jet.normal_basis, jet.normal_basis, xi)
         e_ns = max(e_ns, np.abs((proj - xi)[jet.interior]).max())
 
     # leaf-direction second fundamental form: alpha(S, Z) = <S, Z> P beta_bar
@@ -204,9 +208,9 @@ def test_criterion_4_leaf_family_suite():
     for a in range(Du, s.grid.ndim):
         for b in range(Du, s.grid.ndim):
             pred = jet.metric[..., a, b][..., None] * Pbb
-            e_una = max(e_una, np.abs((jet.alpha[a, b] - pred)[jet.interior]).max())
+            e_una = max(e_una, np.abs((alpha[a, b] - pred)[jet.interior]).max())
         for i in range(Du):
-            e_una = max(e_una, np.abs(jet.alpha[a, i][jet.interior]).max())
+            e_una = max(e_una, np.abs(alpha[a, i][jet.interior]).max())
 
     # base-direction second fundamental form:
     # alpha(X, Y) = P((alpha_h(D X, Y) + 2 nu <D X, Phi Y> beta)_perp)
@@ -226,7 +230,7 @@ def test_criterion_4_leaf_family_suite():
                      + 2.0 * nu * lam[m] * rho[m] * vi**2 * sol.beta[r].reshape(vi.shape))
             base_vec += coeff[..., None] * jets.full(jets.xi[r].val)
         pred = res.jet.P_apply(base_vec)
-        e_dos = max(e_dos, np.abs((jet.alpha[i, i] - pred)[jet.interior]).max())
+        e_dos = max(e_dos, np.abs((alpha[i, i] - pred)[jet.interior]).max())
 
     leaves = sphere_leaf_check(res)
     far = n_ribaucour_transform(c, nsub, sol, TensorGrid((1,), (1.0,), (1e6,)))

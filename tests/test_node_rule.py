@@ -206,3 +206,22 @@ def test_only_the_node_rule_and_the_oracle_pick_interior_nodes():
     calls = _interior_mask_callers()
     assert ("net", "_fd_nodes") in calls
     assert {c for c in calls if c[0] != "verify"} == {("net", "_fd_nodes")}
+
+
+def test_only_numerics_applies_the_stencils():
+    # every finite difference is fd_axis or a row range of it: no module but
+    # numerics calls the stencil kernels, and the oracle imports no other
+    # finite-difference entry point than fd_axis and its row-range kernel
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "dupin"
+    kernels, imported = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("_stencil_rows", "_stencil_sum") and path.stem != "numerics":
+                    kernels.add((path.stem, name))
+            elif isinstance(node, ast.ImportFrom) and path.stem == "verify" and node.module == "numerics":
+                imported |= {a.name for a in node.names if "fd" in a.name or "stencil" in a.name}
+    assert not kernels
+    assert "_fd_rows" in imported and imported <= {"fd_axis", "_fd_rows"}

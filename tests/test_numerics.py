@@ -49,18 +49,23 @@ class TestFdJet:
         with pytest.raises(GridTooSmall):
             fd_axis(np.zeros(4), 0.1, 0, 1)
         with pytest.raises(GridTooSmall):
-            _fd_rows(np.zeros(4), 0.1, 2, 0, 2)
+            _fd_rows(np.zeros(4), 0.1, 0, 2, 0, 2)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
     def test_row_ranges_are_fd_axis(self, n):
-        # every row range, including those that end at the boundary stencils
-        v = np.random.default_rng(n).normal(size=(n, 3, 2))
-        v[n // 2, 1] = np.nan
+        # every row range along every axis, including those that end at the
+        # boundary stencils, returned or written to a strided view
+        v = np.random.default_rng(n).normal(size=(n, 5, n, 2))
+        v[n // 2, 1, 3] = np.nan
         for order in (1, 2):
-            whole = fd_axis(v, 0.1, 0, order)
-            for lo, hi in itertools.combinations(range(n + 1), 2):
-                assert np.array_equal(_fd_rows(v, 0.1, order, lo, hi).view(np.uint64),
-                                      whole[lo:hi].view(np.uint64))
+            for axis in (0, 1, 2):
+                whole = np.moveaxis(fd_axis(v, 0.1, axis, order), axis, 0)
+                for lo, hi in itertools.combinations(range(v.shape[axis] + 1), 2):
+                    got = _fd_rows(v, 0.1, axis, order, lo, hi)
+                    assert np.array_equal(np.moveaxis(got, axis, 0).view(np.uint64), whole[lo:hi].view(np.uint64))
+                    out = np.full(got.shape[::-1], 7.0).T
+                    assert _fd_rows(v, 0.1, axis, order, lo, hi, out) is out
+                    assert np.array_equal(np.moveaxis(out, axis, 0).view(np.uint64), whole[lo:hi].view(np.uint64))
 
 
 # a frozen copy of the per-region stencil passes fd_axis and _fd_rows once
@@ -108,7 +113,7 @@ def test_stencils_match_the_frozen_per_region_passes(n):
             want = np.moveaxis(_frozen_fd_rows(np.moveaxis(v, axis, 0), 0.1, order, 0, n), 0, axis)
             assert np.array_equal(bits(fd_axis(v, 0.1, axis, order)), bits(want)), (order, axis)
         for lo, hi in itertools.combinations(range(n + 1), 2):
-            assert np.array_equal(bits(_fd_rows(v, 0.1, order, lo, hi)),
+            assert np.array_equal(bits(_fd_rows(v, 0.1, 0, order, lo, hi)),
                                   bits(_frozen_fd_rows(v, 0.1, order, lo, hi))), (order, lo, hi)
 
 
