@@ -88,8 +88,7 @@ class TensorGrid:
         return list(np.meshgrid(*[self.axis_coords(d) for d in range(self.ndim)], indexing="ij"))
 
     def _check_axis(self, axis: int) -> None:
-        if not 0 <= axis < self.ndim:
-            raise AxisOutOfRange(f"axis {axis} out of range for {self.ndim}-d grid")
+        _check_axis(axis, self.ndim)
 
     def product(self, other: "TensorGrid") -> "TensorGrid":
         return TensorGrid(self.shape + other.shape, self.spacings + other.spacings, self.origins + other.origins)
@@ -129,6 +128,12 @@ _STENCILS = {
 }
 
 
+def _check_axis(axis: int, ndim: int) -> None:
+    """AxisOutOfRange unless 0 <= axis < ndim; a negative axis is refused."""
+    if not 0 <= axis < ndim:
+        raise AxisOutOfRange(f"axis {axis} out of range for {ndim} axes")
+
+
 def _stencil_sum(terms, scale):
     """The sum of c * rows over the (c, rows) terms in offset order, then scaled."""
     (c, rows), *rest = terms
@@ -160,10 +165,10 @@ def fd_axis(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     one-sided second-order stencils on the boundary rows.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
+    _check_axis(axis, values.ndim)
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
-    return _fd_rows(values, h, axis, order, 0, n, np.empty_like(values))
+    return _fd_rows(values, h, axis, order, 0, values.shape[axis], np.empty_like(values))
 
 
 def _fd_rows(values: np.ndarray, h: float, axis: int, order: int, lo: int, hi: int,
@@ -177,8 +182,10 @@ def _fd_rows(values: np.ndarray, h: float, axis: int, order: int, lo: int, hi: i
     order as one row's.  The deep rows are summed in a temporary laid out
     as values is (summed into a strided out, numpy loops over short runs of
     it instead), and that temporary is the result when no out is given and
-    the range holds deep rows only."""
+    the range holds deep rows only.  An axis outside [0, values.ndim)
+    raises AxisOutOfRange."""
     values = np.asarray(values, dtype=float)
+    _check_axis(axis, values.ndim)
     n = values.shape[axis]
     if n < 5:
         raise GridTooSmall(f"need >= 5 nodes along axis {axis}, got {n}")

@@ -26,7 +26,8 @@ operators in that frame (`numerics._joint_eigh`), a pivoted Gram-Schmidt
 normal basis (`_normal_frame`), one-sided Jacobi singular values in the
 rank decisions (`numerics._singular_values`), class tracking by pointer
 doubling (`_track`) and one deep-stencil derivative pass over the read
-region for every class's fields (`_slopes`).  No output depends on the
+region for every class's fields (`_slopes`), whose valid nodes one
+selector per slab (`_picker`) takes from each field.  No output depends on the
 normal basis, so none depends on where the sample sits in space; the
 tangent frame moves outputs only by rounding, except where a class of
 multiplicity > 1 is sampled along its frame columns (`_along`).  The
@@ -657,28 +658,32 @@ def _stencil_valid(grid: TensorGrid, interior: np.ndarray, mask: np.ndarray | No
     return valid
 
 
-def _slopes(g: TensorGrid, valid: np.ndarray, box: tuple, fields: list) -> list:
-    """First derivatives at the valid nodes of class-stacked fields given on
-    the box: each field (c, *box, *t) comes back as (c, n, D, *t), along axis
-    d bit for bit fd_axis(field_j, h_d, d, 1)[valid].  One deep-stencil pass
-    per axis differentiates all fields at once."""
-    D = g.ndim
-    shape = tuple(sl.stop - sl.start for sl in box)
-    sizes = [math.prod(f.shape[:1] + f.shape[D + 1:]) for f in fields]
-    ends = list(itertools.accumulate(sizes))
-    stack = np.empty(shape + (ends[-1],))
-    for f, end, size in zip(fields, ends, sizes):
-        # (c, *box, *t) -> (*box, c, *t) -> (*box, c * t)
-        stack[..., end - size:end] = f.transpose(tuple(range(1, D + 1)) + (0,) + tuple(range(D + 1, f.ndim))
-                                                 ).reshape(shape + (size,))
-    inner = (slice(2, -2),) * D
-    at = valid[box][inner]
-    n = int(at.sum())
-    out = [np.empty(f.shape[:1] + (n, D) + f.shape[D + 1:]) for f in fields]
-    for d in range(D):
-        dv = _fd_rows(stack[inner[:d] + (slice(None),) + inner[d + 1:]], g.spacings[d], d, 1, 2, shape[d] - 2)[at]
-        for f, o, end, size in zip(fields, out, ends, sizes):
-            o[:, :, d] = dv[:, end - size:end].reshape((n,) + f.shape[:1] + f.shape[D + 1:]).swapaxes(0, 1)
+def _picker(mask: np.ndarray):
+    """The node selector of a box: pick(a, lead) gives the nodes of a
+    (axes lead..lead + mask.ndim - 1 spanning the box) that mask selects, as
+    one axis in lexicographic order.  When mask selects every node it is a
+    reshape (a view of a contiguous a, else one copy), otherwise one np.take
+    over mask's flat indices."""
+    at = None if mask.all() else np.flatnonzero(mask)
+
+    def pick(a: np.ndarray, lead: int = 0) -> np.ndarray:
+        a = a.reshape(a.shape[:lead] + (-1,) + a.shape[lead + mask.ndim:])
+        return a if at is None else np.take(a, at, axis=lead)
+    return pick
+
+
+def _slopes(g: TensorGrid, pick, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """First derivatives of a stack of fields (*box, *t) at the n nodes
+    pick (`_picker`) selects among the box's inner nodes, two layers in,
+    written to out (D, n, *t) and returned: along axis d bit for bit
+    fd_axis(stack, h_d, d, 1) there.  One deep-stencil pass per axis
+    differentiates every field at once; its rows come laid out as the stack
+    is, so pick reads them without a gather when it selects every inner
+    node, and each axis's rows are copied once, into their slot of out."""
+    inner = (slice(2, -2),) * g.ndim
+    for d in range(g.ndim):
+        out[d] = pick(_fd_rows(stack[inner[:d] + (slice(None),) + inner[d + 1:]], g.spacings[d], d, 1,
+                               2, stack.shape[d] - 2))
     return out
 
 
@@ -720,15 +725,17 @@ def _eigenframes(P: np.ndarray, frame: np.ndarray, metric: np.ndarray):
     return dirs, np.sqrt(np.abs(_sum_last(((metric @ dirs) * dirs).swapaxes(-1, -2))))
 
 
-def _along(dirs: np.ndarray, nX: np.ndarray, d_eta: np.ndarray, basis: np.ndarray,
-           live: list, d_F: np.ndarray) -> tuple:
+def _along(dirs: np.ndarray, nX: np.ndarray, d_ef: np.ndarray, basis: np.ndarray, live: list) -> tuple:
     """Per class, the max over valid nodes and frame columns X of
     |D_X V| / |X|_g for ambient fields V with chart derivatives dV: for
-    V = eta_j (d_eta, (c, n, D, N)) with D_X V in the coordinates of the
-    normal basis (n, N, p), its normal part, and for the live classes'
-    V = F_j (d_F, (l, n, D, N)).  The two come back as (c,) and (l,)."""
-    c = len(dirs)
-    mag = [dirs.swapaxes(-1, -2) @ d_eta @ basis, dirs[live].swapaxes(-1, -2) @ d_F]    # one row per X
+    V = eta_j with D_X V in the coordinates of the normal basis (n, N, p),
+    its normal part, and for the live classes' V = F_j.  d_ef (c, n, D, 2N)
+    holds d eta_j and d F_j side by side, so that one product per node and
+    class forms D_X of both; d F_j is read for the live classes only.  The
+    two come back as (c,) and (l,)."""
+    c, N = len(dirs), d_ef.shape[-1] // 2
+    DX = dirs.swapaxes(-1, -2) @ d_ef                                      # one row per X
+    mag = [DX[..., :N] @ basis, DX[live, ..., N:]]
     mag = np.concatenate([np.sqrt(_sum_last(DXV * DXV)) for DXV in mag])
     nX = np.concatenate([nX, nX[live]])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -759,39 +766,48 @@ def conullity_integrability(s: ImmersionSample, pd: PrincipalData, j: int,
     return _derived(s, jet, pd, range(j, j + 1))[2][0]
 
 
-def _conullity(classes: range, P: np.ndarray, G: np.ndarray, eta: np.ndarray, d_Q: np.ndarray) -> tuple:
-    """Bracket tests of the given classes at n nodes from their projectors P
-    (c, n, D, D), the metric G (n, D, D), every class's eta (k, n, N) and the chart
-    derivatives d_Q[c, n, m, i, a] = d_m Q^i_a of the conullity projectors
-    Q = 1 - P: per class the largest bracket residual and bracket scale
-    (c, 2), and per pair of other classes the smallest norm of the cross
-    product of their differences to it (c, pairs).  Slabs of nodes combine
-    by the maximum and the minimum; `_bracket_reports` reads the result."""
-    D, k = G.shape[-1], len(eta)
+def _conullity(P: np.ndarray, G: np.ndarray, d_Q: np.ndarray) -> np.ndarray:
+    """Bracket tests of c classes at n nodes from their projectors P
+    (c, n, D, D), the metric G (n, D, D) and the chart derivatives
+    d_Q[c, n, m, i, a] = d_m Q^i_a of the conullity projectors Q = 1 - P:
+    per class the largest bracket residual and bracket scale (c, 2).  The
+    covariant derivatives D_{Y_a} Y_b of the spanning fields come from one
+    (D, D) x (D, D^2) product per node and class, of which the a < b pairs
+    are read.  Slabs of nodes combine by the maximum; `_bracket_reports`
+    reads the result."""
+    c, n, D = P.shape[:3]
     a, b = _triu(D, 1)
     Q = np.eye(D) - P                                      # conullity projectors
-    # spanning fields Y_a = Q_j e_a (the columns of Q_j); dQ[c, n, i, a, m] = d_m Y_a^i
-    dQ = np.ascontiguousarray(d_Q.transpose(0, 1, 3, 4, 2))
-    DY = dQ @ Q[:, :, None]                                # (c, n, i, b, a): (D_{Y_a} Y_b)^i
-    br = (DY[..., b, a] - DY[..., a, b]).swapaxes(-1, -2)  # (c, n, pairs, D): [Y_a, Y_b]
+    # spanning fields Y_a = Q_j e_a (the columns of Q_j): (D_{Y_a} Y_b)^i =
+    # sum_m Q^m_a d_m Q^i_b, as DY[c, n, (a, i, b)]
+    DY = (Q.swapaxes(-1, -2) @ d_Q.reshape(c, n, D, D * D)).reshape(c, n, D**3)
+    a, b, i = a[:, None], b[:, None], np.arange(D)
+    br = np.take(DY, (a * D + i) * D + b, axis=2) - np.take(DY, (b * D + i) * D + a, axis=2)  # (c, n, pairs, D)
     bad = br @ P.swapaxes(-1, -2)                          # eigenbundle component
-    top = np.empty((len(P), 2))
+    top = np.empty((c, 2))
     for x, Y in enumerate((bad, br)):
         top[:, x] = np.sqrt(np.abs(_sum_last((Y @ G) * Y))).max(axis=(1, 2), initial=0.0)
-    # sufficient condition: differences to other classes pairwise independent,
-    # per class j the pairs (i, l) of the other classes
+    return top
+
+
+def _independence(classes: range, eta: np.ndarray) -> np.ndarray:
+    """The bracket test's sufficient condition at n nodes from every class's
+    eta (k, n, N): per given class j and pair (i, l) of the other classes the
+    smallest norm of the cross product of eta_i - eta_j and eta_l - eta_j
+    (c, pairs).  Slabs of nodes combine by the minimum."""
+    k = len(eta)
     triples = [(j, i, l) for j in classes for i, l in itertools.combinations([i for i in range(k) if i != j], 2)]
     if not triples:
-        return top, np.empty((len(P), 0))
+        return np.empty((len(classes), 0))
     j, i, l = np.array(triples).T
     di, dl = eta[i] - eta[j], eta[l] - eta[j]
     cross2 = _sum_last(di**2) * _sum_last(dl**2) - _sum_last(di * dl) ** 2
-    return top, np.sqrt(np.maximum(cross2, 0.0)).min(axis=1).reshape(len(P), -1)
+    return np.sqrt(np.maximum(cross2, 0.0)).min(axis=1).reshape(len(classes), -1)
 
 
 def _bracket_reports(classes: range, top: np.ndarray, low: np.ndarray) -> tuple:
     """The bracket-test dicts of the given classes from `_conullity`'s
-    maxima and minima over all valid nodes."""
+    maxima and `_independence`'s minima over all valid nodes."""
     reports = []
     for j, (worst, scale), cross in zip(classes, top, low):
         suff = min([np.inf] + [float(x) for x in cross])     # a NaN pair minimum does not count
@@ -821,59 +837,83 @@ def _derived(s: ImmersionSample, jet: NumericJet, pd: PrincipalData, classes: ra
     the read region (`_read_region`).  One derivative pass per group of
     classes (all of them unless the region is large) and slab of axis-0 rows
     (the whole region unless one class's fields there exceed _PASS_VALUES
-    values) differentiates each class's eta_j, conullity
-    projector and focal map; the slabs' maxima and minima combine.  The
-    focal constancy is nan for a class whose normal falls below _ETA_FLOOR."""
+    values) differentiates each class's eta_j, focal map and conullity
+    projector, written side by side into one stack; the slabs' maxima and
+    minima combine.  The focal constancy is nan for a class whose normal
+    falls below _ETA_FLOOR.
+
+    Each slab's valid nodes lie among its inner nodes, four layers in (two
+    inside the derivative box), and one selector (`_picker`) per slab takes
+    them from every field: the metric, the tangent frame, the normal basis
+    and every class's eta once per slab, and the class projectors and the
+    derivative rows once per pass."""
     g = jet.grid
-    D = g.ndim
+    D, N = g.ndim, s.ambient_dim
+    values = 2 * N + D * D                              # per node and class: eta_j, F_j, 1 - P_j
     valid = _stencil_valid(g, jet.interior, pd.mask)
     box = _read_region(g)
-    row = math.prod([sl.stop - sl.start for sl in box[1:]]) * (2 * s.ambient_dim + D * D)
+    row = math.prod([sl.stop - sl.start for sl in box[1:]]) * values
     start, stop = box[0].start + 2, box[0].stop - 2     # the rows valid nodes can lie on
     step = max(1, _PASS_VALUES // ((stop - start + 4) * row))
     width = max(1, _PASS_VALUES // (step * row) - 4)  # rows per slab, besides the two-row halos
+    inner = tuple(slice(sl.start + 2, sl.stop - 2) for sl in box[1:])
+    mid = (slice(None),) + (slice(2, -2),) * D          # a slab box's inner nodes, past the class axis
     c = len(classes)
     dupin, leaves = np.full(c, -np.inf), np.full(c, np.nan)
     top, low = np.full((c, 2), -np.inf), np.full((c, (pd.k - 1) * (pd.k - 2) // 2), np.inf)
+    every = (slice(start, stop),) + inner               # the box of every valid node
+    size = _sum_last(_picker(valid[every])(pd.eta[(slice(classes.start, classes.stop),) + every], 1) ** 2).min(axis=1)
     passes = []                 # per group of classes: its slice, its result slots and its live classes
     for lo in range(0, c, step):
         group = classes[lo:lo + step]
-        at = slice(group.start, group.stop)
-        size = _sum_last(pd.eta[at][:, valid] ** 2).min(axis=1)
-        live = [x for x, sq in enumerate(size.tolist()) if sq >= _ETA_FLOOR**2]
+        live = [x for x, sq in enumerate(size[lo:lo + step].tolist()) if sq >= _ETA_FLOOR**2]
         leaves[[lo + x for x in live]] = -np.inf
-        passes.append((group, at, slice(lo, lo + len(group)), live, [lo + x for x in live]))
+        passes.append((group, slice(group.start, group.stop), slice(lo, lo + len(group)), live, [lo + x for x in live]))
+    most = len(passes[0][0])                            # the largest group
     for r0 in range(start, stop, width):
-        rows = slice(r0, min(r0 + width, stop))
-        here = valid[rows]
+        core = (slice(r0, min(r0 + width, stop)),) + inner
+        here = valid[core]
         if not here.any():
             continue
-        sub = (slice(r0 - 2, rows.stop + 2),) + box[1:]
+        pick = _picker(here)
+        sub = (slice(r0 - 2, core[0].stop + 2),) + box[1:]
+        shape = tuple(sl.stop - sl.start for sl in sub)
         # the slab box's eigenframe R and its inverse R^{-1} = R^T g, shared by
         # the passes; R is 0 at masked nodes, whose metric may be infinite
         R = pd.eigenframe[sub]
         with np.errstate(invalid="ignore", over="ignore"):
             C = (np.ascontiguousarray(jet.metric[sub]) @ R).swapaxes(-1, -2)
-        G, E = jet.metric[rows][here], jet.frame[rows][here]
-        basis = jet.normal_basis[:, rows][:, here].transpose(1, 2, 0)
-        inner = here[(slice(None),) + box[1:]]                 # the valid nodes among the box's inner rows
+        G, E = pick(jet.metric[core]), pick(jet.frame[core])
+        basis = pick(jet.normal_basis[(slice(None),) + core], 1).transpose(1, 2, 0)
+        eta_here = pick(pd.eta[(slice(None),) + core], 1)
+        low = np.minimum(low, _independence(classes, eta_here))
+        n = len(G)
+        # the passes' stack of fields on the box and their derivatives at the
+        # valid nodes, in two buffers allocated once per slab
+        stacks, slopes = np.empty(math.prod(shape) * most * values), np.empty(D * n * most * values)
         for group, at, now, live, lit in passes:
-            eta = pd.eta[(at,) + sub]
-            eta_live = eta[live]
+            cg = len(group)
+            stack = stacks[:stacks.size // most * cg].reshape(shape + (cg, values))
+            # F_j is 0 for a class that is not live; the conullity projectors
+            # come from the class projectors R_j (g R_j)^T on the box
+            ef = stack[..., :2 * N].reshape(shape + (cg, 2, N))
+            ef[..., 0, :] = np.moveaxis(pd.eta[(at,) + sub], 0, D)
+            eta_live = ef[..., live, 0, :]
+            if len(live) < cg:
+                ef[..., 1, :] = 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                F = s.positions[sub] + eta_live / _sum_last(eta_live ** 2)[..., None]
-            # the class projectors R_j (g R_j)^T on the box, at the valid nodes,
-            # and the conullity projectors 1 - P_j in their place
+                ef[..., live, 1, :] = s.positions[sub][..., None, :] + eta_live / _sum_last(eta_live ** 2)[..., None]
             proj = _class_projectors(R, C, pd.multiplicities, pd.order[sub], group)
-            P = proj[:, 2:-2][:, inner]
-            d_eta, d_Q, d_F = _slopes(g, valid, sub, [eta, np.subtract(np.eye(D), proj, out=proj), F])
-            del eta, eta_live, F, proj
+            P = pick(proj[mid], 1)
+            np.subtract(np.eye(D), np.moveaxis(proj, 0, D), out=stack[..., 2 * N:].reshape(shape + (cg, D, D)))
+            del eta_live, proj
+            d = _slopes(g, pick, stack, slopes[:slopes.size // most * cg].reshape((D, n, cg, values)))
+            d = np.moveaxis(d, (0, 2), (2, 0))                         # (c, n, D, values)
             dirs, nX = _eigenframes(P, E, G)
-            dup, lf = _along(dirs, nX, d_eta, basis, live, d_F)
+            dup, lf = _along(dirs, nX, d[..., :2 * N], basis, live)
             dupin[now], leaves[lit] = np.maximum(dupin[now], dup), np.maximum(leaves[lit], lf)
-            t, m = _conullity(group, P, G, pd.eta[:, rows][:, here], d_Q)
-            top[now], low[now] = np.maximum(top[now], t), np.minimum(low[now], m)
-            del d_eta, d_Q, d_F, P, dirs, nX
+            top[now] = np.maximum(top[now], _conullity(P, G, d[..., 2 * N:]))
+            del d, P, dirs, nX
     return dupin, leaves, _bracket_reports(classes, top, low)
 
 
@@ -974,13 +1014,16 @@ def _span_rank(C: np.ndarray, N: int, gap: float):
 def _sf_span(pd: PrincipalData, basis: np.ndarray, valid: np.ndarray, gap: float):
     """dim S_f, S_f = span{eta_j - eta_i}, as `_span_rank` reports it, from
     all k(k-1)/2 differences i < j, so that no class order is singled out;
-    basis (n, N, p) holds the normal basis as columns."""
+    basis (n, N, p) holds the normal basis as columns.  Every class's eta is
+    gathered at the valid nodes once."""
     if pd.k == 1:
         return 0, np.zeros(0), True
+    eta = pd.eta[:, valid]                                              # (k, n, N)
     pairs = list(itertools.combinations(range(pd.k), 2))
     diffs = np.empty((len(basis), len(pairs), basis.shape[1]))       # (n, pairs, N)
     for x, (i, j) in enumerate(pairs):
-        np.subtract(pd.eta[j][valid], pd.eta[i][valid], out=diffs[:, x])
+        np.subtract(eta[j], eta[i], out=diffs[:, x])
+    del eta
     return _span_rank(diffs @ basis, basis.shape[1], gap)
 
 

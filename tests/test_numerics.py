@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dupin.errors import DegenerateCloud, GridTooSmall
+from dupin.errors import AxisOutOfRange, DegenerateCloud, GridTooSmall
 from dupin.numerics import (
     AffineFlat,
     SphereFit,
@@ -50,6 +50,18 @@ class TestFdJet:
             fd_axis(np.zeros(4), 0.1, 0, 1)
         with pytest.raises(GridTooSmall):
             _fd_rows(np.zeros(4), 0.1, 0, 2, 0, 2)
+
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_axis_out_of_range(self, axis):
+        # checked before the shape is read (axis 2 would raise IndexError
+        # there), and a negative axis is refused rather than counted from
+        # the end, as TensorGrid's axes are
+        with pytest.raises(AxisOutOfRange):
+            fd_axis(np.zeros((5, 5)), 0.1, axis, 1)
+        with pytest.raises(AxisOutOfRange):
+            _fd_rows(np.zeros((5, 5)), 0.1, axis, 2, 0, 5)
+        with pytest.raises(AxisOutOfRange):
+            TensorGrid((5, 5), (0.1, 0.1)).axis_coords(axis)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
     def test_row_ranges_are_fd_axis(self, n):

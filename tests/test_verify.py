@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -664,6 +665,21 @@ class TestConullity:
             assert rep["sufficient_independence"] is None
             assert rep["integrable"]
 
+    @pytest.mark.parametrize("n", [15, 21])
+    def test_generic_graph_is_not_holonomic(self, n):
+        # the bracket test's negative control: a generic graph hypersurface
+        # in R^4 has three simple principal curvatures, and the conullity of
+        # class 2 is not integrable.  Its residual over its scale reads 0.054
+        # (15^3) and 0.067 (21^3) and does not fall with h; a bracket kernel
+        # whose pairs cancel reads 0
+        g = TensorGrid((n,) * 3, (0.4 / (n - 1),) * 3, (0.1, 0.2, 0.3))
+        x1, x2, x3 = g.meshgrid()
+        x4 = 0.3 * x1**2 + 0.6 * x2**2 + 1.1 * x3**2 + 0.5 * x1 * x2 * x3 + 0.2 * x1**3
+        rep = sf_report(ImmersionSample(g, np.stack([x1, x2, x3, x4], axis=-1)))
+        assert rep.k == 3 and not rep.holonomic
+        c2 = rep.conullity[2]
+        assert c2["bracket_residual"] / max(1.0, c2["bracket_scale"]) >= 100 * verify._BRACKET_TOL
+
 
 class TestSphereLeaves:
     def test_generic_spheres(self, recursion_step1):
@@ -1186,12 +1202,21 @@ class TestBoxDerivatives:
         fields = [rng.normal(size=(2,) + shape + (4,)), rng.normal(size=(3,) + shape + (3, 3))]
         fields[0][0, (6,) * len(shape)] = np.nan
         box = verify._read_region(g)
-        out = _slopes(g, valid, box, [f[(slice(None),) + box] for f in fields])
-        for f, d_f in zip(fields, out):
+        inner = tuple(slice(sl.start + 2, sl.stop - 2) for sl in box)
+        D, shape = g.ndim, tuple(sl.stop - sl.start for sl in box)
+        # the fields side by side on the box, class by class: (*box, 2 * 4 + 3 * 9)
+        stack = np.concatenate([np.moveaxis(f[(slice(None),) + box], 0, D).reshape(shape + (-1,)) for f in fields],
+                               axis=-1)
+        out = np.full((D, int(valid.sum()), stack.shape[-1]), np.inf)
+        assert _slopes(g, verify._picker(valid[inner]), stack, out) is out
+        col = 0
+        for f in fields:
+            size = math.prod(f.shape[D + 1:])
             for c in range(len(f)):
-                for d in range(g.ndim):
-                    want = fd_axis(f[c], g.spacings[d], d, 1)[valid]
-                    assert np.array_equal(d_f[c][:, d].view(np.uint64), want.view(np.uint64))
+                for d in range(D):
+                    want = fd_axis(f[c], g.spacings[d], d, 1)[valid].reshape(-1, size)
+                    assert np.array_equal(out[d][:, col:col + size].view(np.uint64), want.view(np.uint64))
+                col += size
 
 
 class TestNonFinitePositions:
@@ -1462,7 +1487,7 @@ class TestBatchedDerivedChecks:
         P, G = rng.normal(size=(c, n, D, D)), rng.normal(size=(n, D, D))
         eta, d_Q = rng.normal(size=(k, n, N)), rng.normal(size=(c, n, D, D, D))
         P[0, 5, 1, 0] = np.nan
-        top, low = verify._conullity(classes, P, G, eta, d_Q)
+        top, low = verify._conullity(P, G, d_Q), verify._independence(classes, eta)
         want_top, want_low = self._conullity_per_class(classes, P, G, eta, d_Q)
         assert np.array_equal(_bits(top), _bits(want_top)) and np.array_equal(_bits(low), _bits(want_low))
 
@@ -1472,7 +1497,10 @@ class TestBatchedDerivedChecks:
         proj = rng.normal(size=(n, N, N))
         live = [x for x in range(c) if x % 2 == 0]
         d_F = rng.normal(size=(len(live), n, D, N))
-        dupin, leaf = verify._along(dirs, nX, d_eta, proj, live, d_F)
+        # d eta and d F side by side, d F of a class that is not live not read
+        d_ef = np.concatenate([d_eta, np.full_like(d_eta, np.nan)], axis=-1)
+        d_ef[live, ..., N:] = d_F
+        dupin, leaf = verify._along(dirs, nX, d_ef, proj, live)
         assert np.array_equal(_bits(dupin), _bits(self._along_one(dirs, nX, d_eta, proj)))
         assert np.array_equal(_bits(leaf), _bits(self._along_one(dirs[live], nX[live], d_F)))
 
@@ -1536,13 +1564,27 @@ class TestNodeBlocks:
         old = _whole_grid_alpha(s.grid, pos, proj)[0][:, :, jet.interior]
         assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
 
-    @pytest.mark.parametrize("case", ["recursion_step1", "recursion_step2", "holed_clifford"])
+    @pytest.mark.parametrize("case", ["recursion_step1", "recursion_step2", "recursion_k4", "holed_clifford",
+                                      "ellipse_product"])
     def test_block_sizes_do_not_change_outputs(self, case, request, monkeypatch):
-        s = _holed(clifford_product()) if case == "holed_clifford" else request.getfixturevalue(case).sample
+        if case == "holed_clifford":
+            s = _holed(clifford_product())
+        elif case == "ellipse_product":
+            # three planar ellipses in R^6: their curvature normals are
+            # independent, so the pairwise-independence minima are not 0 as
+            # the recursion samples' are, and they fall along axis 0
+            g = TensorGrid((15,) * 3, (0.8 / 14,) * 3, (0.1, 0.2, 0.3))
+            u, v, w = g.meshgrid()
+            s = ImmersionSample(g, np.stack([np.cos(u), 0.6 * np.sin(u), 0.8 * np.cos(v), 0.5 * np.sin(v),
+                                             0.6 * np.cos(w), 0.4 * np.sin(w)], axis=-1))
+        else:
+            s = request.getfixturevalue(case).sample
         jet = numeric_jet(s)
         pd = extract_principal_normals(s, jet=jet)
         rep = sf_report(s, pd=pd, jet=jet).to_dict()
-        for values in (1, 50, 3000):
+        # 3 * 2**16 passes over groups of unequal size: 2 and 1 class at 21^3,
+        # 3 and 1 at 11^4
+        for values in (1, 50, 3000, 3 * 2**16):
             monkeypatch.setattr(verify, "_BLOCK_VALUES", values)
             monkeypatch.setattr(verify, "_PASS_VALUES", values)
             small = extract_principal_normals(s, jet=jet)
